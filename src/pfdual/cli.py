@@ -5,7 +5,8 @@ naturality, and a transducer subcommand family.  Reports print as aligned
 text or JSON; both are byte-stable across runs on identical input.
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 on parse
-or precondition errors.
+or precondition errors, 3 on an internal error (an invariant that holds for
+every valid input broke).
 """
 
 from __future__ import annotations
@@ -24,32 +25,6 @@ from . import sections as sec
 from . import topcat as tc
 from . import transducer as td
 from .errors import InconsistencyError, NotClosedError, NotFunctionalError
-
-
-class Workspace:
-    """Named bindings from labels (file paths) to loaded values."""
-
-    def __init__(self, max_base: int = 6) -> None:
-        self.max_base = max_base
-        self._cache: dict[str, Any] = {}
-
-    def algebra(self, label: str) -> alg.FinAlgebra:
-        key = f"alg:{label}"
-        if key not in self._cache:
-            self._cache[key] = fmt.load_algebra(label, self.max_base)
-        return self._cache[key]
-
-    def category(self, label: str) -> tc.TopCategory:
-        key = f"cat:{label}"
-        if key not in self._cache:
-            self._cache[key] = fmt.load_category(label)
-        return self._cache[key]
-
-    def transducer(self, label: str) -> td.Transducer:
-        key = f"td:{label}"
-        if key not in self._cache:
-            self._cache[key] = fmt.load_transducer(label)
-        return self._cache[key]
 
 
 def _emit(report: dict, fmt_kind: str) -> None:
@@ -109,7 +84,7 @@ def _axiom_entries(report: alg.AxiomReport, names: tuple[str, ...]) -> list[dict
 
 
 def cmd_check_axioms(args) -> int:
-    a = Workspace(args.max_base).algebra(args.file)
+    a = fmt.load_algebra(args.file, args.max_base)
     report = alg.check_axioms(a)
     _emit({"algebra": args.file, "elements": a.size,
            "axioms": _axiom_entries(report, a.names), "passed": report.passed}, args.format)
@@ -117,7 +92,7 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    a = Workspace(args.max_base).algebra(args.file)
+    a = fmt.load_algebra(args.file, args.max_base)
     dual = dz.pf_object(a)
     cat = dual.category
     if args.out:
@@ -138,7 +113,7 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_sections(args) -> int:
-    cat = Workspace().category(args.file)
+    cat = fmt.load_category(args.file)
     report = tc.validate_object_of_C(cat)
     if not report.passed:
         raise ValueError("category fails membership checks: " + "; ".join(report.problems()))
@@ -155,7 +130,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_bidual(args) -> int:
-    a = Workspace(args.max_base).algebra(args.file)
+    a = fmt.load_algebra(args.file, args.max_base)
     iso = du.theta(a)
     _emit({
         "algebra": args.file,
@@ -229,20 +204,19 @@ def cmd_naturality(args) -> int:
 
 
 def cmd_transducer(args) -> int:
-    ws = Workspace()
     if args.sub == "eval":
-        t = ws.transducer(args.file)
+        t = fmt.load_transducer(args.file)
         out = td.eval(t, args.word)
         _emit({"transducer": args.file, "input": args.word,
                "defined": out is not None, "output": out if out is not None else ""}, args.format)
         return 0 if out is not None else 1
     if args.sub in ("compose", "pref"):
-        t1, t2 = ws.transducer(args.left), ws.transducer(args.right)
+        t1, t2 = fmt.load_transducer(args.left), fmt.load_transducer(args.right)
         result = td.compose(t1, t2) if args.sub == "compose" else td.pref_union(t1, t2)
         _write_out(fmt.write_transducer(result), args.out)
         return 0
     if args.sub in ("dom", "range"):
-        t = ws.transducer(args.file)
+        t = fmt.load_transducer(args.file)
         d = td.domain_dfa(t) if args.sub == "dom" else td.range_dfa(t)
         limit = min(args.max_len, 4)
         sample = [w for w in td.words_upto(d.alphabet, limit) if d.accepts(w)]
@@ -253,7 +227,7 @@ def cmd_transducer(args) -> int:
                "dfa_file": args.out or ""}, args.format)
         return 0
     if args.sub == "axioms":
-        machines = [ws.transducer(f) for f in args.files]
+        machines = [fmt.load_transducer(f) for f in args.files]
         report = td.axioms_bounded(machines, args.max_len)
         entries = []
         for r in report.results:
@@ -365,8 +339,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (fmt.FormatError, NotClosedError, NotFunctionalError, InconsistencyError,
-            ValueError, OSError) as e:
+    except InconsistencyError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return 3
+    except (fmt.FormatError, NotClosedError, NotFunctionalError, ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -10,7 +10,7 @@ from typing import Union
 
 from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper
 from .bitsets import bits, mask_of
-from .dualize import DualCategory, pf_morphism, pf_object
+from .dualize import dual_of, pf_morphism, pf_object  # noqa: F401  (perfbench reads duality.pf_object)
 from .errors import InconsistencyError
 from .filters import FilterSet, prime_from
 from .sections import Section, seccl_morphism, seccl_object
@@ -54,11 +54,6 @@ class CategoryIso:
     @property
     def target(self) -> TopCategory:
         return self.fwd.target
-
-
-@functools.lru_cache(maxsize=None)
-def dual_of(alg: FinAlgebra) -> DualCategory:
-    return pf_object(alg)
 
 
 @functools.lru_cache(maxsize=None)

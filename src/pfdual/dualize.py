@@ -8,6 +8,7 @@ multivalued functor running the other way, by inverse image.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra, Homomorphism, check_axioms, derive_constants, domain_elements
@@ -111,6 +112,11 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def dual_of(alg: FinAlgebra) -> DualCategory:
+    return pf_object(alg)
+
+
 def _least(alg: FinAlgebra, mask: int) -> int:
     """The order-least member of a filter; unique, so names stay distinct."""
     con = derive_constants(alg)
@@ -126,10 +132,11 @@ def pf_morphism(h: Homomorphism, dual_src: DualCategory | None = None, dual_tgt:
 
     The arrow relation is computed by partitioning each inverse image into
     prime filters: a ~ b iff some element of the pulled-back source
-    ultrafilter equalizes them on the left.
+    ultrafilter equalizes them on the left.  Duals not passed in are taken
+    from `dual_of`.
     """
-    dual_b = dual_src or pf_object(h.target)
-    dual_a = dual_tgt or pf_object(h.source)
+    dual_b = dual_src or dual_of(h.target)
+    dual_a = dual_tgt or dual_of(h.source)
     alg_a, alg_b = h.source, h.target
     a_domain = mask_of(domain_elements(alg_a))
 

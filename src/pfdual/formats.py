@@ -14,7 +14,7 @@ from typing import Any
 from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of
 from .pfun import Base, PFunc, as_abstract
-from .topcat import FinTopology, MultiFunctor, TopCategory
+from .topcat import FinTopology, MultiFunctor, TopCategory, generate_topology
 from .transducer import Dfa, Transducer
 
 
@@ -128,19 +128,19 @@ def load_algebra(path: str | Path, max_base: int = 6) -> FinAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _opens_to_lists(top: FinTopology, names: tuple[str, ...]) -> list[list[str]]:
-    return [[names[i] for i in bits(m)] for m in top.opens]
+def _basis_to_lists(top: FinTopology, names: tuple[str, ...]) -> list[list[str]]:
+    return [[names[i] for i in bits(m)] for m in top.basis]
 
 
 def category_to_dict(cat: TopCategory) -> dict:
     return {
         "objects": list(cat.obj_names),
-        "opens_obj": _opens_to_lists(cat.obj_top, cat.obj_names),
+        "opens_obj": _basis_to_lists(cat.obj_top, cat.obj_names),
         "arrows": [
             {"name": cat.arr_names[f], "src": cat.obj_names[cat.src[f]], "tgt": cat.obj_names[cat.tgt[f]]}
             for f in range(cat.n_arrows)
         ],
-        "opens_arr": _opens_to_lists(cat.arr_top, cat.arr_names),
+        "opens_arr": _basis_to_lists(cat.arr_top, cat.arr_names),
         "id": {cat.obj_names[x]: cat.arr_names[cat.id_of[x]] for x in range(cat.n_objects)},
         "comp": {
             f"{cat.arr_names[f]},{cat.arr_names[g]}": cat.arr_names[h]
@@ -176,14 +176,9 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
         return ai[n]
 
     def topology(key, index, size):
-        fam = set()
-        for group in _need(data, key, path):
-            fam.add(mask_of(index(n, key) for n in group))
-        fam |= {0, (1 << size) - 1}
-        try:
-            return FinTopology(size, tuple(sorted(fam)))
-        except ValueError as e:
-            raise FormatError(path, f"{key}: {e}") from None
+        """The listed sets are read as a subbasis."""
+        subbasis = [mask_of(index(n, key) for n in group) for group in _need(data, key, path)]
+        return generate_topology(size, subbasis)
 
     comp_pairs = []
     for pair, h in _need(data, "comp", path).items():

@@ -206,10 +206,10 @@ def seccl_morphism(
 
 
 def sections_form_basis(cat: TopCategory) -> bool:
-    """Images of sections on clopens form a basis of the arrow topology."""
+    """Images of sections on clopens form a basis of the arrow topology:
+    each arrow's minimal neighbourhood contains an image through it."""
     images = [s.image for s in enumerate_sections(cat)]
-    for u in cat.arr_top.opens:
-        for m in bits(u):
-            if not any(im >> m & 1 and not im & ~u for im in images):
-                return False
-    return True
+    return all(
+        any(im >> m & 1 and not im & ~near for im in images)
+        for m, near in enumerate(cat.arr_top.nbhds)
+    )

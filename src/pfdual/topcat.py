@@ -1,8 +1,10 @@
 """Finite topological categories and multivalued functors.
 
-Opens are bitmasks over an indexed carrier.  All membership checks
-(continuity, local homeomorphism, openness, the star conditions) are done
-by exhaustion, which is exact for finite spaces.
+A finite topology is stored as the minimal open neighbourhood of each point,
+a bitmask over an indexed carrier; on a finite carrier this is the same
+thing as a topology (its specialization preorder).  Every check below
+(continuity, local homeomorphism, openness, the star conditions) is decided
+exactly from those neighbourhoods, one per point, without listing the opens.
 """
 
 from __future__ import annotations
@@ -16,110 +18,114 @@ from .bitsets import bits, mask_of, popcount
 
 @dataclass(frozen=True)
 class FinTopology:
-    """An explicit family of open sets over carrier indices 0..size-1."""
+    """A topology on carrier indices 0..size-1.
+
+    nbhds[i] is the smallest open set containing point i.  A set is open
+    iff it contains the neighbourhood of each of its points.
+    """
 
     size: int
-    opens: tuple[int, ...]
+    nbhds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        full = (1 << self.size) - 1
-        fam = set(self.opens)
-        if 0 not in fam or full not in fam:
-            raise ValueError("a topology must contain the empty set and the carrier")
-        if any(m & ~full for m in fam):
-            raise ValueError("open set outside the carrier")
-        if tuple(sorted(fam)) != self.opens:
-            raise ValueError("opens must be sorted and duplicate-free")
-        if len(fam) != full + 1:  # the full powerset is trivially closed
-            members = tuple(fam)
-            for i, a in enumerate(members):
-                for b in members[i + 1:]:
-                    if a | b not in fam or a & b not in fam:
-                        raise ValueError("opens are not closed under union and intersection")
+        if len(self.nbhds) != self.size:
+            raise ValueError("a topology needs one neighbourhood per point")
+        for i, m in enumerate(self.nbhds):
+            if m & ~self.full:
+                raise ValueError(f"neighbourhood of point {i} lies outside the carrier")
+            if not m >> i & 1:
+                raise ValueError(f"neighbourhood of point {i} does not contain it")
+            if any(self.nbhds[j] & ~m for j in bits(m)):
+                raise ValueError(f"neighbourhood of point {i} is not open")
 
     @property
     def full(self) -> int:
         return (1 << self.size) - 1
 
     def is_open(self, mask: int) -> bool:
-        return mask in self._open_set
+        loose = mask & self._loose
+        if not loose:
+            return True
+        if mask & ~self.full:
+            return False
+        return not any(self.nbhds[i] & ~mask for i in bits(loose))
 
     def is_clopen(self, mask: int) -> bool:
-        return mask in self._open_set and (self.full & ~mask) in self._open_set
+        return self.is_open(mask) and self.is_open(self.full & ~mask)
 
     def clopens(self) -> tuple[int, ...]:
-        return tuple(m for m in self.opens if self.full & ~m in self._open_set)
+        """The unions of connected components, in ascending mask order."""
+        components: list[int] = []
+        for m in self.nbhds:
+            for c in [c for c in components if c & m]:
+                components.remove(c)
+                m |= c
+            components.append(m)
+        return _unions(components)
 
     def is_discrete(self) -> bool:
-        return all(self.is_open(1 << i) for i in range(self.size))
+        return all(m == 1 << i for i, m in enumerate(self.nbhds))
 
     def min_nbhd(self, point: int) -> int:
         """Smallest open set containing the point."""
-        return self._min_nbhds[point]
+        return self.nbhds[point]
 
     @cached_property
-    def _open_set(self) -> frozenset:
-        return frozenset(self.opens)
+    def basis(self) -> tuple[int, ...]:
+        """The distinct minimal neighbourhoods in ascending order: the
+        smallest basis of the topology."""
+        return tuple(sorted(set(self.nbhds)))
 
     @cached_property
-    def _min_nbhds(self) -> tuple[int, ...]:
-        out = []
-        for i in range(self.size):
-            m = self.full
-            for o in self.opens:
-                if o >> i & 1:
-                    m &= o
-            out.append(m)
-        return tuple(out)
+    def opens(self) -> tuple[int, ...]:
+        """Every open set in ascending order, for display and tests: there
+        can be 2^size of them, so no check reads this."""
+        return _unions(self.basis)
+
+    @cached_property
+    def _loose(self) -> int:
+        """The bits of a mask that `is_open` must look at: everything outside
+        the carrier, and the points whose neighbourhood is more than
+        themselves.  On a discrete topology that leaves one mask test."""
+        loose = ~self.full
+        for i, m in enumerate(self.nbhds):
+            if m != 1 << i:
+                loose |= 1 << i
+        return loose
+
+
+def _unions(masks: Iterable[int]) -> tuple[int, ...]:
+    """All unions of subfamilies of the masks, the empty union included."""
+    out = {0}
+    for m in masks:
+        out |= {u | m for u in out}
+    return tuple(sorted(out))
 
 
 def discrete_topology(size: int) -> FinTopology:
-    return FinTopology(size, tuple(range(1 << size)))
+    return FinTopology(size, tuple(1 << i for i in range(size)))
 
 
 def indiscrete_topology(size: int) -> FinTopology:
-    full = (1 << size) - 1
-    return FinTopology(size, (0, full) if full else (0,))
+    return FinTopology(size, ((1 << size) - 1,) * size)
 
 
 def is_topology(size: int, family: Iterable[int]) -> bool:
+    """The family is exactly the opens of the topology it generates."""
     fam = set(family)
-    full = (1 << size) - 1
-    if 0 not in fam or full not in fam:
-        return False
-    return all(a | b in fam and a & b in fam for a in fam for b in fam)
+    return fam == set(generate_topology(size, fam).opens)
 
 
 def generate_topology(size: int, subbasis: Iterable[int]) -> FinTopology:
-    """Close a subbasis under finite unions and intersections."""
+    """The coarsest topology in which every subbasis set is open: each point's
+    neighbourhood is the intersection of the subbasis sets containing it."""
     full = (1 << size) - 1
-    fam = {0, full}
-    pending = [m & full for m in subbasis]
-    while pending:
-        m = pending.pop()
-        if m in fam:
-            continue
-        fresh = {m}
-        for o in fam:
-            for candidate in (m | o, m & o):
-                if candidate not in fam:
-                    fresh.add(candidate)
-        fam.add(m)
-        pending.extend(fresh - {m})
-    # one confirming pass; new elements can appear from pairs of late arrivals
-    while True:
-        extra = set()
-        members = tuple(fam)
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                if a | b not in fam:
-                    extra.add(a | b)
-                if a & b not in fam:
-                    extra.add(a & b)
-        if not extra:
-            break
-        fam |= extra
-    return FinTopology(size, tuple(sorted(fam)))
+    nbhds = [full] * size
+    for m in subbasis:
+        m &= full
+        for i in bits(m):
+            nbhds[i] &= m
+    return FinTopology(size, tuple(nbhds))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,13 @@ def _preimage(mapping: tuple[int, ...], mask: int) -> int:
     return mask_of(i for i in range(len(mapping)) if mask >> mapping[i] & 1)
 
 
+def _failing(preimage, domain: FinTopology, codomain: FinTopology) -> list[int]:
+    """The codomain neighbourhoods whose preimage is not open.  Preimages
+    preserve unions and every open is a union of neighbourhoods, so the map
+    (or relation) is continuous iff this list is empty."""
+    return [n for n in codomain.basis if not domain.is_open(preimage(n))]
+
+
 @dataclass(frozen=True)
 class TopCategoryReport:
     src_continuous: bool
@@ -275,41 +288,29 @@ class TopCategoryReport:
 def check_topological_category(cat: TopCategory) -> TopCategoryReport:
     """Continuity of source, target, identity-assignment and composition.
 
-    Composition is checked against the pullback of composable pairs, whose
-    topology is generated by the preimages of arrow opens under the two
-    projections; openness there is decided by minimal neighbourhoods.
+    Composition is checked on the pullback of composable pairs, a subspace
+    of the product: the neighbourhood of a pair (f, g) is the set of
+    composable pairs (f', g') with f' near f and g' near g.  Witnesses are
+    the codomain neighbourhoods whose preimage is not open.
     """
     witnesses: list[tuple[str, int]] = []
 
-    def continuous(mapping, domain_top: FinTopology, codomain_top: FinTopology, label: str) -> bool:
-        ok = True
-        for u in codomain_top.opens:
-            if not domain_top.is_open(_preimage(mapping, u)):
-                witnesses.append((label, u))
-                ok = False
-        return ok
+    def continuous(preimage, domain_top: FinTopology, codomain_top: FinTopology, label: str) -> bool:
+        failing = _failing(preimage, domain_top, codomain_top)
+        witnesses.extend((label, n) for n in failing)
+        return not failing
 
-    src_ok = continuous(cat.src, cat.arr_top, cat.obj_top, "src")
-    tgt_ok = continuous(cat.tgt, cat.arr_top, cat.obj_top, "tgt")
-    id_ok = continuous(cat.id_of, cat.obj_top, cat.arr_top, "id")
+    src_ok = continuous(lambda n: _preimage(cat.src, n), cat.arr_top, cat.obj_top, "src")
+    tgt_ok = continuous(lambda n: _preimage(cat.tgt, n), cat.arr_top, cat.obj_top, "tgt")
+    id_ok = continuous(lambda n: _preimage(cat.id_of, n), cat.obj_top, cat.arr_top, "id")
 
     pairs = sorted(cat.comp)
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    k = len(pairs)
-    # minimal neighbourhood of each pair in the pullback topology
-    min_nbhd = [(1 << k) - 1 if k else 0] * k
-    for u in cat.arr_top.opens:
-        left = mask_of(i for i, (f, _) in enumerate(pairs) if u >> f & 1)
-        right = mask_of(i for i, (_, g) in enumerate(pairs) if u >> g & 1)
-        for cyl in (left, right):
-            for i in bits(cyl):
-                min_nbhd[i] &= cyl
-    comp_ok = True
-    for u in cat.arr_top.opens:
-        pre = mask_of(pair_index[p] for p in pairs if u >> cat.comp[p] & 1)
-        if any(min_nbhd[i] & ~pre for i in bits(pre)):
-            witnesses.append(("comp", u))
-            comp_ok = False
+    near = cat.arr_top.nbhds
+    first = [mask_of(i for i, (f, _) in enumerate(pairs) if m >> f & 1) for m in near]
+    second = [mask_of(i for i, (_, g) in enumerate(pairs) if m >> g & 1) for m in near]
+    pullback = FinTopology(len(pairs), tuple(first[f] & second[g] for f, g in pairs))
+    composite = tuple(cat.comp[p] for p in pairs)
+    comp_ok = continuous(lambda n: _preimage(composite, n), pullback, cat.arr_top, "comp")
     return TopCategoryReport(src_ok, tgt_ok, id_ok, comp_ok, tuple(witnesses))
 
 
@@ -323,20 +324,15 @@ def _map_of(cat: TopCategory, which: str) -> tuple[int, ...]:
 
 def is_local_homeo(cat: TopCategory, which: str = "src") -> bool:
     """Every arrow has an open neighbourhood mapped homeomorphically onto an
-    open set of objects."""
+    open set of objects.
+
+    Only each arrow's minimal neighbourhood is tried: if some open set
+    works, so does every open subset of it.
+    """
     mapping = _map_of(cat, which)
-    atop, otop = cat.arr_top, cat.obj_top
-    for u in otop.opens:
-        if not atop.is_open(_preimage(mapping, u)):
-            return False
-    candidates = sorted(atop.opens, key=lambda m: (popcount(m), m))
-    for m in range(cat.n_arrows):
-        if not any(
-            u >> m & 1 and _neighbourhood_works(cat, mapping, u)
-            for u in candidates
-        ):
-            return False
-    return True
+    if _failing(lambda n: _preimage(mapping, n), cat.arr_top, cat.obj_top):
+        return False
+    return all(_neighbourhood_works(cat, mapping, u) for u in cat.arr_top.nbhds)
 
 
 def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> bool:
@@ -347,30 +343,28 @@ def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> 
     image = mask_of(imgs)
     if not cat.obj_top.is_open(image):
         return False
-    # inverse continuity: images of relatively open sets are relatively open
-    for w in cat.arr_top.opens:
-        t = _image(mapping, u & w)
+    # inverse continuity: the neighbourhoods inside u (a basis of its
+    # relative topology) map to relatively open sets
+    for p in pts:
+        t = _image(mapping, cat.arr_top.nbhds[p])
         if any(cat.obj_top.min_nbhd(y) & image & ~t for y in bits(t)):
             return False
     return True
 
 
 def is_open_map(cat: TopCategory, which: str = "tgt") -> bool:
+    """Images preserve unions, so the images of the neighbourhoods decide."""
     mapping = _map_of(cat, which)
-    return all(cat.obj_top.is_open(_image(mapping, u)) for u in cat.arr_top.opens)
+    return all(cat.obj_top.is_open(_image(mapping, n)) for n in cat.arr_top.basis)
 
 
 def is_stone(top: FinTopology) -> bool:
     """Every pair of distinct points is separated by a clopen set.
 
-    Compactness is automatic for finite spaces.
+    Compactness is automatic for finite spaces, and a finite space whose
+    points are separated by clopens is T1, hence discrete.
     """
-    clopens = top.clopens()
-    for x in range(top.size):
-        for y in range(x + 1, top.size):
-            if not any((m >> x & 1) != (m >> y & 1) for m in clopens):
-                return False
-    return True
+    return top.is_discrete()
 
 
 def all_arrows_epi(cat: TopCategory) -> bool:
@@ -513,15 +507,11 @@ def relation_preimage(fun: MultiFunctor, mask: int) -> int:
 
 
 def is_continuous_multifunctor(fun: MultiFunctor) -> bool:
-    obj_ok = all(
-        fun.source.obj_top.is_open(_preimage(fun.obj_map, u))
-        for u in fun.target.obj_top.opens
+    src_c, tgt_c = fun.source, fun.target
+    return not (
+        _failing(lambda n: _preimage(fun.obj_map, n), src_c.obj_top, tgt_c.obj_top)
+        or _failing(lambda n: relation_preimage(fun, n), src_c.arr_top, tgt_c.arr_top)
     )
-    arr_ok = all(
-        fun.source.arr_top.is_open(relation_preimage(fun, u))
-        for u in fun.target.arr_top.opens
-    )
-    return obj_ok and arr_ok
 
 
 @dataclass(frozen=True)
@@ -542,9 +532,11 @@ def star_checks(fun: MultiFunctor) -> StarReport:
     injective: images of two arrows sharing a source can only meet if the
     arrows are equal.  surjective: every target arrow out of a mapped object
     is hit.  pseudo / co_pseudo: every open set meeting the mapped star
-    (costar) is hit by the image of the star (costar).
+    (costar) is hit by the image of the star (costar); it is enough that the
+    neighbourhood of each arrow in the mapped star (costar) is hit.
     """
     src_c, tgt_c = fun.source, fun.target
+    near = tgt_c.arr_top.nbhds
     injective = True
     surjective = True
     pseudo = True
@@ -562,16 +554,14 @@ def star_checks(fun: MultiFunctor) -> StarReport:
             hit |= fun.arr_rel[f]
         if star_mask & ~hit:
             surjective = False
-        for u in tgt_c.arr_top.opens:
-            if u & star_mask and not u & hit:
-                pseudo = False
+        if any(not near[g] & hit for g in bits(star_mask)):
+            pseudo = False
         costar_mask = mask_of(tgt_c.costar(fx))
         cohit = 0
         for f in src_c.costar(x):
             cohit |= fun.arr_rel[f]
-        for u in tgt_c.arr_top.opens:
-            if u & costar_mask and not u & cohit:
-                co_pseudo = False
+        if any(not near[g] & cohit for g in bits(costar_mask)):
+            co_pseudo = False
     return StarReport(injective, surjective, pseudo, co_pseudo)
 
 

@@ -96,6 +96,22 @@ class TestBidual:
         assert code == 0
         assert "theta: isomorphism (8 <-> 8)" in out
 
+    def test_internal_error_exit_code(self, capsys, monkeypatch, tmp_path):
+        from pfdual import duality
+        from pfdual.errors import InconsistencyError
+
+        def broken(alg):
+            raise InconsistencyError("theta: maps are not mutually inverse")
+
+        monkeypatch.setattr(duality, "theta", broken)
+        code = main(["bidual", str(DATA / "swap_const.alg.json")])
+        assert code == 3
+        assert capsys.readouterr().err == "internal error: theta: maps are not mutually inverse\n"
+        # bad input still takes precedence over the stage that would break
+        path = tmp_path / "bad.json"
+        path.write_text("{nope")
+        assert main(["bidual", str(path)]) == 2
+
 
 class TestHomCheck:
     def test_inclusion(self, capsys):

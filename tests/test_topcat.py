@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
+import operator
+import random
 
 import pytest
 
+from pfdual import formats as fmt
 from pfdual import topcat as tc
+from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.algebra import identity_hom
 from pfdual.topcat import MultiFunctor
@@ -188,3 +194,202 @@ class TestMultiFunctors:
         fun = pf_morphism(incl_hom)
         with pytest.raises(ValueError):
             tc.compose_multifunctors(fun, fun)
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks against brute force over every open set
+# ---------------------------------------------------------------------------
+
+
+def brute_opens(size: int, subbasis) -> frozenset:
+    """The subbasis with the empty set and the carrier, closed under
+    intersections and then under unions."""
+    full = (1 << size) - 1
+    meets = {full}
+    for m in subbasis:
+        meets |= {b & m & full for b in meets}
+    opens = {0}
+    for b in meets:
+        opens |= {u | b for u in opens}
+    return frozenset(opens)
+
+
+def random_subbasis(rng: random.Random, size: int) -> list[int]:
+    return [rng.randrange(1 << size) for _ in range(rng.randint(0, 4))]
+
+
+def preimage(mapping, u: int) -> int:
+    return mask_of(i for i, v in enumerate(mapping) if u >> v & 1)
+
+
+def image(mapping, u: int) -> int:
+    return mask_of(mapping[i] for i in bits(u))
+
+
+def failing_opens(pre, domain_opens, codomain_opens) -> set:
+    return {u for u in codomain_opens if pre(u) not in domain_opens}
+
+
+class TestBruteForceTopologies:
+    def test_generated_topology_matches_closure(self):
+        rng = random.Random(1937)
+        for _ in range(150):
+            size = rng.randint(0, 6)
+            sub = random_subbasis(rng, size)
+            top = tc.generate_topology(size, sub)
+            opens = brute_opens(size, sub)
+            full = (1 << size) - 1
+            clopens = {u for u in opens if full & ~u in opens}
+            assert top.opens == tuple(sorted(opens))
+            for m in range(1 << (size + 1)):
+                assert top.is_open(m) == (m in opens)
+                assert top.is_clopen(m) == (m in clopens)
+            assert set(top.clopens()) == clopens
+            for i in range(size):
+                assert top.min_nbhd(i) == functools.reduce(operator.and_, (u for u in opens if u >> i & 1))
+            separated = all(
+                any((u >> x & 1) != (u >> y & 1) for u in clopens)
+                for x, y in itertools.combinations(range(size), 2)
+            )
+            assert tc.is_stone(top) == separated
+            assert tc.is_topology(size, opens)
+            family = set(sub) | {0, full}
+            assert tc.is_topology(size, family) == (family == opens)
+
+    def test_twenty_singletons_are_discrete(self):
+        size = 20
+        top = tc.generate_topology(size, [1 << i for i in range(size)])
+        full = (1 << size) - 1
+        assert top.is_discrete() and tc.is_stone(top)
+        assert top.basis == tuple(1 << i for i in range(size))
+        assert top.is_open(0b1011) and top.is_clopen(full & ~0b1011)
+        assert not top.is_open(1 << size)
+
+
+def _small_categories(corpus_algebras, one_arrow_category, nonepi_category):
+    cats = [pf_object(a).category for a in corpus_algebras]
+    return [c for c in cats + [one_arrow_category, nonepi_category] if c.n_arrows <= 7]
+
+
+def _with_random_topologies(rng: random.Random, cat: tc.TopCategory):
+    """The category with random topologies, and the brute-force opens of each."""
+    sub_o = random_subbasis(rng, cat.n_objects)
+    sub_a = random_subbasis(rng, cat.n_arrows)
+    top_cat = dataclasses.replace(
+        cat,
+        obj_top=tc.generate_topology(cat.n_objects, sub_o),
+        arr_top=tc.generate_topology(cat.n_arrows, sub_a),
+    )
+    return top_cat, brute_opens(cat.n_objects, sub_o), brute_opens(cat.n_arrows, sub_a)
+
+
+def brute_local_homeo(mapping, arr_opens, obj_opens) -> bool:
+    if failing_opens(lambda u: preimage(mapping, u), arr_opens, obj_opens):
+        return False
+
+    def works(u: int) -> bool:
+        imgs = [mapping[i] for i in bits(u)]
+        target = mask_of(imgs)
+        if len(set(imgs)) != len(imgs) or target not in obj_opens:
+            return False
+        relative = {v & target for v in obj_opens}
+        return all(image(mapping, u & w) in relative for w in arr_opens)
+
+    return all(any(u >> m & 1 and works(u) for u in arr_opens) for m in range(len(mapping)))
+
+
+def brute_star_checks(fun: MultiFunctor, target_arr_opens) -> tc.StarReport:
+    src_c, tgt_c, rel = fun.source, fun.target, fun.arr_rel
+    injective = surjective = pseudo = co_pseudo = True
+    for x in range(src_c.n_objects):
+        star = [f for f in range(src_c.n_arrows) if src_c.src[f] == x]
+        costar = [f for f in range(src_c.n_arrows) if src_c.tgt[f] == x]
+        if any(rel[f1] & rel[f2] for f1, f2 in itertools.combinations(star, 2)):
+            injective = False
+        y = fun.obj_map[x]
+        star_y = mask_of(g for g in range(tgt_c.n_arrows) if tgt_c.src[g] == y)
+        costar_y = mask_of(g for g in range(tgt_c.n_arrows) if tgt_c.tgt[g] == y)
+        hit = functools.reduce(operator.or_, (rel[f] for f in star), 0)
+        cohit = functools.reduce(operator.or_, (rel[f] for f in costar), 0)
+        if star_y & ~hit:
+            surjective = False
+        if any(u & star_y and not u & hit for u in target_arr_opens):
+            pseudo = False
+        if any(u & costar_y and not u & cohit for u in target_arr_opens):
+            co_pseudo = False
+    return tc.StarReport(injective, surjective, pseudo, co_pseudo)
+
+
+class TestBruteForceCategories:
+    def test_category_checks(self, corpus_algebras, one_arrow_category, nonepi_category):
+        rng = random.Random(1966)
+        cats = _small_categories(corpus_algebras, one_arrow_category, nonepi_category)
+        for _ in range(60):
+            cat, oo, ao = _with_random_topologies(rng, rng.choice(cats))
+            pairs = sorted(cat.comp)
+            cylinders = [
+                mask_of(i for i, p in enumerate(pairs) if u >> p[side] & 1)
+                for u in ao for side in (0, 1)
+            ]
+            pullback = brute_opens(len(pairs), cylinders)
+            composite = tuple(cat.comp[p] for p in pairs)
+            expected = {
+                "src": failing_opens(lambda u: preimage(cat.src, u), ao, oo),
+                "tgt": failing_opens(lambda u: preimage(cat.tgt, u), ao, oo),
+                "id": failing_opens(lambda u: preimage(cat.id_of, u), oo, ao),
+                "comp": failing_opens(lambda u: preimage(composite, u), pullback, ao),
+            }
+            report = tc.check_topological_category(cat)
+            flags = {"src": report.src_continuous, "tgt": report.tgt_continuous,
+                     "id": report.id_continuous, "comp": report.comp_continuous}
+            for label, failing in expected.items():
+                assert flags[label] == (not failing)
+                witnessed = {u for lab, u in report.witnesses if lab == label}
+                assert witnessed <= failing and bool(witnessed) == bool(failing)
+            for which in ("src", "tgt"):
+                mapping = cat.src if which == "src" else cat.tgt
+                assert tc.is_local_homeo(cat, which) == brute_local_homeo(mapping, ao, oo)
+                assert tc.is_open_map(cat, which) == all(image(mapping, u) in oo for u in ao)
+
+    def test_multifunctor_checks(self, corpus_algebras, one_arrow_category, nonepi_category):
+        rng = random.Random(1970)
+        cats = _small_categories(corpus_algebras, one_arrow_category, nonepi_category)
+        cats = [c for c in cats if c.n_objects]
+        for _ in range(80):
+            source, src_oo, src_ao = _with_random_topologies(rng, rng.choice(cats))
+            target, tgt_oo, tgt_ao = _with_random_topologies(rng, rng.choice(cats))
+            fun = MultiFunctor(
+                source, target,
+                tuple(rng.randrange(target.n_objects) for _ in range(source.n_objects)),
+                tuple(rng.randrange(1 << target.n_arrows) for _ in range(source.n_arrows)),
+            )
+            relation = [mask_of(f for f, r in enumerate(fun.arr_rel) if r & u) for u in range(1 << target.n_arrows)]
+            continuous = not (
+                failing_opens(lambda u: preimage(fun.obj_map, u), src_oo, tgt_oo)
+                or failing_opens(relation.__getitem__, src_ao, tgt_ao)
+            )
+            assert tc.is_continuous_multifunctor(fun) == continuous
+            assert tc.star_checks(fun) == brute_star_checks(fun, tgt_ao)
+
+
+class TestCategoryFileForms:
+    def test_every_open_form_loads_like_basis_form(self, nonepi_category):
+        obj_sub, arr_sub = [0b011, 0b110], [0b0000111, 0b0011110, 0b1000000]
+        cat = dataclasses.replace(
+            nonepi_category,
+            obj_top=tc.generate_topology(nonepi_category.n_objects, obj_sub),
+            arr_top=tc.generate_topology(nonepi_category.n_arrows, arr_sub),
+        )
+        basis_form = fmt.category_to_dict(cat)
+
+        def names(masks, labels):
+            return [[labels[i] for i in bits(m)] for m in sorted(masks)]
+
+        every_open_form = dict(
+            basis_form,
+            opens_obj=names(brute_opens(cat.n_objects, obj_sub), cat.obj_names),
+            opens_arr=names(brute_opens(cat.n_arrows, arr_sub), cat.arr_names),
+        )
+        assert basis_form["opens_arr"] == names(set(cat.arr_top.nbhds), cat.arr_names)
+        assert len(every_open_form["opens_arr"]) > len(basis_form["opens_arr"])
+        assert fmt.parse_category(every_open_form) == fmt.parse_category(basis_form) == cat
