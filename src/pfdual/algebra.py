@@ -50,6 +50,14 @@ class FinAlgebra:
             if any(not 0 <= v < n for v in vec):
                 raise ValueError(f"{label} table entry out of range")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """Hashed once: the module caches look algebras up on every call."""
+        return hash((self.compose_t, self.anti_t, self.range_t, self.pref_t, self.names))
+
     @classmethod
     def from_tables(cls, compose_t, anti_t, range_t, pref_t, names=None) -> "FinAlgebra":
         return cls(

@@ -13,7 +13,7 @@ from .bitsets import bits, mask_of
 from .dualize import dual_of, pf_morphism, pf_object  # noqa: F401  (perfbench reads duality.pf_object)
 from .errors import InconsistencyError
 from .filters import FilterSet, prime_from
-from .sections import Section, seccl_morphism, seccl_object
+from .sections import seccl_morphism, seccl_object
 from .topcat import (
     MultiFunctor,
     TopCategory,
@@ -79,23 +79,20 @@ def theta(alg: FinAlgebra) -> AlgebraIso:
     """
     dual = dual_of(alg)
     secalg, secs = sections_of(dual.category)
-    sec_index = {(s.domain, s.choice): i for i, s in enumerate(secs)}
+    sec_index = {s.image: i for i, s in enumerate(secs)}
     arr_index = {p.members: i for i, p in enumerate(dual.arrow_filters)}
 
     fwd = []
     for a in range(alg.size):
-        dom_mask = dual.domain_opens[alg.dom(a)]
-        pairs = []
-        for o in bits(dom_mask):
-            p = prime_from(alg, dual.object_filters[o], a)
-            k = arr_index.get(p.members)
-            if k is None:
-                raise InconsistencyError("choice filter is not an arrow of the dual")
-            pairs.append((o, k))
-        section = Section(dual.category, dom_mask, tuple(pairs))
-        if section.image != dual.element_opens[a]:
+        image = 0
+        for o in bits(dual.domain_opens[alg.dom(a)]):
+            k = arr_index.get(prime_from(alg, dual.object_filters[o], a).members)
+            if k is None or dual.category.src[k] != o:
+                raise InconsistencyError("choice filter is not a dual arrow starting at its object")
+            image |= 1 << k
+        if image != dual.element_opens[a]:
             raise InconsistencyError("section disagrees with the filters containing the element")
-        idx = sec_index.get((section.domain, section.choice))
+        idx = sec_index.get(image)
         if idx is None:
             raise InconsistencyError("image section was not enumerated")
         fwd.append(idx)
@@ -135,17 +132,15 @@ def phi(cat: TopCategory) -> CategoryIso:
     secalg, secs = sections_of(cat)
     dd = dual_of(secalg)
     id_mask = cat.identity_mask()
+    images = [s.image for s in secs]
 
     obj_map = []
     for x in range(cat.n_objects):
-        members = mask_of(
-            i for i, s in enumerate(secs)
-            if not s.image & ~id_mask and s.image >> cat.id_of[x] & 1
-        )
+        members = mask_of(i for i, m in enumerate(images) if not m & ~id_mask and m >> cat.id_of[x] & 1)
         obj_map.append(dd.object_index(FilterSet(secalg, members)))
     arr_map = []
     for c in range(cat.n_arrows):
-        members = mask_of(i for i, s in enumerate(secs) if s.image >> c & 1)
+        members = mask_of(i for i, m in enumerate(images) if m >> c & 1)
         arr_map.append(dd.arrow_index(FilterSet(secalg, members)))
 
     if sorted(obj_map) != list(range(dd.category.n_objects)) or sorted(arr_map) != list(range(dd.category.n_arrows)):

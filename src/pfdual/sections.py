@@ -1,15 +1,16 @@
 """Sections on clopens of a finite etale category, and the algebra they form.
 
 A section picks one arrow per object of a clopen set of objects, with the
-source map as left inverse; continuity is equivalent to the image being an
-open set of arrows.  The set of all such sections carries the four algebra
+source map as left inverse, so its image (the set of arrows it picks)
+identifies it; continuity is equivalent to the image being an open set of
+arrows.  The set of all such sections carries the four algebra
 operations, giving the other half of the duality.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -50,12 +51,6 @@ class Section:
     def image(self) -> int:
         return mask_of(f for _, f in self.choice)
 
-    def arrow_at(self, x: int) -> Optional[int]:
-        for obj, f in self.choice:
-            if obj == x:
-                return f
-        return None
-
     def is_valid(self) -> bool:
         """Clopen domain and open image (the continuity criterion)."""
         return self.category.obj_top.is_clopen(self.domain) and self.category.arr_top.is_open(self.image)
@@ -70,7 +65,6 @@ def section_from_arrows(cat: TopCategory, arrows: Iterable[int]) -> Section:
     return Section(cat, mask_of(seen), tuple(pairs))
 
 
-@functools.lru_cache(maxsize=None)
 def _structurally_sound(cat: TopCategory) -> tuple[str, ...]:
     """Problems that make section enumeration meaningless: broken category
     axioms, discontinuous structure maps, or a source map that is not a
@@ -85,9 +79,18 @@ def _structurally_sound(cat: TopCategory) -> tuple[str, ...]:
     return tuple(problems)
 
 
+MAX_SECTIONS = 2048
+
+
 def enumerate_sections(cat: TopCategory) -> tuple[Section, ...]:
     """All sections on clopen domains, in a fixed order: domains by size
-    then mask value, choices lexicographically by per-object arrow index."""
+    then mask value, choices lexicographically by per-object arrow index.
+
+    Refuses a category whose section count may exceed MAX_SECTIONS, bounded
+    by the product of 1 + |star x| over the objects x."""
+    bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
+    if bound > MAX_SECTIONS:
+        raise ValueError(f"category may have {bound} sections, over the limit of {MAX_SECTIONS}")
     problems = _structurally_sound(cat)
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
@@ -107,40 +110,61 @@ def enumerate_sections(cat: TopCategory) -> tuple[Section, ...]:
 # ---------------------------------------------------------------------------
 
 
+class _Images:
+    """The four operations on section images (arrow masks) of one category;
+    src(m) is the set of sources of the arrows in m."""
+
+    def __init__(self, cat: TopCategory) -> None:
+        self.cat = cat
+        self.stars = [mask_of(cat.star(x)) for x in range(cat.n_objects)]
+
+    def compose(self, a: int, b: int) -> int:
+        """Each f in a, then the arrow of b at tgt f if there is one."""
+        cat, out = self.cat, 0
+        for f in bits(a):
+            g = b & self.stars[cat.tgt[f]]
+            if g:
+                out |= 1 << cat.compose(f, g.bit_length() - 1)
+        return out
+
+    def antidomain(self, a: int) -> int:
+        """Identities on the objects outside src(a)."""
+        return mask_of(e for x, e in enumerate(self.cat.id_of) if not a & self.stars[x])
+
+    def range(self, a: int) -> int:
+        """Identities on the targets of a."""
+        return mask_of(self.cat.id_of[self.cat.tgt[f]] for f in bits(a))
+
+    def pref(self, a: int, b: int) -> int:
+        """a, extended by the arrows of b whose source is outside src(a)."""
+        covered = 0
+        for f in bits(a):
+            covered |= self.stars[self.cat.src[f]]
+        return a | b & ~covered
+
+
 def sec_compose(a: Section, b: Section) -> Section:
     """Pointwise: follow a, then b from where a landed."""
-    cat = a.category
-    pairs = []
-    for x, f in a.choice:
-        g = b.arrow_at(cat.tgt[f])
-        if g is not None:
-            pairs.append((x, cat.compose(f, g)))
-    return _checked(Section(cat, mask_of(x for x, _ in pairs), tuple(pairs)))
+    return _checked(a.category, _Images(a.category).compose(a.image, b.image))
 
 
 def sec_antidomain(a: Section) -> Section:
     """Identity arrows on the objects outside the domain of a."""
-    cat = a.category
-    pairs = tuple((x, cat.id_of[x]) for x in range(cat.n_objects) if not a.domain >> x & 1)
-    return _checked(Section(cat, mask_of(x for x, _ in pairs), pairs))
+    return _checked(a.category, _Images(a.category).antidomain(a.image))
 
 
 def sec_range(a: Section) -> Section:
     """Identity arrows on the targets hit by a."""
-    cat = a.category
-    hit = sorted({cat.tgt[f] for _, f in a.choice})
-    pairs = tuple((x, cat.id_of[x]) for x in hit)
-    return _checked(Section(cat, mask_of(hit), pairs))
+    return _checked(a.category, _Images(a.category).range(a.image))
 
 
 def sec_pref(a: Section, b: Section) -> Section:
     """Override: a, extended by b outside the domain of a."""
-    rest = sec_compose(sec_antidomain(a), b)
-    pairs = tuple(sorted(a.choice + rest.choice))
-    return _checked(Section(a.category, a.domain | rest.domain, pairs))
+    return _checked(a.category, _Images(a.category).pref(a.image, b.image))
 
 
-def _checked(s: Section) -> Section:
+def _checked(cat: TopCategory, image: int) -> Section:
+    s = section_from_arrows(cat, bits(image))
     if not s.is_valid():
         raise InconsistencyError("operation produced an invalid section")
     return s
@@ -151,30 +175,25 @@ def _checked(s: Section) -> Section:
 # ---------------------------------------------------------------------------
 
 
-def _section_key(s: Section) -> tuple:
-    return (s.domain, s.choice)
-
-
 def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[Section, ...]]:
     """The algebra of all sections on clopens of a validated category.
 
     Returns the operation tables together with the section they index.
+    Every result is looked up by its image among the enumerated sections,
+    which are exactly the valid ones, so the lookup is the validity check.
     """
     secs = enumerate_sections(cat)
-    index = {_section_key(s): i for i, s in enumerate(secs)}
-
-    def look(s: Section) -> int:
-        try:
-            return index[_section_key(s)]
-        except KeyError:
-            raise InconsistencyError("sections are not closed under the operations") from None
-
-    n = len(secs)
-    compose_t = tuple(tuple(look(sec_compose(a, b)) for b in secs) for a in secs)
-    anti_t = tuple(look(sec_antidomain(a)) for a in secs)
-    range_t = tuple(look(sec_range(a)) for a in secs)
-    pref_t = tuple(tuple(look(sec_pref(a, b)) for b in secs) for a in secs)
-    names = tuple(f"s{i}" for i in range(n))
+    images = [s.image for s in secs]
+    index = {m: i for i, m in enumerate(images)}
+    ops = _Images(cat)
+    try:
+        compose_t = tuple(tuple(index[ops.compose(a, b)] for b in images) for a in images)
+        anti_t = tuple(index[ops.antidomain(a)] for a in images)
+        range_t = tuple(index[ops.range(a)] for a in images)
+        pref_t = tuple(tuple(index[ops.pref(a, b)] for b in images) for a in images)
+    except KeyError:
+        raise InconsistencyError("sections are not closed under the operations") from None
+    names = tuple(f"s{i}" for i in range(len(secs)))
     return FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=names), secs
 
 
@@ -190,17 +209,12 @@ def seccl_morphism(
         raise ValueError("functor must be star coherent")
     alg_d, secs_d = target_sections or seccl_object(fun.target)
     alg_c, secs_c = source_sections or seccl_object(fun.source)
-    index_c = {_section_key(s): i for i, s in enumerate(secs_c)}
+    index_c = {s.image: i for i, s in enumerate(secs_c)}
     mapping = []
     for s in secs_d:
-        arrows = relation_preimage(fun, s.image)
-        try:
-            pulled = section_from_arrows(fun.source, bits(arrows))
-        except ValueError:
-            raise InconsistencyError("inverse image of a section is not a section") from None
-        k = index_c.get(_section_key(pulled))
+        k = index_c.get(relation_preimage(fun, s.image))
         if k is None:
-            raise InconsistencyError("inverse image of a section has a non-clopen domain")
+            raise InconsistencyError("inverse image of a section is not a section on a clopen")
         mapping.append(k)
     return Homomorphism(source=alg_d, target=alg_c, mapping=tuple(mapping))
 

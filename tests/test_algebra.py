@@ -47,6 +47,21 @@ class TestDerivedConstants:
         con = alg.derive_constants(swap_only)
         assert swap_only.names[con.zero] == "0" and swap_only.names[con.ident] == "1"
 
+    def test_equal_algebras_share_one_cache_entry(self, swap_const):
+        # fresh names keep this pair out of the entries other tests cache
+        names = tuple(f"h{k}" for k in range(swap_const.size))
+        a, b = (
+            alg.FinAlgebra.from_tables(swap_const.compose_t, swap_const.anti_t, swap_const.range_t,
+                                       swap_const.pref_t, names)
+            for _ in range(2)
+        )
+        assert a is not b and a == b and hash(a) == hash(b)
+        first = alg.derive_constants(a)
+        before = alg.derive_constants.cache_info()
+        assert alg.derive_constants(b) is first
+        after = alg.derive_constants.cache_info()
+        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+
     def test_no_zero_error(self, swap_const):
         i = swap_const.index_of
         broken = mutate_vector(swap_const, "anti", i("s"), i("1"))

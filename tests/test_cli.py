@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 from pfdual.cli import main
@@ -88,6 +89,23 @@ class TestDualize:
         path.write_text(fmt.write_category(build_nonepi_category()))
         code = main(["sections", str(path)])
         assert code == 2
+
+    def test_sections_refuses_section_explosion(self, capsys, tmp_path):
+        # 16 objects with identities only: 2^16 sections and 2^32-entry tables
+        objs = [f"x{i}" for i in range(16)]
+        path = tmp_path / "ids16.json"
+        path.write_text(json.dumps({
+            "objects": objs,
+            "opens_obj": [[x] for x in objs],
+            "arrows": [{"name": f"i{x}", "src": x, "tgt": x} for x in objs],
+            "opens_arr": [[f"i{x}"] for x in objs],
+            "id": {x: f"i{x}" for x in objs},
+            "comp": {f"i{x},i{x}": f"i{x}" for x in objs},
+        }, indent=2))
+        start = time.perf_counter()
+        code = main(["sections", str(path)])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "over the limit of 2048" in capsys.readouterr().err
 
 
 class TestBidual:

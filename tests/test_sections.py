@@ -11,7 +11,7 @@ from pfdual import algebra as alg
 from pfdual import sections as sc
 from pfdual import topcat as tc
 from pfdual.algebra import identity_hom
-from pfdual.bitsets import bits, popcount
+from pfdual.bitsets import bits, mask_of, popcount
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.duality import theta
 from pfdual.sections import Section
@@ -25,6 +25,15 @@ def dual1(swap_const):
 @pytest.fixture(scope="module")
 def secs1(dual1):
     return sc.enumerate_sections(dual1.category)
+
+
+def identities_only(n: int) -> tc.TopCategory:
+    """n discrete objects and their identities: 2^n sections."""
+    objs = [f"x{i}" for i in range(n)]
+    return tc.make_category(
+        objs, [(f"i{x}", x, x) for x in objs], {x: f"i{x}" for x in objs},
+        {(f"i{x}", f"i{x}"): f"i{x}" for x in objs},
+    )
 
 
 def theta_section(dual, name: str) -> Section:
@@ -87,6 +96,11 @@ class TestEnumeration:
         )
         with pytest.raises(ValueError, match="cannot enumerate sections"):
             sc.enumerate_sections(cat)
+
+    def test_section_bound_admits_the_limit_and_refuses_beyond(self):
+        assert len(sc.enumerate_sections(identities_only(11))) == sc.MAX_SECTIONS == 2048
+        with pytest.raises(ValueError, match="4096 sections, over the limit of 2048"):
+            sc.enumerate_sections(identities_only(12))
 
     def test_nonepi_category_still_enumerable(self, nonepi_category):
         # the epimorphism condition is deliberately not part of the
@@ -193,3 +207,83 @@ class TestBasis:
         cats.append(one_arrow_category)
         for cat in cats:
             assert sc.sections_form_basis(cat)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the four operations computed pointwise on (domain, choice)
+# ---------------------------------------------------------------------------
+
+
+def ref_arrow_at(s: Section, x: int):
+    for obj, f in s.choice:
+        if obj == x:
+            return f
+    return None
+
+
+def ref_compose(a: Section, b: Section) -> Section:
+    cat = a.category
+    pairs = []
+    for x, f in a.choice:
+        g = ref_arrow_at(b, cat.tgt[f])
+        if g is not None:
+            pairs.append((x, cat.compose(f, g)))
+    return Section(cat, mask_of(x for x, _ in pairs), tuple(pairs))
+
+
+def ref_antidomain(a: Section) -> Section:
+    cat = a.category
+    pairs = tuple((x, cat.id_of[x]) for x in range(cat.n_objects) if not a.domain >> x & 1)
+    return Section(cat, mask_of(x for x, _ in pairs), pairs)
+
+
+def ref_range(a: Section) -> Section:
+    cat = a.category
+    hit = sorted({cat.tgt[f] for _, f in a.choice})
+    return Section(cat, mask_of(hit), tuple((x, cat.id_of[x]) for x in hit))
+
+
+def ref_pref(a: Section, b: Section) -> Section:
+    rest = ref_compose(ref_antidomain(a), b)
+    return Section(a.category, a.domain | rest.domain, tuple(sorted(a.choice + rest.choice)))
+
+
+class TestImageOracle:
+    """The image-mask operations against the pointwise reference."""
+
+    @pytest.fixture(scope="class")
+    def cats(self, corpus_algebras, nonepi_category, one_arrow_category):
+        return [pf_object(a).category for a in corpus_algebras] + [nonepi_category, one_arrow_category]
+
+    def test_tables_match_reference(self, cats):
+        for cat in cats:
+            algebra, secs = sc.seccl_object(cat)
+            key = {(s.domain, s.choice): i for i, s in enumerate(secs)}
+
+            def look(s: Section) -> int:
+                assert s.is_valid()
+                return key[(s.domain, s.choice)]
+
+            assert algebra.compose_t == tuple(tuple(look(ref_compose(a, b)) for b in secs) for a in secs)
+            assert algebra.anti_t == tuple(look(ref_antidomain(a)) for a in secs)
+            assert algebra.range_t == tuple(look(ref_range(a)) for a in secs)
+            assert algebra.pref_t == tuple(tuple(look(ref_pref(a, b)) for b in secs) for a in secs)
+
+    def test_section_wrappers_match_reference(self, cats):
+        for cat in cats:
+            secs = sc.enumerate_sections(cat)
+            for a in secs:
+                assert sc.sec_antidomain(a) == ref_antidomain(a)
+                assert sc.sec_range(a) == ref_range(a)
+                for b in secs:
+                    assert sc.sec_compose(a, b) == ref_compose(a, b)
+                    assert sc.sec_pref(a, b) == ref_pref(a, b)
+
+    def test_morphism_matches_pull_back(self, incl_hom):
+        fun = pf_morphism(incl_hom)
+        h = sc.seccl_morphism(fun)
+        _, secs_d = sc.seccl_object(fun.target)
+        _, secs_c = sc.seccl_object(fun.source)
+        key = {(s.domain, s.choice): i for i, s in enumerate(secs_c)}
+        pulled = (sc.section_from_arrows(fun.source, bits(tc.relation_preimage(fun, s.image))) for s in secs_d)
+        assert h.mapping == tuple(key[(p.domain, p.choice)] for p in pulled)
