@@ -16,6 +16,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .errors import NotFunctionalError
 
 BOUND_CAP = 12
+MAX_WORDS = 2 ** 20  # the bounded oracles keep one output per word in memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,10 +374,81 @@ def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int, cap: int = BOUND
         raise ValueError(f"bound {max_len} exceeds the cap {cap}")
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
-    for w in words_upto(t1.alphabet, max_len):
-        if eval(t1, w) != eval(t2, w):
-            return False, w
-    return True, None
+    _check_word_count(t1.alphabet, max_len)
+    return _agree(t1.alphabet, _outputs(t1, max_len), _outputs(t2, max_len))
+
+
+def _check_word_count(alphabet: Sequence[str], max_len: int) -> None:
+    """Refuse a bound whose output tables would not fit in memory."""
+    words = sum(len(alphabet) ** n for n in range(max_len + 1))
+    if words > MAX_WORDS:
+        raise ValueError(f"{words} words of length at most {max_len} over {len(alphabet)} "
+                         f"letters exceed MAX_WORDS = {MAX_WORDS}")
+
+
+def _markers(alphabet: Sequence[str]) -> tuple[str, str]:
+    """Two characters no output can contain: a separator and the undefined mark."""
+    free = (c for c in map(chr, itertools.count()) if c not in alphabet)
+    return next(free), next(free)
+
+
+def _outputs(t: Transducer, max_len: int) -> tuple:
+    """The output table (text, error) of t up to max_len.
+
+    text holds eval(t, w) for every word w, in words_upto order, joined by a
+    separator outside the alphabet; an undefined word, and a word with two
+    outputs, reads as a mark outside the alphabet.  error is (index, two
+    outputs) for the first word with two outputs, or None.
+
+    One walk of the prefix trie: each prefix's configurations are computed
+    once and extended by one letter per child, and a prefix with no
+    configuration leaves its whole subtree undefined.
+    """
+    al, final_out, trans = t.alphabet, t.final_out, t.trans
+    k = len(al)
+    sep, undef = _markers(al)
+    start = [sum(k ** m for m in range(n)) for n in range(max_len + 2)]
+    outs = [undef] * start[-1]
+    error = None
+    stack = [(0, 0, {(t.initial, "")})] if max_len >= 0 else []
+    while stack:
+        n, rank, configs = stack.pop()
+        i = start[n] + rank
+        results = {out + final_out[q] for q, out in configs if q in final_out}
+        if len(results) == 1:
+            outs[i] = results.pop()
+        elif results and (error is None or i < error[0]):
+            two = sorted(results)[:2]
+            error = (i, (two[0], two[1]))
+        if n < max_len:
+            for j, a in enumerate(al):
+                step = {(q2, out + emitted) for q, out in configs for emitted, q2 in trans.get((q, a), ())}
+                if step:
+                    stack.append((n + 1, rank * k + j, step))
+    return sep.join(outs), error
+
+
+def _word_at(alphabet: Sequence[str], index: int) -> str:
+    """The word at this position of words_upto(alphabet, ...)."""
+    return next(itertools.islice(words_upto(alphabet, index), index, None))
+
+
+def _agree(alphabet: Sequence[str], x: tuple, y: tuple) -> tuple[bool, Optional[str]]:
+    """equiv_bounded's verdict from the two machines' tables.  The first word
+    with two outputs at or before the first disagreement raises its
+    NotFunctionalError, x's before y's, as evaluating word by word would."""
+    (x_text, x_error), (y_text, y_error) = x, y
+    first = None
+    if x_text != y_text:
+        sep, _ = _markers(alphabet)
+        first = next(i for i, (u, v) in enumerate(zip(x_text.split(sep), y_text.split(sep)))
+                     if u != v)
+    errors = [e for e in (x_error, y_error) if e is not None]
+    if errors:
+        at, outputs = min(errors, key=lambda e: e[0])
+        if first is None or at <= first:
+            raise NotFunctionalError(_word_at(alphabet, at), outputs)
+    return (True, None) if first is None else (False, _word_at(alphabet, first))
 
 
 @dataclass(frozen=True)
@@ -407,7 +479,14 @@ class BoundedAxiomReport:
 
 def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP) -> BoundedAxiomReport:
     """Instantiate the ten representability (quasi)equations over all tuples
-    from the given machines and compare both sides word by word."""
+    from the given machines and compare both sides word by word.
+
+    Within one axiom, A, D and R of a shared machine, and a composite or
+    override of inputs, the identity and A/D/R results, are built once and
+    shared; each shared machine's output table is computed once.  Both are
+    dropped when the axiom is done.  Other terms, such as comp(a, comp(b, c)),
+    are used once and not kept.
+    """
     if max_len > cap:
         raise ValueError(f"bound {max_len} exceeds the cap {cap}")
     if not ts:
@@ -415,12 +494,44 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
     al = ts[0].alphabet
     if any(t.alphabet != al for t in ts):
         raise ValueError("transducers must share an alphabet")
+    _check_word_count(al, max_len)
     ident = identity_transducer(al)
-    A, R, D, comp, pref = antidomain, range_transducer, domain_transducer, compose, pref_union
+    inputs = {id(t): "input" for t in (*ts, ident)}
+    # id -> label of every shared machine.  Each one is held by ts, ident or
+    # built until the axiom is done, so no id is reused while it is a key.
+    shared = dict(inputs)
+    built: dict[tuple, Transducer] = {}
+    tables: dict[int, tuple] = {}
+
+    def share(label: str, build, operand_labels: tuple[str, ...]):
+        def op(*args: Transducer) -> Transducer:
+            if any(shared.get(id(x)) not in operand_labels for x in args):
+                return build(*args)
+            key = (label, *map(id, args))
+            if key not in built:
+                built[key] = m = build(*args)
+                shared.setdefault(id(m), label)
+            return built[key]
+        return op
+
+    # comp and pref are shared only over inputs and A/D/R results: a
+    # composite of a composite is a top-level term, used once.
+    leaves = ("input", "A", "D", "R")
+    any_shared = leaves + ("comp", "pref")
+    A, D = share("A", antidomain, any_shared), share("D", domain_transducer, any_shared)
+    R = share("R", range_transducer, any_shared)
+    comp, pref = share("comp", compose, leaves), share("pref", pref_union, leaves)
     idxs = range(len(ts))
 
+    def table(t: Transducer) -> tuple:
+        if id(t) not in shared:
+            return _outputs(t, max_len)
+        if id(t) not in tables:
+            tables[id(t)] = _outputs(t, max_len)
+        return tables[id(t)]
+
     def eq(x: Transducer, y: Transducer):
-        return equiv_bounded(x, y, max_len, cap)
+        return _agree(al, table(x), table(y))
 
     results = []
 
@@ -429,8 +540,13 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
             outcome, word = check(*[ts[i] for i in tup])
             if not outcome:
                 results.append(BoundedAxiomCheck(index, name, equational, False, tuple(tup) + (word,)))
-                return
-        results.append(BoundedAxiomCheck(index, name, equational, True))
+                break
+        else:
+            results.append(BoundedAxiomCheck(index, name, equational, True))
+        built.clear()
+        tables.clear()
+        shared.clear()
+        shared.update(inputs)
 
     def quasi(premises, conclusion):
         """Bounded quasiequation: conclusion checked when all premises hold."""

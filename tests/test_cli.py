@@ -225,3 +225,27 @@ class TestTransducerCommands:
                         "--max-len", "5", "--format", "json")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_axioms_on_non_functional_machine(self, capsys, tmp_path):
+        # q -a-> (a|b) q, final q: the word 'a' has two outputs
+        path = tmp_path / "two_outputs.td.json"
+        path.write_text(json.dumps({
+            "alphabet": ["a", "b"], "states": ["q"], "initial": "q", "final": {"q": ""},
+            "trans": [{"from": "q", "in": "a", "out": out, "to": "q"} for out in ("a", "b")],
+        }))
+        code = main(["transducer", "axioms", str(path), "--max-len", "4"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: not functional: input 'a' has outputs 'a' and 'b'\n"
+
+    def test_axioms_refuses_too_many_words(self, capsys, tmp_path):
+        # one state over 26 letters: 12,356,631 words up to length 5
+        letters = [chr(ord("a") + i) for i in range(26)]
+        path = tmp_path / "id26.td.json"
+        path.write_text(json.dumps({
+            "alphabet": letters, "states": ["q"], "initial": "q", "final": {"q": ""},
+            "trans": [{"from": "q", "in": a, "out": a, "to": "q"} for a in letters],
+        }))
+        start = time.perf_counter()
+        code = main(["transducer", "axioms", str(path), "--max-len", "5"])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        assert "exceed MAX_WORDS = 1048576" in capsys.readouterr().err

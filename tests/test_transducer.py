@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import collections
+import itertools
+import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfdual import formats as fmt
 from pfdual import transducer as td
 from pfdual.errors import NotFunctionalError
 
@@ -186,8 +191,8 @@ class TestBoundedOracles:
         assert len(report.results) == 10
 
     def test_axiom_violation_detected(self, t1, t2):
-        """A machine pair violating left identity: flip outputs upside
-        down so id;t differs from t."""
+        """Despite the name, no violation: a machine rewriting every letter
+        still satisfies the axioms (test_axiom_violation_found injects one)."""
         skewed = td.Transducer(
             states=("p",), alphabet=AL, initial="p",
             trans={("p", "a"): frozenset({("b", "p")})}, final_out={"p": "b"},
@@ -210,3 +215,138 @@ def test_pref_union_pointwise(word):
     pu = td.pref_union(t1, t2)
     f, g = td.eval(t1, word), td.eval(t2, word)
     assert td.eval(pu, word) == (f if f is not None else g)
+
+
+def test_axiom_violation_found(monkeypatch):
+    """An override that ignores its left operand breaks D(a);(a|b) = a."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    machines = [fmt.load_transducer(data / "id_on_as.td.json"),
+                fmt.load_transducer(data / "as_to_bs.td.json")]
+    monkeypatch.setattr(td, "pref_union", lambda a, b: b)
+    report = td.axioms_bounded(machines, 6)
+    assert not report.passed
+    assert not report.result(9).passed and report.result(9).witness == (0, 1, "")
+
+
+def test_word_count_refused_before_any_work():
+    letters = tuple(chr(ord("a") + i) for i in range(26))
+    ident = td.identity_transducer(letters)
+    for check in (lambda: td.axioms_bounded([ident], 5), lambda: td.equiv_bounded(ident, ident, 5)):
+        with pytest.raises(ValueError, match="exceed MAX_WORDS"):
+            check()
+    assert sum(3 ** n for n in range(13)) <= td.MAX_WORDS  # ternary words up to the cap
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the word-by-word sweep the trie tables replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_equiv(t1, t2, max_len):
+    for w in td.words_upto(t1.alphabet, max_len):
+        if td.eval(t1, w) != td.eval(t2, w):
+            return False, w
+    return True, None
+
+
+def reference_axioms(ts, max_len):
+    """(index, passed, witness) per axiom, building every term afresh and
+    evaluating each word from the initial state."""
+    ident = td.identity_transducer(ts[0].alphabet)
+    A, R, D = td.antidomain, td.range_transducer, td.domain_transducer
+    comp, pref = td.compose, td.pref_union
+    idxs = range(len(ts))
+
+    def eq(x, y):
+        return reference_equiv(x, y, max_len)
+
+    def quasi(premises, conclusion):
+        for lhs, rhs in premises:
+            if not eq(lhs, rhs)[0]:
+                return True, None
+        return eq(*conclusion)
+
+    pairs = list(itertools.product(idxs, repeat=2))
+    triples = list(itertools.product(idxs, repeat=3))
+    singles = [(i,) for i in idxs]
+    checks = (
+        (1, triples, lambda a, b, c: eq(comp(a, comp(b, c)), comp(comp(a, b), c))),
+        (2, pairs, lambda a, b: eq(comp(A(a), a), comp(A(b), b))),
+        (3, singles, lambda a: eq(comp(ident, a), a)),
+        (4, pairs, lambda a, b: eq(comp(a, A(b)), comp(A(comp(a, b)), a))),
+        (5, triples, lambda a, b, c: quasi(
+            [(comp(D(a), b), comp(D(a), c)), (comp(A(a), b), comp(A(a), c))], (b, c))),
+        (6, singles, lambda a: eq(D(R(a)), R(a))),
+        (7, singles, lambda a: eq(comp(a, R(a)), a)),
+        (8, triples, lambda a, b, c: quasi(
+            [(comp(a, b), comp(a, c))], (comp(R(a), b), comp(R(a), c)))),
+        (9, pairs, lambda a, b: eq(comp(D(a), pref(a, b)), a)),
+        (10, pairs, lambda a, b: eq(comp(A(a), pref(a, b)), comp(A(a), b))),
+    )
+    results = []
+    for index, tuples, check in checks:
+        for tup in tuples:
+            ok, word = check(*[ts[i] for i in tup])
+            if not ok:
+                results.append((index, False, tuple(tup) + (word,)))
+                break
+        else:
+            results.append((index, True, None))
+    return results
+
+
+def random_machine(rnd, alphabet, states, nondeterministic):
+    names = tuple(f"s{i}" for i in range(states))
+    trans = {}
+    for q in names:
+        for a in alphabet:
+            width = rnd.choice((0, 1, 1, 2) if nondeterministic else (0, 1, 1))
+            outs = {("".join(rnd.choice(alphabet) for _ in range(rnd.randint(0, 2))), rnd.choice(names))
+                    for _ in range(width)}
+            if outs:
+                trans[(q, a)] = frozenset(outs)
+    finals = rnd.sample(names, rnd.randint(1, states))
+    final_out = {q: rnd.choice(("",) + tuple(alphabet)) for q in finals}
+    return td.Transducer(names, tuple(alphabet), "s0", trans, final_out)
+
+
+def test_first_word_with_two_outputs_is_raised():
+    """The error comes at the first such word of either machine, the left
+    machine's first when both have one there."""
+    def machine(a_outs, b_outs):
+        return td.Transducer(("q",), AL, "q", {("q", "a"): frozenset((o, "q") for o in a_outs),
+                                               ("q", "b"): frozenset((o, "q") for o in b_outs)},
+                             {"q": ""})
+
+    late, early, early_too = machine("a", "ab"), machine("ab", "b"), machine(("aa", "b"), "b")
+    for x, y in itertools.permutations((late, early, early_too), 2):
+        expected = outcome(reference_equiv, x, y, 2)
+        assert expected[0] == "not functional" and expected[1] == "a"
+        assert outcome(td.equiv_bounded, x, y, 2) == expected
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except NotFunctionalError as e:
+        return ("not functional", e.word, e.outputs)
+
+
+def test_trie_tables_match_word_by_word_reference():
+    """Same reports, witnesses and NotFunctionalErrors as the reference on
+    random machines, about 30 % of them nondeterministic."""
+    rnd = random.Random(25)
+    kinds = collections.Counter()
+    for _ in range(40):
+        alphabet = rnd.choice(("ab", "abc"))
+        ts = [random_machine(rnd, alphabet, rnd.randint(1, 3), rnd.random() < 0.3)
+              for _ in range(rnd.randint(1, 3))]
+        max_len = rnd.randint(0, 4 if alphabet == "ab" else 3)
+        expected = outcome(reference_axioms, ts, max_len)
+        got = outcome(lambda: [(r.index, r.passed, r.witness) for r in td.axioms_bounded(ts, max_len).results])
+        assert got == expected
+        kinds[expected[0] if expected[0] == "not functional" else all(r[1] for r in expected)] += 1
+        for x, y in itertools.product(ts, repeat=2):
+            assert outcome(td.equiv_bounded, x, y, max_len) == outcome(reference_equiv, x, y, max_len)
+    # the seed covers raised errors, failing reports and passing ones
+    assert kinds["not functional"] and kinds[False] and kinds[True]
