@@ -6,7 +6,7 @@ The main entry points:
 - `pfun`: concrete partial functions on a finite base; the semantic oracle.
 - `algebra`: finite operation-table algebras and the ten-axiom
   representability checker.
-- `filters`: prime filters and domain ultrafilters.
+- `filters`: general filter calculus; the oracle for the dual.
 - `topcat`: finite topological categories and multivalued functors.
 - `dualize` / `sections`: the two halves of the duality.
 - `duality`: the double-dual isomorphisms and naturality checks.

@@ -192,6 +192,8 @@ def cmd_naturality(args) -> int:
     data = json.loads(Path(args.file).read_text())
     if "map" in data:
         h = fmt.load_homomorphism(args.file, args.max_base)
+        if not alg.check_homomorphism(h):
+            raise ValueError("map is not a homomorphism")
         commutes = du.check_naturality_theta(h)
         _emit({"hom": args.file, "square": "theta", "commutes": commutes}, args.format)
     elif "arr_rel" in data:

@@ -4,16 +4,14 @@ homomorphisms and plain functors."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Union
 
 from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper
-from .bitsets import bits, mask_of
+from .bitsets import bits
 from .dualize import dual_of, pf_morphism, pf_object  # noqa: F401  (perfbench reads duality.pf_object)
 from .errors import InconsistencyError
-from .filters import FilterSet, prime_from
-from .sections import seccl_morphism, seccl_object
+from .sections import seccl_morphism, sections_of
 from .topcat import (
     MultiFunctor,
     TopCategory,
@@ -56,11 +54,6 @@ class CategoryIso:
         return self.fwd.target
 
 
-@functools.lru_cache(maxsize=None)
-def sections_of(cat: TopCategory):
-    return seccl_object(cat)
-
-
 def _verify_algebra_iso(iso: AlgebraIso) -> AlgebraIso:
     n = iso.source.size
     if sorted(iso.fwd) != list(range(iso.target.size)) or iso.target.size != n:
@@ -75,18 +68,17 @@ def _verify_algebra_iso(iso: AlgebraIso) -> AlgebraIso:
 def theta(alg: FinAlgebra) -> AlgebraIso:
     """The double-dual isomorphism on algebras: each element goes to the
     section whose domain is the objects containing its domain element and
-    whose choice at an object mu is the prime filter (mu * a) closed upward.
+    whose choice at the object of the atom e is the prime filter of e * a.
     """
     dual = dual_of(alg)
     secalg, secs = sections_of(dual.category)
     sec_index = {s.image: i for i, s in enumerate(secs)}
-    arr_index = {p.members: i for i, p in enumerate(dual.arrow_filters)}
 
     fwd = []
     for a in range(alg.size):
         image = 0
         for o in bits(dual.domain_opens[alg.dom(a)]):
-            k = arr_index.get(prime_from(alg, dual.object_filters[o], a).members)
+            k = dual.arr_index.get(alg.comp(dual.object_atoms[o], a))
             if k is None or dual.category.src[k] != o:
                 raise InconsistencyError("choice filter is not a dual arrow starting at its object")
             image |= 1 << k
@@ -128,20 +120,16 @@ def _verify_category_iso(iso: CategoryIso) -> CategoryIso:
 def phi(cat: TopCategory) -> CategoryIso:
     """The double-dual isomorphism on categories: an object goes to the
     ultrafilter of identity sections through its identity arrow, an arrow to
-    the prime filter of sections containing it."""
+    the prime filter of sections containing it.  Both filters are the
+    up-sets of the section whose image is that one arrow."""
     secalg, secs = sections_of(cat)
     dd = dual_of(secalg)
-    id_mask = cat.identity_mask()
-    images = [s.image for s in secs]
-
-    obj_map = []
-    for x in range(cat.n_objects):
-        members = mask_of(i for i, m in enumerate(images) if not m & ~id_mask and m >> cat.id_of[x] & 1)
-        obj_map.append(dd.object_index(FilterSet(secalg, members)))
-    arr_map = []
-    for c in range(cat.n_arrows):
-        members = mask_of(i for i, m in enumerate(images) if m >> c & 1)
-        arr_map.append(dd.arrow_index(FilterSet(secalg, members)))
+    sec_index = {s.image: i for i, s in enumerate(secs)}
+    try:
+        obj_map = [dd.obj_index[sec_index[1 << e]] for e in cat.id_of]
+        arr_map = [dd.arr_index[sec_index[1 << c]] for c in range(cat.n_arrows)]
+    except KeyError:
+        raise InconsistencyError("double dual of the category has a different shape") from None
 
     if sorted(obj_map) != list(range(dd.category.n_objects)) or sorted(arr_map) != list(range(dd.category.n_arrows)):
         raise InconsistencyError("double dual of the category has a different shape")
@@ -164,14 +152,7 @@ def phi(cat: TopCategory) -> CategoryIso:
 def naturality_theta_sides(h: Homomorphism) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Both composites around the algebra naturality square, as maps from
     the source algebra into the double dual of the target."""
-    dual_b = dual_of(h.target)
-    dual_a = dual_of(h.source)
-    fun = pf_morphism(h, dual_src=dual_b, dual_tgt=dual_a)
-    secl = seccl_morphism(
-        fun,
-        target_sections=sections_of(fun.target),
-        source_sections=sections_of(fun.source),
-    )
+    secl = seccl_morphism(pf_morphism(h))
     th_a = theta(h.source)
     th_b = theta(h.target)
     lhs = tuple(secl.mapping[th_a.fwd[a]] for a in range(h.source.size))
@@ -187,16 +168,7 @@ def check_naturality_theta(h: Homomorphism) -> bool:
 def naturality_phi_sides(fun: MultiFunctor) -> tuple[MultiFunctor, MultiFunctor]:
     """Both composites around the category naturality square, as multivalued
     functors from the source category into the double dual of the target."""
-    secl = seccl_morphism(
-        fun,
-        target_sections=sections_of(fun.target),
-        source_sections=sections_of(fun.source),
-    )
-    dd = pf_morphism(
-        secl,
-        dual_src=dual_of(secl.target),
-        dual_tgt=dual_of(secl.source),
-    )
+    dd = pf_morphism(seccl_morphism(fun))
     phi_c = phi(fun.source)
     phi_d = phi(fun.target)
     lhs = compose_multifunctors(phi_c.fwd, dd)
@@ -233,16 +205,8 @@ def restricted_duality_check(morphism: Union[Homomorphism, MultiFunctor]) -> Res
     plain-functor double dual.  Observations are reported either way."""
     if isinstance(morphism, Homomorphism):
         lp, _ = check_locally_proper(morphism)
-        fun = pf_morphism(
-            morphism,
-            dual_src=dual_of(morphism.target),
-            dual_tgt=dual_of(morphism.source),
-        )
-        dd = seccl_morphism(
-            fun,
-            target_sections=sections_of(fun.target),
-            source_sections=sections_of(fun.source),
-        )
+        fun = pf_morphism(morphism)
+        dd = seccl_morphism(fun)
         dd_lp, _ = check_locally_proper(dd)
         return RestrictedDualityReport(
             kind="homomorphism",
@@ -250,13 +214,9 @@ def restricted_duality_check(morphism: Union[Homomorphism, MultiFunctor]) -> Res
             dual_restricted=is_plain_functor(fun),
             double_dual_restricted=dd_lp,
         )
-    secl = seccl_morphism(
-        morphism,
-        target_sections=sections_of(morphism.target),
-        source_sections=sections_of(morphism.source),
-    )
+    secl = seccl_morphism(morphism)
     lp, _ = check_locally_proper(secl)
-    dd = pf_morphism(secl, dual_src=dual_of(secl.target), dual_tgt=dual_of(secl.source))
+    dd = pf_morphism(secl)
     return RestrictedDualityReport(
         kind="functor",
         input_restricted=is_plain_functor(morphism),

@@ -1,9 +1,13 @@
 """The contravariant dualization of finite representable algebras.
 
 An algebra turns into a finite topological category: arrows are prime
-filters, objects are ultrafilters of the domain subalgebra, composition is
-upward-closed pairwise composition.  A homomorphism turns into a
-multivalued functor running the other way, by inverse image.
+filters, objects are ultrafilters of the domain subalgebra.  On a finite
+algebra every filter is principal, so arrow k is the up-set of one minimal
+nonzero element m_k and object o is the up-set, among domain elements, of
+one atom e_o.  The source and target of m are the objects of D(m) and R(m),
+the composite of m and m' is m*m' (zero exactly when they do not compose),
+and both topologies are discrete.  A homomorphism turns into a multivalued
+functor running the other way, by inverse image.
 """
 
 from __future__ import annotations
@@ -12,43 +16,38 @@ import functools
 from dataclasses import dataclass
 
 from .algebra import FinAlgebra, Homomorphism, check_axioms, derive_constants, domain_elements
-from .bitsets import bits, mask_of
+from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
-from .filters import (
-    FilterSet,
-    compose_filters,
-    enumerate_domain_ultrafilters,
-    enumerate_prime_filters,
-    is_filter,
-    is_prime,
-    source_of,
-    target_of,
-    upward_closure,
-)
-from .topcat import MultiFunctor, TopCategory, generate_topology
+from .filters import minimal_nonzero_elements
+from .topcat import MultiFunctor, TopCategory, discrete_topology
 
 
 @dataclass(frozen=True)
 class DualCategory:
-    """A topological category remembering the filters it was built from.
+    """A topological category remembering the elements it was built from.
 
-    element_opens[a] is the set of arrows (prime filters) containing element
-    a; domain_opens[d] is the set of objects (domain ultrafilters)
-    containing element d.  These are the basic opens of the two topologies.
+    arrow_elements[k] is the minimal nonzero element whose up-set is arrow k
+    (a prime filter); object_atoms[o] is the atom of the domain subalgebra
+    whose up-set among domain elements is object o (a domain ultrafilter).
+    arr_index and obj_index invert them.  element_opens[a] is the set of
+    arrows containing element a; domain_opens[d] is the set of objects
+    containing element d.
     """
 
     category: TopCategory
     algebra: FinAlgebra
-    arrow_filters: tuple[FilterSet, ...]
-    object_filters: tuple[FilterSet, ...]
+    arrow_elements: tuple[int, ...]
+    object_atoms: tuple[int, ...]
     element_opens: tuple[int, ...]
     domain_opens: tuple[int, ...]
 
-    def arrow_index(self, f: FilterSet) -> int:
-        return self.arrow_filters.index(f)
+    @functools.cached_property
+    def arr_index(self) -> dict[int, int]:
+        return {m: k for k, m in enumerate(self.arrow_elements)}
 
-    def object_index(self, f: FilterSet) -> int:
-        return self.object_filters.index(f)
+    @functools.cached_property
+    def obj_index(self) -> dict[int, int]:
+        return {e: o for o, e in enumerate(self.object_atoms)}
 
 
 def pf_object(alg: FinAlgebra) -> DualCategory:
@@ -62,41 +61,49 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
         first = report.failures()[0]
         raise ValueError(f"algebra is not representable: axiom ({first.index}) {first.name} fails")
 
-    arrows = enumerate_prime_filters(alg)
-    objects = enumerate_domain_ultrafilters(alg)
-    obj_index = {f.members: i for i, f in enumerate(objects)}
-    arr_index = {f.members: i for i, f in enumerate(arrows)}
+    con = derive_constants(alg)
+    arrows = minimal_nonzero_elements(alg)
+    # an atom of the domain subalgebra is a minimal element that is its own domain
+    objects = tuple(m for m in arrows if con.dom_t[m] == m)
+    arr_index = {m: k for k, m in enumerate(arrows)}
+    obj_index = {e: o for o, e in enumerate(objects)}
 
-    src = tuple(obj_index[source_of(alg, p).members] for p in arrows)
-    tgt = tuple(obj_index[target_of(alg, p).members] for p in arrows)
-    id_of = tuple(arr_index[upward_closure(alg, mu.members)] for mu in objects)
+    try:
+        src = tuple(obj_index[alg.dom(m)] for m in arrows)
+        tgt = tuple(obj_index[alg.rng(m)] for m in arrows)
+    except KeyError:
+        raise InconsistencyError("the domain or range of a minimal element is not an atom") from None
+    id_of = tuple(arr_index[e] for e in objects)
 
     comp_pairs = []
-    for i, p in enumerate(arrows):
-        for j, q in enumerate(arrows):
-            if tgt[i] != src[j]:
-                continue
-            r = compose_filters(alg, p, q)
-            k = arr_index.get(r.members)
-            if k is None:
-                raise InconsistencyError("composite of prime filters is not a prime filter")
-            comp_pairs.append((i, j, k))
+    for i, m in enumerate(arrows):
+        row = alg.compose_t[m]
+        for j, m2 in enumerate(arrows):
+            if tgt[i] == src[j]:
+                k = arr_index.get(row[m2])
+                if k is None:
+                    raise InconsistencyError(
+                        f"composite of {alg.names[m]} and {alg.names[m2]} is not a minimal element"
+                    )
+                comp_pairs.append((i, j, k))
+            elif row[m2] != con.zero:
+                raise InconsistencyError(
+                    f"product of {alg.names[m]} and {alg.names[m2]} is nonzero but they do not compose"
+                )
 
     n = alg.size
-    element_opens = tuple(
-        mask_of(i for i, p in enumerate(arrows) if p.members >> a & 1) for a in range(n)
-    )
+    dmask = mask_of(domain_elements(alg))
+    element_opens = tuple(mask_of(k for k, m in enumerate(arrows) if con.up[m] >> a & 1) for a in range(n))
     domain_opens = tuple(
-        mask_of(i for i, mu in enumerate(objects) if mu.members >> a & 1) for a in range(n)
+        mask_of(o for o, e in enumerate(objects) if con.up[e] >> d & 1) if dmask >> d & 1 else 0
+        for d in range(n)
     )
-    obj_top = generate_topology(len(objects), (domain_opens[d] for d in domain_elements(alg)))
-    arr_top = generate_topology(len(arrows), element_opens)
 
     category = TopCategory(
-        obj_names=tuple("u_" + alg.names[_least(alg, mu.members)] for mu in objects),
-        arr_names=tuple("p_" + alg.names[_least(alg, p.members)] for p in arrows),
-        obj_top=obj_top,
-        arr_top=arr_top,
+        obj_names=tuple("u_" + alg.names[e] for e in objects),
+        arr_names=tuple("p_" + alg.names[m] for m in arrows),
+        obj_top=discrete_topology(len(objects)),
+        arr_top=discrete_topology(len(arrows)),
         src=src,
         tgt=tgt,
         id_of=id_of,
@@ -105,8 +112,8 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
     return DualCategory(
         category=category,
         algebra=alg,
-        arrow_filters=arrows,
-        object_filters=objects,
+        arrow_elements=arrows,
+        object_atoms=objects,
         element_opens=element_opens,
         domain_opens=domain_opens,
     )
@@ -117,82 +124,52 @@ def dual_of(alg: FinAlgebra) -> DualCategory:
     return pf_object(alg)
 
 
-def _least(alg: FinAlgebra, mask: int) -> int:
-    """The order-least member of a filter; unique, so names stay distinct."""
-    con = derive_constants(alg)
-    for x in bits(mask):
-        if mask & ~con.up[x] == 0:
-            return x
-    raise InconsistencyError("filter has no least element")
-
-
-def pf_morphism(h: Homomorphism, dual_src: DualCategory | None = None, dual_tgt: DualCategory | None = None) -> MultiFunctor:
+def pf_morphism(h: Homomorphism) -> MultiFunctor:
     """Dualize a homomorphism h: A -> B into a multivalued functor
     pf(B) -> pf(A), acting by inverse image.
 
-    The arrow relation is computed by partitioning each inverse image into
-    prime filters: a ~ b iff some element of the pulled-back source
-    ultrafilter equalizes them on the left.  Duals not passed in are taken
-    from `dual_of`.
+    The inverse image of the prime filter up(m) is the disjoint union of the
+    prime filters up(k) over the minimal elements k of A with h(k) >= m, so
+    the arrow relation relates m to exactly those; likewise the object of
+    the atom e goes to the one atom of A that h maps above e.  Both duals are
+    taken from `dual_of`.
     """
-    dual_b = dual_src or dual_of(h.target)
-    dual_a = dual_tgt or dual_of(h.source)
-    alg_a, alg_b = h.source, h.target
-    a_domain = mask_of(domain_elements(alg_a))
+    dual_b, dual_a = dual_of(h.target), dual_of(h.source)
+    up_a, up_b = derive_constants(h.source).up, derive_constants(h.target).up
+    a_domain = mask_of(domain_elements(h.source))
+
+    def pull_back(up_m: int, elements: tuple[int, ...], within: int) -> int:
+        """The indices of the elements k with h(k) in up_m; raises unless
+        their up-sets within `within` are disjoint and cover the inverse
+        image of up_m there."""
+        inv = mask_of(a for a in bits(within) if up_m >> h(a) & 1)
+        chosen = covered = 0
+        for i, k in enumerate(elements):
+            if inv >> k & 1:
+                up_k = up_a[k] & within
+                if covered & up_k:
+                    raise InconsistencyError("up-sets chosen for an inverse image overlap")
+                chosen |= 1 << i
+                covered |= up_k
+        if covered != inv:
+            raise InconsistencyError("inverse image is not the union of the up-sets chosen for it")
+        return chosen
 
     obj_map = []
-    for mu in dual_b.object_filters:
-        inv = mask_of(d for d in bits(a_domain) if mu.members >> h(d) & 1)
-        try:
-            obj_map.append(dual_a.object_index(FilterSet(alg_a, inv)))
-        except ValueError:
-            raise InconsistencyError("pulled-back ultrafilter is not an object of the dual") from None
-
-    arr_index = {p.members: i for i, p in enumerate(dual_a.arrow_filters)}
-    arr_rel = []
-    for pi, p in enumerate(dual_b.arrow_filters):
-        inv = mask_of(a for a in range(alg_a.size) if p.members >> h(a) & 1)
-        if not inv:
-            arr_rel.append(0)
-            continue
-        nu = dual_a.object_filters[obj_map[dual_b.category.src[pi]]]
-        mask = 0
-        for cls in _partition_classes(alg_a, inv, nu):
-            k = arr_index.get(cls)
-            if k is None:
-                raise InconsistencyError("partition class is not a prime filter of the source dual")
-            mask |= 1 << k
-        arr_rel.append(mask)
+    for e in dual_b.object_atoms:
+        chosen = pull_back(up_b[e], dual_a.object_atoms, a_domain)
+        if popcount(chosen) != 1:
+            raise InconsistencyError("pulled-back ultrafilter is not an object of the dual")
+        obj_map.append(chosen.bit_length() - 1)
+    full_a = (1 << h.source.size) - 1
+    arr_rel = tuple(pull_back(up_b[m], dual_a.arrow_elements, full_a) for m in dual_b.arrow_elements)
 
     return MultiFunctor(
         source=dual_b.category,
         target=dual_a.category,
         obj_map=tuple(obj_map),
-        arr_rel=tuple(arr_rel),
+        arr_rel=arr_rel,
     )
-
-
-def _partition_classes(alg: FinAlgebra, inv: int, nu: FilterSet) -> list[int]:
-    """Split an inverse image into classes: a ~ b iff alpha*a = alpha*b for
-    some alpha in nu."""
-    elems = list(bits(inv))
-    alphas = list(bits(nu.members))
-    classes: list[list[int]] = []
-    for a in elems:
-        placed = False
-        for cls in classes:
-            b = cls[0]
-            if any(alg.comp(al, a) == alg.comp(al, b) for al in alphas):
-                cls.append(a)
-                placed = True
-                break
-        if not placed:
-            classes.append([a])
-    masks = [mask_of(cls) for cls in classes]
-    for m in masks:
-        if not is_filter(alg, m) or not is_prime(alg, FilterSet(alg, m)):
-            raise InconsistencyError("inverse-image class is not a prime filter")
-    return masks
 
 
 @dataclass(frozen=True)

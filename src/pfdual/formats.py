@@ -243,6 +243,8 @@ def load_functor(path: str | Path) -> MultiFunctor:
     for name in source.obj_names:
         if name not in om:
             raise FormatError(path, f"obj_map is missing object {name!r}")
+        if om[name] not in target.obj_names:
+            raise FormatError(path, f"unknown object {om[name]!r} in obj_map")
         obj_map.append(target.obj_names.index(om[name]))
     rel = [0] * source.n_arrows
     for pair in _need(data, "arr_rel", path):

@@ -9,10 +9,11 @@ operations, giving the other half of the duality.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of, popcount
@@ -197,18 +198,20 @@ def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[Section, ...]]:
     return FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=names), secs
 
 
-def seccl_morphism(
-    fun: MultiFunctor,
-    target_sections: Optional[tuple[FinAlgebra, tuple[Section, ...]]] = None,
-    source_sections: Optional[tuple[FinAlgebra, tuple[Section, ...]]] = None,
-) -> Homomorphism:
+@functools.lru_cache(maxsize=None)
+def sections_of(cat: TopCategory) -> tuple[FinAlgebra, tuple[Section, ...]]:
+    return seccl_object(cat)
+
+
+def seccl_morphism(fun: MultiFunctor) -> Homomorphism:
     """Dualize a star-coherent multivalued functor F: C -> D into the
     homomorphism SecCl(D) -> SecCl(C) taking a section to its inverse image.
+    Both section algebras are taken from `sections_of`.
     """
     if not star_checks(fun).coherent:
         raise ValueError("functor must be star coherent")
-    alg_d, secs_d = target_sections or seccl_object(fun.target)
-    alg_c, secs_c = source_sections or seccl_object(fun.source)
+    alg_d, secs_d = sections_of(fun.target)
+    alg_c, secs_c = sections_of(fun.source)
     index_c = {s.image: i for i, s in enumerate(secs_c)}
     mapping = []
     for s in secs_d:

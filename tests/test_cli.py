@@ -160,6 +160,24 @@ class TestNaturality:
         assert code == 0
         assert json.loads(out)["commutes"] is True
 
+    def test_non_homomorphism_is_bad_input(self, capsys, tmp_path):
+        """A map that is not a homomorphism is refused with exit 2, before
+        any dual is built, as hom-check reports it invalid."""
+        data = json.loads((DATA / "swap_inclusion.hom.json").read_text())
+        names, values = list(data["map"]), list(data["map"].values())
+        data["map"] = dict(zip(names, values[1:] + values[:1]))
+        data["source"] = str(DATA / "swap_only.alg.json")
+        data["target"] = str(DATA / "swap_const.alg.json")
+        path = tmp_path / "rotated.json"
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "hom-check", path, "--format", "json")
+        assert code == 1 and json.loads(out)["valid"] is False
+        code = main(["naturality", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: map is not a homomorphism\n"
+
 
 class TestFunctorCheck:
     def test_dual_of_inclusion(self, capsys, tmp_path):

@@ -33,7 +33,7 @@ class TestTheta:
         _, secs = du.sections_of(dual.category)
         target = secs[iso.fwd[swap_const.index_of("s3")]]
         assert target.domain == (1 << dual.category.n_objects) - 1
-        chosen = {dual.arrow_filters[f].element_names()[0] for _, f in target.choice}
+        chosen = {swap_const.names[dual.arrow_elements[f]] for _, f in target.choice}
         assert chosen == {"s", "e3"}
 
     def test_corpus_isomorphisms(self, corpus_algebras):
@@ -59,7 +59,7 @@ class TestPhi:
         for c in range(cat.n_arrows):
             image_arrow = next(bits(iso.fwd.arr_rel[c]))
             expected = {i for i, s in enumerate(secs) if s.image >> c & 1}
-            assert set(bits(dd.arrow_filters[image_arrow].members)) == expected
+            assert set(bits(alg.derive_constants(secalg).up[dd.arrow_elements[image_arrow]])) == expected
 
     def test_empty_category(self, one_elem):
         cat = du.dual_of(one_elem).category

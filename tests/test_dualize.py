@@ -9,6 +9,18 @@ from pfdual import topcat as tc
 from pfdual.algebra import compose_homs, identity_hom
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_is_functor_iff_locally_proper, pf_morphism, pf_object
+from pfdual.duality import sections_of, theta
+from pfdual.filters import (
+    compose_filters,
+    domain_mask,
+    enumerate_domain_ultrafilters,
+    enumerate_prime_filters,
+    is_proper,
+    prime_from,
+    source_of,
+    target_of,
+    upward_closure,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +84,50 @@ class TestDualObjects:
             assert mask_of(cat.tgt[f] for f in arrows) == dual1.domain_opens[swap_const.rng(a)]
 
 
+class TestFilterCalculusOracle:
+    """The principal dual read off minimal elements and atoms agrees with
+    the general filter calculus, which checks every filter it builds.  The
+    corpus holds swap_const and the full algebra on two points."""
+
+    def test_principal_dual_matches_filter_calculus(self, corpus_algebras):
+        for a in corpus_algebras:
+            dual = pf_object(a)
+            cat = dual.category
+            up = alg.derive_constants(a).up
+            primes = enumerate_prime_filters(a)
+            ultras = enumerate_domain_ultrafilters(a)
+            assert tuple(up[m] for m in dual.arrow_elements) == tuple(p.members for p in primes)
+            assert tuple(up[e] & domain_mask(a) for e in dual.object_atoms) == tuple(u.members for u in ultras)
+            obj_of = {u.members: o for o, u in enumerate(ultras)}
+            arr_of = {p.members: k for k, p in enumerate(primes)}
+            assert cat.src == tuple(obj_of[source_of(a, p).members] for p in primes)
+            assert cat.tgt == tuple(obj_of[target_of(a, p).members] for p in primes)
+            assert cat.id_of == tuple(arr_of[upward_closure(a, u.members)] for u in ultras)
+            for i, p in enumerate(primes):
+                for j, q in enumerate(primes):
+                    r = compose_filters(a, p, q)
+                    if cat.composable(i, j):
+                        assert r.members == primes[cat.compose(i, j)].members
+                    else:
+                        assert not is_proper(a, r.members)
+            for x in range(a.size):
+                assert dual.element_opens[x] == mask_of(k for k, p in enumerate(primes) if x in p)
+                assert dual.domain_opens[x] == mask_of(o for o, u in enumerate(ultras) if x in u)
+
+    def test_theta_choices_match_prime_from(self, corpus_algebras):
+        for a in corpus_algebras:
+            dual = pf_object(a)
+            primes = enumerate_prime_filters(a)
+            ultras = enumerate_domain_ultrafilters(a)
+            _, secs = sections_of(dual.category)
+            iso = theta(a)
+            for x in range(a.size):
+                section = secs[iso.fwd[x]]
+                assert section.domain == dual.domain_opens[a.dom(x)]
+                for o, k in section.choice:
+                    assert primes[k] == prime_from(a, ultras[o], x)
+
+
 class TestDualMorphisms:
     def test_identity_dualizes_to_identity(self, swap_const, dual1):
         fun = pf_morphism(identity_hom(swap_const))
@@ -81,8 +137,8 @@ class TestDualMorphisms:
     def test_inclusion_values(self, incl_hom, swap_const, swap_only, dual1):
         fun = pf_morphism(incl_hom)
         dual_b = pf_object(swap_only)
-        by_least = {p.element_names()[0]: k for k, p in enumerate(dual1.arrow_filters)}
-        by_least_b = {p.element_names()[0]: k for k, p in enumerate(dual_b.arrow_filters)}
+        by_least = {swap_const.names[m]: k for k, m in enumerate(dual1.arrow_elements)}
+        by_least_b = {swap_only.names[m]: k for k, m in enumerate(dual_b.arrow_elements)}
         assert fun.arr_rel[by_least["c"]] == 0
         assert fun.arr_rel[by_least["s"]] == 1 << by_least_b["s"]
         assert fun.arr_rel[by_least["e3"]] == 1 << by_least_b["e3"]
@@ -92,13 +148,14 @@ class TestDualMorphisms:
             fun = pf_morphism(h)
             dual_b = pf_object(h.target)
             dual_a = pf_object(h.source)
-            for k, p in enumerate(dual_b.arrow_filters):
+            up_a, up_b = alg.derive_constants(h.source).up, alg.derive_constants(h.target).up
+            for k, p in enumerate(dual_b.arrow_elements):
                 inv = mask_of(
-                    a for a in range(h.source.size) if p.members >> h(a) & 1
+                    a for a in range(h.source.size) if up_b[p] >> h(a) & 1
                 )
                 expected = mask_of(
-                    j for j, q in enumerate(dual_a.arrow_filters)
-                    if q.members & ~inv == 0
+                    j for j, q in enumerate(dual_a.arrow_elements)
+                    if up_a[q] & ~inv == 0
                 )
                 assert fun.arr_rel[k] == expected
 

@@ -95,6 +95,20 @@ class TestMorphismFiles:
         loaded = fmt.load_functor(path)
         assert loaded.obj_map == fun.obj_map and loaded.arr_rel == fun.arr_rel
 
+    def test_functor_file_unknown_object(self, tmp_path, incl_hom):
+        from pfdual.dualize import pf_morphism
+
+        fun = pf_morphism(incl_hom)
+        (tmp_path / "src.json").write_text(fmt.write_category(fun.source))
+        (tmp_path / "tgt.json").write_text(fmt.write_category(fun.target))
+        data = fmt.functor_to_dict(fun, "src.json", "tgt.json")
+        first = fun.source.obj_names[0]
+        data["obj_map"][first] = "nowhere"
+        path = tmp_path / "fun.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(fmt.FormatError, match="unknown object 'nowhere' in obj_map"):
+            fmt.load_functor(path)
+
 
 class TestTransducerFiles:
     def test_round_trip(self):
