@@ -27,7 +27,7 @@ from .dualize import DualCategory, pf_morphism, pf_object
 from .duality import AlgebraIso, CategoryIso, phi, theta
 from .filters import FilterSet, enumerate_domain_ultrafilters, enumerate_prime_filters
 from .pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
-from .sections import Section, enumerate_sections, seccl_morphism, seccl_object
+from .sections import enumerate_sections, seccl_morphism, seccl_object
 from .topcat import FinTopology, MultiFunctor, TopCategory, validate_object_of_C
 from .transducer import Dfa, Transducer
 
@@ -46,7 +46,6 @@ __all__ = [
     "Homomorphism",
     "MultiFunctor",
     "PFunc",
-    "Section",
     "TopCategory",
     "Transducer",
     "as_abstract",

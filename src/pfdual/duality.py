@@ -72,7 +72,7 @@ def theta(alg: FinAlgebra) -> AlgebraIso:
     """
     dual = dual_of(alg)
     secalg, secs = sections_of(dual.category)
-    sec_index = {s.image: i for i, s in enumerate(secs)}
+    sec_index = {m: i for i, m in enumerate(secs)}
 
     fwd = []
     for a in range(alg.size):
@@ -124,7 +124,7 @@ def phi(cat: TopCategory) -> CategoryIso:
     up-sets of the section whose image is that one arrow."""
     secalg, secs = sections_of(cat)
     dd = dual_of(secalg)
-    sec_index = {s.image: i for i, s in enumerate(secs)}
+    sec_index = {m: i for i, m in enumerate(secs)}
     try:
         obj_map = [dd.obj_index[sec_index[1 << e]] for e in cat.id_of]
         arr_map = [dd.arr_index[sec_index[1 << c]] for c in range(cat.n_arrows)]

@@ -96,14 +96,20 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>", max_base:
     """A family of named partial functions over a listed base; the family
     must be closed under the four operations."""
     points = _need(data, "base", path)
+    if not isinstance(points, list):
+        raise FormatError(path, "'base' must be a list of points")
     if len(points) > max_base:
         raise FormatError(path, f"base size {len(points)} exceeds the limit {max_base}")
     base = Base(tuple(points))
     functions = _need(data, "functions", path)
+    if not isinstance(functions, dict):
+        raise FormatError(path, "'functions' must map names to graphs")
     named: dict[PFunc, str] = {}
     for name, graph in functions.items():
+        if not isinstance(graph, dict):
+            raise FormatError(path, f"function {name!r}: graph must be an object")
         try:
-            f = PFunc.from_pairs(base, dict(graph))
+            f = PFunc.from_pairs(base, graph)
         except ValueError as e:
             raise FormatError(path, f"function {name!r}: {e}") from None
         if f in named:
@@ -159,6 +165,9 @@ def write_category(cat: TopCategory) -> str:
 def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     obj_names = tuple(_need(data, "objects", path))
     arrows = _need(data, "arrows", path)
+    for a in arrows:
+        if not isinstance(a, dict) or not {"name", "src", "tgt"} <= a.keys():
+            raise FormatError(path, f"arrows need a 'name', 'src' and 'tgt': {a!r}")
     arr_names = tuple(a["name"] for a in arrows)
     if len(set(obj_names)) != len(obj_names) or len(set(arr_names)) != len(arr_names):
         raise FormatError(path, "object and arrow names must be distinct")

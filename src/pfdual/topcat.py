@@ -53,22 +53,8 @@ class FinTopology:
     def is_clopen(self, mask: int) -> bool:
         return self.is_open(mask) and self.is_open(self.full & ~mask)
 
-    def clopens(self) -> tuple[int, ...]:
-        """The unions of connected components, in ascending mask order."""
-        components: list[int] = []
-        for m in self.nbhds:
-            for c in [c for c in components if c & m]:
-                components.remove(c)
-                m |= c
-            components.append(m)
-        return _unions(components)
-
     def is_discrete(self) -> bool:
         return all(m == 1 << i for i, m in enumerate(self.nbhds))
-
-    def min_nbhd(self, point: int) -> int:
-        """Smallest open set containing the point."""
-        return self.nbhds[point]
 
     @cached_property
     def basis(self) -> tuple[int, ...]:
@@ -104,16 +90,6 @@ def _unions(masks: Iterable[int]) -> tuple[int, ...]:
 
 def discrete_topology(size: int) -> FinTopology:
     return FinTopology(size, tuple(1 << i for i in range(size)))
-
-
-def indiscrete_topology(size: int) -> FinTopology:
-    return FinTopology(size, ((1 << size) - 1,) * size)
-
-
-def is_topology(size: int, family: Iterable[int]) -> bool:
-    """The family is exactly the opens of the topology it generates."""
-    fam = set(family)
-    return fam == set(generate_topology(size, fam).opens)
 
 
 def generate_topology(size: int, subbasis: Iterable[int]) -> FinTopology:
@@ -347,7 +323,7 @@ def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> 
     # relative topology) map to relatively open sets
     for p in pts:
         t = _image(mapping, cat.arr_top.nbhds[p])
-        if any(cat.obj_top.min_nbhd(y) & image & ~t for y in bits(t)):
+        if any(cat.obj_top.nbhds[y] & image & ~t for y in bits(t)):
             return False
     return True
 

@@ -370,6 +370,8 @@ def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int, cap: int = BOUND
 
     Returns (verdict, witness_word_or_None).
     """
+    if max_len < 0:
+        raise ValueError(f"bound {max_len} is negative")
     if max_len > cap:
         raise ValueError(f"bound {max_len} exceeds the cap {cap}")
     if t1.alphabet != t2.alphabet:
@@ -410,7 +412,7 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
     start = [sum(k ** m for m in range(n)) for n in range(max_len + 2)]
     outs = [undef] * start[-1]
     error = None
-    stack = [(0, 0, {(t.initial, "")})] if max_len >= 0 else []
+    stack = [(0, 0, {(t.initial, "")})]
     while stack:
         n, rank, configs = stack.pop()
         i = start[n] + rank
@@ -487,6 +489,8 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
     dropped when the axiom is done.  Other terms, such as comp(a, comp(b, c)),
     are used once and not kept.
     """
+    if max_len < 0:
+        raise ValueError(f"bound {max_len} is negative")
     if max_len > cap:
         raise ValueError(f"bound {max_len} exceeds the cap {cap}")
     if not ts:

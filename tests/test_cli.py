@@ -6,6 +6,8 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from pfdual.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -55,6 +57,24 @@ class TestCheckAxioms:
         _, first = run(capsys, "check-axioms", DATA / "swap_const.alg.json", "--format", "json")
         _, second = run(capsys, "check-axioms", DATA / "swap_const.alg.json", "--format", "json")
         assert first == second
+
+
+class TestMalformedInput:
+    """Structural faults in input files are bad input (exit 2), not a
+    failed check or a traceback."""
+
+    @pytest.mark.parametrize("verb, data", [
+        ("sections", {"objects": ["x"], "opens_obj": [], "arrows": [{"src": "x", "tgt": "x"}],
+                      "opens_arr": [], "id": {"x": "ix"}, "comp": {}}),
+        ("check-axioms", {"base": [1, 2], "functions": [["f", {"1": 2}]]}),
+        ("check-axioms", {"base": [1, 2], "functions": {"f": [1, 2]}}),
+    ])
+    def test_malformed_file_is_bad_input(self, capsys, tmp_path, verb, data):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        code = main([verb, str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 class TestDualize:
@@ -178,6 +198,25 @@ class TestNaturality:
         assert captured.out == ""
         assert captured.err == "error: map is not a homomorphism\n"
 
+    def test_non_stone_functor_is_bad_input(self, capsys, tmp_path):
+        """The identity functor of a category whose two objects the
+        indiscrete topology does not separate: sections are taken only of
+        Stone categories, so this is refused as bad input."""
+        (tmp_path / "cat.json").write_text(json.dumps({
+            "objects": ["x", "y"], "opens_obj": [["x", "y"]],
+            "arrows": [{"name": "ix", "src": "x", "tgt": "x"}, {"name": "iy", "src": "y", "tgt": "y"}],
+            "opens_arr": [["ix", "iy"]], "id": {"x": "ix", "y": "iy"},
+            "comp": {"ix,ix": "ix", "iy,iy": "iy"},
+        }))
+        path = tmp_path / "fun.json"
+        path.write_text(json.dumps({"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
+                                    "arr_rel": [["ix", "ix"], ["iy", "iy"]]}))
+        code = main(["naturality", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: cannot enumerate sections: object space is not Stone\n"
+
 
 class TestFunctorCheck:
     def test_dual_of_inclusion(self, capsys, tmp_path):
@@ -254,6 +293,12 @@ class TestTransducerCommands:
         code = main(["transducer", "axioms", str(path), "--max-len", "4"])
         assert code == 2
         assert capsys.readouterr().err == "error: not functional: input 'a' has outputs 'a' and 'b'\n"
+
+    def test_axioms_refuses_negative_bound(self, capsys):
+        code = main(["transducer", "axioms", str(DATA / "as_to_bs.td.json"), "--max-len", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: bound -1 is negative\n"
 
     def test_axioms_refuses_too_many_words(self, capsys, tmp_path):
         # one state over 26 letters: 12,356,631 words up to length 5

@@ -123,9 +123,9 @@ class TestFilterCalculusOracle:
             iso = theta(a)
             for x in range(a.size):
                 section = secs[iso.fwd[x]]
-                assert section.domain == dual.domain_opens[a.dom(x)]
-                for o, k in section.choice:
-                    assert primes[k] == prime_from(a, ultras[o], x)
+                assert mask_of(dual.category.src[k] for k in bits(section)) == dual.domain_opens[a.dom(x)]
+                for k in bits(section):
+                    assert primes[k] == prime_from(a, ultras[dual.category.src[k]], x)
 
 
 class TestDualMorphisms:

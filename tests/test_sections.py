@@ -1,5 +1,8 @@
 """Section enumeration, the four section operations, the section algebra,
-and its homomorphisms."""
+and its homomorphisms.
+
+pfdual keeps a section as its image mask alone; the tests decode it into
+the (domain, choice) pair of the definition to check it pointwise."""
 
 from __future__ import annotations
 
@@ -14,7 +17,28 @@ from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of, popcount
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.duality import theta
-from pfdual.sections import Section
+from pfdual.errors import InconsistencyError
+
+# A section as the definition states it: the domain mask, and the
+# (object, arrow) pairs sorted by object.
+Pair = tuple[int, tuple[tuple[int, int], ...]]
+
+
+def decode(cat: tc.TopCategory, image: int) -> Pair:
+    choice = tuple(sorted((cat.src[f], f) for f in bits(image)))
+    return mask_of(x for x, _ in choice), choice
+
+
+def is_section(cat: tc.TopCategory, s: Pair) -> bool:
+    """One arrow per object of a clopen domain, each starting at its object,
+    with an open image (the continuity criterion)."""
+    domain, choice = s
+    objs = [x for x, _ in choice]
+    return (
+        objs == sorted(set(objs)) and mask_of(objs) == domain
+        and all(cat.src[f] == x for x, f in choice)
+        and cat.obj_top.is_clopen(domain) and cat.arr_top.is_open(mask_of(f for _, f in choice))
+    )
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +60,11 @@ def identities_only(n: int) -> tc.TopCategory:
     )
 
 
-def theta_section(dual, name: str) -> Section:
-    """The section of arrows containing the named element."""
-    a = dual.algebra.index_of(name)
-    return sc.section_from_arrows(dual.category, bits(dual.element_opens[a]))
+def theta_section(dual, name: str) -> int:
+    """The index in the section algebra of the arrows containing the named
+    element."""
+    _, images = sc.seccl_object(dual.category)
+    return images.index(dual.element_opens[dual.algebra.index_of(name)])
 
 
 class TestEnumeration:
@@ -55,14 +80,14 @@ class TestEnumeration:
     def test_empty_category(self, one_elem):
         cat = pf_object(one_elem).category
         secs = sc.enumerate_sections(cat)
-        assert len(secs) == 1 and secs[0].domain == 0
+        assert len(secs) == 1 and decode(cat, secs[0])[0] == 0
 
     def test_one_arrow_category(self, one_arrow_category):
         assert len(sc.enumerate_sections(one_arrow_category)) == 2
 
-    def test_all_enumerated_sections_valid(self, secs1):
+    def test_all_enumerated_sections_valid(self, dual1, secs1):
         for s in secs1:
-            assert s.is_valid()
+            assert is_section(dual1.category, decode(dual1.category, s))
 
     def test_enumeration_complete(self, dual1):
         """Brute force: every clopen-domain choice map with open image
@@ -74,15 +99,14 @@ class TestEnumeration:
                 continue
             objs = list(bits(dom))
             for picks in itertools.product(*(cat.star(x) for x in objs)):
-                s = Section(cat, dom, tuple(zip(objs, picks)))
-                if cat.arr_top.is_open(s.image):
-                    found.add((s.domain, s.choice))
-        enumerated = {(s.domain, s.choice) for s in sc.enumerate_sections(cat)}
+                if cat.arr_top.is_open(mask_of(picks)):
+                    found.add((dom, tuple(zip(objs, picks))))
+        enumerated = {decode(cat, s) for s in sc.enumerate_sections(cat)}
         assert enumerated == found
         assert len(enumerated) == len(sc.enumerate_sections(cat))
 
-    def test_order_is_size_then_mask(self, secs1):
-        keys = [(popcount(s.domain), s.domain, s.choice) for s in secs1]
+    def test_order_is_size_then_mask(self, dual1, secs1):
+        keys = [(popcount(dom), dom, choice) for dom, choice in (decode(dual1.category, s) for s in secs1)]
         assert keys == sorted(keys)
 
     def test_invalid_category_rejected(self):
@@ -97,6 +121,28 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="cannot enumerate sections"):
             sc.enumerate_sections(cat)
 
+    def test_non_stone_category_rejected(self):
+        # two objects that the indiscrete object topology does not separate
+        cat = tc.make_category(
+            ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")], {"x": "ix", "y": "iy"},
+            {("ix", "ix"): "ix", ("iy", "iy"): "iy"}, obj_opens=[[]], arr_opens=[[]],
+        )
+        with pytest.raises(ValueError, match="^cannot enumerate sections: object space is not Stone$"):
+            sc.enumerate_sections(cat)
+
+    def test_arrow_space_not_discrete_is_internal(self, monkeypatch):
+        # a Stone etale category has discrete arrows; with the local
+        # homeomorphism check forced to pass, the indiscrete arrows break it
+        cat = tc.make_category(
+            ["x"], [("ix", "x", "x"), ("f", "x", "x")],
+            {"x": "ix"},
+            {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
+            arr_opens=[[]],
+        )
+        monkeypatch.setattr(sc, "is_local_homeo", lambda cat, which: True)
+        with pytest.raises(InconsistencyError, match="not discrete"):
+            sc.enumerate_sections(cat)
+
     def test_section_bound_admits_the_limit_and_refuses_beyond(self):
         assert len(sc.enumerate_sections(identities_only(11))) == sc.MAX_SECTIONS == 2048
         with pytest.raises(ValueError, match="4096 sections, over the limit of 2048"):
@@ -109,23 +155,29 @@ class TestEnumeration:
 
 
 class TestSectionOperations:
-    def test_compose_swap_with_itself(self, dual1):
-        got = sc.sec_compose(theta_section(dual1, "s"), theta_section(dual1, "s"))
+    """The four operations, read off the tables of the section algebra."""
+
+    @pytest.fixture(scope="class")
+    def secalg(self, dual1):
+        return sc.seccl_object(dual1.category)[0]
+
+    def test_compose_swap_with_itself(self, dual1, secalg):
+        got = secalg.comp(theta_section(dual1, "s"), theta_section(dual1, "s"))
         assert got == theta_section(dual1, "e12")
 
-    def test_antidomain_of_empty_is_identity_section(self, dual1):
+    def test_antidomain_of_empty_is_identity_section(self, dual1, secalg):
         cat = dual1.category
-        empty = Section(cat, 0, ())
-        got = sc.sec_antidomain(empty)
-        assert got.domain == (1 << cat.n_objects) - 1
-        assert got.image == cat.identity_mask()
+        _, images = sc.seccl_object(cat)
+        got = images[secalg.anti(images.index(0))]
+        assert decode(cat, got)[0] == (1 << cat.n_objects) - 1
+        assert got == cat.identity_mask()
 
-    def test_pref_glues_domains(self, dual1):
-        got = sc.sec_pref(theta_section(dual1, "s"), theta_section(dual1, "e3"))
+    def test_pref_glues_domains(self, dual1, secalg):
+        got = secalg.pref(theta_section(dual1, "s"), theta_section(dual1, "e3"))
         assert got == theta_section(dual1, "s3")
 
-    def test_range_of_crossing_arrow(self, dual1):
-        got = sc.sec_range(theta_section(dual1, "c"))
+    def test_range_of_crossing_arrow(self, dual1, secalg):
+        got = secalg.rng(theta_section(dual1, "c"))
         assert got == theta_section(dual1, "e3")
 
 
@@ -172,7 +224,7 @@ class TestEpiNecessity:
         cat = nonepi_category
         algebra, secs = sc.seccl_object(cat)
         arr = {n: k for k, n in enumerate(cat.arr_names)}
-        by_image = {s.image: k for k, s in enumerate(secs)}
+        by_image = {m: k for k, m in enumerate(secs)}
         a = by_image[1 << arr["a"]]
         b = by_image[1 << arr["b"]]
         c = by_image[1 << arr["c"]]
@@ -214,38 +266,25 @@ class TestBasis:
 # ---------------------------------------------------------------------------
 
 
-def ref_arrow_at(s: Section, x: int):
-    for obj, f in s.choice:
-        if obj == x:
-            return f
-    return None
+def ref_compose(cat: tc.TopCategory, a: Pair, b: Pair) -> Pair:
+    at = dict(b[1])
+    pairs = tuple((x, cat.compose(f, at[cat.tgt[f]])) for x, f in a[1] if cat.tgt[f] in at)
+    return mask_of(x for x, _ in pairs), pairs
 
 
-def ref_compose(a: Section, b: Section) -> Section:
-    cat = a.category
-    pairs = []
-    for x, f in a.choice:
-        g = ref_arrow_at(b, cat.tgt[f])
-        if g is not None:
-            pairs.append((x, cat.compose(f, g)))
-    return Section(cat, mask_of(x for x, _ in pairs), tuple(pairs))
+def ref_antidomain(cat: tc.TopCategory, a: Pair) -> Pair:
+    pairs = tuple((x, cat.id_of[x]) for x in range(cat.n_objects) if not a[0] >> x & 1)
+    return mask_of(x for x, _ in pairs), pairs
 
 
-def ref_antidomain(a: Section) -> Section:
-    cat = a.category
-    pairs = tuple((x, cat.id_of[x]) for x in range(cat.n_objects) if not a.domain >> x & 1)
-    return Section(cat, mask_of(x for x, _ in pairs), pairs)
+def ref_range(cat: tc.TopCategory, a: Pair) -> Pair:
+    hit = sorted({cat.tgt[f] for _, f in a[1]})
+    return mask_of(hit), tuple((x, cat.id_of[x]) for x in hit)
 
 
-def ref_range(a: Section) -> Section:
-    cat = a.category
-    hit = sorted({cat.tgt[f] for _, f in a.choice})
-    return Section(cat, mask_of(hit), tuple((x, cat.id_of[x]) for x in hit))
-
-
-def ref_pref(a: Section, b: Section) -> Section:
-    rest = ref_compose(ref_antidomain(a), b)
-    return Section(a.category, a.domain | rest.domain, tuple(sorted(a.choice + rest.choice)))
+def ref_pref(cat: tc.TopCategory, a: Pair, b: Pair) -> Pair:
+    rest = ref_compose(cat, ref_antidomain(cat, a), b)
+    return a[0] | rest[0], tuple(sorted(a[1] + rest[1]))
 
 
 class TestImageOracle:
@@ -257,33 +296,24 @@ class TestImageOracle:
 
     def test_tables_match_reference(self, cats):
         for cat in cats:
-            algebra, secs = sc.seccl_object(cat)
-            key = {(s.domain, s.choice): i for i, s in enumerate(secs)}
+            algebra, images = sc.seccl_object(cat)
+            secs = [decode(cat, m) for m in images]
+            key = {s: i for i, s in enumerate(secs)}
 
-            def look(s: Section) -> int:
-                assert s.is_valid()
-                return key[(s.domain, s.choice)]
+            def look(s: Pair) -> int:
+                assert is_section(cat, s)
+                return key[s]
 
-            assert algebra.compose_t == tuple(tuple(look(ref_compose(a, b)) for b in secs) for a in secs)
-            assert algebra.anti_t == tuple(look(ref_antidomain(a)) for a in secs)
-            assert algebra.range_t == tuple(look(ref_range(a)) for a in secs)
-            assert algebra.pref_t == tuple(tuple(look(ref_pref(a, b)) for b in secs) for a in secs)
-
-    def test_section_wrappers_match_reference(self, cats):
-        for cat in cats:
-            secs = sc.enumerate_sections(cat)
-            for a in secs:
-                assert sc.sec_antidomain(a) == ref_antidomain(a)
-                assert sc.sec_range(a) == ref_range(a)
-                for b in secs:
-                    assert sc.sec_compose(a, b) == ref_compose(a, b)
-                    assert sc.sec_pref(a, b) == ref_pref(a, b)
+            assert algebra.compose_t == tuple(tuple(look(ref_compose(cat, a, b)) for b in secs) for a in secs)
+            assert algebra.anti_t == tuple(look(ref_antidomain(cat, a)) for a in secs)
+            assert algebra.range_t == tuple(look(ref_range(cat, a)) for a in secs)
+            assert algebra.pref_t == tuple(tuple(look(ref_pref(cat, a, b)) for b in secs) for a in secs)
 
     def test_morphism_matches_pull_back(self, incl_hom):
         fun = pf_morphism(incl_hom)
         h = sc.seccl_morphism(fun)
         _, secs_d = sc.seccl_object(fun.target)
         _, secs_c = sc.seccl_object(fun.source)
-        key = {(s.domain, s.choice): i for i, s in enumerate(secs_c)}
-        pulled = (sc.section_from_arrows(fun.source, bits(tc.relation_preimage(fun, s.image))) for s in secs_d)
-        assert h.mapping == tuple(key[(p.domain, p.choice)] for p in pulled)
+        key = {decode(fun.source, m): i for i, m in enumerate(secs_c)}
+        pulled = (decode(fun.source, tc.relation_preimage(fun, m)) for m in secs_d)
+        assert h.mapping == tuple(key[p] for p in pulled)

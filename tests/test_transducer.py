@@ -237,6 +237,15 @@ def test_word_count_refused_before_any_work():
     assert sum(3 ** n for n in range(13)) <= td.MAX_WORDS  # ternary words up to the cap
 
 
+def test_negative_bound_refused():
+    # no word has negative length, so a sweep over none would pass vacuously
+    ident = td.identity_transducer(("a", "b"))
+    for check in (lambda: td.axioms_bounded([ident], -1),
+                  lambda: td.equiv_bounded(ident, td.empty_transducer(("a", "b")), -1)):
+        with pytest.raises(ValueError, match="bound -1 is negative"):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # Differential oracle: the word-by-word sweep the trie tables replaced
 # ---------------------------------------------------------------------------
