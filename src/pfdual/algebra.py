@@ -9,7 +9,10 @@ so the checker doubles as a representability decision procedure.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .bitsets import bits, mask_of
@@ -118,10 +121,9 @@ def derive_constants(alg: FinAlgebra) -> Constants:
     Raises NoZeroError (with a witness pair) when A(a)*a is not constant.
     """
     n = alg.size
+    if (zw := _zero_witness(alg)) is not None:
+        raise NoZeroError(zw)
     zero = alg.comp(alg.anti_t[0], 0)
-    for a in range(1, n):
-        if alg.comp(alg.anti_t[a], a) != zero:
-            raise NoZeroError((0, a))
     ident = alg.anti_t[zero]
     dom_t = tuple(alg.anti_t[alg.anti_t[a]] for a in range(n))
     up = []
@@ -190,10 +192,83 @@ class AxiomReport:
 
 
 def _zero_witness(alg: FinAlgebra) -> Optional[tuple[int, int]]:
-    base = alg.comp(alg.anti_t[0], 0)
-    for a in range(1, alg.size):
-        if alg.comp(alg.anti_t[a], a) != base:
-            return (0, a)
+    C, A = alg.compose_t, alg.anti_t
+    return next(((0, a) for a in range(1, alg.size) if C[A[a]][a] != C[A[0]][0]), None)
+
+
+def pick(positions: Sequence[int]):
+    """itemgetter(*positions), but always returning a tuple: row -> the
+    entries of row at positions, in order."""
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda row: (row[p],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def generating_set(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """A set G whose left-normed products (..(g1*g2)*..)*gk reach every
+    element, in the order the elements were chosen.
+
+    Candidates are tried greedily, fewest factorisations x*y = z first (ties
+    by index); one already reached is skipped.  A search by right
+    multiplication takes each (element, generator) product once, so it
+    costs O(n*|G|).
+    """
+    n = len(C)
+    count = Counter(chain.from_iterable(C))
+    reached = bytearray(n)
+    seen: list[int] = []
+    gens: list[int] = []
+    for g in sorted(range(n), key=count.__getitem__):
+        if reached[g]:
+            continue
+        gens.append(g)
+        queue = [g] + [C[s][g] for s in seen]
+        while queue:
+            t = queue.pop()
+            if not reached[t]:
+                reached[t] = 1
+                seen.append(t)
+                queue.extend(map(C[t].__getitem__, gens))
+        if len(seen) == n:
+            break
+    return tuple(gens)
+
+
+def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+    """Light's associativity test: (x*g)*y = x*(g*y) for every x, y and
+    every g in gens, checked one row x at a time.
+
+    The elements g that pass are closed under products, so when gens
+    generates the table this decides associativity exactly (Clifford &
+    Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
+    """
+    for g in gens:
+        take = pick(C[g])
+        for Cx in C:
+            if C[Cx[g]] != take(Cx):
+                return False
+    return True
+
+
+def _first_nonassociative(C: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The lexicographically least (a, b, c) with (a*b)*c != a*(b*c)."""
+    rng_n = range(len(C))
+    for a in rng_n:
+        Ca = C[a]
+        for b in rng_n:
+            Cab, Cb = C[Ca[b]], C[b]
+            for c in rng_n:
+                if Cab[c] != Ca[Cb[c]]:
+                    return (a, b, c)
+    return None
+
+
+def _first_mismatch(rows) -> Optional[tuple[int, int]]:
+    """The first (a, b) at which the a-th pair of rows differs in entry b."""
+    for a, (left, right) in enumerate(rows):
+        if left != right:
+            return (a, next(b for b, (x, y) in enumerate(zip(left, right)) if x != y))
     return None
 
 
@@ -205,10 +280,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     in lexicographic element order.
     """
     n = alg.size
-    C = alg.compose_t
-    A = alg.anti_t
-    R = alg.range_t
-    P = alg.pref_t
+    C, A, R, P = alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t
     D = tuple(A[A[a]] for a in range(n))
     rng_n = range(n)
     results: list[AxiomCheck] = []
@@ -218,22 +290,8 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
             AxiomCheck(index=index, name=AXIOM_NAMES[index], passed=witness is None, witness=witness, detail=detail)
         )
 
-    # (1) associativity of composition
-    w = None
-    for a in rng_n:
-        Ca = C[a]
-        for b in rng_n:
-            Cab = C[Ca[b]]
-            Cb = C[b]
-            for c in rng_n:
-                if Cab[c] != Ca[Cb[c]]:
-                    w = (a, b, c)
-                    break
-            if w:
-                break
-        if w:
-            break
-    record(1, w)
+    # (1) associativity of composition, by Light's test over a generating set
+    record(1, None if _light_test(C, generating_set(C)) else _first_nonassociative(C))
 
     # (2) A(a)*a is one fixed element (the zero)
     zw = _zero_witness(alg)
@@ -243,104 +301,69 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     if zw is not None:
         record(3, zw, detail="identity constant undefined because A(a)*a is not constant")
     else:
-        zero = C[A[0]][0]
-        ident = A[zero]
-        w = None
-        for a in rng_n:
-            if C[ident][a] != a:
-                w = (a,)
-                break
-        record(3, w)
+        ident = C[A[C[A[0]][0]]]
+        record(3, next(((a,) for a in rng_n if ident[a] != a), None))
 
     # (4) a*A(b) = A(a*b)*a
-    w = None
-    for a in rng_n:
-        Ca = C[a]
-        for b in rng_n:
-            if Ca[A[b]] != C[A[Ca[b]]][a]:
-                w = (a, b)
-                break
-        if w:
-            break
-    record(4, w)
+    column = tuple(zip(*C))
+    at_A = pick(A)
+    record(4, _first_mismatch((at_A(C[a]), pick(pick(C[a])(A))(column[a])) for a in rng_n))
 
-    # (5) D(a)*b = D(a)*c and A(a)*b = A(a)*c imply b = c
+    # (5) D(a)*b = D(a)*c and A(a)*b = A(a)*c imply b = c: for each a, no
+    # two elements b share the key (D(a)*b, A(a)*b).  The witness is the
+    # least b of a shared key and the next element with b's key.
     w = None
     for a in rng_n:
-        Cd = C[D[a]]
-        Cn = C[A[a]]
-        for b in rng_n:
-            db, nb = Cd[b], Cn[b]
-            for c in rng_n:
-                if b != c and Cd[c] == db and Cn[c] == nb:
-                    w = (a, b, c)
-                    break
-            if w:
-                break
-        if w:
+        keys = tuple(zip(C[D[a]], C[A[a]]))
+        if len(set(keys)) < n:
+            count = Counter(keys)
+            b = next(b for b in rng_n if count[keys[b]] > 1)
+            w = (a, b, keys.index(keys[b], b + 1))
             break
     record(5, w)
 
     # (6) D(R(a)) = R(a)
-    w = None
-    for a in rng_n:
-        if D[R[a]] != R[a]:
-            w = (a,)
-            break
-    record(6, w)
+    record(6, next(((a,) for a in rng_n if D[R[a]] != R[a]), None))
 
     # (7) a*R(a) = a
-    w = None
-    for a in rng_n:
-        if C[a][R[a]] != a:
-            w = (a,)
-            break
-    record(7, w)
+    record(7, next(((a,) for a in rng_n if C[a][R[a]] != a), None))
 
-    # (8) a*b = a*c implies R(a)*b = R(a)*c
+    # (8) a*b = a*c implies R(a)*b = R(a)*c: for each a, R(a)*b is one
+    # value on each class of b with the same a*b.  The witness is the least
+    # b of a class that breaks this and the least c of it with another value.
     w = None
     for a in rng_n:
-        Ca = C[a]
-        Cr = C[R[a]]
-        for b in rng_n:
-            ab, rb = Ca[b], Cr[b]
-            for c in rng_n:
-                if Ca[c] == ab and Cr[c] != rb:
-                    w = (a, b, c)
-                    break
-            if w:
-                break
-        if w:
+        Ca, Cr = C[a], C[R[a]]
+        if len(set(zip(Ca, Cr))) > len(set(Ca)):
+            last = dict(zip(Ca, Cr))
+            broken = {ab for ab, rb in zip(Ca, Cr) if last[ab] != rb}
+            b = next(b for b in rng_n if Ca[b] in broken)
+            w = (a, b, next(c for c in rng_n if Ca[c] == Ca[b] and Cr[c] != Cr[b]))
             break
     record(8, w)
 
     # (9) D(a)*(a|b) = a
-    w = None
-    for a in rng_n:
-        Cd = C[D[a]]
-        Pa = P[a]
-        for b in rng_n:
-            if Cd[Pa[b]] != a:
-                w = (a, b)
-                break
-        if w:
-            break
-    record(9, w)
+    record(9, _first_mismatch((pick(P[a])(C[D[a]]), (a,) * n) for a in rng_n))
 
     # (10) A(a)*(a|b) = A(a)*b
-    w = None
-    for a in rng_n:
-        Cn = C[A[a]]
-        Pa = P[a]
-        for b in rng_n:
-            if Cn[Pa[b]] != Cn[b]:
-                w = (a, b)
-                break
-        if w:
-            break
-    record(10, w)
+    record(10, _first_mismatch((pick(P[a])(C[A[a]]), C[A[a]]) for a in rng_n))
 
     return AxiomReport(results=tuple(results))
+
+
+# Each axiom as a predicate on the tables C, A, R, P and one instance.
+_LAWS = {
+    1: lambda C, A, R, P, a, b, c: C[C[a][b]][c] == C[a][C[b][c]],
+    2: lambda C, A, R, P, a, b: C[A[a]][a] == C[A[b]][b],
+    3: lambda C, A, R, P, a: C[A[C[A[0]][0]]][a] == a,
+    4: lambda C, A, R, P, a, b: C[a][A[b]] == C[A[C[a][b]]][a],
+    5: lambda C, A, R, P, a, b, c: b == c or not (C[A[A[a]]][b] == C[A[A[a]]][c] and C[A[a]][b] == C[A[a]][c]),
+    6: lambda C, A, R, P, a: A[A[R[a]]] == R[a],
+    7: lambda C, A, R, P, a: C[a][R[a]] == a,
+    8: lambda C, A, R, P, a, b, c: C[a][b] != C[a][c] or C[R[a]][b] == C[R[a]][c],
+    9: lambda C, A, R, P, a, b: C[A[A[a]]][P[a][b]] == a,
+    10: lambda C, A, R, P, a, b: C[A[a]][P[a][b]] == C[A[a]][b],
+}
 
 
 def axiom_instance_holds(alg: FinAlgebra, index: int, witness: Sequence[int]) -> bool:
@@ -349,45 +372,10 @@ def axiom_instance_holds(alg: FinAlgebra, index: int, witness: Sequence[int]) ->
     For quasiequations, True means "premise fails or conclusion holds".
     Used to confirm that reported failures are genuine violations.
     """
-    C, A, R, P = alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t
-    dom = lambda a: A[A[a]]
-    w = tuple(witness)
-    if index == 1:
-        a, b, c = w
-        return C[C[a][b]][c] == C[a][C[b][c]]
-    if index == 2:
-        a, b = w
-        return C[A[a]][a] == C[A[b]][b]
-    if index == 3:
-        if _zero_witness(alg) is not None:
-            a, b = w
-            return C[A[a]][a] == C[A[b]][b]
-        ident = A[C[A[0]][0]]
-        (a,) = w
-        return C[ident][a] == a
-    if index == 4:
-        a, b = w
-        return C[a][A[b]] == C[A[C[a][b]]][a]
-    if index == 5:
-        a, b, c = w
-        premise = C[dom(a)][b] == C[dom(a)][c] and C[A[a]][b] == C[A[a]][c]
-        return not premise or b == c
-    if index == 6:
-        (a,) = w
-        return dom(R[a]) == R[a]
-    if index == 7:
-        (a,) = w
-        return C[a][R[a]] == a
-    if index == 8:
-        a, b, c = w
-        premise = C[a][b] == C[a][c]
-        return not premise or C[R[a]][b] == C[R[a]][c]
-    if index == 9:
-        a, b = w
-        return C[dom(a)][P[a][b]] == a
-    if index == 10:
-        a, b = w
-        return C[A[a]][P[a][b]] == C[A[a]][b]
+    if index == 3 and _zero_witness(alg) is not None:
+        index = 2  # axiom 3 then reports axiom 2's pair
+    if index in _LAWS:
+        return _LAWS[index](alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t, *witness)
     raise ValueError(f"unknown axiom index {index}")
 
 

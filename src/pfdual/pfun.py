@@ -208,26 +208,40 @@ def as_abstract(
     function represented by element index ``i``.  Raises NotClosedError if
     some operation leaves the set, naming the operation and its operands.
     """
-    from .algebra import FinAlgebra
+    from .algebra import FinAlgebra, pick
 
     ordered = sorted(set(elems), key=graph_key)
     if not ordered:
         raise ValueError("an algebra needs at least one element")
-    index = {f: i for i, f in enumerate(ordered)}
+    base = ordered[0].base
+    if any(f.base != base for f in ordered):
+        raise ValueError("operands live on different bases")
+    # Work on graphs with the undefined value written as k, the base size,
+    # so that composing is one lookup per point: g + (k,) maps k to k.
+    k = len(base)
+    encode = lambda f: tuple(k if v is None else v for v in f.graph)
+    graphs = [encode(f) for f in ordered]
+    index = {g: i for i, g in enumerate(graphs)}
 
-    def look(op: str, operands: tuple[PFunc, ...], result: PFunc) -> int:
-        try:
-            return index[result]
-        except KeyError:
-            raise NotClosedError(op, operands, result) from None
+    def look(op: str, operands: tuple[int, ...], result: tuple[int, ...]) -> int:
+        i = index.get(result)
+        if i is None:
+            missing = PFunc(base, tuple(None if v == k else v for v in result))
+            raise NotClosedError(op, tuple(ordered[j] for j in operands), missing)
+        return i
 
+    extended = [g + (k,) for g in graphs]
     compose_t = tuple(
-        tuple(look("compose", (f, g), f.compose(g)) for g in ordered) for f in ordered
+        tuple(look("compose", (i, j), then(g)) for j, g in enumerate(extended))
+        for i, then in enumerate(map(pick, graphs))
     )
-    anti_t = tuple(look("antidomain", (f,), f.antidomain()) for f in ordered)
-    range_t = tuple(look("range", (f,), f.range()) for f in ordered)
+    anti_t = tuple(look("antidomain", (i,), encode(f.antidomain())) for i, f in enumerate(ordered))
+    range_t = tuple(look("range", (i,), encode(f.range())) for i, f in enumerate(ordered))
+    # f | g reads f where f is defined, else g, stored after f in f + g
+    overrides = (pick(tuple(p if v < k else k + p for p, v in enumerate(f))) for f in graphs)
     pref_t = tuple(
-        tuple(look("pref_union", (f, g), f.pref_union(g)) for g in ordered) for f in ordered
+        tuple(look("pref_union", (i, j), over(f + g)) for j, g in enumerate(graphs))
+        for i, (f, over) in enumerate(zip(graphs, overrides))
     )
 
     if names is None:

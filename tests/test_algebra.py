@@ -4,6 +4,7 @@ Boolean algebra, joins, and homomorphism validation."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -127,6 +128,159 @@ class TestCheckAxioms:
             a, _ = as_abstract(closed)
             assert alg.check_axioms(a).passed
         assert len(seen) > 1
+
+
+def cubic_witnesses(a: alg.FinAlgebra) -> dict:
+    """Reference for axioms 1, 5 and 8: the first failing triple of each in
+    lexicographic order, by the plain cubic loops."""
+    n = a.size
+    C, A, R = a.compose_t, a.anti_t, a.range_t
+    rng_n = range(n)
+
+    def associative():
+        for x in rng_n:
+            Cx = C[x]
+            for y in rng_n:
+                Cxy, Cy = C[Cx[y]], C[y]
+                for z in rng_n:
+                    if Cxy[z] != Cx[Cy[z]]:
+                        return (x, y, z)
+        return None
+
+    def partition_cancel():
+        for x in rng_n:
+            Cd, Cn = C[A[A[x]]], C[A[x]]
+            for y in rng_n:
+                dy, ny = Cd[y], Cn[y]
+                for z in rng_n:
+                    if y != z and Cd[z] == dy and Cn[z] == ny:
+                        return (x, y, z)
+        return None
+
+    def range_cancel():
+        for x in rng_n:
+            Cx, Cr = C[x], C[R[x]]
+            for y in rng_n:
+                xy, ry = Cx[y], Cr[y]
+                for z in rng_n:
+                    if Cx[z] == xy and Cr[z] != ry:
+                        return (x, y, z)
+        return None
+
+    return {1: associative(), 5: partition_cancel(), 8: range_cancel()}
+
+
+ARITY = {1: 3, 2: 2, 3: 1, 4: 2, 5: 3, 6: 1, 7: 1, 8: 3, 9: 2, 10: 2}
+
+
+def reference_report(a: alg.FinAlgebra) -> alg.AxiomReport:
+    """The report of plain loops: the first failing tuple of each axiom in
+    lexicographic order, by the cubic loops for axioms 1, 5 and 8 and by
+    evaluating every instance for the others."""
+    witnesses = cubic_witnesses(a)
+    for index in (2, 3, 4, 6, 7, 9, 10):
+        if index == 3 and witnesses[2] is not None:
+            continue  # no zero, so no identity constant
+        instances = itertools.product(range(a.size), repeat=ARITY[index])
+        witnesses[index] = next((w for w in instances if not alg.axiom_instance_holds(a, index, w)), None)
+    results = [alg.AxiomCheck(i, alg.AXIOM_NAMES[i], witnesses.get(i) is None, witnesses.get(i))
+               for i in range(1, 11)]
+    if witnesses[2] is not None:
+        results[2] = alg.AxiomCheck(3, alg.AXIOM_NAMES[3], False, witnesses[2],
+                                    "identity constant undefined because A(a)*a is not constant")
+    return alg.AxiomReport(tuple(results))
+
+
+def single_entry_mutations(a: alg.FinAlgebra):
+    """Every table that differs from a's in exactly one entry."""
+    n = a.size
+    for r, c, v in itertools.product(range(n), repeat=3):
+        if v != a.compose_t[r][c]:
+            yield mutate_compose(a, r, c, v)
+        if v != a.pref_t[r][c]:
+            yield mutate_pref(a, r, c, v)
+    for which, table in (("anti", a.anti_t), ("range", a.range_t)):
+        for r, v in itertools.product(range(n), repeat=2):
+            if v != table[r]:
+                yield mutate_vector(a, which, r, v)
+
+
+def right_zero(n: int) -> alg.FinAlgebra:
+    """x*y = y: associative, and no element is a product of others."""
+    rows = [list(range(n))] * n
+    return alg.FinAlgebra.from_tables(rows, [0] * n, [0] * n, rows)
+
+
+@pytest.fixture(scope="module")
+def full3() -> alg.FinAlgebra:
+    return as_abstract(enumerate_all(Base((1, 2, 3))))[0]
+
+
+class TestAxiomOracle:
+    """check_axioms reports what plain loops over every instance report."""
+
+    def assert_matches(self, a: alg.FinAlgebra) -> None:
+        assert alg.check_axioms.__wrapped__(a) == reference_report(a)
+
+    def test_corpus_and_full_algebras(self, corpus_algebras, full3):
+        for a in (*corpus_algebras, full3):
+            self.assert_matches(a)
+            assert alg.check_axioms(a).passed
+
+    def test_every_mutation_on_two_points(self, full2):
+        failed = {index: 0 for index in (1, 5, 8)}
+        count = 0
+        for m in single_entry_mutations(full2):
+            report = alg.check_axioms.__wrapped__(m)
+            assert report == reference_report(m)
+            assert not any(alg.axiom_instance_holds(m, r.index, r.witness) for r in report.failures())
+            for index in failed:
+                failed[index] += not report.result(index).passed
+            count += 1
+        assert count == 1440
+        assert all(failed.values())  # each fast path met failing tables
+
+    def test_seeded_mutations_on_three_points(self, full3):
+        rnd = random.Random(8)
+        mutations = []
+        n = full3.size
+        for _ in range(20):
+            r, c = rnd.randrange(n), rnd.randrange(n)
+            kind = rnd.choice(("compose", "pref", "anti", "range"))
+            if kind == "compose":
+                v = rnd.choice([v for v in range(n) if v != full3.compose_t[r][c]])
+                mutations.append(mutate_compose(full3, r, c, v))
+            elif kind == "pref":
+                v = rnd.choice([v for v in range(n) if v != full3.pref_t[r][c]])
+                mutations.append(mutate_pref(full3, r, c, v))
+            else:
+                table = full3.anti_t if kind == "anti" else full3.range_t
+                v = rnd.choice([v for v in range(n) if v != table[r]])
+                mutations.append(mutate_vector(full3, kind, r, v))
+        for m in mutations:
+            self.assert_matches(m)
+
+    def test_right_zero_needs_every_generator(self):
+        a = right_zero(5)
+        assert sorted(alg.generating_set(a.compose_t)) == list(range(5))
+        self.assert_matches(a)
+        assert alg.check_axioms(a).result(1).passed
+        for r, c, v in itertools.product(range(4), repeat=3):
+            if v != c:
+                self.assert_matches(mutate_compose(right_zero(4), r, c, v))
+
+    def test_generating_set_reaches_every_element(self, corpus_algebras, full3):
+        for a in (*corpus_algebras, full3):
+            C = a.compose_t
+            gens = alg.generating_set(C)
+            reached = set(gens)
+            frontier = list(gens)
+            while frontier:
+                products = {C[s][g] for s in frontier for g in gens} - reached
+                reached |= products
+                frontier = list(products)
+            assert reached == set(range(a.size))
+            assert len(gens) < a.size or a.size <= 2
 
 
 class TestDomainSubalgebra:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pfdual import formats as fmt
 from pfdual.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -75,6 +76,63 @@ class TestMalformedInput:
         code = main([verb, str(path)])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+    CATEGORY = {"objects": ["x", "y"], "opens_obj": [["x"], ["y"]],
+                "arrows": [{"name": "ix", "src": "x", "tgt": "x"}, {"name": "iy", "src": "y", "tgt": "y"}],
+                "opens_arr": [["ix"], ["iy"]], "id": {"x": "ix", "y": "iy"},
+                "comp": {"ix,ix": "ix", "iy,iy": "iy"}}
+    ALGEBRA = {"elements": ["0"], "compose": [["0"]], "antidomain": ["0"], "range": ["0"], "pref": [["0"]]}
+
+    @pytest.mark.parametrize("verb, data, message", [
+        ("sections", {**CATEGORY, "comp": [["ix", "ix", "ix"]]}, "'comp' must be a JSON object"),
+        ("sections", {**CATEGORY, "id": {"x": "ix"}}, "'id' is missing object 'y'"),
+        ("check-axioms", {**ALGEBRA, "elements": 5}, "'elements' must be a JSON list"),
+        ("check-axioms", {**ALGEBRA, "compose": [5]}, "rows of 'compose' must be lists of element names"),
+        ("check-axioms", {**ALGEBRA, "range": [["0"]]}, "unknown element ['0'] in range"),
+        ("hom-check", {"source": str(DATA / "swap_only.alg.json"), "target": str(DATA / "swap_const.alg.json"),
+                       "map": [["s", "s"]]}, "'map' must be a JSON object"),
+        ("hom-check", 5, "expected a JSON object"),
+        ("sections", [], "expected a JSON object"),
+    ])
+    def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    def test_transition_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "malformed.td.json"
+        path.write_text(json.dumps({"alphabet": ["a"], "states": ["q"], "initial": "q",
+                                    "final": {"q": ""}, "trans": [5]}))
+        assert main(["transducer", "eval", str(path), "a"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: transition missing key 'from': 5\n"
+
+
+class TestElementLimit:
+    """Files over MAX_ELEMENTS are refused before any table is built; a
+    file at the limit gets past the count to the next check."""
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_abstract_file(self, capsys, tmp_path, extra):
+        names = [f"e{k}" for k in range(fmt.MAX_ELEMENTS + extra)]
+        path = tmp_path / "big.alg.json"
+        path.write_text(json.dumps({"elements": names, "compose": [], "antidomain": names,
+                                    "range": names, "pref": []}))
+        assert main(["check-axioms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("MAX_ELEMENTS = 2048" in err) == bool(extra)
+        assert extra or "compose table must be" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_concrete_file(self, capsys, tmp_path, extra):
+        # graphs that are not objects: building any PFunc would fail on them
+        functions = {f"f{k}": [] for k in range(fmt.MAX_ELEMENTS + extra)}
+        path = tmp_path / "big.alg.json"
+        path.write_text(json.dumps({"base": [1, 2], "functions": functions}))
+        assert main(["check-axioms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("2049 functions exceed the limit MAX_ELEMENTS" in err) == bool(extra)
+        assert extra or "graph must be an object" in err
 
 
 class TestDualize:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from pfdual.pfun import (
     as_abstract,
     close_under_ops,
     enumerate_all,
+    graph_key,
     join_compatible,
 )
 
@@ -121,6 +123,50 @@ class TestAsAbstract:
         with pytest.raises(NotClosedError) as err:
             as_abstract([fn["s"], fn["1"]])
         assert err.value.op in ("compose", "antidomain", "range", "pref_union")
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_tables_match_pfunc_operations(self, size):
+        fs = enumerate_all(Base(tuple(range(size))))
+        alg, labeling = as_abstract(fs)
+        assert list(labeling) == sorted(fs, key=graph_key)
+        for i, f in enumerate(labeling):
+            assert labeling[alg.anti(i)] == f.antidomain() and labeling[alg.rng(i)] == f.range()
+            for j, g in enumerate(labeling):
+                assert labeling[alg.comp(i, j)] == f.compose(g)
+                assert labeling[alg.pref(i, j)] == f.pref_union(g)
+
+    def test_not_closed_names_the_first_missing_result(self):
+        """The error is the first one met by evaluating PFuncs table by
+        table: compose row by row, then antidomain, range and pref_union."""
+        base = Base((1, 2, 3))
+        fs = enumerate_all(base)
+        rnd = random.Random(4)
+        cases = []
+        for _ in range(30):  # closed sets less one element
+            closed = close_under_ops(rnd.sample(fs, rnd.randint(1, 2)))
+            drop = rnd.choice(closed)
+            cases.append([f for f in closed if f != drop] or closed)
+        # closed under compose and antidomain, but not under range: 1>2 has range {2}
+        cases.append([PFunc.from_pairs(base, g) for g in ({}, {1: 1, 2: 2, 3: 3}, {1: 2}, {1: 1}, {2: 2, 3: 3})])
+        ops = set()
+        for elems in cases:
+            members = set(elems)
+            elems = sorted(members, key=graph_key)
+            results = itertools.chain(
+                (("compose", (f, g), f.compose(g)) for f in elems for g in elems),
+                (("antidomain", (f,), f.antidomain()) for f in elems),
+                (("range", (f,), f.range()) for f in elems),
+                (("pref_union", (f, g), f.pref_union(g)) for f in elems for g in elems),
+            )
+            expected = next((r for r in results if r[2] not in members), None)
+            if expected is None:
+                as_abstract(elems)
+                continue
+            with pytest.raises(NotClosedError) as err:
+                as_abstract(elems)
+            assert (err.value.op, err.value.operands, err.value.result) == expected
+            ops.add(expected[0])
+        assert ops == {"compose", "antidomain", "range", "pref_union"}
 
 
 # --- the ten laws, evaluated directly on graphs -----------------------------
