@@ -189,7 +189,7 @@ def cmd_functor_check(args) -> int:
 
 
 def cmd_naturality(args) -> int:
-    data = json.loads(Path(args.file).read_text())
+    data = fmt.load_json(args.file)
     if "map" in data:
         h = fmt.load_homomorphism(args.file, args.max_base)
         if not alg.check_homomorphism(h):

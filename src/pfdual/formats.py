@@ -29,7 +29,8 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _load_json(path: str | Path) -> Any:
+def load_json(path: str | Path) -> Any:
+    """The JSON object a file holds; bad JSON or another top-level type is a FormatError."""
     text = Path(path).read_text()
     try:
         data = json.loads(text)
@@ -49,7 +50,8 @@ def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
     if key not in data:
         raise FormatError(path, f"missing key {key!r}")
     if kind is not None and not isinstance(data[key], kind):
-        raise FormatError(path, f"{key!r} must be a JSON {'object' if kind is dict else 'list'}")
+        name = {dict: "object", list: "list", str: "string"}[kind]
+        raise FormatError(path, f"{key!r} must be a JSON {name}")
     return data[key]
 
 
@@ -146,7 +148,7 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>", max_base:
 
 
 def load_algebra(path: str | Path, max_base: int = 6) -> FinAlgebra:
-    data = _load_json(path)
+    data = load_json(path)
     if "functions" in data:
         return parse_concrete_algebra(data, path, max_base)[0]
     return parse_algebra(data, path)
@@ -243,7 +245,7 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
 
 
 def load_category(path: str | Path) -> TopCategory:
-    return parse_category(_load_json(path), path)
+    return parse_category(load_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def load_category(path: str | Path) -> TopCategory:
 
 
 def load_homomorphism(path: str | Path, max_base: int = 6) -> Homomorphism:
-    data = _load_json(path)
+    data = load_json(path)
     folder = Path(path).parent
     source = load_algebra(folder / _need(data, "source", path), max_base)
     target = load_algebra(folder / _need(data, "target", path), max_base)
@@ -274,7 +276,7 @@ def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:
 
 
 def load_functor(path: str | Path) -> MultiFunctor:
-    data = _load_json(path)
+    data = load_json(path)
     folder = Path(path).parent
     source = load_category(folder / _need(data, "source", path))
     target = load_category(folder / _need(data, "target", path))
@@ -335,26 +337,32 @@ def write_transducer(t: Transducer) -> str:
 
 
 def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transducer:
+    def strings(key: str) -> tuple[str, ...]:
+        values = _need(data, key, path, list)
+        if not all(isinstance(v, str) for v in values):
+            raise FormatError(path, f"{key!r} must be a list of strings")
+        return tuple(values)
+
     trans: dict[tuple[str, str], set[tuple[str, str]]] = {}
     for e in _need(data, "trans", path, list):
         for key in ("from", "in", "out", "to"):
             if not isinstance(e, dict) or key not in e:
                 raise FormatError(path, f"transition missing key {key!r}: {e!r}")
+            if not isinstance(e[key], str):
+                raise FormatError(path, f"transition key {key!r} must be a string: {e!r}")
         trans.setdefault((e["from"], e["in"]), set()).add((e["out"], e["to"]))
+    final = _need(data, "final", path, dict)
+    if not all(isinstance(v, str) for v in final.values()):
+        raise FormatError(path, "'final' must map states to output strings")
+    states, alphabet, initial = strings("states"), strings("alphabet"), _need(data, "initial", path, str)
     try:
-        return Transducer(
-            states=tuple(_need(data, "states", path)),
-            alphabet=tuple(_need(data, "alphabet", path)),
-            initial=_need(data, "initial", path),
-            trans={k: frozenset(v) for k, v in trans.items()},
-            final_out=dict(_need(data, "final", path)),
-        )
+        return Transducer(states, alphabet, initial, {k: frozenset(v) for k, v in trans.items()}, final)
     except ValueError as e:
         raise FormatError(path, str(e)) from None
 
 
 def load_transducer(path: str | Path) -> Transducer:
-    return parse_transducer(_load_json(path), path)
+    return parse_transducer(load_json(path), path)
 
 
 def dfa_to_dict(d: Dfa) -> dict:

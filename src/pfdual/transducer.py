@@ -72,6 +72,8 @@ class Transducer:
     def __post_init__(self) -> None:
         sset = set(self.states)
         aset = set(self.alphabet)
+        if len(aset) != len(self.alphabet) or any(len(a) != 1 for a in aset):
+            raise ValueError(f"alphabet {list(self.alphabet)!r} must list distinct one-character letters")
         if self.initial not in sset:
             raise ValueError("initial state must be listed")
         if not set(self.final_out) <= sset:
@@ -402,31 +404,48 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
     outputs, reads as a mark outside the alphabet.  error is (index, two
     outputs) for the first word with two outputs, or None.
 
-    One walk of the prefix trie: each prefix's configurations are computed
-    once and extended by one letter per child, and a prefix with no
-    configuration leaves its whole subtree undefined.
+    One depth-first walk of the prefix trie: each prefix's configurations
+    are computed once and extended by one letter per child, and a prefix
+    with none leaves its subtree undefined.  A prefix with one configuration
+    is a flat (depth, rank, state, output) entry; a set of (state, output)
+    pairs takes the state slot, output None, only while two or more live.
     """
-    al, final_out, trans = t.alphabet, t.final_out, t.trans
+    al, final_out = t.alphabet, t.final_out
     k = len(al)
     sep, undef = _markers(al)
     start = [sum(k ** m for m in range(n)) for n in range(max_len + 2)]
     outs = [undef] * start[-1]
     error = None
-    stack = [(0, 0, {(t.initial, "")})]
+    moves = {q: tuple(tuple(t.moves(q, a)) for a in al) for q in t.states}
+    stack = [(0, 0, t.initial, "")]
+    push = stack.append
     while stack:
-        n, rank, configs = stack.pop()
+        n, rank, q, out = stack.pop()
         i = start[n] + rank
-        results = {out + final_out[q] for q, out in configs if q in final_out}
+        if out is not None:
+            if q in final_out:
+                outs[i] = out + final_out[q]
+            if n < max_len:
+                for j, step in enumerate(moves[q], rank * k):
+                    if len(step) == 1:
+                        (emitted, q2), = step
+                        push((n + 1, j, q2, out + emitted))
+                    elif step:
+                        push((n + 1, j, {(q2, out + emitted) for emitted, q2 in step}, None))
+            continue
+        results = {o + final_out[s] for s, o in q if s in final_out}
         if len(results) == 1:
             outs[i] = results.pop()
         elif results and (error is None or i < error[0]):
             two = sorted(results)[:2]
             error = (i, (two[0], two[1]))
         if n < max_len:
-            for j, a in enumerate(al):
-                step = {(q2, out + emitted) for q, out in configs for emitted, q2 in trans.get((q, a), ())}
-                if step:
-                    stack.append((n + 1, rank * k + j, step))
+            for j in range(k):
+                step = {(q2, o + emitted) for s, o in q for emitted, q2 in moves[s][j]}
+                if len(step) == 1:
+                    push((n + 1, rank * k + j, *step.pop()))
+                elif step:
+                    push((n + 1, rank * k + j, step, None))
     return sep.join(outs), error
 
 
@@ -485,9 +504,10 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
 
     Within one axiom, A, D and R of a shared machine, and a composite or
     override of inputs, the identity and A/D/R results, are built once and
-    shared; each shared machine's output table is computed once.  Both are
-    dropped when the axiom is done.  Other terms, such as comp(a, comp(b, c)),
-    are used once and not kept.
+    shared; each shared machine's output table is computed once, keyed by its
+    structure, which a term built equal to it also reuses.  Both are dropped
+    when the axiom is done.  Other terms, such as comp(a, comp(b, c)), are
+    used once and not kept.
     """
     if max_len < 0:
         raise ValueError(f"bound {max_len} is negative")
@@ -505,7 +525,7 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
     # built until the axiom is done, so no id is reused while it is a key.
     shared = dict(inputs)
     built: dict[tuple, Transducer] = {}
-    tables: dict[int, tuple] = {}
+    tables: dict[tuple, tuple] = {}  # structure -> table, of shared machines only
 
     def share(label: str, build, operand_labels: tuple[str, ...]):
         def op(*args: Transducer) -> Transducer:
@@ -528,11 +548,13 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
     idxs = range(len(ts))
 
     def table(t: Transducer) -> tuple:
-        if id(t) not in shared:
-            return _outputs(t, max_len)
-        if id(t) not in tables:
-            tables[id(t)] = _outputs(t, max_len)
-        return tables[id(t)]
+        key = (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
+        if key in tables:
+            return tables[key]
+        tab = _outputs(t, max_len)
+        if id(t) in shared:
+            tables[key] = tab
+        return tab
 
     def eq(x: Transducer, y: Transducer):
         return _agree(al, table(x), table(y))

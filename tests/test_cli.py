@@ -12,6 +12,7 @@ from pfdual import formats as fmt
 from pfdual.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -98,6 +99,29 @@ class TestMalformedInput:
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
         assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    TRANSDUCER = {"alphabet": ["a"], "states": ["s"], "initial": "s", "final": {"s": ""},
+                  "trans": [{"from": "s", "in": "a", "out": "a", "to": "s"}]}
+
+    @pytest.mark.parametrize("data, message", [
+        ({**TRANSDUCER, "final": ["s"]}, "'final' must be a JSON object"),
+        ({**TRANSDUCER, "final": {"s": 5}}, "'final' must map states to output strings"),
+        ({**TRANSDUCER, "trans": [{"from": "s", "in": "a", "out": 5, "to": "s"}]},
+         "transition key 'out' must be a string: {'from': 's', 'in': 'a', 'out': 5, 'to': 's'}"),
+        ({**TRANSDUCER, "trans": [{"from": ["s"], "in": "a", "out": "a", "to": "s"}]},
+         "transition key 'from' must be a string: {'from': ['s'], 'in': 'a', 'out': 'a', 'to': 's'}"),
+        ({**TRANSDUCER, "alphabet": ["a", "a"]}, "alphabet ['a', 'a'] must list distinct one-character letters"),
+        ({**TRANSDUCER, "alphabet": ["ab"], "trans": [{"from": "s", "in": "ab", "out": "ab", "to": "s"}]},
+         "alphabet ['ab'] must list distinct one-character letters"),
+        ({**TRANSDUCER, "states": "s"}, "'states' must be a JSON list"),
+        ({**TRANSDUCER, "alphabet": [1]}, "'alphabet' must be a list of strings"),
+        ({**TRANSDUCER, "initial": ["s"]}, "'initial' must be a JSON string"),
+    ])
+    def test_malformed_transducer_names_the_key(self, capsys, tmp_path, data, message):
+        path = tmp_path / "malformed.td.json"
+        path.write_text(json.dumps(data))
+        assert main(["transducer", "axioms", str(path), "--max-len", "2"]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_transition_that_is_not_an_object(self, capsys, tmp_path):
@@ -276,6 +300,18 @@ class TestNaturality:
         assert captured.err == "error: cannot enumerate sections: object space is not Stone\n"
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("5", ": expected a JSON object"),
+        ("{nope", ":1:2: Expecting property name enclosed in double quotes"),
+    ])
+    def test_unreadable_file_is_bad_input(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["naturality", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}{message}\n"
+
+
 class TestFunctorCheck:
     def test_dual_of_inclusion(self, capsys, tmp_path):
         from pfdual import formats as fmt
@@ -340,6 +376,16 @@ class TestTransducerCommands:
                         "--max-len", "5", "--format", "json")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    def test_axioms_report_matches_golden_file(self, capsys, monkeypatch):
+        """The JSON report on the two data machines at L = 10, byte for byte
+        as the word-by-word sweep first wrote it."""
+        monkeypatch.chdir(DATA.parent)
+        code = main(["transducer", "axioms", "data/id_on_as.td.json", "data/as_to_bs.td.json",
+                     "--max-len", "10", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == (GOLDEN / "transducer_axioms_data_L10.json").read_text()
 
     def test_axioms_on_non_functional_machine(self, capsys, tmp_path):
         # q -a-> (a|b) q, final q: the word 'a' has two outputs

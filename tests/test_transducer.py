@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import collections
+import inspect
 import itertools
 import random
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -359,3 +362,155 @@ def test_trie_tables_match_word_by_word_reference():
             assert outcome(td.equiv_bounded, x, y, max_len) == outcome(reference_equiv, x, y, max_len)
     # the seed covers raised errors, failing reports and passing ones
     assert kinds["not functional"] and kinds[False] and kinds[True]
+
+
+# ---------------------------------------------------------------------------
+# The trie kernel against the word-by-word table
+# ---------------------------------------------------------------------------
+
+
+def reference_table(t, max_len):
+    """_outputs' (text, error) built from eval, one word at a time."""
+    sep, undef = td._markers(t.alphabet)
+    outs, error = [], None
+    for i, w in enumerate(td.words_upto(t.alphabet, max_len)):
+        try:
+            v = td.eval(t, w)
+        except NotFunctionalError as e:
+            v, error = None, error or (i, e.outputs)
+        outs.append(undef if v is None else v)
+    return sep.join(outs), error
+
+
+def configurations(t, word):
+    """The (state, output) configurations after reading the word, as eval
+    computes them."""
+    configs = {(t.initial, "")}
+    for a in word:
+        configs = {(q2, out + emitted) for q, out in configs for emitted, q2 in t.moves(q, a)}
+    return configs
+
+
+def set_entries(t, max_len):
+    """How many trie nodes _outputs takes as a set of configurations: the
+    times the line that opens its set case runs."""
+    code = td._outputs.__code__
+    lines, first = inspect.getsourcelines(td._outputs)
+    target = first + next(i for i, line in enumerate(lines) if "results = {" in line)
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == target:
+            count += 1
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        td._outputs(t, max_len)
+    finally:
+        sys.settrace(outer)
+    return count
+
+
+def reachable(t):
+    seen, todo = {t.initial}, [t.initial]
+    while todo:
+        q = todo.pop()
+        for a in t.alphabet:
+            for _, q2 in t.moves(q, a):
+                if q2 not in seen:
+                    seen.add(q2)
+                    todo.append(q2)
+    return seen
+
+
+def forking_machine():
+    """s0 forks on a into s1 and s2; s1 dies on every letter and s2 returns
+    to s0, so the walk goes from one configuration to two, back to one
+    after the next a, and forks again after a third."""
+    return td.Transducer(
+        ("s0", "s1", "s2", "s3"), AL, "s0",
+        {("s0", "a"): frozenset({("a", "s1"), ("b", "s2")}),
+         ("s0", "b"): frozenset({("", "s0")}),
+         ("s2", "a"): frozenset({("ab", "s0")}),
+         ("s2", "b"): frozenset({("", "s3"), ("a", "s2")}),
+         ("s3", "a"): frozenset({("b", "s3")})},
+        {"s0": "", "s2": "a"},
+    )
+
+
+def test_outputs_kernel_matches_eval_table():
+    """On seeded random machines, with forks that die, merge and fork again,
+    dead and unreachable states, empty outputs and bounds from 0, _outputs
+    gives eval's table and first error, and takes a trie node as a set
+    exactly when it has two or more configurations."""
+    rnd = random.Random(9)
+    seen = collections.Counter()
+    machines = [(forking_machine(), 6)]
+    for _ in range(120):
+        alphabet = rnd.choice(("ab", "abc"))
+        t = random_machine(rnd, alphabet, rnd.randint(1, 4), rnd.random() < 0.7)
+        machines.append((t, rnd.randint(0, 5 if alphabet == "ab" else 4)))
+    for t, max_len in machines:
+        assert td._outputs(t, max_len) == reference_table(t, max_len)
+        sizes = [len(configurations(t, w)) for w in td.words_upto(t.alphabet, max_len)]
+        assert set_entries(t, max_len) == sum(size >= 2 for size in sizes)
+        live = reachable(t)
+        seen["refork"] += any(
+            any(a >= 2 and b == 1 and c >= 2 for a, b, c in itertools.combinations(
+                [len(configurations(t, w[:n])) for n in range(len(w) + 1)], 3))
+            for w in td.words_upto(t.alphabet, max_len))
+        seen["dead"] += any(not any(t.moves(q, a) for a in t.alphabet) for q in live)
+        seen["unreachable"] += len(live) < len(t.states)
+        seen["empty output"] += any(out == "" for outs in t.trans.values() for out, _ in outs)
+        seen["error"] += reference_table(t, max_len)[1] is not None
+        seen["L = 0"] += max_len == 0
+    assert set(seen) == {"refork", "dead", "unreachable", "empty output", "error", "L = 0"}
+    assert all(seen.values()), seen
+
+
+def test_tables_are_shared_only_between_equal_structures():
+    """Two inputs with the same transitions but another initial state, or
+    other final outputs, are other functions: the sweep keeps a table for
+    each and reports what evaluating word by word reports."""
+    flip = {("p", "a"): frozenset({("a", "r")}), ("r", "a"): frozenset({("b", "p")})}
+    loop = {("p", "a"): frozenset({("a", "p")})}
+    pairs = [
+        (td.Transducer(("p", "r"), AL, "p", flip, {"p": "", "r": ""}),
+         td.Transducer(("p", "r"), AL, "r", flip, {"p": "", "r": ""})),
+        (td.Transducer(("p",), AL, "p", loop, {"p": ""}),
+         td.Transducer(("p",), AL, "p", loop, {"p": "a"})),
+    ]
+    for x, y in pairs:
+        assert not td.equiv_bounded(x, y, 4)[0]
+        for ts in ([x, y], [y, x]):
+            report = td.axioms_bounded(ts, 4)
+            assert [(r.index, r.passed, r.witness) for r in report.results] == reference_axioms(ts, 4)
+            assert report.passed
+
+
+def test_outputs_peak_memory():
+    """The depth-first walk holds one path of the trie beside the table: its
+    tracemalloc peak stays within 7x the table text on a 2-state ternary
+    machine at L = 8 (5.5x measured, where a walk that keeps a whole trie
+    level, as a level-order walk does, peaks near 20x)."""
+    flip = {"p": "r", "r": "p"}
+    al = ("a", "b", "c")
+    doubler = td.Transducer(("p", "r"), al, "p",
+                            {(q, a): frozenset({(a + a, flip[q])}) for q in flip for a in al},
+                            {"p": "", "r": ""})
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text, _ = td._outputs(doubler, 8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(text) == 157464 and peak < 7 * len(text)
