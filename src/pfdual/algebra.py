@@ -351,6 +351,14 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     return AxiomReport(results=tuple(results))
 
 
+def require_representable(alg: FinAlgebra) -> None:
+    """Refuse, as bad input, an algebra that fails the ten axioms."""
+    report = check_axioms(alg)
+    if not report.passed:
+        first = report.failures()[0]
+        raise ValueError(f"algebra is not representable: axiom ({first.index}) {first.name} fails")
+
+
 # Each axiom as a predicate on the tables C, A, R, P and one instance.
 _LAWS = {
     1: lambda C, A, R, P, a, b, c: C[C[a][b]][c] == C[a][C[b][c]],
@@ -566,9 +574,12 @@ def preserves_joins(h: Homomorphism) -> bool:
 def check_locally_proper(h: Homomorphism):
     """True iff the inverse image of every prime filter of the target is a
     prime filter of the source.  Returns (verdict, offending_filter_or_None).
+    Raises ValueError when the source or target is not representable.
     """
     from .filters import FilterSet, enumerate_prime_filters, is_filter, is_prime
 
+    require_representable(h.source)
+    require_representable(h.target)
     for p in enumerate_prime_filters(h.target):
         inv = mask_of(a for a in range(h.source.size) if p.members >> h(a) & 1)
         fs = FilterSet(h.source, inv)

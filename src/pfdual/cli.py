@@ -26,6 +26,9 @@ from . import topcat as tc
 from . import transducer as td
 from .errors import InconsistencyError, NotClosedError, NotFunctionalError
 
+# `transducer dom|range` lists the accepted words up to this length.
+SAMPLE_LEN = 4
+
 
 def _emit(report: dict, fmt_kind: str) -> None:
     if fmt_kind == "json":
@@ -37,21 +40,32 @@ def _emit(report: dict, fmt_kind: str) -> None:
 
 def _text_lines(value: Any, prefix: str):
     if isinstance(value, dict):
-        for k, v in value.items():
-            key = f"{prefix}{k}" if not prefix else f"{prefix}.{k}"
-            if isinstance(v, (dict, list)):
-                yield from _text_lines(v, key)
-            else:
-                yield f"{key}: {v}"
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            key = f"{prefix}[{i}]"
-            if isinstance(v, (dict, list)):
-                yield from _text_lines(v, key)
-            else:
-                yield f"{key}: {v}"
+        items = ((f"{prefix}.{k}" if prefix else f"{k}", v) for k, v in value.items())
     else:
-        yield f"{prefix}: {value}"
+        items = ((f"{prefix}[{i}]", v) for i, v in enumerate(value))
+    for key, v in items:
+        if isinstance(v, (dict, list)):
+            yield from _text_lines(v, key)
+        else:
+            yield f"{key}: {v}"
+
+
+def _functor_entries(fun: tc.MultiFunctor) -> dict[str, bool]:
+    stars = tc.star_checks(fun)
+    return {
+        "multifunctor_valid": tc.check_multifunctor(fun).passed,
+        "continuous": tc.is_continuous_multifunctor(fun),
+        "star_injective": stars.injective,
+        "star_surjective": stars.surjective,
+        "pseudo_star_surjective": stars.pseudo,
+        "co_pseudo_star_surjective": stars.co_pseudo,
+        "star_coherent": stars.coherent,
+        "plain_functor": tc.is_plain_functor(fun),
+    }
+
+
+def _functor_ok(entries: dict[str, bool]) -> bool:
+    return entries["multifunctor_valid"] and entries["continuous"] and entries["star_coherent"]
 
 
 def _write_out(text: str, out: Optional[str]) -> None:
@@ -84,7 +98,7 @@ def _axiom_entries(report: alg.AxiomReport, names: tuple[str, ...]) -> list[dict
 
 
 def cmd_check_axioms(args) -> int:
-    a = fmt.load_algebra(args.file, args.max_base)
+    a = fmt.load_algebra(args.file)
     report = alg.check_axioms(a)
     _emit({"algebra": args.file, "elements": a.size,
            "axioms": _axiom_entries(report, a.names), "passed": report.passed}, args.format)
@@ -92,7 +106,7 @@ def cmd_check_axioms(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    a = fmt.load_algebra(args.file, args.max_base)
+    a = fmt.load_algebra(args.file)
     dual = dz.pf_object(a)
     cat = dual.category
     if args.out:
@@ -130,7 +144,7 @@ def cmd_sections(args) -> int:
 
 
 def cmd_bidual(args) -> int:
-    a = fmt.load_algebra(args.file, args.max_base)
+    a = fmt.load_algebra(args.file)
     iso = du.theta(a)
     _emit({
         "algebra": args.file,
@@ -142,7 +156,7 @@ def cmd_bidual(args) -> int:
 
 
 def cmd_hom_check(args) -> int:
-    h = fmt.load_homomorphism(args.file, args.max_base)
+    h = fmt.load_homomorphism(args.file)
     valid = alg.check_homomorphism(h)
     report: dict[str, Any] = {"hom": args.file, "valid": valid}
     ok = valid
@@ -151,47 +165,22 @@ def cmd_hom_check(args) -> int:
         report["locally_proper"] = proper
         if witness is not None:
             report["locally_proper_witness"] = list(witness.element_names())
-        fun = dz.pf_morphism(h)
-        stars = tc.star_checks(fun)
-        report["dual"] = {
-            "multifunctor_valid": tc.check_multifunctor(fun).passed,
-            "continuous": tc.is_continuous_multifunctor(fun),
-            "star_injective": stars.injective,
-            "star_surjective": stars.surjective,
-            "pseudo_star_surjective": stars.pseudo,
-            "co_pseudo_star_surjective": stars.co_pseudo,
-            "star_coherent": stars.coherent,
-            "plain_functor": tc.is_plain_functor(fun),
-        }
-        ok = report["dual"]["multifunctor_valid"] and report["dual"]["continuous"] and stars.coherent
+        report["dual"] = _functor_entries(dz.pf_morphism(h))
+        ok = _functor_ok(report["dual"])
     _emit(report, args.format)
     return 0 if ok else 1
 
 
 def cmd_functor_check(args) -> int:
-    fun = fmt.load_functor(args.file)
-    structure = tc.check_multifunctor(fun)
-    continuous = tc.is_continuous_multifunctor(fun)
-    stars = tc.star_checks(fun)
-    report = {
-        "functor": args.file,
-        "multifunctor_valid": structure.passed,
-        "continuous": continuous,
-        "star_injective": stars.injective,
-        "star_surjective": stars.surjective,
-        "pseudo_star_surjective": stars.pseudo,
-        "co_pseudo_star_surjective": stars.co_pseudo,
-        "star_coherent": stars.coherent,
-        "plain_functor": tc.is_plain_functor(fun),
-    }
-    _emit(report, args.format)
-    return 0 if structure.passed and continuous and stars.coherent else 1
+    entries = _functor_entries(fmt.load_functor(args.file))
+    _emit({"functor": args.file, **entries}, args.format)
+    return 0 if _functor_ok(entries) else 1
 
 
 def cmd_naturality(args) -> int:
     data = fmt.load_json(args.file)
     if "map" in data:
-        h = fmt.load_homomorphism(args.file, args.max_base)
+        h = fmt.load_homomorphism(args.file)
         if not alg.check_homomorphism(h):
             raise ValueError("map is not a homomorphism")
         commutes = du.check_naturality_theta(h)
@@ -220,12 +209,11 @@ def cmd_transducer(args) -> int:
     if args.sub in ("dom", "range"):
         t = fmt.load_transducer(args.file)
         d = td.domain_dfa(t) if args.sub == "dom" else td.range_dfa(t)
-        limit = min(args.max_len, 4)
-        sample = [w for w in td.words_upto(d.alphabet, limit) if d.accepts(w)]
+        sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if d.accepts(w)]
         if args.out:
             _write_out(fmt.write_dfa(d), args.out)
         _emit({"transducer": args.file, "acceptor": args.sub, "states": len(d.states),
-               "sample_max_len": limit, "accepted_sample": sample,
+               "sample_max_len": SAMPLE_LEN, "accepted_sample": sample,
                "dfa_file": args.out or ""}, args.format)
         return 0
     if args.sub == "axioms":
@@ -257,22 +245,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, max_base=False):
+    def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if max_base:
-            p.add_argument("--max-base", type=int, default=6,
-                           help="largest base size accepted in concrete algebra files")
 
     p = sub.add_parser("check-axioms", help="run the ten representability axioms on an algebra file")
     p.add_argument("file")
-    common(p, max_base=True)
+    common(p)
     p.set_defaults(fn=cmd_check_axioms)
 
     p = sub.add_parser("dualize", help="build the dual category of an algebra")
     p.add_argument("file")
     p.add_argument("--out", help="write the category file here")
     p.add_argument("--dot", help="write a DOT rendering here")
-    common(p, max_base=True)
+    common(p)
     p.set_defaults(fn=cmd_dualize)
 
     p = sub.add_parser("sections", help="build the section algebra of a category file")
@@ -283,12 +268,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bidual", help="verify the double-dual isomorphism of an algebra")
     p.add_argument("file")
-    common(p, max_base=True)
+    common(p)
     p.set_defaults(fn=cmd_bidual)
 
     p = sub.add_parser("hom-check", help="validate a homomorphism file and its dual functor")
     p.add_argument("file")
-    common(p, max_base=True)
+    common(p)
     p.set_defaults(fn=cmd_hom_check)
 
     p = sub.add_parser("functor-check", help="validate a multivalued-functor file")
@@ -298,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("naturality", help="check the naturality square of a hom or functor file")
     p.add_argument("file")
-    common(p, max_base=True)
+    common(p)
     p.set_defaults(fn=cmd_naturality)
 
     p = sub.add_parser("transducer", help="transducer operations")
@@ -323,7 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         q = tsub.add_parser(name, help=help_text)
         q.add_argument("file")
         q.add_argument("--out", help="write the acceptor here")
-        q.add_argument("--max-len", type=int, default=8)
         common(q)
         q.set_defaults(fn=cmd_transducer)
 

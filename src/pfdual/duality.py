@@ -133,15 +133,8 @@ def phi(cat: TopCategory) -> CategoryIso:
 
     if sorted(obj_map) != list(range(dd.category.n_objects)) or sorted(arr_map) != list(range(dd.category.n_arrows)):
         raise InconsistencyError("double dual of the category has a different shape")
-    back_obj = [0] * len(obj_map)
-    for x, v in enumerate(obj_map):
-        back_obj[v] = x
-    back_arr = [0] * len(arr_map)
-    for c, v in enumerate(arr_map):
-        back_arr[v] = c
     fwd = MultiFunctor(cat, dd.category, tuple(obj_map), tuple(1 << v for v in arr_map))
-    back = MultiFunctor(dd.category, cat, tuple(back_obj), tuple(1 << v for v in back_arr))
-    return _verify_category_iso(CategoryIso(fwd=fwd, back=back))
+    return _verify_category_iso(CategoryIso(fwd=fwd, back=invert_plain_functor(fwd)))
 
 
 # ---------------------------------------------------------------------------

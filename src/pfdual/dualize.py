@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, Homomorphism, check_axioms, derive_constants, domain_elements
+from .algebra import FinAlgebra, Homomorphism, derive_constants, domain_elements, require_representable
 from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
 from .filters import minimal_nonzero_elements
@@ -56,10 +56,7 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
     Raises ValueError when the algebra fails the representability axioms;
     an algebra whose zero equals its identity dualizes to the empty category.
     """
-    report = check_axioms(alg)
-    if not report.passed:
-        first = report.failures()[0]
-        raise ValueError(f"algebra is not representable: axiom ({first.index}) {first.name} fails")
+    require_representable(alg)
 
     con = derive_constants(alg)
     arrows = minimal_nonzero_elements(alg)

@@ -14,7 +14,7 @@ from typing import Any
 from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of
 from .pfun import Base, PFunc, as_abstract
-from .topcat import FinTopology, MultiFunctor, TopCategory, generate_topology
+from .topcat import MAX_ARROWS, FinTopology, MultiFunctor, TopCategory, generate_topology
 from .transducer import Dfa, Transducer
 
 
@@ -64,6 +64,8 @@ def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
 # 2-vCPU VM (Python 3.11); the 7,776 partial functions on 5 points would
 # need more than 1 GB before any check ran.
 MAX_ELEMENTS = 2048
+# The most points a concrete algebra file may list; MAX_ELEMENTS bounds its functions.
+MAX_BASE = 6
 
 
 def _check_size(count: int, key: str, path) -> None:
@@ -118,14 +120,14 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
         raise FormatError(path, str(e)) from None
 
 
-def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>", max_base: int = 6):
+def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
     """A family of named partial functions over a listed base; the family
     must be closed under the four operations."""
     points = _need(data, "base", path)
     if not isinstance(points, list):
         raise FormatError(path, "'base' must be a list of points")
-    if len(points) > max_base:
-        raise FormatError(path, f"base size {len(points)} exceeds the limit {max_base}")
+    if len(points) > MAX_BASE:
+        raise FormatError(path, f"base size {len(points)} exceeds the limit MAX_BASE = {MAX_BASE}")
     base = Base(tuple(points))
     functions = _need(data, "functions", path)
     if not isinstance(functions, dict):
@@ -147,11 +149,8 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>", max_base:
     return as_abstract(named.keys(), named)
 
 
-def load_algebra(path: str | Path, max_base: int = 6) -> FinAlgebra:
-    data = load_json(path)
-    if "functions" in data:
-        return parse_concrete_algebra(data, path, max_base)[0]
-    return parse_algebra(data, path)
+def load_algebra(path: str | Path) -> FinAlgebra:
+    return parse_algebra(load_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +189,8 @@ def write_category(cat: TopCategory) -> str:
 def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     obj_names = tuple(_need(data, "objects", path, list))
     arrows = _need(data, "arrows", path, list)
+    if len(arrows) > MAX_ARROWS:
+        raise FormatError(path, f"{len(arrows)} arrows exceed the limit MAX_ARROWS = {MAX_ARROWS}")
     for a in arrows:
         if not isinstance(a, dict) or not {"name", "src", "tgt"} <= a.keys():
             raise FormatError(path, f"arrows need a 'name', 'src' and 'tgt': {a!r}")
@@ -253,11 +254,11 @@ def load_category(path: str | Path) -> TopCategory:
 # ---------------------------------------------------------------------------
 
 
-def load_homomorphism(path: str | Path, max_base: int = 6) -> Homomorphism:
+def load_homomorphism(path: str | Path) -> Homomorphism:
     data = load_json(path)
     folder = Path(path).parent
-    source = load_algebra(folder / _need(data, "source", path), max_base)
-    target = load_algebra(folder / _need(data, "target", path), max_base)
+    source = load_algebra(folder / _need(data, "source", path))
+    target = load_algebra(folder / _need(data, "target", path))
     m = _need(data, "map", path, dict)
     mapping = []
     for name in source.names:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional
 
 from .errors import NotClosedError
 
@@ -70,11 +70,6 @@ class PFunc:
     @classmethod
     def identity(cls, base: Base) -> "PFunc":
         return cls(base, tuple(range(len(base))))
-
-    @classmethod
-    def identity_on(cls, base: Base, points: Iterable[Point]) -> "PFunc":
-        keep = {base.index(p) for p in points}
-        return cls(base, tuple(i if i in keep else None for i in range(len(base))))
 
     @classmethod
     def from_pairs(cls, base: Base, pairs: Mapping[Point, Point] | Iterable[tuple[Point, Point]]) -> "PFunc":
@@ -159,11 +154,11 @@ def graph_key(f: PFunc) -> tuple[int, ...]:
     return tuple(0 if v is None else v + 1 for v in f.graph)
 
 
-def enumerate_all(base: Base, cap: int = ENUMERATION_CAP) -> list[PFunc]:
+def enumerate_all(base: Base) -> list[PFunc]:
     """All (n+1)^n partial functions on the base, in a fixed order."""
     n = len(base)
-    if n > cap:
-        raise ValueError(f"base size {n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"base size {n} exceeds the limit ENUMERATION_CAP = {ENUMERATION_CAP}")
     values: list[Optional[int]] = [None] + list(range(n))
     return [PFunc(base, g) for g in itertools.product(values, repeat=n)]
 
@@ -198,15 +193,13 @@ def close_under_ops(gens: Iterable[PFunc]) -> list[PFunc]:
     return sorted(closed, key=graph_key)
 
 
-def as_abstract(
-    elems: Iterable[PFunc],
-    names: Mapping[PFunc, str] | Sequence[str] | None = None,
-):
+def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None):
     """Turn a closed set of partial functions into operation tables.
 
     Returns ``(algebra, labeling)`` where ``labeling[i]`` is the partial
-    function represented by element index ``i``.  Raises NotClosedError if
-    some operation leaves the set, naming the operation and its operands.
+    function represented by element index ``i``.  Elements are named by
+    ``names`` when given, otherwise by their graphs.  Raises NotClosedError
+    if some operation leaves the set, naming the operation and its operands.
     """
     from .algebra import FinAlgebra, pick
 
@@ -244,14 +237,7 @@ def as_abstract(
         for i, (f, over) in enumerate(zip(graphs, overrides))
     )
 
-    if names is None:
-        name_list = tuple(_auto_name(f) for f in ordered)
-    elif isinstance(names, Mapping):
-        name_list = tuple(names[f] for f in ordered)
-    else:
-        if len(list(names)) != len(ordered):
-            raise ValueError("names must match the number of distinct elements")
-        name_list = tuple(names)
+    name_list = tuple(_auto_name(f) if names is None else names[f] for f in ordered)
     alg = FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=name_list)
     return alg, tuple(ordered)
 

@@ -18,6 +18,7 @@ from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
 from .topcat import (
+    MAX_ARROWS,
     MultiFunctor,
     TopCategory,
     check_topological_category,
@@ -51,11 +52,14 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     """The image masks of all sections, in a fixed order: domains by size
     then mask value, choices lexicographically by per-object arrow index.
 
-    Refuses a category whose section count may exceed MAX_SECTIONS, bounded
-    by the product of 1 + |star x| over the objects x."""
+    Refuses a category with more than MAX_ARROWS arrows, or whose section
+    count may exceed MAX_SECTIONS, bounded by the product of 1 + |star x|
+    over the objects x."""
+    if cat.n_arrows > MAX_ARROWS:
+        raise ValueError(f"category has {cat.n_arrows} arrows, over the limit MAX_ARROWS = {MAX_ARROWS}")
     bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
     if bound > MAX_SECTIONS:
-        raise ValueError(f"category may have {bound} sections, over the limit of {MAX_SECTIONS}")
+        raise ValueError(f"category may have {bound} sections, over the limit MAX_SECTIONS = {MAX_SECTIONS}")
     problems = _structurally_sound(cat)
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))

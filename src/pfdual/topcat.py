@@ -108,6 +108,13 @@ def generate_topology(size: int, subbasis: Iterable[int]) -> FinTopology:
 # Topological categories
 # ---------------------------------------------------------------------------
 
+# The most arrows a category file or a category to take sections of may
+# have.  The checks are cubic in the arrow count, and checking a functor
+# with a full arrow relation is quartic: on the one-object category of the
+# cyclic group of order 64, `functor-check` took 13.6 s, `sections` 1.1 s,
+# and `bidual` on the zero-extended group 0.6 s (2 vCPUs, Python 3.11).
+MAX_ARROWS = 64
+
 
 @dataclass(frozen=True)
 class TopCategory:

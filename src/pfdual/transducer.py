@@ -367,15 +367,15 @@ def pref_union(t1: Transducer, t2: Transducer) -> Transducer:
 # ---------------------------------------------------------------------------
 
 
-def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int, cap: int = BOUND_CAP):
+def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int):
     """Pointwise agreement on every word of length at most max_len.
 
     Returns (verdict, witness_word_or_None).
     """
     if max_len < 0:
         raise ValueError(f"bound {max_len} is negative")
-    if max_len > cap:
-        raise ValueError(f"bound {max_len} exceeds the cap {cap}")
+    if max_len > BOUND_CAP:
+        raise ValueError(f"bound {max_len} exceeds the limit BOUND_CAP = {BOUND_CAP}")
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
     _check_word_count(t1.alphabet, max_len)
@@ -498,7 +498,7 @@ class BoundedAxiomReport:
         return self.results[index - 1]
 
 
-def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP) -> BoundedAxiomReport:
+def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport:
     """Instantiate the ten representability (quasi)equations over all tuples
     from the given machines and compare both sides word by word.
 
@@ -511,8 +511,8 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int, cap: int = BOUND_CAP)
     """
     if max_len < 0:
         raise ValueError(f"bound {max_len} is negative")
-    if max_len > cap:
-        raise ValueError(f"bound {max_len} exceeds the cap {cap}")
+    if max_len > BOUND_CAP:
+        raise ValueError(f"bound {max_len} exceeds the limit BOUND_CAP = {BOUND_CAP}")
     if not ts:
         raise ValueError("at least one transducer is required")
     al = ts[0].alphabet

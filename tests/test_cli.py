@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib
 import json
+import re
 import time
 from pathlib import Path
 
@@ -159,6 +161,63 @@ class TestElementLimit:
         assert extra or "graph must be an object" in err
 
 
+class TestLimits:
+    """Each size limit is one module constant, named in its refusal and
+    listed in the README; none is an option."""
+
+    LIMITS = {"MAX_ELEMENTS", "MAX_BASE", "MAX_ARROWS", "MAX_SECTIONS", "MAX_WORDS",
+              "BOUND_CAP", "ENUMERATION_CAP"}
+
+    def test_readme_lists_every_limit(self):
+        text = (DATA.parent / "README.md").read_text()
+        paragraph = text[text.index("**Limits.**"):]
+        paragraph = paragraph[:paragraph.index("\n\n")]
+        listed = re.findall(r"`([A-Z_]+) = (\d+)(?:\*\*(\d+))?` \(`(\w+)`\)", paragraph)
+        assert {name for name, *_ in listed} == self.LIMITS and len(listed) == len(self.LIMITS)
+        for name, base, power, module in listed:
+            value = int(base) ** int(power or 1)
+            assert getattr(importlib.import_module(f"pfdual.{module}"), name) == value, name
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_concrete_base(self, capsys, tmp_path, extra):
+        points = list(range(fmt.MAX_BASE + extra))
+        (tmp_path / "wide.alg.json").write_text(json.dumps({"base": points, "functions": {}}))
+        path = tmp_path / "wide_id.hom.json"
+        path.write_text(json.dumps({"source": "wide.alg.json", "target": "wide.alg.json", "map": {}}))
+        for verb, file in (("check-axioms", tmp_path / "wide.alg.json"), ("hom-check", path)):
+            assert main([verb, str(file)]) == 2
+            err = capsys.readouterr().err
+            assert ("base size 7 exceeds the limit MAX_BASE = 6" in err) == bool(extra)
+            assert extra or "at least one function is required" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_category_file_arrows(self, capsys, tmp_path, extra):
+        # a 'comp' that is not an object: parsing it is the check after the count
+        arrows = [{"name": f"g{k}", "src": "x", "tgt": "x"} for k in range(fmt.MAX_ARROWS + extra)]
+        path = tmp_path / "many.cat.json"
+        path.write_text(json.dumps({"objects": ["x"], "opens_obj": [["x"]], "arrows": arrows,
+                                    "opens_arr": [], "id": {"x": "g0"}, "comp": []}))
+        assert main(["sections", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("65 arrows exceed the limit MAX_ARROWS = 64" in err) == bool(extra)
+        assert extra or "'comp' must be a JSON object" in err
+
+    def test_word_bound(self, capsys):
+        assert main(["transducer", "axioms", str(DATA / "as_to_bs.td.json"), "--max-len", "13"]) == 2
+        assert capsys.readouterr().err == "error: bound 13 exceeds the limit BOUND_CAP = 12\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["check-axioms", "data/swap_const.alg.json", "--max-base", "7"],
+        ["transducer", "dom", "data/as_to_bs.td.json", "--max-len", "2"],
+    ])
+    def test_removed_options_are_rejected(self, capsys, monkeypatch, argv):
+        monkeypatch.chdir(DATA.parent)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestDualize:
     def test_shape_and_files(self, capsys, tmp_path):
         out_file = tmp_path / "dual.json"
@@ -207,7 +266,7 @@ class TestDualize:
         start = time.perf_counter()
         code = main(["sections", str(path)])
         assert code == 2 and time.perf_counter() - start < 1.0
-        assert "over the limit of 2048" in capsys.readouterr().err
+        assert "over the limit MAX_SECTIONS = 2048" in capsys.readouterr().err
 
 
 class TestBidual:
@@ -243,6 +302,31 @@ class TestHomCheck:
         assert report["locally_proper_witness"] == ["c", "c3"]
         dual = report["dual"]
         assert dual["star_coherent"] is True and dual["plain_functor"] is False
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_report_matches_golden_file(self, capsys, monkeypatch, form):
+        monkeypatch.chdir(DATA.parent)
+        code = main(["hom-check", "data/swap_inclusion.hom.json", "--format", form])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == (GOLDEN / f"hom_check_swap_inclusion.{form}").read_text()
+
+    def test_non_representable_algebra_is_bad_input(self, capsys, tmp_path):
+        """The identity map of an algebra failing axiom (10) is refused with
+        exit 2, as naturality and dualize refuse the algebra, not reported
+        as an internal error of the prime-filter enumeration."""
+        data = fmt.algebra_to_dict(fmt.load_algebra(DATA / "swap_const.alg.json"))
+        zero = data["elements"].index("0")
+        data["pref"][zero][zero] = "e3"
+        (tmp_path / "bad.alg.json").write_text(json.dumps(data))
+        path = tmp_path / "bad_id.hom.json"
+        path.write_text(json.dumps({"source": "bad.alg.json", "target": "bad.alg.json",
+                                    "map": {name: name for name in data["elements"]}}))
+        for argv in (["hom-check", path], ["naturality", path], ["dualize", tmp_path / "bad.alg.json"]):
+            code = main([str(a) for a in argv])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == "error: algebra is not representable: axiom (10) pref_outside_domain fails\n"
 
     def test_invalid_hom_exit_code(self, capsys, tmp_path):
         data = json.loads((DATA / "swap_inclusion.hom.json").read_text())

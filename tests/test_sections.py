@@ -143,9 +143,15 @@ class TestEnumeration:
         with pytest.raises(InconsistencyError, match="not discrete"):
             sc.enumerate_sections(cat)
 
+    def test_arrow_limit_is_checked_before_the_section_bound(self):
+        with pytest.raises(ValueError, match="18446744073709551616 sections, over the limit MAX_SECTIONS"):
+            sc.enumerate_sections(identities_only(tc.MAX_ARROWS))
+        with pytest.raises(ValueError, match="65 arrows, over the limit MAX_ARROWS = 64"):
+            sc.enumerate_sections(identities_only(tc.MAX_ARROWS + 1))
+
     def test_section_bound_admits_the_limit_and_refuses_beyond(self):
         assert len(sc.enumerate_sections(identities_only(11))) == sc.MAX_SECTIONS == 2048
-        with pytest.raises(ValueError, match="4096 sections, over the limit of 2048"):
+        with pytest.raises(ValueError, match="4096 sections, over the limit MAX_SECTIONS = 2048"):
             sc.enumerate_sections(identities_only(12))
 
     def test_nonepi_category_still_enumerable(self, nonepi_category):

@@ -184,7 +184,7 @@ class TestBoundedOracles:
         assert not ok and witness == ""
 
     def test_cap(self, t1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bound 13 exceeds the limit BOUND_CAP = 12"):
             td.equiv_bounded(t1, t1, 13)
 
     def test_axioms_pass(self, t1, t2):
