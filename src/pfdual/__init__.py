@@ -6,7 +6,8 @@ The main entry points:
 - `pfun`: concrete partial functions on a finite base; the semantic oracle.
 - `algebra`: finite operation-table algebras and the ten-axiom
   representability checker.
-- `filters`: general filter calculus; the oracle for the dual.
+- `filters`: general filter calculus; the test oracle for the dual and for
+  `check_locally_proper`. No pipeline module imports it.
 - `topcat`: finite topological categories and multivalued functors.
 - `dualize` / `sections`: the two halves of the duality.
 - `duality`: the double-dual isomorphisms and naturality checks.

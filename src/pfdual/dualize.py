@@ -15,11 +15,18 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .algebra import FinAlgebra, Homomorphism, derive_constants, domain_elements, require_representable
+from .algebra import (
+    FinAlgebra,
+    Homomorphism,
+    check_locally_proper,
+    derive_constants,
+    domain_elements,
+    minimal_nonzero_elements,
+    require_representable,
+)
 from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
-from .filters import minimal_nonzero_elements
-from .topcat import MultiFunctor, TopCategory, discrete_topology
+from .topcat import MultiFunctor, TopCategory, discrete_topology, is_plain_functor
 
 
 @dataclass(frozen=True)
@@ -181,10 +188,9 @@ class FunctorVsProperVerdict:
 
 def pf_is_functor_iff_locally_proper(h: Homomorphism) -> FunctorVsProperVerdict:
     """The dual of h is single-valued-and-total exactly when h pulls prime
-    filters back to prime filters.  Disagreement indicates a bug."""
-    from .algebra import check_locally_proper
-    from .topcat import is_plain_functor
-
+    filters back to prime filters.  Both sides read principal up-sets, by
+    separate computations: the arrow relation of `pf_morphism` and the
+    lookup of `check_locally_proper`.  Disagreement indicates a bug."""
     plain = is_plain_functor(pf_morphism(h))
     proper, _ = check_locally_proper(h)
     verdict = FunctorVsProperVerdict(plain_functor=plain, locally_proper=proper)

@@ -3,36 +3,18 @@
 Filter members are stored as bitmasks over element indices.  A filter is a
 nonempty, upward-closed, downward-directed subset; it is proper exactly when
 it avoids the zero element, and the improper filter is the whole algebra.
+
+This general calculus is the oracle the tests check the dual and
+`check_locally_proper` against; no pipeline module imports it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import FinAlgebra, derive_constants, domain_elements
+from .algebra import FilterSet, FinAlgebra, derive_constants, domain_elements, minimal_nonzero_elements
 from .bitsets import bits, mask_of
 from .errors import InconsistencyError
-
-
-@dataclass(frozen=True)
-class FilterSet:
-    """A subset of an algebra, tagged with the algebra it lives in."""
-
-    algebra: FinAlgebra
-    members: int
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.members >> idx & 1)
-
-    def elements(self) -> tuple[int, ...]:
-        return tuple(bits(self.members))
-
-    def element_names(self) -> tuple[str, ...]:
-        return tuple(self.algebra.names[i] for i in bits(self.members))
-
-    def __repr__(self) -> str:
-        return "FilterSet{" + ",".join(self.element_names()) + "}"
 
 
 def upward_closure(alg: FinAlgebra, subset: int | Iterable[int]) -> int:
@@ -126,15 +108,6 @@ def is_maximal(alg: FinAlgebra, f: FilterSet) -> bool:
         if is_proper(alg, generated_filter(alg, f.members | 1 << a).members):
             return False
     return True
-
-
-def minimal_nonzero_elements(alg: FinAlgebra) -> tuple[int, ...]:
-    con = derive_constants(alg)
-    zero = con.zero
-    return tuple(
-        a for a in range(alg.size)
-        if a != zero and con.down[a] & ~(1 << a) & ~(1 << zero) == 0
-    )
 
 
 def enumerate_prime_filters(alg: FinAlgebra) -> tuple[FilterSet, ...]:

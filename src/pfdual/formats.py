@@ -92,8 +92,8 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
     if "functions" in data:
         return parse_concrete_algebra(data, path)[0]
     names = _need(data, "elements", path, list)
-    if any(isinstance(name, (list, dict)) for name in names):
-        raise FormatError(path, "'elements' must be a list of names")
+    if not all(isinstance(name, str) for name in names):
+        raise FormatError(path, "'elements' must be a list of strings")
     _check_size(len(names), "elements", path)
     idx = {name: i for i, name in enumerate(names)}
     if len(idx) != len(names):
@@ -103,7 +103,7 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
         if not isinstance(values, list):
             raise FormatError(path, f"rows of {key!r} must be lists of element names")
         for name in values:
-            if isinstance(name, (list, dict)) or name not in idx:
+            if not isinstance(name, str) or name not in idx:
                 raise FormatError(path, f"unknown element {name!r} in {key}")
         return [idx[name] for name in values]
 
@@ -126,6 +126,8 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
     points = _need(data, "base", path)
     if not isinstance(points, list):
         raise FormatError(path, "'base' must be a list of points")
+    if any(isinstance(point, (list, dict)) for point in points):
+        raise FormatError(path, "'base' points may not be lists or objects")
     if len(points) > MAX_BASE:
         raise FormatError(path, f"base size {len(points)} exceeds the limit MAX_BASE = {MAX_BASE}")
     base = Base(tuple(points))
@@ -257,14 +259,16 @@ def load_category(path: str | Path) -> TopCategory:
 def load_homomorphism(path: str | Path) -> Homomorphism:
     data = load_json(path)
     folder = Path(path).parent
-    source = load_algebra(folder / _need(data, "source", path))
-    target = load_algebra(folder / _need(data, "target", path))
+    source = load_algebra(folder / _need(data, "source", path, str))
+    target = load_algebra(folder / _need(data, "target", path, str))
     m = _need(data, "map", path, dict)
     mapping = []
     for name in source.names:
         if name not in m:
             raise FormatError(path, f"map is missing source element {name!r}")
-        mapping.append(target.index_of(m[name]))
+        if m[name] not in target.names:
+            raise FormatError(path, f"unknown element {m[name]!r} in map")
+        mapping.append(target.names.index(m[name]))
     return Homomorphism(source, target, tuple(mapping))
 
 
@@ -279,8 +283,8 @@ def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:
 def load_functor(path: str | Path) -> MultiFunctor:
     data = load_json(path)
     folder = Path(path).parent
-    source = load_category(folder / _need(data, "source", path))
-    target = load_category(folder / _need(data, "target", path))
+    source = load_category(folder / _need(data, "source", path, str))
+    target = load_category(folder / _need(data, "target", path, str))
     om = _need(data, "obj_map", path, dict)
     obj_map = []
     for name in source.obj_names:

@@ -9,6 +9,8 @@ import random
 import pytest
 
 from pfdual import algebra as alg
+from pfdual import filters as flt
+from pfdual.bitsets import mask_of
 from pfdual.errors import NoZeroError
 from pfdual.pfun import Base, as_abstract, close_under_ops, enumerate_all
 
@@ -396,3 +398,61 @@ class TestHomomorphisms:
                 inverse[v] = a
             assert alg.check_homomorphism(alg.Homomorphism(h.target, h.source, tuple(inverse)))
         assert checked >= 3  # identities and the permuted copy at least
+
+
+def reference_locally_proper(h: alg.Homomorphism):
+    """check_locally_proper by the general filter calculus: pull back every
+    prime filter of the target and test the inverse image for a prime
+    filter of the source."""
+    alg.require_representable(h.source)
+    alg.require_representable(h.target)
+    for p in flt.enumerate_prime_filters(h.target):
+        inv = mask_of(a for a in range(h.source.size) if p.members >> h(a) & 1)
+        fs = flt.FilterSet(h.source, inv)
+        if not (inv and flt.is_filter(h.source, inv) and flt.is_prime(h.source, fs)):
+            return False, p
+    return True, None
+
+
+def single_value_changes(h: alg.Homomorphism):
+    """Every map that differs from h at exactly one source element."""
+    for a, v in itertools.product(range(h.source.size), range(h.target.size)):
+        if v != h(a):
+            mapping = list(h.mapping)
+            mapping[a] = v
+            yield alg.Homomorphism(h.source, h.target, tuple(mapping))
+
+
+class TestLocallyProperOracle:
+    """The principal lookup of check_locally_proper gives the verdict and
+    witness of the filter calculus, on homomorphisms and on any other map."""
+
+    def assert_matches(self, h: alg.Homomorphism) -> bool:
+        proper, witness = alg.check_locally_proper(h)
+        ref_proper, ref_witness = reference_locally_proper(h)
+        assert proper == ref_proper
+        if ref_witness is None:
+            assert witness is None
+        else:
+            assert witness.algebra is h.target and witness.members == ref_witness.members
+        return proper
+
+    def test_corpus(self, corpus_homs):
+        verdicts = [self.assert_matches(h) for h in corpus_homs]
+        assert any(verdicts) and not all(verdicts)
+
+    def test_every_single_value_change_of_the_corpus(self, corpus_homs):
+        verdicts = [self.assert_matches(m) for h in corpus_homs for m in single_value_changes(h)]
+        assert len(verdicts) == 184
+
+    def test_seeded_arbitrary_maps(self, swap_const, swap_only, one_elem, full2):
+        algebras = (swap_const, swap_only, one_elem, full2)
+        rnd = random.Random(11)
+        verdicts, homs = [], 0
+        for _ in range(2000):
+            source, target = rnd.choice(algebras), rnd.choice(algebras)
+            h = alg.Homomorphism(source, target, tuple(rnd.randrange(target.size) for _ in range(source.size)))
+            verdicts.append(self.assert_matches(h))
+            homs += alg.check_homomorphism(h)
+        assert any(verdicts) and not all(verdicts)
+        assert homs < len(verdicts)  # maps that are not homomorphisms are decided too

@@ -96,12 +96,54 @@ class TestMalformedInput:
                        "map": [["s", "s"]]}, "'map' must be a JSON object"),
         ("hom-check", 5, "expected a JSON object"),
         ("sections", [], "expected a JSON object"),
+        ("check-axioms", {**ALGEBRA, "elements": [0]}, "'elements' must be a list of strings"),
+        ("check-axioms", {"base": [[1], [2]], "functions": {"0": {}}}, "'base' points may not be lists or objects"),
+        ("check-axioms", {"base": [1, {"x": 2}], "functions": {"0": {}}}, "'base' points may not be lists or objects"),
     ])
     def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
         path = tmp_path / "malformed.json"
         path.write_text(json.dumps(data))
         assert main([verb, str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("verb", ["check-axioms", "dualize", "bidual"])
+    def test_numeric_element_names_are_refused(self, capsys, tmp_path, verb):
+        """A homomorphism file names elements by JSON keys, so every verb
+        refuses names that are not strings, not only the later ones."""
+        path = tmp_path / "numeric.alg.json"
+        path.write_text(json.dumps({"elements": [0], "compose": [[0]], "antidomain": [0], "range": [0],
+                                    "pref": [[0]]}))
+        assert main([verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: 'elements' must be a list of strings\n"
+
+    SWAP_MAP = json.loads((DATA / "swap_inclusion.hom.json").read_text())["map"]
+
+    @pytest.mark.parametrize("verb, data, message", [
+        ("hom-check", {"source": 5, "target": "swap_const.alg.json", "map": SWAP_MAP},
+         "'source' must be a JSON string"),
+        ("naturality", {"source": 5, "target": "swap_const.alg.json", "map": SWAP_MAP},
+         "'source' must be a JSON string"),
+        ("hom-check", {"source": "swap_only.alg.json", "target": ["swap_const.alg.json"], "map": SWAP_MAP},
+         "'target' must be a JSON string"),
+        ("functor-check", {"source": 5, "target": "cat.json", "obj_map": {}, "arr_rel": []},
+         "'source' must be a JSON string"),
+        ("naturality", {"source": "cat.json", "target": None, "obj_map": {}, "arr_rel": []},
+         "'target' must be a JSON string"),
+        ("hom-check", {"source": "swap_only.alg.json", "target": "swap_const.alg.json",
+                       "map": {**SWAP_MAP, "s": "nope"}}, "unknown element 'nope' in map"),
+        ("naturality", {"source": "swap_only.alg.json", "target": "swap_const.alg.json",
+                        "map": {**SWAP_MAP, "s": ["s"]}}, "unknown element ['s'] in map"),
+    ])
+    def test_malformed_morphism_file(self, capsys, tmp_path, verb, data, message):
+        for name in ("swap_only.alg.json", "swap_const.alg.json"):
+            (tmp_path / name).write_text((DATA / name).read_text())
+        (tmp_path / "cat.json").write_text(json.dumps(self.CATEGORY))
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(data))
+        assert main([verb, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: {message}\n"
 
     TRANSDUCER = {"alphabet": ["a"], "states": ["s"], "initial": "s", "final": {"s": ""},
                   "trans": [{"from": "s", "in": "a", "out": "a", "to": "s"}]}

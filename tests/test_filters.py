@@ -3,7 +3,9 @@ source/target/composition laws used to build dual categories."""
 
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +203,20 @@ class TestFindPrimeWithRange:
                     p = flt.find_prime_with_range(a, mu, x)
                     assert p.members >> x & 1
                     assert flt.target_of(a, p) == mu
+
+
+def test_no_pipeline_module_imports_filters():
+    """The calculus is the oracle the tests check the pipeline against, so
+    no pipeline module may use it; the package re-exports it only."""
+    importers = set()
+    for path in (Path(flt.__file__).parent).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            else:
+                continue
+            if any(m.split(".")[-1] == "filters" for m in modules):
+                importers.add(path.name)
+    assert importers == {"__init__.py"}
