@@ -123,7 +123,7 @@ def derive_constants(alg: FinAlgebra) -> Constants:
     n = alg.size
     if (zw := _zero_witness(alg)) is not None:
         raise NoZeroError(zw)
-    zero = alg.comp(alg.anti_t[0], 0)
+    zero = alg.compose_t[alg.anti_t[0]][0]
     ident = alg.anti_t[zero]
     dom_t = tuple(alg.anti_t[alg.anti_t[a]] for a in range(n))
     up = []
@@ -442,7 +442,7 @@ def domain_subalgebra(alg: FinAlgebra) -> DomainSubalgebraReport:
     con = derive_constants(alg)
     universe = domain_elements(alg)
     uset = set(universe)
-    comp, anti, pref = alg.comp, alg.anti, alg.pref
+    C, anti, pref = alg.compose_t, alg.anti, alg.pref
 
     def law(ok: bool, text: str) -> None:
         if not ok:
@@ -450,18 +450,18 @@ def domain_subalgebra(alg: FinAlgebra) -> DomainSubalgebraReport:
 
     law(con.zero in uset and con.ident in uset, "bottom/top present")
     for x in universe:
-        law(comp(x, x) == x, f"meet idempotent at {x}")
+        law(C[x][x] == x, f"meet idempotent at {x}")
         law(anti(x) in uset, f"complement closure at {x}")
-        law(comp(x, anti(x)) == con.zero, f"x*A(x)=0 at {x}")
+        law(C[x][anti(x)] == con.zero, f"x*A(x)=0 at {x}")
         law(pref(x, anti(x)) == con.ident, f"x|A(x)=id at {x}")
         law(alg.dom(x) == x, f"D fixes domain elements at {x}")
         for y in universe:
-            law(comp(x, y) in uset, f"meet closure at ({x},{y})")
+            law(C[x][y] in uset, f"meet closure at ({x},{y})")
             law(pref(x, y) in uset, f"join closure at ({x},{y})")
-            law(comp(x, y) == comp(y, x), f"meet commutative at ({x},{y})")
+            law(C[x][y] == C[y][x], f"meet commutative at ({x},{y})")
             law(pref(x, y) == pref(y, x), f"join commutative on domain elements at ({x},{y})")
             for z in universe:
-                law(comp(x, pref(y, z)) == pref(comp(x, y), comp(x, z)), f"distributivity at ({x},{y},{z})")
+                law(C[x][pref(y, z)] == pref(C[x][y], C[x][z]), f"distributivity at ({x},{y},{z})")
     atoms = tuple(
         x for x in universe
         if x != con.zero and all(not con.leq(y, x) for y in universe if y not in (con.zero, x))
@@ -475,7 +475,7 @@ def domain_subalgebra(alg: FinAlgebra) -> DomainSubalgebraReport:
 
 
 def compatible(alg: FinAlgebra, a: int, b: int) -> bool:
-    return alg.comp(alg.dom(a), b) == alg.comp(alg.dom(b), a)
+    return alg.compose_t[alg.dom(a)][b] == alg.compose_t[alg.dom(b)][a]
 
 
 def upper_bounds(alg: FinAlgebra, a: int, b: int) -> int:
@@ -493,7 +493,7 @@ def join(alg: FinAlgebra, a: int, b: int) -> Optional[int]:
     if not ubs:
         return None
     c = next(bits(ubs))
-    return alg.comp(alg.anti(alg.comp(alg.anti(a), alg.anti(b))), c)
+    return alg.compose_t[alg.anti(alg.compose_t[alg.anti(a)][alg.anti(b)])][c]
 
 
 def in_class_A(alg: FinAlgebra) -> bool:
@@ -516,7 +516,7 @@ def pref_from_join(alg: FinAlgebra) -> tuple[tuple[int, ...], ...]:
     for a in range(n):
         row = []
         for b in range(n):
-            rest = alg.comp(alg.anti(a), b)
+            rest = alg.compose_t[alg.anti(a)][b]
             j = join(alg, a, rest)
             if j is None:
                 raise ValueError(f"compatible pair ({a},{rest}) has no upper bound; override undefined")
@@ -573,7 +573,7 @@ def check_homomorphism(h: Homomorphism) -> bool:
         if m[src.anti(a)] != tgt.anti(m[a]) or m[src.rng(a)] != tgt.rng(m[a]):
             return False
         for b in range(n):
-            if m[src.comp(a, b)] != tgt.comp(m[a], m[b]):
+            if m[src.compose_t[a][b]] != tgt.compose_t[m[a]][m[b]]:
                 return False
             if m[src.pref(a, b)] != tgt.pref(m[a], m[b]):
                 return False

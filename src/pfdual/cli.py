@@ -172,7 +172,12 @@ def cmd_hom_check(args) -> int:
 
 
 def cmd_functor_check(args) -> int:
-    entries = _functor_entries(fmt.load_functor(args.file))
+    fun = fmt.load_functor(args.file)
+    for side, cat in (("source", fun.source), ("target", fun.target)):
+        problems = cat.check_category()
+        if problems:
+            raise ValueError(f"functor {side} is not a category: {problems[0]}")
+    entries = _functor_entries(fun)
     _emit({"functor": args.file, **entries}, args.format)
     return 0 if _functor_ok(entries) else 1
 

@@ -78,7 +78,7 @@ def theta(alg: FinAlgebra) -> AlgebraIso:
     for a in range(alg.size):
         image = 0
         for o in bits(dual.domain_opens[alg.dom(a)]):
-            k = dual.arr_index.get(alg.comp(dual.object_atoms[o], a))
+            k = dual.arr_index.get(alg.compose_t[dual.object_atoms[o]][a])
             if k is None or dual.category.src[k] != o:
                 raise InconsistencyError("choice filter is not a dual arrow starting at its object")
             image |= 1 << k

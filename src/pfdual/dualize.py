@@ -79,21 +79,17 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
         raise InconsistencyError("the domain or range of a minimal element is not an atom") from None
     id_of = tuple(arr_index[e] for e in objects)
 
-    comp_pairs = []
+    index = {**arr_index, con.zero: len(arrows)}
+    comp_t = []
     for i, m in enumerate(arrows):
-        row = alg.compose_t[m]
-        for j, m2 in enumerate(arrows):
-            if tgt[i] == src[j]:
-                k = arr_index.get(row[m2])
-                if k is None:
-                    raise InconsistencyError(
-                        f"composite of {alg.names[m]} and {alg.names[m2]} is not a minimal element"
-                    )
-                comp_pairs.append((i, j, k))
-            elif row[m2] != con.zero:
-                raise InconsistencyError(
-                    f"product of {alg.names[m]} and {alg.names[m2]} is nonzero but they do not compose"
-                )
+        row = tuple(index.get(alg.compose_t[m][m2]) for m2 in arrows)
+        for j, k in enumerate(row):
+            if k is None or (k == len(arrows)) == (tgt[i] == src[j]):
+                pair = f"{alg.names[m]} and {alg.names[arrows[j]]}"
+                if tgt[i] == src[j]:
+                    raise InconsistencyError(f"composite of {pair} is not a minimal element")
+                raise InconsistencyError(f"product of {pair} is nonzero but they do not compose")
+        comp_t.append(row)
 
     n = alg.size
     dmask = mask_of(domain_elements(alg))
@@ -111,7 +107,7 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
         src=src,
         tgt=tgt,
         id_of=id_of,
-        comp_pairs=tuple(comp_pairs),
+        comp_t=tuple(comp_t),
     )
     return DualCategory(
         category=category,

@@ -151,7 +151,7 @@ def is_domain_ultrafilter(alg: FinAlgebra, f: FilterSet) -> bool:
         if con.up[a] & dmask & ~m:
             return False
         for b in idxs:
-            if not m >> alg.comp(a, b) & 1:
+            if not m >> alg.compose_t[a][b] & 1:
                 return False
     for x in bits(dmask):
         if (m >> x & 1) == (m >> alg.anti(x) & 1):
@@ -209,13 +209,13 @@ def compose_filters(alg: FinAlgebra, p: FilterSet, q: FilterSet) -> FilterSet:
 
     Prime exactly when target_of(p) equals source_of(q); improper otherwise.
     """
-    prods = mask_of(alg.comp(a, b) for a in bits(p.members) for b in bits(q.members))
+    prods = mask_of(alg.compose_t[a][b] for a in bits(p.members) for b in bits(q.members))
     return FilterSet(alg, upward_closure(alg, prods))
 
 
 def prime_from(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
     """Upward closure of mu*a; prime iff it avoids zero."""
-    prods = mask_of(alg.comp(x, a) for x in bits(mu.members))
+    prods = mask_of(alg.compose_t[x][a] for x in bits(mu.members))
     return FilterSet(alg, upward_closure(alg, prods))
 
 
@@ -229,7 +229,7 @@ def find_prime_with_range(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
     con = derive_constants(alg)
     if not mu.members >> alg.rng(a) & 1:
         raise ValueError("R(a) must belong to the given ultrafilter")
-    seed = mask_of(alg.dom(alg.comp(a, x)) for x in bits(mu.members))
+    seed = mask_of(alg.dom(alg.compose_t[a][x]) for x in bits(mu.members))
     base = upclose_in_domain(alg, seed)
     # extend to an ultrafilter: shrink a running minimum by meets that stay nonzero
     m = None
@@ -240,7 +240,7 @@ def find_prime_with_range(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
     if m is None:
         raise InconsistencyError("domain filter seed has no minimum")
     for x in bits(domain_mask(alg)):
-        c = alg.comp(m, x)
+        c = alg.compose_t[m][x]
         if c != con.zero:
             m = c
     nu = FilterSet(alg, con.up[m] & domain_mask(alg))

@@ -14,7 +14,7 @@ from typing import Any
 from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of
 from .pfun import Base, PFunc, as_abstract
-from .topcat import MAX_ARROWS, FinTopology, MultiFunctor, TopCategory, generate_topology
+from .topcat import MAX_ARROWS, FinTopology, MultiFunctor, TopCategory, comp_table, generate_topology
 from .transducer import Dfa, Transducer
 
 
@@ -126,11 +126,14 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
     points = _need(data, "base", path)
     if not isinstance(points, list):
         raise FormatError(path, "'base' must be a list of points")
-    if any(isinstance(point, (list, dict)) for point in points):
-        raise FormatError(path, "'base' points may not be lists or objects")
+    if not all(isinstance(point, str) for point in points):
+        raise FormatError(path, "'base' points must be strings")
     if len(points) > MAX_BASE:
         raise FormatError(path, f"base size {len(points)} exceeds the limit MAX_BASE = {MAX_BASE}")
-    base = Base(tuple(points))
+    try:
+        base = Base(tuple(points))
+    except ValueError as e:
+        raise FormatError(path, str(e)) from None
     functions = _need(data, "functions", path)
     if not isinstance(functions, dict):
         raise FormatError(path, "'functions' must map names to graphs")
@@ -176,7 +179,7 @@ def category_to_dict(cat: TopCategory) -> dict:
         "id": {cat.obj_names[x]: cat.arr_names[cat.id_of[x]] for x in range(cat.n_objects)},
         "comp": {
             f"{cat.arr_names[f]},{cat.arr_names[g]}": cat.arr_names[h]
-            for f, g, h in sorted(cat.comp_pairs)
+            for f, row in enumerate(cat.comp_t) for g, h in enumerate(row) if h != cat.n_arrows
         },
     }
 
@@ -222,12 +225,12 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
         subbasis = [mask_of(index(n, key) for n in group) for group in groups]
         return generate_topology(size, subbasis)
 
-    comp_pairs = []
+    triples = []
     for pair, h in _need(data, "comp", path, dict).items():
         parts = pair.split(",")
         if len(parts) != 2:
             raise FormatError(path, f"bad composition key {pair!r}")
-        comp_pairs.append((arr(parts[0], "comp"), arr(parts[1], "comp"), arr(h, "comp")))
+        triples.append((arr(parts[0], "comp"), arr(parts[1], "comp"), arr(h, "comp")))
     id_map = _need(data, "id", path, dict)
     for o in obj_names:
         if o not in id_map:
@@ -241,7 +244,7 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
             src=tuple(obj(a["src"], "arrows") for a in arrows),
             tgt=tuple(obj(a["tgt"], "arrows") for a in arrows),
             id_of=tuple(arr(id_map[o], "id") for o in obj_names),
-            comp_pairs=tuple(sorted(comp_pairs)),
+            comp_t=comp_table(len(arr_names), triples),
         )
     except (KeyError, ValueError) as e:
         raise FormatError(path, str(e)) from None

@@ -17,33 +17,7 @@ import math
 from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
-from .topcat import (
-    MAX_ARROWS,
-    MultiFunctor,
-    TopCategory,
-    check_topological_category,
-    is_local_homeo,
-    is_stone,
-    relation_preimage,
-    star_checks,
-)
-
-
-def _structurally_sound(cat: TopCategory) -> tuple[str, ...]:
-    """Problems that make section enumeration meaningless: broken category
-    axioms, discontinuous structure maps, a source map that is not a local
-    homeomorphism, or an object space that is not Stone.  Deliberately does
-    not include the epimorphism condition."""
-    problems = list(cat.check_category())
-    if not problems:
-        if not check_topological_category(cat).passed:
-            problems.append("structure maps are not continuous")
-        elif not is_local_homeo(cat, "src"):
-            problems.append("source map is not a local homeomorphism")
-    if not is_stone(cat.obj_top):
-        problems.append("object space is not Stone")
-    return tuple(problems)
-
+from .topcat import MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
 
 MAX_SECTIONS = 2048
 
@@ -52,15 +26,14 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     """The image masks of all sections, in a fixed order: domains by size
     then mask value, choices lexicographically by per-object arrow index.
 
-    Refuses a category with more than MAX_ARROWS arrows, or whose section
-    count may exceed MAX_SECTIONS, bounded by the product of 1 + |star x|
-    over the objects x."""
-    if cat.n_arrows > MAX_ARROWS:
-        raise ValueError(f"category has {cat.n_arrows} arrows, over the limit MAX_ARROWS = {MAX_ARROWS}")
+    Refuses a category whose section count may exceed MAX_SECTIONS,
+    bounded by the product of 1 + |star x| over the objects x (so also by
+    1 + arrows), and one that is not Stone etale, naming its problems as
+    `validate_object_of_C` does; the epimorphism condition is not needed."""
     bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
     if bound > MAX_SECTIONS:
         raise ValueError(f"category may have {bound} sections, over the limit MAX_SECTIONS = {MAX_SECTIONS}")
-    problems = _structurally_sound(cat)
+    problems = validate_object_of_C(cat).problems(stone_etale_only=True)
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
     # Each star is the preimage of an open point, so it is open; an arrow's

@@ -5,6 +5,10 @@ a bitmask over an indexed carrier; on a finite carrier this is the same
 thing as a topology (its specialization preorder).  Every check below
 (continuity, local homeomorphism, openness, the star conditions) is decided
 exactly from those neighbourhoods, one per point, without listing the opens.
+
+The composition table maps each pair without a composite to a zero, the
+index n_arrows, so a category is a semigroup table like an algebra's
+compose_t, and its associativity is decided by the algebra's Light test.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
+from .algebra import _light_test, generating_set, pick
 from .bitsets import bits, mask_of, popcount
 
 
@@ -108,11 +113,10 @@ def generate_topology(size: int, subbasis: Iterable[int]) -> FinTopology:
 # Topological categories
 # ---------------------------------------------------------------------------
 
-# The most arrows a category file or a category to take sections of may
-# have.  The checks are cubic in the arrow count, and checking a functor
-# with a full arrow relation is quartic: on the one-object category of the
-# cyclic group of order 64, `functor-check` took 13.6 s, `sections` 1.1 s,
-# and `bidual` on the zero-extended group 0.6 s (2 vCPUs, Python 3.11).
+# The most arrows a category file may have.  Checking a functor with a full
+# arrow relation is quartic in the arrow count: on the one-object category
+# of the cyclic group of order 64, `functor-check` took 13.6 s (2 vCPUs,
+# Python 3.11).
 MAX_ARROWS = 64
 
 
@@ -120,8 +124,8 @@ MAX_ARROWS = 64
 class TopCategory:
     """A finite category with topologies on its objects and arrows.
 
-    comp maps composable pairs (arrow f, arrow g with tgt f = src g) to the
-    arrow "f then g"; it must be defined on exactly those pairs.
+    comp_t[f][g] is the arrow "f then g" when tgt f = src g, and the zero
+    index n_arrows when the pair does not compose.
     """
 
     obj_names: tuple[str, ...]
@@ -131,7 +135,7 @@ class TopCategory:
     src: tuple[int, ...]
     tgt: tuple[int, ...]
     id_of: tuple[int, ...]
-    comp_pairs: tuple[tuple[int, int, int], ...]
+    comp_t: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         n_obj, n_arr = len(self.obj_names), len(self.arr_names)
@@ -139,6 +143,8 @@ class TopCategory:
             raise ValueError("topology sizes must match carrier sizes")
         if len(self.src) != n_arr or len(self.tgt) != n_arr or len(self.id_of) != n_obj:
             raise ValueError("src/tgt/id_of sizes are wrong")
+        if len(self.comp_t) != n_arr or any(len(row) != n_arr for row in self.comp_t):
+            raise ValueError("the composition table must have one row and one column per arrow")
 
     @property
     def n_objects(self) -> int:
@@ -148,15 +154,11 @@ class TopCategory:
     def n_arrows(self) -> int:
         return len(self.arr_names)
 
-    @cached_property
-    def comp(self) -> dict[tuple[int, int], int]:
-        return {(f, g): h for f, g, h in self.comp_pairs}
-
     def composable(self, f: int, g: int) -> bool:
         return self.tgt[f] == self.src[g]
 
     def compose(self, f: int, g: int) -> int:
-        return self.comp[(f, g)]
+        return self.comp_t[f][g]
 
     def star(self, x: int) -> tuple[int, ...]:
         """Arrows with source x."""
@@ -170,37 +172,57 @@ class TopCategory:
         return mask_of(self.id_of)
 
     def check_category(self) -> list[str]:
-        """Category axioms; returns a list of problems (empty when valid)."""
+        """Category axioms; returns a list of problems (empty when valid).
+
+        Each row's endpoints are compared with those it must have, and only
+        a row that differs is walked pair by pair for its messages.
+        Associativity is Light's test on the table with its zero row; only
+        when it fails are the composable triples scanned for the failures.
+        """
         problems = []
-        comp = self.comp
+        n, C, src, tgt = self.n_arrows, self.comp_t, self.src, self.tgt
         for x in range(self.n_objects):
             e = self.id_of[x]
-            if self.src[e] != x or self.tgt[e] != x:
+            if src[e] != x or tgt[e] != x:
                 problems.append(f"identity of object {x} has wrong endpoints")
-        for f in range(self.n_arrows):
-            for g in range(self.n_arrows):
-                defined = (f, g) in comp
-                if defined != self.composable(f, g):
+        ends = [(src[h], tgt[h]) for h in range(n)] + [None]
+        expected = {}  # (src f, tgt f) -> the endpoints row f must compose to
+        for f, row in enumerate(C):
+            x, y = src[f], tgt[f]
+            if (x, y) not in expected:
+                expected[x, y] = tuple((x, tgt[g]) if src[g] == y else None for g in range(n))
+            if tuple(map(ends.__getitem__, row)) == expected[x, y]:
+                continue
+            for g, h in enumerate(row):
+                if (h != n) != (src[g] == y):
                     problems.append(f"composition defined on wrong pair ({f},{g})")
-                elif defined:
-                    h = comp[(f, g)]
-                    if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
-                        problems.append(f"composite of ({f},{g}) has wrong endpoints")
-        for f in range(self.n_arrows):
-            if comp.get((self.id_of[self.src[f]], f)) != f:
+                elif h != n and (src[h] != src[f] or tgt[h] != tgt[g]):
+                    problems.append(f"composite of ({f},{g}) has wrong endpoints")
+        for f in range(n):
+            if C[self.id_of[src[f]]][f] != f:
                 problems.append(f"left unit law fails at arrow {f}")
-            if comp.get((f, self.id_of[self.tgt[f]])) != f:
+            if C[f][self.id_of[tgt[f]]] != f:
                 problems.append(f"right unit law fails at arrow {f}")
-        for f in range(self.n_arrows):
-            for g in range(self.n_arrows):
-                if not self.composable(f, g):
-                    continue
-                for h in range(self.n_arrows):
-                    if not self.composable(g, h):
-                        continue
-                    if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
-                        problems.append(f"associativity fails at ({f},{g},{h})")
+        table = [row + (n,) for row in C] + [(n,) * (n + 1)]
+        if not _light_test(table, generating_set(table)):
+            stars = [self.star(x) for x in range(self.n_objects)]
+            for f in range(n):
+                Cf = table[f]
+                for g in stars[tgt[f]]:
+                    Cfg, Cg = table[Cf[g]], table[g]
+                    for h in stars[tgt[g]]:
+                        if Cfg[h] != Cf[Cg[h]]:
+                            problems.append(f"associativity fails at ({f},{g},{h})")
         return problems
+
+
+def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The table with composite h at (f, g) for each triple (f, g, h), and
+    the zero index n_arrows everywhere else."""
+    table = [[n_arrows] * n_arrows for _ in range(n_arrows)]
+    for f, g, h in triples:
+        table[f][g] = h
+    return tuple(map(tuple, table))
 
 
 def make_category(
@@ -217,21 +239,17 @@ def make_category(
     arr_names = tuple(a[0] for a in arrs)
     oi = {o: i for i, o in enumerate(objs)}
     ai = {a: i for i, a in enumerate(arr_names)}
-    src = tuple(oi[a[1]] for a in arrs)
-    tgt = tuple(oi[a[2]] for a in arrs)
-    ids = tuple(ai[id_of[o]] for o in objs)
-    pairs = tuple(sorted((ai[f], ai[g], ai[h]) for (f, g), h in comp.items()))
-    if obj_opens is None:
-        otop = discrete_topology(len(objs))
-    else:
-        otop = generate_topology(len(objs), (mask_of(oi[x] for x in U) for U in obj_opens))
-    if arr_opens is None:
-        atop = discrete_topology(len(arrs))
-    else:
-        atop = generate_topology(len(arrs), (mask_of(ai[x] for x in U) for U in arr_opens))
+
+    def topology(index: dict[str, int], opens) -> FinTopology:
+        if opens is None:
+            return discrete_topology(len(index))
+        return generate_topology(len(index), (mask_of(index[x] for x in U) for U in opens))
+
     return TopCategory(
-        obj_names=objs, arr_names=arr_names, obj_top=otop, arr_top=atop,
-        src=src, tgt=tgt, id_of=ids, comp_pairs=pairs,
+        obj_names=objs, arr_names=arr_names, obj_top=topology(oi, obj_opens), arr_top=topology(ai, arr_opens),
+        src=tuple(oi[a[1]] for a in arrs), tgt=tuple(oi[a[2]] for a in arrs),
+        id_of=tuple(ai[id_of[o]] for o in objs),
+        comp_t=comp_table(len(arrs), ((ai[f], ai[g], ai[h]) for (f, g), h in comp.items())),
     )
 
 
@@ -271,30 +289,32 @@ class TopCategoryReport:
 def check_topological_category(cat: TopCategory) -> TopCategoryReport:
     """Continuity of source, target, identity-assignment and composition.
 
-    Composition is checked on the pullback of composable pairs, a subspace
-    of the product: the neighbourhood of a pair (f, g) is the set of
-    composable pairs (f', g') with f' near f and g' near g.  Witnesses are
-    the codomain neighbourhoods whose preimage is not open.
+    Around a composable pair (f, g) lie the composable (f', g') with f' near
+    f and g' near g.  A basis set n is a composition witness iff some arrow
+    in n is the composite of a pair with a pair around it composing outside
+    n; only pairs with a non-isolated arrow have others around them.
     """
-    witnesses: list[tuple[str, int]] = []
-
-    def continuous(preimage, domain_top: FinTopology, codomain_top: FinTopology, label: str) -> bool:
-        failing = _failing(preimage, domain_top, codomain_top)
-        witnesses.extend((label, n) for n in failing)
-        return not failing
-
-    src_ok = continuous(lambda n: _preimage(cat.src, n), cat.arr_top, cat.obj_top, "src")
-    tgt_ok = continuous(lambda n: _preimage(cat.tgt, n), cat.arr_top, cat.obj_top, "tgt")
-    id_ok = continuous(lambda n: _preimage(cat.id_of, n), cat.obj_top, cat.arr_top, "id")
-
-    pairs = sorted(cat.comp)
-    near = cat.arr_top.nbhds
-    first = [mask_of(i for i, (f, _) in enumerate(pairs) if m >> f & 1) for m in near]
-    second = [mask_of(i for i, (_, g) in enumerate(pairs) if m >> g & 1) for m in near]
-    pullback = FinTopology(len(pairs), tuple(first[f] & second[g] for f, g in pairs))
-    composite = tuple(cat.comp[p] for p in pairs)
-    comp_ok = continuous(lambda n: _preimage(composite, n), pullback, cat.arr_top, "comp")
-    return TopCategoryReport(src_ok, tgt_ok, id_ok, comp_ok, tuple(witnesses))
+    n_arr, C, near = cat.n_arrows, cat.comp_t, cat.arr_top.nbhds
+    loose = [f for f in range(n_arr) if near[f] != 1 << f]
+    # spread[h]: the composites of the pairs around the pairs composing to h,
+    # and the zero's bit (masked off below) for the pairs that do not compose
+    spread = [0] * n_arr
+    for f in range(n_arr):
+        for g in range(n_arr) if near[f] != 1 << f else loose:
+            h = C[f][g]
+            if h != n_arr:
+                for f2 in bits(near[f]):
+                    row = C[f2]
+                    for g2 in bits(near[g]):
+                        spread[h] |= 1 << row[g2]
+    failing = {
+        "src": _failing(lambda n: _preimage(cat.src, n), cat.arr_top, cat.obj_top),
+        "tgt": _failing(lambda n: _preimage(cat.tgt, n), cat.arr_top, cat.obj_top),
+        "id": _failing(lambda n: _preimage(cat.id_of, n), cat.obj_top, cat.arr_top),
+        "comp": [n for n in cat.arr_top.basis if any(spread[h] & cat.arr_top.full & ~n for h in bits(n))],
+    }
+    witnesses = tuple((label, n) for label, ns in failing.items() for n in ns)
+    return TopCategoryReport(*(not ns for ns in failing.values()), witnesses)
 
 
 def _map_of(cat: TopCategory, which: str) -> tuple[int, ...]:
@@ -351,15 +371,11 @@ def is_stone(top: FinTopology) -> bool:
 
 
 def all_arrows_epi(cat: TopCategory) -> bool:
-    """Right cancellation: a.b = a.c forces b = c."""
-    for a in range(cat.n_arrows):
-        y = cat.tgt[a]
-        post = [b for b in range(cat.n_arrows) if cat.src[b] == y]
-        for b in post:
-            for c in post:
-                if b != c and cat.compose(a, b) == cat.compose(a, c):
-                    return False
-    return True
+    """Right cancellation: a.b = a.c forces b = c, so each row of the table
+    is injective on the arrows after its arrow."""
+    stars = [cat.star(x) for x in range(cat.n_objects)]
+    takes = [pick(star) for star in stars]
+    return all(len(set(takes[y](row))) == len(stars[y]) for row, y in zip(cat.comp_t, cat.tgt))
 
 
 def identity_arrows_open(cat: TopCategory) -> bool:
@@ -386,17 +402,19 @@ class CObjectReport:
             and self.arrows_epi
         )
 
-    def problems(self) -> tuple[str, ...]:
+    def problems(self, stone_etale_only: bool = False) -> tuple[str, ...]:
+        """Every failed condition in a fixed order; stone_etale_only leaves
+        out the two that Stone etale does not need: open target, epimorphisms."""
         out = list(self.category_problems)
         for label, u in self.topology.witnesses:
             out.append(f"{label} not continuous at open {u:#x}")
         if not self.src_local_homeo:
             out.append("source map is not a local homeomorphism")
-        if not self.tgt_open:
+        if not self.tgt_open and not stone_etale_only:
             out.append("target map is not open")
         if not self.objects_stone:
             out.append("object space is not Stone")
-        if not self.arrows_epi:
+        if not self.arrows_epi and not stone_etale_only:
             out.append("some arrow is not an epimorphism")
         return tuple(out)
 
@@ -476,11 +494,13 @@ def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
     for x in range(src_c.n_objects):
         if not fun.arr_rel[src_c.id_of[x]] >> tgt_c.id_of[fun.obj_map[x]] & 1:
             return MultiFunctorReport(True, False, False, witness=("identity", x))
-    for (f1, f2), h in src_c.comp.items():
-        for g1 in bits(fun.arr_rel[f1]):
-            for g2 in bits(fun.arr_rel[f2]):
-                if not fun.arr_rel[h] >> tgt_c.compose(g1, g2) & 1:
-                    return MultiFunctorReport(True, True, False, witness=("composition", f1, f2, g1, g2))
+    rel, C = fun.arr_rel, tgt_c.comp_t
+    for f1, row in enumerate(src_c.comp_t):
+        for f2, h in enumerate(row):
+            for g1 in bits(rel[f1]) if h != src_c.n_arrows else ():
+                for g2 in bits(rel[f2]):
+                    if not rel[h] >> C[g1][g2] & 1:
+                        return MultiFunctorReport(True, True, False, witness=("composition", f1, f2, g1, g2))
     return MultiFunctorReport(True, True, True)
 
 

@@ -97,8 +97,10 @@ class TestMalformedInput:
         ("hom-check", 5, "expected a JSON object"),
         ("sections", [], "expected a JSON object"),
         ("check-axioms", {**ALGEBRA, "elements": [0]}, "'elements' must be a list of strings"),
-        ("check-axioms", {"base": [[1], [2]], "functions": {"0": {}}}, "'base' points may not be lists or objects"),
-        ("check-axioms", {"base": [1, {"x": 2}], "functions": {"0": {}}}, "'base' points may not be lists or objects"),
+        ("check-axioms", {"base": [[1], [2]], "functions": {"0": {}}}, "'base' points must be strings"),
+        ("check-axioms", {"base": [1, {"x": 2}], "functions": {"0": {}}}, "'base' points must be strings"),
+        ("check-axioms", {"base": [1, 2], "functions": {"0": {}, "f": {"1": 2}}}, "'base' points must be strings"),
+        ("check-axioms", {"base": ["a", "a"], "functions": {"0": {}}}, "base points must be distinct: ('a', 'a')"),
     ])
     def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
         path = tmp_path / "malformed.json"
@@ -196,7 +198,7 @@ class TestElementLimit:
         # graphs that are not objects: building any PFunc would fail on them
         functions = {f"f{k}": [] for k in range(fmt.MAX_ELEMENTS + extra)}
         path = tmp_path / "big.alg.json"
-        path.write_text(json.dumps({"base": [1, 2], "functions": functions}))
+        path.write_text(json.dumps({"base": ["1", "2"], "functions": functions}))
         assert main(["check-axioms", str(path)]) == 2
         err = capsys.readouterr().err
         assert ("2049 functions exceed the limit MAX_ELEMENTS" in err) == bool(extra)
@@ -222,7 +224,7 @@ class TestLimits:
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_concrete_base(self, capsys, tmp_path, extra):
-        points = list(range(fmt.MAX_BASE + extra))
+        points = [str(k) for k in range(fmt.MAX_BASE + extra)]
         (tmp_path / "wide.alg.json").write_text(json.dumps({"base": points, "functions": {}}))
         path = tmp_path / "wide_id.hom.json"
         path.write_text(json.dumps({"source": "wide.alg.json", "target": "wide.alg.json", "map": {}}))
@@ -284,6 +286,23 @@ class TestDualize:
         run(capsys, "dualize", DATA / "swap_const.alg.json", "--out", out2)
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_category_file_matches_golden_file(self, capsys, tmp_path):
+        out = tmp_path / "dual.json"
+        assert main(["dualize", str(DATA / "swap_const.alg.json"), "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "swap_const.cat.json").read_bytes()
+
+    def test_sections_report_matches_golden_file(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA.parent)
+        assert main(["sections", "--format", "json", "tests/golden/swap_const.cat.json"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out == (GOLDEN / "sections_swap_const.json").read_text()
+
+    def test_sections_refusal_matches_golden_file(self, capsys):
+        """Two objects that the indiscrete topology does not separate."""
+        assert main(["sections", str(GOLDEN / "indiscrete2.cat.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (GOLDEN / "sections_indiscrete2.err").read_text()
+
     def test_sections_rejects_invalid_category(self, capsys, tmp_path):
         from conftest import build_nonepi_category
         from pfdual import formats as fmt
@@ -311,11 +330,37 @@ class TestDualize:
         assert "over the limit MAX_SECTIONS = 2048" in capsys.readouterr().err
 
 
+def zero_extended_cyclic_group(n: int) -> dict:
+    """The algebra file of the cyclic group of order n with a zero adjoined:
+    n + 1 elements, whose dual has one object and n arrows."""
+    names = [f"g{k}" for k in range(n)]
+    elements = ["0", *names]
+
+    def compose(a: str, b: str) -> str:
+        return "0" if "0" in (a, b) else names[(int(a[1:]) + int(b[1:])) % n]
+
+    return {
+        "elements": elements,
+        "compose": [[compose(a, b) for b in elements] for a in elements],
+        "antidomain": ["g0", *["0"] * n],
+        "range": ["0", *["g0"] * n],
+        "pref": [[b if a == "0" else a for b in elements] for a in elements],
+    }
+
+
 class TestBidual:
     def test_isomorphism_line(self, capsys):
         code, out = run(capsys, "bidual", DATA / "swap_const.alg.json")
         assert code == 0
         assert "theta: isomorphism (8 <-> 8)" in out
+
+    def test_more_arrows_than_a_category_file_may_hold(self, capsys, tmp_path):
+        """Only category files are held to MAX_ARROWS; the section bound
+        limits the arrows of a dual whose sections are taken."""
+        path = tmp_path / "z65.alg.json"
+        path.write_text(json.dumps(zero_extended_cyclic_group(fmt.MAX_ARROWS + 1)))
+        code, out = run(capsys, "bidual", path)
+        assert code == 0 and "theta: isomorphism (66 <-> 66)" in out
 
     def test_internal_error_exit_code(self, capsys, monkeypatch, tmp_path):
         from pfdual import duality
@@ -436,6 +481,47 @@ class TestNaturality:
         assert main(["naturality", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {path}{message}\n"
+
+
+# One object, an identity i and an arrow a, with no composite for (a, a).
+MISSING_COMPOSITE = {
+    "objects": ["x"], "opens_obj": [["x"]],
+    "arrows": [{"name": "i", "src": "x", "tgt": "x"}, {"name": "a", "src": "x", "tgt": "x"}],
+    "opens_arr": [["i"], ["a"]], "id": {"x": "i"},
+    "comp": {"i,i": "i", "i,a": "a", "a,i": "a"},
+}
+
+
+class TestCategoryAxioms:
+    """A category file that breaks the category axioms is bad input (exit 2)
+    naming the broken pair, not a traceback."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "broken.cat.json").write_text(json.dumps(MISSING_COMPOSITE))
+        one_arrow = {**MISSING_COMPOSITE, "arrows": MISSING_COMPOSITE["arrows"][:1],
+                     "opens_arr": [["i"]], "comp": {"i,i": "i"}}
+        (tmp_path / "one.cat.json").write_text(json.dumps(one_arrow))
+        for name, source, target, rel in (("broken_source", "broken", "broken", [["i", "i"], ["a", "a"]]),
+                                          ("broken_target", "one", "broken", [["i", "i"]])):
+            (tmp_path / f"{name}.fun.json").write_text(json.dumps({
+                "source": f"{source}.cat.json", "target": f"{target}.cat.json",
+                "obj_map": {"x": "x"}, "arr_rel": rel}))
+        return tmp_path
+
+    @pytest.mark.parametrize("verb, file, message", [
+        ("sections", "broken.cat.json", "category fails membership checks: composition defined on wrong pair (1,1); "
+                                        "some arrow is not an epimorphism"),
+        ("naturality", "broken_source.fun.json", "cannot enumerate sections: composition defined on wrong pair (1,1)"),
+        ("functor-check", "broken_source.fun.json",
+         "functor source is not a category: composition defined on wrong pair (1,1)"),
+        ("functor-check", "broken_target.fun.json",
+         "functor target is not a category: composition defined on wrong pair (1,1)"),
+    ])
+    def test_missing_composite_is_bad_input(self, capsys, files, verb, file, message):
+        assert main([verb, str(files / file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 class TestFunctorCheck:

@@ -130,6 +130,21 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="^cannot enumerate sections: object space is not Stone$"):
             sc.enumerate_sections(cat)
 
+    def test_refusal_names_the_continuity_witnesses(self):
+        # the lines of validate_object_of_C's report: the arrows are
+        # indiscrete over two discrete objects
+        cat = tc.make_category(
+            ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")], {"x": "ix", "y": "iy"},
+            {("ix", "ix"): "ix", ("iy", "iy"): "iy"}, arr_opens=[[]],
+        )
+        with pytest.raises(ValueError) as refused:
+            sc.enumerate_sections(cat)
+        assert str(refused.value) == (
+            "cannot enumerate sections: src not continuous at open 0x1; src not continuous at open 0x2; "
+            "tgt not continuous at open 0x1; tgt not continuous at open 0x2; "
+            "source map is not a local homeomorphism"
+        )
+
     def test_arrow_space_not_discrete_is_internal(self, monkeypatch):
         # a Stone etale category has discrete arrows; with the local
         # homeomorphism check forced to pass, the indiscrete arrows break it
@@ -139,14 +154,15 @@ class TestEnumeration:
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
             arr_opens=[[]],
         )
-        monkeypatch.setattr(sc, "is_local_homeo", lambda cat, which: True)
+        monkeypatch.setattr(tc, "is_local_homeo", lambda cat, which: True)
         with pytest.raises(InconsistencyError, match="not discrete"):
             sc.enumerate_sections(cat)
 
-    def test_arrow_limit_is_checked_before_the_section_bound(self):
-        with pytest.raises(ValueError, match="18446744073709551616 sections, over the limit MAX_SECTIONS"):
-            sc.enumerate_sections(identities_only(tc.MAX_ARROWS))
-        with pytest.raises(ValueError, match="65 arrows, over the limit MAX_ARROWS = 64"):
+    def test_section_bound_refuses_more_arrows_than_a_file_may_hold(self):
+        # 1 + arrows <= the product of 1 + |star x|, so the section bound
+        # also bounds the arrows; there is no arrow limit of its own here
+        with pytest.raises(ValueError, match="^category may have 36893488147419103232 sections, "
+                                             "over the limit MAX_SECTIONS = 2048$"):
             sc.enumerate_sections(identities_only(tc.MAX_ARROWS + 1))
 
     def test_section_bound_admits_the_limit_and_refuses_beyond(self):

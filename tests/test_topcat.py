@@ -207,6 +207,190 @@ class TestMultiFunctors:
 
 
 # ---------------------------------------------------------------------------
+# The checks as pfdual made them on a dict of composable pairs: loops over
+# pairs and triples, and composition continuity on the pullback space.
+# They are the oracles for the checks that read the table.
+# ---------------------------------------------------------------------------
+
+
+def comp_dict(cat: tc.TopCategory) -> dict[tuple[int, int], int]:
+    return {(f, g): h for f, row in enumerate(cat.comp_t) for g, h in enumerate(row) if h != cat.n_arrows}
+
+
+def loop_check_category(cat: tc.TopCategory) -> list[str]:
+    """Raises KeyError where a composable triple reads a pair with no composite."""
+    problems = []
+    comp = comp_dict(cat)
+    for x in range(cat.n_objects):
+        e = cat.id_of[x]
+        if cat.src[e] != x or cat.tgt[e] != x:
+            problems.append(f"identity of object {x} has wrong endpoints")
+    for f in range(cat.n_arrows):
+        for g in range(cat.n_arrows):
+            defined = (f, g) in comp
+            if defined != (cat.tgt[f] == cat.src[g]):
+                problems.append(f"composition defined on wrong pair ({f},{g})")
+            elif defined:
+                h = comp[(f, g)]
+                if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
+                    problems.append(f"composite of ({f},{g}) has wrong endpoints")
+    for f in range(cat.n_arrows):
+        if comp.get((cat.id_of[cat.src[f]], f)) != f:
+            problems.append(f"left unit law fails at arrow {f}")
+        if comp.get((f, cat.id_of[cat.tgt[f]])) != f:
+            problems.append(f"right unit law fails at arrow {f}")
+    for f in range(cat.n_arrows):
+        for g in range(cat.n_arrows):
+            if cat.tgt[f] != cat.src[g]:
+                continue
+            for h in range(cat.n_arrows):
+                if cat.tgt[g] != cat.src[h]:
+                    continue
+                if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
+                    problems.append(f"associativity fails at ({f},{g},{h})")
+    return problems
+
+
+def pullback_check_topological_category(cat: tc.TopCategory) -> tc.TopCategoryReport:
+    """Composition checked as a map on the pullback topology of the pairs
+    with a composite."""
+    witnesses = []
+
+    def continuous(pre, domain, codomain, label):
+        failing = [n for n in codomain.basis if not domain.is_open(pre(n))]
+        witnesses.extend((label, n) for n in failing)
+        return not failing
+
+    src_ok = continuous(lambda n: preimage(cat.src, n), cat.arr_top, cat.obj_top, "src")
+    tgt_ok = continuous(lambda n: preimage(cat.tgt, n), cat.arr_top, cat.obj_top, "tgt")
+    id_ok = continuous(lambda n: preimage(cat.id_of, n), cat.obj_top, cat.arr_top, "id")
+    comp = comp_dict(cat)
+    pairs = sorted(comp)
+    near = cat.arr_top.nbhds
+    first = [mask_of(i for i, (f, _) in enumerate(pairs) if m >> f & 1) for m in near]
+    second = [mask_of(i for i, (_, g) in enumerate(pairs) if m >> g & 1) for m in near]
+    pullback = tc.FinTopology(len(pairs), tuple(first[f] & second[g] for f, g in pairs))
+    composite = tuple(comp[p] for p in pairs)
+    comp_ok = continuous(lambda n: preimage(composite, n), pullback, cat.arr_top, "comp")
+    return tc.TopCategoryReport(src_ok, tgt_ok, id_ok, comp_ok, tuple(witnesses))
+
+
+def loop_all_arrows_epi(cat: tc.TopCategory) -> bool:
+    for a in range(cat.n_arrows):
+        post = [b for b in range(cat.n_arrows) if cat.src[b] == cat.tgt[a]]
+        for b in post:
+            for c in post:
+                if b != c and cat.compose(a, b) == cat.compose(a, c):
+                    return False
+    return True
+
+
+def loop_check_multifunctor(fun: MultiFunctor) -> tc.MultiFunctorReport:
+    """Raises KeyError where two related target arrows have no composite."""
+    src_c, tgt_c = fun.source, fun.target
+    for f in range(src_c.n_arrows):
+        for g in bits(fun.arr_rel[f]):
+            if tgt_c.src[g] != fun.obj_map[src_c.src[f]] or tgt_c.tgt[g] != fun.obj_map[src_c.tgt[f]]:
+                return tc.MultiFunctorReport(False, False, False, witness=("endpoints", f, g))
+    for x in range(src_c.n_objects):
+        if not fun.arr_rel[src_c.id_of[x]] >> tgt_c.id_of[fun.obj_map[x]] & 1:
+            return tc.MultiFunctorReport(True, False, False, witness=("identity", x))
+    target_comp = comp_dict(tgt_c)
+    for (f1, f2), h in comp_dict(src_c).items():
+        for g1 in bits(fun.arr_rel[f1]):
+            for g2 in bits(fun.arr_rel[f2]):
+                if not fun.arr_rel[h] >> target_comp[(g1, g2)] & 1:
+                    return tc.MultiFunctorReport(True, True, False, witness=("composition", f1, f2, g1, g2))
+    return tc.MultiFunctorReport(True, True, True)
+
+
+def mutated(rng: random.Random, cat: tc.TopCategory) -> tc.TopCategory:
+    """The category with one table entry changed: a composite removed,
+    added where there was none, or replaced by another arrow."""
+    n = cat.n_arrows
+    f, g = rng.randrange(n), rng.randrange(n)
+    old = cat.comp_t[f][g]
+    new = n if old != n and rng.random() < 0.5 else rng.choice([h for h in range(n) if h != old])
+    table = [list(row) for row in cat.comp_t]
+    table[f][g] = new
+    return dataclasses.replace(cat, comp_t=tuple(map(tuple, table)))
+
+
+def zero_extended_cyclic(n: int) -> tc.TopCategory:
+    """The one-object category of the cyclic group of order n."""
+    names = [f"g{k}" for k in range(n)]
+    return tc.make_category(
+        ["x"], [(a, "x", "x") for a in names], {"x": "g0"},
+        {(names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)},
+    )
+
+
+class TestTableAgainstLoops:
+    def test_mutated_duals(self, corpus_algebras, one_arrow_category, nonepi_category):
+        rng = random.Random(2024)
+        cats = [pf_object(a).category for a in corpus_algebras] + [one_arrow_category, nonepi_category]
+        cats = [c for c in cats if c.n_arrows > 1]
+        completed = failing = 0
+        for _ in range(2000):
+            cat = mutated(rng, rng.choice(cats))
+            problems = cat.check_category()
+            try:
+                expected = loop_check_category(cat)
+            except KeyError:
+                continue
+            completed += 1
+            failing += any(p.startswith("associativity") for p in expected)
+            assert problems == expected
+        assert completed >= 1000 and failing >= 50
+
+    def test_mutated_duals_with_topologies(self, corpus_algebras, one_arrow_category, nonepi_category):
+        rng = random.Random(2025)
+        cats = _small_categories(corpus_algebras, one_arrow_category, nonepi_category)
+        cats = [c for c in cats if c.n_arrows > 1]
+        for _ in range(300):
+            cat, _, _ = _with_random_topologies(rng, mutated(rng, rng.choice(cats)))
+            assert tc.check_topological_category(cat) == pullback_check_topological_category(cat)
+
+    def test_epi_and_multifunctors(self, corpus_algebras, corpus_homs, one_arrow_category, nonepi_category):
+        rng = random.Random(2026)
+        cats = [pf_object(a).category for a in corpus_algebras] + [one_arrow_category, nonepi_category]
+        for cat in cats:
+            assert tc.all_arrows_epi(cat) == loop_all_arrows_epi(cat)
+        funs = [pf_morphism(h) for h in corpus_homs] + [tc.identity_multifunctor(c) for c in cats]
+        for fun in funs:
+            assert tc.check_multifunctor(fun) == loop_check_multifunctor(fun)
+        cats = [c for c in cats if c.n_objects]
+        stages = set()
+        for _ in range(400):
+            # relations between arrows with mapped endpoints, identities
+            # related to identities: mostly the composition condition decides
+            source, target = rng.choice(cats), rng.choice(cats)
+            obj_map = tuple(rng.randrange(target.n_objects) for _ in range(source.n_objects))
+            rel = [
+                mask_of(g for g in range(target.n_arrows) if rng.random() < 0.6
+                        and (target.src[g], target.tgt[g]) == (obj_map[source.src[f]], obj_map[source.tgt[f]]))
+                for f in range(source.n_arrows)
+            ]
+            for x, e in enumerate(source.id_of):
+                rel[e] |= 1 << target.id_of[obj_map[x]]
+            fun = MultiFunctor(source, target, obj_map, tuple(rel))
+            report = tc.check_multifunctor(fun)
+            assert report == loop_check_multifunctor(fun)
+            stages.add(report.witness and report.witness[0])
+        assert stages == {None, "composition"}
+
+    def test_cyclic_groups(self):
+        # the cubic loops took 15.6 s on the order 256 (2 vCPUs, Python 3.11)
+        assert tc.validate_object_of_C(zero_extended_cyclic(256)).passed
+        cat = zero_extended_cyclic(32)
+        table = [list(row) for row in cat.comp_t]
+        table[3][5] = 9
+        broken = dataclasses.replace(cat, comp_t=tuple(map(tuple, table)))
+        assert broken.check_category() == loop_check_category(broken)
+        assert broken.check_category()[0] == "associativity fails at (1,2,5)"
+
+
+# ---------------------------------------------------------------------------
 # Cross-checks against brute force over every open set
 # ---------------------------------------------------------------------------
 
@@ -335,13 +519,14 @@ class TestBruteForceCategories:
         cats = _small_categories(corpus_algebras, one_arrow_category, nonepi_category)
         for _ in range(60):
             cat, oo, ao = _with_random_topologies(rng, rng.choice(cats))
-            pairs = sorted(cat.comp)
+            comp = comp_dict(cat)
+            pairs = sorted(comp)
             cylinders = [
                 mask_of(i for i, p in enumerate(pairs) if u >> p[side] & 1)
                 for u in ao for side in (0, 1)
             ]
             pullback = brute_opens(len(pairs), cylinders)
-            composite = tuple(cat.comp[p] for p in pairs)
+            composite = tuple(comp[p] for p in pairs)
             expected = {
                 "src": failing_opens(lambda u: preimage(cat.src, u), ao, oo),
                 "tgt": failing_opens(lambda u: preimage(cat.tgt, u), ao, oo),
@@ -355,6 +540,7 @@ class TestBruteForceCategories:
                 assert flags[label] == (not failing)
                 witnessed = {u for lab, u in report.witnesses if lab == label}
                 assert witnessed <= failing and bool(witnessed) == bool(failing)
+            assert report == pullback_check_topological_category(cat)
             for which in ("src", "tgt"):
                 mapping = cat.src if which == "src" else cat.tgt
                 assert tc.is_local_homeo(cat, which) == brute_local_homeo(mapping, ao, oo)
