@@ -567,17 +567,17 @@ def compose_homs(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
 
 
 def check_homomorphism(h: Homomorphism) -> bool:
+    """h preserves the four operations, compared a whole row at a time:
+    row a of a source table mapped through h is row h(a) of the target's
+    table read at the images h(b)."""
     src, tgt, m = h.source, h.target, h.mapping
-    n = src.size
-    for a in range(n):
-        if m[src.anti(a)] != tgt.anti(m[a]) or m[src.rng(a)] != tgt.rng(m[a]):
-            return False
-        for b in range(n):
-            if m[src.compose_t[a][b]] != tgt.compose_t[m[a]][m[b]]:
-                return False
-            if m[src.pref(a, b)] != tgt.pref(m[a], m[b]):
-                return False
-    return True
+    at_images = pick(m)
+    return (
+        pick(src.anti_t)(m) == at_images(tgt.anti_t)
+        and pick(src.range_t)(m) == at_images(tgt.range_t)
+        and all(pick(row)(m) == at_images(tgt.compose_t[v]) for row, v in zip(src.compose_t, m))
+        and all(pick(row)(m) == at_images(tgt.pref_t[v]) for row, v in zip(src.pref_t, m))
+    )
 
 
 def preserves_joins(h: Homomorphism) -> bool:

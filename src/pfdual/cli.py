@@ -128,9 +128,8 @@ def cmd_dualize(args) -> int:
 
 def cmd_sections(args) -> int:
     cat = fmt.load_category(args.file)
-    report = tc.validate_object_of_C(cat)
-    if not report.passed:
-        raise ValueError("category fails membership checks: " + "; ".join(report.problems()))
+    if not cat.report.passed:
+        raise ValueError("category fails membership checks: " + "; ".join(cat.report.problems()))
     algebra, secs = sec.seccl_object(cat)
     if args.out:
         _write_out(fmt.write_algebra(algebra), args.out)

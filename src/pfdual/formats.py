@@ -200,20 +200,20 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
         if not isinstance(a, dict) or not {"name", "src", "tgt"} <= a.keys():
             raise FormatError(path, f"arrows need a 'name', 'src' and 'tgt': {a!r}")
     arr_names = tuple(a["name"] for a in arrows)
-    if any(isinstance(n, (list, dict)) for n in obj_names + arr_names):
-        raise FormatError(path, "object and arrow names may not be lists or objects")
+    if not all(isinstance(n, str) for n in obj_names + arr_names):
+        raise FormatError(path, "object and arrow names must be strings")
     if len(set(obj_names)) != len(obj_names) or len(set(arr_names)) != len(arr_names):
         raise FormatError(path, "object and arrow names must be distinct")
     oi = {n: i for i, n in enumerate(obj_names)}
     ai = {n: i for i, n in enumerate(arr_names)}
 
     def obj(n, where):
-        if isinstance(n, (list, dict)) or n not in oi:
+        if not isinstance(n, str) or n not in oi:
             raise FormatError(path, f"unknown object {n!r} in {where}")
         return oi[n]
 
     def arr(n, where):
-        if isinstance(n, (list, dict)) or n not in ai:
+        if not isinstance(n, str) or n not in ai:
             raise FormatError(path, f"unknown arrow {n!r} in {where}")
         return ai[n]
 

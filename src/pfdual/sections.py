@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .algebra import FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
-from .topcat import MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
+from .topcat import MultiFunctor, TopCategory, relation_preimage, star_checks
 
 MAX_SECTIONS = 2048
 
@@ -29,11 +30,11 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     Refuses a category whose section count may exceed MAX_SECTIONS,
     bounded by the product of 1 + |star x| over the objects x (so also by
     1 + arrows), and one that is not Stone etale, naming its problems as
-    `validate_object_of_C` does; the epimorphism condition is not needed."""
+    the category's `report` does; the epimorphism condition is not needed."""
     bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
     if bound > MAX_SECTIONS:
         raise ValueError(f"category may have {bound} sections, over the limit MAX_SECTIONS = {MAX_SECTIONS}")
-    problems = validate_object_of_C(cat).problems(stone_etale_only=True)
+    problems = cat.report.problems(stone_etale_only=True)
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
     # Each star is the preimage of an open point, so it is open; an arrow's
@@ -49,44 +50,6 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# The four operations on sections
-# ---------------------------------------------------------------------------
-
-
-class _Images:
-    """The four operations on section images (arrow masks) of one category;
-    src(m) is the set of sources of the arrows in m."""
-
-    def __init__(self, cat: TopCategory) -> None:
-        self.cat = cat
-        self.stars = [mask_of(cat.star(x)) for x in range(cat.n_objects)]
-
-    def compose(self, a: int, b: int) -> int:
-        """Each f in a, then the arrow of b at tgt f if there is one."""
-        cat, out = self.cat, 0
-        for f in bits(a):
-            g = b & self.stars[cat.tgt[f]]
-            if g:
-                out |= 1 << cat.compose(f, g.bit_length() - 1)
-        return out
-
-    def antidomain(self, a: int) -> int:
-        """Identities on the objects outside src(a)."""
-        return mask_of(e for x, e in enumerate(self.cat.id_of) if not a & self.stars[x])
-
-    def range(self, a: int) -> int:
-        """Identities on the targets of a."""
-        return mask_of(self.cat.id_of[self.cat.tgt[f]] for f in bits(a))
-
-    def pref(self, a: int, b: int) -> int:
-        """a, extended by the arrows of b whose source is outside src(a)."""
-        covered = 0
-        for f in bits(a):
-            covered |= self.stars[self.cat.src[f]]
-        return a | b & ~covered
-
-
-# ---------------------------------------------------------------------------
 # The section algebra and its homomorphisms
 # ---------------------------------------------------------------------------
 
@@ -95,17 +58,39 @@ def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[int, ...]]:
     """The algebra of all sections of a validated category.
 
     Returns the operation tables together with the section images they
-    index.  Every result is looked up among the enumerated images, which
-    are exactly the sections, so the lookup is the validity check.
+    index.  A section has at most one arrow per object, so row s of the
+    compose table is the union of one column per arrow f of s: entry j is
+    the bit of f then section j's arrow at tgt f, or 0 if it has none.
+    Antidomain, range and pref read the objects each section covers.  Every
+    result is looked up among the enumerated images, which are exactly the
+    sections, so the lookup is the validity check.
     """
     images = enumerate_sections(cat)
-    index = {m: i for i, m in enumerate(images)}
-    ops = _Images(cat)
+    look = {m: i for i, m in enumerate(images)}.__getitem__
+    n, src, tgt = cat.n_arrows, cat.src, cat.tgt
+    # at[y][j]: the arrow of section j at object y, or the zero index n
+    at = [[n] * len(images) for _ in range(cat.n_objects)]
+    for j, m in enumerate(images):
+        for f in bits(m):
+            at[src[f]][j] = f
+    bit = [1 << h for h in range(n)] + [0]
+    columns = [tuple(map(bit.__getitem__, map((row + (n,)).__getitem__, at[y]))) for row, y in zip(cat.comp_t, tgt)]
+    union = functools.partial(map, operator.or_)
+    covered = [mask_of(src[f] for f in bits(m)) for m in images]
+    # the arrows out of the objects each section leaves uncovered
+    rest = [~mask_of(f for f in range(n) if d >> src[f] & 1) for d in covered]
+
+    def identities(objects: int) -> int:
+        return mask_of(cat.id_of[x] for x in bits(objects))
+
     try:
-        compose_t = tuple(tuple(index[ops.compose(a, b)] for b in images) for a in images)
-        anti_t = tuple(index[ops.antidomain(a)] for a in images)
-        range_t = tuple(index[ops.range(a)] for a in images)
-        pref_t = tuple(tuple(index[ops.pref(a, b)] for b in images) for a in images)
+        compose_t = tuple(
+            tuple(map(look, functools.reduce(union, (columns[f] for f in bits(m)), (0,) * len(images))))
+            for m in images
+        )
+        anti_t = tuple(look(identities((1 << cat.n_objects) - 1 & ~d)) for d in covered)
+        range_t = tuple(look(identities(mask_of(tgt[f] for f in bits(m)))) for m in images)
+        pref_t = tuple(tuple(map(look, map(m.__or__, map(r.__and__, images)))) for m, r in zip(images, rest))
     except KeyError:
         raise InconsistencyError("sections are not closed under the operations") from None
     names = tuple(f"s{i}" for i in range(len(images)))

@@ -171,6 +171,11 @@ class TopCategory:
     def identity_mask(self) -> int:
         return mask_of(self.id_of)
 
+    @cached_property
+    def report(self) -> "CObjectReport":
+        """The `validate_object_of_C` report, made once per category."""
+        return validate_object_of_C(self)
+
     def check_category(self) -> list[str]:
         """Category axioms; returns a list of problems (empty when valid).
 
@@ -299,14 +304,16 @@ def check_topological_category(cat: TopCategory) -> TopCategoryReport:
     # spread[h]: the composites of the pairs around the pairs composing to h,
     # and the zero's bit (masked off below) for the pairs that do not compose
     spread = [0] * n_arr
-    for f in range(n_arr):
-        for g in range(n_arr) if near[f] != 1 << f else loose:
-            h = C[f][g]
-            if h != n_arr:
-                for f2 in bits(near[f]):
-                    row = C[f2]
-                    for g2 in bits(near[g]):
-                        spread[h] |= 1 << row[g2]
+    if loose:
+        # around[g][f2]: the composites of f2 with the arrows near g
+        around = [[mask_of(row[g2] for g2 in bits(near[g])) for row in C] for g in range(n_arr)]
+        for f in range(n_arr):
+            for g in range(n_arr) if near[f] != 1 << f else loose:
+                h = C[f][g]
+                if h != n_arr:
+                    col = around[g]
+                    for f2 in bits(near[f]):
+                        spread[h] |= col[f2]
     failing = {
         "src": _failing(lambda n: _preimage(cat.src, n), cat.arr_top, cat.obj_top),
         "tgt": _failing(lambda n: _preimage(cat.tgt, n), cat.arr_top, cat.obj_top),

@@ -120,6 +120,17 @@ def one_arrow_category() -> TopCategory:
     return make_category(["x"], [("ix", "x", "x")], {"x": "ix"}, {("ix", "ix"): "ix"})
 
 
+def zero_extended_cyclic(n: int, arr_opens=None) -> TopCategory:
+    """The one-object category of the cyclic group of order n, its arrows
+    discrete unless arr_opens gives a subbasis."""
+    names = [f"g{k}" for k in range(n)]
+    return make_category(
+        ["x"], [(a, "x", "x") for a in names], {"x": "g0"},
+        {(names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)},
+        arr_opens=arr_opens,
+    )
+
+
 def build_nonepi_category() -> TopCategory:
     """Three objects, everything discrete, with a non-right-cancellable
     arrow: a.b = a.c = d while b and c stay distinct."""

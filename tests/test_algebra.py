@@ -456,3 +456,65 @@ class TestLocallyProperOracle:
             homs += alg.check_homomorphism(h)
         assert any(verdicts) and not all(verdicts)
         assert homs < len(verdicts)  # maps that are not homomorphisms are decided too
+
+
+def reference_check_homomorphism(h: alg.Homomorphism) -> bool:
+    """check_homomorphism as a loop over every element and pair."""
+    src, tgt, m = h.source, h.target, h.mapping
+    for a in range(src.size):
+        if m[src.anti(a)] != tgt.anti(m[a]) or m[src.rng(a)] != tgt.rng(m[a]):
+            return False
+        for b in range(src.size):
+            if m[src.comp(a, b)] != tgt.comp(m[a], m[b]) or m[src.pref(a, b)] != tgt.pref(m[a], m[b]):
+                return False
+    return True
+
+
+def with_entry(a: alg.FinAlgebra, table: str, place: tuple[int, ...], value: int) -> alg.FinAlgebra:
+    """a with one entry of one of its tables replaced."""
+    tables = {"compose": [list(r) for r in a.compose_t], "anti": list(a.anti_t),
+              "range": list(a.range_t), "pref": [list(r) for r in a.pref_t]}
+    if len(place) == 2:
+        tables[table][place[0]][place[1]] = value
+    else:
+        tables[table][place[0]] = value
+    return alg.FinAlgebra.from_tables(tables["compose"], tables["anti"], tables["range"], tables["pref"], a.names)
+
+
+class TestHomomorphismOracle:
+    """The row comparison of check_homomorphism gives the verdict of the
+    pairwise loop."""
+
+    def assert_matches(self, h: alg.Homomorphism) -> bool:
+        verdict = alg.check_homomorphism(h)
+        assert verdict == reference_check_homomorphism(h)
+        return verdict
+
+    def test_corpus(self, corpus_homs):
+        assert all(self.assert_matches(h) for h in corpus_homs)
+
+    def test_every_single_value_change_of_the_corpus(self, corpus_homs):
+        verdicts = [self.assert_matches(m) for h in corpus_homs for m in single_value_changes(h)]
+        assert len(verdicts) == 184 and not any(verdicts)
+
+    def test_seeded_arbitrary_maps(self, corpus_algebras):
+        rnd = random.Random(13)
+        verdicts, one_position = [], 0
+        for _ in range(2000):
+            source, target = rnd.choice(corpus_algebras), rnd.choice(corpus_algebras)
+            h = alg.Homomorphism(source, target, tuple(rnd.randrange(target.size) for _ in range(source.size)))
+            verdicts.append(self.assert_matches(h))
+            one_position += source.size == 1
+        assert any(verdicts) and not all(verdicts) and one_position >= 100
+
+    @pytest.mark.parametrize("table", ["compose", "anti", "range", "pref"])
+    def test_one_operation_broken(self, swap_only, table):
+        """The identity onto a copy with one entry of one table changed keeps
+        the other three operations, so only the changed one can fail it."""
+        n = swap_only.size
+        places = itertools.product(range(n), repeat=2 if table in ("compose", "pref") else 1)
+        for place in places:
+            for value in range(n):
+                target = with_entry(swap_only, table, place, value)
+                h = alg.Homomorphism(swap_only, target, tuple(range(n)))
+                assert self.assert_matches(h) == (target == swap_only)

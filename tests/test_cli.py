@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -101,6 +102,13 @@ class TestMalformedInput:
         ("check-axioms", {"base": [1, {"x": 2}], "functions": {"0": {}}}, "'base' points must be strings"),
         ("check-axioms", {"base": [1, 2], "functions": {"0": {}, "f": {"1": 2}}}, "'base' points must be strings"),
         ("check-axioms", {"base": ["a", "a"], "functions": {"0": {}}}, "base points must be distinct: ('a', 'a')"),
+        ("sections", {"objects": [1], "opens_obj": [], "arrows": [{"name": "i", "src": 1, "tgt": 1}],
+                      "opens_arr": [], "id": {"1": "i"}, "comp": {"i,i": "i"}},
+         "object and arrow names must be strings"),
+        ("sections", {**CATEGORY, "arrows": [{"name": 1, "src": "x", "tgt": "x"}, {"name": "iy", "src": "y", "tgt": "y"}],
+                      "opens_arr": [["1"], ["iy"]], "id": {"x": "1", "y": "iy"}, "comp": {"1,1": "1", "iy,iy": "iy"}},
+         "object and arrow names must be strings"),
+        ("sections", {**CATEGORY, "objects": [True, "y"]}, "object and arrow names must be strings"),
     ])
     def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
         path = tmp_path / "malformed.json"
@@ -296,6 +304,21 @@ class TestDualize:
         assert main(["sections", "--format", "json", "tests/golden/swap_const.cat.json"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out == (GOLDEN / "sections_swap_const.json").read_text()
+
+    def test_sections_validates_the_category_once(self, capsys, monkeypatch):
+        """The membership report is kept on the category, so the CLI and the
+        section enumeration read one validation."""
+        from pfdual import topcat as tc
+
+        calls = []
+        validate = tc.validate_object_of_C
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pfdual") and getattr(module, "validate_object_of_C", None) is validate:
+                monkeypatch.setattr(module, "validate_object_of_C", lambda cat: calls.append(cat) or validate(cat))
+        monkeypatch.chdir(DATA.parent)
+        assert main(["sections", "--format", "json", "tests/golden/swap_const.cat.json"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "sections_swap_const.json").read_text()
+        assert len(calls) == 1
 
     def test_sections_refusal_matches_golden_file(self, capsys):
         """Two objects that the indiscrete topology does not separate."""

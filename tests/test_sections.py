@@ -18,6 +18,9 @@ from pfdual.bitsets import bits, mask_of, popcount
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.duality import theta
 from pfdual.errors import InconsistencyError
+from pfdual.pfun import Base, as_abstract, enumerate_all
+
+from conftest import zero_extended_cyclic
 
 # A section as the definition states it: the domain mask, and the
 # (object, arrow) pairs sorted by object.
@@ -220,6 +223,19 @@ class TestSectionAlgebra:
             algebra, _ = sc.seccl_object(pf_object(a).category)
             assert alg.check_axioms(algebra).passed
 
+    def test_composite_outside_the_sections_is_internal(self, one_arrow_category, monkeypatch):
+        # iy;iy = f, an arrow out of x, so the section {ix, iy} composed
+        # with itself is {ix, f}: two arrows at x.  Validation would refuse
+        # the category; forced to pass, the lookup of the composite fails.
+        cat = tc.make_category(
+            ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")], {"x": "ix", "y": "iy"},
+            {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "iy"): "f", ("iy", "iy"): "f"},
+        )
+        passing = tc.validate_object_of_C(one_arrow_category)
+        monkeypatch.setattr(tc, "validate_object_of_C", lambda cat: passing)
+        with pytest.raises(InconsistencyError, match="^sections are not closed under the operations$"):
+            sc.seccl_object(cat)
+
     def test_subalgebra_double_dual_isomorphic(self, swap_only):
         assert theta(swap_only).target.size == 6
 
@@ -314,7 +330,15 @@ class TestImageOracle:
 
     @pytest.fixture(scope="class")
     def cats(self, corpus_algebras, nonepi_category, one_arrow_category):
-        return [pf_object(a).category for a in corpus_algebras] + [nonepi_category, one_arrow_category]
+        # the full algebra on 3 points has 64 sections; the cyclic group's
+        # one star holds seven arrows besides the identity
+        full3, _ = as_abstract(enumerate_all(Base((1, 2, 3))))
+        return [pf_object(a).category for a in (*corpus_algebras, full3)] + [
+            nonepi_category, one_arrow_category, zero_extended_cyclic(8)]
+
+    def test_the_added_categories_are_covered(self, cats):
+        assert len(sc.enumerate_sections(cats[-4])) == 64
+        assert len(sc.enumerate_sections(cats[-1])) == 9
 
     def test_tables_match_reference(self, cats):
         for cat in cats:
