@@ -45,12 +45,12 @@ class FinAlgebra:
         for label, table in (("compose", self.compose_t), ("pref", self.pref_t)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{label} table must be {n}x{n}")
-            if any(not 0 <= v < n for row in table for v in row):
+            if min(map(min, table)) < 0 or max(map(max, table)) >= n:
                 raise ValueError(f"{label} table entry out of range")
         for label, vec in (("antidomain", self.anti_t), ("range", self.range_t)):
             if len(vec) != n:
                 raise ValueError(f"{label} table must have {n} entries")
-            if any(not 0 <= v < n for v in vec):
+            if min(vec) < 0 or max(vec) >= n:
                 raise ValueError(f"{label} table entry out of range")
 
     def __hash__(self) -> int:
@@ -126,12 +126,18 @@ def derive_constants(alg: FinAlgebra) -> Constants:
     zero = alg.compose_t[alg.anti_t[0]][0]
     ident = alg.anti_t[zero]
     dom_t = tuple(alg.anti_t[alg.anti_t[a]] for a in range(n))
-    up = []
-    for a in range(n):
-        row = alg.compose_t[dom_t[a]]
-        up.append(mask_of(b for b in range(n) if row[b] == a))
-    down = tuple(mask_of(a for a in range(n) if up[a] >> b & 1) for b in range(n))
-    return Constants(zero=zero, ident=ident, dom_t=dom_t, up=tuple(up), down=down)
+    # a <= b iff D(a)*b = a: walk the row of each domain element e once,
+    # setting bit b of up[v] where v = e*b has domain e
+    up = [0] * n
+    for e in set(dom_t):
+        for b, v in enumerate(alg.compose_t[e]):
+            if dom_t[v] == e:
+                up[v] |= 1 << b
+    down = [0] * n
+    for a, above in enumerate(up):
+        for b in bits(above):
+            down[b] |= 1 << a
+    return Constants(zero=zero, ident=ident, dom_t=dom_t, up=tuple(up), down=tuple(down))
 
 
 def minimal_nonzero_elements(alg: FinAlgebra) -> tuple[int, ...]:

@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from . import algebra as alg
 from . import dualize as dz
@@ -241,92 +241,73 @@ def cmd_transducer(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _out(help_text: str) -> tuple[str, dict]:
+    return ("--out", {"help": help_text})
+
+
+# verb -> (help, handler, arguments before --format); an argument is a bare
+# positional name or a (name, add_argument keywords) pair.  A handler of
+# None marks a family of subverbs.
+VERBS: dict[str, tuple] = {
+    "check-axioms": ("run the ten representability axioms on an algebra file", cmd_check_axioms, ("file",)),
+    "dualize": ("build the dual category of an algebra", cmd_dualize,
+                ("file", _out("write the category file here"), ("--dot", {"help": "write a DOT rendering here"}))),
+    "sections": ("build the section algebra of a category file", cmd_sections,
+                 ("file", _out("write the algebra file here"))),
+    "bidual": ("verify the double-dual isomorphism of an algebra", cmd_bidual, ("file",)),
+    "hom-check": ("validate a homomorphism file and its dual functor", cmd_hom_check, ("file",)),
+    "functor-check": ("validate a multivalued-functor file", cmd_functor_check, ("file",)),
+    "naturality": ("check the naturality square of a hom or functor file", cmd_naturality, ("file",)),
+    "transducer": ("transducer operations", None, ()),
+}
+TRANSDUCER_VERBS: dict[str, tuple] = {
+    "eval": ("run a transducer on a word", cmd_transducer, ("file", "word")),
+    "compose": ("compose two transducers (left first)", cmd_transducer,
+                ("left", "right", _out("write the resulting transducer here"))),
+    "pref": ("override union of two transducers", cmd_transducer,
+             ("left", "right", _out("write the resulting transducer here"))),
+    "dom": ("domain acceptor", cmd_transducer, ("file", _out("write the acceptor here"))),
+    "range": ("range acceptor", cmd_transducer, ("file", _out("write the acceptor here"))),
+    "axioms": ("bounded axiom sweep over a set of transducers", cmd_transducer,
+               (("files", {"nargs": "+"}), ("--max-len", {"type": int, "default": 8}))),
+}
+
+
+def _add_verbs(parser: argparse.ArgumentParser, dest: str, verbs: dict, argv: Sequence[str]) -> None:
+    """Add the subparser that argv[0] names, or every one in verbs when it
+    names none.  A lone subparser keeps every verb in the usage line, so
+    usage errors read as they do with all of them."""
+    named = argv[0] if argv and argv[0] in verbs else None
+    every = "{" + ",".join(verbs) + "}"
+    sub = parser.add_subparsers(dest=dest, required=True, metavar=every if named else None)
+    for name in (named,) if named else verbs:
+        help_text, fn, arguments = verbs[name]
+        p = sub.add_parser(name, help=help_text)
+        if fn is None:
+            _add_verbs(p, "sub", TRANSDUCER_VERBS, argv[1:])
+            continue
+        for arg in arguments:
+            arg_name, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(arg_name, **options)
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(fn=fn)
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for argv, with only the subparsers it names; with every
+    one when argv names no verb, as for `pfdual -h`."""
     parser = argparse.ArgumentParser(
         prog="pfdual",
         description="Check, dualize and compare finite partial-function algebras, "
                     "their dual categories, and word transducers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("check-axioms", help="run the ten representability axioms on an algebra file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_check_axioms)
-
-    p = sub.add_parser("dualize", help="build the dual category of an algebra")
-    p.add_argument("file")
-    p.add_argument("--out", help="write the category file here")
-    p.add_argument("--dot", help="write a DOT rendering here")
-    common(p)
-    p.set_defaults(fn=cmd_dualize)
-
-    p = sub.add_parser("sections", help="build the section algebra of a category file")
-    p.add_argument("file")
-    p.add_argument("--out", help="write the algebra file here")
-    common(p)
-    p.set_defaults(fn=cmd_sections)
-
-    p = sub.add_parser("bidual", help="verify the double-dual isomorphism of an algebra")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_bidual)
-
-    p = sub.add_parser("hom-check", help="validate a homomorphism file and its dual functor")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_hom_check)
-
-    p = sub.add_parser("functor-check", help="validate a multivalued-functor file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_functor_check)
-
-    p = sub.add_parser("naturality", help="check the naturality square of a hom or functor file")
-    p.add_argument("file")
-    common(p)
-    p.set_defaults(fn=cmd_naturality)
-
-    p = sub.add_parser("transducer", help="transducer operations")
-    tsub = p.add_subparsers(dest="sub", required=True)
-
-    q = tsub.add_parser("eval", help="run a transducer on a word")
-    q.add_argument("file")
-    q.add_argument("word")
-    common(q)
-    q.set_defaults(fn=cmd_transducer)
-
-    for name, help_text in (("compose", "compose two transducers (left first)"),
-                            ("pref", "override union of two transducers")):
-        q = tsub.add_parser(name, help=help_text)
-        q.add_argument("left")
-        q.add_argument("right")
-        q.add_argument("--out", help="write the resulting transducer here")
-        common(q)
-        q.set_defaults(fn=cmd_transducer)
-
-    for name, help_text in (("dom", "domain acceptor"), ("range", "range acceptor")):
-        q = tsub.add_parser(name, help=help_text)
-        q.add_argument("file")
-        q.add_argument("--out", help="write the acceptor here")
-        common(q)
-        q.set_defaults(fn=cmd_transducer)
-
-    q = tsub.add_parser("axioms", help="bounded axiom sweep over a set of transducers")
-    q.add_argument("files", nargs="+")
-    q.add_argument("--max-len", type=int, default=8)
-    common(q)
-    q.set_defaults(fn=cmd_transducer)
-
+    _add_verbs(parser, "command", VERBS, argv)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.fn(args)
     except InconsistencyError as e:

@@ -102,10 +102,13 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
     def vector(values: Any, key: str) -> list[int]:
         if not isinstance(values, list):
             raise FormatError(path, f"rows of {key!r} must be lists of element names")
-        for name in values:
-            if not isinstance(name, str) or name not in idx:
-                raise FormatError(path, f"unknown element {name!r} in {key}")
-        return [idx[name] for name in values]
+        try:
+            return list(map(idx.__getitem__, values))
+        except (KeyError, TypeError):
+            for name in values:
+                if not isinstance(name, str) or name not in idx:
+                    raise FormatError(path, f"unknown element {name!r} in {key}") from None
+            raise
 
     def table(key: str) -> list[list[int]]:
         return [vector(row, key) for row in _need(data, key, path, list)]

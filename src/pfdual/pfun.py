@@ -216,24 +216,27 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     graphs = [encode(f) for f in ordered]
     index = {g: i for i, g in enumerate(graphs)}
 
-    def look(op: str, operands: tuple[int, ...], result: tuple[int, ...]) -> int:
-        i = index.get(result)
-        if i is None:
-            missing = PFunc(base, tuple(None if v == k else v for v in result))
-            raise NotClosedError(op, tuple(ordered[j] for j in operands), missing)
-        return i
+    def row(op: str, results: list[tuple[int, ...]], i: Optional[int] = None) -> tuple[int, ...]:
+        """The indices of results, the entries (i, j) of a table's row i or
+        of a vector when i is None.  The first result outside the set raises."""
+        found = tuple(map(index.get, results))
+        if None in found:
+            j = found.index(None)
+            missing = PFunc(base, tuple(None if v == k else v for v in results[j]))
+            raise NotClosedError(op, tuple(ordered[x] for x in ((j,) if i is None else (i, j))), missing)
+        return found
 
     extended = [g + (k,) for g in graphs]
     compose_t = tuple(
-        tuple(look("compose", (i, j), then(g)) for j, g in enumerate(extended))
+        row("compose", list(map(then, extended)), i)
         for i, then in enumerate(map(pick, graphs))
     )
-    anti_t = tuple(look("antidomain", (i,), encode(f.antidomain())) for i, f in enumerate(ordered))
-    range_t = tuple(look("range", (i,), encode(f.range())) for i, f in enumerate(ordered))
+    anti_t = row("antidomain", [encode(f.antidomain()) for f in ordered])
+    range_t = row("range", [encode(f.range()) for f in ordered])
     # f | g reads f where f is defined, else g, stored after f in f + g
     overrides = (pick(tuple(p if v < k else k + p for p, v in enumerate(f))) for f in graphs)
     pref_t = tuple(
-        tuple(look("pref_union", (i, j), over(f + g)) for j, g in enumerate(graphs))
+        row("pref_union", list(map(over, map(f.__add__, graphs))), i)
         for i, (f, over) in enumerate(zip(graphs, overrides))
     )
 

@@ -72,6 +72,50 @@ class TestDerivedConstants:
         with pytest.raises(NoZeroError):
             alg.derive_constants(broken)
 
+    @staticmethod
+    def reference_constants(a: alg.FinAlgebra) -> alg.Constants:
+        """derive_constants reading each order pair off its own table entry."""
+        n, C, A = a.size, a.compose_t, a.anti_t
+        for x in range(1, n):
+            if C[A[x]][x] != C[A[0]][0]:
+                raise NoZeroError((0, x))
+        zero = C[A[0]][0]
+        dom_t = tuple(A[A[x]] for x in range(n))
+        up = tuple(mask_of(b for b in range(n) if C[dom_t[x]][b] == x) for x in range(n))
+        down = tuple(mask_of(x for x in range(n) if up[x] >> b & 1) for b in range(n))
+        return alg.Constants(zero=zero, ident=A[zero], dom_t=dom_t, up=up, down=down)
+
+    @staticmethod
+    def outcome(derive, a: alg.FinAlgebra):
+        try:
+            return derive(a)
+        except NoZeroError as e:
+            return e.witness
+
+    def test_matches_reference_on_corpus_and_every_mutation(self, corpus_algebras, full2):
+        derive = alg.derive_constants.__wrapped__  # keep the mutations out of the cache
+        for a in corpus_algebras:
+            assert derive(a) == self.reference_constants(a)
+        kinds = set()
+        for m in single_entry_mutations(full2):
+            expected = self.outcome(self.reference_constants, m)
+            assert self.outcome(derive, m) == expected
+            kinds.add(type(expected))
+        assert kinds == {alg.Constants, tuple}
+
+    @pytest.mark.parametrize("table", ["compose", "pref", "antidomain", "range"])
+    def test_entries_out_of_range_are_refused(self, swap_const, table):
+        mutate = {
+            "compose": lambda v: mutate_compose(swap_const, 2, 3, v),
+            "pref": lambda v: mutate_pref(swap_const, 2, 3, v),
+            "antidomain": lambda v: mutate_vector(swap_const, "anti", 3, v),
+            "range": lambda v: mutate_vector(swap_const, "range", 3, v),
+        }[table]
+        for bad in (-1, swap_const.size):
+            with pytest.raises(ValueError) as err:
+                mutate(bad)
+            assert str(err.value) == f"{table} table entry out of range"
+
 
 class TestCheckAxioms:
     def test_swap_const_passes(self, swap_const):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from pfdual import formats as fmt
-from pfdual.cli import main
+from pfdual.cli import _build_parser, main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -651,3 +652,77 @@ class TestTransducerCommands:
         code = main(["transducer", "axioms", str(path), "--max-len", "5"])
         assert code == 2 and time.perf_counter() - start < 1.0
         assert "exceed MAX_WORDS = 1048576" in capsys.readouterr().err
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def parse_outcome(capsys, parser: argparse.ArgumentParser, argv: list[str]):
+    """Exit code (None when parsing succeeds), stdout, stderr and the parsed
+    arguments of parser on argv."""
+    try:
+        args, code = vars(parser.parse_args(argv)), None
+    except SystemExit as e:
+        args, code = None, e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, args
+
+
+FULL_PARSER = _build_parser(())
+VERB_NAMES = list(subcommands(FULL_PARSER))
+TRANSDUCER_NAMES = list(subcommands(subcommands(FULL_PARSER)["transducer"]))
+
+
+class TestParserPerVerb:
+    """A run builds only the subparser its verb names; help, usage errors
+    and parsed arguments are those of the parser with every verb."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        *([verb, "-h"] for verb in VERB_NAMES),
+        *(["transducer", sub, "-h"] for sub in TRANSDUCER_NAMES),
+        ["nope"],
+        ["transducer", "nope"],
+        ["transducer"],
+        ["check-axioms"],
+        ["transducer", "eval", "m.td.json"],
+        ["bidual", "a.json", "--format", "xml"],
+        ["check-axioms", "a.json", "extra"],
+        ["dualize", "a.json", "--out", "d.json", "--format", "json"],
+        ["transducer", "axioms", "m.td.json", "n.td.json", "--max-len", "5"],
+    ], ids=" ".join)
+    def test_matches_the_full_parser(self, capsys, argv):
+        expected = parse_outcome(capsys, FULL_PARSER, argv)
+        assert parse_outcome(capsys, _build_parser(argv), argv) == expected
+
+    def test_builds_only_the_named_verb(self):
+        assert list(subcommands(_build_parser(["bidual", "a.json"]))) == ["bidual"]
+        (transducer,) = subcommands(_build_parser(["transducer", "dom", "m.td.json"])).values()
+        assert list(subcommands(transducer)) == ["dom"]
+        assert list(subcommands(_build_parser(["nope"]))) == VERB_NAMES
+        assert list(subcommands(_build_parser([]))) == VERB_NAMES
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        expected = parse_outcome(capsys, FULL_PARSER, ["bidual", "-h"])
+        monkeypatch.setattr(sys, "argv", ["pfdual", "bidual", "-h"])
+        with pytest.raises(SystemExit) as exit_:
+            main()
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == expected[:3]
+        monkeypatch.setattr(sys, "argv", ["pfdual", "check-axioms", str(DATA / "swap_const.alg.json")])
+        assert run(capsys, "check-axioms", DATA / "swap_const.alg.json") == (main(), capsys.readouterr().out)
+
+    def test_readme_lists_every_verb(self):
+        """The README's command-line block names exactly the registered
+        verbs and transducer subverbs."""
+        text = (DATA.parent / "README.md").read_text()
+        block = text[text.index("## Command line"):]
+        block = block[block.index("```\n") + 4:]
+        lines = block[:block.index("```")].splitlines()
+        assert all(line.startswith("pfdual ") for line in lines)
+        words = [line.split()[1:3] for line in lines]
+        assert sorted({verb for verb, _ in words}) == sorted(VERB_NAMES)
+        subverbs = [name for verb, sub in words if verb == "transducer" for name in sub.split("|")]
+        assert sorted(subverbs) == sorted(TRANSDUCER_NAMES)

@@ -52,11 +52,17 @@ class TestAlgebraFiles:
         assert err.value.line == 1 and err.value.column is not None
 
     def test_unknown_element_rejected(self):
-        with pytest.raises(fmt.FormatError, match="unknown element"):
-            fmt.parse_algebra({
-                "elements": ["0"], "compose": [["nope"]],
-                "antidomain": ["0"], "range": ["0"], "pref": [["0"]],
-            })
+        """Each entry of a table names an element; a row is a list."""
+        good = {"elements": ["0"], "compose": [["0"]], "antidomain": ["0"], "range": ["0"], "pref": [["0"]]}
+        for key, value, message in (
+            ("compose", [["nope"]], "unknown element 'nope' in compose"),
+            ("antidomain", [3], "unknown element 3 in antidomain"),
+            ("pref", [[["0"]]], "unknown element ['0'] in pref"),
+            ("compose", ["0"], "rows of 'compose' must be lists of element names"),
+        ):
+            with pytest.raises(fmt.FormatError) as err:
+                fmt.parse_algebra({**good, key: value})
+            assert str(err.value) == f"<algebra>: {message}"
 
 
 class TestCategoryFiles:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import swap_const_functions
+from pfdual.algebra import FinAlgebra
 from pfdual.errors import NotClosedError
 from pfdual.pfun import (
     Base,
@@ -167,6 +168,65 @@ class TestAsAbstract:
             assert (err.value.op, err.value.operands, err.value.result) == expected
             ops.add(expected[0])
         assert ops == {"compose", "antidomain", "range", "pref_union"}
+
+
+def reference_as_abstract(elems):
+    """as_abstract looking each table entry up on its own, in row-major
+    order: compose, antidomain, range, then pref_union."""
+    ordered = sorted(set(elems), key=graph_key)
+    index = {f: i for i, f in enumerate(ordered)}
+
+    def look(op, operands, result):
+        if result not in index:
+            raise NotClosedError(op, operands, result)
+        return index[result]
+
+    return FinAlgebra.from_tables(
+        [[look("compose", (f, g), f.compose(g)) for g in ordered] for f in ordered],
+        [look("antidomain", (f,), f.antidomain()) for f in ordered],
+        [look("range", (f,), f.range()) for f in ordered],
+        [[look("pref_union", (f, g), f.pref_union(g)) for g in ordered] for f in ordered],
+    )
+
+
+def outcome(build, elems):
+    """The four tables build makes of elems, or the NotClosedError it raises."""
+    try:
+        a = build(elems)
+    except NotClosedError as e:
+        return e.op, e.operands, e.result
+    return a.compose_t, a.anti_t, a.range_t, a.pref_t
+
+
+class TestAsAbstractOracle:
+    """as_abstract maps whole rows at once; the per-entry lookup above is
+    its reference, on closed sets and on each of them less one element."""
+
+    @staticmethod
+    def closed_sets():
+        rnd = random.Random(14)
+        for points in (2, 3):
+            fs = enumerate_all(Base(tuple(range(points))))
+            yield fs
+            for _ in range(6):
+                yield close_under_ops(rnd.sample(fs, rnd.randint(1, 3)))
+
+    def test_tables_and_errors_match_the_reference(self):
+        fast = lambda elems: as_abstract(elems)[0]
+        errors = set()
+        for closed in self.closed_sets():
+            assert outcome(fast, closed) == outcome(reference_as_abstract, closed)
+            for drop in closed[1:]:
+                elems = [f for f in closed if f != drop]
+                expected = outcome(reference_as_abstract, elems)
+                assert outcome(fast, elems) == expected
+                errors.add(expected[0])
+        # closed under compose and antidomain, but not under range: 1>2 has range {2}
+        base = Base((1, 2, 3))
+        elems = [PFunc.from_pairs(base, g) for g in ({}, {1: 1, 2: 2, 3: 3}, {1: 2}, {1: 1}, {2: 2, 3: 3})]
+        expected = outcome(reference_as_abstract, elems)
+        assert outcome(fast, elems) == expected and expected[0] == "range"
+        assert {"compose", "antidomain", "pref_union"} <= errors
 
 
 # --- the ten laws, evaluated directly on graphs -----------------------------
