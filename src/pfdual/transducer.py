@@ -143,25 +143,27 @@ def _relabel_transducer(
     moves,          # state -> letter -> iterable of (out, state)
     final,          # state -> word or None
 ) -> Transducer:
-    """Breadth-first renaming to q0, q1, ... for deterministic output."""
+    """Breadth-first renaming to q0, q1, ... for deterministic output.
+    moves is called once per reached state and letter."""
     order = [initial]
     seen = {initial}
+    steps = []      # (state, letter, sorted moves) in discovery order
     k = 0
     while k < len(order):
         q = order[k]
         k += 1
         for a in alphabet:
-            for _, q2 in sorted(moves(q, a)):
+            step = sorted(moves(q, a))
+            steps.append((q, a, step))
+            for _, q2 in step:
                 if q2 not in seen:
                     seen.add(q2)
                     order.append(q2)
     name = {q: f"q{i}" for i, q in enumerate(order)}
     trans = {}
-    for q in order:
-        for a in alphabet:
-            outs = frozenset((out, name[q2]) for out, q2 in moves(q, a))
-            if outs:
-                trans[(name[q], a)] = outs
+    for q, a, step in steps:
+        if step:
+            trans[(name[q], a)] = frozenset((out, name[q2]) for out, q2 in step)
     final_out = {}
     for q in order:
         v = final(q)
@@ -409,6 +411,9 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
     with none leaves its subtree undefined.  A prefix with one configuration
     is a flat (depth, rank, state, output) entry; a set of (state, output)
     pairs takes the state slot, output None, only while two or more live.
+    Words of length max_len are never entries: their parent writes them,
+    from what one last letter adds to each of its outputs, a move into a
+    final state followed by that state's final output.
     """
     al, final_out = t.alphabet, t.final_out
     k = len(al)
@@ -417,6 +422,22 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
     outs = [undef] * start[-1]
     error = None
     moves = {q: tuple(tuple(t.moves(q, a)) for a in al) for q in t.states}
+    # state -> per letter, the distinct words a last letter adds, sorted
+    ends = {q: tuple(tuple(sorted({e + final_out[q2] for e, q2 in step if q2 in final_out}))
+                     for step in steps)
+            for q, steps in moves.items()}
+    last, leaves = max_len - 1, start[max_len]
+
+    def settle(i: int, results: set) -> None:
+        """Write word i's one output, or note it if it is the first word
+        yet seen with two."""
+        nonlocal error
+        if len(results) == 1:
+            outs[i] = results.pop()
+        elif results and (error is None or i < error[0]):
+            two = sorted(results)[:2]
+            error = (i, (two[0], two[1]))
+
     stack = [(0, 0, t.initial, "")]
     push = stack.append
     while stack:
@@ -425,33 +446,50 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
         if out is not None:
             if q in final_out:
                 outs[i] = out + final_out[q]
-            if n < max_len:
+            if n < last:
                 for j, step in enumerate(moves[q], rank * k):
                     if len(step) == 1:
                         (emitted, q2), = step
                         push((n + 1, j, q2, out + emitted))
                     elif step:
                         push((n + 1, j, {(q2, out + emitted) for emitted, q2 in step}, None))
+            elif n == last:
+                for j, tails in enumerate(ends[q], leaves + rank * k):
+                    if len(tails) == 1:
+                        outs[j] = out + tails[0]
+                    elif tails and (error is None or j < error[0]):
+                        error = (j, (out + tails[0], out + tails[1]))
             continue
-        results = {o + final_out[s] for s, o in q if s in final_out}
-        if len(results) == 1:
-            outs[i] = results.pop()
-        elif results and (error is None or i < error[0]):
-            two = sorted(results)[:2]
-            error = (i, (two[0], two[1]))
-        if n < max_len:
+        settle(i, {o + final_out[s] for s, o in q if s in final_out})
+        if n < last:
             for j in range(k):
                 step = {(q2, o + emitted) for s, o in q for emitted, q2 in moves[s][j]}
                 if len(step) == 1:
                     push((n + 1, rank * k + j, *step.pop()))
                 elif step:
                     push((n + 1, rank * k + j, step, None))
+        elif n == last:
+            for j in range(k):
+                settle(leaves + rank * k + j, {o + tail for s, o in q for tail in ends[s][j]})
     return sep.join(outs), error
 
 
 def _word_at(alphabet: Sequence[str], index: int) -> str:
-    """The word at this position of words_upto(alphabet, ...)."""
-    return next(itertools.islice(words_upto(alphabet, index), index, None))
+    """The word at this position of words_upto(alphabet, ...): the index
+    less the count of shorter words, written as base-k digits."""
+    k = len(alphabet)
+    if k == 1:
+        return alphabet[0] * index
+    n, size = 0, 1
+    while index >= size:
+        index -= size
+        n += 1
+        size *= k
+    letters = []
+    for _ in range(n):
+        index, digit = divmod(index, k)
+        letters.append(alphabet[digit])
+    return "".join(reversed(letters))
 
 
 def _agree(alphabet: Sequence[str], x: tuple, y: tuple) -> tuple[bool, Optional[str]]:
@@ -502,6 +540,14 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
     """Instantiate the ten representability (quasi)equations over all tuples
     from the given machines and compare both sides word by word.
 
+    Two sides of the same structure (initial state, transitions and final
+    outputs) are one machine, equal to itself on every word: with at most one
+    move per state and letter it is decided equal without a table, since
+    such a machine has one run per word and so one output; otherwise its one
+    table is built to raise the first word with two outputs.  The sides of
+    comp(a, comp(b, c)) = comp(comp(a, b), c) over deterministic machines
+    come out this way.
+
     Within one axiom, A, D and R of a shared machine, and a composite or
     override of inputs, the identity and A/D/R results, are built once and
     shared; each shared machine's output table is computed once, keyed by its
@@ -547,8 +593,10 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
     comp, pref = share("comp", compose, leaves), share("pref", pref_union, leaves)
     idxs = range(len(ts))
 
-    def table(t: Transducer) -> tuple:
-        key = (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
+    def structure(t: Transducer) -> tuple:
+        return (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
+
+    def table(t: Transducer, key: tuple) -> tuple:
         if key in tables:
             return tables[key]
         tab = _outputs(t, max_len)
@@ -557,7 +605,15 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
         return tab
 
     def eq(x: Transducer, y: Transducer):
-        return _agree(al, table(x), table(y))
+        kx, ky = structure(x), structure(y)
+        if kx != ky:
+            return _agree(al, table(x, kx), table(y, ky))
+        # one machine: it agrees with itself, and raises only if two runs
+        # disagree, which needs two moves for some state and letter
+        if all(len(outs) <= 1 for outs in x.trans.values()):
+            return True, None
+        tx = table(x, kx)
+        return _agree(al, tx, tx)
 
     results = []
 

@@ -623,6 +623,19 @@ class TestTransducerCommands:
         assert code == 0 and captured.err == ""
         assert captured.out == (GOLDEN / "transducer_axioms_data_L10.json").read_text()
 
+    def test_nondeterministic_report_matches_golden_file(self, capsys, monkeypatch):
+        """The text report on a nondeterministic machine, a^3k -> a^k with
+        two runs per group of three letters, beside a data machine at L = 8,
+        as the sweep wrote it when it built a table for every side.  Axiom 8
+        fails at 'aaa':
+        the range word a^3 comes only from a^9, past the bound."""
+        monkeypatch.chdir(DATA.parent)
+        code = main(["transducer", "axioms", "tests/golden/thirds.td.json", "data/as_to_bs.td.json",
+                     "--max-len", "8", "--format", "text"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        assert captured.out == (GOLDEN / "transducer_axioms_thirds_L8.text").read_text()
+
     def test_axioms_on_non_functional_machine(self, capsys, tmp_path):
         # q -a-> (a|b) q, final q: the word 'a' has two outputs
         path = tmp_path / "two_outputs.td.json"

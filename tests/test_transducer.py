@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import inspect
 import itertools
 import random
 import re
@@ -391,20 +390,20 @@ def configurations(t, word):
     return configs
 
 
-def set_entries(t, max_len):
-    """How many trie nodes _outputs takes as a set of configurations: the
-    times the line that opens its set case runs."""
+def trie_entries(t, max_len):
+    """(depth, rank) -> whether _outputs took that trie node as a set of
+    configurations, for every entry its walk pushed: each line the walk runs
+    is traced, and every (depth, rank, state or set, output or None) tuple
+    then on its stack is read off."""
     code = td._outputs.__code__
-    lines, first = inspect.getsourcelines(td._outputs)
-    target = first + next(i for i, line in enumerate(lines) if "results = {" in line)
-    count = 0
+    entries = {}
 
     def trace(frame, event, arg):
-        nonlocal count
         if frame.f_code is not code:
             return None
-        if event == "line" and frame.f_lineno == target:
-            count += 1
+        if event == "line":
+            for n, rank, _, out in frame.f_locals.get("stack", ()):
+                entries[(n, rank)] = out is None
         return trace
 
     outer = sys.gettrace()
@@ -413,7 +412,7 @@ def set_entries(t, max_len):
         td._outputs(t, max_len)
     finally:
         sys.settrace(outer)
-    return count
+    return entries
 
 
 def reachable(t):
@@ -443,22 +442,43 @@ def forking_machine():
     )
 
 
+def last_letter_fork():
+    """Every word of length 2 has two outputs, from one configuration with
+    two moves into the final state: at L = 2 the walk meets them from flat
+    parents, the later words first."""
+    return td.Transducer(
+        ("p0", "p1", "f"), AL, "p0",
+        {**{("p0", x): frozenset({(x, "p1")}) for x in AL},
+         **{("p1", x): frozenset({(x, "f"), (x + x, "f")}) for x in AL}},
+        {"f": ""},
+    )
+
+
 def test_outputs_kernel_matches_eval_table():
     """On seeded random machines, with forks that die, merge and fork again,
     dead and unreachable states, empty outputs and bounds from 0, _outputs
-    gives eval's table and first error, and takes a trie node as a set
-    exactly when it has two or more configurations."""
+    gives eval's table and first error.  Its walk pushes a node shorter than
+    the bound exactly when it has a configuration, as a set exactly when it
+    has two or more, and no node at the bound: the parent writes those."""
     rnd = random.Random(9)
     seen = collections.Counter()
-    machines = [(forking_machine(), 6)]
+    machines = [(forking_machine(), 6), (last_letter_fork(), 2)]
     for _ in range(120):
         alphabet = rnd.choice(("ab", "abc"))
         t = random_machine(rnd, alphabet, rnd.randint(1, 4), rnd.random() < 0.7)
         machines.append((t, rnd.randint(0, 5 if alphabet == "ab" else 4)))
     for t, max_len in machines:
-        assert td._outputs(t, max_len) == reference_table(t, max_len)
-        sizes = [len(configurations(t, w)) for w in td.words_upto(t.alphabet, max_len)]
-        assert set_entries(t, max_len) == sum(size >= 2 for size in sizes)
+        table = reference_table(t, max_len)
+        assert td._outputs(t, max_len) == table
+        k = len(t.alphabet)
+        expected = {}
+        for w in td.words_upto(t.alphabet, max(max_len - 1, 0)):  # at L = 0, the root
+            size = len(configurations(t, w))
+            if size:
+                rank = sum(t.alphabet.index(a) * k ** e for e, a in enumerate(reversed(w)))
+                expected[(len(w), rank)] = size >= 2
+        assert trie_entries(t, max_len) == expected
+        seen["error at L"] += table[1] is not None and len(td._word_at(t.alphabet, table[1][0])) == max_len
         live = reachable(t)
         seen["refork"] += any(
             any(a >= 2 and b == 1 and c >= 2 for a, b, c in itertools.combinations(
@@ -467,9 +487,9 @@ def test_outputs_kernel_matches_eval_table():
         seen["dead"] += any(not any(t.moves(q, a) for a in t.alphabet) for q in live)
         seen["unreachable"] += len(live) < len(t.states)
         seen["empty output"] += any(out == "" for outs in t.trans.values() for out, _ in outs)
-        seen["error"] += reference_table(t, max_len)[1] is not None
+        seen["error"] += table[1] is not None
         seen["L = 0"] += max_len == 0
-    assert set(seen) == {"refork", "dead", "unreachable", "empty output", "error", "L = 0"}
+    assert set(seen) == {"refork", "dead", "unreachable", "empty output", "error", "error at L", "L = 0"}
     assert all(seen.values()), seen
 
 
@@ -491,6 +511,67 @@ def test_tables_are_shared_only_between_equal_structures():
             report = td.axioms_bounded(ts, 4)
             assert [(r.index, r.passed, r.witness) for r in report.results] == reference_axioms(ts, 4)
             assert report.passed
+
+
+def tables_per_axiom(monkeypatch, ts, max_len):
+    """axioms_bounded's report as (index, passed, witness) triples, and how
+    many output tables it built for each axiom."""
+    calls, marks = [0], []
+    outputs, check = td._outputs, td.BoundedAxiomCheck
+
+    def counted(*args):
+        calls[0] += 1
+        return outputs(*args)
+
+    def recorded(*args):
+        marks.append(calls[0])
+        return check(*args)
+
+    monkeypatch.setattr(td, "_outputs", counted)
+    monkeypatch.setattr(td, "BoundedAxiomCheck", recorded)
+    report = td.axioms_bounded(ts, max_len)
+    counts = [b - a for a, b in zip([0] + marks, marks)]
+    return [(r.index, r.passed, r.witness) for r in report.results], counts
+
+
+def test_equal_deterministic_sides_build_no_table(monkeypatch):
+    """comp(a, comp(b, c)) and comp(comp(a, b), c) of deterministic machines
+    are one machine, so axiom 1 builds no table, and the report is still
+    the word-by-word one."""
+    rnd = random.Random(31)
+    for _ in range(12):
+        alphabet = rnd.choice(("ab", "abc"))
+        ts = [random_machine(rnd, alphabet, rnd.randint(1, 3), False) for _ in range(rnd.randint(1, 3))]
+        max_len = rnd.randint(0, 4 if alphabet == "ab" else 3)
+        report, counts = tables_per_axiom(monkeypatch, ts, max_len)
+        assert report == reference_axioms(ts, max_len)
+        assert counts[0] == 0 and sum(counts) > 0
+
+
+def test_equal_nondeterministic_sides_still_raise(monkeypatch):
+    """A non-functional machine whose axiom-1 sides share one structure
+    raises the NotFunctionalError evaluating word by word raises, from the
+    one table built for both sides."""
+    bad = td.Transducer(("q", "r"), AL, "q",
+                        {("q", "a"): frozenset({("a", "q"), ("b", "r")}),
+                         ("q", "b"): frozenset({("b", "q")}),
+                         ("r", "b"): frozenset({("", "r")})},
+                        {"q": "", "r": "b"})
+    left, right = td.compose(bad, td.compose(bad, bad)), td.compose(td.compose(bad, bad), bad)
+    assert (left.initial, left.trans, left.final_out) == (right.initial, right.trans, right.final_out)
+    expected = outcome(reference_axioms, [bad], 3)
+    assert expected == ("not functional", "a", ("a", "bb"))
+    calls = []
+    outputs = td._outputs
+    monkeypatch.setattr(td, "_outputs", lambda *args: calls.append(args[0]) or outputs(*args))
+    assert outcome(lambda: td.axioms_bounded([bad], 3)) == expected
+    assert len(calls) == 1
+
+
+def test_word_at_matches_word_order():
+    for alphabet in ("a", "ab", "abc"):
+        for index, word in enumerate(td.words_upto(alphabet, 6)):
+            assert td._word_at(alphabet, index) == word
 
 
 def test_outputs_peak_memory():
