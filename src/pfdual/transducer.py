@@ -4,11 +4,13 @@ Machines are real-time: each transition consumes exactly one input letter
 and emits an output word; a state may carry a final output word appended on
 acceptance.  Nondeterminism is allowed but every machine must realize a
 partial function; this is enforced by bounded checking, with violations
-surfacing as NotFunctionalError.
+surfacing as NotFunctionalError.  A machine derived from validated ones is
+not validated again.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -17,6 +19,18 @@ from .errors import NotFunctionalError
 
 BOUND_CAP = 12
 MAX_WORDS = 2 ** 20  # the bounded oracles keep one output per word in memory
+
+
+def _check_alphabet(alphabet: tuple[str, ...]) -> None:
+    if len(set(alphabet)) != len(alphabet) or any(len(a) != 1 for a in alphabet):
+        raise ValueError(f"alphabet {list(alphabet)!r} must list distinct one-character letters")
+
+
+def _unchecked(cls, *fields):
+    """cls from validated parts, its fields in order, skipping __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,6 +44,7 @@ class Dfa:
     delta: dict[tuple[str, str], str]
 
     def __post_init__(self) -> None:
+        _check_alphabet(self.alphabet)
         sset = set(self.states)
         if self.initial not in sset or not self.accepting <= sset:
             raise ValueError("initial/accepting states must be listed states")
@@ -48,7 +63,8 @@ class Dfa:
 
 
 def complement(d: Dfa) -> Dfa:
-    return Dfa(d.states, d.alphabet, d.initial, frozenset(set(d.states) - d.accepting), dict(d.delta))
+    return _unchecked(Dfa, d.states, d.alphabet, d.initial,
+                      frozenset(set(d.states) - d.accepting), dict(d.delta))
 
 
 def words_upto(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
@@ -70,10 +86,9 @@ class Transducer:
     final_out: dict[str, str]
 
     def __post_init__(self) -> None:
+        _check_alphabet(self.alphabet)
         sset = set(self.states)
         aset = set(self.alphabet)
-        if len(aset) != len(self.alphabet) or any(len(a) != 1 for a in aset):
-            raise ValueError(f"alphabet {list(self.alphabet)!r} must list distinct one-character letters")
         if self.initial not in sset:
             raise ValueError("initial state must be listed")
         if not set(self.final_out) <= sset:
@@ -128,13 +143,9 @@ def empty_transducer(alphabet: Sequence[str]) -> Transducer:
 
 def from_dfa(d: Dfa) -> Transducer:
     """The identity function restricted to the language of the acceptor."""
-    return Transducer(
-        states=d.states,
-        alphabet=d.alphabet,
-        initial=d.initial,
-        trans={(q, a): frozenset({(a, d.delta[(q, a)])}) for q in d.states for a in d.alphabet},
-        final_out={q: "" for q in d.accepting},
-    )
+    return _unchecked(Transducer, d.states, d.alphabet, d.initial,
+                      {(q, a): frozenset({(a, d.delta[(q, a)])}) for q in d.states for a in d.alphabet},
+                      {q: "" for q in d.accepting})
 
 
 def _relabel_transducer(
@@ -169,7 +180,7 @@ def _relabel_transducer(
         v = final(q)
         if v is not None:
             final_out[name[q]] = v
-    return Transducer(tuple(name[q] for q in order), alphabet, "q0", trans, final_out)
+    return _unchecked(Transducer, tuple(name[q] for q in order), alphabet, "q0", trans, final_out)
 
 
 def _run_on_word(t: Transducer, q: str, word: str) -> set[tuple[str, str]]:
@@ -188,12 +199,13 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
     al = t1.alphabet
+    run = functools.cache(functools.partial(_run_on_word, t2))  # (state, word) -> run, this call only
 
     def moves(pair, a):
         q1, q2 = pair
         out = set()
         for emitted, q1b in t1.moves(q1, a):
-            for v, q2b in _run_on_word(t2, q2, emitted):
+            for v, q2b in run(q2, emitted):
                 out.add((v, (q1b, q2b)))
         return out
 
@@ -204,7 +216,7 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
             return None
         results = {
             v + t2.final_out[q2b]
-            for v, q2b in _run_on_word(t2, q2, u)
+            for v, q2b in run(q2, u)
             if q2b in t2.final_out
         }
         if len(results) > 1:
@@ -235,13 +247,9 @@ def _determinize(alphabet, start: frozenset, move, accepting_pred) -> Dfa:
                 seen.add(s2)
                 order.append(s2)
     name = {s: f"d{i}" for i, s in enumerate(order)}
-    return Dfa(
-        states=tuple(name[s] for s in order),
-        alphabet=tuple(alphabet),
-        initial=name[start],
-        accepting=frozenset(name[s] for s in order if accepting_pred(s)),
-        delta={(name[s], a): name[s2] for (s, a), s2 in delta.items()},
-    )
+    return _unchecked(Dfa, tuple(name[s] for s in order), tuple(alphabet), name[start],
+                      frozenset(name[s] for s in order if accepting_pred(s)),
+                      {(name[s], a): name[s2] for (s, a), s2 in delta.items()})
 
 
 def domain_dfa(t: Transducer) -> Dfa:
@@ -407,8 +415,9 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
     outputs) for the first word with two outputs, or None.
 
     One depth-first walk of the prefix trie: each prefix's configurations
-    are computed once and extended by one letter per child, and a prefix
-    with none leaves its subtree undefined.  A prefix with one configuration
+    are computed once and extended by one letter per child, keeping only
+    live runs, in states that can reach a final state; a prefix with no
+    live run leaves its subtree undefined.  A prefix with one configuration
     is a flat (depth, rank, state, output) entry; a set of (state, output)
     pairs takes the state slot, output None, only while two or more live.
     Words of length max_len are never entries: their parent writes them,
@@ -421,7 +430,16 @@ def _outputs(t: Transducer, max_len: int) -> tuple:
     start = [sum(k ** m for m in range(n)) for n in range(max_len + 2)]
     outs = [undef] * start[-1]
     error = None
-    moves = {q: tuple(tuple(t.moves(q, a)) for a in al) for q in t.states}
+    sources: dict[str, set] = {}  # state -> the states with a move into it
+    for (q, _), step in t.trans.items():
+        for _, q2 in step:
+            sources.setdefault(q2, set()).add(q)
+    live, todo = set(final_out), list(final_out)
+    while todo:  # live: the states that can reach a final state
+        new = sources.get(todo.pop(), set()) - live
+        live |= new
+        todo += new
+    moves = {q: tuple(tuple(m for m in t.moves(q, a) if m[1] in live) for a in al) for q in t.states}
     # state -> per letter, the distinct words a last letter adds, sorted
     ends = {q: tuple(tuple(sorted({e + final_out[q2] for e, q2 in step if q2 in final_out}))
                      for step in steps)

@@ -588,6 +588,17 @@ class TestTransducerCommands:
         code, out = run(capsys, "transducer", "eval", out_file, "b", "--format", "json")
         assert code == 0 and json.loads(out)["output"] == ""
 
+    @pytest.mark.parametrize("verb", ["compose", "pref"])
+    @pytest.mark.parametrize("left, right", [("as_to_bs", "id_on_as"), ("id_on_as", "as_to_bs")])
+    def test_written_machine_matches_golden_file(self, capsys, tmp_path, verb, left, right):
+        """The machine file compose and pref write on the data machines, byte
+        for byte as written when every built machine was validated."""
+        out_file = tmp_path / "m.json"
+        code, _ = run(capsys, "transducer", verb, DATA / f"{left}.td.json", DATA / f"{right}.td.json",
+                      "--out", out_file)
+        assert code == 0
+        assert out_file.read_bytes() == (GOLDEN / f"{verb}_{left}_{right}.td.json").read_bytes()
+
     def test_dom_range(self, capsys, tmp_path):
         code, out = run(capsys, "transducer", "dom", DATA / "as_to_bs.td.json",
                         "--out", tmp_path / "d.json", "--format", "json")

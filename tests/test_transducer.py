@@ -415,8 +415,8 @@ def trie_entries(t, max_len):
     return entries
 
 
-def reachable(t):
-    seen, todo = {t.initial}, [t.initial]
+def reachable(t, start):
+    seen, todo = {start}, [start]
     while todo:
         q = todo.pop()
         for a in t.alphabet:
@@ -427,10 +427,32 @@ def reachable(t):
     return seen
 
 
+def live_configurations(t, word):
+    """The configurations after reading the word whose state can still
+    reach a final state."""
+    coaccessible = {q for q in t.states if reachable(t, q) & set(t.final_out)}
+    return {(q, out) for q, out in configurations(t, word) if q in coaccessible}
+
+
+def expected_entries(t, max_len):
+    """trie_entries as the live-run walk should push them: the root, and
+    each node shorter than the bound with a live configuration, as a set
+    exactly when it has two or more."""
+    k = len(t.alphabet)
+    expected = {}
+    for w in td.words_upto(t.alphabet, max(max_len - 1, 0)):  # at L = 0, the root
+        size = len(live_configurations(t, w))
+        if size or w == "":
+            rank = sum(t.alphabet.index(a) * k ** e for e, a in enumerate(reversed(w)))
+            expected[(len(w), rank)] = size >= 2
+    return expected
+
+
 def forking_machine():
     """s0 forks on a into s1 and s2; s1 dies on every letter and s2 returns
-    to s0, so the walk goes from one configuration to two, back to one
-    after the next a, and forks again after a third."""
+    to s0, so the runs go from one configuration to two, back to one after
+    the next a, and fork again after a third.  s1 is not final, so the walk
+    keeps only the run through s2 and takes each of these forks flat."""
     return td.Transducer(
         ("s0", "s1", "s2", "s3"), AL, "s0",
         {("s0", "a"): frozenset({("a", "s1"), ("b", "s2")}),
@@ -457,9 +479,10 @@ def last_letter_fork():
 def test_outputs_kernel_matches_eval_table():
     """On seeded random machines, with forks that die, merge and fork again,
     dead and unreachable states, empty outputs and bounds from 0, _outputs
-    gives eval's table and first error.  Its walk pushes a node shorter than
-    the bound exactly when it has a configuration, as a set exactly when it
-    has two or more, and no node at the bound: the parent writes those."""
+    gives eval's table and first error.  Its walk pushes the root, and a node
+    shorter than the bound exactly when it has a live configuration, as a
+    set exactly when it has two or more, and no node at the bound: the
+    parent writes those."""
     rnd = random.Random(9)
     seen = collections.Counter()
     machines = [(forking_machine(), 6), (last_letter_fork(), 2)]
@@ -470,27 +493,88 @@ def test_outputs_kernel_matches_eval_table():
     for t, max_len in machines:
         table = reference_table(t, max_len)
         assert td._outputs(t, max_len) == table
-        k = len(t.alphabet)
-        expected = {}
-        for w in td.words_upto(t.alphabet, max(max_len - 1, 0)):  # at L = 0, the root
-            size = len(configurations(t, w))
-            if size:
-                rank = sum(t.alphabet.index(a) * k ** e for e, a in enumerate(reversed(w)))
-                expected[(len(w), rank)] = size >= 2
-        assert trie_entries(t, max_len) == expected
+        assert trie_entries(t, max_len) == expected_entries(t, max_len)
         seen["error at L"] += table[1] is not None and len(td._word_at(t.alphabet, table[1][0])) == max_len
-        live = reachable(t)
         seen["refork"] += any(
             any(a >= 2 and b == 1 and c >= 2 for a, b, c in itertools.combinations(
-                [len(configurations(t, w[:n])) for n in range(len(w) + 1)], 3))
+                [len(live_configurations(t, w[:n])) for n in range(len(w) + 1)], 3))
             for w in td.words_upto(t.alphabet, max_len))
-        seen["dead"] += any(not any(t.moves(q, a) for a in t.alphabet) for q in live)
-        seen["unreachable"] += len(live) < len(t.states)
+        seen["fork with a dead branch"] += any(
+            len(configurations(t, w)) >= 2 and len(live_configurations(t, w)) == 1
+            for w in td.words_upto(t.alphabet, max(max_len - 1, 0)))
+        reached = reachable(t, t.initial)
+        seen["dead"] += any(not any(t.moves(q, a) for a in t.alphabet) for q in reached)
+        seen["unreachable"] += len(reached) < len(t.states)
         seen["empty output"] += any(out == "" for outs in t.trans.values() for out, _ in outs)
         seen["error"] += table[1] is not None
         seen["L = 0"] += max_len == 0
-    assert set(seen) == {"refork", "dead", "unreachable", "empty output", "error", "error at L", "L = 0"}
+    assert set(seen) == {"refork", "fork with a dead branch", "dead", "unreachable", "empty output",
+                         "error", "error at L", "L = 0"}
     assert all(seen.values()), seen
+
+
+def test_override_sides_walk_one_run_per_prefix():
+    """The sides comp(D(a), pref(a, b)) and comp(A(a), pref(a, b)) of axioms
+    9 and 10 fork wherever pref_union's start state does, but one branch of
+    each fork can never accept: the walk pushes them as flat entries only.
+    On a machine with two live runs, a^3k -> a^k, the sets remain."""
+    data = Path(__file__).resolve().parent.parent / "data"
+    rnd = random.Random(17)
+    corpora = [[fmt.load_transducer(data / "id_on_as.td.json"), fmt.load_transducer(data / "as_to_bs.td.json")],
+               [random_machine(rnd, "ab", rnd.randint(1, 3), False) for _ in range(3)]]
+    forks = 0
+    for ts in corpora:
+        for a, b in itertools.product(ts, repeat=2):
+            for guard in (td.domain_transducer(a), td.antidomain(a)):
+                side = td.compose(guard, td.pref_union(a, b))
+                forks += any(len(step) >= 2 for step in side.trans.values())
+                assert not any(trie_entries(side, 6).values())
+    assert forks
+    thirds = fmt.load_transducer(Path(__file__).resolve().parent / "golden" / "thirds.td.json")
+    for t in (thirds, td.pref_union(thirds, corpora[0][1])):
+        entries = trie_entries(t, 8)
+        assert entries == expected_entries(t, 8) and any(entries.values())
+
+
+def test_derived_machines_pass_validation(monkeypatch):
+    """The constructions build their machines and acceptors without running
+    __post_init__; run on each of them here, it passes."""
+    rnd = random.Random(41)
+    corpus = []
+    for _ in range(20):
+        alphabet = rnd.choice(("ab", "abc"))
+        corpus.append([random_machine(rnd, alphabet, rnd.randint(1, 4), nondeterministic)
+                       for nondeterministic in (False, True)])
+    derived = []
+    calls = collections.Counter()
+    for cls in (td.Transducer, td.Dfa):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.update([type(self).__name__]))
+    for ts in corpus:
+        for x in ts:
+            derived += [td.antidomain(x), td.domain_transducer(x), td.range_transducer(x),
+                        td.domain_dfa(x), td.range_dfa(x), td.complement(td.domain_dfa(x))]
+        for x, y in itertools.product(ts, repeat=2):
+            derived += [td.restrict(x, td.domain_dfa(y)), td.pref_union(x, y),
+                        td.pref_union(td.antidomain(x), y)]
+            try:
+                derived += [td.compose(x, y), td.compose(td.domain_transducer(x), td.pref_union(x, y))]
+            except NotFunctionalError:
+                pass
+    assert not calls
+    monkeypatch.undo()
+    kinds = collections.Counter()
+    for m in derived:
+        m.__post_init__()
+        kinds[type(m).__name__] += 1
+    assert kinds["Transducer"] and kinds["Dfa"]
+
+
+def test_dfa_alphabet_is_validated():
+    """from_dfa builds its machine without validating it, so the acceptor
+    refuses what a machine's alphabet refuses."""
+    for alphabet in (("ab",), ("a", "a")):
+        with pytest.raises(ValueError, match="one-character"):
+            td.Dfa(("d0",), alphabet, "d0", frozenset(), {("d0", a): "d0" for a in alphabet})
 
 
 def test_tables_are_shared_only_between_equal_structures():
