@@ -9,14 +9,48 @@ so the checker doubles as a representability decision procedure.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Optional, Sequence
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, preimage
 from .errors import InconsistencyError, NoZeroError
+
+
+# The first live instance of each value.  A weak reference hashes and
+# compares as its referent, so any equal instance finds the entry, and the
+# entry goes when its instance does.
+_canonical: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def derived(fn):
+    """Keep fn(x) on x, for a unary fn of an immutable, hashable x: fn runs
+    once per value, on the canonical instance, and the result is kept in
+    the __dict__ of that instance and of x, so equal instances share it and
+    it lives as long as one of them does."""
+    key = f"{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def once(x):
+        kept = x.__dict__
+        if key not in kept:
+            canon = _canonical.setdefault(weakref.ref(x), x)
+            if key not in canon.__dict__:
+                canon.__dict__[key] = fn(canon)
+            kept[key] = canon.__dict__[key]
+        return kept[key]
+    return once
+
+
+def hash_once(self) -> int:
+    """A frozen dataclass's hash of its fields, computed once, since derived
+    data is looked up by value."""
+    if "_hash" not in self.__dict__:
+        self.__dict__["_hash"] = hash(tuple(getattr(self, f) for f in self.__dataclass_fields__))
+    return self.__dict__["_hash"]
 
 
 @dataclass(frozen=True)
@@ -53,13 +87,7 @@ class FinAlgebra:
             if min(vec) < 0 or max(vec) >= n:
                 raise ValueError(f"{label} table entry out of range")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        """Hashed once: the module caches look algebras up on every call."""
-        return hash((self.compose_t, self.anti_t, self.range_t, self.pref_t, self.names))
+    __hash__ = hash_once
 
     @classmethod
     def from_tables(cls, compose_t, anti_t, range_t, pref_t, names=None) -> "FinAlgebra":
@@ -114,7 +142,7 @@ class Constants:
         return bool(self.up[a] >> b & 1)
 
 
-@functools.lru_cache(maxsize=None)
+@derived
 def derive_constants(alg: FinAlgebra) -> Constants:
     """Compute zero, the identity, the domain table and the order.
 
@@ -301,7 +329,7 @@ def _first_mismatch(rows) -> Optional[tuple[int, int]]:
     return None
 
 
-@functools.lru_cache(maxsize=None)
+@derived
 def check_axioms(alg: FinAlgebra) -> AxiomReport:
     """Check the ten representability (quasi)equations.
 
@@ -612,7 +640,6 @@ def check_locally_proper(h: Homomorphism):
     up_a, up_b = derive_constants(h.source).up, derive_constants(h.target).up
     source_primes = {up_a[k] for k in minimal_nonzero_elements(h.source)}
     for m in minimal_nonzero_elements(h.target):
-        inv = mask_of(a for a in range(h.source.size) if up_b[m] >> h(a) & 1)
-        if inv not in source_primes:
+        if preimage(h.mapping, up_b[m]) not in source_primes:
             return False, FilterSet(h.target, up_b[m])
     return True, None

@@ -6,7 +6,9 @@ package: bit i is set iff element i belongs to the subset.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+import operator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(indices: Iterable[int]) -> int:
@@ -14,6 +16,10 @@ def mask_of(indices: Iterable[int]) -> int:
     for i in indices:
         m |= 1 << i
     return m
+
+
+def union(masks: Iterable[int]) -> int:
+    return functools.reduce(operator.or_, masks, 0)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -26,3 +32,13 @@ def bits(mask: int) -> Iterator[int]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def image(mapping: Sequence[int], mask: int) -> int:
+    """The values mapping[i] of the indices i in mask."""
+    return mask_of(mapping[i] for i in bits(mask))
+
+
+def preimage(mapping: Sequence[int], mask: int) -> int:
+    """The indices i with mapping[i] in mask."""
+    return mask_of(i for i, v in enumerate(mapping) if mask >> v & 1)

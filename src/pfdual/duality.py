@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper
+from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper, derived
 from .bitsets import bits
 from .dualize import dual_of, pf_morphism, pf_object  # noqa: F401  (perfbench reads duality.pf_object)
 from .errors import InconsistencyError
@@ -65,6 +65,7 @@ def _verify_algebra_iso(iso: AlgebraIso) -> AlgebraIso:
     return iso
 
 
+@derived
 def theta(alg: FinAlgebra) -> AlgebraIso:
     """The double-dual isomorphism on algebras: each element goes to the
     section whose domain is the objects containing its domain element and
@@ -117,6 +118,7 @@ def _verify_category_iso(iso: CategoryIso) -> CategoryIso:
     return iso
 
 
+@derived
 def phi(cat: TopCategory) -> CategoryIso:
     """The double-dual isomorphism on categories: an object goes to the
     ultrafilter of identity sections through its identity arrow, an arrow to
@@ -196,26 +198,16 @@ def restricted_duality_check(morphism: Union[Homomorphism, MultiFunctor]) -> Res
     """For a homomorphism: locally proper in, plain-functor dual, locally
     proper double dual.  For a functor: plain in, locally proper dual,
     plain-functor double dual.  Observations are reported either way."""
-    if isinstance(morphism, Homomorphism):
-        lp, _ = check_locally_proper(morphism)
-        fun = pf_morphism(morphism)
-        dd = seccl_morphism(fun)
-        dd_lp, _ = check_locally_proper(dd)
-        return RestrictedDualityReport(
-            kind="homomorphism",
-            input_restricted=lp,
-            dual_restricted=is_plain_functor(fun),
-            double_dual_restricted=dd_lp,
-        )
-    secl = seccl_morphism(morphism)
-    lp, _ = check_locally_proper(secl)
-    dd = pf_morphism(secl)
-    return RestrictedDualityReport(
-        kind="functor",
-        input_restricted=is_plain_functor(morphism),
-        dual_restricted=lp,
-        double_dual_restricted=is_plain_functor(dd),
-    )
+    def restricted(m) -> bool:
+        return check_locally_proper(m)[0] if isinstance(m, Homomorphism) else is_plain_functor(m)
+
+    def dual(m):
+        return pf_morphism(m) if isinstance(m, Homomorphism) else seccl_morphism(m)
+
+    kind = "homomorphism" if isinstance(morphism, Homomorphism) else "functor"
+    restricted_in = restricted(morphism)
+    once = dual(morphism)
+    return RestrictedDualityReport(kind, restricted_in, restricted(once), restricted(dual(once)))
 
 
 def invert_plain_functor(fun: MultiFunctor) -> MultiFunctor:

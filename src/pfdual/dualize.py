@@ -20,11 +20,12 @@ from .algebra import (
     Homomorphism,
     check_locally_proper,
     derive_constants,
+    derived,
     domain_elements,
     minimal_nonzero_elements,
     require_representable,
 )
-from .bitsets import bits, mask_of, popcount
+from .bitsets import mask_of, popcount, preimage
 from .errors import InconsistencyError
 from .topcat import MultiFunctor, TopCategory, discrete_topology, is_plain_functor
 
@@ -119,11 +120,12 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
     )
 
 
-@functools.lru_cache(maxsize=None)
+@derived
 def dual_of(alg: FinAlgebra) -> DualCategory:
     return pf_object(alg)
 
 
+@derived
 def pf_morphism(h: Homomorphism) -> MultiFunctor:
     """Dualize a homomorphism h: A -> B into a multivalued functor
     pf(B) -> pf(A), acting by inverse image.
@@ -142,7 +144,7 @@ def pf_morphism(h: Homomorphism) -> MultiFunctor:
         """The indices of the elements k with h(k) in up_m; raises unless
         their up-sets within `within` are disjoint and cover the inverse
         image of up_m there."""
-        inv = mask_of(a for a in bits(within) if up_m >> h(a) & 1)
+        inv = preimage(h.mapping, up_m) & within
         chosen = covered = 0
         for i, k in enumerate(elements):
             if inv >> k & 1:

@@ -15,8 +15,8 @@ import itertools
 import math
 import operator
 
-from .algebra import FinAlgebra, Homomorphism
-from .bitsets import bits, mask_of, popcount
+from .algebra import FinAlgebra, Homomorphism, derived
+from .bitsets import bits, image, mask_of, popcount, preimage
 from .errors import InconsistencyError
 from .topcat import MultiFunctor, TopCategory, relation_preimage, star_checks
 
@@ -76,20 +76,17 @@ def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[int, ...]]:
     bit = [1 << h for h in range(n)] + [0]
     columns = [tuple(map(bit.__getitem__, map((row + (n,)).__getitem__, at[y]))) for row, y in zip(cat.comp_t, tgt)]
     union = functools.partial(map, operator.or_)
-    covered = [mask_of(src[f] for f in bits(m)) for m in images]
+    covered = [image(src, m) for m in images]
     # the arrows out of the objects each section leaves uncovered
-    rest = [~mask_of(f for f in range(n) if d >> src[f] & 1) for d in covered]
-
-    def identities(objects: int) -> int:
-        return mask_of(cat.id_of[x] for x in bits(objects))
+    rest = [~preimage(src, d) for d in covered]
 
     try:
         compose_t = tuple(
             tuple(map(look, functools.reduce(union, (columns[f] for f in bits(m)), (0,) * len(images))))
             for m in images
         )
-        anti_t = tuple(look(identities((1 << cat.n_objects) - 1 & ~d)) for d in covered)
-        range_t = tuple(look(identities(mask_of(tgt[f] for f in bits(m)))) for m in images)
+        anti_t = tuple(look(image(cat.id_of, (1 << cat.n_objects) - 1 & ~d)) for d in covered)
+        range_t = tuple(look(image(cat.id_of, image(tgt, m))) for m in images)
         pref_t = tuple(tuple(map(look, map(m.__or__, map(r.__and__, images)))) for m, r in zip(images, rest))
     except KeyError:
         raise InconsistencyError("sections are not closed under the operations") from None
@@ -97,11 +94,12 @@ def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[int, ...]]:
     return FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=names), images
 
 
-@functools.lru_cache(maxsize=None)
+@derived
 def sections_of(cat: TopCategory) -> tuple[FinAlgebra, tuple[int, ...]]:
     return seccl_object(cat)
 
 
+@derived
 def seccl_morphism(fun: MultiFunctor) -> Homomorphism:
     """Dualize a star-coherent multivalued functor F: C -> D into the
     homomorphism SecCl(D) -> SecCl(C) taking a section to its inverse image.

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .algebra import _light_test, generating_set, pick
-from .bitsets import bits, mask_of, popcount
+from .algebra import _light_test, generating_set, hash_once, pick
+from .bitsets import bits, image, mask_of, popcount, preimage, union
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,8 @@ class TopCategory:
     tgt: tuple[int, ...]
     id_of: tuple[int, ...]
     comp_t: tuple[tuple[int, ...], ...]
+
+    __hash__ = hash_once
 
     def __post_init__(self) -> None:
         n_obj, n_arr = len(self.obj_names), len(self.arr_names)
@@ -263,19 +265,11 @@ def make_category(
 # ---------------------------------------------------------------------------
 
 
-def _image(mapping: tuple[int, ...], mask: int) -> int:
-    return mask_of(mapping[i] for i in bits(mask))
-
-
-def _preimage(mapping: tuple[int, ...], mask: int) -> int:
-    return mask_of(i for i in range(len(mapping)) if mask >> mapping[i] & 1)
-
-
-def _failing(preimage, domain: FinTopology, codomain: FinTopology) -> list[int]:
+def _failing(preimage_of, domain: FinTopology, codomain: FinTopology) -> list[int]:
     """The codomain neighbourhoods whose preimage is not open.  Preimages
     preserve unions and every open is a union of neighbourhoods, so the map
     (or relation) is continuous iff this list is empty."""
-    return [n for n in codomain.basis if not domain.is_open(preimage(n))]
+    return [n for n in codomain.basis if not domain.is_open(preimage_of(n))]
 
 
 @dataclass(frozen=True)
@@ -306,7 +300,7 @@ def check_topological_category(cat: TopCategory) -> TopCategoryReport:
     spread = [0] * n_arr
     if loose:
         # around[g][f2]: the composites of f2 with the arrows near g
-        around = [[mask_of(row[g2] for g2 in bits(near[g])) for row in C] for g in range(n_arr)]
+        around = [[image(row, near[g]) for row in C] for g in range(n_arr)]
         for f in range(n_arr):
             for g in range(n_arr) if near[f] != 1 << f else loose:
                 h = C[f][g]
@@ -315,9 +309,9 @@ def check_topological_category(cat: TopCategory) -> TopCategoryReport:
                     for f2 in bits(near[f]):
                         spread[h] |= col[f2]
     failing = {
-        "src": _failing(lambda n: _preimage(cat.src, n), cat.arr_top, cat.obj_top),
-        "tgt": _failing(lambda n: _preimage(cat.tgt, n), cat.arr_top, cat.obj_top),
-        "id": _failing(lambda n: _preimage(cat.id_of, n), cat.obj_top, cat.arr_top),
+        "src": _failing(lambda n: preimage(cat.src, n), cat.arr_top, cat.obj_top),
+        "tgt": _failing(lambda n: preimage(cat.tgt, n), cat.arr_top, cat.obj_top),
+        "id": _failing(lambda n: preimage(cat.id_of, n), cat.obj_top, cat.arr_top),
         "comp": [n for n in cat.arr_top.basis if any(spread[h] & cat.arr_top.full & ~n for h in bits(n))],
     }
     witnesses = tuple((label, n) for label, ns in failing.items() for n in ns)
@@ -340,7 +334,7 @@ def is_local_homeo(cat: TopCategory, which: str = "src") -> bool:
     works, so does every open subset of it.
     """
     mapping = _map_of(cat, which)
-    if _failing(lambda n: _preimage(mapping, n), cat.arr_top, cat.obj_top):
+    if _failing(lambda n: preimage(mapping, n), cat.arr_top, cat.obj_top):
         return False
     return all(_neighbourhood_works(cat, mapping, u) for u in cat.arr_top.nbhds)
 
@@ -350,14 +344,14 @@ def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> 
     imgs = [mapping[i] for i in pts]
     if len(set(imgs)) != len(imgs):
         return False
-    image = mask_of(imgs)
-    if not cat.obj_top.is_open(image):
+    onto = mask_of(imgs)
+    if not cat.obj_top.is_open(onto):
         return False
     # inverse continuity: the neighbourhoods inside u (a basis of its
     # relative topology) map to relatively open sets
     for p in pts:
-        t = _image(mapping, cat.arr_top.nbhds[p])
-        if any(cat.obj_top.nbhds[y] & image & ~t for y in bits(t)):
+        t = image(mapping, cat.arr_top.nbhds[p])
+        if any(cat.obj_top.nbhds[y] & onto & ~t for y in bits(t)):
             return False
     return True
 
@@ -365,7 +359,7 @@ def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> 
 def is_open_map(cat: TopCategory, which: str = "tgt") -> bool:
     """Images preserve unions, so the images of the neighbourhoods decide."""
     mapping = _map_of(cat, which)
-    return all(cat.obj_top.is_open(_image(mapping, n)) for n in cat.arr_top.basis)
+    return all(cat.obj_top.is_open(image(mapping, n)) for n in cat.arr_top.basis)
 
 
 def is_stone(top: FinTopology) -> bool:
@@ -501,10 +495,10 @@ def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
     for x in range(src_c.n_objects):
         if not fun.arr_rel[src_c.id_of[x]] >> tgt_c.id_of[fun.obj_map[x]] & 1:
             return MultiFunctorReport(True, False, False, witness=("identity", x))
-    rel, C = fun.arr_rel, tgt_c.comp_t
+    rel, C, zero = fun.arr_rel, tgt_c.comp_t, src_c.n_arrows
     for f1, row in enumerate(src_c.comp_t):
         for f2, h in enumerate(row):
-            for g1 in bits(rel[f1]) if h != src_c.n_arrows else ():
+            for g1 in bits(rel[f1]) if h != zero else ():
                 for g2 in bits(rel[f2]):
                     if not rel[h] >> C[g1][g2] & 1:
                         return MultiFunctorReport(True, True, False, witness=("composition", f1, f2, g1, g2))
@@ -519,7 +513,7 @@ def relation_preimage(fun: MultiFunctor, mask: int) -> int:
 def is_continuous_multifunctor(fun: MultiFunctor) -> bool:
     src_c, tgt_c = fun.source, fun.target
     return not (
-        _failing(lambda n: _preimage(fun.obj_map, n), src_c.obj_top, tgt_c.obj_top)
+        _failing(lambda n: preimage(fun.obj_map, n), src_c.obj_top, tgt_c.obj_top)
         or _failing(lambda n: relation_preimage(fun, n), src_c.arr_top, tgt_c.arr_top)
     )
 
@@ -545,33 +539,20 @@ def star_checks(fun: MultiFunctor) -> StarReport:
     (costar) is hit by the image of the star (costar); it is enough that the
     neighbourhood of each arrow in the mapped star (costar) is hit.
     """
-    src_c, tgt_c = fun.source, fun.target
+    src_c, tgt_c, rel = fun.source, fun.target, fun.arr_rel
     near = tgt_c.arr_top.nbhds
-    injective = True
-    surjective = True
-    pseudo = True
-    co_pseudo = True
+    injective = surjective = pseudo = co_pseudo = True
     for x in range(src_c.n_objects):
-        star = src_c.star(x)
-        for i, f1 in enumerate(star):
-            for f2 in star[i + 1:]:
-                if fun.arr_rel[f1] & fun.arr_rel[f2]:
-                    injective = False
+        hit = 0  # the images of the star so far, which the next must miss
+        for f in src_c.star(x):
+            injective = injective and not hit & rel[f]
+            hit |= rel[f]
+        cohit = union(rel[f] for f in src_c.costar(x))
         fx = fun.obj_map[x]
-        star_mask = mask_of(tgt_c.star(fx))
-        hit = 0
-        for f in star:
-            hit |= fun.arr_rel[f]
-        if star_mask & ~hit:
-            surjective = False
-        if any(not near[g] & hit for g in bits(star_mask)):
-            pseudo = False
-        costar_mask = mask_of(tgt_c.costar(fx))
-        cohit = 0
-        for f in src_c.costar(x):
-            cohit |= fun.arr_rel[f]
-        if any(not near[g] & cohit for g in bits(costar_mask)):
-            co_pseudo = False
+        star_mask, costar_mask = mask_of(tgt_c.star(fx)), mask_of(tgt_c.costar(fx))
+        surjective = surjective and not star_mask & ~hit
+        pseudo = pseudo and all(near[g] & hit for g in bits(star_mask))
+        co_pseudo = co_pseudo and all(near[g] & cohit for g in bits(costar_mask))
     return StarReport(injective, surjective, pseudo, co_pseudo)
 
 
@@ -580,13 +561,8 @@ def compose_multifunctors(first: MultiFunctor, second: MultiFunctor) -> MultiFun
     if first.target != second.source:
         raise ValueError("functors are not composable")
     obj_map = tuple(second.obj_map[v] for v in first.obj_map)
-    arr_rel = []
-    for f in range(first.source.n_arrows):
-        m = 0
-        for g in bits(first.arr_rel[f]):
-            m |= second.arr_rel[g]
-        arr_rel.append(m)
-    return MultiFunctor(first.source, second.target, obj_map, tuple(arr_rel))
+    arr_rel = tuple(union(second.arr_rel[g] for g in bits(m)) for m in first.arr_rel)
+    return MultiFunctor(first.source, second.target, obj_map, arr_rel)
 
 
 def is_plain_functor(fun: MultiFunctor) -> bool:

@@ -220,11 +220,27 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
             if q2b in t2.final_out
         }
         if len(results) > 1:
+            word, out = _shortlex_path(al, (t1.initial, t2.initial), moves, pair)
             two = sorted(results)[:2]
-            raise NotFunctionalError("<final>", (two[0], two[1]))
+            raise NotFunctionalError(word, (out + two[0], out + two[1]))
         return results.pop() if results else None
 
     return _relabel_transducer(al, (t1.initial, t2.initial), moves, final)
+
+
+def _shortlex_path(alphabet, initial, moves, goal) -> tuple[str, str]:
+    """The shortlex-least input word from initial to a reachable goal and one
+    run's output on it: `_relabel_transducer`'s walk again, for errors only."""
+    path = {initial: ("", "")}
+    order = [initial]
+    for q in order:
+        if q == goal:
+            return path[q]
+        for a in alphabet:
+            for emitted, q2 in sorted(moves(q, a)):
+                if q2 not in path:
+                    path[q2] = (path[q][0] + a, path[q][1] + emitted)
+                    order.append(q2)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,9 @@ from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 
 
 def _clear_caches() -> None:
-    alg.derive_constants.cache_clear()
-    alg.check_axioms.cache_clear()
-    du.dual_of.cache_clear()
-    du.sections_of.cache_clear()
+    """Forget the canonical instances, so no object built from here on
+    finds the derived data of an equal one built before."""
+    alg._canonical.clear()
 
 
 @contextmanager

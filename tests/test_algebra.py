@@ -3,13 +3,17 @@ Boolean algebra, joins, and homomorphism validation."""
 
 from __future__ import annotations
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from pfdual import algebra as alg
+from pfdual import dualize
 from pfdual import filters as flt
+from pfdual import formats as fmt
 from pfdual.bitsets import mask_of
 from pfdual.errors import NoZeroError
 from pfdual.pfun import Base, as_abstract, close_under_ops, enumerate_all
@@ -51,7 +55,7 @@ class TestDerivedConstants:
         assert swap_only.names[con.zero] == "0" and swap_only.names[con.ident] == "1"
 
     def test_equal_algebras_share_one_cache_entry(self, swap_const):
-        # fresh names keep this pair out of the entries other tests cache
+        # fresh names keep this pair apart from the algebras other tests use
         names = tuple(f"h{k}" for k in range(swap_const.size))
         a, b = (
             alg.FinAlgebra.from_tables(swap_const.compose_t, swap_const.anti_t, swap_const.range_t,
@@ -59,11 +63,22 @@ class TestDerivedConstants:
             for _ in range(2)
         )
         assert a is not b and a == b and hash(a) == hash(b)
-        first = alg.derive_constants(a)
-        before = alg.derive_constants.cache_info()
-        assert alg.derive_constants(b) is first
-        after = alg.derive_constants.cache_info()
-        assert after.hits == before.hits + 1 and after.currsize == before.currsize
+        assert alg.derive_constants(b) is alg.derive_constants(a)
+        assert dualize.dual_of(b) is dualize.dual_of(a)
+
+    def test_equal_files_dualize_once(self, swap_const, tmp_path, monkeypatch):
+        # two loads of one file are equal algebras, and dualizing both builds one dual
+        names = [f"f{k}" for k in range(swap_const.size)]
+        text = fmt.write_algebra(alg.FinAlgebra.from_tables(
+            swap_const.compose_t, swap_const.anti_t, swap_const.range_t, swap_const.pref_t, names))
+        for name in ("a.json", "b.json"):
+            (tmp_path / name).write_text(text)
+        calls = []
+        build = dualize.pf_object
+        monkeypatch.setattr(dualize, "pf_object", lambda x: calls.append(x) or build(x))
+        a, b = (fmt.load_algebra(tmp_path / name) for name in ("a.json", "b.json"))
+        assert a is not b and dualize.dual_of(b) is dualize.dual_of(a)
+        assert len(calls) == 1
 
     def test_no_zero_error(self, swap_const):
         i = swap_const.index_of
@@ -562,3 +577,22 @@ class TestHomomorphismOracle:
                 target = with_entry(swap_only, table, place, value)
                 h = alg.Homomorphism(swap_only, target, tuple(range(n)))
                 assert self.assert_matches(h) == (target == swap_only)
+
+
+def test_no_unbounded_module_cache():
+    """Derived data lives on the objects it is derived from (`derived`), so
+    no module keeps a cache of every argument it has seen."""
+    for path in Path(alg.__file__).parent.glob("*.py"):
+        assert "lru_cache(maxsize=None)" not in path.read_text(), path.name
+        tree = ast.parse(path.read_text())
+        scope = list(tree.body)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                scope += node.body
+        for node in scope:
+            decorators = getattr(node, "decorator_list", [])
+            values = [node.value] if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value else []
+            for part in decorators + values:
+                names = {n.attr if isinstance(n, ast.Attribute) else n.id
+                         for n in ast.walk(part) if isinstance(n, (ast.Attribute, ast.Name))}
+                assert not names & {"cache", "lru_cache"}, f"{path.name}:{node.lineno}"

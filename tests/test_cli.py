@@ -658,6 +658,24 @@ class TestTransducerCommands:
         assert code == 2
         assert capsys.readouterr().err == "error: not functional: input 'a' has outputs 'a' and 'b'\n"
 
+    @pytest.mark.parametrize("verb", ["compose", "axioms"])
+    def test_non_functional_composite_names_a_word(self, capsys, tmp_path, verb):
+        # the first machine accepts only '', with output 'a'; the second
+        # reads 'a' with outputs 'a' and 'b', so the composite has both on ''
+        first, second = tmp_path / "p.td.json", tmp_path / "q.td.json"
+        first.write_text(json.dumps({
+            "alphabet": ["a", "b"], "states": ["p"], "initial": "p", "final": {"p": "a"}, "trans": [],
+        }))
+        second.write_text(json.dumps({
+            "alphabet": ["a", "b"], "states": ["q", "r"], "initial": "q", "final": {"r": ""},
+            "trans": [{"from": "q", "in": "a", "out": out, "to": "r"} for out in ("a", "b")],
+        }))
+        code = main(["transducer", verb, str(first), str(second)])
+        err = capsys.readouterr().err
+        assert code == 2 and "<final>" not in err
+        if verb == "compose":
+            assert err == "error: not functional: input '' has outputs 'a' and 'b'\n"
+
     def test_axioms_refuses_negative_bound(self, capsys):
         code = main(["transducer", "axioms", str(DATA / "as_to_bs.td.json"), "--max-len", "-1"])
         captured = capsys.readouterr()

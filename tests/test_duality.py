@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 
 from pfdual import algebra as alg
 from pfdual import duality as du
@@ -43,6 +45,21 @@ class TestTheta:
 
     def test_one_element(self, one_elem):
         assert du.theta(one_elem).target.size == 1
+
+
+def test_derived_data_dies_with_its_algebra(swap_const):
+    """theta, phi and the morphism duals are kept on the objects they are
+    derived from, and the canonical table holds no object alive."""
+    alg._canonical.clear()
+    names = [f"t{k}" for k in range(swap_const.size)]
+    a = alg.FinAlgebra.from_tables(swap_const.compose_t, swap_const.anti_t, swap_const.range_t,
+                                   swap_const.pref_t, names)
+    kept = (du.theta(a), du.phi(du.dual_of(a).category), pf_morphism(identity_hom(a)))
+    assert du.theta(a) is kept[0] and len(alg._canonical) > 0
+    alive = weakref.ref(a)
+    del a, kept
+    gc.collect()
+    assert alive() is None and len(alg._canonical) == 0
 
 
 class TestPhi:

@@ -98,6 +98,23 @@ class TestCompose:
         assert td.equiv_bounded(td.compose(t2, ident), t2, 8)[0]
         assert td.equiv_bounded(td.compose(ident, t2), t2, 8)[0]
 
+    def test_final_outputs_that_disagree_name_the_least_word(self):
+        """Both 'a' and 'b' lead the first machine to its final state, whose
+        output 'a' the second machine reads two ways: the error names 'a',
+        with both whole outputs."""
+        first = td.Transducer(
+            states=("p0", "p1"), alphabet=AL, initial="p0",
+            trans={("p0", x): frozenset({("b", "p1")}) for x in AL}, final_out={"p1": "a"},
+        )
+        second = td.Transducer(
+            states=("q", "r"), alphabet=AL, initial="q",
+            trans={("q", "b"): frozenset({("b", "q")}), ("q", "a"): frozenset({("a", "r"), ("b", "r")})},
+            final_out={"r": ""},
+        )
+        with pytest.raises(NotFunctionalError) as err:
+            td.compose(first, second)
+        assert (err.value.word, err.value.outputs) == ("a", ("ba", "bb"))
+
     def test_alphabet_mismatch(self, t1):
         other = td.identity_transducer(("a",))
         with pytest.raises(ValueError):
