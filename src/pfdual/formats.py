@@ -11,10 +11,10 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .algebra import FinAlgebra, Homomorphism
-from .bitsets import bits, mask_of
+from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism
+from .bitsets import bits, mask_of, popcount
 from .pfun import Base, PFunc, as_abstract
-from .topcat import MAX_ARROWS, FinTopology, MultiFunctor, TopCategory, comp_table, generate_topology
+from .topcat import FinTopology, MultiFunctor, TopCategory, comp_table, generate_topology
 from .transducer import Dfa, Transducer
 
 
@@ -59,11 +59,6 @@ def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
 # Algebras: abstract tables, or concrete partial functions
 # ---------------------------------------------------------------------------
 
-# The largest algebra a file may hold.  Its two n*n tables take about 80 MB
-# at 2,048 elements, and loading and checking one took 12 s at 2,304 on a
-# 2-vCPU VM (Python 3.11); the 7,776 partial functions on 5 points would
-# need more than 1 GB before any check ran.
-MAX_ELEMENTS = 2048
 # The most points a concrete algebra file may list; MAX_ELEMENTS bounds its functions.
 MAX_BASE = 6
 
@@ -197,8 +192,7 @@ def write_category(cat: TopCategory) -> str:
 def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     obj_names = tuple(_need(data, "objects", path, list))
     arrows = _need(data, "arrows", path, list)
-    if len(arrows) > MAX_ARROWS:
-        raise FormatError(path, f"{len(arrows)} arrows exceed the limit MAX_ARROWS = {MAX_ARROWS}")
+    _check_size(len(arrows), "arrows", path)
     for a in arrows:
         if not isinstance(a, dict) or not {"name", "src", "tgt"} <= a.keys():
             raise FormatError(path, f"arrows need a 'name', 'src' and 'tgt': {a!r}")
@@ -238,12 +232,18 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     for o in obj_names:
         if o not in id_map:
             raise FormatError(path, f"'id' is missing object {o!r}")
+    obj_top = topology("opens_obj", obj, len(obj_names))
+    arr_top = topology("opens_arr", arr, len(arr_names))
+    near = sum(popcount(m) for i, m in enumerate(arr_top.nbhds) if m != 1 << i)
+    if len(arrows) * near > MAX_ELEMENTS**2:
+        raise FormatError(path, f"{len(arrows)} arrows times {near} near pairs exceed the limit "
+                                f"MAX_ELEMENTS**2 = {MAX_ELEMENTS**2}")
     try:
         return TopCategory(
             obj_names=obj_names,
             arr_names=arr_names,
-            obj_top=topology("opens_obj", obj, len(obj_names)),
-            arr_top=topology("opens_arr", arr, len(arr_names)),
+            obj_top=obj_top,
+            arr_top=arr_top,
             src=tuple(obj(a["src"], "arrows") for a in arrows),
             tgt=tuple(obj(a["tgt"], "arrows") for a in arrows),
             id_of=tuple(arr(id_map[o], "id") for o in obj_names),
@@ -289,8 +289,12 @@ def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:
 def load_functor(path: str | Path) -> MultiFunctor:
     data = load_json(path)
     folder = Path(path).parent
-    source = load_category(folder / _need(data, "source", path, str))
-    target = load_category(folder / _need(data, "target", path, str))
+    source_file = folder / _need(data, "source", path, str)
+    pairs = _need(data, "arr_rel", path, list)
+    _check_size(len(pairs), "related pairs", path)
+    source = load_category(source_file)
+    target_file = folder / _need(data, "target", path, str)
+    target = source if target_file == source_file else load_category(target_file)
     om = _need(data, "obj_map", path, dict)
     obj_map = []
     for name in source.obj_names:
@@ -300,7 +304,7 @@ def load_functor(path: str | Path) -> MultiFunctor:
             raise FormatError(path, f"unknown object {om[name]!r} in obj_map")
         obj_map.append(target.obj_names.index(om[name]))
     rel = [0] * source.n_arrows
-    for pair in _need(data, "arr_rel", path, list):
+    for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(path, f"arr_rel entries must be pairs, got {pair!r}")
         f, g = pair

@@ -12,11 +12,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
+from .algebra import MAX_ELEMENTS, FinAlgebra, pick
 from .errors import NotClosedError
 
 Point = Hashable
-
-ENUMERATION_CAP = 4
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,12 @@ def graph_key(f: PFunc) -> tuple[int, ...]:
 
 
 def enumerate_all(base: Base) -> list[PFunc]:
-    """All (n+1)^n partial functions on the base, in a fixed order."""
+    """All (n+1)^n partial functions on the base, in a fixed order; refused
+    over MAX_ELEMENTS, so for n > 4."""
     n = len(base)
-    if n > ENUMERATION_CAP:
-        raise ValueError(f"base size {n} exceeds the limit ENUMERATION_CAP = {ENUMERATION_CAP}")
+    count = (n + 1) ** n
+    if count > MAX_ELEMENTS:
+        raise ValueError(f"{count} functions exceed the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
     values: list[Optional[int]] = [None] + list(range(n))
     return [PFunc(base, g) for g in itertools.product(values, repeat=n)]
 
@@ -201,8 +202,6 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     ``names`` when given, otherwise by their graphs.  Raises NotClosedError
     if some operation leaves the set, naming the operation and its operands.
     """
-    from .algebra import FinAlgebra, pick
-
     ordered = sorted(set(elems), key=graph_key)
     if not ordered:
         raise ValueError("an algebra needs at least one element")

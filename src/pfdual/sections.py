@@ -15,25 +15,24 @@ import itertools
 import math
 import operator
 
-from .algebra import FinAlgebra, Homomorphism, derived
+from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
 from .bitsets import bits, image, mask_of, popcount, preimage
 from .errors import InconsistencyError
 from .topcat import MultiFunctor, TopCategory, relation_preimage, star_checks
-
-MAX_SECTIONS = 2048
 
 
 def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     """The image masks of all sections, in a fixed order: domains by size
     then mask value, choices lexicographically by per-object arrow index.
 
-    Refuses a category whose section count may exceed MAX_SECTIONS,
-    bounded by the product of 1 + |star x| over the objects x (so also by
-    1 + arrows), and one that is not Stone etale, naming its problems as
-    the category's `report` does; the epimorphism condition is not needed."""
+    Refuses a category that may have more than MAX_ELEMENTS sections, by
+    the product of 1 + |star x| over the objects x (so also 1 + arrows), so
+    any section algebra written can be read back; and one that is not Stone
+    etale, naming its problems as the category's `report` does; the
+    epimorphism condition is not needed."""
     bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
-    if bound > MAX_SECTIONS:
-        raise ValueError(f"category may have {bound} sections, over the limit MAX_SECTIONS = {MAX_SECTIONS}")
+    if bound > MAX_ELEMENTS:
+        raise ValueError(f"category may have {bound} sections, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
     problems = cat.report.problems(stone_etale_only=True)
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))

@@ -114,14 +114,10 @@ def eval(t: Transducer, word: str) -> Optional[str]:
 
     Raises NotFunctionalError when two accepting runs disagree.
     """
-    configs = {(t.initial, "")}
     for a in word:
         if a not in t.alphabet:
             raise ValueError(f"letter {a!r} outside the alphabet")
-        configs = {(q2, out + emitted) for q, out in configs for emitted, q2 in t.moves(q, a)}
-        if not configs:
-            return None
-    results = {out + t.final_out[q] for q, out in configs if q in t.final_out}
+    results = {out + t.final_out[q] for out, q in _run_on_word(t, t.initial, word) if q in t.final_out}
     if len(results) > 1:
         two = sorted(results)[:2]
         raise NotFunctionalError(word, (two[0], two[1]))
@@ -398,18 +394,22 @@ def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int):
 
     Returns (verdict, witness_word_or_None).
     """
+    _check_bound((t1, t2), max_len)
+    return _agree(t1.alphabet, _outputs(t1, max_len), _outputs(t2, max_len))
+
+
+def _check_bound(ts: Sequence[Transducer], max_len: int) -> None:
+    """Refuse a sweep of the machines ts up to max_len that is not defined,
+    or whose output tables would not fit in memory."""
     if max_len < 0:
         raise ValueError(f"bound {max_len} is negative")
     if max_len > BOUND_CAP:
         raise ValueError(f"bound {max_len} exceeds the limit BOUND_CAP = {BOUND_CAP}")
-    if t1.alphabet != t2.alphabet:
+    if not ts:
+        raise ValueError("at least one transducer is required")
+    alphabet = ts[0].alphabet
+    if any(t.alphabet != alphabet for t in ts):
         raise ValueError("transducers must share an alphabet")
-    _check_word_count(t1.alphabet, max_len)
-    return _agree(t1.alphabet, _outputs(t1, max_len), _outputs(t2, max_len))
-
-
-def _check_word_count(alphabet: Sequence[str], max_len: int) -> None:
-    """Refuse a bound whose output tables would not fit in memory."""
     words = sum(len(alphabet) ** n for n in range(max_len + 1))
     if words > MAX_WORDS:
         raise ValueError(f"{words} words of length at most {max_len} over {len(alphabet)} "
@@ -589,16 +589,8 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
     when the axiom is done.  Other terms, such as comp(a, comp(b, c)), are
     used once and not kept.
     """
-    if max_len < 0:
-        raise ValueError(f"bound {max_len} is negative")
-    if max_len > BOUND_CAP:
-        raise ValueError(f"bound {max_len} exceeds the limit BOUND_CAP = {BOUND_CAP}")
-    if not ts:
-        raise ValueError("at least one transducer is required")
+    _check_bound(ts, max_len)
     al = ts[0].alphabet
-    if any(t.alphabet != al for t in ts):
-        raise ValueError("transducers must share an alphabet")
-    _check_word_count(al, max_len)
     ident = identity_transducer(al)
     inputs = {id(t): "input" for t in (*ts, ident)}
     # id -> label of every shared machine.  Each one is held by ts, ident or

@@ -14,6 +14,7 @@ import pytest
 
 from pfdual import formats as fmt
 from pfdual.cli import _build_parser, main
+from pfdual.pfun import Base, enumerate_all
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -218,8 +219,15 @@ class TestLimits:
     """Each size limit is one module constant, named in its refusal and
     listed in the README; none is an option."""
 
-    LIMITS = {"MAX_ELEMENTS", "MAX_BASE", "MAX_ARROWS", "MAX_SECTIONS", "MAX_WORDS",
-              "BOUND_CAP", "ENUMERATION_CAP"}
+    LIMITS = {"MAX_ELEMENTS", "MAX_BASE", "MAX_WORDS", "BOUND_CAP"}
+
+    def test_every_limit_is_listed(self):
+        defined = [
+            name
+            for path in sorted((DATA.parent / "src" / "pfdual").glob("*.py"))
+            for name in re.findall(r"^(MAX_\w+|\w+_CAP)\s*=", path.read_text(), re.MULTILINE)
+        ]
+        assert sorted(defined) == sorted(self.LIMITS)
 
     def test_readme_lists_every_limit(self):
         text = (DATA.parent / "README.md").read_text()
@@ -246,14 +254,51 @@ class TestLimits:
     @pytest.mark.parametrize("extra", [0, 1])
     def test_category_file_arrows(self, capsys, tmp_path, extra):
         # a 'comp' that is not an object: parsing it is the check after the count
-        arrows = [{"name": f"g{k}", "src": "x", "tgt": "x"} for k in range(fmt.MAX_ARROWS + extra)]
+        arrows = [{"name": f"g{k}", "src": "x", "tgt": "x"} for k in range(fmt.MAX_ELEMENTS + extra)]
         path = tmp_path / "many.cat.json"
         path.write_text(json.dumps({"objects": ["x"], "opens_obj": [["x"]], "arrows": arrows,
                                     "opens_arr": [], "id": {"x": "g0"}, "comp": []}))
         assert main(["sections", str(path)]) == 2
         err = capsys.readouterr().err
-        assert ("65 arrows exceed the limit MAX_ARROWS = 64" in err) == bool(extra)
+        assert ("2049 arrows exceed the limit MAX_ELEMENTS = 2048" in err) == bool(extra)
         assert extra or "'comp' must be a JSON object" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_category_file_near_pairs(self, capsys, tmp_path, extra):
+        # 1,024 arrows, 64 of them near each other: 1024 * 64**2 steps is
+        # the limit; an unknown source object is the check after it
+        names = [f"g{k}" for k in range(1024 + extra)]
+        arrows = [{"name": a, "src": "y", "tgt": "x"} for a in names]
+        path = tmp_path / "coarse.cat.json"
+        path.write_text(json.dumps({"objects": ["x"], "opens_obj": [["x"]], "arrows": arrows,
+                                    "opens_arr": [names[:64], *([a] for a in names[64:])],
+                                    "id": {"x": "g0"}, "comp": {}}))
+        assert main(["sections", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("1025 arrows times 4096 near pairs exceed the limit MAX_ELEMENTS**2 = 4194304" in err) == bool(extra)
+        assert extra or "unknown object 'y' in arrows" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_functor_file_pairs(self, capsys, tmp_path, extra):
+        # a source category file that cannot be read: the count comes first
+        (tmp_path / "bad.cat.json").write_text(json.dumps({"objects": 5}))
+        pairs = [["g", "g"]] * (fmt.MAX_ELEMENTS + extra)
+        path = tmp_path / "many.fun.json"
+        path.write_text(json.dumps({"source": "bad.cat.json", "target": "bad.cat.json",
+                                    "obj_map": {}, "arr_rel": pairs}))
+        assert main(["functor-check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("2049 related pairs exceed the limit MAX_ELEMENTS = 2048" in err) == bool(extra)
+        assert extra or "'objects' must be a JSON list" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_enumerate_all(self, extra):
+        base = Base(tuple(range(4 + extra)))
+        if extra:
+            with pytest.raises(ValueError, match="^7776 functions exceed the limit MAX_ELEMENTS = 2048$"):
+                enumerate_all(base)
+        else:
+            assert len(enumerate_all(base)) == 625
 
     def test_word_bound(self, capsys):
         assert main(["transducer", "axioms", str(DATA / "as_to_bs.td.json"), "--max-len", "13"]) == 2
@@ -351,7 +396,15 @@ class TestDualize:
         start = time.perf_counter()
         code = main(["sections", str(path)])
         assert code == 2 and time.perf_counter() - start < 1.0
-        assert "over the limit MAX_SECTIONS = 2048" in capsys.readouterr().err
+        assert "over the limit MAX_ELEMENTS = 2048" in capsys.readouterr().err
+
+    def test_sections_reads_back_a_65_arrow_dual(self, capsys, tmp_path):
+        alg_file, cat_file = tmp_path / "z65.alg.json", tmp_path / "z65.cat.json"
+        alg_file.write_text(json.dumps(zero_extended_cyclic_group(65)))
+        code, out = run(capsys, "dualize", alg_file, "--out", cat_file)
+        assert code == 0 and "arrows: 65" in out
+        code, out = run(capsys, "sections", cat_file)
+        assert code == 0 and "sections: 66" in out
 
 
 def zero_extended_cyclic_group(n: int) -> dict:
@@ -378,11 +431,9 @@ class TestBidual:
         assert code == 0
         assert "theta: isomorphism (8 <-> 8)" in out
 
-    def test_more_arrows_than_a_category_file_may_hold(self, capsys, tmp_path):
-        """Only category files are held to MAX_ARROWS; the section bound
-        limits the arrows of a dual whose sections are taken."""
+    def test_dual_with_65_arrows(self, capsys, tmp_path):
         path = tmp_path / "z65.alg.json"
-        path.write_text(json.dumps(zero_extended_cyclic_group(fmt.MAX_ARROWS + 1)))
+        path.write_text(json.dumps(zero_extended_cyclic_group(65)))
         code, out = run(capsys, "bidual", path)
         assert code == 0 and "theta: isomorphism (66 <-> 66)" in out
 
@@ -574,6 +625,12 @@ class TestTransducerCommands:
         assert code == 0
         report = json.loads(out)
         assert report["output"] == "bb" and report["defined"] is True
+
+    @pytest.mark.parametrize("word", ["?", "ba?"])
+    def test_eval_letter_outside_the_alphabet(self, capsys, word):
+        # in "ba?" the only run has died before the "?"
+        assert main(["transducer", "eval", str(DATA / "as_to_bs.td.json"), word]) == 2
+        assert capsys.readouterr().err == "error: letter '?' outside the alphabet\n"
 
     def test_eval_undefined(self, capsys):
         code, out = run(capsys, "transducer", "eval", DATA / "as_to_bs.td.json", "ba", "--format", "json")

@@ -10,6 +10,7 @@ from pfdual import formats as fmt
 from pfdual import transducer as td
 from pfdual.dualize import pf_object
 from pfdual.errors import NotClosedError
+from pfdual.topcat import identity_multifunctor
 
 
 class TestAlgebraFiles:
@@ -100,6 +101,10 @@ class TestMorphismFiles:
         path.write_text(json.dumps(data))
         loaded = fmt.load_functor(path)
         assert loaded.obj_map == fun.obj_map and loaded.arr_rel == fun.arr_rel
+        # a functor from a file to itself reads that file once
+        path.write_text(json.dumps(fmt.functor_to_dict(identity_multifunctor(fun.source), "src.json", "src.json")))
+        loaded = fmt.load_functor(path)
+        assert loaded.source is loaded.target and loaded.arr_rel == tuple(1 << f for f in range(fun.source.n_arrows))
 
     def test_functor_file_unknown_object(self, tmp_path, incl_hom):
         from pfdual.dualize import pf_morphism

@@ -74,7 +74,7 @@ class TestEnumeration:
         assert len(enumerate_all(Base(points))) == count
 
     def test_cap(self):
-        with pytest.raises(ValueError, match="base size 5 exceeds the limit ENUMERATION_CAP = 4"):
+        with pytest.raises(ValueError, match="7776 functions exceed the limit MAX_ELEMENTS = 2048"):
             enumerate_all(Base((1, 2, 3, 4, 5)))
 
     def test_deterministic_and_duplicate_free(self):

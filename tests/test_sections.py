@@ -163,14 +163,14 @@ class TestEnumeration:
 
     def test_section_bound_refuses_more_arrows_than_a_file_may_hold(self):
         # 1 + arrows <= the product of 1 + |star x|, so the section bound
-        # also bounds the arrows; there is no arrow limit of its own here
-        with pytest.raises(ValueError, match="^category may have 36893488147419103232 sections, "
-                                             "over the limit MAX_SECTIONS = 2048$"):
-            sc.enumerate_sections(identities_only(tc.MAX_ARROWS + 1))
+        # also bounds the arrows
+        with pytest.raises(ValueError, match=f"^category may have {2 ** 2049} sections, "
+                                             "over the limit MAX_ELEMENTS = 2048$"):
+            sc.enumerate_sections(identities_only(alg.MAX_ELEMENTS + 1))
 
     def test_section_bound_admits_the_limit_and_refuses_beyond(self):
-        assert len(sc.enumerate_sections(identities_only(11))) == sc.MAX_SECTIONS == 2048
-        with pytest.raises(ValueError, match="4096 sections, over the limit MAX_SECTIONS = 2048"):
+        assert len(sc.enumerate_sections(identities_only(11))) == alg.MAX_ELEMENTS == 2048
+        with pytest.raises(ValueError, match="4096 sections, over the limit MAX_ELEMENTS = 2048"):
             sc.enumerate_sections(identities_only(12))
 
     def test_nonepi_category_still_enumerable(self, nonepi_category):

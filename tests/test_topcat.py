@@ -382,7 +382,7 @@ class TestTableAgainstLoops:
         # one OR per (f2, g) of the composites of f2 with the arrows near
         # g; ORing single composites over every near pair took 5.6 s on
         # the indiscrete group (2 vCPUs, Python 3.11)
-        n = tc.MAX_ARROWS
+        n = 64
         indiscrete = zero_extended_cyclic(n, arr_opens=[[]])
         start = time.perf_counter()
         report = tc.validate_object_of_C(indiscrete)
