@@ -191,6 +191,7 @@ def write_category(cat: TopCategory) -> str:
 
 def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     obj_names = tuple(_need(data, "objects", path, list))
+    _check_size(len(obj_names), "objects", path)
     arrows = _need(data, "arrows", path, list)
     _check_size(len(arrows), "arrows", path)
     for a in arrows:

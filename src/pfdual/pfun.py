@@ -164,34 +164,41 @@ def enumerate_all(base: Base) -> list[PFunc]:
     return [PFunc(base, g) for g in itertools.product(values, repeat=n)]
 
 
+def _op_rows(graphs: list[tuple[int, ...]], k: int):
+    """The results of the four operations on graphs that write undefined as
+    k, the base size, one list per row in table order: the compose row of
+    each f (f then each g), the antidomain and range vectors, then the
+    pref_union row of each f."""
+    extended = [g + (k,) for g in graphs]  # so undefined composes to undefined
+    for then in map(pick, graphs):
+        yield list(map(then, extended))
+    yield [tuple(k if v < k else p for p, v in enumerate(f)) for f in graphs]
+    yield [tuple(p if p in image else k for p in range(k)) for image in map(set, graphs)]
+    for f in graphs:
+        # f | g reads f where f is defined, else g, stored after f in f + g
+        over = pick(tuple(p if v < k else k + p for p, v in enumerate(f)))
+        yield list(map(over, map(f.__add__, graphs)))
+
+
 def close_under_ops(gens: Iterable[PFunc]) -> list[PFunc]:
     """Least superset of gens closed under compose, antidomain, range and
-    pref_union, sorted canonically.  At least one generator is required.
-    """
+    pref_union, sorted canonically: as_abstract's table kernel, run until a
+    round adds nothing.  At least one generator is required."""
     gen_list = list(gens)
     if not gen_list:
         raise ValueError("at least one generator is required")
     base = gen_list[0].base
-    for g in gen_list:
-        if g.base != base:
-            raise ValueError("generators live on different bases")
-    closed = set(gen_list)
-    frontier = list(closed)
-    while frontier:
-        new: list[PFunc] = []
-        current = list(closed)
-        for f in frontier:
-            for out in (f.antidomain(), f.range()):
-                if out not in closed:
-                    closed.add(out)
-                    new.append(out)
-            for g in current:
-                for out in (f.compose(g), g.compose(f), f.pref_union(g), g.pref_union(f)):
-                    if out not in closed:
-                        closed.add(out)
-                        new.append(out)
-        frontier = new
-    return sorted(closed, key=graph_key)
+    if any(g.base != base for g in gen_list):
+        raise ValueError("generators live on different bases")
+    k = len(base)
+    closed = {tuple(k if v is None else v for v in g.graph) for g in gen_list}
+    size = 0
+    while size < len(closed):
+        size = len(closed)
+        for results in _op_rows(list(closed), k):
+            closed.update(results)
+    decoded = (tuple(None if v == k else v for v in g) for g in closed)
+    return sorted((PFunc(base, g) for g in decoded), key=graph_key)
 
 
 def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None):
@@ -208,11 +215,8 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     base = ordered[0].base
     if any(f.base != base for f in ordered):
         raise ValueError("operands live on different bases")
-    # Work on graphs with the undefined value written as k, the base size,
-    # so that composing is one lookup per point: g + (k,) maps k to k.
     k = len(base)
-    encode = lambda f: tuple(k if v is None else v for v in f.graph)
-    graphs = [encode(f) for f in ordered]
+    graphs = [tuple(k if v is None else v for v in f.graph) for f in ordered]
     index = {g: i for i, g in enumerate(graphs)}
 
     def row(op: str, results: list[tuple[int, ...]], i: Optional[int] = None) -> tuple[int, ...]:
@@ -225,19 +229,11 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
             raise NotClosedError(op, tuple(ordered[x] for x in ((j,) if i is None else (i, j))), missing)
         return found
 
-    extended = [g + (k,) for g in graphs]
-    compose_t = tuple(
-        row("compose", list(map(then, extended)), i)
-        for i, then in enumerate(map(pick, graphs))
-    )
-    anti_t = row("antidomain", [encode(f.antidomain()) for f in ordered])
-    range_t = row("range", [encode(f.range()) for f in ordered])
-    # f | g reads f where f is defined, else g, stored after f in f + g
-    overrides = (pick(tuple(p if v < k else k + p for p, v in enumerate(f))) for f in graphs)
-    pref_t = tuple(
-        row("pref_union", list(map(over, map(f.__add__, graphs))), i)
-        for i, (f, over) in enumerate(zip(graphs, overrides))
-    )
+    rows = _op_rows(graphs, k)
+    compose_t = tuple(row("compose", next(rows), i) for i in range(len(graphs)))
+    anti_t = row("antidomain", next(rows))
+    range_t = row("range", next(rows))
+    pref_t = tuple(row("pref_union", next(rows), i) for i in range(len(graphs)))
 
     name_list = tuple(_auto_name(f) if names is None else names[f] for f in ordered)
     alg = FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=name_list)

@@ -35,13 +35,15 @@ class FinTopology:
     def __post_init__(self) -> None:
         if len(self.nbhds) != self.size:
             raise ValueError("a topology needs one neighbourhood per point")
+        opened: set[int] = set()  # openness depends on the neighbourhood alone
         for i, m in enumerate(self.nbhds):
             if m & ~self.full:
                 raise ValueError(f"neighbourhood of point {i} lies outside the carrier")
             if not m >> i & 1:
                 raise ValueError(f"neighbourhood of point {i} does not contain it")
-            if any(self.nbhds[j] & ~m for j in bits(m)):
+            if m not in opened and any(self.nbhds[j] & ~m for j in bits(m)):
                 raise ValueError(f"neighbourhood of point {i} is not open")
+            opened.add(m)
 
     @property
     def full(self) -> int:

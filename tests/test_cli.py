@@ -264,6 +264,19 @@ class TestLimits:
         assert extra or "'comp' must be a JSON object" in err
 
     @pytest.mark.parametrize("extra", [0, 1])
+    def test_category_file_objects(self, capsys, tmp_path, extra):
+        # one arrow and a 'comp' that is not an object, the check after the count
+        objects = [f"x{k}" for k in range(fmt.MAX_ELEMENTS + extra)]
+        path = tmp_path / "wide.cat.json"
+        path.write_text(json.dumps({"objects": objects, "opens_obj": [], "opens_arr": [],
+                                    "arrows": [{"name": "g0", "src": "x0", "tgt": "x0"}],
+                                    "id": {"x0": "g0"}, "comp": []}))
+        assert main(["sections", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert ("2049 objects exceed the limit MAX_ELEMENTS = 2048" in err) == bool(extra)
+        assert extra or "'comp' must be a JSON object" in err
+
+    @pytest.mark.parametrize("extra", [0, 1])
     def test_category_file_near_pairs(self, capsys, tmp_path, extra):
         # 1,024 arrows, 64 of them near each other: 1024 * 64**2 steps is
         # the limit; an unknown source object is the check after it

@@ -55,6 +55,30 @@ class TestTopologyGeneration:
         top = tc.generate_topology(0, [])
         assert top.opens == (0,)
 
+    def test_refusal_names_the_first_failing_point(self):
+        """Each point in turn: its neighbourhood lies in the carrier, holds
+        the point and contains the neighbourhood of each of its points."""
+        def reference(nbhds):
+            for i, m in enumerate(nbhds):
+                if m >> 3:
+                    return f"neighbourhood of point {i} lies outside the carrier"
+                if not m >> i & 1:
+                    return f"neighbourhood of point {i} does not contain it"
+                if any(nbhds[j] & ~m for j in bits(m)):
+                    return f"neighbourhood of point {i} is not open"
+            return None
+
+        seen = set()
+        for nbhds in itertools.product(range(16), repeat=3):
+            try:
+                tc.FinTopology(3, nbhds)
+                got = None
+            except ValueError as e:
+                got = str(e)
+            assert got == reference(nbhds)
+            seen.add(got and got.split(" ", 4)[-1])
+        assert len(seen) == 4  # passing, and each of the three refusals
+
     def test_min_nbhd_and_clopens(self):
         top = tc.generate_topology(3, [0b011, 0b110])
         assert top.nbhds[1] == 0b010
