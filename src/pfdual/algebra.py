@@ -14,7 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, Optional, Sequence
 
 from .bitsets import bits, preimage
 from .errors import InconsistencyError, NoZeroError
@@ -202,33 +203,69 @@ class FilterSet:
 # The axiom checker
 # ---------------------------------------------------------------------------
 
-AXIOM_NAMES = {
-    1: "compose_associative",
-    2: "antidomain_compose_constant",
-    3: "left_identity",
-    4: "antidomain_exchange",
-    5: "domain_partition_cancel",
-    6: "range_is_domain_element",
-    7: "compose_own_range",
-    8: "range_left_cancel",
-    9: "pref_restricted_to_domain",
-    10: "pref_outside_domain",
-}
 
-AXIOM_STATEMENTS = {
-    1: "a*(b*c) = (a*b)*c",
-    2: "A(a)*a = A(b)*b",
-    3: "id*a = a",
-    4: "a*A(b) = A(a*b)*a",
-    5: "D(a)*b = D(a)*c and A(a)*b = A(a)*c  =>  b = c",
-    6: "D(R(a)) = R(a)",
-    7: "a*R(a) = a",
-    8: "a*b = a*c  =>  R(a)*b = R(a)*c",
-    9: "D(a)*(a|b) = a",
-    10: "A(a)*(a|b) = A(a)*b",
-}
+def _bare(term: str) -> str:
+    return term[1:-1] if term.startswith("(") else term
 
-QUASIEQUATIONS = (5, 8)
+
+# The operations as term printers: a product or override comes bracketed,
+# and a side or an operand of A, D and R drops its outer brackets.
+_TERMS = SimpleNamespace(
+    comp=lambda x, y: f"({x}*{y})", pref=lambda x, y: f"({x}|{y})",
+    A=lambda x: f"A({_bare(x)})", D=lambda x: f"D({_bare(x)})", R=lambda x: f"R({_bare(x)})",
+    ident="id",
+)
+
+
+@dataclass(frozen=True)
+class Axiom:
+    """One of the ten laws.  law(ops, *operands) is (premises, conclusion),
+    each an (lhs, rhs) pair of terms built with ops.comp, ops.A, ops.D,
+    ops.R, ops.pref and ops.ident; an instance holds when some premise
+    fails or the conclusion holds."""
+
+    index: int
+    name: str
+    law: Callable
+
+    @property
+    def arity(self) -> int:
+        return self.law.__code__.co_argcount - 1
+
+    @property
+    def equational(self) -> bool:
+        return not self.law(_TERMS, *"abc"[:self.arity])[0]
+
+    @property
+    def statement(self) -> str:
+        premises, conclusion = self.law(_TERMS, *"abc"[:self.arity])
+        sides = [f"{_bare(lhs)} = {_bare(rhs)}" for lhs, rhs in (*premises, conclusion)]
+        return " and ".join(sides[:-1]) + "  =>  " + sides[-1] if premises else sides[-1]
+
+
+AXIOMS = {ax.index: ax for ax in (
+    Axiom(1, "compose_associative",
+          lambda o, a, b, c: ([], (o.comp(a, o.comp(b, c)), o.comp(o.comp(a, b), c)))),
+    Axiom(2, "antidomain_compose_constant",
+          lambda o, a, b: ([], (o.comp(o.A(a), a), o.comp(o.A(b), b)))),
+    Axiom(3, "left_identity",
+          lambda o, a: ([], (o.comp(o.ident, a), a))),
+    Axiom(4, "antidomain_exchange",
+          lambda o, a, b: ([], (o.comp(a, o.A(b)), o.comp(o.A(o.comp(a, b)), a)))),
+    Axiom(5, "domain_partition_cancel",
+          lambda o, a, b, c: ([(o.comp(o.D(a), b), o.comp(o.D(a), c)), (o.comp(o.A(a), b), o.comp(o.A(a), c))],
+                              (b, c))),
+    Axiom(6, "range_is_domain_element",
+          lambda o, a: ([], (o.D(o.R(a)), o.R(a)))),
+    Axiom(7, "compose_own_range",
+          lambda o, a: ([], (o.comp(a, o.R(a)), a))),
+    Axiom(8, "range_left_cancel",
+          lambda o, a, b, c: ([(o.comp(a, b), o.comp(a, c))], (o.comp(o.R(a), b), o.comp(o.R(a), c)))),
+    Axiom(9, "pref_restricted_to_domain",
+          lambda o, a, b: ([], (o.comp(o.D(a), o.pref(a, b)), a))),
+    Axiom(10, "pref_outside_domain",
+          lambda o, a, b: ([], (o.comp(o.A(a), o.pref(a, b)), o.comp(o.A(a), b)))),
+)}
 
 
 @dataclass(frozen=True)
@@ -351,7 +388,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
 
     def record(index: int, witness: Optional[tuple[int, ...]], detail: str = "") -> None:
         results.append(
-            AxiomCheck(index=index, name=AXIOM_NAMES[index], passed=witness is None, witness=witness, detail=detail)
+            AxiomCheck(index=index, name=AXIOMS[index].name, passed=witness is None, witness=witness, detail=detail)
         )
 
     # (1) associativity of composition, by Light's test over a generating set
@@ -423,21 +460,6 @@ def require_representable(alg: FinAlgebra) -> None:
         raise ValueError(f"algebra is not representable: axiom ({first.index}) {first.name} fails")
 
 
-# Each axiom as a predicate on the tables C, A, R, P and one instance.
-_LAWS = {
-    1: lambda C, A, R, P, a, b, c: C[C[a][b]][c] == C[a][C[b][c]],
-    2: lambda C, A, R, P, a, b: C[A[a]][a] == C[A[b]][b],
-    3: lambda C, A, R, P, a: C[A[C[A[0]][0]]][a] == a,
-    4: lambda C, A, R, P, a, b: C[a][A[b]] == C[A[C[a][b]]][a],
-    5: lambda C, A, R, P, a, b, c: b == c or not (C[A[A[a]]][b] == C[A[A[a]]][c] and C[A[a]][b] == C[A[a]][c]),
-    6: lambda C, A, R, P, a: A[A[R[a]]] == R[a],
-    7: lambda C, A, R, P, a: C[a][R[a]] == a,
-    8: lambda C, A, R, P, a, b, c: C[a][b] != C[a][c] or C[R[a]][b] == C[R[a]][c],
-    9: lambda C, A, R, P, a, b: C[A[A[a]]][P[a][b]] == a,
-    10: lambda C, A, R, P, a, b: C[A[a]][P[a][b]] == C[A[a]][b],
-}
-
-
 def axiom_instance_holds(alg: FinAlgebra, index: int, witness: Sequence[int]) -> bool:
     """Evaluate one axiom instance at a witness tuple.
 
@@ -446,9 +468,12 @@ def axiom_instance_holds(alg: FinAlgebra, index: int, witness: Sequence[int]) ->
     """
     if index == 3 and _zero_witness(alg) is not None:
         index = 2  # axiom 3 then reports axiom 2's pair
-    if index in _LAWS:
-        return _LAWS[index](alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t, *witness)
-    raise ValueError(f"unknown axiom index {index}")
+    if index not in AXIOMS:
+        raise ValueError(f"unknown axiom index {index}")
+    ops = SimpleNamespace(comp=alg.comp, A=alg.anti, D=alg.dom, R=alg.rng, pref=alg.pref,
+                          ident=alg.anti(alg.comp(alg.anti(0), 0)))
+    premises, (lhs, rhs) = AXIOMS[index].law(ops, *witness)
+    return any(p != q for p, q in premises) or lhs == rhs
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,7 @@ def _axiom_entries(report: alg.AxiomReport, names: tuple[str, ...]) -> list[dict
         entry: dict[str, Any] = {
             "axiom": r.index,
             "name": r.name,
-            "statement": alg.AXIOM_STATEMENTS[r.index],
+            "statement": alg.AXIOMS[r.index].statement,
             "passed": r.passed,
         }
         if r.witness is not None:
@@ -198,42 +198,46 @@ def cmd_naturality(args) -> int:
     return 0 if commutes else 1
 
 
-def cmd_transducer(args) -> int:
-    if args.sub == "eval":
-        t = fmt.load_transducer(args.file)
-        out = td.eval(t, args.word)
-        _emit({"transducer": args.file, "input": args.word,
-               "defined": out is not None, "output": out if out is not None else ""}, args.format)
-        return 0 if out is not None else 1
-    if args.sub in ("compose", "pref"):
-        t1, t2 = fmt.load_transducer(args.left), fmt.load_transducer(args.right)
-        result = td.compose(t1, t2) if args.sub == "compose" else td.pref_union(t1, t2)
-        _write_out(fmt.write_transducer(result), args.out)
-        return 0
-    if args.sub in ("dom", "range"):
-        t = fmt.load_transducer(args.file)
-        d = td.domain_dfa(t) if args.sub == "dom" else td.range_dfa(t)
-        sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if d.accepts(w)]
-        if args.out:
-            _write_out(fmt.write_dfa(d), args.out)
-        _emit({"transducer": args.file, "acceptor": args.sub, "states": len(d.states),
-               "sample_max_len": SAMPLE_LEN, "accepted_sample": sample,
-               "dfa_file": args.out or ""}, args.format)
-        return 0
-    if args.sub == "axioms":
-        machines = [fmt.load_transducer(f) for f in args.files]
-        report = td.axioms_bounded(machines, args.max_len)
-        entries = []
-        for r in report.results:
-            entry: dict[str, Any] = {"axiom": r.index, "name": r.name,
-                                     "equational": r.equational, "passed": r.passed}
-            if r.witness is not None:
-                entry["witness"] = {"operands": [args.files[i] for i in r.witness[:-1]],
-                                    "word": r.witness[-1]}
-            entries.append(entry)
-        _emit({"max_len": report.max_len, "axioms": entries, "passed": report.passed}, args.format)
-        return 0 if report.passed else 1
-    raise ValueError(f"unknown transducer subcommand {args.sub!r}")
+def cmd_transducer_eval(args) -> int:
+    t = fmt.load_transducer(args.file)
+    out = td.eval(t, args.word)
+    _emit({"transducer": args.file, "input": args.word,
+           "defined": out is not None, "output": out if out is not None else ""}, args.format)
+    return 0 if out is not None else 1
+
+
+def cmd_transducer_combine(args) -> int:
+    t1, t2 = fmt.load_transducer(args.left), fmt.load_transducer(args.right)
+    result = td.compose(t1, t2) if args.sub == "compose" else td.pref_union(t1, t2)
+    _write_out(fmt.write_transducer(result), args.out)
+    return 0
+
+
+def cmd_transducer_acceptor(args) -> int:
+    t = fmt.load_transducer(args.file)
+    d = td.domain_dfa(t) if args.sub == "dom" else td.range_dfa(t)
+    sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if d.accepts(w)]
+    if args.out:
+        _write_out(fmt.write_dfa(d), args.out)
+    _emit({"transducer": args.file, "acceptor": args.sub, "states": len(d.states),
+           "sample_max_len": SAMPLE_LEN, "accepted_sample": sample,
+           "dfa_file": args.out or ""}, args.format)
+    return 0
+
+
+def cmd_transducer_axioms(args) -> int:
+    machines = [fmt.load_transducer(f) for f in args.files]
+    report = td.axioms_bounded(machines, args.max_len)
+    entries = []
+    for r in report.results:
+        entry: dict[str, Any] = {"axiom": r.index, "name": r.name,
+                                 "equational": r.equational, "passed": r.passed}
+        if r.witness is not None:
+            entry["witness"] = {"operands": [args.files[i] for i in r.witness[:-1]],
+                                "word": r.witness[-1]}
+        entries.append(entry)
+    _emit({"max_len": report.max_len, "axioms": entries, "passed": report.passed}, args.format)
+    return 0 if report.passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +265,14 @@ VERBS: dict[str, tuple] = {
     "transducer": ("transducer operations", None, ()),
 }
 TRANSDUCER_VERBS: dict[str, tuple] = {
-    "eval": ("run a transducer on a word", cmd_transducer, ("file", "word")),
-    "compose": ("compose two transducers (left first)", cmd_transducer,
+    "eval": ("run a transducer on a word", cmd_transducer_eval, ("file", "word")),
+    "compose": ("compose two transducers (left first)", cmd_transducer_combine,
                 ("left", "right", _out("write the resulting transducer here"))),
-    "pref": ("override union of two transducers", cmd_transducer,
+    "pref": ("override union of two transducers", cmd_transducer_combine,
              ("left", "right", _out("write the resulting transducer here"))),
-    "dom": ("domain acceptor", cmd_transducer, ("file", _out("write the acceptor here"))),
-    "range": ("range acceptor", cmd_transducer, ("file", _out("write the acceptor here"))),
-    "axioms": ("bounded axiom sweep over a set of transducers", cmd_transducer,
+    "dom": ("domain acceptor", cmd_transducer_acceptor, ("file", _out("write the acceptor here"))),
+    "range": ("range acceptor", cmd_transducer_acceptor, ("file", _out("write the acceptor here"))),
+    "axioms": ("bounded axiom sweep over a set of transducers", cmd_transducer_axioms,
                (("files", {"nargs": "+"}), ("--max-len", {"type": int, "default": 8}))),
 }
 

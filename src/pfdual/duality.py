@@ -5,7 +5,7 @@ homomorphisms and plain functors."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Sequence, Union
 
 from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper, derived
 from .bitsets import bits
@@ -54,15 +54,14 @@ class CategoryIso:
         return self.fwd.target
 
 
-def _verify_algebra_iso(iso: AlgebraIso) -> AlgebraIso:
-    n = iso.source.size
-    if sorted(iso.fwd) != list(range(iso.target.size)) or iso.target.size != n:
-        raise InconsistencyError("map is not a bijection")
-    if any(iso.back[iso.fwd[a]] != a for a in range(n)):
-        raise InconsistencyError("maps are not mutually inverse")
-    if not check_homomorphism(iso.forward_hom()) or not check_homomorphism(iso.backward_hom()):
-        raise InconsistencyError("direction maps are not homomorphisms")
-    return iso
+def _inverse(perm: Sequence[int], size: int) -> Optional[tuple[int, ...]]:
+    """The inverse of perm when it is a bijection of range(size), else None."""
+    if sorted(perm) != list(range(size)):
+        return None
+    back = [0] * size
+    for a, v in enumerate(perm):
+        back[v] = a
+    return tuple(back)
 
 
 @derived
@@ -90,31 +89,26 @@ def theta(alg: FinAlgebra) -> AlgebraIso:
             raise InconsistencyError("image section was not enumerated")
         fwd.append(idx)
 
-    if sorted(fwd) != list(range(secalg.size)):
+    back = _inverse(fwd, secalg.size)
+    if back is None:
         raise InconsistencyError(
             f"double dual has {secalg.size} sections but the algebra has {alg.size} elements"
         )
-    back = [0] * secalg.size
-    for a, s in enumerate(fwd):
-        back[s] = a
-    return _verify_algebra_iso(AlgebraIso(source=alg, target=secalg, fwd=tuple(fwd), back=tuple(back)))
+    iso = AlgebraIso(source=alg, target=secalg, fwd=tuple(fwd), back=back)
+    # the inverse of a bijective homomorphism is one
+    if not check_homomorphism(iso.forward_hom()):
+        raise InconsistencyError("theta is not a homomorphism")
+    return iso
 
 
 def _verify_category_iso(iso: CategoryIso) -> CategoryIso:
-    fwd, back = iso.fwd, iso.back
-    if sorted(fwd.obj_map) != list(range(fwd.target.n_objects)):
-        raise InconsistencyError("object map is not a bijection")
-    if not is_plain_functor(fwd) or not is_plain_functor(back):
-        raise InconsistencyError("direction maps are not single-valued functors")
-    for f in range(fwd.source.n_arrows):
-        g = next(bits(fwd.arr_rel[f]))
-        if next(bits(back.arr_rel[g])) != f:
-            raise InconsistencyError("arrow maps are not mutually inverse")
-    for fun in (fwd, back):
-        if not check_multifunctor(fun).passed:
-            raise InconsistencyError("direction map is not a functor")
-        if not is_continuous_multifunctor(fun):
-            raise InconsistencyError("direction map is not continuous")
+    """iso.back is built as the inverse of the plain functor iso.fwd.  The
+    inverse of a functor that is bijective on objects and arrows is a
+    functor, but the inverse of a continuous map need not be continuous."""
+    if not check_multifunctor(iso.fwd).passed:
+        raise InconsistencyError("direction map is not a functor")
+    if not is_continuous_multifunctor(iso.fwd) or not is_continuous_multifunctor(iso.back):
+        raise InconsistencyError("direction map is not continuous")
     return iso
 
 
@@ -130,13 +124,11 @@ def phi(cat: TopCategory) -> CategoryIso:
     try:
         obj_map = [dd.obj_index[sec_index[1 << e]] for e in cat.id_of]
         arr_map = [dd.arr_index[sec_index[1 << c]] for c in range(cat.n_arrows)]
-    except KeyError:
+        fwd = MultiFunctor(cat, dd.category, tuple(obj_map), tuple(1 << v for v in arr_map))
+        back = invert_plain_functor(fwd)
+    except (KeyError, ValueError):
         raise InconsistencyError("double dual of the category has a different shape") from None
-
-    if sorted(obj_map) != list(range(dd.category.n_objects)) or sorted(arr_map) != list(range(dd.category.n_arrows)):
-        raise InconsistencyError("double dual of the category has a different shape")
-    fwd = MultiFunctor(cat, dd.category, tuple(obj_map), tuple(1 << v for v in arr_map))
-    return _verify_category_iso(CategoryIso(fwd=fwd, back=invert_plain_functor(fwd)))
+    return _verify_category_iso(CategoryIso(fwd=fwd, back=back))
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +206,20 @@ def invert_plain_functor(fun: MultiFunctor) -> MultiFunctor:
     """Inverse of a bijective single-valued functor."""
     if not is_plain_functor(fun):
         raise ValueError("functor is not single-valued")
-    if sorted(fun.obj_map) != list(range(fun.target.n_objects)):
+    back_obj = _inverse(fun.obj_map, fun.target.n_objects)
+    if back_obj is None:
         raise ValueError("functor is not bijective on objects")
-    arr_map = [next(bits(m)) for m in fun.arr_rel]
-    if sorted(arr_map) != list(range(fun.target.n_arrows)):
+    back_arr = _inverse([next(bits(m)) for m in fun.arr_rel], fun.target.n_arrows)
+    if back_arr is None:
         raise ValueError("functor is not bijective on arrows")
-    back_obj = [0] * fun.target.n_objects
-    for x, v in enumerate(fun.obj_map):
-        back_obj[v] = x
-    back_arr = [0] * fun.target.n_arrows
-    for f, v in enumerate(arr_map):
-        back_arr[v] = f
-    return MultiFunctor(fun.target, fun.source, tuple(back_obj), tuple(1 << v for v in back_arr))
+    return MultiFunctor(fun.target, fun.source, back_obj, tuple(1 << v for v in back_arr))
 
 
 def is_topcat_iso(fun: MultiFunctor) -> bool:
-    """Bijective continuous functor with a continuous functorial inverse."""
+    """Bijective continuous functor between categories with a continuous
+    inverse."""
     try:
-        back = invert_plain_functor(fun)
-    except ValueError:
-        return False
-    try:
-        _verify_category_iso(CategoryIso(fwd=fun, back=back))
-    except InconsistencyError:
+        _verify_category_iso(CategoryIso(fwd=fun, back=invert_plain_functor(fun)))
+    except (ValueError, InconsistencyError):
         return False
     return True

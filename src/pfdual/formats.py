@@ -263,20 +263,35 @@ def load_category(path: str | Path) -> TopCategory:
 # ---------------------------------------------------------------------------
 
 
+def _find(index: dict[str, int], name: Any) -> int | None:
+    """index[name], or None when name is not a key; a JSON value may be unhashable."""
+    return index.get(name) if isinstance(name, str) else None
+
+
+def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tuple[str, ...],
+              missing: str, unknown: str) -> tuple[int, ...]:
+    """The position in targets of data[key][name], for each name in sources.
+    missing and unknown are the nouns for a source name data[key] lacks and
+    for a value that names no target."""
+    m = _need(data, key, path, dict)
+    index = {name: i for i, name in enumerate(targets)}
+    positions = []
+    for name in sources:
+        if name not in m:
+            raise FormatError(path, f"{key} is missing {missing} {name!r}")
+        if (v := _find(index, m[name])) is None:
+            raise FormatError(path, f"unknown {unknown} {m[name]!r} in {key}")
+        positions.append(v)
+    return tuple(positions)
+
+
 def load_homomorphism(path: str | Path) -> Homomorphism:
     data = load_json(path)
     folder = Path(path).parent
     source = load_algebra(folder / _need(data, "source", path, str))
     target = load_algebra(folder / _need(data, "target", path, str))
-    m = _need(data, "map", path, dict)
-    mapping = []
-    for name in source.names:
-        if name not in m:
-            raise FormatError(path, f"map is missing source element {name!r}")
-        if m[name] not in target.names:
-            raise FormatError(path, f"unknown element {m[name]!r} in map")
-        mapping.append(target.names.index(m[name]))
-    return Homomorphism(source, target, tuple(mapping))
+    mapping = _name_map(data, "map", path, source.names, target.names, "source element", "element")
+    return Homomorphism(source, target, mapping)
 
 
 def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:
@@ -296,23 +311,18 @@ def load_functor(path: str | Path) -> MultiFunctor:
     source = load_category(source_file)
     target_file = folder / _need(data, "target", path, str)
     target = source if target_file == source_file else load_category(target_file)
-    om = _need(data, "obj_map", path, dict)
-    obj_map = []
-    for name in source.obj_names:
-        if name not in om:
-            raise FormatError(path, f"obj_map is missing object {name!r}")
-        if om[name] not in target.obj_names:
-            raise FormatError(path, f"unknown object {om[name]!r} in obj_map")
-        obj_map.append(target.obj_names.index(om[name]))
+    obj_map = _name_map(data, "obj_map", path, source.obj_names, target.obj_names, "object", "object")
+    source_arrows = {name: f for f, name in enumerate(source.arr_names)}
+    target_arrows = {name: g for g, name in enumerate(target.arr_names)}
     rel = [0] * source.n_arrows
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(path, f"arr_rel entries must be pairs, got {pair!r}")
-        f, g = pair
-        if f not in source.arr_names or g not in target.arr_names:
+        f, g = _find(source_arrows, pair[0]), _find(target_arrows, pair[1])
+        if f is None or g is None:
             raise FormatError(path, f"unknown arrow in pair {pair!r}")
-        rel[source.arr_names.index(f)] |= 1 << target.arr_names.index(g)
-    return MultiFunctor(source, target, tuple(obj_map), tuple(rel))
+        rel[f] |= 1 << g
+    return MultiFunctor(source, target, obj_map, tuple(rel))
 
 
 def functor_to_dict(fun: MultiFunctor, source_label: str, target_label: str) -> dict:

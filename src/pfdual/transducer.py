@@ -13,8 +13,10 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
+from .algebra import AXIOMS
 from .errors import NotFunctionalError
 
 BOUND_CAP = 12
@@ -571,8 +573,9 @@ class BoundedAxiomReport:
 
 
 def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport:
-    """Instantiate the ten representability (quasi)equations over all tuples
-    from the given machines and compare both sides word by word.
+    """Instantiate the ten representability (quasi)equations of
+    `algebra.AXIOMS` over all tuples from the given machines and compare
+    each premise, then the conclusion, word by word.
 
     Two sides of the same structure (initial state, transitions and final
     outputs) are one machine, equal to itself on every word: with at most one
@@ -614,10 +617,11 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
     # composite of a composite is a top-level term, used once.
     leaves = ("input", "A", "D", "R")
     any_shared = leaves + ("comp", "pref")
-    A, D = share("A", antidomain, any_shared), share("D", domain_transducer, any_shared)
-    R = share("R", range_transducer, any_shared)
-    comp, pref = share("comp", compose, leaves), share("pref", pref_union, leaves)
-    idxs = range(len(ts))
+    ops = SimpleNamespace(
+        A=share("A", antidomain, any_shared), D=share("D", domain_transducer, any_shared),
+        R=share("R", range_transducer, any_shared),
+        comp=share("comp", compose, leaves), pref=share("pref", pref_union, leaves), ident=ident,
+    )
 
     def structure(t: Transducer) -> tuple:
         return (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
@@ -642,55 +646,19 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
         return _agree(al, tx, tx)
 
     results = []
-
-    def run(index: int, name: str, equational: bool, tuples, check) -> None:
-        for tup in tuples:
-            outcome, word = check(*[ts[i] for i in tup])
-            if not outcome:
-                results.append(BoundedAxiomCheck(index, name, equational, False, tuple(tup) + (word,)))
-                break
+    for ax in AXIOMS.values():
+        for tup in itertools.product(range(len(ts)), repeat=ax.arity):
+            premises, conclusion = ax.law(ops, *(ts[i] for i in tup))
+            if all(eq(*p)[0] for p in premises):
+                outcome, word = eq(*conclusion)
+                if not outcome:
+                    results.append(BoundedAxiomCheck(ax.index, ax.name, ax.equational, False, tup + (word,)))
+                    break
         else:
-            results.append(BoundedAxiomCheck(index, name, equational, True))
+            results.append(BoundedAxiomCheck(ax.index, ax.name, ax.equational, True))
         built.clear()
         tables.clear()
         shared.clear()
         shared.update(inputs)
-
-    def quasi(premises, conclusion):
-        """Bounded quasiequation: conclusion checked when all premises hold."""
-        for lhs, rhs in premises:
-            ok, _ = eq(lhs, rhs)
-            if not ok:
-                return True, None
-        return eq(*conclusion)
-
-    pairs = list(itertools.product(idxs, repeat=2))
-    triples = list(itertools.product(idxs, repeat=3))
-    singles = [(i,) for i in idxs]
-
-    run(1, "compose_associative", True, triples,
-        lambda a, b, c: eq(comp(a, comp(b, c)), comp(comp(a, b), c)))
-    run(2, "antidomain_compose_constant", True, pairs,
-        lambda a, b: eq(comp(A(a), a), comp(A(b), b)))
-    run(3, "left_identity", True, singles,
-        lambda a: eq(comp(ident, a), a))
-    run(4, "antidomain_exchange", True, pairs,
-        lambda a, b: eq(comp(a, A(b)), comp(A(comp(a, b)), a)))
-    run(5, "domain_partition_cancel", False, triples,
-        lambda a, b, c: quasi(
-            [(comp(D(a), b), comp(D(a), c)), (comp(A(a), b), comp(A(a), c))],
-            (b, c)))
-    run(6, "range_is_domain_element", True, singles,
-        lambda a: eq(D(R(a)), R(a)))
-    run(7, "compose_own_range", True, singles,
-        lambda a: eq(comp(a, R(a)), a))
-    run(8, "range_left_cancel", False, triples,
-        lambda a, b, c: quasi(
-            [(comp(a, b), comp(a, c))],
-            (comp(R(a), b), comp(R(a), c))))
-    run(9, "pref_restricted_to_domain", True, pairs,
-        lambda a, b: eq(comp(D(a), pref(a, b)), a))
-    run(10, "pref_outside_domain", True, pairs,
-        lambda a, b: eq(comp(A(a), pref(a, b)), comp(A(a), b)))
 
     return BoundedAxiomReport(max_len=max_len, results=tuple(results))

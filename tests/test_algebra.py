@@ -7,6 +7,7 @@ import ast
 import itertools
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,7 +17,7 @@ from pfdual import filters as flt
 from pfdual import formats as fmt
 from pfdual.bitsets import mask_of
 from pfdual.errors import NoZeroError
-from pfdual.pfun import Base, as_abstract, close_under_ops, enumerate_all
+from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 
 
 def mutate_compose(a: alg.FinAlgebra, row: int, col: int, value: int) -> alg.FinAlgebra:
@@ -244,10 +245,10 @@ def reference_report(a: alg.FinAlgebra) -> alg.AxiomReport:
             continue  # no zero, so no identity constant
         instances = itertools.product(range(a.size), repeat=ARITY[index])
         witnesses[index] = next((w for w in instances if not alg.axiom_instance_holds(a, index, w)), None)
-    results = [alg.AxiomCheck(i, alg.AXIOM_NAMES[i], witnesses.get(i) is None, witnesses.get(i))
+    results = [alg.AxiomCheck(i, alg.AXIOMS[i].name, witnesses.get(i) is None, witnesses.get(i))
                for i in range(1, 11)]
     if witnesses[2] is not None:
-        results[2] = alg.AxiomCheck(3, alg.AXIOM_NAMES[3], False, witnesses[2],
+        results[2] = alg.AxiomCheck(3, alg.AXIOMS[3].name, False, witnesses[2],
                                     "identity constant undefined because A(a)*a is not constant")
     return alg.AxiomReport(tuple(results))
 
@@ -342,6 +343,40 @@ class TestAxiomOracle:
                 frontier = list(products)
             assert reached == set(range(a.size))
             assert len(gens) < a.size or a.size <= 2
+
+
+class TestAxiomTable:
+    """algebra.AXIOMS states each law once, for every caller."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_laws_hold_for_partial_functions(self, k):
+        base = Base(tuple(range(k)))
+        funcs = enumerate_all(base)
+        ops = SimpleNamespace(comp=PFunc.compose, A=PFunc.antidomain, D=PFunc.domain, R=PFunc.range,
+                              pref=PFunc.pref_union, ident=PFunc.identity(base))
+        for ax in alg.AXIOMS.values():
+            for operands in itertools.product(funcs, repeat=ax.arity):
+                premises, (lhs, rhs) = ax.law(ops, *operands)
+                assert any(p != q for p, q in premises) or lhs == rhs, (ax.index, operands)
+
+    def test_statements(self):
+        assert {i: (ax.arity, ax.statement) for i, ax in alg.AXIOMS.items()} == {
+            1: (3, "a*(b*c) = (a*b)*c"),
+            2: (2, "A(a)*a = A(b)*b"),
+            3: (1, "id*a = a"),
+            4: (2, "a*A(b) = A(a*b)*a"),
+            5: (3, "D(a)*b = D(a)*c and A(a)*b = A(a)*c  =>  b = c"),
+            6: (1, "D(R(a)) = R(a)"),
+            7: (1, "a*R(a) = a"),
+            8: (3, "a*b = a*c  =>  R(a)*b = R(a)*c"),
+            9: (2, "D(a)*(a|b) = a"),
+            10: (2, "A(a)*(a|b) = A(a)*b"),
+        }
+        assert [i for i, ax in alg.AXIOMS.items() if not ax.equational] == [5, 8]
+
+    def test_unknown_index_refused(self, swap_const):
+        with pytest.raises(ValueError, match="unknown axiom index 11"):
+            alg.axiom_instance_holds(swap_const, 11, (0,))
 
 
 class TestDomainSubalgebra:

@@ -146,6 +146,16 @@ class TestMalformedInput:
                        "map": {**SWAP_MAP, "s": "nope"}}, "unknown element 'nope' in map"),
         ("naturality", {"source": "swap_only.alg.json", "target": "swap_const.alg.json",
                         "map": {**SWAP_MAP, "s": ["s"]}}, "unknown element ['s'] in map"),
+        ("hom-check", {"source": "swap_only.alg.json", "target": "swap_const.alg.json",
+                       "map": {k: v for k, v in SWAP_MAP.items() if k != "s"}}, "map is missing source element 's'"),
+        ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x"}, "arr_rel": []},
+         "obj_map is missing object 'y'"),
+        ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": ["y"]},
+                           "arr_rel": []}, "unknown object ['y'] in obj_map"),
+        ("naturality", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
+                        "arr_rel": [["ix", "ix"], [["iy"], "iy"]]}, "unknown arrow in pair [['iy'], 'iy']"),
+        ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
+                           "arr_rel": [["ix", 5]]}, "unknown arrow in pair ['ix', 5]"),
     ])
     def test_malformed_morphism_file(self, capsys, tmp_path, verb, data, message):
         for name in ("swap_only.alg.json", "swap_const.alg.json"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import weakref
 
@@ -11,6 +12,8 @@ from pfdual import topcat as tc
 from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_morphism
+
+from conftest import zero_extended_cyclic
 
 
 class TestTheta:
@@ -93,6 +96,25 @@ class TestPhi:
             iso = du.phi(cat)
             assert iso.target.n_objects == cat.n_objects
             assert iso.target.n_arrows == cat.n_arrows
+
+
+def test_each_isomorphism_is_checked_in_one_direction(monkeypatch, swap_const):
+    """theta checks its forward map only, and phi its forward functor only:
+    the inverse of a bijective homomorphism, or of a functor bijective on
+    objects and arrows, is one too."""
+    calls = collections.Counter()
+    for name in ("check_homomorphism", "check_multifunctor"):
+        def counted(x, check=getattr(du, name), name=name):
+            calls[name] += 1
+            return check(x)
+        monkeypatch.setattr(du, name, counted)
+    alg._canonical.clear()  # so nothing derived earlier is reused
+    a = alg.FinAlgebra.from_tables(swap_const.compose_t, swap_const.anti_t, swap_const.range_t,
+                                   swap_const.pref_t, [f"u{k}" for k in range(swap_const.size)])
+    du.theta(a)
+    assert calls == {"check_homomorphism": 1}
+    du.phi(zero_extended_cyclic(64))
+    assert calls == {"check_homomorphism": 1, "check_multifunctor": 1}
 
 
 class TestNaturalityTheta:
@@ -184,3 +206,12 @@ class TestDualRouteIsomorphism:
 
     def test_inclusion_dual_is_not_an_iso(self, incl_hom):
         assert not du.is_topcat_iso(pf_morphism(incl_hom))
+
+    def test_bijection_that_is_not_a_functor(self):
+        """g1 and g2 swapped is a bijection of Z_5 on objects and arrows,
+        continuous for the discrete topology, but g1*g1 = g2 goes to
+        g2*g2 = g4, not to g1."""
+        z5 = zero_extended_cyclic(5)
+        swap = (0, 2, 1, 3, 4)
+        assert du.is_topcat_iso(tc.MultiFunctor(z5, z5, (0,), tuple(1 << g for g in range(5))))
+        assert not du.is_topcat_iso(tc.MultiFunctor(z5, z5, (0,), tuple(1 << g for g in swap)))
