@@ -84,15 +84,16 @@ class FinAlgebra:
             object.__setattr__(self, "names", tuple(f"e{i}" for i in range(n)))
         if len(self.names) != n or len(set(self.names)) != n:
             raise ValueError("names must be distinct and match the element count")
+        elements = set(range(n))
         for label, table in (("compose", self.compose_t), ("pref", self.pref_t)):
             if len(table) != n or any(len(row) != n for row in table):
                 raise ValueError(f"{label} table must be {n}x{n}")
-            if min(map(min, table)) < 0 or max(map(max, table)) >= n:
+            if not set().union(*table) <= elements:
                 raise ValueError(f"{label} table entry out of range")
         for label, vec in (("antidomain", self.anti_t), ("range", self.range_t)):
             if len(vec) != n:
                 raise ValueError(f"{label} table must have {n} entries")
-            if min(vec) < 0 or max(vec) >= n:
+            if not set(vec) <= elements:
                 raise ValueError(f"{label} table entry out of range")
 
     __hash__ = hash_once
@@ -353,15 +354,13 @@ def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
 
 
 def _first_nonassociative(C: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
-    """The lexicographically least (a, b, c) with (a*b)*c != a*(b*c)."""
-    rng_n = range(len(C))
-    for a in rng_n:
-        Ca = C[a]
-        for b in rng_n:
-            Cab, Cb = C[Ca[b]], C[b]
-            for c in rng_n:
-                if Cab[c] != Ca[Cb[c]]:
-                    return (a, b, c)
+    """The lexicographically least (a, b, c) with (a*b)*c != a*(b*c): row
+    a*b against row b read at the entries of row a, one pair (a, b) at a
+    time."""
+    takes = tuple(map(pick, C))
+    for a, Ca in enumerate(C):
+        if (w := _first_mismatch((C[ab], take(Ca)) for ab, take in zip(Ca, takes))) is not None:
+            return (a, *w)
     return None
 
 
@@ -411,10 +410,11 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     record(4, _first_mismatch((at_A(C[a]), pick(pick(C[a])(A))(column[a])) for a in rng_n))
 
     # (5) D(a)*b = D(a)*c and A(a)*b = A(a)*c imply b = c: for each a, no
-    # two elements b share the key (D(a)*b, A(a)*b).  The witness is the
-    # least b of a shared key and the next element with b's key.
+    # two elements b share the key (D(a)*b, A(a)*b).  The key reads a only
+    # through A(a), so the least a of each class stands for it.  The witness
+    # is the least b of a shared key and the next element with b's key.
     w = None
-    for a in rng_n:
+    for a in sorted({A[a]: a for a in reversed(rng_n)}.values()):
         keys = tuple(zip(C[D[a]], C[A[a]]))
         if len(set(keys)) < n:
             count = Counter(keys)

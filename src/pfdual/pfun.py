@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
 from .algebra import MAX_ELEMENTS, FinAlgebra, pick
-from .errors import NotClosedError
+from .errors import InconsistencyError, NotClosedError
 
 Point = Hashable
 
@@ -164,6 +164,17 @@ def enumerate_all(base: Base) -> list[PFunc]:
     return [PFunc(base, g) for g in itertools.product(values, repeat=n)]
 
 
+def _unary_results(graphs: list[tuple[int, ...]], k: int):
+    """The antidomain and the range result of each graph."""
+    return ([tuple(k if v < k else p for p, v in enumerate(f)) for f in graphs],
+            [tuple(p if p in image else k for p in range(k)) for image in map(set, graphs)])
+
+
+def _override(f: tuple[int, ...], k: int):
+    """f + g -> f | g, which reads f where f is defined, else g, stored after f."""
+    return pick(tuple(p if v < k else k + p for p, v in enumerate(f)))
+
+
 def _op_rows(graphs: list[tuple[int, ...]], k: int):
     """The results of the four operations on graphs that write undefined as
     k, the base size, one list per row in table order: the compose row of
@@ -172,17 +183,49 @@ def _op_rows(graphs: list[tuple[int, ...]], k: int):
     extended = [g + (k,) for g in graphs]  # so undefined composes to undefined
     for then in map(pick, graphs):
         yield list(map(then, extended))
-    yield [tuple(k if v < k else p for p, v in enumerate(f)) for f in graphs]
-    yield [tuple(p if p in image else k for p in range(k)) for image in map(set, graphs)]
+    yield from _unary_results(graphs, k)
     for f in graphs:
-        # f | g reads f where f is defined, else g, stored after f in f + g
-        over = pick(tuple(p if v < k else k + p for p, v in enumerate(f)))
-        yield list(map(over, map(f.__add__, graphs)))
+        yield list(map(_override(f, k), map(f.__add__, graphs)))
+
+
+def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int):
+    """The four tables _op_rows gives, looked up in index, which raises
+    KeyError for a result outside the set.  Only the rows of greedy
+    generators (largest domain, then largest image, then index first) are
+    worked out entry by entry: row t*g is row g read at the entries of row
+    t, as (t*g)*x = t*(g*x) (Clifford & Preston, The Algebraic Theory of
+    Semigroups I, 1961, section 1.2), and f | x = f | (A(f)*x)."""
+    n = len(graphs)
+    extended = [g + (k,) for g in graphs]  # so undefined composes to undefined
+    C: list = [None] * n
+    take: dict = {}  # generator g -> pick(row g)
+    for g in sorted(range(n), key=lambda i: (graphs[i].count(k), -len(set(graphs[i]) | {k}))):
+        if C[g] is not None:
+            continue
+        C[g] = tuple(map(index.__getitem__, map(pick(graphs[g]), extended)))
+        take[g] = pick(C[g])
+        # products t*h of a known row t and a generator h, whose rows may be new
+        queue = [(t, g) for t, row in enumerate(C) if row is not None] + [(g, h) for h in take]
+        while queue:
+            t, h = queue.pop()
+            if C[u := C[t][h]] is None:
+                C[u] = take[h](C[t])
+                queue.extend((u, h) for h in take)
+    anti_t, range_t = (tuple(map(index.__getitem__, results)) for results in _unary_results(graphs, k))
+    pref_t = []
+    out: list = [None] * n
+    gather = {a: (set(C[a]), pick(C[a])) for a in set(anti_t)}
+    for f, a in zip(graphs, anti_t):
+        over, (ys, at) = _override(f, k), gather[a]
+        for y in ys:  # each distinct A(f)*x once
+            out[y] = index[over(f + graphs[y])]
+        pref_t.append(at(out))
+    return tuple(C), anti_t, range_t, tuple(pref_t)
 
 
 def close_under_ops(gens: Iterable[PFunc]) -> list[PFunc]:
     """Least superset of gens closed under compose, antidomain, range and
-    pref_union, sorted canonically: as_abstract's table kernel, run until a
+    pref_union, sorted canonically: the direct kernel _op_rows, run until a
     round adds nothing.  At least one generator is required."""
     gen_list = list(gens)
     if not gen_list:
@@ -218,22 +261,19 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     k = len(base)
     graphs = [tuple(k if v is None else v for v in f.graph) for f in ordered]
     index = {g: i for i, g in enumerate(graphs)}
-
-    def row(op: str, results: list[tuple[int, ...]], i: Optional[int] = None) -> tuple[int, ...]:
-        """The indices of results, the entries (i, j) of a table's row i or
-        of a vector when i is None.  The first result outside the set raises."""
-        found = tuple(map(index.get, results))
-        if None in found:
-            j = found.index(None)
-            missing = PFunc(base, tuple(None if v == k else v for v in results[j]))
-            raise NotClosedError(op, tuple(ordered[x] for x in ((j,) if i is None else (i, j))), missing)
-        return found
-
-    rows = _op_rows(graphs, k)
-    compose_t = tuple(row("compose", next(rows), i) for i in range(len(graphs)))
-    anti_t = row("antidomain", next(rows))
-    range_t = row("range", next(rows))
-    pref_t = tuple(row("pref_union", next(rows), i) for i in range(len(graphs)))
+    try:
+        compose_t, anti_t, range_t, pref_t = _gathered_tables(graphs, index, k)
+    except KeyError:
+        # a result lies outside the set: the direct kernel names the first,
+        # in row-major order: compose, antidomain, range, then pref_union
+        n = len(graphs)
+        ops = [("compose", i) for i in range(n)] + [("antidomain", None), ("range", None)]
+        for (op, i), results in zip(ops + [("pref_union", i) for i in range(n)], _op_rows(graphs, k)):
+            if None in (found := list(map(index.get, results))):
+                j = found.index(None)
+                missing = PFunc(base, tuple(None if v == k else v for v in results[j]))
+                raise NotClosedError(op, tuple(ordered[x] for x in ((j,) if i is None else (i, j))), missing) from None
+        raise InconsistencyError("as_abstract: the row gathers met a result that the direct kernel finds in the set")
 
     name_list = tuple(_auto_name(f) if names is None else names[f] for f in ordered)
     alg = FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=name_list)

@@ -192,22 +192,26 @@ class TestCheckAxioms:
         assert len(seen) > 1
 
 
+def loop_first_nonassociative(C) -> tuple[int, int, int] | None:
+    """The lexicographically least (a, b, c) with (a*b)*c != a*(b*c), by
+    the plain triple loop: the reference for alg._first_nonassociative."""
+    rng_n = range(len(C))
+    for a in rng_n:
+        Ca = C[a]
+        for b in rng_n:
+            Cab, Cb = C[Ca[b]], C[b]
+            for c in rng_n:
+                if Cab[c] != Ca[Cb[c]]:
+                    return (a, b, c)
+    return None
+
+
 def cubic_witnesses(a: alg.FinAlgebra) -> dict:
     """Reference for axioms 1, 5 and 8: the first failing triple of each in
     lexicographic order, by the plain cubic loops."""
     n = a.size
     C, A, R = a.compose_t, a.anti_t, a.range_t
     rng_n = range(n)
-
-    def associative():
-        for x in rng_n:
-            Cx = C[x]
-            for y in rng_n:
-                Cxy, Cy = C[Cx[y]], C[y]
-                for z in rng_n:
-                    if Cxy[z] != Cx[Cy[z]]:
-                        return (x, y, z)
-        return None
 
     def partition_cancel():
         for x in rng_n:
@@ -229,7 +233,7 @@ def cubic_witnesses(a: alg.FinAlgebra) -> dict:
                         return (x, y, z)
         return None
 
-    return {1: associative(), 5: partition_cancel(), 8: range_cancel()}
+    return {1: loop_first_nonassociative(C), 5: partition_cancel(), 8: range_cancel()}
 
 
 ARITY = {1: 3, 2: 2, 3: 1, 4: 2, 5: 3, 6: 1, 7: 1, 8: 3, 9: 2, 10: 2}
@@ -321,6 +325,22 @@ class TestAxiomOracle:
                 mutations.append(mutate_vector(full3, kind, r, v))
         for m in mutations:
             self.assert_matches(m)
+
+    def test_first_nonassociative_matches_the_triple_loop(self, corpus_algebras, full3):
+        # one entry of each compose table changed, so the least failing
+        # triple lies anywhere from the first row to the last
+        rnd = random.Random(22)
+        found = 0
+        for a in (*corpus_algebras, full3):
+            assert alg._first_nonassociative(a.compose_t) is None
+            n = a.size
+            for _ in range(10 if n > 1 else 0):
+                r, c = rnd.randrange(n), rnd.randrange(n)
+                m = mutate_compose(a, r, c, rnd.choice([v for v in range(n) if v != a.compose_t[r][c]]))
+                expected = loop_first_nonassociative(m.compose_t)
+                assert alg._first_nonassociative(m.compose_t) == expected
+                found += expected is not None
+        assert found == 50  # each change here breaks associativity
 
     def test_right_zero_needs_every_generator(self):
         a = right_zero(5)

@@ -281,6 +281,26 @@ class TestAsAbstractOracle:
         assert outcome(fast, elems) == expected and expected[0] == "range"
         assert {"compose", "antidomain", "pref_union"} <= errors
 
+    def test_closed_sets_tabled_from_several_generators(self):
+        # 100 to 200 elements on 4 points: as_abstract works out several
+        # generator rows and gathers the rest, and a set less one element
+        # mostly has its first missing result in a gathered row
+        rnd = random.Random(22)
+        fs = enumerate_all(Base(tuple(range(4))))
+        fast = lambda elems: as_abstract(elems)[0]
+        sizes = []
+        while len(sizes) < 2:
+            closed = close_under_ops(rnd.sample(fs, 2))
+            if not 100 <= len(closed) <= 200:
+                continue
+            sizes.append(len(closed))
+            assert outcome(fast, closed) == outcome(reference_as_abstract, closed)
+            for drop in rnd.sample(closed, 8):
+                elems = [f for f in closed if f != drop]
+                expected = outcome(reference_as_abstract, elems)
+                assert outcome(fast, elems) == expected and expected[0] == "compose"
+        assert sizes == [128, 180]
+
 
 # --- the ten laws, evaluated directly on graphs -----------------------------
 

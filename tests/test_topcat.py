@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import itertools
@@ -401,6 +402,42 @@ class TestTableAgainstLoops:
             assert report == loop_check_multifunctor(fun)
             stages.add(report.witness and report.witness[0])
         assert stages == {None, "composition"}
+
+    def test_plain_functors_by_rows(self, corpus_algebras, one_arrow_category, nonepi_category):
+        # each arrow related to exactly one: the endomorphisms g_i -> g_(u*i)
+        # of Z_12, each also with one arrow sent elsewhere; the collapse of
+        # every arrow onto one identity, whose rows differ from the target's
+        # only where the source does not compose; and random maps that
+        # relate identities to identities
+        rng = random.Random(2027)
+        z12 = zero_extended_cyclic(12)
+        funs = []
+        for u in range(12):
+            image = [u * i % 12 for i in range(12)]
+            funs.append(MultiFunctor(z12, z12, (0,), tuple(1 << g for g in image)))
+            image[rng.randrange(12)] = rng.randrange(12)
+            funs.append(MultiFunctor(z12, z12, (0,), tuple(1 << g for g in image)))
+        cats = [pf_object(a).category for a in corpus_algebras] + [one_arrow_category, nonepi_category, z12]
+        cats = [c for c in cats if c.n_objects]
+        funs += [MultiFunctor(c, one_arrow_category, (0,) * c.n_objects, (1,) * c.n_arrows) for c in cats]
+        while len(funs) < 400:
+            source, target = rng.choice(cats), rng.choice(cats)
+            obj_map = tuple(rng.randrange(target.n_objects) for _ in range(source.n_objects))
+            rel = []
+            for f in range(source.n_arrows):
+                ends = (obj_map[source.src[f]], obj_map[source.tgt[f]])
+                fits = [g for g in range(target.n_arrows) if (target.src[g], target.tgt[g]) == ends]
+                rel.append(1 << rng.choice(fits) if fits else 0)
+            for x, e in enumerate(source.id_of):
+                rel[e] = 1 << target.id_of[obj_map[x]]
+            if all(rel):
+                funs.append(MultiFunctor(source, target, obj_map, tuple(rel)))
+        stages = collections.Counter()
+        for fun in funs:
+            report = tc.check_multifunctor(fun)
+            assert report == loop_check_multifunctor(fun)
+            stages[report.witness and report.witness[0]] += 1
+        assert stages[None] >= 100 and stages["composition"] >= 50
 
     def test_composition_continuity_on_a_non_discrete_group(self):
         # one OR per (f2, g) of the composites of f2 with the arrows near
