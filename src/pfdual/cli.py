@@ -7,15 +7,21 @@ text or JSON; both are byte-stable across runs on identical input.
 Exit codes: 0 when every check passes, 1 when some check fails, 2 on parse
 or precondition errors, 3 on an internal error (an invariant that holds for
 every valid input broke).
+
+A plain command line (a verb, one run of positionals, each option written
+`--name value`) is read straight from the verb tables VERBS and
+TRANSDUCER_VERBS.  Any other goes to the argparse parser built from the same
+tables, which prints help and usage errors; a plain run never imports
+argparse.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from . import algebra as alg
 from . import dualize as dz
@@ -25,6 +31,9 @@ from . import sections as sec
 from . import topcat as tc
 from . import transducer as td
 from .errors import InconsistencyError, NotClosedError, NotFunctionalError
+
+if TYPE_CHECKING:
+    import argparse
 
 # `transducer dom|range` lists the accepted words up to this length.
 SAMPLE_LEN = 4
@@ -70,7 +79,7 @@ def _functor_ok(entries: dict[str, bool]) -> bool:
 
 def _write_out(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -112,7 +121,7 @@ def cmd_dualize(args) -> int:
     if args.out:
         _write_out(fmt.write_category(cat), args.out)
     if args.dot:
-        Path(args.dot).write_text(fmt.category_to_dot(cat))
+        Path(args.dot).write_text(fmt.category_to_dot(cat), encoding="utf-8")
     _emit({
         "algebra": args.file,
         "objects": cat.n_objects,
@@ -249,6 +258,9 @@ def _out(help_text: str) -> tuple[str, dict]:
     return ("--out", {"help": help_text})
 
 
+# Every verb takes --format after its own arguments.
+FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+
 # verb -> (help, handler, arguments before --format); an argument is a bare
 # positional name or a (name, add_argument keywords) pair.  A handler of
 # None marks a family of subverbs.
@@ -277,41 +289,101 @@ TRANSDUCER_VERBS: dict[str, tuple] = {
 }
 
 
-def _add_verbs(parser: argparse.ArgumentParser, dest: str, verbs: dict, argv: Sequence[str]) -> None:
-    """Add the subparser that argv[0] names, or every one in verbs when it
-    names none.  A lone subparser keeps every verb in the usage line, so
-    usage errors read as they do with all of them."""
-    named = argv[0] if argv and argv[0] in verbs else None
-    every = "{" + ",".join(verbs) + "}"
-    sub = parser.add_subparsers(dest=dest, required=True, metavar=every if named else None)
-    for name in (named,) if named else verbs:
-        help_text, fn, arguments = verbs[name]
+def _arguments(arguments: tuple) -> list[tuple[str, dict]]:
+    """Each argument of a verb as a (name, add_argument keywords) pair,
+    --format last."""
+    return [(arg, {}) if isinstance(arg, str) else arg for arg in (*arguments, FORMAT)]
+
+
+def _parse(argv: Sequence[str]) -> Optional[dict]:
+    """The attributes argparse sets for a plain command line, read from the
+    verb tables; None for anything else (help, a usage error, or another
+    form argparse accepts, such as --format=json, --form json, --max-len -1,
+    -- or positionals split around an option), which main leaves to argparse.
+
+    A plain command line is a verb (and a transducer subverb), then one
+    contiguous run of positionals of the verb's arity, with each option of
+    the verb written `--name value`, the value not starting with '-'.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    parsed: dict[str, Any] = {"command": argv[0]}
+    _, fn, arguments = VERBS[argv[0]]
+    rest = list(argv[1:])
+    if fn is None:
+        if not rest or rest[0] not in TRANSDUCER_VERBS:
+            return None
+        parsed["sub"] = rest[0]
+        _, fn, arguments = TRANSDUCER_VERBS[rest.pop(0)]
+    positionals, options = [], {}
+    for name, kw in _arguments(arguments):
+        if name.startswith("--"):
+            dest = name[2:].replace("-", "_")
+            options[name] = dest, kw
+            parsed[dest] = kw.get("default")
+        else:
+            positionals.append((name, kw.get("nargs")))
+    values: list[str] = []
+    ended = False  # an option has followed the run of positionals
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            if ended:
+                return None
+            values.append(token)
+            continue
+        if token not in options:
+            return None
+        ended = bool(values)
+        dest, kw = options[token]
+        value = next(tokens, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        parsed[dest] = value
+    n = len(positionals)
+    if len(values) < n or len(values) > n and positionals[-1][1] != "+":
+        return None
+    for k, (name, nargs) in enumerate(positionals):
+        parsed[name] = values[k:] if nargs == "+" else values[k]
+    parsed["fn"] = fn
+    return parsed
+
+
+def _add_verbs(parser: argparse.ArgumentParser, dest: str, verbs: dict) -> None:
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, fn, arguments) in verbs.items():
         p = sub.add_parser(name, help=help_text)
         if fn is None:
-            _add_verbs(p, "sub", TRANSDUCER_VERBS, argv[1:])
+            _add_verbs(p, "sub", TRANSDUCER_VERBS)
             continue
-        for arg in arguments:
-            arg_name, options = (arg, {}) if isinstance(arg, str) else arg
+        for arg_name, options in _arguments(arguments):
             p.add_argument(arg_name, **options)
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(fn=fn)
 
 
-def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for argv, with only the subparsers it names; with every
-    one when argv names no verb, as for `pfdual -h`."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The full parser, which prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="pfdual",
         description="Check, dualize and compare finite partial-function algebras, "
                     "their dual categories, and word transducers.",
     )
-    _add_verbs(parser, "command", VERBS, argv)
+    _add_verbs(parser, "command", VERBS)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _build_parser(argv).parse_args(argv)
+    parsed = _parse(argv)
+    args = _build_parser().parse_args(argv) if parsed is None else SimpleNamespace(**parsed)
     try:
         return args.fn(args)
     except InconsistencyError as e:

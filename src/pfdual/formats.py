@@ -30,8 +30,12 @@ class FormatError(ValueError):
 
 
 def load_json(path: str | Path) -> Any:
-    """The JSON object a file holds; bad JSON or another top-level type is a FormatError."""
-    text = Path(path).read_text()
+    """The JSON object a UTF-8 file holds; undecodable bytes, bad JSON or
+    another top-level type is a FormatError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(path, f"not UTF-8: byte 0x{e.object[e.start]:02x} at offset {e.start}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

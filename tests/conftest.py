@@ -5,10 +5,17 @@ between them, and a few hand-built categories."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from pfdual.algebra import FinAlgebra, Homomorphism
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 from pfdual.topcat import TopCategory, make_category
+
+# Every run draws the same examples: derandomized, with no example database
+# carrying failures from one run into the next.  A test's own max_examples
+# still applies.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 BASE3 = Base((1, 2, 3))
 

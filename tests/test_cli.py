@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
+import random
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -13,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from pfdual import formats as fmt
-from pfdual.cli import _build_parser, main
+from pfdual.cli import TRANSDUCER_VERBS, VERBS, _build_parser, _parse, main
 from pfdual.pfun import Base, enumerate_all
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -196,6 +199,43 @@ class TestMalformedInput:
                                     "final": {"q": ""}, "trans": [5]}))
         assert main(["transducer", "eval", str(path), "a"]) == 2
         assert capsys.readouterr().err == f"error: {path}: transition missing key 'from': 5\n"
+
+
+# A locale whose encoding is ASCII, with Python's UTF-8 mode and locale
+# coercion both off.
+ASCII_LOCALE = {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+
+
+class TestUtf8Files:
+    """Files are read and written as UTF-8 (RFC 8259) whatever the locale's
+    encoding; a file that is not UTF-8 is bad input naming the file."""
+
+    @staticmethod
+    def pfdual(*argv) -> subprocess.CompletedProcess:
+        env = {**os.environ, "PYTHONPATH": str(DATA.parent / "src"), **ASCII_LOCALE}
+        return subprocess.run([sys.executable, "-m", "pfdual.cli", *map(str, argv)],
+                              env=env, capture_output=True, text=True)
+
+    def test_non_ascii_names_under_an_ascii_locale(self, tmp_path):
+        data = json.loads((DATA / "swap_const.alg.json").read_text())
+        funcs = data["functions"]
+        funcs["café"], funcs["swäp"] = funcs.pop("c"), funcs.pop("s")
+        path = tmp_path / "names.alg.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        checked = self.pfdual("check-axioms", path, "--format", "json")
+        assert (checked.returncode, checked.stderr) == (0, "")
+        dot, cat = tmp_path / "dual.dot", tmp_path / "dual.json"
+        dualized = self.pfdual("dualize", path, "--dot", dot, "--out", cat, "--format", "json")
+        assert (dualized.returncode, dualized.stderr) == (0, "")
+        assert '[label="p_swäp"]' in dot.read_text(encoding="utf-8")
+        assert self.pfdual("sections", cat, "--format", "json").returncode == 0
+
+    def test_undecodable_file_is_bad_input(self, capsys, tmp_path):
+        path = tmp_path / "latin1.alg.json"
+        path.write_bytes('{"base": ["é"]}'.encode("latin-1"))
+        assert main(["check-axioms", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: not UTF-8: byte 0xe9 at offset 11\n"
 
 
 class TestElementLimit:
@@ -792,14 +832,38 @@ def parse_outcome(capsys, parser: argparse.ArgumentParser, argv: list[str]):
     return code, captured.out, captured.err, args
 
 
-FULL_PARSER = _build_parser(())
+FULL_PARSER = _build_parser()
 VERB_NAMES = list(subcommands(FULL_PARSER))
 TRANSDUCER_NAMES = list(subcommands(subcommands(FULL_PARSER)["transducer"]))
 
+# Tokens a generated command line draws on: the table's words, and forms
+# argparse reads otherwise (abbreviations, --name=value, negative numbers,
+# --, -h) or refuses.
+ARGV_TOKENS = (
+    *VERBS, *TRANSDUCER_VERBS, "--format", "--out", "--dot", "--max-len",
+    "--form", "--format=json", "--max-len=3", "-h", "--help", "--", "-", "-x", "",
+    "text", "json", "xml", "5", "-1", "08", " 7", "+3", "1_0", "x", "a.json", "b c",
+)
+PLAIN_TOKENS = ("a.json", "b", "c", "--format", "json", "--out", "--max-len", "5")
+
+
+def random_argv(rng: random.Random) -> list[str]:
+    """A verb (and subverb) most of the time, then up to five tokens, half
+    of them from the forms a plain command line uses."""
+    argv = []
+    if rng.random() < 0.9:
+        argv.append(rng.choice(list(VERBS)))
+        if argv[0] == "transducer" and rng.random() < 0.9:
+            argv.append(rng.choice(list(TRANSDUCER_VERBS)))
+    for _ in range(rng.randrange(6)):
+        argv.append(rng.choice(PLAIN_TOKENS if rng.random() < 0.5 else ARGV_TOKENS))
+    return argv
+
 
 class TestParserPerVerb:
-    """A run builds only the subparser its verb names; help, usage errors
-    and parsed arguments are those of the parser with every verb."""
+    """A plain command line is read from the verb tables into the
+    attributes the full parser sets; help and usage errors are the full
+    parser's, through main."""
 
     @pytest.mark.parametrize("argv", [
         ["-h"],
@@ -814,17 +878,64 @@ class TestParserPerVerb:
         ["check-axioms", "a.json", "extra"],
         ["dualize", "a.json", "--out", "d.json", "--format", "json"],
         ["transducer", "axioms", "m.td.json", "n.td.json", "--max-len", "5"],
+        ["transducer", "axioms", "--max-len", "5", "m.td.json", "--max-len", "6"],
+        ["transducer", "axioms", "a", "b", "--format", "json", "c"],
+        ["transducer", "axioms", "a", "--max-len", "five"],
+        ["dualize", "a.json", "--out"],
     ], ids=" ".join)
     def test_matches_the_full_parser(self, capsys, argv):
-        expected = parse_outcome(capsys, FULL_PARSER, argv)
-        assert parse_outcome(capsys, _build_parser(argv), argv) == expected
+        code, out, err, args = parse_outcome(capsys, FULL_PARSER, argv)
+        if code is None:
+            assert _parse(argv) == args
+            return
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        captured = capsys.readouterr()
+        assert (exit_.value.code, captured.out, captured.err) == (code, out, err)
 
-    def test_builds_only_the_named_verb(self):
-        assert list(subcommands(_build_parser(["bidual", "a.json"]))) == ["bidual"]
-        (transducer,) = subcommands(_build_parser(["transducer", "dom", "m.td.json"])).values()
-        assert list(subcommands(transducer)) == ["dom"]
-        assert list(subcommands(_build_parser(["nope"]))) == VERB_NAMES
-        assert list(subcommands(_build_parser([]))) == VERB_NAMES
+    @pytest.mark.parametrize("seed", range(3))
+    def test_table_reading_agrees_with_the_full_parser(self, capsys, seed):
+        """On generated command lines the table either declines or reads
+        what the full parser reads, and declines whatever it refuses."""
+        rng = random.Random(seed)
+        accepted = 0
+        for _ in range(1500):
+            argv = random_argv(rng)
+            parsed = _parse(argv)
+            if parsed is None:
+                continue
+            accepted += 1
+            code, _, _, args = parse_outcome(capsys, FULL_PARSER, argv)
+            assert (code, parsed) == (None, args), argv
+        assert accepted >= 100
+
+    @pytest.mark.parametrize("argv, plain", [
+        (["check-axioms", "--form", "json", "S"], ["check-axioms", "S", "--format", "json"]),
+        (["check-axioms", "--format=json", "S"], ["check-axioms", "S", "--format", "json"]),
+        (["check-axioms", "--", "S"], ["check-axioms", "S"]),
+        (["transducer", "eval", "T", "--format", "json", "ab"], ["transducer", "eval", "T", "ab", "--format", "json"]),
+        (["transducer", "axioms", "T", "--max-len=2"], ["transducer", "axioms", "T", "--max-len", "2"]),
+    ], ids=lambda argv: " ".join(argv))
+    def test_other_accepted_forms_go_to_argparse(self, capsys, argv, plain):
+        files = {"S": str(DATA / "swap_const.alg.json"), "T": str(DATA / "as_to_bs.td.json")}
+        argv, plain = ([files.get(a, a) for a in args] for args in (argv, plain))
+        assert _parse(argv) is None and _parse(plain) is not None
+        outcomes = []
+        for args in (argv, plain):
+            code = main(args)
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_plain_command_imports_no_argparse(self):
+        script = ("import contextlib, io, sys\n"
+                  "from pfdual.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['check-axioms', 'data/swap_const.alg.json'])\n"
+                  "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": "src"}
+        result = subprocess.run([sys.executable, "-c", script], cwd=DATA.parent, env=env,
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "0 []\n"
 
     def test_main_reads_sys_argv(self, capsys, monkeypatch):
         expected = parse_outcome(capsys, FULL_PARSER, ["bidual", "-h"])
