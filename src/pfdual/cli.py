@@ -41,10 +41,21 @@ SAMPLE_LEN = 4
 
 def _emit(report: dict, fmt_kind: str) -> None:
     if fmt_kind == "json":
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
-        return
-    for line in _text_lines(report, ""):
-        sys.stdout.write(line + "\n")
+        _print(json.dumps(report, indent=2) + "\n")
+    else:
+        _print("".join(line + "\n" for line in _text_lines(report, "")))
+
+
+def _print(text: str) -> None:
+    """Write text to standard output in one piece, as UTF-8 whatever the
+    locale; a stream with no byte buffer, such as a StringIO, takes the
+    text as it is."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
 
 
 def _text_lines(value: Any, prefix: str):
@@ -81,7 +92,7 @@ def _write_out(text: str, out: Optional[str]) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text)
+        _print(text)
 
 
 def _axiom_entries(report: alg.AxiomReport, names: tuple[str, ...]) -> list[dict]:

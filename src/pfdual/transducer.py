@@ -20,7 +20,7 @@ from .algebra import AXIOMS
 from .errors import NotFunctionalError
 
 BOUND_CAP = 12
-MAX_WORDS = 2 ** 20  # the bounded oracles keep one output per word in memory
+MAX_WORDS = 2 ** 20  # the bounded oracles may keep one configuration per word in memory
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -394,15 +394,18 @@ def pref_union(t1: Transducer, t2: Transducer) -> Transducer:
 def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int):
     """Pointwise agreement on every word of length at most max_len.
 
-    Returns (verdict, witness_word_or_None).
+    Returns (verdict, witness_word_or_None): the witness is the first word
+    in words_upto order where the two differ.  The first word where either
+    machine has two outputs, if it comes at or before that one, raises its
+    NotFunctionalError, t1's before t2's, as evaluating word by word would.
     """
     _check_bound((t1, t2), max_len)
-    return _agree(t1.alphabet, _outputs(t1, max_len), _outputs(t2, max_len))
+    return _first_difference(t1, t2, max_len)
 
 
 def _check_bound(ts: Sequence[Transducer], max_len: int) -> None:
     """Refuse a sweep of the machines ts up to max_len that is not defined,
-    or whose output tables would not fit in memory."""
+    or that could hold too many configurations in memory."""
     if max_len < 0:
         raise ValueError(f"bound {max_len} is negative")
     if max_len > BOUND_CAP:
@@ -418,132 +421,78 @@ def _check_bound(ts: Sequence[Transducer], max_len: int) -> None:
                          f"letters exceed MAX_WORDS = {MAX_WORDS}")
 
 
-def _markers(alphabet: Sequence[str]) -> tuple[str, str]:
-    """Two characters no output can contain: a separator and the undefined mark."""
-    free = (c for c in map(chr, itertools.count()) if c not in alphabet)
-    return next(free), next(free)
-
-
-def _outputs(t: Transducer, max_len: int) -> tuple:
-    """The output table (text, error) of t up to max_len.
-
-    text holds eval(t, w) for every word w, in words_upto order, joined by a
-    separator outside the alphabet; an undefined word, and a word with two
-    outputs, reads as a mark outside the alphabet.  error is (index, two
-    outputs) for the first word with two outputs, or None.
-
-    One depth-first walk of the prefix trie: each prefix's configurations
-    are computed once and extended by one letter per child, keeping only
-    live runs, in states that can reach a final state; a prefix with no
-    live run leaves its subtree undefined.  A prefix with one configuration
-    is a flat (depth, rank, state, output) entry; a set of (state, output)
-    pairs takes the state slot, output None, only while two or more live.
-    Words of length max_len are never entries: their parent writes them,
-    from what one last letter adds to each of its outputs, a move into a
-    final state followed by that state's final output.
-    """
-    al, final_out = t.alphabet, t.final_out
-    k = len(al)
-    sep, undef = _markers(al)
-    start = [sum(k ** m for m in range(n)) for n in range(max_len + 2)]
-    outs = [undef] * start[-1]
-    error = None
+def _live_moves(t: Transducer) -> dict[str, tuple]:
+    """live state -> per letter, t's moves into live states: those from
+    which a final state can be reached."""
     sources: dict[str, set] = {}  # state -> the states with a move into it
     for (q, _), step in t.trans.items():
         for _, q2 in step:
             sources.setdefault(q2, set()).add(q)
-    live, todo = set(final_out), list(final_out)
-    while todo:  # live: the states that can reach a final state
+    live, todo = set(t.final_out), list(t.final_out)
+    while todo:
         new = sources.get(todo.pop(), set()) - live
         live |= new
         todo += new
-    moves = {q: tuple(tuple(m for m in t.moves(q, a) if m[1] in live) for a in al) for q in t.states}
-    # state -> per letter, the distinct words a last letter adds, sorted
-    ends = {q: tuple(tuple(sorted({e + final_out[q2] for e, q2 in step if q2 in final_out}))
-                     for step in steps)
-            for q, steps in moves.items()}
-    last, leaves = max_len - 1, start[max_len]
-
-    def settle(i: int, results: set) -> None:
-        """Write word i's one output, or note it if it is the first word
-        yet seen with two."""
-        nonlocal error
-        if len(results) == 1:
-            outs[i] = results.pop()
-        elif results and (error is None or i < error[0]):
-            two = sorted(results)[:2]
-            error = (i, (two[0], two[1]))
-
-    stack = [(0, 0, t.initial, "")]
-    push = stack.append
-    while stack:
-        n, rank, q, out = stack.pop()
-        i = start[n] + rank
-        if out is not None:
-            if q in final_out:
-                outs[i] = out + final_out[q]
-            if n < last:
-                for j, step in enumerate(moves[q], rank * k):
-                    if len(step) == 1:
-                        (emitted, q2), = step
-                        push((n + 1, j, q2, out + emitted))
-                    elif step:
-                        push((n + 1, j, {(q2, out + emitted) for emitted, q2 in step}, None))
-            elif n == last:
-                for j, tails in enumerate(ends[q], leaves + rank * k):
-                    if len(tails) == 1:
-                        outs[j] = out + tails[0]
-                    elif tails and (error is None or j < error[0]):
-                        error = (j, (out + tails[0], out + tails[1]))
-            continue
-        settle(i, {o + final_out[s] for s, o in q if s in final_out})
-        if n < last:
-            for j in range(k):
-                step = {(q2, o + emitted) for s, o in q for emitted, q2 in moves[s][j]}
-                if len(step) == 1:
-                    push((n + 1, rank * k + j, *step.pop()))
-                elif step:
-                    push((n + 1, rank * k + j, step, None))
-        elif n == last:
-            for j in range(k):
-                settle(leaves + rank * k + j, {o + tail for s, o in q for tail in ends[s][j]})
-    return sep.join(outs), error
+    return {q: tuple(tuple(m for m in t.moves(q, a) if m[1] in live) for a in t.alphabet) for q in live}
 
 
-def _word_at(alphabet: Sequence[str], index: int) -> str:
-    """The word at this position of words_upto(alphabet, ...): the index
-    less the count of shorter words, written as base-k digits."""
-    k = len(alphabet)
-    if k == 1:
-        return alphabet[0] * index
-    n, size = 0, 1
-    while index >= size:
-        index -= size
-        n += 1
-        size *= k
-    letters = []
-    for _ in range(n):
-        index, digit = divmod(index, k)
-        letters.append(alphabet[digit])
-    return "".join(reversed(letters))
+def _first_difference(x: Transducer, y: Transducer, max_len: int,
+                      live=_live_moves) -> tuple[bool, Optional[str]]:
+    """equiv_bounded's verdict, from one walk of both machines in lockstep.
+
+    The walk goes level by level in words_upto order.  A word's
+    configuration is the live runs of x and of y on it, sets of (state,
+    output) pairs, with the output prefix common to all of them removed;
+    what x and y do on every extension of the word depends on it alone.  So
+    a configuration met again is not expanded again: the word that met it
+    first is earlier, and so is each of its extensions.  At each word, two
+    outputs of x raise eval(x, word)'s NotFunctionalError, then two of y
+    raise y's, and then differing outputs make it the witness.  live(t)
+    gives t's `_live_moves`.
+    """
+    al, fx, fy = x.alphabet, x.final_out, y.final_out
+    mx, my = live(x), live(y)
+    start = (frozenset({(x.initial, "")} if x.initial in mx else ()),
+             frozenset({(y.initial, "")} if y.initial in my else ()))
+    seen = {start}
+    level = [("", start)]
+    for n in range(max_len + 1):
+        following = []
+        for word, (rx, ry) in level:
+            ox = {o + fx[q] for q, o in rx if q in fx}
+            if len(ox) > 1:
+                eval(x, word)  # raises
+            oy = {o + fy[q] for q, o in ry if q in fy}
+            if len(oy) > 1:
+                eval(y, word)  # raises
+            if ox != oy:
+                return False, word
+            if n == max_len:
+                continue
+            for j, a in enumerate(al):
+                nx = {(q2, o + e) for q, o in rx for e, q2 in mx[q][j]}
+                ny = {(q2, o + e) for q, o in ry for e, q2 in my[q][j]}
+                config = _strip(nx, ny)
+                if config not in seen:
+                    seen.add(config)
+                    following.append((word + a, config))
+        level = following
+    return True, None
 
 
-def _agree(alphabet: Sequence[str], x: tuple, y: tuple) -> tuple[bool, Optional[str]]:
-    """equiv_bounded's verdict from the two machines' tables.  The first word
-    with two outputs at or before the first disagreement raises its
-    NotFunctionalError, x's before y's, as evaluating word by word would."""
-    (x_text, x_error), (y_text, y_error) = x, y
-    first = None
-    if x_text != y_text:
-        sep, _ = _markers(alphabet)
-        first = next(i for i, (u, v) in enumerate(zip(x_text.split(sep), y_text.split(sep)))
-                     if u != v)
-    errors = [e for e in (x_error, y_error) if e is not None]
-    if errors:
-        at, outputs = min(errors, key=lambda e: e[0])
-        if first is None or at <= first:
-            raise NotFunctionalError(_word_at(alphabet, at), outputs)
-    return (True, None) if first is None else (False, _word_at(alphabet, first))
+def _strip(rx: set, ry: set) -> tuple[frozenset, frozenset]:
+    """The configuration of these runs: their outputs less the prefix
+    common to all of them."""
+    outs = [o for _, o in rx] + [o for _, o in ry]
+    if outs:
+        lo, hi = min(outs), max(outs)  # their common prefix is everyone's
+        n = 0
+        while n < len(lo) and lo[n] == hi[n]:
+            n += 1
+        if n:
+            rx = {(q, o[n:]) for q, o in rx}
+            ry = {(q, o[n:]) for q, o in ry}
+    return frozenset(rx), frozenset(ry)
 
 
 @dataclass(frozen=True)
@@ -575,32 +524,31 @@ class BoundedAxiomReport:
 def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport:
     """Instantiate the ten representability (quasi)equations of
     `algebra.AXIOMS` over all tuples from the given machines and compare
-    each premise, then the conclusion, word by word.
+    each premise, then the conclusion, on every word up to max_len, as
+    equiv_bounded does.
 
     Two sides of the same structure (initial state, transitions and final
     outputs) are one machine, equal to itself on every word: with at most one
-    move per state and letter it is decided equal without a table, since
-    such a machine has one run per word and so one output; otherwise its one
-    table is built to raise the first word with two outputs.  The sides of
-    comp(a, comp(b, c)) = comp(comp(a, b), c) over deterministic machines
-    come out this way.
+    move per state and letter it is decided equal without a walk, since
+    such a machine has one run per word and so one output; otherwise it is
+    walked against itself to raise the first word with two outputs.  The
+    sides of comp(a, comp(b, c)) = comp(comp(a, b), c) over deterministic
+    machines come out this way.
 
     Within one axiom, A, D and R of a shared machine, and a composite or
     override of inputs, the identity and A/D/R results, are built once and
-    shared; each shared machine's output table is computed once, keyed by its
-    structure, which a term built equal to it also reuses.  Both are dropped
-    when the axiom is done.  Other terms, such as comp(a, comp(b, c)), are
-    used once and not kept.
+    shared, and so are the live moves of each shared machine.  Both are
+    dropped when the axiom is done.  Other terms, such as
+    comp(a, comp(b, c)), are used once and not kept.
     """
     _check_bound(ts, max_len)
-    al = ts[0].alphabet
-    ident = identity_transducer(al)
+    ident = identity_transducer(ts[0].alphabet)
     inputs = {id(t): "input" for t in (*ts, ident)}
     # id -> label of every shared machine.  Each one is held by ts, ident or
     # built until the axiom is done, so no id is reused while it is a key.
     shared = dict(inputs)
     built: dict[tuple, Transducer] = {}
-    tables: dict[tuple, tuple] = {}  # structure -> table, of shared machines only
+    lives: dict[int, dict] = {}  # id -> live moves, of shared machines only
 
     def share(label: str, build, operand_labels: tuple[str, ...]):
         def op(*args: Transducer) -> Transducer:
@@ -626,24 +574,21 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
     def structure(t: Transducer) -> tuple:
         return (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
 
-    def table(t: Transducer, key: tuple) -> tuple:
-        if key in tables:
-            return tables[key]
-        tab = _outputs(t, max_len)
-        if id(t) in shared:
-            tables[key] = tab
-        return tab
+    def live(t: Transducer) -> dict:
+        if id(t) not in shared:
+            return _live_moves(t)
+        if id(t) not in lives:
+            lives[id(t)] = _live_moves(t)
+        return lives[id(t)]
 
     def eq(x: Transducer, y: Transducer):
-        kx, ky = structure(x), structure(y)
-        if kx != ky:
-            return _agree(al, table(x, kx), table(y, ky))
+        if structure(x) != structure(y):
+            return _first_difference(x, y, max_len, live)
         # one machine: it agrees with itself, and raises only if two runs
         # disagree, which needs two moves for some state and letter
         if all(len(outs) <= 1 for outs in x.trans.values()):
             return True, None
-        tx = table(x, kx)
-        return _agree(al, tx, tx)
+        return _first_difference(x, x, max_len, live)
 
     results = []
     for ax in AXIOMS.values():
@@ -657,7 +602,7 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
         else:
             results.append(BoundedAxiomCheck(ax.index, ax.name, ax.equational, True))
         built.clear()
-        tables.clear()
+        lives.clear()
         shared.clear()
         shared.update(inputs)
 

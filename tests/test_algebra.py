@@ -6,6 +6,7 @@ from __future__ import annotations
 import ast
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -325,6 +326,25 @@ class TestAxiomOracle:
                 mutations.append(mutate_vector(full3, kind, r, v))
         for m in mutations:
             self.assert_matches(m)
+
+    def test_axiom_8_matches_the_cubic_loop(self, full3):
+        """Axiom 8 names the cubic loop's witness on seeded compose and range
+        mutations: where axioms 1 and 7 hold, by the injectivity test and a
+        scan of the a that fails it, and otherwise by the scan alone."""
+        rnd = random.Random(12)
+        n = full3.size
+        seen = Counter()
+        for _ in range(60):
+            r, c = rnd.randrange(n), rnd.randrange(n)
+            if rnd.random() < 0.5:
+                m = mutate_compose(full3, r, c, rnd.choice([v for v in range(n) if v != full3.compose_t[r][c]]))
+            else:
+                m = mutate_vector(full3, "range", r, rnd.choice([v for v in range(n) if v != full3.range_t[r]]))
+            report = alg.check_axioms.__wrapped__(m)
+            assert report.result(8).witness == cubic_witnesses(m)[8]
+            seen[report.result(1).passed, report.result(7).passed, report.result(8).passed] += 1
+        # axiom 8 fails beside axioms 1 and 7, beside a failing 1 and beside a failing 7
+        assert seen[True, True, False] and seen[False, True, False] and seen[True, False, False]
 
     def test_first_nonassociative_matches_the_triple_loop(self, corpus_algebras, full3):
         # one entry of each compose table changed, so the least failing

@@ -230,6 +230,22 @@ class TestUtf8Files:
         assert '[label="p_swäp"]' in dot.read_text(encoding="utf-8")
         assert self.pfdual("sections", cat, "--format", "json").returncode == 0
 
+    def test_text_report_under_an_ascii_locale(self, tmp_path):
+        """A text report naming swäp is written whole, as UTF-8, the same
+        bytes as under a UTF-8 locale."""
+        data = json.loads((DATA / "swap_const.alg.json").read_text())
+        data["functions"]["swäp"] = data["functions"].pop("s")
+        path = tmp_path / "names.alg.json"
+        path.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        reports = []
+        for locale in (ASCII_LOCALE, {"PYTHONUTF8": "1"}):
+            env = {**os.environ, "PYTHONPATH": str(DATA.parent / "src"), **locale}
+            result = subprocess.run([sys.executable, "-m", "pfdual.cli", "dualize", str(path)],
+                                    env=env, capture_output=True)
+            assert (result.returncode, result.stderr) == (0, b"")
+            reports.append(result.stdout)
+        assert reports[0] == reports[1] and "swäp".encode() in reports[0]
+
     def test_undecodable_file_is_bad_input(self, capsys, tmp_path):
         path = tmp_path / "latin1.alg.json"
         path.write_bytes('{"base": ["é"]}'.encode("latin-1"))
@@ -777,6 +793,22 @@ class TestTransducerCommands:
         code = main(["transducer", "axioms", str(path), "--max-len", "4"])
         assert code == 2
         assert capsys.readouterr().err == "error: not functional: input 'a' has outputs 'a' and 'b'\n"
+
+    @pytest.mark.parametrize("bound", [5, 8, 12])
+    def test_axioms_on_branching_non_functional_machine(self, capsys, tmp_path, bound):
+        # q -a-> (aa|bb) q, q -b-> '' q, final output b: a composite of it
+        # has exponentially many outputs per word, but 'a' already has two
+        path = tmp_path / "branching.td.json"
+        path.write_text(json.dumps({
+            "alphabet": ["a", "b"], "states": ["q"], "initial": "q", "final": {"q": "b"},
+            "trans": [{"from": "q", "in": a, "out": out, "to": "q"}
+                      for a, out in (("a", "aa"), ("a", "bb"), ("b", ""))],
+        }))
+        start = time.perf_counter()
+        code = main(["transducer", "axioms", str(path), "--max-len", str(bound)])
+        assert code == 2 and time.perf_counter() - start < 0.1
+        assert capsys.readouterr().err == \
+            "error: not functional: input 'a' has outputs 'aaaaaaaab' and 'aaaaaabbb'\n"
 
     @pytest.mark.parametrize("verb", ["compose", "axioms"])
     def test_non_functional_composite_names_a_word(self, capsys, tmp_path, verb):

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import collections
 import itertools
+import os
 import random
 import re
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -278,7 +278,7 @@ def test_negative_bound_refused():
 
 
 # ---------------------------------------------------------------------------
-# Differential oracle: the word-by-word sweep the trie tables replaced
+# Differential oracle: the word-by-word sweep
 # ---------------------------------------------------------------------------
 
 
@@ -393,21 +393,8 @@ def test_trie_tables_match_word_by_word_reference():
 
 
 # ---------------------------------------------------------------------------
-# The trie kernel against the word-by-word table
+# The lockstep walk against the word-by-word sweep
 # ---------------------------------------------------------------------------
-
-
-def reference_table(t, max_len):
-    """_outputs' (text, error) built from eval, one word at a time."""
-    sep, undef = td._markers(t.alphabet)
-    outs, error = [], None
-    for i, w in enumerate(td.words_upto(t.alphabet, max_len)):
-        try:
-            v = td.eval(t, w)
-        except NotFunctionalError as e:
-            v, error = None, error or (i, e.outputs)
-        outs.append(undef if v is None else v)
-    return sep.join(outs), error
 
 
 def configurations(t, word):
@@ -417,31 +404,6 @@ def configurations(t, word):
     for a in word:
         configs = {(q2, out + emitted) for q, out in configs for emitted, q2 in t.moves(q, a)}
     return configs
-
-
-def trie_entries(t, max_len):
-    """(depth, rank) -> whether _outputs took that trie node as a set of
-    configurations, for every entry its walk pushed: each line the walk runs
-    is traced, and every (depth, rank, state or set, output or None) tuple
-    then on its stack is read off."""
-    code = td._outputs.__code__
-    entries = {}
-
-    def trace(frame, event, arg):
-        if frame.f_code is not code:
-            return None
-        if event == "line":
-            for n, rank, _, out in frame.f_locals.get("stack", ()):
-                entries[(n, rank)] = out is None
-        return trace
-
-    outer = sys.gettrace()
-    sys.settrace(trace)
-    try:
-        td._outputs(t, max_len)
-    finally:
-        sys.settrace(outer)
-    return entries
 
 
 def reachable(t, start):
@@ -463,25 +425,10 @@ def live_configurations(t, word):
     return {(q, out) for q, out in configurations(t, word) if q in coaccessible}
 
 
-def expected_entries(t, max_len):
-    """trie_entries as the live-run walk should push them: the root, and
-    each node shorter than the bound with a live configuration, as a set
-    exactly when it has two or more."""
-    k = len(t.alphabet)
-    expected = {}
-    for w in td.words_upto(t.alphabet, max(max_len - 1, 0)):  # at L = 0, the root
-        size = len(live_configurations(t, w))
-        if size or w == "":
-            rank = sum(t.alphabet.index(a) * k ** e for e, a in enumerate(reversed(w)))
-            expected[(len(w), rank)] = size >= 2
-    return expected
-
-
 def forking_machine():
     """s0 forks on a into s1 and s2; s1 dies on every letter and s2 returns
     to s0, so the runs go from one configuration to two, back to one after
-    the next a, and fork again after a third.  s1 is not final, so the walk
-    keeps only the run through s2 and takes each of these forks flat."""
+    the next a, and fork again after a third."""
     return td.Transducer(
         ("s0", "s1", "s2", "s3"), AL, "s0",
         {("s0", "a"): frozenset({("a", "s1"), ("b", "s2")}),
@@ -495,8 +442,7 @@ def forking_machine():
 
 def last_letter_fork():
     """Every word of length 2 has two outputs, from one configuration with
-    two moves into the final state: at L = 2 the walk meets them from flat
-    parents, the later words first."""
+    two moves into the final state."""
     return td.Transducer(
         ("p0", "p1", "f"), AL, "p0",
         {**{("p0", x): frozenset({(x, "p1")}) for x in AL},
@@ -505,64 +451,69 @@ def last_letter_fork():
     )
 
 
-def test_outputs_kernel_matches_eval_table():
-    """On seeded random machines, with forks that die, merge and fork again,
-    dead and unreachable states, empty outputs and bounds from 0, _outputs
-    gives eval's table and first error.  Its walk pushes the root, and a node
-    shorter than the bound exactly when it has a live configuration, as a
-    set exactly when it has two or more, and no node at the bound: the
-    parent writes those."""
+def walk_families():
+    """(machine, bound) pairs: the two forking machines, and seeded random
+    ones, 70 % of them nondeterministic, with dead and unreachable states,
+    empty outputs and bounds from 0."""
     rnd = random.Random(9)
-    seen = collections.Counter()
     machines = [(forking_machine(), 6), (last_letter_fork(), 2)]
     for _ in range(120):
         alphabet = rnd.choice(("ab", "abc"))
         t = random_machine(rnd, alphabet, rnd.randint(1, 4), rnd.random() < 0.7)
         machines.append((t, rnd.randint(0, 5 if alphabet == "ab" else 4)))
-    for t, max_len in machines:
-        table = reference_table(t, max_len)
-        assert td._outputs(t, max_len) == table
-        assert trie_entries(t, max_len) == expected_entries(t, max_len)
-        seen["error at L"] += table[1] is not None and len(td._word_at(t.alphabet, table[1][0])) == max_len
-        seen["refork"] += any(
-            any(a >= 2 and b == 1 and c >= 2 for a, b, c in itertools.combinations(
-                [len(live_configurations(t, w[:n])) for n in range(len(w) + 1)], 3))
-            for w in td.words_upto(t.alphabet, max_len))
-        seen["fork with a dead branch"] += any(
-            len(configurations(t, w)) >= 2 and len(live_configurations(t, w)) == 1
-            for w in td.words_upto(t.alphabet, max(max_len - 1, 0)))
+    return machines
+
+
+def merged_by_prefix(x, y, max_len):
+    """Whether two words shorter than the bound have different runs but the
+    same configuration once the output prefix common to all their runs is
+    removed, so the walk expands only the first."""
+    met = {}
+    for w in td.words_upto(x.alphabet, max(max_len - 1, 0)):
+        runs = (frozenset(live_configurations(x, w)), frozenset(live_configurations(y, w)))
+        n = len(os.path.commonprefix([o for r in runs for _, o in r]))
+        key = tuple(frozenset((q, o[n:]) for q, o in r) for r in runs)
+        if met.setdefault(key, runs) != runs:
+            return True
+    return False
+
+
+def test_walk_matches_word_by_word_reference():
+    """On the seeded families, equiv_bounded gives the word-by-word sweep's
+    verdict, witness and NotFunctionalError for each machine against itself,
+    against a copy with other state names, against an override of it and
+    against the next machine over its alphabet, both ways round; and
+    axioms_bounded gives the sweep's report for each machine, alone and
+    with that next machine."""
+    seen = collections.Counter()
+    machines = walk_families()
+    for k, (t, max_len) in enumerate(machines):
+        other = next(u for u, _ in machines[k + 1:] + machines if u is not t and u.alphabet == t.alphabet)
+        partners = (t, td.compose(td.identity_transducer(t.alphabet), t), td.pref_union(t, other), other)
+        for y in partners:
+            for pair in ((t, y), (y, t)):
+                expected = outcome(reference_equiv, *pair, max_len)
+                assert outcome(td.equiv_bounded, *pair, max_len) == expected
+                if expected[0] == "not functional":
+                    seen["error"] += 1
+                    seen["error at L"] += len(expected[1]) == max_len
+                else:
+                    seen["equal" if expected[0] else "difference"] += 1
+            seen["merged by prefix"] += merged_by_prefix(t, y, max_len)
+        for ts in ([t], [t, other]):
+            expected = outcome(reference_axioms, ts, max_len)
+            assert outcome(lambda: [(r.index, r.passed, r.witness)
+                                    for r in td.axioms_bounded(ts, max_len).results]) == expected
+            seen["axioms raise" if expected[0] == "not functional" else "axioms report"] += 1
         reached = reachable(t, t.initial)
+        seen["nondeterministic"] += any(len(step) >= 2 for step in t.trans.values())
         seen["dead"] += any(not any(t.moves(q, a) for a in t.alphabet) for q in reached)
         seen["unreachable"] += len(reached) < len(t.states)
         seen["empty output"] += any(out == "" for outs in t.trans.values() for out, _ in outs)
-        seen["error"] += table[1] is not None
         seen["L = 0"] += max_len == 0
-    assert set(seen) == {"refork", "fork with a dead branch", "dead", "unreachable", "empty output",
-                         "error", "error at L", "L = 0"}
+    assert set(seen) == {"error", "error at L", "equal", "difference", "merged by prefix", "axioms raise",
+                         "axioms report", "nondeterministic", "dead", "unreachable", "empty output", "L = 0"}
     assert all(seen.values()), seen
-
-
-def test_override_sides_walk_one_run_per_prefix():
-    """The sides comp(D(a), pref(a, b)) and comp(A(a), pref(a, b)) of axioms
-    9 and 10 fork wherever pref_union's start state does, but one branch of
-    each fork can never accept: the walk pushes them as flat entries only.
-    On a machine with two live runs, a^3k -> a^k, the sets remain."""
-    data = Path(__file__).resolve().parent.parent / "data"
-    rnd = random.Random(17)
-    corpora = [[fmt.load_transducer(data / "id_on_as.td.json"), fmt.load_transducer(data / "as_to_bs.td.json")],
-               [random_machine(rnd, "ab", rnd.randint(1, 3), False) for _ in range(3)]]
-    forks = 0
-    for ts in corpora:
-        for a, b in itertools.product(ts, repeat=2):
-            for guard in (td.domain_transducer(a), td.antidomain(a)):
-                side = td.compose(guard, td.pref_union(a, b))
-                forks += any(len(step) >= 2 for step in side.trans.values())
-                assert not any(trie_entries(side, 6).values())
-    assert forks
-    thirds = fmt.load_transducer(Path(__file__).resolve().parent / "golden" / "thirds.td.json")
-    for t in (thirds, td.pref_union(thirds, corpora[0][1])):
-        entries = trie_entries(t, 8)
-        assert entries == expected_entries(t, 8) and any(entries.values())
 
 
 def test_derived_machines_pass_validation(monkeypatch):
@@ -608,8 +559,8 @@ def test_dfa_alphabet_is_validated():
 
 def test_tables_are_shared_only_between_equal_structures():
     """Two inputs with the same transitions but another initial state, or
-    other final outputs, are other functions: the sweep keeps a table for
-    each and reports what evaluating word by word reports."""
+    other final outputs, are other functions: the sweep compares them as two
+    machines and reports what evaluating word by word reports."""
     flip = {("p", "a"): frozenset({("a", "r")}), ("r", "a"): frozenset({("b", "p")})}
     loop = {("p", "a"): frozenset({("a", "p")})}
     pairs = [
@@ -626,21 +577,21 @@ def test_tables_are_shared_only_between_equal_structures():
             assert report.passed
 
 
-def tables_per_axiom(monkeypatch, ts, max_len):
+def walks_per_axiom(monkeypatch, ts, max_len):
     """axioms_bounded's report as (index, passed, witness) triples, and how
-    many output tables it built for each axiom."""
+    many comparisons it walked for each axiom."""
     calls, marks = [0], []
-    outputs, check = td._outputs, td.BoundedAxiomCheck
+    walk, check = td._first_difference, td.BoundedAxiomCheck
 
     def counted(*args):
         calls[0] += 1
-        return outputs(*args)
+        return walk(*args)
 
     def recorded(*args):
         marks.append(calls[0])
         return check(*args)
 
-    monkeypatch.setattr(td, "_outputs", counted)
+    monkeypatch.setattr(td, "_first_difference", counted)
     monkeypatch.setattr(td, "BoundedAxiomCheck", recorded)
     report = td.axioms_bounded(ts, max_len)
     counts = [b - a for a, b in zip([0] + marks, marks)]
@@ -649,14 +600,14 @@ def tables_per_axiom(monkeypatch, ts, max_len):
 
 def test_equal_deterministic_sides_build_no_table(monkeypatch):
     """comp(a, comp(b, c)) and comp(comp(a, b), c) of deterministic machines
-    are one machine, so axiom 1 builds no table, and the report is still
-    the word-by-word one."""
+    are one machine, so axiom 1 walks no comparison, and the report is
+    still the word-by-word one."""
     rnd = random.Random(31)
     for _ in range(12):
         alphabet = rnd.choice(("ab", "abc"))
         ts = [random_machine(rnd, alphabet, rnd.randint(1, 3), False) for _ in range(rnd.randint(1, 3))]
         max_len = rnd.randint(0, 4 if alphabet == "ab" else 3)
-        report, counts = tables_per_axiom(monkeypatch, ts, max_len)
+        report, counts = walks_per_axiom(monkeypatch, ts, max_len)
         assert report == reference_axioms(ts, max_len)
         assert counts[0] == 0 and sum(counts) > 0
 
@@ -664,7 +615,7 @@ def test_equal_deterministic_sides_build_no_table(monkeypatch):
 def test_equal_nondeterministic_sides_still_raise(monkeypatch):
     """A non-functional machine whose axiom-1 sides share one structure
     raises the NotFunctionalError evaluating word by word raises, from the
-    one table built for both sides."""
+    one walk of that machine against itself."""
     bad = td.Transducer(("q", "r"), AL, "q",
                         {("q", "a"): frozenset({("a", "q"), ("b", "r")}),
                          ("q", "b"): frozenset({("b", "q")}),
@@ -675,36 +626,33 @@ def test_equal_nondeterministic_sides_still_raise(monkeypatch):
     expected = outcome(reference_axioms, [bad], 3)
     assert expected == ("not functional", "a", ("a", "bb"))
     calls = []
-    outputs = td._outputs
-    monkeypatch.setattr(td, "_outputs", lambda *args: calls.append(args[0]) or outputs(*args))
+    walk = td._first_difference
+    monkeypatch.setattr(td, "_first_difference", lambda *args: calls.append(args[:2]) or walk(*args))
     assert outcome(lambda: td.axioms_bounded([bad], 3)) == expected
-    assert len(calls) == 1
+    assert len(calls) == 1 and calls[0][0] is calls[0][1]
 
 
-def test_word_at_matches_word_order():
-    for alphabet in ("a", "ab", "abc"):
-        for index, word in enumerate(td.words_upto(alphabet, 6)):
-            assert td._word_at(alphabet, index) == word
-
-
-def test_outputs_peak_memory():
-    """The depth-first walk holds one path of the trie beside the table: its
-    tracemalloc peak stays within 7x the table text on a 2-state ternary
-    machine at L = 8 (5.5x measured, where a walk that keeps a whole trie
-    level, as a level-order walk does, peaks near 20x)."""
+def test_walk_peak_memory():
+    """The walk keeps each configuration once, not each word: comparing a
+    doubler on three letters with a copy under other state names at L = 8,
+    its tracemalloc peak stays under half the 157,464 characters of the
+    doubler's output table, one output per word joined by a separator."""
     flip = {"p": "r", "r": "p"}
     al = ("a", "b", "c")
     doubler = td.Transducer(("p", "r"), al, "p",
                             {(q, a): frozenset({(a + a, flip[q])}) for q in flip for a in al},
                             {"p": "", "r": ""})
+    copy = td.compose(td.identity_transducer(al), doubler)
+    words = list(td.words_upto(al, 8))
+    assert len("|".join(td.eval(doubler, w) for w in words)) == 157464
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        text, _ = td._outputs(doubler, 8)
+        verdict = td.equiv_bounded(doubler, copy, 8)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert len(text) == 157464 and peak < 7 * len(text)
+    assert verdict == (True, None) and peak < 0.5 * 157464
