@@ -10,13 +10,12 @@ not validated again.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import AXIOMS
+from .algebra import AXIOMS, derived
 from .errors import NotFunctionalError
 
 BOUND_CAP = 12
@@ -152,33 +151,27 @@ def _relabel_transducer(
     moves,          # state -> letter -> iterable of (out, state)
     final,          # state -> word or None
 ) -> Transducer:
-    """Breadth-first renaming to q0, q1, ... for deterministic output.
+    """Breadth-first renaming to q0, q1, ... for deterministic output: a
+    state is named when first met, a step's moves taken in sorted order.
     moves is called once per reached state and letter."""
+    name = {initial: "q0"}
     order = [initial]
-    seen = {initial}
-    steps = []      # (state, letter, sorted moves) in discovery order
-    k = 0
-    while k < len(order):
-        q = order[k]
-        k += 1
-        for a in alphabet:
-            step = sorted(moves(q, a))
-            steps.append((q, a, step))
-            for _, q2 in step:
-                if q2 not in seen:
-                    seen.add(q2)
-                    order.append(q2)
-    name = {q: f"q{i}" for i, q in enumerate(order)}
-    trans = {}
-    for q, a, step in steps:
-        if step:
-            trans[(name[q], a)] = frozenset((out, name[q2]) for out, q2 in step)
-    final_out = {}
+    trans, final_out = {}, {}
     for q in order:
+        for a in alphabet:
+            step = moves(q, a)
+            if len(step) > 1:
+                step = sorted(step)
+            for _, q2 in step:
+                if q2 not in name:
+                    name[q2] = f"q{len(order)}"
+                    order.append(q2)
+            if step:
+                trans[(name[q], a)] = frozenset((out, name[q2]) for out, q2 in step)
         v = final(q)
         if v is not None:
             final_out[name[q]] = v
-    return _unchecked(Transducer, tuple(name[q] for q in order), alphabet, "q0", trans, final_out)
+    return _unchecked(Transducer, tuple(name.values()), alphabet, "q0", trans, final_out)
 
 
 def _run_on_word(t: Transducer, q: str, word: str) -> set[tuple[str, str]]:
@@ -197,7 +190,12 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
     al = t1.alphabet
-    run = functools.cache(functools.partial(_run_on_word, t2))  # (state, word) -> run, this call only
+    runs = dict(t2.trans)  # (state, word) -> t2's runs from the state on the word
+
+    def run(q, word):
+        if (q, word) not in runs:
+            runs[(q, word)] = _run_on_word(t2, q, word)
+        return runs[(q, word)]
 
     def moves(pair, a):
         q1, q2 = pair
@@ -228,7 +226,8 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
 
 def _shortlex_path(alphabet, initial, moves, goal) -> tuple[str, str]:
     """The shortlex-least input word from initial to a reachable goal and one
-    run's output on it: `_relabel_transducer`'s walk again, for errors only."""
+    run's output on it, by a breadth-first walk over sorted moves; for
+    errors only."""
     path = {initial: ("", "")}
     order = [initial]
     for q in order:
@@ -266,6 +265,7 @@ def _determinize(alphabet, start: frozenset, move, accepting_pred) -> Dfa:
                       {(name[s], a): name[s2] for (s, a), s2 in delta.items()})
 
 
+@derived
 def domain_dfa(t: Transducer) -> Dfa:
     """Forget outputs, then determinize."""
     def move(s, a):
@@ -317,7 +317,7 @@ def range_dfa(t: Transducer) -> Dfa:
     def move(s, a):
         step = set()
         for n in s:
-            step |= letter_edges.get((n, a), set())
+            step.update(letter_edges.get((n, a), ()))
         return closure(step)
 
     return _determinize(
@@ -326,16 +326,19 @@ def range_dfa(t: Transducer) -> Dfa:
     )
 
 
+@derived
 def antidomain(t: Transducer) -> Transducer:
     """Identity on the words where t is undefined."""
     return from_dfa(complement(domain_dfa(t)))
 
 
+@derived
 def domain_transducer(t: Transducer) -> Transducer:
     """Identity on the domain: the machine A(A(t)), from one determinization."""
     return from_dfa(domain_dfa(t))
 
 
+@derived
 def range_transducer(t: Transducer) -> Transducer:
     """Identity on the range language."""
     return from_dfa(range_dfa(t))
@@ -421,6 +424,7 @@ def _check_bound(ts: Sequence[Transducer], max_len: int) -> None:
                          f"letters exceed MAX_WORDS = {MAX_WORDS}")
 
 
+@derived
 def _live_moves(t: Transducer) -> dict[str, tuple]:
     """live state -> per letter, t's moves into live states: those from
     which a final state can be reached."""
@@ -430,14 +434,14 @@ def _live_moves(t: Transducer) -> dict[str, tuple]:
             sources.setdefault(q2, set()).add(q)
     live, todo = set(t.final_out), list(t.final_out)
     while todo:
-        new = sources.get(todo.pop(), set()) - live
-        live |= new
-        todo += new
+        for q in sources.get(todo.pop(), ()):
+            if q not in live:
+                live.add(q)
+                todo.append(q)
     return {q: tuple(tuple(m for m in t.moves(q, a) if m[1] in live) for a in t.alphabet) for q in live}
 
 
-def _first_difference(x: Transducer, y: Transducer, max_len: int,
-                      live=_live_moves) -> tuple[bool, Optional[str]]:
+def _first_difference(x: Transducer, y: Transducer, max_len: int) -> tuple[bool, Optional[str]]:
     """equiv_bounded's verdict, from one walk of both machines in lockstep.
 
     The walk goes level by level in words_upto order.  A word's
@@ -447,11 +451,10 @@ def _first_difference(x: Transducer, y: Transducer, max_len: int,
     a configuration met again is not expanded again: the word that met it
     first is earlier, and so is each of its extensions.  At each word, two
     outputs of x raise eval(x, word)'s NotFunctionalError, then two of y
-    raise y's, and then differing outputs make it the witness.  live(t)
-    gives t's `_live_moves`.
+    raise y's, and then differing outputs make it the witness.
     """
     al, fx, fy = x.alphabet, x.final_out, y.final_out
-    mx, my = live(x), live(y)
+    mx, my = _live_moves(x), _live_moves(y)
     start = (frozenset({(x.initial, "")} if x.initial in mx else ()),
              frozenset({(y.initial, "")} if y.initial in my else ()))
     seen = {start}
@@ -535,60 +538,46 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
     sides of comp(a, comp(b, c)) = comp(comp(a, b), c) over deterministic
     machines come out this way.
 
-    Within one axiom, A, D and R of a shared machine, and a composite or
-    override of inputs, the identity and A/D/R results, are built once and
-    shared, and so are the live moves of each shared machine.  Both are
-    dropped when the axiom is done.  Other terms, such as
-    comp(a, comp(b, c)), are used once and not kept.
+    A, D and R of a machine, and the live moves the walk reads, are kept on
+    that machine (`algebra.derived`) and go with it, so those of the inputs
+    and the identity are built once per sweep.  Within one axiom, a
+    composite or override of these leaves is built once and shared; it is
+    dropped when the axiom is done, with what is kept on it.  Other terms,
+    such as comp(a, comp(b, c)), are used once and not kept.
     """
     _check_bound(ts, max_len)
     ident = identity_transducer(ts[0].alphabet)
-    inputs = {id(t): "input" for t in (*ts, ident)}
-    # id -> label of every shared machine.  Each one is held by ts, ident or
-    # built until the axiom is done, so no id is reused while it is a key.
-    shared = dict(inputs)
+    # ids of the leaves: the inputs, the identity, and A, D and R of each,
+    # which are kept on it.  All live as long as ts and ident, so no id is
+    # reused while it is in a key of built.
+    leaves = {id(m) for t in (*ts, ident)
+              for m in (t, antidomain(t), domain_transducer(t), range_transducer(t))}
     built: dict[tuple, Transducer] = {}
-    lives: dict[int, dict] = {}  # id -> live moves, of shared machines only
 
-    def share(label: str, build, operand_labels: tuple[str, ...]):
+    def share(build):
         def op(*args: Transducer) -> Transducer:
-            if any(shared.get(id(x)) not in operand_labels for x in args):
+            key = (build, *map(id, args))
+            if not leaves.issuperset(key[1:]):
                 return build(*args)
-            key = (label, *map(id, args))
             if key not in built:
-                built[key] = m = build(*args)
-                shared.setdefault(id(m), label)
+                built[key] = build(*args)
             return built[key]
         return op
 
-    # comp and pref are shared only over inputs and A/D/R results: a
-    # composite of a composite is a top-level term, used once.
-    leaves = ("input", "A", "D", "R")
-    any_shared = leaves + ("comp", "pref")
-    ops = SimpleNamespace(
-        A=share("A", antidomain, any_shared), D=share("D", domain_transducer, any_shared),
-        R=share("R", range_transducer, any_shared),
-        comp=share("comp", compose, leaves), pref=share("pref", pref_union, leaves), ident=ident,
-    )
+    ops = SimpleNamespace(A=antidomain, D=domain_transducer, R=range_transducer,
+                          comp=share(compose), pref=share(pref_union), ident=ident)
 
     def structure(t: Transducer) -> tuple:
         return (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
 
-    def live(t: Transducer) -> dict:
-        if id(t) not in shared:
-            return _live_moves(t)
-        if id(t) not in lives:
-            lives[id(t)] = _live_moves(t)
-        return lives[id(t)]
-
     def eq(x: Transducer, y: Transducer):
         if structure(x) != structure(y):
-            return _first_difference(x, y, max_len, live)
+            return _first_difference(x, y, max_len)
         # one machine: it agrees with itself, and raises only if two runs
         # disagree, which needs two moves for some state and letter
         if all(len(outs) <= 1 for outs in x.trans.values()):
             return True, None
-        return _first_difference(x, x, max_len, live)
+        return _first_difference(x, x, max_len)
 
     results = []
     for ax in AXIOMS.values():
@@ -602,8 +591,5 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
         else:
             results.append(BoundedAxiomCheck(ax.index, ax.name, ax.equational, True))
         built.clear()
-        lives.clear()
-        shared.clear()
-        shared.update(inputs)
 
     return BoundedAxiomReport(max_len=max_len, results=tuple(results))

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import collections
+import gc
+import inspect
 import itertools
 import os
 import random
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -555,6 +558,119 @@ def test_dfa_alphabet_is_validated():
     for alphabet in (("ab",), ("a", "a")):
         with pytest.raises(ValueError, match="one-character"):
             td.Dfa(("d0",), alphabet, "d0", frozenset(), {("d0", a): "d0" for a in alphabet})
+
+
+# ---------------------------------------------------------------------------
+# Machine building: relabelling, and what is kept on a machine
+# ---------------------------------------------------------------------------
+
+
+def relabel_oracle(alphabet, initial, moves, final):
+    """Two-pass breadth-first renaming: every step's moves sorted and listed
+    in discovery order first, then named, then the final outputs."""
+    order = [initial]
+    seen = {initial}
+    steps = []
+    k = 0
+    while k < len(order):
+        q = order[k]
+        k += 1
+        for a in alphabet:
+            step = sorted(moves(q, a))
+            steps.append((q, a, step))
+            for _, q2 in step:
+                if q2 not in seen:
+                    seen.add(q2)
+                    order.append(q2)
+    name = {q: f"q{i}" for i, q in enumerate(order)}
+    trans = {}
+    for q, a, step in steps:
+        if step:
+            trans[(name[q], a)] = frozenset((out, name[q2]) for out, q2 in step)
+    final_out = {}
+    for q in order:
+        v = final(q)
+        if v is not None:
+            final_out[name[q]] = v
+    return td.Transducer(tuple(name[q] for q in order), alphabet, "q0", trans, final_out)
+
+
+def built_files(ts):
+    """write_transducer of compose, pref_union and restrict over each pair of
+    the machines ts, of A, D and R of each machine and of each composite and
+    override, or the NotFunctionalError a composite raises."""
+    files = []
+    for x, y in itertools.product(ts, repeat=2):
+        made = [td.pref_union(x, y), td.restrict(x, td.domain_dfa(y)),
+                td.restrict(x, td.complement(td.domain_dfa(y)))]
+        try:
+            made.append(td.compose(x, y))
+        except NotFunctionalError as e:
+            files.append((e.word, e.outputs))
+        for m in made + [x]:
+            files += [fmt.write_transducer(f(m)) for f in (lambda m: m, td.antidomain,
+                                                           td.domain_transducer, td.range_transducer)]
+    return files
+
+
+def test_relabelling_matches_two_pass_oracle(monkeypatch):
+    """Every machine the constructions build, and A, D and R of each, is
+    written to the same bytes as with the two-pass renaming, on seeded
+    deterministic and nondeterministic machines; asked for twice, A, D and R
+    kept on their machine give the same bytes again."""
+    rnd = random.Random(53)
+    steps = collections.Counter()
+
+    def counted_oracle(alphabet, initial, moves, final):
+        def counted(q, a):
+            step = moves(q, a)
+            outs = [out for out, _ in step]
+            steps["two moves"] += len(step) >= 2
+            steps["same output"] += len(set(outs)) < len(outs)
+            return step
+        return relabel_oracle(alphabet, initial, counted, final)
+
+    for _ in range(25):
+        alphabet = rnd.choice(("ab", "abc"))
+        ts = [random_machine(rnd, alphabet, rnd.randint(1, 4), nondeterministic)
+              for nondeterministic in (False, True)]
+        copies = [td.Transducer(t.states, t.alphabet, t.initial, dict(t.trans), dict(t.final_out)) for t in ts]
+        with monkeypatch.context() as m:
+            m.setattr(td, "_relabel_transducer", counted_oracle)
+            expected = built_files(copies)
+        assert built_files(ts) == expected
+        assert built_files(ts) == expected
+    assert steps["two moves"] and steps["same output"], steps
+
+
+def test_kept_machines_live_as_long_as_their_machine():
+    """A and the live moves are computed once per machine and go with it."""
+    t = flip_count()
+    assert td.antidomain(t) is td.antidomain(t)
+    assert td._live_moves(t) is td._live_moves(t)
+    anti = weakref.ref(td.antidomain(t))
+    del t
+    gc.collect()
+    assert anti() is None
+
+
+def test_each_domain_is_determinized_once_per_sweep(monkeypatch):
+    """A, D and pref over an input read its domain acceptor in several
+    axioms; one sweep determinizes it once, and reports as word by word."""
+    rnd = random.Random(61)
+    ts = [random_machine(rnd, "ab", states, False) for states in (2, 3, 3)]
+    domains = collections.Counter()
+    determinize = td._determinize
+
+    def counted(alphabet, start, move, accepting):
+        if move.__qualname__ == "domain_dfa.<locals>.move":
+            domains[id(inspect.getclosurevars(move).nonlocals["t"])] += 1
+        return determinize(alphabet, start, move, accepting)
+
+    monkeypatch.setattr(td, "_determinize", counted)
+    report = td.axioms_bounded(ts, 4)
+    assert [domains[id(t)] for t in ts] == [1, 1, 1]
+    assert [(r.index, r.passed, r.witness) for r in report.results] == reference_axioms(ts, 4)
 
 
 def test_tables_are_shared_only_between_equal_structures():
