@@ -494,10 +494,6 @@ def domain_elements(alg: FinAlgebra) -> tuple[int, ...]:
     return tuple(sorted({alg.anti_t[a] for a in range(alg.size)}))
 
 
-def is_domain_element(alg: FinAlgebra, a: int) -> bool:
-    return a in set(alg.anti_t)
-
-
 @dataclass(frozen=True)
 class DomainSubalgebraReport:
     universe: tuple[int, ...]

@@ -418,17 +418,22 @@ def write_dfa(d: Dfa) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _dot_string(name: str) -> str:
+    """name as a quoted DOT string, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def category_to_dot(cat: TopCategory) -> str:
     """Objects as nodes, arrows as labelled edges; identity arrows are drawn
     as doubled loops."""
     lines = ["digraph dual {", "  rankdir=LR;"]
-    for name in cat.obj_names:
-        lines.append(f'  "{name}" [shape=circle];')
+    names = [_dot_string(name) for name in cat.obj_names]
+    for name in names:
+        lines.append(f"  {name} [shape=circle];")
     identity = set(cat.id_of)
     for f in range(cat.n_arrows):
-        src = cat.obj_names[cat.src[f]]
-        tgt = cat.obj_names[cat.tgt[f]]
         style = ' color="black:invis:black"' if f in identity else ""
-        lines.append(f'  "{src}" -> "{tgt}" [label="{cat.arr_names[f]}"{style}];')
+        lines.append(f"  {names[cat.src[f]]} -> {names[cat.tgt[f]]} "
+                     f"[label={_dot_string(cat.arr_names[f])}{style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

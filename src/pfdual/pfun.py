@@ -88,10 +88,6 @@ class PFunc:
         pts = self.base.points
         return {pts[i]: pts[v] for i, v in enumerate(self.graph) if v is not None}
 
-    def apply(self, point: Point) -> Optional[Point]:
-        v = self.graph[self.base.index(point)]
-        return None if v is None else self.base.points[v]
-
     def __repr__(self) -> str:
         body = ",".join(f"{x!r}>{y!r}" for x, y in self.mapping.items())
         return f"PFunc{{{body}}}"
@@ -139,13 +135,6 @@ class PFunc:
         """True iff the two functions agree wherever both are defined."""
         self._same_base(other)
         return all(v is None or w is None or v == w for v, w in zip(self.graph, other.graph))
-
-
-def join_compatible(f: PFunc, g: PFunc) -> Optional[PFunc]:
-    """Union of graphs when f and g are compatible; None signals incompatibility."""
-    if not f.compatible(g):
-        return None
-    return f.pref_union(g)
 
 
 def graph_key(f: PFunc) -> tuple[int, ...]:

@@ -151,9 +151,6 @@ class TopCategory:
     def n_arrows(self) -> int:
         return len(self.arr_names)
 
-    def composable(self, f: int, g: int) -> bool:
-        return self.tgt[f] == self.src[g]
-
     def compose(self, f: int, g: int) -> int:
         return self.comp_t[f][g]
 
@@ -164,9 +161,6 @@ class TopCategory:
     def costar(self, x: int) -> tuple[int, ...]:
         """Arrows with target x."""
         return tuple(f for f in range(self.n_arrows) if self.tgt[f] == x)
-
-    def identity_mask(self) -> int:
-        return mask_of(self.id_of)
 
     @cached_property
     def report(self) -> "CObjectReport":
@@ -315,22 +309,14 @@ def check_topological_category(cat: TopCategory) -> TopCategoryReport:
     return TopCategoryReport(*(not ns for ns in failing.values()), witnesses)
 
 
-def _map_of(cat: TopCategory, which: str) -> tuple[int, ...]:
-    if which == "src":
-        return cat.src
-    if which == "tgt":
-        return cat.tgt
-    raise ValueError("which must be 'src' or 'tgt'")
-
-
-def is_local_homeo(cat: TopCategory, which: str = "src") -> bool:
-    """Every arrow has an open neighbourhood mapped homeomorphically onto an
-    open set of objects.
+def is_local_homeo(cat: TopCategory) -> bool:
+    """Every arrow has an open neighbourhood that the source map takes
+    homeomorphically onto an open set of objects.
 
     Only each arrow's minimal neighbourhood is tried: if some open set
     works, so does every open subset of it.
     """
-    mapping = _map_of(cat, which)
+    mapping = cat.src
     if _failing(lambda n: preimage(mapping, n), cat.arr_top, cat.obj_top):
         return False
     return all(_neighbourhood_works(cat, mapping, u) for u in cat.arr_top.nbhds)
@@ -353,10 +339,10 @@ def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> 
     return True
 
 
-def is_open_map(cat: TopCategory, which: str = "tgt") -> bool:
-    """Images preserve unions, so the images of the neighbourhoods decide."""
-    mapping = _map_of(cat, which)
-    return all(cat.obj_top.is_open(image(mapping, n)) for n in cat.arr_top.basis)
+def is_open_map(cat: TopCategory) -> bool:
+    """The target map is open.  Images preserve unions, so the images of
+    the neighbourhoods decide."""
+    return all(cat.obj_top.is_open(image(cat.tgt, n)) for n in cat.arr_top.basis)
 
 
 def is_stone(top: FinTopology) -> bool:
@@ -374,10 +360,6 @@ def all_arrows_epi(cat: TopCategory) -> bool:
     stars = [cat.star(x) for x in range(cat.n_objects)]
     takes = [pick(star) for star in stars]
     return all(len(set(takes[y](row))) == len(stars[y]) for row, y in zip(cat.comp_t, cat.tgt))
-
-
-def identity_arrows_open(cat: TopCategory) -> bool:
-    return cat.arr_top.is_open(cat.identity_mask())
 
 
 @dataclass(frozen=True)
@@ -426,8 +408,8 @@ def validate_object_of_C(cat: TopCategory) -> CObjectReport:
     return CObjectReport(
         category_problems=problems,
         topology=top,
-        src_local_homeo=is_local_homeo(cat, "src") if top.passed else False,
-        tgt_open=is_open_map(cat, "tgt"),
+        src_local_homeo=is_local_homeo(cat) if top.passed else False,
+        tgt_open=is_open_map(cat),
         objects_stone=is_stone(cat.obj_top),
         arrows_epi=not problems and all_arrows_epi(cat),
     )

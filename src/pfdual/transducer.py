@@ -134,10 +134,6 @@ def identity_transducer(alphabet: Sequence[str]) -> Transducer:
     )
 
 
-def empty_transducer(alphabet: Sequence[str]) -> Transducer:
-    return Transducer(states=("q0",), alphabet=tuple(alphabet), initial="q0", trans={}, final_out={})
-
-
 def from_dfa(d: Dfa) -> Transducer:
     """The identity function restricted to the language of the acceptor."""
     return _unchecked(Transducer, d.states, d.alphabet, d.initial,
@@ -344,31 +340,13 @@ def range_transducer(t: Transducer) -> Transducer:
     return from_dfa(range_dfa(t))
 
 
-def restrict(t: Transducer, d: Dfa) -> Transducer:
-    """t limited to inputs accepted by d, via the product construction."""
-    if t.alphabet != d.alphabet:
-        raise ValueError("alphabets differ")
-
-    def moves(pair, a):
-        q, s = pair
-        return {(out, (q2, d.delta[(s, a)])) for out, q2 in t.moves(q, a)}
-
-    def final(pair):
-        q, s = pair
-        if s in d.accepting:
-            return t.final_out.get(q)
-        return None
-
-    return _relabel_transducer(t.alphabet, (t.initial, d.initial), moves, final)
-
-
 def pref_union(t1: Transducer, t2: Transducer) -> Transducer:
-    """t1 where defined, else t2: the union of t1 with t2 restricted to the
+    """t1 where defined, else t2: the union of t1 with A(t1);t2, t2 on the
     complement of the domain of t1.  The two parts have disjoint domains, so
     the union stays functional."""
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
-    t2r = restrict(t2, complement(domain_dfa(t1)))
+    t2r = compose(antidomain(t1), t2)
 
     def moves(state, a):
         if state == "u0":

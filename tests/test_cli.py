@@ -725,13 +725,18 @@ class TestTransducerCommands:
         assert code == 0 and json.loads(out)["output"] == ""
 
     @pytest.mark.parametrize("verb", ["compose", "pref"])
-    @pytest.mark.parametrize("left, right", [("as_to_bs", "id_on_as"), ("id_on_as", "as_to_bs")])
+    @pytest.mark.parametrize("left, right", [("as_to_bs", "id_on_as"), ("id_on_as", "as_to_bs"),
+                                             ("thirds", "as_to_bs"), ("as_to_bs", "thirds")])
     def test_written_machine_matches_golden_file(self, capsys, tmp_path, verb, left, right):
-        """The machine file compose and pref write on the data machines, byte
-        for byte as written when every built machine was validated."""
+        """The machine file compose and pref write on the data machines and on
+        the nondeterministic thirds, byte for byte as written when every
+        built machine was validated (thirds: as pref_union restricted t2
+        by its own product construction)."""
+        def path(name):
+            return (GOLDEN if name == "thirds" else DATA) / f"{name}.td.json"
+
         out_file = tmp_path / "m.json"
-        code, _ = run(capsys, "transducer", verb, DATA / f"{left}.td.json", DATA / f"{right}.td.json",
-                      "--out", out_file)
+        code, _ = run(capsys, "transducer", verb, path(left), path(right), "--out", out_file)
         assert code == 0
         assert out_file.read_bytes() == (GOLDEN / f"{verb}_{left}_{right}.td.json").read_bytes()
 

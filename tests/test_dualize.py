@@ -45,7 +45,7 @@ class TestDualObjects:
         assert cat.compose(a["p_e12"], a["p_s"]) == a["p_s"]
         assert cat.compose(a["p_s"], a["p_c"]) == a["p_c"]
         assert cat.compose(a["p_c"], a["p_e3"]) == a["p_c"]
-        assert not cat.composable(a["p_c"], a["p_s"])
+        assert cat.tgt[a["p_c"]] != cat.src[a["p_s"]]
 
     def test_one_element_gives_empty_category(self, one_elem):
         cat = pf_object(one_elem).category
@@ -106,7 +106,7 @@ class TestFilterCalculusOracle:
             for i, p in enumerate(primes):
                 for j, q in enumerate(primes):
                     r = compose_filters(a, p, q)
-                    if cat.composable(i, j):
+                    if cat.tgt[i] == cat.src[j]:
                         assert r.members == primes[cat.compose(i, j)].members
                     else:
                         assert not is_proper(a, r.members)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -10,7 +11,7 @@ from pfdual import formats as fmt
 from pfdual import transducer as td
 from pfdual.dualize import pf_object
 from pfdual.errors import NotClosedError
-from pfdual.topcat import identity_multifunctor
+from pfdual.topcat import identity_multifunctor, make_category
 
 
 class TestAlgebraFiles:
@@ -149,3 +150,25 @@ class TestDot:
         doubled = [line for line in dot.splitlines() if "black:invis:black" in line]
         assert len(doubled) == 2
         assert 'label="p_c"' in dot
+
+    def test_quotes_and_backslashes_escaped(self):
+        """Every line is a node or an edge of quoted DOT strings, which read
+        back as the names, whatever quotes and backslashes they hold."""
+        objs, arrs = ('x"y', "z\\"), ('i"x', "i\\z", 'f\\"')
+        cat = make_category(objs, [(arrs[0], objs[0], objs[0]), (arrs[1], objs[1], objs[1]),
+                                   (arrs[2], objs[0], objs[1])],
+                            dict(zip(objs, arrs)),
+                            {(arrs[0], arrs[0]): arrs[0], (arrs[1], arrs[1]): arrs[1],
+                             (arrs[0], arrs[2]): arrs[2], (arrs[2], arrs[1]): arrs[2]})
+        quoted = r'"((?:[^"\\]|\\.)*)"'
+        node = re.compile(rf"  {quoted} \[shape=circle\];")
+        edge = re.compile(rf'  {quoted} -> {quoted} \[label={quoted}( color="black:invis:black")?\];')
+        lines = fmt.category_to_dot(cat).splitlines()
+        assert lines[:2] == ["digraph dual {", "  rankdir=LR;"] and lines[-1] == "}"
+        read = []
+        for line in lines[2:-1]:
+            m = node.fullmatch(line) or edge.fullmatch(line)
+            assert m, line
+            read.append(tuple(re.sub(r"\\(.)", r"\1", g) for g in m.groups()[:3] if g is not None))
+        assert read == [(objs[0],), (objs[1],), (objs[0], objs[0], arrs[0]),
+                        (objs[1], objs[1], arrs[1]), (objs[0], objs[1], arrs[2])]

@@ -19,7 +19,6 @@ from pfdual.pfun import (
     close_under_ops,
     enumerate_all,
     graph_key,
-    join_compatible,
 )
 
 
@@ -57,8 +56,7 @@ class TestOperations:
         assert fn["c"].domain() == fn["e12"]
         assert fn["e12"].leq(fn["1"])
         assert not fn["s"].compatible(fn["c"])
-        assert join_compatible(fn["e12"], fn["e3"]) == fn["1"]
-        assert join_compatible(fn["s"], fn["c"]) is None
+        assert fn["e12"].compatible(fn["e3"]) and fn["e12"].pref_union(fn["e3"]) == fn["1"]
 
     def test_mismatched_bases_rejected(self, fn):
         other = PFunc.identity(Base(("x",)))
@@ -388,7 +386,4 @@ def test_order_agrees_with_graph_inclusion(triple):
 def test_compatible_pairs_join_both_ways(triple):
     f, g, _ = triple
     if f.compatible(g):
-        j = join_compatible(f, g)
-        assert j == f.pref_union(g) == g.pref_union(f)
-    else:
-        assert join_compatible(f, g) is None
+        assert f.pref_union(g) == g.pref_union(f)

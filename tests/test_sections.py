@@ -157,7 +157,7 @@ class TestEnumeration:
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
             arr_opens=[[]],
         )
-        monkeypatch.setattr(tc, "is_local_homeo", lambda cat, which: True)
+        monkeypatch.setattr(tc, "is_local_homeo", lambda cat: True)
         with pytest.raises(InconsistencyError, match="not discrete"):
             sc.enumerate_sections(cat)
 
@@ -195,7 +195,7 @@ class TestSectionOperations:
         _, images = sc.seccl_object(cat)
         got = images[secalg.anti(images.index(0))]
         assert decode(cat, got)[0] == (1 << cat.n_objects) - 1
-        assert got == cat.identity_mask()
+        assert got == mask_of(cat.id_of)
 
     def test_pref_glues_domains(self, dual1, secalg):
         got = secalg.pref(theta_section(dual1, "s"), theta_section(dual1, "e3"))

@@ -104,7 +104,8 @@ class TestTopologicalCategory:
 
     def test_identity_arrows_open(self, corpus_algebras):
         for a in corpus_algebras:
-            assert tc.identity_arrows_open(pf_object(a).category)
+            cat = pf_object(a).category
+            assert cat.arr_top.is_open(mask_of(cat.id_of))
 
     def test_src_discontinuity_detected(self):
         # two discrete objects, indiscrete arrows, nonconstant source
@@ -149,7 +150,7 @@ class TestEtaleChecks:
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
             arr_opens=[[]],
         )
-        assert not tc.is_local_homeo(cat, "src")
+        assert not tc.is_local_homeo(cat)
 
     def test_open_map_failure(self):
         # discrete arrows over indiscrete objects: images of singletons not open
@@ -159,7 +160,7 @@ class TestEtaleChecks:
             {("ix", "ix"): "ix", ("iy", "iy"): "iy"},
             obj_opens=[[]],
         )
-        assert not tc.is_open_map(cat, "tgt")
+        assert not tc.is_open_map(cat)
 
 
 class TestMultiFunctors:
@@ -618,10 +619,8 @@ class TestBruteForceCategories:
                 witnessed = {u for lab, u in report.witnesses if lab == label}
                 assert witnessed <= failing and bool(witnessed) == bool(failing)
             assert report == pullback_check_topological_category(cat)
-            for which in ("src", "tgt"):
-                mapping = cat.src if which == "src" else cat.tgt
-                assert tc.is_local_homeo(cat, which) == brute_local_homeo(mapping, ao, oo)
-                assert tc.is_open_map(cat, which) == all(image(mapping, u) in oo for u in ao)
+            assert tc.is_local_homeo(cat) == brute_local_homeo(cat.src, ao, oo)
+            assert tc.is_open_map(cat) == all(image(cat.tgt, u) in oo for u in ao)
 
     def test_multifunctor_checks(self, corpus_algebras, one_arrow_category, nonepi_category):
         rng = random.Random(1970)

@@ -184,7 +184,7 @@ class TestDerivedOperations:
             assert fmt.write_transducer(d) == fmt.write_transducer(aa)
 
     def test_restrict(self, t1, t2):
-        r = td.restrict(t1, td.domain_dfa(t2))
+        r = td.compose(td.from_dfa(td.domain_dfa(t2)), t1)
         # a* intersected with a*b is empty
         assert all(td.eval(r, w) is None for w in td.words_upto(AL, 6))
 
@@ -197,7 +197,7 @@ class TestDerivedOperations:
             assert td.eval(pu, w) == (f if f is not None else g)
 
     def test_pref_union_with_empty(self, t2):
-        empty = td.empty_transducer(AL)
+        empty = td.Transducer(("q0",), AL, "q0", {}, {})
         assert td.equiv_bounded(td.pref_union(t2, empty), t2, 7)[0]
         assert td.equiv_bounded(td.pref_union(empty, t2), t2, 7)[0]
 
@@ -275,7 +275,7 @@ def test_negative_bound_refused():
     # no word has negative length, so a sweep over none would pass vacuously
     ident = td.identity_transducer(("a", "b"))
     for check in (lambda: td.axioms_bounded([ident], -1),
-                  lambda: td.equiv_bounded(ident, td.empty_transducer(("a", "b")), -1)):
+                  lambda: td.equiv_bounded(ident, td.Transducer(("q0",), AL, "q0", {}, {}), -1)):
         with pytest.raises(ValueError, match="bound -1 is negative"):
             check()
 
@@ -537,7 +537,7 @@ def test_derived_machines_pass_validation(monkeypatch):
             derived += [td.antidomain(x), td.domain_transducer(x), td.range_transducer(x),
                         td.domain_dfa(x), td.range_dfa(x), td.complement(td.domain_dfa(x))]
         for x, y in itertools.product(ts, repeat=2):
-            derived += [td.restrict(x, td.domain_dfa(y)), td.pref_union(x, y),
+            derived += [td.compose(td.from_dfa(td.domain_dfa(y)), x), td.pref_union(x, y),
                         td.pref_union(td.antidomain(x), y)]
             try:
                 derived += [td.compose(x, y), td.compose(td.domain_transducer(x), td.pref_union(x, y))]
@@ -596,13 +596,14 @@ def relabel_oracle(alphabet, initial, moves, final):
 
 
 def built_files(ts):
-    """write_transducer of compose, pref_union and restrict over each pair of
-    the machines ts, of A, D and R of each machine and of each composite and
-    override, or the NotFunctionalError a composite raises."""
+    """write_transducer of compose, pref_union and restriction to a domain
+    and to its complement over each pair of the machines ts, of A, D and R
+    of each machine and of each composite and override, or the
+    NotFunctionalError a composite raises."""
     files = []
     for x, y in itertools.product(ts, repeat=2):
-        made = [td.pref_union(x, y), td.restrict(x, td.domain_dfa(y)),
-                td.restrict(x, td.complement(td.domain_dfa(y)))]
+        made = [td.pref_union(x, y), td.compose(td.domain_transducer(y), x),
+                td.compose(td.antidomain(y), x)]
         try:
             made.append(td.compose(x, y))
         except NotFunctionalError as e:
@@ -641,6 +642,57 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
         assert built_files(ts) == expected
         assert built_files(ts) == expected
     assert steps["two moves"] and steps["same output"], steps
+
+
+def restrict_override_oracle(t1, t2):
+    """pref_union as first built: t2 limited to the complement of the domain
+    of t1 by a product with that acceptor, then the union with t1."""
+    d = td.complement(td.domain_dfa(t1))
+
+    def r_moves(pair, a):
+        q, s = pair
+        return {(out, (q2, d.delta[(s, a)])) for out, q2 in t2.moves(q, a)}
+
+    def r_final(pair):
+        q, s = pair
+        return t2.final_out.get(q) if s in d.accepting else None
+
+    t2r = td._relabel_transducer(t2.alphabet, (t2.initial, d.initial), r_moves, r_final)
+
+    def moves(state, a):
+        if state == "u0":
+            return {(out, ("l", q)) for out, q in t1.moves(t1.initial, a)} | {
+                (out, ("r", q)) for out, q in t2r.moves(t2r.initial, a)
+            }
+        side, q = state
+        t = t1 if side == "l" else t2r
+        return {(out, (side, q2)) for out, q2 in t.moves(q, a)}
+
+    def final(state):
+        if state == "u0":
+            u = t1.final_out.get(t1.initial)
+            return u if u is not None else t2r.final_out.get(t2r.initial)
+        side, q = state
+        return (t1 if side == "l" else t2r).final_out.get(q)
+
+    return td._relabel_transducer(t1.alphabet, "u0", moves, final)
+
+
+def test_override_matches_restrict_oracle():
+    """pref_union(t1, t2), built as t1 with A(t1);t2, is written to the same
+    bytes as with t2 limited by its own product with the acceptor, on seeded
+    deterministic and nondeterministic machines."""
+    rnd = random.Random(67)
+    two_moves = 0
+    for _ in range(40):
+        alphabet = rnd.choice(("ab", "abc"))
+        ts = [random_machine(rnd, alphabet, rnd.randint(1, 4), nondeterministic)
+              for nondeterministic in (False, True, True)]
+        for x, y in itertools.product(ts, repeat=2):
+            made = td.pref_union(x, y)
+            assert fmt.write_transducer(made) == fmt.write_transducer(restrict_override_oracle(x, y))
+            two_moves += any(len(step) > 1 for step in made.trans.values())
+    assert two_moves
 
 
 def test_kept_machines_live_as_long_as_their_machine():
