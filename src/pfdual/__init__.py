@@ -30,7 +30,7 @@ from .filters import FilterSet, enumerate_domain_ultrafilters, enumerate_prime_f
 from .pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 from .sections import enumerate_sections, seccl_morphism, seccl_object
 from .topcat import FinTopology, MultiFunctor, TopCategory, validate_object_of_C
-from .transducer import Dfa, Transducer
+from .transducer import Transducer
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "AxiomReport",
     "Base",
     "CategoryIso",
-    "Dfa",
     "DualCategory",
     "FilterSet",
     "FinAlgebra",

@@ -235,8 +235,8 @@ def cmd_transducer_combine(args) -> int:
 
 def cmd_transducer_acceptor(args) -> int:
     t = fmt.load_transducer(args.file)
-    d = td.domain_dfa(t) if args.sub == "dom" else td.range_dfa(t)
-    sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if d.accepts(w)]
+    d = td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t)
+    sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if td.eval(d, w) is not None]
     if args.out:
         _write_out(fmt.write_dfa(d), args.out)
     _emit({"transducer": args.file, "acceptor": args.sub, "states": len(d.states),

@@ -15,7 +15,7 @@ from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of, popcount
 from .pfun import Base, PFunc, as_abstract
 from .topcat import FinTopology, MultiFunctor, TopCategory, comp_table, generate_topology
-from .transducer import Dfa, Transducer
+from .transducer import Transducer
 
 
 class FormatError(ValueError):
@@ -395,21 +395,24 @@ def load_transducer(path: str | Path) -> Transducer:
     return parse_transducer(load_json(path), path)
 
 
-def dfa_to_dict(d: Dfa) -> dict:
+def dfa_to_dict(d: Transducer) -> dict:
+    """The acceptor file of an identity machine with one move per state and
+    letter, such as D and R build: its final states accept."""
     return {
         "alphabet": list(d.alphabet),
         "states": list(d.states),
         "initial": d.initial,
-        "accepting": sorted(d.accepting),
+        "accepting": sorted(d.final_out),
         "trans": [
-            {"from": q, "in": a, "to": d.delta[(q, a)]}
+            {"from": q, "in": a, "to": to}
             for q in d.states
             for a in d.alphabet
+            for _, to in d.trans[(q, a)]
         ],
     }
 
 
-def write_dfa(d: Dfa) -> str:
+def write_dfa(d: Transducer) -> str:
     return _dump(dfa_to_dict(d))
 
 

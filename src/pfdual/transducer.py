@@ -4,8 +4,9 @@ Machines are real-time: each transition consumes exactly one input letter
 and emits an output word; a state may carry a final output word appended on
 acceptance.  Nondeterminism is allowed but every machine must realize a
 partial function; this is enforced by bounded checking, with violations
-surfacing as NotFunctionalError.  A machine derived from validated ones is
-not validated again.
+surfacing as NotFunctionalError.  An acceptor is a machine too, the
+identity on its language.  A machine derived from validated ones is not
+validated again.
 """
 
 from __future__ import annotations
@@ -32,40 +33,6 @@ def _unchecked(cls, *fields):
     obj = object.__new__(cls)
     obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
     return obj
-
-
-@dataclass(frozen=True, eq=False)
-class Dfa:
-    """A complete deterministic acceptor; delta must be total."""
-
-    states: tuple[str, ...]
-    alphabet: tuple[str, ...]
-    initial: str
-    accepting: frozenset[str]
-    delta: dict[tuple[str, str], str]
-
-    def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        sset = set(self.states)
-        if self.initial not in sset or not self.accepting <= sset:
-            raise ValueError("initial/accepting states must be listed states")
-        for q in self.states:
-            for a in self.alphabet:
-                if self.delta.get((q, a)) not in sset:
-                    raise ValueError(f"transition function must be total: missing ({q!r},{a!r})")
-
-    def accepts(self, word: str) -> bool:
-        q = self.initial
-        for a in word:
-            if a not in self.alphabet:
-                raise ValueError(f"letter {a!r} outside the alphabet")
-            q = self.delta[(q, a)]
-        return q in self.accepting
-
-
-def complement(d: Dfa) -> Dfa:
-    return _unchecked(Dfa, d.states, d.alphabet, d.initial,
-                      frozenset(set(d.states) - d.accepting), dict(d.delta))
 
 
 def words_upto(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
@@ -113,12 +80,19 @@ class Transducer:
 def eval(t: Transducer, word: str) -> Optional[str]:
     """The unique output for the word, or None when no run accepts.
 
-    Raises NotFunctionalError when two accepting runs disagree.
+    Only live runs are followed, as the bounded walk follows them: a run
+    that can reach no final state never accepts.  Raises NotFunctionalError
+    when two accepting runs disagree.
     """
     for a in word:
         if a not in t.alphabet:
             raise ValueError(f"letter {a!r} outside the alphabet")
-    results = {out + t.final_out[q] for out, q in _run_on_word(t, t.initial, word) if q in t.final_out}
+    live = _live_moves(t)
+    runs = {(t.initial, "")} if t.initial in live else set()
+    for a in word:
+        j = t.alphabet.index(a)
+        runs = {(q2, out + e) for q, out in runs for e, q2 in live[q][j]}
+    results = {out + t.final_out[q] for q, out in runs if q in t.final_out}
     if len(results) > 1:
         two = sorted(results)[:2]
         raise NotFunctionalError(word, (two[0], two[1]))
@@ -134,23 +108,17 @@ def identity_transducer(alphabet: Sequence[str]) -> Transducer:
     )
 
 
-def from_dfa(d: Dfa) -> Transducer:
-    """The identity function restricted to the language of the acceptor."""
-    return _unchecked(Transducer, d.states, d.alphabet, d.initial,
-                      {(q, a): frozenset({(a, d.delta[(q, a)])}) for q in d.states for a in d.alphabet},
-                      {q: "" for q in d.accepting})
-
-
 def _relabel_transducer(
     alphabet: tuple[str, ...],
     initial,
     moves,          # state -> letter -> iterable of (out, state)
     final,          # state -> word or None
+    prefix="q",     # acceptors name their states d0, d1, ...
 ) -> Transducer:
     """Breadth-first renaming to q0, q1, ... for deterministic output: a
     state is named when first met, a step's moves taken in sorted order.
     moves is called once per reached state and letter."""
-    name = {initial: "q0"}
+    name = {initial: f"{prefix}0"}
     order = [initial]
     trans, final_out = {}, {}
     for q in order:
@@ -160,14 +128,14 @@ def _relabel_transducer(
                 step = sorted(step)
             for _, q2 in step:
                 if q2 not in name:
-                    name[q2] = f"q{len(order)}"
+                    name[q2] = f"{prefix}{len(order)}"
                     order.append(q2)
             if step:
                 trans[(name[q], a)] = frozenset((out, name[q2]) for out, q2 in step)
         v = final(q)
         if v is not None:
             final_out[name[q]] = v
-    return _unchecked(Transducer, tuple(name.values()), alphabet, "q0", trans, final_out)
+    return _unchecked(Transducer, tuple(name.values()), alphabet, name[initial], trans, final_out)
 
 
 def _run_on_word(t: Transducer, q: str, word: str) -> set[tuple[str, str]]:
@@ -237,45 +205,34 @@ def _shortlex_path(alphabet, initial, moves, goal) -> tuple[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Domain and range acceptors via subset construction
+# Domain and range acceptors: identity machines built by subset construction
 # ---------------------------------------------------------------------------
 
 
-def _determinize(alphabet, start: frozenset, move, accepting_pred) -> Dfa:
-    order = [start]
-    seen = {start}
-    k = 0
-    delta = {}
-    while k < len(order):
-        s = order[k]
-        k += 1
-        for a in alphabet:
-            s2 = move(s, a)
-            delta[(s, a)] = s2
-            if s2 not in seen:
-                seen.add(s2)
-                order.append(s2)
-    name = {s: f"d{i}" for i, s in enumerate(order)}
-    return _unchecked(Dfa, tuple(name[s] for s in order), tuple(alphabet), name[start],
-                      frozenset(name[s] for s in order if accepting_pred(s)),
-                      {(name[s], a): name[s2] for (s, a), s2 in delta.items()})
+@derived
+def domain_transducer(t: Transducer) -> Transducer:
+    """Identity on the domain: outputs forgotten, then determinized.  Every
+    state, the empty subset too, has one move per letter."""
+    def moves(s, a):
+        return ((a, frozenset(q2 for q in s for _, q2 in t.moves(q, a))),)
+
+    return _relabel_transducer(t.alphabet, frozenset({t.initial}), moves,
+                               lambda s: None if s.isdisjoint(t.final_out) else "", "d")
 
 
 @derived
-def domain_dfa(t: Transducer) -> Dfa:
-    """Forget outputs, then determinize."""
-    def move(s, a):
-        return frozenset(q2 for q in s for _, q2 in t.moves(q, a))
-
-    return _determinize(
-        t.alphabet, frozenset({t.initial}), move,
-        lambda s: any(q in t.final_out for q in s),
-    )
+def antidomain(t: Transducer) -> Transducer:
+    """Identity on the words where t is undefined: D(t) with the other
+    states final."""
+    d = domain_transducer(t)
+    return _unchecked(Transducer, d.states, d.alphabet, d.initial, d.trans,
+                      {q: "" for q in d.states if q not in d.final_out})
 
 
-def range_dfa(t: Transducer) -> Dfa:
-    """Acceptor for the set of output words, built by reading transition
-    outputs through an epsilon automaton and determinizing."""
+@derived
+def range_transducer(t: Transducer) -> Transducer:
+    """Identity on the range language, built by reading transition outputs
+    through an epsilon automaton and determinizing."""
     # nodes: transducer states, plus spelled-out positions inside output words
     eps: dict[object, set] = {}
     letter_edges: dict[tuple[object, str], set] = {}
@@ -310,34 +267,14 @@ def range_dfa(t: Transducer) -> Dfa:
                     todo.append(m)
         return frozenset(seen)
 
-    def move(s, a):
+    def moves(s, a):
         step = set()
         for n in s:
             step.update(letter_edges.get((n, a), ()))
-        return closure(step)
+        return ((a, closure(step)),)
 
-    return _determinize(
-        t.alphabet, closure({("s", t.initial)}), move,
-        lambda s: accept in s,
-    )
-
-
-@derived
-def antidomain(t: Transducer) -> Transducer:
-    """Identity on the words where t is undefined."""
-    return from_dfa(complement(domain_dfa(t)))
-
-
-@derived
-def domain_transducer(t: Transducer) -> Transducer:
-    """Identity on the domain: the machine A(A(t)), from one determinization."""
-    return from_dfa(domain_dfa(t))
-
-
-@derived
-def range_transducer(t: Transducer) -> Transducer:
-    """Identity on the range language."""
-    return from_dfa(range_dfa(t))
+    return _relabel_transducer(t.alphabet, closure({("s", t.initial)}), moves,
+                               lambda s: "" if accept in s else None, "d")
 
 
 def pref_union(t1: Transducer, t2: Transducer) -> Transducer:

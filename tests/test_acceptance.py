@@ -245,11 +245,11 @@ def test_criterion_09_transducer_suite():
             f, g = td.eval(t1, w), td.eval(t2, w)
             assert td.eval(pu, w) == (f if f is not None else g)
 
-        dom = td.domain_dfa(t2)
-        rng_d = td.range_dfa(t2)
+        dom = td.domain_transducer(t2)
+        rng_d = td.range_transducer(t2)
         for w in td.words_upto(AL, 8):
-            assert dom.accepts(w) == bool(re.fullmatch(r"a*b", w))
-            assert rng_d.accepts(w) == bool(re.fullmatch(r"b*", w))
+            assert td.eval(dom, w) == (w if re.fullmatch(r"a*b", w) else None)
+            assert td.eval(rng_d, w) == (w if re.fullmatch(r"b*", w) else None)
 
         report = td.axioms_bounded([t1, t2, td.compose(t2, t1)], 6)
         assert report.equational_passed

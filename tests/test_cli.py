@@ -750,6 +750,21 @@ class TestTransducerCommands:
         assert code == 0
         assert "" in json.loads(out)["accepted_sample"]
 
+    @pytest.mark.parametrize("verb", ["dom", "range"])
+    @pytest.mark.parametrize("name", ["thirds", "as_to_bs"])
+    def test_acceptor_matches_golden_file(self, capsys, monkeypatch, tmp_path, verb, name):
+        """The acceptor file and the JSON report that dom and range write on
+        the nondeterministic thirds and on a data machine, byte for byte as
+        written when acceptors were a machine type of their own."""
+        source = (GOLDEN if name == "thirds" else DATA) / f"{name}.td.json"
+        (tmp_path / source.name).write_bytes(source.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        code = main(["transducer", verb, source.name, "--out", "acceptor.json", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert captured.out == (GOLDEN / f"transducer_{verb}_{name}.json").read_text()
+        assert (tmp_path / "acceptor.json").read_bytes() == (GOLDEN / f"{verb}_{name}.dfa.json").read_bytes()
+
     def test_pref(self, capsys, tmp_path):
         out_file = tmp_path / "p.json"
         code, _ = run(capsys, "transducer", "pref",

@@ -137,7 +137,7 @@ class TestTransducerFiles:
 
     def test_dfa_file(self):
         t = td.identity_transducer(("a", "b"))
-        d = td.domain_dfa(t)
+        d = td.domain_transducer(t)
         data = json.loads(fmt.write_dfa(d))
         assert set(data) == {"alphabet", "states", "initial", "accepting", "trans"}
 

@@ -45,6 +45,21 @@ def flip_count() -> td.Transducer:
     )
 
 
+def traced_peak(run):
+    """run()'s value and the peak of the memory it held, in bytes, by
+    tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = run()
+        return value, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 @pytest.fixture(scope="module")
 def t1():
     return repeat_a()
@@ -77,6 +92,20 @@ class TestEval:
             td.eval(bad, "a")
         assert err.value.word == "a"
         assert err.value.outputs == ("a", "b")
+
+    def test_dead_runs_are_dropped(self):
+        """q copies a, or writes nothing and moves to d, which accepts
+        nothing and writes each a as aa or bb.  eval follows only the live
+        run, so its peak on a^16 is a few kilobytes, where the runs into d
+        would number 2^16; and a^2000 is evaluated at once."""
+        dead = td.Transducer(("q", "d"), AL, "q",
+                             {("q", "a"): frozenset({("a", "q"), ("", "d")}),
+                              ("d", "a"): frozenset({("aa", "d"), ("bb", "d")})},
+                             {"q": ""})
+        out, peak = traced_peak(lambda: td.eval(dead, "a" * 16))
+        assert out == "a" * 16 and peak < 50_000
+        assert td.eval(dead, "a" * 2000) == "a" * 2000
+        assert td.eval(dead, "a" * 1999 + "b") is None
 
 
 class TestCompose:
@@ -125,37 +154,49 @@ class TestCompose:
             td.compose(t1, other)
 
 
+def accepts(d: td.Transducer, word: str) -> bool:
+    """Whether the acceptor d takes the word, read off its one move per
+    state and letter, each of which writes its letter."""
+    q = d.initial
+    for a in word:
+        ((out, q),) = d.trans[(q, a)]
+        assert out == a
+    assert d.final_out.get(q, "") == ""
+    return q in d.final_out
+
+
 class TestAcceptors:
     def test_domain_of_flip_count(self, t2):
-        d = td.domain_dfa(t2)
+        d = td.domain_transducer(t2)
         for w in td.words_upto(AL, 8):
-            assert d.accepts(w) == bool(re.fullmatch(r"a*b", w))
+            assert accepts(d, w) == bool(re.fullmatch(r"a*b", w))
 
     def test_range_of_flip_count(self, t2):
-        d = td.range_dfa(t2)
+        d = td.range_transducer(t2)
         for w in td.words_upto(AL, 8):
-            assert d.accepts(w) == bool(re.fullmatch(r"b*", w))
+            assert accepts(d, w) == bool(re.fullmatch(r"b*", w))
 
     def test_domain_agrees_with_eval(self, t1, t2):
         for t in (t1, t2, td.compose(t2, t1), td.pref_union(t1, t2)):
-            d = td.domain_dfa(t)
+            d = td.domain_transducer(t)
             for w in td.words_upto(AL, 7):
-                assert d.accepts(w) == (td.eval(t, w) is not None)
+                assert accepts(d, w) == (td.eval(t, w) is not None)
+                assert td.eval(d, w) == (w if accepts(d, w) else None)
 
     def test_range_collects_outputs(self, t1, t2):
         for t in (t1, t2, td.pref_union(t1, t2)):
-            d = td.range_dfa(t)
+            d = td.range_transducer(t)
             outputs = {
                 td.eval(t, w) for w in td.words_upto(AL, 7) if td.eval(t, w) is not None
             }
             for w in td.words_upto(AL, 7):
                 if w in outputs:
-                    assert d.accepts(w)
+                    assert accepts(d, w)
 
     def test_complement(self, t2):
-        d = td.complement(td.domain_dfa(t2))
+        d = td.antidomain(t2)
         for w in td.words_upto(AL, 6):
-            assert d.accepts(w) == (td.eval(t2, w) is None)
+            assert accepts(d, w) == (td.eval(t2, w) is None)
 
 
 class TestDerivedOperations:
@@ -184,7 +225,7 @@ class TestDerivedOperations:
             assert fmt.write_transducer(d) == fmt.write_transducer(aa)
 
     def test_restrict(self, t1, t2):
-        r = td.compose(td.from_dfa(td.domain_dfa(t2)), t1)
+        r = td.compose(td.domain_transducer(t2), t1)
         # a* intersected with a*b is empty
         assert all(td.eval(r, w) is None for w in td.words_upto(AL, 6))
 
@@ -521,23 +562,22 @@ def test_walk_matches_word_by_word_reference():
 
 def test_derived_machines_pass_validation(monkeypatch):
     """The constructions build their machines and acceptors without running
-    __post_init__; run on each of them here, it passes."""
+    __post_init__; run on each of them here, it passes, and each acceptor
+    has one move per state and letter, which writes its letter."""
     rnd = random.Random(41)
     corpus = []
     for _ in range(20):
         alphabet = rnd.choice(("ab", "abc"))
         corpus.append([random_machine(rnd, alphabet, rnd.randint(1, 4), nondeterministic)
                        for nondeterministic in (False, True)])
-    derived = []
-    calls = collections.Counter()
-    for cls in (td.Transducer, td.Dfa):
-        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.update([type(self).__name__]))
+    derived, acceptors = [], []
+    calls = []
+    monkeypatch.setattr(td.Transducer, "__post_init__", calls.append)
     for ts in corpus:
         for x in ts:
-            derived += [td.antidomain(x), td.domain_transducer(x), td.range_transducer(x),
-                        td.domain_dfa(x), td.range_dfa(x), td.complement(td.domain_dfa(x))]
+            acceptors += [td.antidomain(x), td.domain_transducer(x), td.range_transducer(x)]
         for x, y in itertools.product(ts, repeat=2):
-            derived += [td.compose(td.from_dfa(td.domain_dfa(y)), x), td.pref_union(x, y),
+            derived += [td.compose(td.domain_transducer(y), x), td.pref_union(x, y),
                         td.pref_union(td.antidomain(x), y)]
             try:
                 derived += [td.compose(x, y), td.compose(td.domain_transducer(x), td.pref_union(x, y))]
@@ -545,19 +585,14 @@ def test_derived_machines_pass_validation(monkeypatch):
                 pass
     assert not calls
     monkeypatch.undo()
-    kinds = collections.Counter()
-    for m in derived:
+    for m in derived + acceptors:
         m.__post_init__()
-        kinds[type(m).__name__] += 1
-    assert kinds["Transducer"] and kinds["Dfa"]
-
-
-def test_dfa_alphabet_is_validated():
-    """from_dfa builds its machine without validating it, so the acceptor
-    refuses what a machine's alphabet refuses."""
-    for alphabet in (("ab",), ("a", "a")):
-        with pytest.raises(ValueError, match="one-character"):
-            td.Dfa(("d0",), alphabet, "d0", frozenset(), {("d0", a): "d0" for a in alphabet})
+    assert derived and acceptors
+    for d in acceptors:
+        for q, a in itertools.product(d.states, d.alphabet):
+            ((out, _),) = d.trans[(q, a)]
+            assert out == a
+        assert set(d.final_out.values()) <= {""}
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +600,7 @@ def test_dfa_alphabet_is_validated():
 # ---------------------------------------------------------------------------
 
 
-def relabel_oracle(alphabet, initial, moves, final):
+def relabel_oracle(alphabet, initial, moves, final, prefix="q"):
     """Two-pass breadth-first renaming: every step's moves sorted and listed
     in discovery order first, then named, then the final outputs."""
     order = [initial]
@@ -582,7 +617,7 @@ def relabel_oracle(alphabet, initial, moves, final):
                 if q2 not in seen:
                     seen.add(q2)
                     order.append(q2)
-    name = {q: f"q{i}" for i, q in enumerate(order)}
+    name = {q: f"{prefix}{i}" for i, q in enumerate(order)}
     trans = {}
     for q, a, step in steps:
         if step:
@@ -592,7 +627,7 @@ def relabel_oracle(alphabet, initial, moves, final):
         v = final(q)
         if v is not None:
             final_out[name[q]] = v
-    return td.Transducer(tuple(name[q] for q in order), alphabet, "q0", trans, final_out)
+    return td.Transducer(tuple(name[q] for q in order), alphabet, name[initial], trans, final_out)
 
 
 def built_files(ts):
@@ -622,14 +657,14 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
     rnd = random.Random(53)
     steps = collections.Counter()
 
-    def counted_oracle(alphabet, initial, moves, final):
+    def counted_oracle(alphabet, initial, moves, final, prefix="q"):
         def counted(q, a):
             step = moves(q, a)
             outs = [out for out, _ in step]
             steps["two moves"] += len(step) >= 2
             steps["same output"] += len(set(outs)) < len(outs)
             return step
-        return relabel_oracle(alphabet, initial, counted, final)
+        return relabel_oracle(alphabet, initial, counted, final, prefix)
 
     for _ in range(25):
         alphabet = rnd.choice(("ab", "abc"))
@@ -647,15 +682,16 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
 def restrict_override_oracle(t1, t2):
     """pref_union as first built: t2 limited to the complement of the domain
     of t1 by a product with that acceptor, then the union with t1."""
-    d = td.complement(td.domain_dfa(t1))
+    d = td.antidomain(t1)
 
     def r_moves(pair, a):
         q, s = pair
-        return {(out, (q2, d.delta[(s, a)])) for out, q2 in t2.moves(q, a)}
+        ((_, s2),) = d.trans[(s, a)]
+        return {(out, (q2, s2)) for out, q2 in t2.moves(q, a)}
 
     def r_final(pair):
         q, s = pair
-        return t2.final_out.get(q) if s in d.accepting else None
+        return t2.final_out.get(q) if s in d.final_out else None
 
     t2r = td._relabel_transducer(t2.alphabet, (t2.initial, d.initial), r_moves, r_final)
 
@@ -712,14 +748,14 @@ def test_each_domain_is_determinized_once_per_sweep(monkeypatch):
     rnd = random.Random(61)
     ts = [random_machine(rnd, "ab", states, False) for states in (2, 3, 3)]
     domains = collections.Counter()
-    determinize = td._determinize
+    relabel = td._relabel_transducer
 
-    def counted(alphabet, start, move, accepting):
-        if move.__qualname__ == "domain_dfa.<locals>.move":
-            domains[id(inspect.getclosurevars(move).nonlocals["t"])] += 1
-        return determinize(alphabet, start, move, accepting)
+    def counted(alphabet, initial, moves, final, prefix="q"):
+        if moves.__qualname__ == "domain_transducer.<locals>.moves":
+            domains[id(inspect.getclosurevars(moves).nonlocals["t"])] += 1
+        return relabel(alphabet, initial, moves, final, prefix)
 
-    monkeypatch.setattr(td, "_determinize", counted)
+    monkeypatch.setattr(td, "_relabel_transducer", counted)
     report = td.axioms_bounded(ts, 4)
     assert [domains[id(t)] for t in ts] == [1, 1, 1]
     assert [(r.index, r.passed, r.witness) for r in report.results] == reference_axioms(ts, 4)
@@ -813,14 +849,5 @@ def test_walk_peak_memory():
     copy = td.compose(td.identity_transducer(al), doubler)
     words = list(td.words_upto(al, 8))
     assert len("|".join(td.eval(doubler, w) for w in words)) == 157464
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        verdict = td.equiv_bounded(doubler, copy, 8)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    verdict, peak = traced_peak(lambda: td.equiv_bounded(doubler, copy, 8))
     assert verdict == (True, None) and peak < 0.5 * 157464
