@@ -18,7 +18,7 @@ from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
 from .bitsets import bits, preimage
-from .errors import InconsistencyError, NoZeroError
+from .errors import NoZeroError
 
 # The largest carrier pfdual builds or reads: the elements of an algebra
 # (a file's, or the sections of a category), the arrows of a category file,
@@ -271,11 +271,23 @@ AXIOMS = {ax.index: ax for ax in (
 
 @dataclass(frozen=True)
 class AxiomCheck:
+    """The verdict on AXIOMS[index]: its first failing instance, or None."""
+
     index: int
-    name: str
-    passed: bool
-    witness: Optional[tuple[int, ...]]
+    witness: Optional[tuple] = None
     detail: str = ""
+
+    @property
+    def name(self) -> str:
+        return AXIOMS[self.index].name
+
+    @property
+    def equational(self) -> bool:
+        return AXIOMS[self.index].equational
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
@@ -386,9 +398,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     results: list[AxiomCheck] = []
 
     def record(index: int, witness: Optional[tuple[int, ...]], detail: str = "") -> None:
-        results.append(
-            AxiomCheck(index=index, name=AXIOMS[index].name, passed=witness is None, witness=witness, detail=detail)
-        )
+        results.append(AxiomCheck(index, witness, detail))
 
     # (1) associativity of composition, by Light's test over a generating set
     record(1, None if _light_test(C, generating_set(C)) else _first_nonassociative(C))
@@ -485,63 +495,13 @@ def axiom_instance_holds(alg: FinAlgebra, index: int, witness: Sequence[int]) ->
 
 
 # ---------------------------------------------------------------------------
-# Domain elements and the Boolean subalgebra they form
+# Domain elements, compatibility, joins, and the override/join translations
 # ---------------------------------------------------------------------------
 
 
 def domain_elements(alg: FinAlgebra) -> tuple[int, ...]:
     """The sub-universe of elements of the form A(-), in index order."""
     return tuple(sorted({alg.anti_t[a] for a in range(alg.size)}))
-
-
-@dataclass(frozen=True)
-class DomainSubalgebraReport:
-    universe: tuple[int, ...]
-    atoms: tuple[int, ...]
-    bottom: int
-    top: int
-
-
-def domain_subalgebra(alg: FinAlgebra) -> DomainSubalgebraReport:
-    """Verify that the domain elements form a Boolean algebra.
-
-    Meet is composition, complement is antidomain, join is override,
-    bottom is the zero and top is the identity.  Any law failure raises
-    InconsistencyError since it cannot happen for representable input.
-    """
-    con = derive_constants(alg)
-    universe = domain_elements(alg)
-    uset = set(universe)
-    C, anti, pref = alg.compose_t, alg.anti, alg.pref
-
-    def law(ok: bool, text: str) -> None:
-        if not ok:
-            raise InconsistencyError(f"domain elements violate Boolean law: {text}")
-
-    law(con.zero in uset and con.ident in uset, "bottom/top present")
-    for x in universe:
-        law(C[x][x] == x, f"meet idempotent at {x}")
-        law(anti(x) in uset, f"complement closure at {x}")
-        law(C[x][anti(x)] == con.zero, f"x*A(x)=0 at {x}")
-        law(pref(x, anti(x)) == con.ident, f"x|A(x)=id at {x}")
-        law(alg.dom(x) == x, f"D fixes domain elements at {x}")
-        for y in universe:
-            law(C[x][y] in uset, f"meet closure at ({x},{y})")
-            law(pref(x, y) in uset, f"join closure at ({x},{y})")
-            law(C[x][y] == C[y][x], f"meet commutative at ({x},{y})")
-            law(pref(x, y) == pref(y, x), f"join commutative on domain elements at ({x},{y})")
-            for z in universe:
-                law(C[x][pref(y, z)] == pref(C[x][y], C[x][z]), f"distributivity at ({x},{y},{z})")
-    atoms = tuple(
-        x for x in universe
-        if x != con.zero and all(not con.leq(y, x) for y in universe if y not in (con.zero, x))
-    )
-    return DomainSubalgebraReport(universe=universe, atoms=atoms, bottom=con.zero, top=con.ident)
-
-
-# ---------------------------------------------------------------------------
-# Compatibility, joins, and the override/join translations
-# ---------------------------------------------------------------------------
 
 
 def compatible(alg: FinAlgebra, a: int, b: int) -> bool:
@@ -627,13 +587,6 @@ class Homomorphism:
 
 def identity_hom(alg: FinAlgebra) -> Homomorphism:
     return Homomorphism(alg, alg, tuple(range(alg.size)))
-
-
-def compose_homs(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
-    """First h1, then h2."""
-    if h1.target != h2.source:
-        raise ValueError("homomorphisms are not composable")
-    return Homomorphism(h1.source, h2.target, tuple(h2.mapping[v] for v in h1.mapping))
 
 
 def check_homomorphism(h: Homomorphism) -> bool:

@@ -256,7 +256,7 @@ def cmd_transducer_axioms(args) -> int:
             entry["witness"] = {"operands": [args.files[i] for i in r.witness[:-1]],
                                 "word": r.witness[-1]}
         entries.append(entry)
-    _emit({"max_len": report.max_len, "axioms": entries, "passed": report.passed}, args.format)
+    _emit({"max_len": args.max_len, "axioms": entries, "passed": report.passed}, args.format)
     return 0 if report.passed else 1
 
 

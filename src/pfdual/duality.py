@@ -213,13 +213,3 @@ def invert_plain_functor(fun: MultiFunctor) -> MultiFunctor:
     if back_arr is None:
         raise ValueError("functor is not bijective on arrows")
     return MultiFunctor(fun.target, fun.source, back_obj, tuple(1 << v for v in back_arr))
-
-
-def is_topcat_iso(fun: MultiFunctor) -> bool:
-    """Bijective continuous functor between categories with a continuous
-    inverse."""
-    try:
-        _verify_category_iso(CategoryIso(fwd=fun, back=invert_plain_functor(fun)))
-    except (ValueError, InconsistencyError):
-        return False
-    return True

@@ -298,14 +298,6 @@ def load_homomorphism(path: str | Path) -> Homomorphism:
     return Homomorphism(source, target, mapping)
 
 
-def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:
-    return {
-        "source": source_label,
-        "target": target_label,
-        "map": {h.source.names[a]: h.target.names[h(a)] for a in range(h.source.size)},
-    }
-
-
 def load_functor(path: str | Path) -> MultiFunctor:
     data = load_json(path)
     folder = Path(path).parent
@@ -327,20 +319,6 @@ def load_functor(path: str | Path) -> MultiFunctor:
             raise FormatError(path, f"unknown arrow in pair {pair!r}")
         rel[f] |= 1 << g
     return MultiFunctor(source, target, obj_map, tuple(rel))
-
-
-def functor_to_dict(fun: MultiFunctor, source_label: str, target_label: str) -> dict:
-    pairs = [
-        [fun.source.arr_names[f], fun.target.arr_names[g]]
-        for f in range(fun.source.n_arrows)
-        for g in bits(fun.arr_rel[f])
-    ]
-    return {
-        "source": source_label,
-        "target": target_label,
-        "obj_map": {fun.source.obj_names[x]: fun.target.obj_names[fun.obj_map[x]] for x in range(fun.source.n_objects)},
-        "arr_rel": pairs,
-    }
 
 
 # ---------------------------------------------------------------------------

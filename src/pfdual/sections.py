@@ -116,13 +116,3 @@ def seccl_morphism(fun: MultiFunctor) -> Homomorphism:
             raise InconsistencyError("inverse image of a section is not a section")
         mapping.append(k)
     return Homomorphism(source=alg_d, target=alg_c, mapping=tuple(mapping))
-
-
-def sections_form_basis(cat: TopCategory) -> bool:
-    """Section images form a basis of the arrow topology: each arrow's
-    minimal neighbourhood contains an image through it."""
-    images = enumerate_sections(cat)
-    return all(
-        any(im >> m & 1 and not im & ~near for im in images)
-        for m, near in enumerate(cat.arr_top.nbhds)
-    )

@@ -23,18 +23,15 @@ from .bitsets import bits, image, mask_of, popcount, preimage, union
 
 @dataclass(frozen=True)
 class FinTopology:
-    """A topology on carrier indices 0..size-1.
+    """A topology on the carrier indices 0..size-1, size being len(nbhds).
 
     nbhds[i] is the smallest open set containing point i.  A set is open
     iff it contains the neighbourhood of each of its points.
     """
 
-    size: int
     nbhds: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.nbhds) != self.size:
-            raise ValueError("a topology needs one neighbourhood per point")
         opened: set[int] = set()  # openness depends on the neighbourhood alone
         for i, m in enumerate(self.nbhds):
             if m & ~self.full:
@@ -44,6 +41,10 @@ class FinTopology:
             if m not in opened and any(self.nbhds[j] & ~m for j in bits(m)):
                 raise ValueError(f"neighbourhood of point {i} is not open")
             opened.add(m)
+
+    @property
+    def size(self) -> int:
+        return len(self.nbhds)
 
     @property
     def full(self) -> int:
@@ -96,7 +97,7 @@ def _unions(masks: Iterable[int]) -> tuple[int, ...]:
 
 
 def discrete_topology(size: int) -> FinTopology:
-    return FinTopology(size, tuple(1 << i for i in range(size)))
+    return FinTopology(tuple(1 << i for i in range(size)))
 
 
 def generate_topology(size: int, subbasis: Iterable[int]) -> FinTopology:
@@ -108,7 +109,7 @@ def generate_topology(size: int, subbasis: Iterable[int]) -> FinTopology:
         m &= full
         for i in bits(m):
             nbhds[i] &= m
-    return FinTopology(size, tuple(nbhds))
+    return FinTopology(tuple(nbhds))
 
 
 # ---------------------------------------------------------------------------
@@ -221,34 +222,6 @@ def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[
     return tuple(map(tuple, table))
 
 
-def make_category(
-    obj_names: Iterable[str],
-    arrows: Iterable[tuple[str, str, str]],
-    id_of: dict[str, str],
-    comp: dict[tuple[str, str], str],
-    obj_opens: Optional[Iterable[Iterable[str]]] = None,
-    arr_opens: Optional[Iterable[Iterable[str]]] = None,
-) -> TopCategory:
-    """Convenience constructor from names; topologies default to discrete."""
-    objs = tuple(obj_names)
-    arrs = tuple(arrows)
-    arr_names = tuple(a[0] for a in arrs)
-    oi = {o: i for i, o in enumerate(objs)}
-    ai = {a: i for i, a in enumerate(arr_names)}
-
-    def topology(index: dict[str, int], opens) -> FinTopology:
-        if opens is None:
-            return discrete_topology(len(index))
-        return generate_topology(len(index), (mask_of(index[x] for x in U) for U in opens))
-
-    return TopCategory(
-        obj_names=objs, arr_names=arr_names, obj_top=topology(oi, obj_opens), arr_top=topology(ai, arr_opens),
-        src=tuple(oi[a[1]] for a in arrs), tgt=tuple(oi[a[2]] for a in arrs),
-        id_of=tuple(ai[id_of[o]] for o in objs),
-        comp_t=comp_table(len(arrs), ((ai[f], ai[g], ai[h]) for (f, g), h in comp.items())),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Continuity and the etale/Stone/epi checks
 # ---------------------------------------------------------------------------
@@ -261,21 +234,10 @@ def _failing(preimage_of, domain: FinTopology, codomain: FinTopology) -> list[in
     return [n for n in codomain.basis if not domain.is_open(preimage_of(n))]
 
 
-@dataclass(frozen=True)
-class TopCategoryReport:
-    src_continuous: bool
-    tgt_continuous: bool
-    id_continuous: bool
-    comp_continuous: bool
-    witnesses: tuple[tuple[str, int], ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.src_continuous and self.tgt_continuous and self.id_continuous and self.comp_continuous
-
-
-def check_topological_category(cat: TopCategory) -> TopCategoryReport:
-    """Continuity of source, target, identity-assignment and composition.
+def check_topological_category(cat: TopCategory) -> tuple[tuple[str, int], ...]:
+    """Continuity of source, target, identity-assignment and composition:
+    the (label, basis set) pairs whose preimage is not open, none when all
+    four maps are continuous.
 
     Around a composable pair (f, g) lie the composable (f', g') with f' near
     f and g' near g.  A basis set n is a composition witness iff some arrow
@@ -305,8 +267,7 @@ def check_topological_category(cat: TopCategory) -> TopCategoryReport:
         "id": _failing(lambda n: preimage(cat.id_of, n), cat.obj_top, cat.arr_top),
         "comp": [n for n in cat.arr_top.basis if any(spread[h] & cat.arr_top.full & ~n for h in bits(n))],
     }
-    witnesses = tuple((label, n) for label, ns in failing.items() for n in ns)
-    return TopCategoryReport(*(not ns for ns in failing.values()), witnesses)
+    return tuple((label, n) for label, ns in failing.items() for n in ns)
 
 
 def is_local_homeo(cat: TopCategory) -> bool:
@@ -365,7 +326,7 @@ def all_arrows_epi(cat: TopCategory) -> bool:
 @dataclass(frozen=True)
 class CObjectReport:
     category_problems: tuple[str, ...]
-    topology: TopCategoryReport
+    continuity: tuple[tuple[str, int], ...]  # check_topological_category's witnesses
     src_local_homeo: bool
     tgt_open: bool
     objects_stone: bool
@@ -375,7 +336,7 @@ class CObjectReport:
     def passed(self) -> bool:
         return (
             not self.category_problems
-            and self.topology.passed
+            and not self.continuity
             and self.src_local_homeo
             and self.tgt_open
             and self.objects_stone
@@ -386,7 +347,7 @@ class CObjectReport:
         """Every failed condition in a fixed order; stone_etale_only leaves
         out the two that Stone etale does not need: open target, epimorphisms."""
         out = list(self.category_problems)
-        for label, u in self.topology.witnesses:
+        for label, u in self.continuity:
             out.append(f"{label} not continuous at open {u:#x}")
         if not self.src_local_homeo:
             out.append("source map is not a local homeomorphism")
@@ -404,11 +365,11 @@ def validate_object_of_C(cat: TopCategory) -> CObjectReport:
     axioms, continuity, source local homeomorphism, open target, Stone
     object space, and every arrow an epimorphism."""
     problems = tuple(cat.check_category())
-    top = check_topological_category(cat)
+    continuity = check_topological_category(cat)
     return CObjectReport(
         category_problems=problems,
-        topology=top,
-        src_local_homeo=is_local_homeo(cat) if top.passed else False,
+        continuity=continuity,
+        src_local_homeo=not continuity and is_local_homeo(cat),
         tgt_open=is_open_map(cat),
         objects_stone=is_stone(cat.obj_top),
         arrows_epi=not problems and all_arrows_epi(cat),
@@ -438,9 +399,6 @@ class MultiFunctor:
         if len(self.arr_rel) != self.source.n_arrows:
             raise ValueError("arrow relation must cover every source arrow")
 
-    def values(self, f: int) -> tuple[int, ...]:
-        return tuple(bits(self.arr_rel[f]))
-
 
 def identity_multifunctor(cat: TopCategory) -> MultiFunctor:
     return MultiFunctor(
@@ -452,14 +410,11 @@ def identity_multifunctor(cat: TopCategory) -> MultiFunctor:
 
 @dataclass(frozen=True)
 class MultiFunctorReport:
-    endpoints_ok: bool
-    identities_ok: bool
-    compositions_ok: bool
-    witness: Optional[tuple] = None
+    witness: Optional[tuple] = None  # ("endpoints", f, g), ("identity", x) or ("composition", f1, f2, g1, g2)
 
     @property
     def passed(self) -> bool:
-        return self.endpoints_ok and self.identities_ok and self.compositions_ok
+        return self.witness is None
 
 
 def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
@@ -472,10 +427,10 @@ def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
     for f in range(src_c.n_arrows):
         for g in bits(fun.arr_rel[f]):
             if tgt_c.src[g] != fun.obj_map[src_c.src[f]] or tgt_c.tgt[g] != fun.obj_map[src_c.tgt[f]]:
-                return MultiFunctorReport(False, False, False, witness=("endpoints", f, g))
+                return MultiFunctorReport(("endpoints", f, g))
     for x in range(src_c.n_objects):
         if not fun.arr_rel[src_c.id_of[x]] >> tgt_c.id_of[fun.obj_map[x]] & 1:
-            return MultiFunctorReport(True, False, False, witness=("identity", x))
+            return MultiFunctorReport(("identity", x))
     rel, C, zero = fun.arr_rel, tgt_c.comp_t, src_c.n_arrows
     rows = enumerate(src_c.comp_t)
     if is_plain_functor(fun):
@@ -489,8 +444,8 @@ def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
             for g1 in bits(rel[f1]) if h != zero else ():
                 for g2 in bits(rel[f2]):
                     if not rel[h] >> C[g1][g2] & 1:
-                        return MultiFunctorReport(True, True, False, witness=("composition", f1, f2, g1, g2))
-    return MultiFunctorReport(True, True, True)
+                        return MultiFunctorReport(("composition", f1, f2, g1, g2))
+    return MultiFunctorReport()
 
 
 def relation_preimage(fun: MultiFunctor, mask: int) -> int:

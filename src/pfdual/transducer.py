@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import AXIOMS, derived
+from .algebra import AXIOMS, AxiomCheck, AxiomReport, derived
 from .errors import NotFunctionalError
 
 BOUND_CAP = 12
@@ -413,37 +413,12 @@ def _strip(rx: set, ry: set) -> tuple[frozenset, frozenset]:
     return frozenset(rx), frozenset(ry)
 
 
-@dataclass(frozen=True)
-class BoundedAxiomCheck:
-    index: int
-    name: str
-    equational: bool
-    passed: bool
-    witness: Optional[tuple] = None  # (operand indices..., word)
-
-
-@dataclass(frozen=True)
-class BoundedAxiomReport:
-    max_len: int
-    results: tuple[BoundedAxiomCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    @property
-    def equational_passed(self) -> bool:
-        return all(r.passed for r in self.results if r.equational)
-
-    def result(self, index: int) -> BoundedAxiomCheck:
-        return self.results[index - 1]
-
-
-def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport:
+def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     """Instantiate the ten representability (quasi)equations of
     `algebra.AXIOMS` over all tuples from the given machines and compare
     each premise, then the conclusion, on every word up to max_len, as
-    equiv_bounded does.
+    equiv_bounded does.  A failing law's witness is its first failing
+    operand indices, then the word, in `check_axioms`'s AxiomReport.
 
     Two sides of the same structure (initial state, transitions and final
     outputs) are one machine, equal to itself on every word: with at most one
@@ -496,15 +471,15 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> BoundedAxiomReport
 
     results = []
     for ax in AXIOMS.values():
+        witness = None
         for tup in itertools.product(range(len(ts)), repeat=ax.arity):
             premises, conclusion = ax.law(ops, *(ts[i] for i in tup))
             if all(eq(*p)[0] for p in premises):
                 outcome, word = eq(*conclusion)
                 if not outcome:
-                    results.append(BoundedAxiomCheck(ax.index, ax.name, ax.equational, False, tup + (word,)))
+                    witness = tup + (word,)
                     break
-        else:
-            results.append(BoundedAxiomCheck(ax.index, ax.name, ax.equational, True))
+        results.append(AxiomCheck(ax.index, witness))
         built.clear()
 
-    return BoundedAxiomReport(max_len=max_len, results=tuple(results))
+    return AxiomReport(tuple(results))

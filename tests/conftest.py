@@ -8,8 +8,9 @@ import pytest
 from hypothesis import settings
 
 from pfdual.algebra import FinAlgebra, Homomorphism
+from pfdual.bitsets import bits, mask_of
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
-from pfdual.topcat import TopCategory, make_category
+from pfdual.topcat import FinTopology, MultiFunctor, TopCategory, comp_table, discrete_topology, generate_topology
 
 # Every run draws the same examples: derandomized, with no example database
 # carrying failures from one run into the next.  A test's own max_examples
@@ -46,6 +47,54 @@ def build_swap_only() -> tuple[FinAlgebra, dict[str, PFunc]]:
     funcs = {n: f for n, f in swap_const_functions().items() if n in SWAP_ONLY_NAMES}
     alg, _ = as_abstract(funcs.values(), {f: n for n, f in funcs.items()})
     return alg, funcs
+
+
+def make_category(obj_names, arrows, id_of, comp, obj_opens=None, arr_opens=None) -> TopCategory:
+    """A category from names: arrows are (name, src, tgt) triples, comp maps
+    name pairs to names, and each list of opens is a subbasis, discrete when
+    not given.  No file limit applies."""
+    objs = tuple(obj_names)
+    arrs = tuple(arrows)
+    arr_names = tuple(a[0] for a in arrs)
+    oi = {o: i for i, o in enumerate(objs)}
+    ai = {a: i for i, a in enumerate(arr_names)}
+
+    def topology(index: dict, opens) -> FinTopology:
+        if opens is None:
+            return discrete_topology(len(index))
+        return generate_topology(len(index), (mask_of(index[x] for x in U) for U in opens))
+
+    return TopCategory(
+        obj_names=objs, arr_names=arr_names, obj_top=topology(oi, obj_opens), arr_top=topology(ai, arr_opens),
+        src=tuple(oi[a[1]] for a in arrs), tgt=tuple(oi[a[2]] for a in arrs),
+        id_of=tuple(ai[id_of[o]] for o in objs),
+        comp_t=comp_table(len(arrs), ((ai[f], ai[g], ai[h]) for (f, g), h in comp.items())),
+    )
+
+
+def compose_homs(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
+    """First h1, then h2."""
+    assert h1.target == h2.source
+    return Homomorphism(h1.source, h2.target, tuple(h2.mapping[v] for v in h1.mapping))
+
+
+def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:
+    """The homomorphism file of h, naming its algebra files by the labels."""
+    return {
+        "source": source_label,
+        "target": target_label,
+        "map": {h.source.names[a]: h.target.names[h(a)] for a in range(h.source.size)},
+    }
+
+
+def functor_to_dict(fun: MultiFunctor, source_label: str, target_label: str) -> dict:
+    """The functor file of fun, naming its category files by the labels."""
+    return {
+        "source": source_label,
+        "target": target_label,
+        "obj_map": {x: fun.target.obj_names[y] for x, y in zip(fun.source.obj_names, fun.obj_map)},
+        "arr_rel": [[f, fun.target.arr_names[g]] for f, m in zip(fun.source.arr_names, fun.arr_rel) for g in bits(m)],
+    }
 
 
 def permuted_copy(alg: FinAlgebra, perm: tuple[int, ...]) -> tuple[FinAlgebra, Homomorphism]:

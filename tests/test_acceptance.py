@@ -252,7 +252,7 @@ def test_criterion_09_transducer_suite():
             assert td.eval(rng_d, w) == (w if re.fullmatch(r"b*", w) else None)
 
         report = td.axioms_bounded([t1, t2, td.compose(t2, t1)], 6)
-        assert report.equational_passed
+        assert all(r.witness is None for r in report.results if r.equational)
         assert report.passed
 
 

@@ -19,6 +19,8 @@ from pfdual import formats as fmt
 from pfdual.cli import TRANSDUCER_VERBS, VERBS, _build_parser, _parse, main
 from pfdual.pfun import Base, enumerate_all
 
+from conftest import functor_to_dict
+
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -56,6 +58,20 @@ class TestCheckAxioms:
         report = json.loads(out)
         bad = [e for e in report["axioms"] if not e["passed"]]
         assert any(e["axiom"] == 7 and e["witness"] == ["s"] for e in bad)
+
+    def test_detail_on_an_algebra_with_no_zero(self, capsys, tmp_path):
+        """A(0)*0 = 1 but A(1)*1 = 0, so axiom 3's identity constant is
+        undefined: it repeats axiom 2's witness and says why."""
+        path = tmp_path / "no_zero.json"
+        path.write_text(json.dumps({"elements": ["0", "1"], "compose": [["0", "0"], ["1", "1"]],
+                                    "antidomain": ["1", "0"], "range": ["0", "1"], "pref": [["0", "0"], ["1", "1"]]}))
+        code, out = run(capsys, "check-axioms", path, "--format", "json")
+        assert code == 1
+        axioms = json.loads(out)["axioms"]
+        assert axioms[1]["witness"] == ["0", "1"] and "detail" not in axioms[1]
+        assert axioms[2] == {"axiom": 3, "name": "left_identity", "statement": "id*a = a", "passed": False,
+                             "witness": ["0", "1"],
+                             "detail": "identity constant undefined because A(a)*a is not constant"}
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -114,6 +130,18 @@ class TestMalformedInput:
                       "opens_arr": [["1"], ["iy"]], "id": {"x": "1", "y": "iy"}, "comp": {"1,1": "1", "iy,iy": "iy"}},
          "object and arrow names must be strings"),
         ("sections", {**CATEGORY, "objects": [True, "y"]}, "object and arrow names must be strings"),
+        ("check-axioms", {k: v for k, v in ALGEBRA.items() if k != "range"}, "missing key 'range'"),
+        ("check-axioms", {**ALGEBRA, "elements": ["0", "0"]}, "element names must be distinct"),
+        ("check-axioms", {"base": "12", "functions": {"0": {}}}, "'base' must be a list of points"),
+        ("check-axioms", {"base": ["1"], "functions": [["0", {}]]}, "'functions' must map names to graphs"),
+        ("check-axioms", {"base": ["1"], "functions": {"f": ["1"]}}, "function 'f': graph must be an object"),
+        ("check-axioms", {"base": ["1"], "functions": {"f": {"1": "9"}}}, "function 'f': point '9' not in base ('1',)"),
+        ("check-axioms", {"base": ["1"], "functions": {"e": {"1": "1"}, "f": {"1": "1"}}},
+         "functions 'e' and 'f' are identical"),
+        ("sections", {**CATEGORY, "objects": ["x", "x"]}, "object and arrow names must be distinct"),
+        ("sections", {**CATEGORY, "comp": {"ix,iz": "ix"}}, "unknown arrow 'iz' in comp"),
+        ("sections", {**CATEGORY, "opens_arr": ["ix"]}, "'opens_arr' must list sets as lists"),
+        ("sections", {**CATEGORY, "comp": {"ix": "ix"}}, "bad composition key 'ix'"),
     ])
     def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
         path = tmp_path / "malformed.json"
@@ -159,6 +187,8 @@ class TestMalformedInput:
                         "arr_rel": [["ix", "ix"], [["iy"], "iy"]]}, "unknown arrow in pair [['iy'], 'iy']"),
         ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
                            "arr_rel": [["ix", 5]]}, "unknown arrow in pair ['ix', 5]"),
+        ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
+                           "arr_rel": [["ix"]]}, "arr_rel entries must be pairs, got ['ix']"),
     ])
     def test_malformed_morphism_file(self, capsys, tmp_path, verb, data, message):
         for name in ("swap_only.alg.json", "swap_const.alg.json"):
@@ -186,6 +216,16 @@ class TestMalformedInput:
         ({**TRANSDUCER, "states": "s"}, "'states' must be a JSON list"),
         ({**TRANSDUCER, "alphabet": [1]}, "'alphabet' must be a list of strings"),
         ({**TRANSDUCER, "initial": ["s"]}, "'initial' must be a JSON string"),
+        ({**TRANSDUCER, "initial": "x"}, "initial state must be listed"),
+        ({**TRANSDUCER, "final": {"x": ""}}, "final states must be listed states"),
+        ({**TRANSDUCER, "trans": [{"from": "x", "in": "a", "out": "a", "to": "s"}]},
+         "transition from unknown state/letter ('x','a')"),
+        ({**TRANSDUCER, "trans": [{"from": "s", "in": "b", "out": "a", "to": "s"}]},
+         "transition from unknown state/letter ('s','b')"),
+        ({**TRANSDUCER, "trans": [{"from": "s", "in": "a", "out": "a", "to": "x"}]}, "transition to unknown state 'x'"),
+        ({**TRANSDUCER, "trans": [{"from": "s", "in": "a", "out": "ab", "to": "s"}]},
+         "output 'ab' uses letters outside the alphabet"),
+        ({**TRANSDUCER, "final": {"s": "b"}}, "final output 'b' uses letters outside the alphabet"),
     ])
     def test_malformed_transducer_names_the_key(self, capsys, tmp_path, data, message):
         path = tmp_path / "malformed.td.json"
@@ -429,6 +469,15 @@ class TestDualize:
         assert main(["sections", "--format", "json", "tests/golden/swap_const.cat.json"]) == 0
         captured = capsys.readouterr()
         assert captured.err == "" and captured.out == (GOLDEN / "sections_swap_const.json").read_text()
+
+    def test_sections_out_reads_back_as_the_section_algebra(self, capsys, tmp_path):
+        from pfdual.sections import seccl_object
+
+        out_file = tmp_path / "sections.alg.json"
+        code, out = run(capsys, "sections", GOLDEN / "swap_const.cat.json", "--out", out_file)
+        assert code == 0 and f"algebra_file: {out_file}" in out
+        expected, _ = seccl_object(fmt.load_category(GOLDEN / "swap_const.cat.json"))
+        assert fmt.load_algebra(out_file) == expected
 
     def test_sections_validates_the_category_once(self, capsys, monkeypatch):
         """The membership report is kept on the category, so the CLI and the
@@ -677,6 +726,28 @@ class TestCategoryAxioms:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
 
+    CATEGORY = TestMalformedInput.CATEGORY
+    # Sierpinski objects ({x} open): f runs from x to y, so the open {f}
+    # goes to {y}, which is not open
+    SIERPINSKI = {"objects": ["x", "y"], "opens_obj": [["x"]],
+                  "arrows": [{"name": "ix", "src": "x", "tgt": "x"}, {"name": "f", "src": "x", "tgt": "y"},
+                             {"name": "iy", "src": "y", "tgt": "y"}],
+                  "opens_arr": [["ix"], ["f"], ["ix", "iy"]], "id": {"x": "ix", "y": "iy"},
+                  "comp": {"ix,ix": "ix", "ix,f": "f", "f,iy": "f", "iy,iy": "iy"}}
+
+    @pytest.mark.parametrize("data, problems", [
+        ({**CATEGORY, "id": {"x": "iy", "y": "iy"}},
+         "identity of object 0 has wrong endpoints; left unit law fails at arrow 0; "
+         "right unit law fails at arrow 0; some arrow is not an epimorphism"),
+        (SIERPINSKI, "target map is not open; object space is not Stone"),
+    ])
+    def test_membership_problem_texts(self, capsys, tmp_path, data, problems):
+        path = tmp_path / "c.cat.json"
+        path.write_text(json.dumps(data))
+        assert main(["sections", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: category fails membership checks: {problems}\n"
+
 
 class TestFunctorCheck:
     def test_dual_of_inclusion(self, capsys, tmp_path):
@@ -688,7 +759,7 @@ class TestFunctorCheck:
         (tmp_path / "src.json").write_text(fmt.write_category(fun.source))
         (tmp_path / "tgt.json").write_text(fmt.write_category(fun.target))
         path = tmp_path / "fun.json"
-        path.write_text(json.dumps(fmt.functor_to_dict(fun, "src.json", "tgt.json")))
+        path.write_text(json.dumps(functor_to_dict(fun, "src.json", "tgt.json")))
         code, out = run(capsys, "functor-check", path, "--format", "json")
         assert code == 0
         report = json.loads(out)
@@ -739,6 +810,20 @@ class TestTransducerCommands:
         code, _ = run(capsys, "transducer", verb, path(left), path(right), "--out", out_file)
         assert code == 0
         assert out_file.read_bytes() == (GOLDEN / f"{verb}_{left}_{right}.td.json").read_bytes()
+
+    @pytest.mark.parametrize("verb", ["compose", "pref"])
+    def test_written_machine_without_out_is_printed(self, capsys, verb):
+        code, out = run(capsys, "transducer", verb, DATA / "as_to_bs.td.json", DATA / "id_on_as.td.json")
+        assert code == 0
+        assert out == (GOLDEN / f"{verb}_as_to_bs_id_on_as.td.json").read_text()
+
+    def test_pref_refuses_two_alphabets(self, capsys, tmp_path):
+        path = tmp_path / "a.td.json"
+        path.write_text(json.dumps({"alphabet": ["a"], "states": ["s"], "initial": "s", "final": {"s": ""},
+                                    "trans": []}))
+        assert main(["transducer", "pref", str(DATA / "as_to_bs.td.json"), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "error: transducers must share an alphabet\n"
 
     def test_dom_range(self, capsys, tmp_path):
         code, out = run(capsys, "transducer", "dom", DATA / "as_to_bs.td.json",

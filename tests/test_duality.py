@@ -12,8 +12,19 @@ from pfdual import topcat as tc
 from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_morphism
+from pfdual.errors import InconsistencyError
 
 from conftest import zero_extended_cyclic
+
+
+def is_topcat_iso(fun: tc.MultiFunctor) -> bool:
+    """A bijective continuous functor between categories with a continuous
+    inverse."""
+    try:
+        du._verify_category_iso(du.CategoryIso(fwd=fun, back=du.invert_plain_functor(fun)))
+    except (ValueError, InconsistencyError):
+        return False
+    return True
 
 
 class TestTheta:
@@ -200,12 +211,12 @@ class TestDualRouteIsomorphism:
             fun = pf_morphism(h)
             if sorted(fun.obj_map) != list(range(fun.target.n_objects)):
                 continue
-            assert du.is_topcat_iso(fun)
+            assert is_topcat_iso(fun)
             checked += 1
         assert checked >= 3
 
     def test_inclusion_dual_is_not_an_iso(self, incl_hom):
-        assert not du.is_topcat_iso(pf_morphism(incl_hom))
+        assert not is_topcat_iso(pf_morphism(incl_hom))
 
     def test_bijection_that_is_not_a_functor(self):
         """g1 and g2 swapped is a bijection of Z_5 on objects and arrows,
@@ -213,5 +224,5 @@ class TestDualRouteIsomorphism:
         g2*g2 = g4, not to g1."""
         z5 = zero_extended_cyclic(5)
         swap = (0, 2, 1, 3, 4)
-        assert du.is_topcat_iso(tc.MultiFunctor(z5, z5, (0,), tuple(1 << g for g in range(5))))
-        assert not du.is_topcat_iso(tc.MultiFunctor(z5, z5, (0,), tuple(1 << g for g in swap)))
+        assert is_topcat_iso(tc.MultiFunctor(z5, z5, (0,), tuple(1 << g for g in range(5))))
+        assert not is_topcat_iso(tc.MultiFunctor(z5, z5, (0,), tuple(1 << g for g in swap)))

@@ -6,7 +6,7 @@ import pytest
 
 from pfdual import algebra as alg
 from pfdual import topcat as tc
-from pfdual.algebra import compose_homs, identity_hom
+from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_is_functor_iff_locally_proper, pf_morphism, pf_object
 from pfdual.duality import sections_of, theta
@@ -21,6 +21,8 @@ from pfdual.filters import (
     target_of,
     upward_closure,
 )
+
+from conftest import compose_homs
 
 
 @pytest.fixture(scope="module")

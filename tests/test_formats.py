@@ -11,7 +11,9 @@ from pfdual import formats as fmt
 from pfdual import transducer as td
 from pfdual.dualize import pf_object
 from pfdual.errors import NotClosedError
-from pfdual.topcat import identity_multifunctor, make_category
+from pfdual.topcat import identity_multifunctor
+
+from conftest import functor_to_dict, hom_to_dict, make_category
 
 
 class TestAlgebraFiles:
@@ -85,7 +87,7 @@ class TestMorphismFiles:
     def test_hom_file(self, tmp_path, swap_only, swap_const, incl_hom):
         (tmp_path / "small.json").write_text(fmt.write_algebra(swap_only))
         (tmp_path / "big.json").write_text(fmt.write_algebra(swap_const))
-        hom_data = fmt.hom_to_dict(incl_hom, "small.json", "big.json")
+        hom_data = hom_to_dict(incl_hom, "small.json", "big.json")
         path = tmp_path / "incl.json"
         path.write_text(json.dumps(hom_data))
         loaded = fmt.load_homomorphism(path)
@@ -97,13 +99,13 @@ class TestMorphismFiles:
         fun = pf_morphism(incl_hom)
         (tmp_path / "src.json").write_text(fmt.write_category(fun.source))
         (tmp_path / "tgt.json").write_text(fmt.write_category(fun.target))
-        data = fmt.functor_to_dict(fun, "src.json", "tgt.json")
+        data = functor_to_dict(fun, "src.json", "tgt.json")
         path = tmp_path / "fun.json"
         path.write_text(json.dumps(data))
         loaded = fmt.load_functor(path)
         assert loaded.obj_map == fun.obj_map and loaded.arr_rel == fun.arr_rel
         # a functor from a file to itself reads that file once
-        path.write_text(json.dumps(fmt.functor_to_dict(identity_multifunctor(fun.source), "src.json", "src.json")))
+        path.write_text(json.dumps(functor_to_dict(identity_multifunctor(fun.source), "src.json", "src.json")))
         loaded = fmt.load_functor(path)
         assert loaded.source is loaded.target and loaded.arr_rel == tuple(1 << f for f in range(fun.source.n_arrows))
 
@@ -113,7 +115,7 @@ class TestMorphismFiles:
         fun = pf_morphism(incl_hom)
         (tmp_path / "src.json").write_text(fmt.write_category(fun.source))
         (tmp_path / "tgt.json").write_text(fmt.write_category(fun.target))
-        data = fmt.functor_to_dict(fun, "src.json", "tgt.json")
+        data = functor_to_dict(fun, "src.json", "tgt.json")
         first = fun.source.obj_names[0]
         data["obj_map"][first] = "nowhere"
         path = tmp_path / "fun.json"

@@ -20,7 +20,7 @@ from pfdual.duality import theta
 from pfdual.errors import InconsistencyError
 from pfdual.pfun import Base, as_abstract, enumerate_all
 
-from conftest import zero_extended_cyclic
+from conftest import make_category, zero_extended_cyclic
 
 # A section as the definition states it: the domain mask, and the
 # (object, arrow) pairs sorted by object.
@@ -57,7 +57,7 @@ def secs1(dual1):
 def identities_only(n: int) -> tc.TopCategory:
     """n discrete objects and their identities: 2^n sections."""
     objs = [f"x{i}" for i in range(n)]
-    return tc.make_category(
+    return make_category(
         objs, [(f"i{x}", x, x) for x in objs], {x: f"i{x}" for x in objs},
         {(f"i{x}", f"i{x}"): f"i{x}" for x in objs},
     )
@@ -115,7 +115,7 @@ class TestEnumeration:
     def test_invalid_category_rejected(self):
         # source map not a local homeomorphism: two parallel arrows that no
         # open set of the indiscrete arrow topology separates
-        cat = tc.make_category(
+        cat = make_category(
             ["x"], [("ix", "x", "x"), ("f", "x", "x")],
             {"x": "ix"},
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
@@ -126,7 +126,7 @@ class TestEnumeration:
 
     def test_non_stone_category_rejected(self):
         # two objects that the indiscrete object topology does not separate
-        cat = tc.make_category(
+        cat = make_category(
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")], {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("iy", "iy"): "iy"}, obj_opens=[[]], arr_opens=[[]],
         )
@@ -136,7 +136,7 @@ class TestEnumeration:
     def test_refusal_names_the_continuity_witnesses(self):
         # the lines of validate_object_of_C's report: the arrows are
         # indiscrete over two discrete objects
-        cat = tc.make_category(
+        cat = make_category(
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")], {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("iy", "iy"): "iy"}, arr_opens=[[]],
         )
@@ -151,7 +151,7 @@ class TestEnumeration:
     def test_arrow_space_not_discrete_is_internal(self, monkeypatch):
         # a Stone etale category has discrete arrows; with the local
         # homeomorphism check forced to pass, the indiscrete arrows break it
-        cat = tc.make_category(
+        cat = make_category(
             ["x"], [("ix", "x", "x"), ("f", "x", "x")],
             {"x": "ix"},
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
@@ -227,7 +227,7 @@ class TestSectionAlgebra:
         # iy;iy = f, an arrow out of x, so the section {ix, iy} composed
         # with itself is {ix, f}: two arrows at x.  Validation would refuse
         # the category; forced to pass, the lookup of the composite fails.
-        cat = tc.make_category(
+        cat = make_category(
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")], {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "iy"): "f", ("iy", "iy"): "f"},
         )
@@ -246,7 +246,7 @@ class TestEpiNecessity:
         report = tc.validate_object_of_C(cat)
         assert not report.arrows_epi
         # everything else about the category is fine
-        assert not report.category_problems and report.topology.passed
+        assert not report.category_problems and not report.continuity
         assert report.src_local_homeo and report.tgt_open and report.objects_stone
 
         algebra, secs = sc.seccl_object(cat)
@@ -289,14 +289,6 @@ class TestSectionHomomorphisms:
         broken = tc.MultiFunctor(fun.source, fun.target, fun.obj_map, tuple(rel))
         with pytest.raises(ValueError, match="star coherent"):
             sc.seccl_morphism(broken)
-
-
-class TestBasis:
-    def test_sections_form_basis_on_corpus(self, corpus_algebras, one_arrow_category):
-        cats = [pf_object(a).category for a in corpus_algebras]
-        cats.append(one_arrow_category)
-        for cat in cats:
-            assert sc.sections_form_basis(cat)
 
 
 # ---------------------------------------------------------------------------
