@@ -28,12 +28,12 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     Refuses a category that may have more than MAX_ELEMENTS sections, by
     the product of 1 + |star x| over the objects x (so also 1 + arrows), so
     any section algebra written can be read back; and one that is not Stone
-    etale, naming its problems as the category's `report` does; the
+    etale, naming the Stone etale problems of the category's `report`; the
     epimorphism condition is not needed."""
     bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
     if bound > MAX_ELEMENTS:
         raise ValueError(f"category may have {bound} sections, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
-    problems = cat.report.problems(stone_etale_only=True)
+    problems = cat.report.stone_etale_problems
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
     # Each star is the preimage of an open point, so it is open; an arrow's

@@ -3,8 +3,8 @@
 A finite topology is stored as the minimal open neighbourhood of each point,
 a bitmask over an indexed carrier; on a finite carrier this is the same
 thing as a topology (its specialization preorder).  Every check below
-(continuity, local homeomorphism, openness, the star conditions) is decided
-exactly from those neighbourhoods, one per point, without listing the opens.
+(continuity, local homeomorphism, the star conditions) is decided exactly
+from those neighbourhoods, one per point, without listing the opens.
 
 The composition table maps each pair without a composite to a zero, the
 index n_arrows, so a category is a semigroup table like an algebra's
@@ -169,7 +169,8 @@ class TopCategory:
         return validate_object_of_C(self)
 
     def check_category(self) -> list[str]:
-        """Category axioms; returns a list of problems (empty when valid).
+        """Category axioms; returns a list of problems (empty when valid),
+        naming objects and arrows as the category does.
 
         Each row's endpoints are compared with those it must have, and only
         a row that differs is walked pair by pair for its messages.
@@ -177,11 +178,11 @@ class TopCategory:
         when it fails are the composable triples scanned for the failures.
         """
         problems = []
-        n, C, src, tgt = self.n_arrows, self.comp_t, self.src, self.tgt
+        n, C, src, tgt, name = self.n_arrows, self.comp_t, self.src, self.tgt, self.arr_names
         for x in range(self.n_objects):
             e = self.id_of[x]
             if src[e] != x or tgt[e] != x:
-                problems.append(f"identity of object {x} has wrong endpoints")
+                problems.append(f"identity of object {self.obj_names[x]!r} has wrong endpoints")
         ends = [(src[h], tgt[h]) for h in range(n)] + [None]
         expected = {}  # (src f, tgt f) -> the endpoints row f must compose to
         for f, row in enumerate(C):
@@ -192,14 +193,14 @@ class TopCategory:
                 continue
             for g, h in enumerate(row):
                 if (h != n) != (src[g] == y):
-                    problems.append(f"composition defined on wrong pair ({f},{g})")
+                    problems.append(f"composition defined on wrong pair ({name[f]},{name[g]})")
                 elif h != n and (src[h] != src[f] or tgt[h] != tgt[g]):
-                    problems.append(f"composite of ({f},{g}) has wrong endpoints")
+                    problems.append(f"composite of ({name[f]},{name[g]}) has wrong endpoints")
         for f in range(n):
             if C[self.id_of[src[f]]][f] != f:
-                problems.append(f"left unit law fails at arrow {f}")
+                problems.append(f"left unit law fails at arrow {name[f]!r}")
             if C[f][self.id_of[tgt[f]]] != f:
-                problems.append(f"right unit law fails at arrow {f}")
+                problems.append(f"right unit law fails at arrow {name[f]!r}")
         table = [row + (n,) for row in C] + [(n,) * (n + 1)]
         if not _light_test(table, generating_set(table)):
             stars = [self.star(x) for x in range(self.n_objects)]
@@ -209,7 +210,7 @@ class TopCategory:
                     Cfg, Cg = table[Cf[g]], table[g]
                     for h in stars[tgt[g]]:
                         if Cfg[h] != Cf[Cg[h]]:
-                            problems.append(f"associativity fails at ({f},{g},{h})")
+                            problems.append(f"associativity fails at ({name[f]},{name[g]},{name[h]})")
         return problems
 
 
@@ -223,7 +224,7 @@ def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[
 
 
 # ---------------------------------------------------------------------------
-# Continuity and the etale/Stone/epi checks
+# The membership conditions of the dual class C
 # ---------------------------------------------------------------------------
 
 
@@ -232,42 +233,6 @@ def _failing(preimage_of, domain: FinTopology, codomain: FinTopology) -> list[in
     preserve unions and every open is a union of neighbourhoods, so the map
     (or relation) is continuous iff this list is empty."""
     return [n for n in codomain.basis if not domain.is_open(preimage_of(n))]
-
-
-def check_topological_category(cat: TopCategory) -> tuple[tuple[str, int], ...]:
-    """Continuity of source, target, identity-assignment and composition:
-    the (label, basis set) pairs whose preimage is not open, none when all
-    four maps are continuous.
-
-    Around a composable pair (f, g) lie the composable (f', g') with f' near
-    f and g' near g.  A basis set n is a composition witness iff some arrow
-    in n is the composite of a pair with a pair around it composing outside
-    n; only pairs with a non-isolated arrow have others around them.  About
-    3·n·L steps for n arrows and L near pairs; a category file holds n·L to MAX_ELEMENTS².
-    """
-    n_arr, C, near = cat.n_arrows, cat.comp_t, cat.arr_top.nbhds
-    loose = [f for f in range(n_arr) if near[f] != 1 << f]
-    # spread[h]: the composites of the pairs around the pairs composing to h,
-    # and the zero's bit (masked off below) for the pairs that do not compose
-    spread = [0] * n_arr
-    for g in range(n_arr):
-        if near[g] != 1 << g:
-            # around[f2]: the composites of f2 with the arrows near g
-            around = [image(row, near[g]) for row in C]
-            for f, row in enumerate(C):
-                if row[g] != n_arr:
-                    spread[row[g]] |= union(around[f2] for f2 in bits(near[f]))
-        else:
-            for f in loose:
-                if C[f][g] != n_arr:
-                    spread[C[f][g]] |= mask_of(C[f2][g] for f2 in bits(near[f]))
-    failing = {
-        "src": _failing(lambda n: preimage(cat.src, n), cat.arr_top, cat.obj_top),
-        "tgt": _failing(lambda n: preimage(cat.tgt, n), cat.arr_top, cat.obj_top),
-        "id": _failing(lambda n: preimage(cat.id_of, n), cat.obj_top, cat.arr_top),
-        "comp": [n for n in cat.arr_top.basis if any(spread[h] & cat.arr_top.full & ~n for h in bits(n))],
-    }
-    return tuple((label, n) for label, ns in failing.items() for n in ns)
 
 
 def is_local_homeo(cat: TopCategory) -> bool:
@@ -300,21 +265,6 @@ def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> 
     return True
 
 
-def is_open_map(cat: TopCategory) -> bool:
-    """The target map is open.  Images preserve unions, so the images of
-    the neighbourhoods decide."""
-    return all(cat.obj_top.is_open(image(cat.tgt, n)) for n in cat.arr_top.basis)
-
-
-def is_stone(top: FinTopology) -> bool:
-    """Every pair of distinct points is separated by a clopen set.
-
-    Compactness is automatic for finite spaces, and a finite space whose
-    points are separated by clopens is T1, hence discrete.
-    """
-    return top.is_discrete()
-
-
 def all_arrows_epi(cat: TopCategory) -> bool:
     """Right cancellation: a.b = a.c forces b = c, so each row of the table
     is injective on the arrows after its arrow."""
@@ -326,53 +276,43 @@ def all_arrows_epi(cat: TopCategory) -> bool:
 @dataclass(frozen=True)
 class CObjectReport:
     category_problems: tuple[str, ...]
-    continuity: tuple[tuple[str, int], ...]  # check_topological_category's witnesses
     src_local_homeo: bool
-    tgt_open: bool
     objects_stone: bool
-    arrows_epi: bool
+    arrows_epi: Optional[bool]  # None: undecided, as the category axioms fail
 
     @property
     def passed(self) -> bool:
-        return (
-            not self.category_problems
-            and not self.continuity
-            and self.src_local_homeo
-            and self.tgt_open
-            and self.objects_stone
-            and self.arrows_epi
-        )
+        return not self.category_problems and self.src_local_homeo and self.objects_stone and self.arrows_epi
 
-    def problems(self, stone_etale_only: bool = False) -> tuple[str, ...]:
-        """Every failed condition in a fixed order; stone_etale_only leaves
-        out the two that Stone etale does not need: open target, epimorphisms."""
-        out = list(self.category_problems)
-        for label, u in self.continuity:
-            out.append(f"{label} not continuous at open {u:#x}")
-        if not self.src_local_homeo:
-            out.append("source map is not a local homeomorphism")
-        if not self.tgt_open and not stone_etale_only:
-            out.append("target map is not open")
-        if not self.objects_stone:
-            out.append("object space is not Stone")
-        if not self.arrows_epi and not stone_etale_only:
-            out.append("some arrow is not an epimorphism")
-        return tuple(out)
+    @property
+    def stone_etale_problems(self) -> tuple[str, ...]:
+        """The failed conditions among those that sections need: the category
+        axioms, local homeomorphism and Stone, in that order."""
+        local = () if self.src_local_homeo else ("source map is not a local homeomorphism",)
+        stone = () if self.objects_stone else ("object space is not Stone",)
+        return self.category_problems + local + stone
+
+    def problems(self) -> tuple[str, ...]:
+        """Every failed condition: the Stone etale ones, then epimorphisms
+        when they were decided and fail."""
+        epi = ("some arrow is not an epimorphism",) if self.arrows_epi is False else ()
+        return self.stone_etale_problems + epi
 
 
 def validate_object_of_C(cat: TopCategory) -> CObjectReport:
-    """All membership conditions for the dual category class: category
-    axioms, continuity, source local homeomorphism, open target, Stone
-    object space, and every arrow an epimorphism."""
+    """Membership in the dual class C, by its finite form.  A finite Stone
+    space is discrete.  Over discrete objects a source map that is a local
+    homeomorphism makes the arrows discrete (each star is open, and src is
+    injective on an open set around each arrow), so every structure map is
+    continuous and the target map is open.  What is left to decide: the
+    category axioms, local homeomorphism, discrete objects and, on a
+    category, epimorphisms."""
     problems = tuple(cat.check_category())
-    continuity = check_topological_category(cat)
     return CObjectReport(
         category_problems=problems,
-        continuity=continuity,
-        src_local_homeo=not continuity and is_local_homeo(cat),
-        tgt_open=is_open_map(cat),
-        objects_stone=is_stone(cat.obj_top),
-        arrows_epi=not problems and all_arrows_epi(cat),
+        src_local_homeo=is_local_homeo(cat),
+        objects_stone=cat.obj_top.is_discrete(),
+        arrows_epi=None if problems else all_arrows_epi(cat),
     )
 
 

@@ -713,13 +713,12 @@ class TestCategoryAxioms:
         return tmp_path
 
     @pytest.mark.parametrize("verb, file, message", [
-        ("sections", "broken.cat.json", "category fails membership checks: composition defined on wrong pair (1,1); "
-                                        "some arrow is not an epimorphism"),
-        ("naturality", "broken_source.fun.json", "cannot enumerate sections: composition defined on wrong pair (1,1)"),
+        ("sections", "broken.cat.json", "category fails membership checks: composition defined on wrong pair (a,a)"),
+        ("naturality", "broken_source.fun.json", "cannot enumerate sections: composition defined on wrong pair (a,a)"),
         ("functor-check", "broken_source.fun.json",
-         "functor source is not a category: composition defined on wrong pair (1,1)"),
+         "functor source is not a category: composition defined on wrong pair (a,a)"),
         ("functor-check", "broken_target.fun.json",
-         "functor target is not a category: composition defined on wrong pair (1,1)"),
+         "functor target is not a category: composition defined on wrong pair (a,a)"),
     ])
     def test_missing_composite_is_bad_input(self, capsys, files, verb, file, message):
         assert main([verb, str(files / file)]) == 2
@@ -735,11 +734,14 @@ class TestCategoryAxioms:
                   "opens_arr": [["ix"], ["f"], ["ix", "iy"]], "id": {"x": "ix", "y": "iy"},
                   "comp": {"ix,ix": "ix", "ix,f": "f", "f,iy": "f", "iy,iy": "iy"}}
 
+    # Epimorphisms are decided only on a category, so a wrong identity is
+    # reported alone; the target map of SIERPINSKI is not open, which the
+    # Stone failure already covers
     @pytest.mark.parametrize("data, problems", [
         ({**CATEGORY, "id": {"x": "iy", "y": "iy"}},
-         "identity of object 0 has wrong endpoints; left unit law fails at arrow 0; "
-         "right unit law fails at arrow 0; some arrow is not an epimorphism"),
-        (SIERPINSKI, "target map is not open; object space is not Stone"),
+         "identity of object 'x' has wrong endpoints; left unit law fails at arrow 'ix'; "
+         "right unit law fails at arrow 'ix'"),
+        (SIERPINSKI, "object space is not Stone"),
     ])
     def test_membership_problem_texts(self, capsys, tmp_path, data, problems):
         path = tmp_path / "c.cat.json"

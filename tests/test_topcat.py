@@ -94,7 +94,7 @@ def dual_cat(swap_const):
 
 class TestTopologicalCategory:
     def test_dual_category_continuous(self, dual_cat):
-        assert tc.check_topological_category(dual_cat) == ()
+        assert pullback_check_topological_category(dual_cat) == ()
 
     def test_dual_topologies_discrete(self, corpus_algebras):
         for a in corpus_algebras:
@@ -107,14 +107,17 @@ class TestTopologicalCategory:
             assert cat.arr_top.is_open(mask_of(cat.id_of))
 
     def test_src_discontinuity_detected(self):
-        # two discrete objects, indiscrete arrows, nonconstant source
+        # two discrete objects, indiscrete arrows, nonconstant source: a
+        # local homeomorphism is continuous, so that is the failure reported
         cat = make_category(
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")],
             {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("iy", "iy"): "iy"},
             arr_opens=[[]],
         )
-        assert any(label == "src" for label, _ in tc.check_topological_category(cat))
+        assert any(label == "src" for label, _ in pullback_check_topological_category(cat))
+        assert not tc.is_local_homeo(cat)
+        assert tc.validate_object_of_C(cat).problems() == ("source map is not a local homeomorphism",)
 
     def test_one_object_one_arrow_passes(self, one_arrow_category):
         assert tc.validate_object_of_C(one_arrow_category).passed
@@ -124,8 +127,7 @@ class TestEtaleChecks:
     def test_dual_is_etale_stone_epi(self, dual_cat):
         report = tc.validate_object_of_C(dual_cat)
         assert report.passed
-        assert report.src_local_homeo and report.tgt_open
-        assert report.objects_stone and report.arrows_epi
+        assert report.src_local_homeo and report.objects_stone and report.arrows_epi
 
     def test_nonepi_detected(self, nonepi_category):
         assert not tc.all_arrows_epi(nonepi_category)
@@ -134,9 +136,26 @@ class TestEtaleChecks:
         assert "epimorphism" in " ".join(report.problems())
 
     def test_indiscrete_not_stone(self):
-        assert not tc.is_stone(indiscrete_topology(2))
-        assert tc.is_stone(tc.discrete_topology(3))
-        assert tc.is_stone(indiscrete_topology(1))
+        assert not indiscrete_topology(2).is_discrete()
+        assert tc.discrete_topology(3).is_discrete()
+        assert indiscrete_topology(1).is_discrete()
+
+    def test_epimorphisms_undecided_without_the_category_axioms(self):
+        # both identities are iy: each row is injective on the arrows after
+        # its arrow, but epimorphisms are decided only on a category
+        cat = make_category(
+            ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")],
+            {"x": "iy", "y": "iy"},
+            {("ix", "ix"): "ix", ("iy", "iy"): "iy"},
+        )
+        assert tc.all_arrows_epi(cat)
+        report = tc.validate_object_of_C(cat)
+        assert report.arrows_epi is None
+        assert report.problems() == (
+            "identity of object 'x' has wrong endpoints",
+            "left unit law fails at arrow 'ix'",
+            "right unit law fails at arrow 'ix'",
+        )
 
     def test_local_homeo_failure(self):
         # two arrows with the same source and indiscrete arrow topology:
@@ -150,14 +169,19 @@ class TestEtaleChecks:
         assert not tc.is_local_homeo(cat)
 
     def test_open_map_failure(self):
-        # discrete arrows over indiscrete objects: images of singletons not open
+        # discrete arrows over indiscrete objects: images of singletons are
+        # not open; src is not open either, and the objects are not Stone,
+        # which is what is reported
         cat = make_category(
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y")],
             {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("iy", "iy"): "iy"},
             obj_opens=[[]],
         )
-        assert not tc.is_open_map(cat)
+        assert not cat.obj_top.is_open(image(cat.tgt, 0b01))
+        assert tc.validate_object_of_C(cat).problems() == (
+            "source map is not a local homeomorphism", "object space is not Stone",
+        )
 
 
 class TestMultiFunctors:
@@ -234,8 +258,9 @@ class TestMultiFunctors:
 
 # ---------------------------------------------------------------------------
 # The checks as pfdual made them on a dict of composable pairs: loops over
-# pairs and triples, and composition continuity on the pullback space.
-# They are the oracles for the checks that read the table.
+# pairs and triples, and continuity, composition on the pullback space.
+# They are the oracles for the checks that read the table; continuity also
+# shows the failures that the membership report leaves to other lines.
 # ---------------------------------------------------------------------------
 
 
@@ -247,24 +272,25 @@ def loop_check_category(cat: tc.TopCategory) -> list[str]:
     """Raises KeyError where a composable triple reads a pair with no composite."""
     problems = []
     comp = comp_dict(cat)
+    name = cat.arr_names
     for x in range(cat.n_objects):
         e = cat.id_of[x]
         if cat.src[e] != x or cat.tgt[e] != x:
-            problems.append(f"identity of object {x} has wrong endpoints")
+            problems.append(f"identity of object {cat.obj_names[x]!r} has wrong endpoints")
     for f in range(cat.n_arrows):
         for g in range(cat.n_arrows):
             defined = (f, g) in comp
             if defined != (cat.tgt[f] == cat.src[g]):
-                problems.append(f"composition defined on wrong pair ({f},{g})")
+                problems.append(f"composition defined on wrong pair ({name[f]},{name[g]})")
             elif defined:
                 h = comp[(f, g)]
                 if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
-                    problems.append(f"composite of ({f},{g}) has wrong endpoints")
+                    problems.append(f"composite of ({name[f]},{name[g]}) has wrong endpoints")
     for f in range(cat.n_arrows):
         if comp.get((cat.id_of[cat.src[f]], f)) != f:
-            problems.append(f"left unit law fails at arrow {f}")
+            problems.append(f"left unit law fails at arrow {name[f]!r}")
         if comp.get((f, cat.id_of[cat.tgt[f]])) != f:
-            problems.append(f"right unit law fails at arrow {f}")
+            problems.append(f"right unit law fails at arrow {name[f]!r}")
     for f in range(cat.n_arrows):
         for g in range(cat.n_arrows):
             if cat.tgt[f] != cat.src[g]:
@@ -273,7 +299,7 @@ def loop_check_category(cat: tc.TopCategory) -> list[str]:
                 if cat.tgt[g] != cat.src[h]:
                     continue
                 if comp[(comp[(f, g)], h)] != comp[(f, comp[(g, h)])]:
-                    problems.append(f"associativity fails at ({f},{g},{h})")
+                    problems.append(f"associativity fails at ({name[f]},{name[g]},{name[h]})")
     return problems
 
 
@@ -363,12 +389,17 @@ class TestTableAgainstLoops:
         assert completed >= 1000 and failing >= 50
 
     def test_mutated_duals_with_topologies(self, corpus_algebras, one_arrow_category, nonepi_category):
+        # mostly not categories, where only the category axioms and the
+        # brute epimorphism loop tell the verdict
         rng = random.Random(2025)
         cats = _small_categories(corpus_algebras, one_arrow_category, nonepi_category)
         cats = [c for c in cats if c.n_arrows > 1]
+        verdicts = collections.Counter()
         for _ in range(300):
-            cat, _, _ = _with_random_topologies(rng, mutated(rng, rng.choice(cats)))
-            assert tc.check_topological_category(cat) == pullback_check_topological_category(cat)
+            cat, sub_o, sub_a = _with_random_subbases(rng, mutated(rng, rng.choice(cats)))
+            report = check_verdict_against_oracles(cat, sub_o, sub_a)
+            verdicts[report.src_local_homeo and report.objects_stone, bool(report.category_problems)] += 1
+        assert verdicts[True, True] >= 50
 
     def test_epi_and_multifunctors(self, corpus_algebras, corpus_homs, one_arrow_category, nonepi_category):
         rng = random.Random(2026)
@@ -443,13 +474,13 @@ class TestTableAgainstLoops:
         start = time.perf_counter()
         report = tc.validate_object_of_C(indiscrete)
         assert time.perf_counter() - start < 1
-        assert report == tc.CObjectReport((), pullback_check_topological_category(indiscrete), False, True, True, True)
+        assert report == tc.CObjectReport((), False, True, True)
         # arrows near in pairs {g2k, g2k+1}: g1 is near g0, and g1;g1 = g2
-        # is not near g0;g0 = g0, so composition is not continuous
+        # is not near g0;g0 = g0, so composition is not continuous; src is
+        # not injective on {g0, g1}, which is the failure reported
         paired = zero_extended_cyclic(n, arr_opens=[[f"g{k}", f"g{k + 1}"] for k in range(0, n, 2)])
-        report = tc.check_topological_category(paired)
-        assert any(label == "comp" for label, _ in report)
-        assert report == pullback_check_topological_category(paired)
+        assert any(label == "comp" for label, _ in pullback_check_topological_category(paired))
+        assert tc.validate_object_of_C(paired).problems() == ("source map is not a local homeomorphism",)
 
     def test_cyclic_groups(self):
         # the cubic loops took 15.6 s on the order 256 (2 vCPUs, Python 3.11)
@@ -459,7 +490,7 @@ class TestTableAgainstLoops:
         table[3][5] = 9
         broken = dataclasses.replace(cat, comp_t=tuple(map(tuple, table)))
         assert broken.check_category() == loop_check_category(broken)
-        assert broken.check_category()[0] == "associativity fails at (1,2,5)"
+        assert broken.check_category()[0] == "associativity fails at (g1,g2,g5)"
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +547,7 @@ class TestBruteForceTopologies:
                 any((u >> x & 1) != (u >> y & 1) for u in clopens)
                 for x, y in itertools.combinations(range(size), 2)
             )
-            assert tc.is_stone(top) == separated
+            assert top.is_discrete() == separated
             assert is_topology(size, opens)
             family = set(sub) | {0, full}
             assert is_topology(size, family) == (family == opens)
@@ -525,7 +556,7 @@ class TestBruteForceTopologies:
         size = 20
         top = tc.generate_topology(size, [1 << i for i in range(size)])
         full = (1 << size) - 1
-        assert top.is_discrete() and tc.is_stone(top)
+        assert top.is_discrete()
         assert top.basis == tuple(1 << i for i in range(size))
         assert top.is_open(0b1011) and top.is_clopen(full & ~0b1011)
         assert not top.is_open(1 << size)
@@ -536,16 +567,29 @@ def _small_categories(corpus_algebras, one_arrow_category, nonepi_category):
     return [c for c in cats + [one_arrow_category, nonepi_category] if c.n_arrows <= 7]
 
 
-def _with_random_topologies(rng: random.Random, cat: tc.TopCategory):
-    """The category with random topologies, and the brute-force opens of each."""
-    sub_o = random_subbasis(rng, cat.n_objects)
-    sub_a = random_subbasis(rng, cat.n_arrows)
-    top_cat = dataclasses.replace(
+def _with_topologies(cat: tc.TopCategory, sub_o, sub_a) -> tc.TopCategory:
+    return dataclasses.replace(
         cat,
         obj_top=tc.generate_topology(cat.n_objects, sub_o),
         arr_top=tc.generate_topology(cat.n_arrows, sub_a),
     )
-    return top_cat, brute_opens(cat.n_objects, sub_o), brute_opens(cat.n_arrows, sub_a)
+
+
+def _with_random_topologies(rng: random.Random, cat: tc.TopCategory):
+    """The category with random topologies, and the brute-force opens of each."""
+    sub_o = random_subbasis(rng, cat.n_objects)
+    sub_a = random_subbasis(rng, cat.n_arrows)
+    return _with_topologies(cat, sub_o, sub_a), brute_opens(cat.n_objects, sub_o), brute_opens(cat.n_arrows, sub_a)
+
+
+def _with_random_subbases(rng: random.Random, cat: tc.TopCategory):
+    """The category with random topologies, each made discrete half the time
+    so that some categories pass, and the subbasis of each."""
+    sub_o, sub_a = (
+        random_subbasis(rng, size) + ([1 << i for i in range(size)] if rng.random() < 0.5 else [])
+        for size in (cat.n_objects, cat.n_arrows)
+    )
+    return _with_topologies(cat, sub_o, sub_a), sub_o, sub_a
 
 
 def brute_local_homeo(mapping, arr_opens, obj_opens) -> bool:
@@ -585,33 +629,63 @@ def brute_star_checks(fun: MultiFunctor, target_arr_opens) -> tc.StarReport:
     return tc.StarReport(injective, surjective, pseudo, co_pseudo)
 
 
+def brute_conditions(cat: tc.TopCategory, sub_o, sub_a) -> dict[str, bool]:
+    """The six conditions of membership in the dual class C: the topological
+    ones over every open set of the generated topologies (composition over
+    the brute-force pullback of the composable pairs), the others by loops."""
+    oo, ao = brute_opens(cat.n_objects, sub_o), brute_opens(cat.n_arrows, sub_a)
+    try:
+        category = not loop_check_category(cat)
+    except KeyError:  # a composable pair has no composite
+        category = False
+    comp = comp_dict(cat)
+    pairs = sorted(comp)
+    cylinders = [mask_of(i for i, p in enumerate(pairs) if u >> p[side] & 1) for u in sub_a for side in (0, 1)]
+    composite = tuple(comp[p] for p in pairs)
+    full = (1 << cat.n_objects) - 1
+    clopens = {u for u in oo if full & ~u in oo}
+    return {
+        "category": category,
+        "continuous": not (
+            failing_opens(lambda u: preimage(cat.src, u), ao, oo)
+            or failing_opens(lambda u: preimage(cat.tgt, u), ao, oo)
+            or failing_opens(lambda u: preimage(cat.id_of, u), oo, ao)
+            or failing_opens(lambda u: preimage(composite, u), brute_opens(len(pairs), cylinders), ao)
+        ),
+        "local_homeo": brute_local_homeo(cat.src, ao, oo),
+        "open_target": all(image(cat.tgt, u) in oo for u in ao),
+        "stone": all(
+            any((u >> x & 1) != (u >> y & 1) for u in clopens)
+            for x, y in itertools.combinations(range(cat.n_objects), 2)
+        ),
+        "epi": category and loop_all_arrows_epi(cat),
+    }
+
+
+def check_verdict_against_oracles(cat: tc.TopCategory, sub_o, sub_a) -> tc.CObjectReport:
+    """validate_object_of_C's four conditions give the verdict of all six,
+    and the Stone etale precondition of the four that sections need."""
+    brute = brute_conditions(cat, sub_o, sub_a)
+    report = tc.validate_object_of_C(cat)
+    assert report.passed == all(brute.values())
+    etale = brute["category"] and brute["continuous"] and brute["local_homeo"] and brute["stone"]
+    assert (not report.stone_etale_problems) == etale
+    assert tc.is_local_homeo(cat) == brute["local_homeo"]
+    assert cat.obj_top.is_discrete() == brute["stone"]
+    assert report.arrows_epi == (brute["epi"] if brute["category"] else None)
+    return report
+
+
 class TestBruteForceCategories:
     def test_category_checks(self, corpus_algebras, one_arrow_category, nonepi_category):
         rng = random.Random(1966)
         cats = _small_categories(corpus_algebras, one_arrow_category, nonepi_category)
-        for _ in range(60):
-            cat, oo, ao = _with_random_topologies(rng, rng.choice(cats))
-            comp = comp_dict(cat)
-            pairs = sorted(comp)
-            cylinders = [
-                mask_of(i for i, p in enumerate(pairs) if u >> p[side] & 1)
-                for u in ao for side in (0, 1)
-            ]
-            pullback = brute_opens(len(pairs), cylinders)
-            composite = tuple(comp[p] for p in pairs)
-            expected = {
-                "src": failing_opens(lambda u: preimage(cat.src, u), ao, oo),
-                "tgt": failing_opens(lambda u: preimage(cat.tgt, u), ao, oo),
-                "id": failing_opens(lambda u: preimage(cat.id_of, u), oo, ao),
-                "comp": failing_opens(lambda u: preimage(composite, u), pullback, ao),
-            }
-            report = tc.check_topological_category(cat)
-            for label, failing in expected.items():
-                witnessed = {u for lab, u in report if lab == label}
-                assert witnessed <= failing and bool(witnessed) == bool(failing)
-            assert report == pullback_check_topological_category(cat)
-            assert tc.is_local_homeo(cat) == brute_local_homeo(cat.src, ao, oo)
-            assert tc.is_open_map(cat) == all(image(cat.tgt, u) in oo for u in ao)
+        verdicts = collections.Counter()
+        for _ in range(250):
+            cat, sub_o, sub_a = _with_random_subbases(rng, rng.choice(cats))
+            report = check_verdict_against_oracles(cat, sub_o, sub_a)
+            verdicts[report.passed, not report.stone_etale_problems] += 1
+        assert verdicts[True, True] >= 100 and verdicts[False, True] >= 10 and verdicts[False, False] >= 50
 
     def test_multifunctor_checks(self, corpus_algebras, one_arrow_category, nonepi_category):
         rng = random.Random(1970)
