@@ -204,13 +204,13 @@ def cmd_functor_check(args) -> int:
 def cmd_naturality(args) -> int:
     data = fmt.load_json(args.file)
     if "map" in data:
-        h = fmt.load_homomorphism(args.file)
+        h = fmt.parse_homomorphism(data, args.file)
         if not alg.check_homomorphism(h):
             raise ValueError("map is not a homomorphism")
         commutes = du.check_naturality_theta(h)
         _emit({"hom": args.file, "square": "theta", "commutes": commutes}, args.format)
     elif "arr_rel" in data:
-        fun = fmt.load_functor(args.file)
+        fun = fmt.parse_functor(data, args.file)
         commutes = du.check_naturality_phi(fun)
         _emit({"functor": args.file, "square": "phi", "commutes": commutes}, args.format)
     else:

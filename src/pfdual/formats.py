@@ -289,8 +289,7 @@ def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tup
     return tuple(positions)
 
 
-def load_homomorphism(path: str | Path) -> Homomorphism:
-    data = load_json(path)
+def parse_homomorphism(data: dict, path: str | Path) -> Homomorphism:
     folder = Path(path).parent
     source = load_algebra(folder / _need(data, "source", path, str))
     target = load_algebra(folder / _need(data, "target", path, str))
@@ -298,8 +297,11 @@ def load_homomorphism(path: str | Path) -> Homomorphism:
     return Homomorphism(source, target, mapping)
 
 
-def load_functor(path: str | Path) -> MultiFunctor:
-    data = load_json(path)
+def load_homomorphism(path: str | Path) -> Homomorphism:
+    return parse_homomorphism(load_json(path), path)
+
+
+def parse_functor(data: dict, path: str | Path) -> MultiFunctor:
     folder = Path(path).parent
     source_file = folder / _need(data, "source", path, str)
     pairs = _need(data, "arr_rel", path, list)
@@ -319,6 +321,10 @@ def load_functor(path: str | Path) -> MultiFunctor:
             raise FormatError(path, f"unknown arrow in pair {pair!r}")
         rel[f] |= 1 << g
     return MultiFunctor(source, target, obj_map, tuple(rel))
+
+
+def load_functor(path: str | Path) -> MultiFunctor:
+    return parse_functor(load_json(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -345,21 +351,24 @@ def write_transducer(t: Transducer) -> str:
 
 
 def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transducer:
+    """A transducer file, or an acceptor file read as the identity machine
+    on its language: each move writes its letter, each accepting state ''."""
     def strings(key: str) -> tuple[str, ...]:
         values = _need(data, key, path, list)
         if not all(isinstance(v, str) for v in values):
             raise FormatError(path, f"{key!r} must be a list of strings")
         return tuple(values)
 
+    acceptor = "accepting" in data
     trans: dict[tuple[str, str], set[tuple[str, str]]] = {}
     for e in _need(data, "trans", path, list):
-        for key in ("from", "in", "out", "to"):
+        for key in ("from", "in", "to") if acceptor else ("from", "in", "out", "to"):
             if not isinstance(e, dict) or key not in e:
                 raise FormatError(path, f"transition missing key {key!r}: {e!r}")
             if not isinstance(e[key], str):
                 raise FormatError(path, f"transition key {key!r} must be a string: {e!r}")
-        trans.setdefault((e["from"], e["in"]), set()).add((e["out"], e["to"]))
-    final = _need(data, "final", path, dict)
+        trans.setdefault((e["from"], e["in"]), set()).add((e["in" if acceptor else "out"], e["to"]))
+    final = dict.fromkeys(strings("accepting"), "") if acceptor else _need(data, "final", path, dict)
     if not all(isinstance(v, str) for v in final.values()):
         raise FormatError(path, "'final' must map states to output strings")
     states, alphabet, initial = strings("states"), strings("alphabet"), _need(data, "initial", path, str)

@@ -1,10 +1,17 @@
 """Finite topological categories and multivalued functors.
 
-A finite topology is stored as the minimal open neighbourhood of each point,
-a bitmask over an indexed carrier; on a finite carrier this is the same
-thing as a topology (its specialization preorder).  Every check below
-(continuity, local homeomorphism, the star conditions) is decided exactly
-from those neighbourhoods, one per point, without listing the opens.
+A finite topology is stored as the minimal open neighbourhood N(i) of each
+point, a bitmask over an indexed carrier; on a finite carrier this is the
+same thing as a topology (its specialization preorder).  Every check below
+is decided point by point from those neighbourhoods, without an open set:
+
+- a map f is continuous iff f(N(i)) lies in N(f(i)) for every point i;
+- a relation R is continuous (the preimage of each open set is open) iff
+  R(f') meets N(g) for every g in R(f) and every f' in N(f);
+- src is a local homeomorphism iff it is one to one on each N(f) and
+  src(N(f)) = N(src f).  An open set on which src is a homeomorphism onto an
+  open set holds N(f), so src(N(f)) is open and holds N(src f); continuity
+  gives the other inclusion.
 
 The composition table maps each pair without a composite to a zero, the
 index n_arrows, so a category is a semigroup table like an algebra's
@@ -18,7 +25,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .algebra import _light_test, generating_set, hash_once, pick
-from .bitsets import bits, image, mask_of, popcount, preimage, union
+from .bitsets import bits, image, mask_of, popcount, union
 
 
 @dataclass(frozen=True)
@@ -51,12 +58,7 @@ class FinTopology:
         return (1 << self.size) - 1
 
     def is_open(self, mask: int) -> bool:
-        loose = mask & self._loose
-        if not loose:
-            return True
-        if mask & ~self.full:
-            return False
-        return not any(self.nbhds[i] & ~mask for i in bits(loose))
+        return not mask & ~self.full and not any(self.nbhds[i] & ~mask for i in bits(mask))
 
     def is_clopen(self, mask: int) -> bool:
         return self.is_open(mask) and self.is_open(self.full & ~mask)
@@ -75,17 +77,6 @@ class FinTopology:
         """Every open set in ascending order, for display and tests: there
         can be 2^size of them, so no check reads this."""
         return _unions(self.basis)
-
-    @cached_property
-    def _loose(self) -> int:
-        """The bits of a mask that `is_open` must look at: everything outside
-        the carrier, and the points whose neighbourhood is more than
-        themselves.  On a discrete topology that leaves one mask test."""
-        loose = ~self.full
-        for i, m in enumerate(self.nbhds):
-            if m != 1 << i:
-                loose |= 1 << i
-        return loose
 
 
 def _unions(masks: Iterable[int]) -> tuple[int, ...]:
@@ -228,41 +219,19 @@ def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[
 # ---------------------------------------------------------------------------
 
 
-def _failing(preimage_of, domain: FinTopology, codomain: FinTopology) -> list[int]:
-    """The codomain neighbourhoods whose preimage is not open.  Preimages
-    preserve unions and every open is a union of neighbourhoods, so the map
-    (or relation) is continuous iff this list is empty."""
-    return [n for n in codomain.basis if not domain.is_open(preimage_of(n))]
+def _monotone(mapping: tuple[int, ...], domain: FinTopology, codomain: FinTopology) -> bool:
+    """Continuity: each point's neighbourhood maps into the neighbourhood
+    of its image."""
+    near = codomain.nbhds
+    return not any(image(mapping, u) & ~near[mapping[i]] for i, u in enumerate(domain.nbhds))
 
 
 def is_local_homeo(cat: TopCategory) -> bool:
-    """Every arrow has an open neighbourhood that the source map takes
-    homeomorphically onto an open set of objects.
-
-    Only each arrow's minimal neighbourhood is tried: if some open set
-    works, so does every open subset of it.
-    """
-    mapping = cat.src
-    if _failing(lambda n: preimage(mapping, n), cat.arr_top, cat.obj_top):
-        return False
-    return all(_neighbourhood_works(cat, mapping, u) for u in cat.arr_top.nbhds)
-
-
-def _neighbourhood_works(cat: TopCategory, mapping: tuple[int, ...], u: int) -> bool:
-    pts = list(bits(u))
-    imgs = [mapping[i] for i in pts]
-    if len(set(imgs)) != len(imgs):
-        return False
-    onto = mask_of(imgs)
-    if not cat.obj_top.is_open(onto):
-        return False
-    # inverse continuity: the neighbourhoods inside u (a basis of its
-    # relative topology) map to relatively open sets
-    for p in pts:
-        t = image(mapping, cat.arr_top.nbhds[p])
-        if any(cat.obj_top.nbhds[y] & onto & ~t for y in bits(t)):
-            return False
-    return True
+    """The source map takes each arrow's neighbourhood one to one onto the
+    neighbourhood of the arrow's source."""
+    src, onto = cat.src, cat.obj_top.nbhds
+    return all(image(src, u) == onto[src[f]] and popcount(u) == popcount(onto[src[f]])
+               for f, u in enumerate(cat.arr_top.nbhds))
 
 
 def all_arrows_epi(cat: TopCategory) -> bool:
@@ -394,11 +363,13 @@ def relation_preimage(fun: MultiFunctor, mask: int) -> int:
 
 
 def is_continuous_multifunctor(fun: MultiFunctor) -> bool:
-    src_c, tgt_c = fun.source, fun.target
-    return not (
-        _failing(lambda n: preimage(fun.obj_map, n), src_c.obj_top, tgt_c.obj_top)
-        or _failing(lambda n: relation_preimage(fun, n), src_c.arr_top, tgt_c.arr_top)
-    )
+    """The object map is continuous, and so is the arrow relation: every
+    arrow near f is related to an arrow near each arrow related to f."""
+    src_c, tgt_c, rel = fun.source, fun.target, fun.arr_rel
+    if not _monotone(fun.obj_map, src_c.obj_top, tgt_c.obj_top):
+        return False
+    near, onto = src_c.arr_top.nbhds, tgt_c.arr_top.nbhds
+    return all(rel[f2] & onto[g] for f, r in enumerate(rel) for g in bits(r) for f2 in bits(near[f]))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from pfdual import formats as fmt
+from pfdual import transducer as td
 from pfdual.cli import TRANSDUCER_VERBS, VERBS, _build_parser, _parse, main
 from pfdual.pfun import Base, enumerate_all
 
@@ -654,6 +655,22 @@ class TestNaturality:
         assert captured.out == ""
         assert captured.err == "error: map is not a homomorphism\n"
 
+    def test_file_is_read_once(self, capsys, tmp_path, monkeypatch):
+        """The command parses the one dict it read: the homomorphism file and
+        a functor file are each read once, their algebras and categories once."""
+        from pfdual.dualize import pf_morphism
+
+        fun = pf_morphism(fmt.load_homomorphism(DATA / "swap_inclusion.hom.json"))
+        (tmp_path / "src.json").write_text(fmt.write_category(fun.source))
+        (tmp_path / "tgt.json").write_text(fmt.write_category(fun.target))
+        (tmp_path / "fun.json").write_text(json.dumps(functor_to_dict(fun, "src.json", "tgt.json")))
+        reads, load_json = [], fmt.load_json
+        monkeypatch.setattr(fmt, "load_json", lambda path: reads.append(Path(path).name) or load_json(path))
+        for path in (DATA / "swap_inclusion.hom.json", tmp_path / "fun.json"):
+            reads.clear()
+            assert run(capsys, "naturality", path)[0] == 0
+            assert sorted(reads) == sorted({*reads}) and path.name in reads
+
     def test_non_stone_functor_is_bad_input(self, capsys, tmp_path):
         """The identity functor of a category whose two objects the
         indiscrete topology does not separate: sections are taken only of
@@ -851,6 +868,28 @@ class TestTransducerCommands:
         assert code == 0 and captured.err == ""
         assert captured.out == (GOLDEN / f"transducer_{verb}_{name}.json").read_text()
         assert (tmp_path / "acceptor.json").read_bytes() == (GOLDEN / f"{verb}_{name}.dfa.json").read_bytes()
+
+    @pytest.mark.parametrize("verb", ["dom", "range"])
+    @pytest.mark.parametrize("name", ["thirds", "as_to_bs"])
+    def test_acceptor_file_reads_back(self, capsys, tmp_path, verb, name):
+        """Every verb reads a written acceptor as the identity machine on its
+        language: eval accepts, each word unchanged, exactly the words of the
+        reported sample."""
+        source = (GOLDEN if name == "thirds" else DATA) / f"{name}.td.json"
+        acceptor = tmp_path / "acceptor.json"
+        code, out = run(capsys, "transducer", verb, source, "--out", acceptor, "--format", "json")
+        assert code == 0
+        accepted = set()
+        for word in td.words_upto(("a", "b"), 4):
+            code, out = run(capsys, "transducer", "eval", acceptor, word, "--format", "json")
+            assert code in (0, 1)
+            report = json.loads(out)
+            assert code == (0 if report["defined"] else 1)
+            if report["defined"]:
+                assert report["output"] == word
+                accepted.add(word)
+        assert accepted == set(json.loads((GOLDEN / f"transducer_{verb}_{name}.json").read_text())["accepted_sample"])
+        assert run(capsys, "transducer", "compose", acceptor, source, "--out", tmp_path / "c.json")[0] == 0
 
     def test_pref(self, capsys, tmp_path):
         out_file = tmp_path / "p.json"

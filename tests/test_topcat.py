@@ -11,6 +11,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pfdual import formats as fmt
 from pfdual import topcat as tc
@@ -706,6 +708,96 @@ class TestBruteForceCategories:
             )
             assert tc.is_continuous_multifunctor(fun) == continuous
             assert tc.star_checks(fun) == brute_star_checks(fun, tgt_ao)
+
+
+@st.composite
+def preorders(draw, min_size: int = 0) -> tc.FinTopology:
+    """An arbitrary topology on up to 6 points: the reflexive and transitive
+    closure of an arbitrary relation, as each point's set of successors."""
+    size = draw(st.integers(min_size, 6))
+    nbhds = [1 << i | draw(st.integers(0, (1 << size) - 1)) for i in range(size)]
+    for k in range(size):  # Warshall: whoever reaches k reaches what k reaches
+        nbhds = [m | nbhds[k] if m >> k & 1 else m for m in nbhds]
+    return tc.FinTopology(tuple(nbhds))
+
+
+@st.composite
+def spaces_over(draw, base: tc.FinTopology) -> tuple[tc.FinTopology, tuple[int, ...]]:
+    """A space of arrows and an arbitrary map from it onto the base's points."""
+    arrows = draw(preorders())
+    return arrows, tuple(draw(st.integers(0, base.size - 1)) for _ in range(arrows.size))
+
+
+def bare_category(objects: tc.FinTopology, arrows: tc.FinTopology, src: tuple[int, ...]) -> tc.TopCategory:
+    """Spaces of objects and arrows with a source map, and nothing composing:
+    the topological checks read no more of a category."""
+    return tc.TopCategory(
+        tuple(f"x{x}" for x in range(objects.size)), tuple(f"f{f}" for f in range(arrows.size)),
+        objects, arrows, src, src, (0,) * objects.size, tc.comp_table(arrows.size, ()),
+    )
+
+
+@st.composite
+def functors(draw) -> MultiFunctor:
+    """An arbitrary object map and arrow relation between two categories with
+    arbitrary topologies."""
+    source, target = (
+        bare_category(objects, *draw(spaces_over(objects)))
+        for objects in (draw(preorders(min_size=1)), draw(preorders(min_size=1)))
+    )
+    return MultiFunctor(
+        source, target,
+        tuple(draw(st.integers(0, target.n_objects - 1)) for _ in range(source.n_objects)),
+        tuple(draw(st.integers(0, (1 << target.n_arrows) - 1)) for _ in range(source.n_arrows)),
+    )
+
+
+def every_open(top: tc.FinTopology) -> frozenset:
+    return brute_opens(top.size, top.nbhds)
+
+
+class TestPointwiseAgainstOpenSets:
+    """The pointwise checks on arbitrary preorders, each against its
+    definition decided over every open set."""
+
+    def test_maps_and_local_homeomorphisms(self):
+        seen = collections.Counter()
+
+        @given(preorders(min_size=1).flatmap(lambda objects: st.tuples(st.just(objects), spaces_over(objects))))
+        @settings(max_examples=400, deadline=None)
+        def check(case):
+            objects, (arrows, src) = case
+            oo, ao = every_open(objects), every_open(arrows)
+            continuous = not failing_opens(lambda u: preimage(src, u), ao, oo)
+            assert tc._monotone(src, arrows, objects) == continuous
+            local = brute_local_homeo(src, ao, oo)
+            assert tc.is_local_homeo(bare_category(objects, arrows, src)) == local
+            seen["continuous", continuous] += 1
+            seen["local", local] += 1
+
+        check()
+        assert all(seen[kind, verdict] >= 20 for kind in ("continuous", "local") for verdict in (True, False))
+
+    def test_multifunctor_continuity(self):
+        seen = collections.Counter()
+
+        @given(functors())
+        @settings(max_examples=400, deadline=None)
+        def check(fun):
+            (src_o, src_a), (tgt_o, tgt_a) = ((c.obj_top, c.arr_top) for c in (fun.source, fun.target))
+
+            def related(u: int) -> int:
+                return mask_of(f for f, r in enumerate(fun.arr_rel) if r & u)
+
+            continuous = not (
+                failing_opens(lambda u: preimage(fun.obj_map, u), every_open(src_o), every_open(tgt_o))
+                or failing_opens(related, every_open(src_a), every_open(tgt_a))
+            )
+            assert tc.is_continuous_multifunctor(fun) == continuous
+            seen[continuous] += 1
+
+        check()
+        assert seen[True] >= 20 and seen[False] >= 20
 
 
 class TestCategoryFileForms:
