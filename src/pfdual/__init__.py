@@ -15,6 +15,12 @@ The main entry points:
 - `cli`: the `pfdual` command.
 """
 
+# formats first: without a bytecode cache its source, the largest, is then
+# compiled while little else is live, which keeps down the memory that the
+# import leaves in the process (and in every child forked from it).
+# tests/test_formats.py::TestFileGuards::test_formats_is_imported_first pins
+# this order.
+from . import formats  # noqa: F401
 from .algebra import (
     AxiomReport,
     FinAlgebra,

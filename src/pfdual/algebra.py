@@ -37,8 +37,10 @@ _canonical: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 def derived(fn):
     """Keep fn(x) on x, for a unary fn of an immutable, hashable x: fn runs
     once per value, on the canonical instance, and the result is kept in
-    the __dict__ of that instance and of x, so equal instances share it and
-    it lives as long as one of them does."""
+    the __dict__ of that instance and of x, so equal instances share it.
+    A result that does not refer to x goes with the last of them.  One that
+    holds x (`dual_of`, `sections_of`, `theta`) forms a reference cycle with
+    it, so both stay until the next cyclic garbage collection."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)

@@ -3,18 +3,27 @@
 All formats are JSON objects with a fixed key order; `write_*` functions
 emit the canonical form (two-space indent, documented key order, trailing
 newline), so writing a parsed file normalizes it byte-stably.
+
+Algebra and category tables, which hold up to MAX_ELEMENTS² names, are
+written by rows and read a block of rows at a time (`jsonrows`), never as
+one JSON document of one string per entry.  The row readers accept only
+files they read exactly as `json.loads` and `parse_*` do; any other file,
+every faulty one included, is read that plain way, so each refusal keeps
+its text.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress, repeat
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism
 from .bitsets import bits, mask_of, popcount
+from .jsonrows import Reader, Unread, document, encode, joined, pieces
 from .pfun import Base, PFunc, as_abstract
-from .topcat import FinTopology, MultiFunctor, TopCategory, comp_table, generate_topology
+from .topcat import FinTopology, MultiFunctor, TopCategory, generate_topology
 from .transducer import Transducer
 
 
@@ -29,13 +38,21 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def _read_text(path: str | Path) -> str:
+    """A UTF-8 file's text; undecodable bytes are a FormatError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(path, f"not UTF-8: byte 0x{e.object[e.start]:02x} at offset {e.start}") from None
+
+
 def load_json(path: str | Path) -> Any:
     """The JSON object a UTF-8 file holds; undecodable bytes, bad JSON or
     another top-level type is a FormatError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise FormatError(path, f"not UTF-8: byte 0x{e.object[e.start]:02x} at offset {e.start}") from None
+    return _json_object(_read_text(path), path)
+
+
+def _json_object(text: str, path: str | Path) -> Any:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -60,6 +77,35 @@ def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
 
 
 # ---------------------------------------------------------------------------
+# Tables by rows
+# ---------------------------------------------------------------------------
+
+# About this many characters of a table are decoded at a time.
+BLOCK = 1 << 16
+
+
+def _indices(index: dict[str, int], names: Any) -> tuple[int, ...]:
+    """The positions of a list of names, each a key of index."""
+    if not isinstance(names, list):
+        raise Unread
+    try:
+        return tuple(map(index.__getitem__, names))
+    except (KeyError, TypeError):
+        raise Unread from None
+
+
+def _name_index(names: Any) -> dict[str, int]:
+    """The position of each name of a list of at most MAX_ELEMENTS distinct
+    strings."""
+    if not isinstance(names, list) or len(names) > MAX_ELEMENTS or not all(isinstance(n, str) for n in names):
+        raise Unread
+    index = {name: i for i, name in enumerate(names)}
+    if len(index) != len(names):
+        raise Unread
+    return index
+
+
+# ---------------------------------------------------------------------------
 # Algebras: abstract tables, or concrete partial functions
 # ---------------------------------------------------------------------------
 
@@ -72,19 +118,23 @@ def _check_size(count: int, key: str, path) -> None:
         raise FormatError(path, f"{count} {key} exceed the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
 
 
-def algebra_to_dict(alg: FinAlgebra) -> dict:
-    names = alg.names
-    return {
-        "elements": list(names),
-        "compose": [[names[v] for v in row] for row in alg.compose_t],
-        "antidomain": [names[v] for v in alg.anti_t],
-        "range": [names[v] for v in alg.range_t],
-        "pref": [[names[v] for v in row] for row in alg.pref_t],
-    }
-
-
 def write_algebra(alg: FinAlgebra) -> str:
-    return _dump(algebra_to_dict(alg))
+    """The abstract algebra file: elements, then the tables by name."""
+    names = list(map(encode, alg.names))
+
+    def vector(values: Iterable[int], depth: int) -> str:
+        return joined("[]", map(names.__getitem__, values), depth)
+
+    def table(rows: Iterable[Iterable[int]]) -> Iterator[str]:
+        return pieces("[]", (vector(row, 2) for row in rows), 1)
+
+    return document((
+        ("elements", (joined("[]", names, 1),)),
+        ("compose", table(alg.compose_t)),
+        ("antidomain", (vector(alg.anti_t, 1),)),
+        ("range", (vector(alg.range_t, 1),)),
+        ("pref", table(alg.pref_t)),
+    ))
 
 
 def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
@@ -156,8 +206,36 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
     return as_abstract(named.keys(), named)
 
 
+def _read_algebra(reader: Reader) -> FinAlgebra:
+    """An abstract algebra file with 'elements' first and the four tables
+    after it, each block of rows mapped to indices as soon as it is
+    decoded."""
+    index: dict[str, int] | None = None
+    tables: dict[str, Any] = {}
+    for key in reader.members():
+        if key == "elements":
+            index = _name_index(reader.value())
+        elif index is None:
+            raise Unread
+        elif key in ("compose", "pref"):
+            tables[key] = [_indices(index, row) for block in reader.blocks("[]", BLOCK) for row in block]
+        elif key in ("antidomain", "range"):
+            tables[key] = _indices(index, reader.value())
+        else:
+            raise Unread
+    if index is None or len(tables) != 4:
+        raise Unread
+    return FinAlgebra.from_tables(tables["compose"], tables["antidomain"], tables["range"], tables["pref"],
+                                  tuple(index))
+
+
 def load_algebra(path: str | Path) -> FinAlgebra:
-    return parse_algebra(load_json(path), path)
+    text = _read_text(path)
+    try:
+        return _read_algebra(Reader(text))
+    except ValueError:
+        pass
+    return parse_algebra(_json_object(text, path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -165,35 +243,46 @@ def load_algebra(path: str | Path) -> FinAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def _basis_to_lists(top: FinTopology, names: tuple[str, ...]) -> list[list[str]]:
-    return [[names[i] for i in bits(m)] for m in top.basis]
-
-
-def category_to_dict(cat: TopCategory) -> dict:
-    return {
-        "objects": list(cat.obj_names),
-        "opens_obj": _basis_to_lists(cat.obj_top, cat.obj_names),
-        "arrows": [
-            {"name": cat.arr_names[f], "src": cat.obj_names[cat.src[f]], "tgt": cat.obj_names[cat.tgt[f]]}
-            for f in range(cat.n_arrows)
-        ],
-        "opens_arr": _basis_to_lists(cat.arr_top, cat.arr_names),
-        "id": {cat.obj_names[x]: cat.arr_names[cat.id_of[x]] for x in range(cat.n_objects)},
-        "comp": {
-            f"{cat.arr_names[f]},{cat.arr_names[g]}": cat.arr_names[h]
-            for f, row in enumerate(cat.comp_t) for g, h in enumerate(row) if h != cat.n_arrows
-        },
-    }
-
-
 def write_category(cat: TopCategory) -> str:
+    """The category file: objects, arrows and the bases of their
+    topologies, identities, and each composite by its "f,g" pair, a row of
+    the table at a time."""
     for name in cat.arr_names:
         if "," in name:
             raise ValueError(f"arrow name {name!r} may not contain a comma")
-    return _dump(category_to_dict(cat))
+    objs, arrs = list(map(encode, cat.obj_names)), list(map(encode, cat.arr_names))
+
+    def basis(top: FinTopology, names: list[str]) -> str:
+        return joined("[]", (joined("[]", map(names.__getitem__, bits(m)), 2) for m in top.basis), 1)
+
+    arrows = (joined("{}", (f'"name": {arrs[f]}', f'"src": {objs[cat.src[f]]}', f'"tgt": {objs[cat.tgt[f]]}'), 2)
+              for f in range(cat.n_arrows))
+    # A member is '"f,g": "h"', the key cut in two after its comma.
+    lefts, rights = [a[:-1] + "," for a in arrs], [a[1:] + ": " for a in arrs]
+    n, every = cat.n_arrows, range(cat.n_arrows)
+
+    def comp_row(f: int, row: tuple[int, ...]) -> str:
+        defined = list(map(n.__ne__, row))
+        members = map(str.__add__, map(rights.__getitem__, compress(every, defined)),
+                      map(arrs.__getitem__, compress(row, defined)))
+        return lefts[f] + (",\n    " + lefts[f]).join(members) if any(defined) else ""
+
+    comp = filter(None, map(comp_row, every, cat.comp_t))
+    return document((
+        ("objects", (joined("[]", objs, 1),)),
+        ("opens_obj", (basis(cat.obj_top, objs),)),
+        ("arrows", (joined("[]", arrows, 1),)),
+        ("opens_arr", (basis(cat.arr_top, arrs),)),
+        ("id", (joined("{}", (f"{objs[x]}: {arrs[f]}" for x, f in enumerate(cat.id_of)), 1),)),
+        ("comp", pieces("{}", comp, 1)),
+    ))
 
 
-def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
+def parse_category(data: dict, path: str | Path = "<category>",
+                   comp_t: list[list[int]] | None = None) -> TopCategory:
+    """The category a file's JSON object describes.  comp_t, when given,
+    is its composition table, read from the file by rows, and data need
+    not hold 'comp'; its rows are made tuples in place."""
     obj_names = tuple(_need(data, "objects", path, list))
     _check_size(len(obj_names), "objects", path)
     arrows = _need(data, "arrows", path, list)
@@ -227,12 +316,14 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
         subbasis = [mask_of(index(n, key) for n in group) for group in groups]
         return generate_topology(size, subbasis)
 
-    triples = []
-    for pair, h in _need(data, "comp", path, dict).items():
-        parts = pair.split(",")
-        if len(parts) != 2:
-            raise FormatError(path, f"bad composition key {pair!r}")
-        triples.append((arr(parts[0], "comp"), arr(parts[1], "comp"), arr(h, "comp")))
+    if comp_t is None:
+        comp_t = _empty_comp(len(arr_names))
+        for pair, h in _need(data, "comp", path, dict).items():
+            parts = pair.split(",")
+            if len(parts) != 2:
+                raise FormatError(path, f"bad composition key {pair!r}")
+            f, g = arr(parts[0], "comp"), arr(parts[1], "comp")
+            comp_t[f][g] = arr(h, "comp")
     id_map = _need(data, "id", path, dict)
     for o in obj_names:
         if o not in id_map:
@@ -243,6 +334,8 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     if len(arrows) * near > MAX_ELEMENTS**2:
         raise FormatError(path, f"{len(arrows)} arrows times {near} near pairs exceed the limit "
                                 f"MAX_ELEMENTS**2 = {MAX_ELEMENTS**2}")
+    for f, row in enumerate(comp_t):  # one row at a time, so no second table is held whole
+        comp_t[f] = tuple(row)
     try:
         return TopCategory(
             obj_names=obj_names,
@@ -252,14 +345,51 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
             src=tuple(obj(a["src"], "arrows") for a in arrows),
             tgt=tuple(obj(a["tgt"], "arrows") for a in arrows),
             id_of=tuple(arr(id_map[o], "id") for o in obj_names),
-            comp_t=comp_table(len(arr_names), triples),
+            comp_t=tuple(comp_t),
         )
     except (KeyError, ValueError) as e:
         raise FormatError(path, str(e)) from None
 
 
+def _empty_comp(n: int) -> list[list[int]]:
+    """The composition table of n arrows with no composite: the zero index n throughout."""
+    return [[n] * n for _ in range(n)]
+
+
+def _read_category(reader: Reader, path: str | Path) -> TopCategory:
+    """A category file with 'arrows' before 'comp'; the composites go
+    straight into the table, a block of members at a time."""
+    data: dict[str, Any] = {}
+    comp_t = None
+    for key in reader.members():
+        if key != "comp":
+            data[key] = reader.value()
+            continue
+        arrows = data.get("arrows")
+        if not isinstance(arrows, list) or not all(isinstance(a, dict) for a in arrows):
+            raise Unread
+        index = _name_index([a.get("name") for a in arrows])
+        comp_t = _empty_comp(len(index))
+        for block in reader.blocks("{}", BLOCK):
+            # each key of the block holds one comma, so the joined keys split into f, g, f, g, ...
+            if set(map(str.count, block, repeat(","))) - {1}:
+                raise Unread
+            ends = ",".join(block).split(",") if block else []
+            for f, g, h in zip(_indices(index, ends[::2]), _indices(index, ends[1::2]),
+                               _indices(index, list(block.values()))):
+                comp_t[f][g] = h
+    if comp_t is None:
+        raise Unread
+    return parse_category(data, path, comp_t)
+
+
 def load_category(path: str | Path) -> TopCategory:
-    return parse_category(load_json(path), path)
+    text = _read_text(path)
+    try:
+        return _read_category(Reader(text), path)
+    except ValueError:
+        pass
+    return parse_category(_json_object(text, path), path)
 
 
 # ---------------------------------------------------------------------------

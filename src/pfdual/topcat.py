@@ -205,15 +205,6 @@ class TopCategory:
         return problems
 
 
-def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
-    """The table with composite h at (f, g) for each triple (f, g, h), and
-    the zero index n_arrows everywhere else."""
-    table = [[n_arrows] * n_arrows for _ in range(n_arrows)]
-    for f, g, h in triples:
-        table[f][g] = h
-    return tuple(map(tuple, table))
-
-
 # ---------------------------------------------------------------------------
 # The membership conditions of the dual class C
 # ---------------------------------------------------------------------------
@@ -364,12 +355,15 @@ def relation_preimage(fun: MultiFunctor, mask: int) -> int:
 
 def is_continuous_multifunctor(fun: MultiFunctor) -> bool:
     """The object map is continuous, and so is the arrow relation: every
-    arrow near f is related to an arrow near each arrow related to f."""
+    arrow near f is related to an arrow near each arrow related to f.  That
+    reads only the neighbourhoods N(f) and N(g) of a related pair, so each
+    distinct pair of them is tested once."""
     src_c, tgt_c, rel = fun.source, fun.target, fun.arr_rel
     if not _monotone(fun.obj_map, src_c.obj_top, tgt_c.obj_top):
         return False
     near, onto = src_c.arr_top.nbhds, tgt_c.arr_top.nbhds
-    return all(rel[f2] & onto[g] for f, r in enumerate(rel) for g in bits(r) for f2 in bits(near[f]))
+    pairs = {(near[f], onto[g]) for f, r in enumerate(rel) for g in bits(r)}
+    return all(rel[f2] & u for m, u in pairs for f2 in bits(m))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,16 @@ between them, and a few hand-built categories."""
 
 from __future__ import annotations
 
+import json
+from typing import Iterable
+
 import pytest
 from hypothesis import settings
 
 from pfdual.algebra import FinAlgebra, Homomorphism
 from pfdual.bitsets import bits, mask_of
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
-from pfdual.topcat import FinTopology, MultiFunctor, TopCategory, comp_table, discrete_topology, generate_topology
+from pfdual.topcat import FinTopology, MultiFunctor, TopCategory, discrete_topology, generate_topology
 
 # Every run draws the same examples: derandomized, with no example database
 # carrying failures from one run into the next.  A test's own max_examples
@@ -49,6 +52,15 @@ def build_swap_only() -> tuple[FinAlgebra, dict[str, PFunc]]:
     return alg, funcs
 
 
+def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The table with composite h at (f, g) for each triple (f, g, h), and
+    the zero index n_arrows everywhere else."""
+    table = [[n_arrows] * n_arrows for _ in range(n_arrows)]
+    for f, g, h in triples:
+        table[f][g] = h
+    return tuple(map(tuple, table))
+
+
 def make_category(obj_names, arrows, id_of, comp, obj_opens=None, arr_opens=None) -> TopCategory:
     """A category from names: arrows are (name, src, tgt) triples, comp maps
     name pairs to names, and each list of opens is a subbasis, discrete when
@@ -76,6 +88,44 @@ def compose_homs(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
     """First h1, then h2."""
     assert h1.target == h2.source
     return Homomorphism(h1.source, h2.target, tuple(h2.mapping[v] for v in h1.mapping))
+
+
+def algebra_to_dict(alg: FinAlgebra) -> dict:
+    """The abstract algebra file of alg as a JSON object."""
+    names = alg.names
+    return {
+        "elements": list(names),
+        "compose": [[names[v] for v in row] for row in alg.compose_t],
+        "antidomain": [names[v] for v in alg.anti_t],
+        "range": [names[v] for v in alg.range_t],
+        "pref": [[names[v] for v in row] for row in alg.pref_t],
+    }
+
+
+def category_to_dict(cat: TopCategory) -> dict:
+    """The category file of cat as a JSON object."""
+    def basis(top: FinTopology, names: tuple[str, ...]) -> list[list[str]]:
+        return [[names[i] for i in bits(m)] for m in top.basis]
+
+    return {
+        "objects": list(cat.obj_names),
+        "opens_obj": basis(cat.obj_top, cat.obj_names),
+        "arrows": [
+            {"name": cat.arr_names[f], "src": cat.obj_names[cat.src[f]], "tgt": cat.obj_names[cat.tgt[f]]}
+            for f in range(cat.n_arrows)
+        ],
+        "opens_arr": basis(cat.arr_top, cat.arr_names),
+        "id": {cat.obj_names[x]: cat.arr_names[cat.id_of[x]] for x in range(cat.n_objects)},
+        "comp": {
+            f"{cat.arr_names[f]},{cat.arr_names[g]}": cat.arr_names[h]
+            for f, row in enumerate(cat.comp_t) for g, h in enumerate(row) if h != cat.n_arrows
+        },
+    }
+
+
+def dump_oracle(data: dict) -> str:
+    """The bytes a file writer must give: json.dumps of the file's object."""
+    return json.dumps(data, indent=2) + "\n"
 
 
 def hom_to_dict(h: Homomorphism, source_label: str, target_label: str) -> dict:

@@ -20,7 +20,7 @@ from pfdual import transducer as td
 from pfdual.cli import TRANSDUCER_VERBS, VERBS, _build_parser, _parse, main
 from pfdual.pfun import Base, enumerate_all
 
-from conftest import functor_to_dict
+from conftest import algebra_to_dict, functor_to_dict
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -606,7 +606,7 @@ class TestHomCheck:
         """The identity map of an algebra failing axiom (10) is refused with
         exit 2, as naturality and dualize refuse the algebra, not reported
         as an internal error of the prime-filter enumeration."""
-        data = fmt.algebra_to_dict(fmt.load_algebra(DATA / "swap_const.alg.json"))
+        data = algebra_to_dict(fmt.load_algebra(DATA / "swap_const.alg.json"))
         zero = data["elements"].index("0")
         data["pref"][zero][zero] = "e3"
         (tmp_path / "bad.alg.json").write_text(json.dumps(data))

@@ -3,17 +3,32 @@
 from __future__ import annotations
 
 import json
+import os
+import random
 import re
+import subprocess
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pfdual import formats as fmt
 from pfdual import transducer as td
+from pfdual.algebra import FinAlgebra
+from pfdual.cli import main
 from pfdual.dualize import pf_object
 from pfdual.errors import NotClosedError
-from pfdual.topcat import identity_multifunctor
+from pfdual.sections import seccl_object
+from pfdual.topcat import TopCategory, generate_topology, identity_multifunctor
 
-from conftest import functor_to_dict, hom_to_dict, make_category
+from conftest import (algebra_to_dict, build_swap_const, category_to_dict, dump_oracle, functor_to_dict,
+                      hom_to_dict, make_category, zero_extended_cyclic)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestAlgebraFiles:
@@ -174,3 +189,294 @@ class TestDot:
             read.append(tuple(re.sub(r"\\(.)", r"\1", g) for g in m.groups()[:3] if g is not None))
         assert read == [(objs[0],), (objs[1],), (objs[0], objs[0], arrs[0]),
                         (objs[1], objs[1], arrs[1]), (objs[0], objs[1], arrs[2])]
+
+
+# ---------------------------------------------------------------------------
+# Tables by rows: the same bytes, results and refusals as the plain path
+# ---------------------------------------------------------------------------
+
+# Names with quotes, backslashes, commas, non-ASCII and control characters.
+NAMES = st.text(st.sampled_from('a"\\,é€\x00\n\t\U0001d11e ') | st.characters(), max_size=4)
+
+
+@st.composite
+def algebras(draw) -> FinAlgebra:
+    """Any tables of the right shape: the files do not ask for the axioms."""
+    n = draw(st.integers(1, 5))
+    names = draw(st.lists(NAMES, min_size=n, max_size=n, unique=True))
+    vector = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    table = st.lists(vector, min_size=n, max_size=n)
+    return FinAlgebra.from_tables(draw(table), draw(vector), draw(vector), draw(table), names)
+
+
+@st.composite
+def categories(draw) -> TopCategory:
+    """Any tables and topologies of the right shape, often with no composite
+    at all; arrow names hold no comma."""
+    n_obj = draw(st.integers(0, 3))
+    n_arr = draw(st.integers(1, 5)) if n_obj else 0
+    objs = draw(st.lists(NAMES, min_size=n_obj, max_size=n_obj, unique=True))
+    arrs = draw(st.lists(NAMES.filter(lambda name: "," not in name), min_size=n_arr, max_size=n_arr, unique=True))
+    entry = st.integers(0, n_arr) if draw(st.booleans()) else st.just(n_arr)
+
+    def points(size: int, count: int) -> tuple[int, ...]:
+        return tuple(draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=count, max_size=count)))
+
+    def topology(size: int):
+        return generate_topology(size, draw(st.lists(st.integers(0, (1 << size) - 1), max_size=4)))
+
+    return TopCategory(
+        obj_names=tuple(objs), arr_names=tuple(arrs), obj_top=topology(n_obj), arr_top=topology(n_arr),
+        src=points(n_obj, n_arr), tgt=points(n_obj, n_arr), id_of=points(n_arr, n_obj),
+        comp_t=tuple(tuple(draw(st.lists(entry, min_size=n_arr, max_size=n_arr))) for _ in range(n_arr)),
+    )
+
+
+def read_by_rows(load, text: str, block: int = 1):
+    """load of a file holding text, read in blocks of block characters,
+    and refused if it falls back to json.loads."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "file.json"
+        path.write_text(text, encoding="utf-8")
+        saved = fmt._json_object, fmt.BLOCK
+        fmt._json_object, fmt.BLOCK = None, block
+        try:
+            return load(path)
+        finally:
+            fmt._json_object, fmt.BLOCK = saved
+
+
+class TestBytesByRows:
+    @given(algebras())
+    def test_algebra_bytes_and_round_trip(self, alg):
+        text = fmt.write_algebra(alg)
+        assert text == dump_oracle(algebra_to_dict(alg))
+        for block in (1, 2, 10, 40, len(text)):
+            assert read_by_rows(fmt.load_algebra, text, block) == alg
+        assert fmt.parse_algebra(json.loads(text)) == alg
+
+    @given(categories())
+    def test_category_bytes_and_round_trip(self, cat):
+        text = fmt.write_category(cat)
+        assert text == dump_oracle(category_to_dict(cat))
+        for block in (1, 2, 10, 40, len(text)):
+            assert read_by_rows(fmt.load_category, text, block) == cat
+        assert fmt.parse_category(json.loads(text)) == cat
+
+    def test_smallest_files(self, one_elem):
+        """A one-element algebra, and a category with no composable pair."""
+        cat = pf_object(one_elem).category
+        assert cat.n_arrows == 0
+        for x, write, load, oracle in ((one_elem, fmt.write_algebra, fmt.load_algebra, algebra_to_dict),
+                                       (cat, fmt.write_category, fmt.load_category, category_to_dict)):
+            assert write(x) == dump_oracle(oracle(x))
+            assert read_by_rows(load, write(x)) == x
+        lone = make_category(["x", "y"], [("f", "x", "y")], {"x": "f", "y": "f"}, {})
+        assert '"comp": {}' in fmt.write_category(lone)
+        assert read_by_rows(fmt.load_category, fmt.write_category(lone)) == lone
+
+    def test_golden_categories(self):
+        """Each golden category file, written or laid out by hand, reads by
+        rows as json.loads reads it, at one character a block and at the
+        default block size, and the written one back to its bytes."""
+        for path in sorted((ROOT / "tests" / "golden").glob("*.cat.json")):
+            text = path.read_text(encoding="utf-8")
+            cat = read_by_rows(fmt.load_category, text)
+            assert cat == fmt.parse_category(json.loads(text))
+            assert read_by_rows(fmt.load_category, text, fmt.BLOCK) == cat
+            if path.name == "swap_const.cat.json":
+                assert fmt.write_category(cat) == text
+
+    def test_files_of_several_default_blocks(self):
+        """The cyclic group on 90 arrows writes 8,100 composites, and its
+        section algebra 2 * 91² table entries, in a few blocks each."""
+        cat = zero_extended_cyclic(90)
+        sections = seccl_object(cat)[0]
+        for x, write, load in ((cat, fmt.write_category, fmt.load_category),
+                               (sections, fmt.write_algebra, fmt.load_algebra)):
+            text = write(x)
+            assert 2 * fmt.BLOCK < len(text) < 10 * fmt.BLOCK
+            assert read_by_rows(load, text, fmt.BLOCK) == x
+
+
+def reordered(text: str, first: str) -> str:
+    data = json.loads(text)
+    return json.dumps({first: data.pop(first), **data}, indent=2)
+
+
+def edited(text: str, edit) -> str:
+    data = json.loads(text)
+    edit(data)
+    return json.dumps(data, indent=2)
+
+
+ALG = fmt.write_algebra(build_swap_const()[0])
+CAT = fmt.write_category(pf_object(build_swap_const()[0]).category)
+ARROW = json.loads(CAT)["arrows"][1]["name"]
+PAIR = next(iter(json.loads(CAT)["comp"]))
+
+# (name, verb, file bytes): malformed files of each kind, which the row
+# readers leave to json.loads and parse_*, and well-formed ones that they
+# also leave to it (keys out of order, duplicated or unknown, one line).
+FILES = [
+    ("algebra truncated", "check-axioms", ALG[:len(ALG) // 2].encode()),
+    ("algebra not UTF-8", "check-axioms", ALG.encode().replace(b'"s3"', b'"s\xe93"', 1)),
+    ("algebra top level a list", "check-axioms", json.dumps(list(json.loads(ALG).values())).encode()),
+    ("algebra extra data", "check-axioms", (ALG + "[]").encode()),
+    ("algebra row not a list", "check-axioms", edited(ALG, lambda d: d["compose"].__setitem__(0, "0")).encode()),
+    ("algebra pref row a string of names", "check-axioms",
+     edited(ALG, lambda d: d["pref"].__setitem__(0, "".join(d["elements"][:1] * len(d["elements"])))).encode()),
+    ("algebra unknown name in compose", "check-axioms",
+     edited(ALG, lambda d: d["compose"][2].__setitem__(1, "nope")).encode()),
+    ("algebra unknown name in pref", "check-axioms", edited(ALG, lambda d: d["pref"][3].__setitem__(0, 7)).encode()),
+    ("algebra unknown name in range", "check-axioms", edited(ALG, lambda d: d["range"].__setitem__(0, None)).encode()),
+    ("algebra compose before elements", "check-axioms", reordered(ALG, "compose").encode()),
+    ("algebra duplicated key, last bad", "check-axioms", ALG.replace("\n}\n", ',\n  "pref": [5]\n}\n').encode()),
+    ("algebra duplicated key, last good", "check-axioms",
+     ALG.replace('\n  "range"', '\n  "pref": 5,\n  "range"', 1).encode()),
+    ("algebra elements again, last good", "check-axioms",
+     ALG.replace("\n}\n", ',\n  "elements": ' + json.dumps(json.loads(ALG)["elements"][::-1]) + "\n}\n").encode()),
+    ("algebra trailing comma", "check-axioms", ALG.replace('"\n    ]', '",\n    ]', 1).encode()),
+    ("algebra short row", "check-axioms", edited(ALG, lambda d: d["compose"][1].pop()).encode()),
+    ("algebra names not distinct", "check-axioms",
+     edited(ALG, lambda d: d["elements"].__setitem__(1, d["elements"][0])).encode()),
+    ("algebra extra key", "check-axioms", edited(ALG, lambda d: d.__setitem__("note", [1])).encode()),
+    ("algebra on one line", "check-axioms", json.dumps(json.loads(ALG)).encode()),
+    ("algebra with a byte order mark", "check-axioms", b"\xef\xbb\xbf" + ALG.encode()),
+    ("category truncated", "sections", CAT[:len(CAT) * 2 // 3].encode()),
+    ("category not UTF-8", "sections", CAT.encode().replace(b"p_c", b"p_\xffc", 1)),
+    ("category top level a string", "sections", b'"comp"'),
+    ("category extra data", "sections", (CAT + "{}").encode()),
+    ("category arrow not an object", "sections",
+     edited(CAT, lambda d: d["arrows"].__setitem__(0, [ARROW, "x", "x"])).encode()),
+    ("category unknown arrow in a comp key", "sections",
+     edited(CAT, lambda d: d["comp"].__setitem__(PAIR.split(",")[0] + ",zz", ARROW)).encode()),
+    ("category unknown arrow in a comp value", "sections",
+     edited(CAT, lambda d: d["comp"].__setitem__(PAIR, "zz")).encode()),
+    ("category comp value not a name", "sections",
+     edited(CAT, lambda d: d["comp"].__setitem__(PAIR, [ARROW])).encode()),
+    ("category comp key with no comma", "sections",
+     edited(CAT, lambda d: d["comp"].__setitem__(ARROW, ARROW)).encode()),
+    ("category comp key with two commas", "sections",
+     edited(CAT, lambda d: d["comp"].__setitem__(f"{PAIR},{ARROW}", ARROW)).encode()),
+    ("category comp before arrows", "sections", reordered(CAT, "comp").encode()),
+    ("category comp not an object", "sections", edited(CAT, lambda d: d.__setitem__("comp", [])).encode()),
+    ("category duplicated comp, last good", "sections",
+     CAT.replace('\n  "comp"', '\n  "comp": {},\n  "comp"', 1).encode()),
+    ("category duplicated comp, last bad", "sections", CAT.replace("\n}\n", ',\n  "comp": {"a,b": "c"}\n}\n').encode()),
+    ("category duplicated comp member, last good", "sections",
+     CAT.replace(f'"{PAIR}": ', f'"{PAIR}": "zz",\n    "{PAIR}": ', 1).encode()),
+    ("category duplicated comp member, last bad", "sections",
+     CAT.replace("\n  }\n}", f',\n    "{PAIR}": "zz"\n  }}\n}}').encode()),
+    ("category trailing comma in comp", "sections", CAT.replace("\n  }\n}", ",\n  }\n}").encode()),
+    ("category missing an identity", "sections", edited(CAT, lambda d: d["id"].popitem()).encode()),
+    ("category on one line", "sections", json.dumps(json.loads(CAT)).encode()),
+    ("category comp last member alone on its line", "sections",
+     CAT.replace("\n  }\n}", "\n\n  }\n}").encode()),
+]
+
+
+class TestRefusalParity:
+    """Each file reaches the same exit code, report and refusal text by rows
+    as by the plain path."""
+
+    @pytest.mark.parametrize("block", [1, 50, 1000])
+    @pytest.mark.parametrize("name, verb, content", FILES, ids=[f[0] for f in FILES])
+    def test_same_outcome(self, capsys, monkeypatch, tmp_path, block, name, verb, content):
+        path = tmp_path / "file.json"
+        path.write_bytes(content)
+        monkeypatch.setattr(fmt, "BLOCK", block)
+        by_rows = (main([verb, str(path)]), *capsys.readouterr())
+        # the plain path: json.loads and parse_* on the whole file
+        monkeypatch.setattr(fmt, "load_algebra", lambda path: fmt.parse_algebra(fmt.load_json(path), path))
+        monkeypatch.setattr(fmt, "load_category", lambda path: fmt.parse_category(fmt.load_json(path), path))
+        assert by_rows == (main([verb, str(path)]), *capsys.readouterr())
+
+    def test_only_well_formed_files_pass(self, capsys, tmp_path):
+        passed = []
+        for name, verb, content in FILES:
+            (tmp_path / "file.json").write_bytes(content)
+            if main([verb, str(tmp_path / "file.json")]) != 2:
+                passed.append(name)
+            capsys.readouterr()
+        assert passed == [name for name, _, _ in FILES if "last good" in name or re.search(
+            r"before|extra key|one line|alone", name)]
+
+
+class TestFileGuards:
+    def test_reading_a_512_element_algebra_keeps_one_copy(self, tmp_path):
+        """Reading peaks below five times the two tables it builds (the
+        plain path, json.loads with a string per entry, took 9.7 times)."""
+        n, rnd = 512, random.Random(0)
+
+        def vector() -> list[int]:
+            return [rnd.randrange(n) for _ in range(n)]
+
+        alg = FinAlgebra.from_tables([vector() for _ in range(n)], vector(), vector(), [vector() for _ in range(n)],
+                                     [f"e{i}" for i in range(n)])
+        path = tmp_path / "big.alg.json"
+        path.write_text(fmt.write_algebra(alg), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            loaded = fmt.load_algebra(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == alg
+        assert peak < 5 * (2 * n * n * 8)
+
+    def test_formats_is_imported_first(self):
+        """`import pfdual` imports formats, its largest source, before any
+        other pfdual module.  Without a bytecode cache formats is then
+        compiled while little else is live; compiled last, as `pfdual.cli`
+        would import it, it left about 0.35 MB more in the process and in
+        every verdict forked from it."""
+        script = ("import sys\n"
+                  "started = []\n"
+                  "sys.addaudithook(lambda event, args: event == 'import' and started.append(args[0]))\n"
+                  "import pfdual\n"
+                  "print([name for name in started if name.startswith('pfdual.')][0])\n")
+        result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "pfdual.formats\n"
+
+    def test_verbs_import_nothing_more(self, tmp_path):
+        """Every verb runs on the shipped files without importing a module
+        that `import pfdual.cli` has not: each forked verdict would compile
+        it again."""
+        golden = str(ROOT / "tests" / "golden" / "swap_const.cat.json")
+        fun = tmp_path / "id.fun.json"
+        fun.write_text(json.dumps(functor_to_dict(identity_multifunctor(fmt.load_category(golden)), golden, golden)))
+        commands = [
+            ["check-axioms", "data/swap_const.alg.json"],
+            ["check-axioms", "data/swap_only.alg.json", "--format", "json"],
+            ["dualize", "data/swap_const.alg.json", "--out", str(tmp_path / "d.cat.json"),
+             "--dot", str(tmp_path / "d.dot")],
+            ["sections", "tests/golden/swap_const.cat.json", "--out", str(tmp_path / "s.alg.json")],
+            ["sections", "tests/golden/indiscrete2.cat.json"],
+            ["bidual", "data/swap_const.alg.json"],
+            ["hom-check", "data/swap_inclusion.hom.json"],
+            ["naturality", "data/swap_inclusion.hom.json"],
+            ["functor-check", str(fun)],
+            ["naturality", str(fun)],
+            ["transducer", "eval", "data/as_to_bs.td.json", "aab"],
+            ["transducer", "compose", "data/as_to_bs.td.json", "tests/golden/thirds.td.json"],
+            ["transducer", "pref", "data/id_on_as.td.json", "data/as_to_bs.td.json"],
+            ["transducer", "dom", "tests/golden/thirds.td.json", "--out", str(tmp_path / "dom.dfa.json")],
+            ["transducer", "range", "tests/golden/range_thirds.dfa.json"],
+            ["transducer", "axioms", "data/id_on_as.td.json", "data/as_to_bs.td.json", "--max-len", "4"],
+        ]
+        script = ("import contextlib, io, json, sys\n"
+                  "import pfdual.cli\n"
+                  "before = set(sys.modules)\n"
+                  "codes = []\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+                  "        codes.append(pfdual.cli.main(argv))\n"
+                  "print(codes, sorted(set(sys.modules) - before))\n")
+        env = {**os.environ, "PYTHONPATH": "src"}
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=ROOT, env=env,
+                                capture_output=True, text=True, check=True)
+        codes = [0] * len(commands)
+        codes[4] = 2  # the indiscrete category is refused
+        assert result.stdout == f"{codes} []\n"

@@ -21,7 +21,7 @@ from pfdual.dualize import pf_morphism, pf_object
 from pfdual.algebra import identity_hom
 from pfdual.topcat import MultiFunctor
 
-from conftest import make_category, zero_extended_cyclic
+from conftest import category_to_dict, comp_table, make_category, zero_extended_cyclic
 
 
 def is_topology(size: int, family) -> bool:
@@ -733,7 +733,7 @@ def bare_category(objects: tc.FinTopology, arrows: tc.FinTopology, src: tuple[in
     the topological checks read no more of a category."""
     return tc.TopCategory(
         tuple(f"x{x}" for x in range(objects.size)), tuple(f"f{f}" for f in range(arrows.size)),
-        objects, arrows, src, src, (0,) * objects.size, tc.comp_table(arrows.size, ()),
+        objects, arrows, src, src, (0,) * objects.size, comp_table(arrows.size, ()),
     )
 
 
@@ -808,7 +808,7 @@ class TestCategoryFileForms:
             obj_top=tc.generate_topology(nonepi_category.n_objects, obj_sub),
             arr_top=tc.generate_topology(nonepi_category.n_arrows, arr_sub),
         )
-        basis_form = fmt.category_to_dict(cat)
+        basis_form = category_to_dict(cat)
 
         def names(masks, labels):
             return [[labels[i] for i in bits(m)] for m in sorted(masks)]
