@@ -218,8 +218,22 @@ def cmd_naturality(args) -> int:
     return 0 if commutes else 1
 
 
+def _load_machines(files: Sequence[str]) -> list:
+    """The machines of the files, refused at the first whose alphabet is
+    not the first one's."""
+    machines = [fmt.load_transducer(f) for f in files]
+    for f, t in zip(files, machines):
+        if t.alphabet != machines[0].alphabet:
+            raise fmt.FormatError(f, f"alphabet {list(t.alphabet)!r} differs from "
+                                     f"{list(machines[0].alphabet)!r} of {files[0]}")
+    return machines
+
+
 def cmd_transducer_eval(args) -> int:
     t = fmt.load_transducer(args.file)
+    outside = [a for a in args.word if a not in t.alphabet]
+    if outside:
+        raise fmt.FormatError(args.file, f"letter {outside[0]!r} outside the alphabet")
     out = td.eval(t, args.word)
     _emit({"transducer": args.file, "input": args.word,
            "defined": out is not None, "output": out if out is not None else ""}, args.format)
@@ -227,7 +241,7 @@ def cmd_transducer_eval(args) -> int:
 
 
 def cmd_transducer_combine(args) -> int:
-    t1, t2 = fmt.load_transducer(args.left), fmt.load_transducer(args.right)
+    t1, t2 = _load_machines([args.left, args.right])
     result = td.compose(t1, t2) if args.sub == "compose" else td.pref_union(t1, t2)
     _write_out(fmt.write_transducer(result), args.out)
     return 0
@@ -239,14 +253,14 @@ def cmd_transducer_acceptor(args) -> int:
     sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if td.eval(d, w) is not None]
     if args.out:
         _write_out(fmt.write_dfa(d), args.out)
-    _emit({"transducer": args.file, "acceptor": args.sub, "states": len(d.states),
+    _emit({"transducer": args.file, "acceptor": args.sub, "states": len(d.delta),
            "sample_max_len": SAMPLE_LEN, "accepted_sample": sample,
            "dfa_file": args.out or ""}, args.format)
     return 0
 
 
 def cmd_transducer_axioms(args) -> int:
-    machines = [fmt.load_transducer(f) for f in args.files]
+    machines = _load_machines(args.files)
     report = td.axioms_bounded(machines, args.max_len)
     entries = []
     for r in report.results:

@@ -24,7 +24,7 @@ from .bitsets import bits, mask_of, popcount
 from .jsonrows import Reader, Unread, document, encode, joined, pieces
 from .pfun import Base, PFunc, as_abstract
 from .topcat import FinTopology, MultiFunctor, TopCategory, generate_topology
-from .transducer import Transducer
+from .transducer import Transducer, from_names
 
 
 class FormatError(ValueError):
@@ -463,15 +463,19 @@ def load_functor(path: str | Path) -> MultiFunctor:
 
 
 def transducer_to_dict(t: Transducer) -> dict:
+    """The machine file: transitions by source name, letter, output and
+    target name, final outputs by state name, each sorted as strings."""
+    names, al = t.names, t.alphabet
     return {
-        "alphabet": list(t.alphabet),
-        "states": list(t.states),
-        "initial": t.initial,
-        "final": dict(sorted(t.final_out.items())),
+        "alphabet": list(al),
+        "states": list(names),
+        "initial": names[t.initial],
+        "final": dict(sorted((names[q], v) for q, v in enumerate(t.final) if v is not None)),
         "trans": [
-            {"from": q, "in": a, "out": out, "to": q2}
-            for (q, a) in sorted(t.trans)
-            for out, q2 in sorted(t.trans[(q, a)])
+            {"from": names[q], "in": al[j], "out": out, "to": to}
+            for q in sorted(range(len(names)), key=names.__getitem__)
+            for j in sorted(range(len(al)), key=al.__getitem__)
+            for out, to in sorted((out, names[q2]) for out, q2 in t.delta[q][j])
         ],
     }
 
@@ -482,7 +486,8 @@ def write_transducer(t: Transducer) -> str:
 
 def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transducer:
     """A transducer file, or an acceptor file read as the identity machine
-    on its language: each move writes its letter, each accepting state ''."""
+    on its language: each move writes its letter, each accepting state ''.
+    More than MAX_ELEMENTS states are refused."""
     def strings(key: str) -> tuple[str, ...]:
         values = _need(data, key, path, list)
         if not all(isinstance(v, str) for v in values):
@@ -502,8 +507,9 @@ def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transduce
     if not all(isinstance(v, str) for v in final.values()):
         raise FormatError(path, "'final' must map states to output strings")
     states, alphabet, initial = strings("states"), strings("alphabet"), _need(data, "initial", path, str)
+    _check_size(len(states), "states", path)
     try:
-        return Transducer(states, alphabet, initial, {k: frozenset(v) for k, v in trans.items()}, final)
+        return from_names(states, alphabet, initial, trans, final)
     except ValueError as e:
         raise FormatError(path, str(e)) from None
 
@@ -515,16 +521,17 @@ def load_transducer(path: str | Path) -> Transducer:
 def dfa_to_dict(d: Transducer) -> dict:
     """The acceptor file of an identity machine with one move per state and
     letter, such as D and R build: its final states accept."""
+    names = d.names
     return {
         "alphabet": list(d.alphabet),
-        "states": list(d.states),
-        "initial": d.initial,
-        "accepting": sorted(d.final_out),
+        "states": list(names),
+        "initial": names[d.initial],
+        "accepting": sorted(names[q] for q, v in enumerate(d.final) if v is not None),
         "trans": [
-            {"from": q, "in": a, "to": to}
-            for q in d.states
-            for a in d.alphabet
-            for _, to in d.trans[(q, a)]
+            {"from": names[q], "in": a, "to": names[to]}
+            for q, row in enumerate(d.delta)
+            for a, step in zip(d.alphabet, row)
+            for _, to in step
         ],
     }
 

@@ -5,8 +5,13 @@ and emits an output word; a state may carry a final output word appended on
 acceptance.  Nondeterminism is allowed but every machine must realize a
 partial function; this is enforced by bounded checking, with violations
 surfacing as NotFunctionalError.  An acceptor is a machine too, the
-identity on its language.  A machine derived from validated ones is not
-validated again.
+identity on its language.
+
+A machine is a move table over the states 0 .. n-1, as OpenFst's vector
+machines are: the moves of each state on each letter, and each state's
+final output.  State names serve files only.  A machine given by names
+(`from_names`, and every file) is validated; one derived from validated
+machines is not validated again, and is refused past MAX_ELEMENTS states.
 """
 
 from __future__ import annotations
@@ -14,25 +19,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .algebra import AXIOMS, AxiomCheck, AxiomReport, derived
+from .algebra import AXIOMS, MAX_ELEMENTS, AxiomCheck, AxiomReport, derived
 from .errors import NotFunctionalError
 
 BOUND_CAP = 12
 MAX_WORDS = 2 ** 20  # the bounded oracles may keep one configuration per word in memory
+_named: dict[str, list[str]] = {}  # prefix -> the names prefix0, prefix1, ... made so far
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
     if len(set(alphabet)) != len(alphabet) or any(len(a) != 1 for a in alphabet):
         raise ValueError(f"alphabet {list(alphabet)!r} must list distinct one-character letters")
-
-
-def _unchecked(cls, *fields):
-    """cls from validated parts, its fields in order, skipping __post_init__."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(zip(cls.__dataclass_fields__, fields))
-    return obj
 
 
 def words_upto(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
@@ -44,55 +43,63 @@ def words_upto(alphabet: Sequence[str], max_len: int) -> Iterator[str]:
 
 @dataclass(frozen=True, eq=False)
 class Transducer:
-    """states, one-letter input transitions to (output word, state) pairs,
-    and a partial final-output map marking the accepting states."""
+    """delta[q][j]: the (output word, target state) moves of state q on
+    letter alphabet[j], sorted; final[q]: q's final output, or None where q
+    does not accept; names[q]: q's name in files."""
 
-    states: tuple[str, ...]
     alphabet: tuple[str, ...]
-    initial: str
-    trans: dict[tuple[str, str], frozenset[tuple[str, str]]]
-    final_out: dict[str, str]
+    initial: int
+    delta: tuple[tuple[tuple[tuple[str, int], ...], ...], ...]
+    final: tuple[Optional[str], ...]
+    names: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        sset = set(self.states)
-        aset = set(self.alphabet)
-        if self.initial not in sset:
-            raise ValueError("initial state must be listed")
-        if not set(self.final_out) <= sset:
-            raise ValueError("final states must be listed states")
-        for (q, a), outs in self.trans.items():
-            if q not in sset or a not in aset:
-                raise ValueError(f"transition from unknown state/letter ({q!r},{a!r})")
-            for out, q2 in outs:
-                if q2 not in sset:
-                    raise ValueError(f"transition to unknown state {q2!r}")
-                if any(ch not in aset for ch in out):
-                    raise ValueError(f"output {out!r} uses letters outside the alphabet")
-        for v in self.final_out.values():
-            if any(ch not in aset for ch in v):
-                raise ValueError(f"final output {v!r} uses letters outside the alphabet")
 
-    def moves(self, q: str, a: str) -> frozenset[tuple[str, str]]:
-        return self.trans.get((q, a), frozenset())
+def from_names(states: Sequence[str], alphabet: Sequence[str], initial: str,
+               trans: Mapping[tuple[str, str], Iterable[tuple[str, str]]],
+               final_out: Mapping[str, str]) -> Transducer:
+    """The validated machine on named states: trans maps (state, letter) to
+    (output, state) moves, final_out the accepting states to their final
+    outputs.  States are numbered in the order listed."""
+    states, alphabet = tuple(states), tuple(alphabet)
+    _check_alphabet(alphabet)
+    index = {q: i for i, q in enumerate(states)}
+    letter = {a: j for j, a in enumerate(alphabet)}
+    if initial not in index:
+        raise ValueError("initial state must be listed")
+    if not index.keys() >= set(final_out):
+        raise ValueError("final states must be listed states")
+    steps: dict[tuple[int, int], set[tuple[str, int]]] = {}
+    for (q, a), outs in trans.items():
+        if q not in index or a not in letter:
+            raise ValueError(f"transition from unknown state/letter ({q!r},{a!r})")
+        step = steps.setdefault((index[q], letter[a]), set())
+        for out, q2 in outs:
+            if q2 not in index:
+                raise ValueError(f"transition to unknown state {q2!r}")
+            if any(ch not in letter for ch in out):
+                raise ValueError(f"output {out!r} uses letters outside the alphabet")
+            step.add((out, index[q2]))
+    for v in final_out.values():
+        if any(ch not in letter for ch in v):
+            raise ValueError(f"final output {v!r} uses letters outside the alphabet")
+    delta = tuple(tuple(tuple(sorted(steps.get((q, j), ()))) for j in range(len(alphabet)))
+                  for q in range(len(states)))
+    return Transducer(alphabet, index[initial], delta, tuple(map(final_out.get, states)), states)
 
 
 def eval(t: Transducer, word: str) -> Optional[str]:
-    """The unique output for the word, or None when no run accepts.
-
-    Only live runs are followed, as the bounded walk follows them: a run
-    that can reach no final state never accepts.  Raises NotFunctionalError
-    when two accepting runs disagree.
-    """
+    """The unique output for the word, or None when no run accepts.  Only
+    live runs are followed, as the bounded walk follows them.  Raises
+    NotFunctionalError when two accepting runs disagree."""
     for a in word:
         if a not in t.alphabet:
             raise ValueError(f"letter {a!r} outside the alphabet")
-    live = _live_moves(t)
-    runs = {(t.initial, "")} if t.initial in live else set()
+    live, final = _live_moves(t), t.final
+    runs = {(t.initial, "")} if live[t.initial] is not None else set()
     for a in word:
         j = t.alphabet.index(a)
         runs = {(q2, out + e) for q, out in runs for e, q2 in live[q][j]}
-    results = {out + t.final_out[q] for q, out in runs if q in t.final_out}
+    results = {out + final[q] for q, out in runs if final[q] is not None}
     if len(results) > 1:
         two = sorted(results)[:2]
         raise NotFunctionalError(word, (two[0], two[1]))
@@ -101,51 +108,45 @@ def eval(t: Transducer, word: str) -> Optional[str]:
 
 def identity_transducer(alphabet: Sequence[str]) -> Transducer:
     al = tuple(alphabet)
-    return Transducer(
-        states=("q0",), alphabet=al, initial="q0",
-        trans={("q0", a): frozenset({(a, "q0")}) for a in al},
-        final_out={"q0": ""},
-    )
+    _check_alphabet(al)
+    return Transducer(al, 0, (tuple(((a, 0),) for a in al),), ("",), ("q0",))
 
 
-def _relabel_transducer(
-    alphabet: tuple[str, ...],
-    initial,
-    moves,          # state -> letter -> iterable of (out, state)
-    final,          # state -> word or None
-    prefix="q",     # acceptors name their states d0, d1, ...
-) -> Transducer:
-    """Breadth-first renaming to q0, q1, ... for deterministic output: a
-    state is named when first met, a step's moves taken in sorted order.
-    moves is called once per reached state and letter."""
-    name = {initial: f"{prefix}0"}
+def _relabel_transducer(op: str, alphabet: tuple[str, ...], initial, moves, final,
+                        prefix="q", key=None) -> Transducer:
+    """The machine of the states reached from initial, numbered breadth
+    first: a state is numbered when first met, a step's moves taken in key
+    order, the operands' name order.  moves(q) gives q's moves on each
+    letter in turn, as (out, state) pairs, none twice; final(q) is q's final
+    output or None.  States are named prefix + number (acceptors d0, ...).
+    Past MAX_ELEMENTS states the build is refused, naming op."""
+    number = {initial: 0}
     order = [initial]
-    trans, final_out = {}, {}
+    delta, finals = [], []
     for q in order:
-        for a in alphabet:
-            step = moves(q, a)
-            if len(step) > 1:
-                step = sorted(step)
-            for _, q2 in step:
-                if q2 not in name:
-                    name[q2] = f"{prefix}{len(order)}"
+        if len(order) > MAX_ELEMENTS:
+            raise ValueError(f"{op} reaches {len(order)} states, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
+        row = []
+        for step in moves(q):
+            if len(step) == 1:
+                ((out, q2),) = step
+                n = number.get(q2)
+                if n is None:
+                    n = number[q2] = len(order)
                     order.append(q2)
-            if step:
-                trans[(name[q], a)] = frozenset((out, name[q2]) for out, q2 in step)
-        v = final(q)
-        if v is not None:
-            final_out[name[q]] = v
-    return _unchecked(Transducer, tuple(name.values()), alphabet, name[initial], trans, final_out)
-
-
-def _run_on_word(t: Transducer, q: str, word: str) -> set[tuple[str, str]]:
-    """All (output, state) pairs after consuming the word from state q."""
-    configs = {("", q)}
-    for a in word:
-        configs = {(out + emitted, q3) for out, q2 in configs for emitted, q3 in t.moves(q2, a)}
-        if not configs:
-            break
-    return configs
+                row.append(((out, n),))
+                continue
+            step = sorted(step, key=key)
+            for _, q2 in step:
+                if q2 not in number:
+                    number[q2] = len(order)
+                    order.append(q2)
+            row.append(tuple(sorted([(out, number[q2]) for out, q2 in step])))
+        delta.append(tuple(row))
+        finals.append(final(q))
+    names = _named.setdefault(prefix, [])
+    names += (f"{prefix}{k}" for k in range(len(names), len(order)))
+    return Transducer(alphabet, 0, tuple(delta), tuple(finals), tuple(names[:len(order)]))
 
 
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
@@ -153,52 +154,59 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     the first, letter by letter."""
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
-    al = t1.alphabet
-    runs = dict(t2.trans)  # (state, word) -> t2's runs from the state on the word
+    al, d1, f1, d2, f2 = t1.alphabet, t1.delta, t1.final, t2.delta, t2.final
+    letter = {a: j for j, a in enumerate(al)}
+    # (state, word) -> t2's runs from the state on the word; those on one letter are its moves
+    runs = {(q, a): step for q, row in enumerate(d2) for a, step in zip(al, row)}
 
     def run(q, word):
-        if (q, word) not in runs:
-            runs[(q, word)] = _run_on_word(t2, q, word)
-        return runs[(q, word)]
+        configs = {("", q)}
+        for a in word:
+            configs = {(out + e, q3) for out, q2 in configs for e, q3 in d2[q2][letter[a]]}
+        runs[(q, word)] = configs
+        return configs
 
-    def moves(pair, a):
+    def moves(pair):
         q1, q2 = pair
-        out = set()
-        for emitted, q1b in t1.moves(q1, a):
-            for v, q2b in run(q2, emitted):
-                out.add((v, (q1b, q2b)))
-        return out
+        row = []
+        for step in d1[q1]:
+            made = set()
+            for e, q1b in step:
+                for v, q2b in runs.get((q2, e)) or run(q2, e):
+                    made.add((v, (q1b, q2b)))
+            row.append(made)
+        return row
+
+    def by_name(move):
+        out, (q1, q2) = move
+        return out, t1.names[q1], t2.names[q2]
 
     def final(pair):
         q1, q2 = pair
-        u = t1.final_out.get(q1)
+        u = f1[q1]
         if u is None:
             return None
-        results = {
-            v + t2.final_out[q2b]
-            for v, q2b in run(q2, u)
-            if q2b in t2.final_out
-        }
+        results = {v + f2[q2b] for v, q2b in runs.get((q2, u)) or run(q2, u) if f2[q2b] is not None}
         if len(results) > 1:
-            word, out = _shortlex_path(al, (t1.initial, t2.initial), moves, pair)
+            word, out = _shortlex_path(al, (t1.initial, t2.initial), moves, pair, by_name)
             two = sorted(results)[:2]
             raise NotFunctionalError(word, (out + two[0], out + two[1]))
         return results.pop() if results else None
 
-    return _relabel_transducer(al, (t1.initial, t2.initial), moves, final)
+    return _relabel_transducer("compose", al, (t1.initial, t2.initial), moves, final, key=by_name)
 
 
-def _shortlex_path(alphabet, initial, moves, goal) -> tuple[str, str]:
+def _shortlex_path(alphabet, initial, moves, goal, key) -> tuple[str, str]:
     """The shortlex-least input word from initial to a reachable goal and one
-    run's output on it, by a breadth-first walk over sorted moves; for
-    errors only."""
+    run's output on it, by a breadth-first walk over moves in key order;
+    for errors only."""
     path = {initial: ("", "")}
     order = [initial]
     for q in order:
         if q == goal:
             return path[q]
-        for a in alphabet:
-            for emitted, q2 in sorted(moves(q, a)):
+        for a, step in zip(alphabet, moves(q)):
+            for emitted, q2 in sorted(step, key=key):
                 if q2 not in path:
                     path[q2] = (path[q][0] + a, path[q][1] + emitted)
                     order.append(q2)
@@ -213,11 +221,11 @@ def _shortlex_path(alphabet, initial, moves, goal) -> tuple[str, str]:
 def domain_transducer(t: Transducer) -> Transducer:
     """Identity on the domain: outputs forgotten, then determinized.  Every
     state, the empty subset too, has one move per letter."""
-    def moves(s, a):
-        return ((a, frozenset(q2 for q in s for _, q2 in t.moves(q, a))),)
+    def moves(s):
+        return [((a, frozenset(q2 for q in s for _, q2 in t.delta[q][j])),) for j, a in enumerate(t.alphabet)]
 
-    return _relabel_transducer(t.alphabet, frozenset({t.initial}), moves,
-                               lambda s: None if s.isdisjoint(t.final_out) else "", "d")
+    return _relabel_transducer("domain_transducer", t.alphabet, frozenset({t.initial}), moves,
+                               lambda s: None if all(t.final[q] is None for q in s) else "", "d")
 
 
 @derived
@@ -225,8 +233,7 @@ def antidomain(t: Transducer) -> Transducer:
     """Identity on the words where t is undefined: D(t) with the other
     states final."""
     d = domain_transducer(t)
-    return _unchecked(Transducer, d.states, d.alphabet, d.initial, d.trans,
-                      {q: "" for q in d.states if q not in d.final_out})
+    return Transducer(d.alphabet, d.initial, d.delta, tuple(None if v == "" else "" for v in d.final), d.names)
 
 
 @derived
@@ -250,11 +257,11 @@ def range_transducer(t: Transducer) -> Transducer:
             node = nxt
         letter_edges.setdefault((node, word[-1]), set()).add(dst)
 
-    for (q, _a), outs in t.trans.items():
-        for out, q2 in outs:
+    for q, row in enumerate(t.delta):
+        for out, q2 in itertools.chain.from_iterable(row):
             add_word_path(("s", q), out, ("s", q2))
-    for q, v in t.final_out.items():
-        add_word_path(("s", q), v, accept)
+        if t.final[q] is not None:
+            add_word_path(("s", q), t.final[q], accept)
 
     def closure(nodes: Iterable) -> frozenset:
         todo = list(nodes)
@@ -267,13 +274,10 @@ def range_transducer(t: Transducer) -> Transducer:
                     todo.append(m)
         return frozenset(seen)
 
-    def moves(s, a):
-        step = set()
-        for n in s:
-            step.update(letter_edges.get((n, a), ()))
-        return ((a, closure(step)),)
+    def moves(s):
+        return [((a, closure(m for n in s for m in letter_edges.get((n, a), ()))),) for a in t.alphabet]
 
-    return _relabel_transducer(t.alphabet, closure({("s", t.initial)}), moves,
+    return _relabel_transducer("range_transducer", t.alphabet, closure({("s", t.initial)}), moves,
                                lambda s: "" if accept in s else None, "d")
 
 
@@ -284,24 +288,27 @@ def pref_union(t1: Transducer, t2: Transducer) -> Transducer:
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
     t2r = compose(antidomain(t1), t2)
+    # -1 is the start; t1's states keep their numbers, t2r's follow them
+    d1, f1, d2, f2, n1 = t1.delta, t1.final, t2r.delta, t2r.final, len(t1.delta)
 
-    def moves(state, a):
-        if state == "u0":
-            return {(out, ("l", q)) for out, q in t1.moves(t1.initial, a)} | {
-                (out, ("r", q)) for out, q in t2r.moves(t2r.initial, a)
-            }
-        side, q = state
-        t = t1 if side == "l" else t2r
-        return {(out, (side, q2)) for out, q2 in t.moves(q, a)}
+    def moves(q):
+        if q < 0:
+            return [s1 + tuple((out, q2 + n1) for out, q2 in s2) for s1, s2 in zip(d1[t1.initial], d2[t2r.initial])]
+        if q < n1:
+            return d1[q]
+        return [tuple((out, q2 + n1) for out, q2 in step) for step in d2[q - n1]]
 
-    def final(state):
-        if state == "u0":
-            u = t1.final_out.get(t1.initial)
-            return u if u is not None else t2r.final_out.get(t2r.initial)
-        side, q = state
-        return (t1 if side == "l" else t2r).final_out.get(q)
+    def by_name(move):
+        out, q = move
+        return (out, ("l", t1.names[q])) if q < n1 else (out, ("r", t2r.names[q - n1]))
 
-    return _relabel_transducer(t1.alphabet, "u0", moves, final)
+    def final(q):
+        if q < 0:
+            u = f1[t1.initial]
+            return u if u is not None else f2[t2r.initial]
+        return f1[q] if q < n1 else f2[q - n1]
+
+    return _relabel_transducer("pref_union", t1.alphabet, -1, moves, final, key=by_name)
 
 
 # ---------------------------------------------------------------------------
@@ -340,47 +347,45 @@ def _check_bound(ts: Sequence[Transducer], max_len: int) -> None:
 
 
 @derived
-def _live_moves(t: Transducer) -> dict[str, tuple]:
-    """live state -> per letter, t's moves into live states: those from
-    which a final state can be reached."""
-    sources: dict[str, set] = {}  # state -> the states with a move into it
-    for (q, _), step in t.trans.items():
-        for _, q2 in step:
-            sources.setdefault(q2, set()).add(q)
-    live, todo = set(t.final_out), list(t.final_out)
+def _live_moves(t: Transducer) -> tuple:
+    """Per state, t's moves on each letter into live states, those from
+    which a final state can be reached; None for a state that is not live."""
+    sources: list[set[int]] = [set() for _ in t.delta]  # state -> the states with a move into it
+    for q, row in enumerate(t.delta):
+        for step in row:
+            for _, q2 in step:
+                sources[q2].add(q)
+    todo = [q for q, v in enumerate(t.final) if v is not None]
+    live = [v is not None for v in t.final]
     while todo:
-        for q in sources.get(todo.pop(), ()):
-            if q not in live:
-                live.add(q)
+        for q in sources[todo.pop()]:
+            if not live[q]:
+                live[q] = True
                 todo.append(q)
-    return {q: tuple(tuple(m for m in t.moves(q, a) if m[1] in live) for a in t.alphabet) for q in live}
+    return tuple(tuple(tuple(m for m in step if live[m[1]]) for step in row) if live[q] else None
+                 for q, row in enumerate(t.delta))
 
 
 def _first_difference(x: Transducer, y: Transducer, max_len: int) -> tuple[bool, Optional[str]]:
-    """equiv_bounded's verdict, from one walk of both machines in lockstep.
-
-    The walk goes level by level in words_upto order.  A word's
-    configuration is the live runs of x and of y on it, sets of (state,
-    output) pairs, with the output prefix common to all of them removed;
-    what x and y do on every extension of the word depends on it alone.  So
-    a configuration met again is not expanded again: the word that met it
-    first is earlier, and so is each of its extensions.  At each word, two
-    outputs of x raise eval(x, word)'s NotFunctionalError, then two of y
-    raise y's, and then differing outputs make it the witness.
-    """
-    al, fx, fy = x.alphabet, x.final_out, y.final_out
+    """equiv_bounded's verdict, from one walk of both machines in lockstep,
+    level by level in words_upto order.  A word's configuration, the live
+    runs of x and of y on it less their common output prefix, decides every
+    extension, so one met again is not expanded again.  At each word, two
+    outputs of x raise eval(x, word)'s error, then two of y raise y's, and
+    then differing outputs make it the witness."""
+    al, fx, fy = x.alphabet, x.final, y.final
     mx, my = _live_moves(x), _live_moves(y)
-    start = (frozenset({(x.initial, "")} if x.initial in mx else ()),
-             frozenset({(y.initial, "")} if y.initial in my else ()))
+    start = (frozenset({(x.initial, "")} if mx[x.initial] is not None else ()),
+             frozenset({(y.initial, "")} if my[y.initial] is not None else ()))
     seen = {start}
     level = [("", start)]
     for n in range(max_len + 1):
         following = []
         for word, (rx, ry) in level:
-            ox = {o + fx[q] for q, o in rx if q in fx}
+            ox = {o + fx[q] for q, o in rx if fx[q] is not None}
             if len(ox) > 1:
                 eval(x, word)  # raises
-            oy = {o + fy[q] for q, o in ry if q in fy}
+            oy = {o + fy[q] for q, o in ry if fy[q] is not None}
             if len(oy) > 1:
                 eval(y, word)  # raises
             if ox != oy:
@@ -420,20 +425,17 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     equiv_bounded does.  A failing law's witness is its first failing
     operand indices, then the word, in `check_axioms`'s AxiomReport.
 
-    Two sides of the same structure (initial state, transitions and final
-    outputs) are one machine, equal to itself on every word: with at most one
-    move per state and letter it is decided equal without a walk, since
-    such a machine has one run per word and so one output; otherwise it is
-    walked against itself to raise the first word with two outputs.  The
-    sides of comp(a, comp(b, c)) = comp(comp(a, b), c) over deterministic
-    machines come out this way.
+    Two sides with one move table (initial, delta, final) are one machine,
+    equal to itself on every word: with at most one move per state and
+    letter it has one output per word and is decided equal without a walk;
+    otherwise it is walked against itself to raise its first word with two
+    outputs.
 
-    A, D and R of a machine, and the live moves the walk reads, are kept on
-    that machine (`algebra.derived`) and go with it, so those of the inputs
-    and the identity are built once per sweep.  Within one axiom, a
-    composite or override of these leaves is built once and shared; it is
-    dropped when the axiom is done, with what is kept on it.  Other terms,
-    such as comp(a, comp(b, c)), are used once and not kept.
+    A, D and R of a machine and its live moves are kept on it
+    (`algebra.derived`), so those of the inputs and the identity are built
+    once per sweep.  Within one axiom, a composite or override of these
+    leaves is built once and shared, then dropped; other terms, such as
+    comp(a, comp(b, c)), are used once and not kept.
     """
     _check_bound(ts, max_len)
     ident = identity_transducer(ts[0].alphabet)
@@ -457,15 +459,12 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     ops = SimpleNamespace(A=antidomain, D=domain_transducer, R=range_transducer,
                           comp=share(compose), pref=share(pref_union), ident=ident)
 
-    def structure(t: Transducer) -> tuple:
-        return (t.initial, frozenset(t.trans.items()), frozenset(t.final_out.items()))
-
     def eq(x: Transducer, y: Transducer):
-        if structure(x) != structure(y):
+        if (x.initial, x.delta, x.final) != (y.initial, y.delta, y.final):
             return _first_difference(x, y, max_len)
         # one machine: it agrees with itself, and raises only if two runs
         # disagree, which needs two moves for some state and letter
-        if all(len(outs) <= 1 for outs in x.trans.values()):
+        if all(len(step) <= 1 for row in x.delta for step in row):
             return True, None
         return _first_difference(x, x, max_len)
 

@@ -232,9 +232,9 @@ def test_criterion_08_epi_necessity():
 def test_criterion_09_transducer_suite():
     with criterion(9, "word machines: eval, override split, acceptors, bounded axioms", budget=30.0):
         AL = ("a", "b")
-        t1 = td.Transducer(states=("p",), alphabet=AL, initial="p",
+        t1 = td.from_names(states=("p",), alphabet=AL, initial="p",
                            trans={("p", "a"): frozenset({("a", "p")})}, final_out={"p": ""})
-        t2 = td.Transducer(states=("q0", "q1"), alphabet=AL, initial="q0",
+        t2 = td.from_names(states=("q0", "q1"), alphabet=AL, initial="q0",
                            trans={("q0", "a"): frozenset({("b", "q0")}),
                                   ("q0", "b"): frozenset({("", "q1")})},
                            final_out={"q1": ""})

@@ -798,8 +798,9 @@ class TestTransducerCommands:
     @pytest.mark.parametrize("word", ["?", "ba?"])
     def test_eval_letter_outside_the_alphabet(self, capsys, word):
         # in "ba?" the only run has died before the "?"
-        assert main(["transducer", "eval", str(DATA / "as_to_bs.td.json"), word]) == 2
-        assert capsys.readouterr().err == "error: letter '?' outside the alphabet\n"
+        path = str(DATA / "as_to_bs.td.json")
+        assert main(["transducer", "eval", path, word]) == 2
+        assert capsys.readouterr().err == f"error: {path}: letter '?' outside the alphabet\n"
 
     def test_eval_undefined(self, capsys):
         code, out = run(capsys, "transducer", "eval", DATA / "as_to_bs.td.json", "ba", "--format", "json")
@@ -836,13 +837,26 @@ class TestTransducerCommands:
         assert code == 0
         assert out == (GOLDEN / f"{verb}_as_to_bs_id_on_as.td.json").read_text()
 
-    def test_pref_refuses_two_alphabets(self, capsys, tmp_path):
+    def two_alphabets(self, capsys, tmp_path, verb, *options):
+        """The refusal of the data machine beside a one-letter machine: it
+        names the second file and the first, whose alphabet it does not
+        share."""
         path = tmp_path / "a.td.json"
         path.write_text(json.dumps({"alphabet": ["a"], "states": ["s"], "initial": "s", "final": {"s": ""},
                                     "trans": []}))
-        assert main(["transducer", "pref", str(DATA / "as_to_bs.td.json"), str(path)]) == 2
+        first = str(DATA / "as_to_bs.td.json")
+        assert main(["transducer", verb, first, str(path), *options]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == "error: transducers must share an alphabet\n"
+        assert captured.out == "" and \
+            captured.err == f"error: {path}: alphabet ['a'] differs from ['a', 'b'] of {first}\n"
+
+    def test_pref_refuses_two_alphabets(self, capsys, tmp_path):
+        self.two_alphabets(capsys, tmp_path, "pref")
+
+    @pytest.mark.parametrize("verb, options", [("compose", ()), ("axioms", ("--max-len", "-1"))])
+    def test_compose_and_axioms_refuse_two_alphabets(self, capsys, tmp_path, verb, options):
+        # the sweep refuses the files before it reads its bound
+        self.two_alphabets(capsys, tmp_path, verb, *options)
 
     def test_dom_range(self, capsys, tmp_path):
         code, out = run(capsys, "transducer", "dom", DATA / "as_to_bs.td.json",
@@ -979,6 +993,35 @@ class TestTransducerCommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == "error: bound -1 is negative\n"
+
+    def test_dom_refuses_too_many_states(self, capsys, tmp_path):
+        """nth20, the identity on words whose 20th letter from the end is
+        a, has 21 states and a domain DFA of 2^20: refused at once."""
+        path = tmp_path / "nth20.td.json"
+        trans = [{"from": "p0", "in": a, "out": a, "to": to} for a, to in (("a", "p0"), ("a", "p1"), ("b", "p0"))]
+        trans += [{"from": f"p{i}", "in": a, "out": a, "to": f"p{i + 1}"} for i in range(1, 20) for a in "ab"]
+        path.write_text(json.dumps({"alphabet": ["a", "b"], "states": [f"p{i}" for i in range(21)],
+                                    "initial": "p0", "final": {"p20": ""}, "trans": trans}))
+        start = time.perf_counter()
+        code = main(["transducer", "dom", str(path)])
+        assert code == 2 and time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: domain_transducer reaches 2050 states, over the limit MAX_ELEMENTS = 2048\n"
+
+    @pytest.mark.parametrize("count", [2048, 2049])
+    def test_machine_file_states_are_bounded(self, capsys, tmp_path, count):
+        path = tmp_path / "many.td.json"
+        states = [f"s{i}" for i in range(count)]
+        path.write_text(json.dumps({"alphabet": ["a"], "states": states, "initial": "s0", "final": {"s0": ""},
+                                    "trans": [{"from": q, "in": "a", "out": "a", "to": q} for q in states]}))
+        code = main(["transducer", "eval", str(path), "aa"])
+        captured = capsys.readouterr()
+        if count == 2048:
+            assert code == 0 and captured.err == ""
+        else:
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {path}: 2049 states exceed the limit MAX_ELEMENTS = 2048\n"
 
     def test_axioms_refuses_too_many_words(self, capsys, tmp_path):
         # one state over 26 letters: 12,356,631 words up to length 5

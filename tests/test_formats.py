@@ -141,7 +141,7 @@ class TestMorphismFiles:
 
 class TestTransducerFiles:
     def test_round_trip(self):
-        t = td.Transducer(
+        t = td.from_names(
             states=("q0", "q1"), alphabet=("a", "b"), initial="q0",
             trans={("q0", "a"): frozenset({("b", "q0")}), ("q0", "b"): frozenset({("", "q1")})},
             final_out={"q1": ""},

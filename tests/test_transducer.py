@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import collections
 import gc
+import hashlib
 import inspect
 import itertools
 import os
 import random
 import re
+import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -27,7 +29,7 @@ AL = ("a", "b")
 
 def repeat_a() -> td.Transducer:
     """a^n -> a^n."""
-    return td.Transducer(
+    return td.from_names(
         states=("p",), alphabet=AL, initial="p",
         trans={("p", "a"): frozenset({("a", "p")})}, final_out={"p": ""},
     )
@@ -35,7 +37,7 @@ def repeat_a() -> td.Transducer:
 
 def flip_count() -> td.Transducer:
     """a^n b -> b^n."""
-    return td.Transducer(
+    return td.from_names(
         states=("q0", "q1"), alphabet=AL, initial="q0",
         trans={
             ("q0", "a"): frozenset({("b", "q0")}),
@@ -83,7 +85,7 @@ class TestEval:
             td.eval(t1, "xyz")
 
     def test_not_functional_detected(self):
-        bad = td.Transducer(
+        bad = td.from_names(
             states=("q",), alphabet=AL, initial="q",
             trans={("q", "a"): frozenset({("a", "q"), ("b", "q")})},
             final_out={"q": ""},
@@ -98,7 +100,7 @@ class TestEval:
         nothing and writes each a as aa or bb.  eval follows only the live
         run, so its peak on a^16 is a few kilobytes, where the runs into d
         would number 2^16; and a^2000 is evaluated at once."""
-        dead = td.Transducer(("q", "d"), AL, "q",
+        dead = td.from_names(("q", "d"), AL, "q",
                              {("q", "a"): frozenset({("a", "q"), ("", "d")}),
                               ("d", "a"): frozenset({("aa", "d"), ("bb", "d")})},
                              {"q": ""})
@@ -135,11 +137,11 @@ class TestCompose:
         """Both 'a' and 'b' lead the first machine to its final state, whose
         output 'a' the second machine reads two ways: the error names 'a',
         with both whole outputs."""
-        first = td.Transducer(
+        first = td.from_names(
             states=("p0", "p1"), alphabet=AL, initial="p0",
             trans={("p0", x): frozenset({("b", "p1")}) for x in AL}, final_out={"p1": "a"},
         )
-        second = td.Transducer(
+        second = td.from_names(
             states=("q", "r"), alphabet=AL, initial="q",
             trans={("q", "b"): frozenset({("b", "q")}), ("q", "a"): frozenset({("a", "r"), ("b", "r")})},
             final_out={"r": ""},
@@ -154,15 +156,30 @@ class TestCompose:
             td.compose(t1, other)
 
 
+def moves(t: td.Transducer, q: int, a: str) -> tuple:
+    """The moves of state q of t on the letter a."""
+    return t.delta[q][t.alphabet.index(a)]
+
+
+def named(t: td.Transducer) -> tuple:
+    """t by state names, as from_names takes it: states, alphabet, initial
+    state, (state, letter) -> moves, and final outputs."""
+    names = t.names
+    trans = {(names[q], a): frozenset((out, names[q2]) for out, q2 in step)
+             for q, row in enumerate(t.delta) for a, step in zip(t.alphabet, row) if step}
+    final_out = {names[q]: v for q, v in enumerate(t.final) if v is not None}
+    return names, t.alphabet, names[t.initial], trans, final_out
+
+
 def accepts(d: td.Transducer, word: str) -> bool:
     """Whether the acceptor d takes the word, read off its one move per
     state and letter, each of which writes its letter."""
     q = d.initial
     for a in word:
-        ((out, q),) = d.trans[(q, a)]
+        ((out, q),) = moves(d, q, a)
         assert out == a
-    assert d.final_out.get(q, "") == ""
-    return q in d.final_out
+    assert d.final[q] in (None, "")
+    return d.final[q] is not None
 
 
 class TestAcceptors:
@@ -220,8 +237,8 @@ class TestDerivedOperations:
                        for nondeterministic in (False, True)]
         for t in corpus:
             d, aa = td.domain_transducer(t), td.antidomain(td.antidomain(t))
-            assert (d.states, d.alphabet, d.initial, d.trans, d.final_out) == \
-                   (aa.states, aa.alphabet, aa.initial, aa.trans, aa.final_out)
+            assert (d.names, d.alphabet, d.initial, d.delta, d.final) == \
+                   (aa.names, aa.alphabet, aa.initial, aa.delta, aa.final)
             assert fmt.write_transducer(d) == fmt.write_transducer(aa)
 
     def test_restrict(self, t1, t2):
@@ -238,7 +255,7 @@ class TestDerivedOperations:
             assert td.eval(pu, w) == (f if f is not None else g)
 
     def test_pref_union_with_empty(self, t2):
-        empty = td.Transducer(("q0",), AL, "q0", {}, {})
+        empty = td.from_names(("q0",), AL, "q0", {}, {})
         assert td.equiv_bounded(td.pref_union(t2, empty), t2, 7)[0]
         assert td.equiv_bounded(td.pref_union(empty, t2), t2, 7)[0]
 
@@ -267,7 +284,7 @@ class TestBoundedOracles:
     def test_axiom_violation_detected(self, t1, t2):
         """Despite the name, no violation: a machine rewriting every letter
         still satisfies the axioms (test_axiom_violation_found injects one)."""
-        skewed = td.Transducer(
+        skewed = td.from_names(
             states=("p",), alphabet=AL, initial="p",
             trans={("p", "a"): frozenset({("b", "p")})}, final_out={"p": "b"},
         )
@@ -315,7 +332,7 @@ def test_negative_bound_refused():
     # no word has negative length, so a sweep over none would pass vacuously
     ident = td.identity_transducer(("a", "b"))
     for check in (lambda: td.axioms_bounded([ident], -1),
-                  lambda: td.equiv_bounded(ident, td.Transducer(("q0",), AL, "q0", {}, {}), -1)):
+                  lambda: td.equiv_bounded(ident, td.from_names(("q0",), AL, "q0", {}, {}), -1)):
         with pytest.raises(ValueError, match="bound -1 is negative"):
             check()
 
@@ -390,14 +407,14 @@ def random_machine(rnd, alphabet, states, nondeterministic):
                 trans[(q, a)] = frozenset(outs)
     finals = rnd.sample(names, rnd.randint(1, states))
     final_out = {q: rnd.choice(("",) + tuple(alphabet)) for q in finals}
-    return td.Transducer(names, tuple(alphabet), "s0", trans, final_out)
+    return td.from_names(names, tuple(alphabet), "s0", trans, final_out)
 
 
 def test_first_word_with_two_outputs_is_raised():
     """The error comes at the first such word of either machine, the left
     machine's first when both have one there."""
     def machine(a_outs, b_outs):
-        return td.Transducer(("q",), AL, "q", {("q", "a"): frozenset((o, "q") for o in a_outs),
+        return td.from_names(("q",), AL, "q", {("q", "a"): frozenset((o, "q") for o in a_outs),
                                                ("q", "b"): frozenset((o, "q") for o in b_outs)},
                              {"q": ""})
 
@@ -445,7 +462,7 @@ def configurations(t, word):
     computes them."""
     configs = {(t.initial, "")}
     for a in word:
-        configs = {(q2, out + emitted) for q, out in configs for emitted, q2 in t.moves(q, a)}
+        configs = {(q2, out + emitted) for q, out in configs for emitted, q2 in moves(t, q, a)}
     return configs
 
 
@@ -454,7 +471,7 @@ def reachable(t, start):
     while todo:
         q = todo.pop()
         for a in t.alphabet:
-            for _, q2 in t.moves(q, a):
+            for _, q2 in moves(t, q, a):
                 if q2 not in seen:
                     seen.add(q2)
                     todo.append(q2)
@@ -464,7 +481,8 @@ def reachable(t, start):
 def live_configurations(t, word):
     """The configurations after reading the word whose state can still
     reach a final state."""
-    coaccessible = {q for q in t.states if reachable(t, q) & set(t.final_out)}
+    finals = {q for q, v in enumerate(t.final) if v is not None}
+    coaccessible = {q for q in range(len(t.delta)) if reachable(t, q) & finals}
     return {(q, out) for q, out in configurations(t, word) if q in coaccessible}
 
 
@@ -472,7 +490,7 @@ def forking_machine():
     """s0 forks on a into s1 and s2; s1 dies on every letter and s2 returns
     to s0, so the runs go from one configuration to two, back to one after
     the next a, and fork again after a third."""
-    return td.Transducer(
+    return td.from_names(
         ("s0", "s1", "s2", "s3"), AL, "s0",
         {("s0", "a"): frozenset({("a", "s1"), ("b", "s2")}),
          ("s0", "b"): frozenset({("", "s0")}),
@@ -486,7 +504,7 @@ def forking_machine():
 def last_letter_fork():
     """Every word of length 2 has two outputs, from one configuration with
     two moves into the final state."""
-    return td.Transducer(
+    return td.from_names(
         ("p0", "p1", "f"), AL, "p0",
         {**{("p0", x): frozenset({(x, "p1")}) for x in AL},
          **{("p1", x): frozenset({(x, "f"), (x + x, "f")}) for x in AL}},
@@ -549,20 +567,22 @@ def test_walk_matches_word_by_word_reference():
                                     for r in td.axioms_bounded(ts, max_len).results]) == expected
             seen["axioms raise" if expected[0] == "not functional" else "axioms report"] += 1
         reached = reachable(t, t.initial)
-        seen["nondeterministic"] += any(len(step) >= 2 for step in t.trans.values())
-        seen["dead"] += any(not any(t.moves(q, a) for a in t.alphabet) for q in reached)
-        seen["unreachable"] += len(reached) < len(t.states)
-        seen["empty output"] += any(out == "" for outs in t.trans.values() for out, _ in outs)
+        steps = [step for row in t.delta for step in row]
+        seen["nondeterministic"] += any(len(step) >= 2 for step in steps)
+        seen["dead"] += any(not any(t.delta[q]) for q in reached)
+        seen["unreachable"] += len(reached) < len(t.delta)
+        seen["empty output"] += any(out == "" for step in steps for out, _ in step)
         seen["L = 0"] += max_len == 0
     assert set(seen) == {"error", "error at L", "equal", "difference", "merged by prefix", "axioms raise",
                          "axioms report", "nondeterministic", "dead", "unreachable", "empty output", "L = 0"}
     assert all(seen.values()), seen
 
 
-def test_derived_machines_pass_validation(monkeypatch):
-    """The constructions build their machines and acceptors without running
-    __post_init__; run on each of them here, it passes, and each acceptor
-    has one move per state and letter, which writes its letter."""
+def test_derived_machines_pass_validation():
+    """The constructions build their machines and acceptors unvalidated;
+    read by state names through from_names, each passes validation and
+    gives back its own table, and each acceptor has one move per state and
+    letter, which writes its letter."""
     rnd = random.Random(41)
     corpus = []
     for _ in range(20):
@@ -570,8 +590,6 @@ def test_derived_machines_pass_validation(monkeypatch):
         corpus.append([random_machine(rnd, alphabet, rnd.randint(1, 4), nondeterministic)
                        for nondeterministic in (False, True)])
     derived, acceptors = [], []
-    calls = []
-    monkeypatch.setattr(td.Transducer, "__post_init__", calls.append)
     for ts in corpus:
         for x in ts:
             acceptors += [td.antidomain(x), td.domain_transducer(x), td.range_transducer(x)]
@@ -582,16 +600,15 @@ def test_derived_machines_pass_validation(monkeypatch):
                 derived += [td.compose(x, y), td.compose(td.domain_transducer(x), td.pref_union(x, y))]
             except NotFunctionalError:
                 pass
-    assert not calls
-    monkeypatch.undo()
-    for m in derived + acceptors:
-        m.__post_init__()
     assert derived and acceptors
+    for m in derived + acceptors:
+        again = td.from_names(*named(m))
+        assert (again.alphabet, again.initial, again.delta, again.final, again.names) == \
+               (m.alphabet, m.initial, m.delta, m.final, m.names)
     for d in acceptors:
-        for q, a in itertools.product(d.states, d.alphabet):
-            ((out, _),) = d.trans[(q, a)]
-            assert out == a
-        assert set(d.final_out.values()) <= {""}
+        for row in d.delta:
+            assert [out for ((out, _),) in row] == list(d.alphabet)
+        assert set(d.final) <= {None, ""}
 
 
 # ---------------------------------------------------------------------------
@@ -599,9 +616,10 @@ def test_derived_machines_pass_validation(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def relabel_oracle(alphabet, initial, moves, final, prefix="q"):
+def relabel_oracle(op, alphabet, initial, moves, final, prefix="q", key=None):
     """Two-pass breadth-first renaming: every step's moves sorted and listed
-    in discovery order first, then named, then the final outputs."""
+    in discovery order first, then named, then the final outputs; the
+    machine built from the names."""
     order = [initial]
     seen = {initial}
     steps = []
@@ -609,8 +627,8 @@ def relabel_oracle(alphabet, initial, moves, final, prefix="q"):
     while k < len(order):
         q = order[k]
         k += 1
-        for a in alphabet:
-            step = sorted(moves(q, a))
+        for a, step in zip(alphabet, moves(q)):
+            step = sorted(step, key=key)
             steps.append((q, a, step))
             for _, q2 in step:
                 if q2 not in seen:
@@ -626,7 +644,7 @@ def relabel_oracle(alphabet, initial, moves, final, prefix="q"):
         v = final(q)
         if v is not None:
             final_out[name[q]] = v
-    return td.Transducer(tuple(name[q] for q in order), alphabet, name[initial], trans, final_out)
+    return td.from_names(tuple(name[q] for q in order), alphabet, name[initial], trans, final_out)
 
 
 def built_files(ts):
@@ -656,20 +674,21 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
     rnd = random.Random(53)
     steps = collections.Counter()
 
-    def counted_oracle(alphabet, initial, moves, final, prefix="q"):
-        def counted(q, a):
-            step = moves(q, a)
-            outs = [out for out, _ in step]
-            steps["two moves"] += len(step) >= 2
-            steps["same output"] += len(set(outs)) < len(outs)
-            return step
-        return relabel_oracle(alphabet, initial, counted, final, prefix)
+    def counted_oracle(op, alphabet, initial, moves, *rest, **kw):
+        def counted(q):
+            row = moves(q)
+            for step in row:
+                outs = [out for out, _ in step]
+                steps["two moves"] += len(step) >= 2
+                steps["same output"] += len(set(outs)) < len(outs)
+            return row
+        return relabel_oracle(op, alphabet, initial, counted, *rest, **kw)
 
     for _ in range(25):
         alphabet = rnd.choice(("ab", "abc"))
         ts = [random_machine(rnd, alphabet, rnd.randint(1, 4), nondeterministic)
               for nondeterministic in (False, True)]
-        copies = [td.Transducer(t.states, t.alphabet, t.initial, dict(t.trans), dict(t.final_out)) for t in ts]
+        copies = [td.from_names(*named(t)) for t in ts]
         with monkeypatch.context() as m:
             m.setattr(td, "_relabel_transducer", counted_oracle)
             expected = built_files(copies)
@@ -679,38 +698,40 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
 
 
 def restrict_override_oracle(t1, t2):
-    """pref_union as first built: t2 limited to the complement of the domain
-    of t1 by a product with that acceptor, then the union with t1."""
-    d = td.antidomain(t1)
+    """pref_union as first built, by state names: t2 limited to the
+    complement of the domain of t1 by a product with that acceptor, then
+    the union with t1."""
+    _, al, i1, trans1, final1 = named(t1)
+    _, _, i2, trans2, final2 = named(t2)
+    _, _, i_d, trans_d, final_d = named(td.antidomain(t1))
 
-    def r_moves(pair, a):
+    def r_moves(pair):
         q, s = pair
-        ((_, s2),) = d.trans[(s, a)]
-        return {(out, (q2, s2)) for out, q2 in t2.moves(q, a)}
+        return [{(out, (q2, s2)) for out, q2 in trans2.get((q, a), ()) for _, s2 in trans_d[(s, a)]}
+                for a in al]
 
     def r_final(pair):
         q, s = pair
-        return t2.final_out.get(q) if s in d.final_out else None
+        return final2.get(q) if s in final_d else None
 
-    t2r = td._relabel_transducer(t2.alphabet, (t2.initial, d.initial), r_moves, r_final)
+    _, _, i2r, trans2r, final2r = named(relabel_oracle("compose", al, (i2, i_d), r_moves, r_final))
 
-    def moves(state, a):
+    def moves(state):
         if state == "u0":
-            return {(out, ("l", q)) for out, q in t1.moves(t1.initial, a)} | {
-                (out, ("r", q)) for out, q in t2r.moves(t2r.initial, a)
-            }
+            return [{(out, ("l", q)) for out, q in trans1.get((i1, a), ())} |
+                    {(out, ("r", q)) for out, q in trans2r.get((i2r, a), ())} for a in al]
         side, q = state
-        t = t1 if side == "l" else t2r
-        return {(out, (side, q2)) for out, q2 in t.moves(q, a)}
+        trans = trans1 if side == "l" else trans2r
+        return [{(out, (side, q2)) for out, q2 in trans.get((q, a), ())} for a in al]
 
     def final(state):
         if state == "u0":
-            u = t1.final_out.get(t1.initial)
-            return u if u is not None else t2r.final_out.get(t2r.initial)
+            u = final1.get(i1)
+            return u if u is not None else final2r.get(i2r)
         side, q = state
-        return (t1 if side == "l" else t2r).final_out.get(q)
+        return (final1 if side == "l" else final2r).get(q)
 
-    return td._relabel_transducer(t1.alphabet, "u0", moves, final)
+    return relabel_oracle("pref_union", al, "u0", moves, final)
 
 
 def test_override_matches_restrict_oracle():
@@ -726,7 +747,7 @@ def test_override_matches_restrict_oracle():
         for x, y in itertools.product(ts, repeat=2):
             made = td.pref_union(x, y)
             assert fmt.write_transducer(made) == fmt.write_transducer(restrict_override_oracle(x, y))
-            two_moves += any(len(step) > 1 for step in made.trans.values())
+            two_moves += any(len(step) > 1 for row in made.delta for step in row)
     assert two_moves
 
 
@@ -749,10 +770,10 @@ def test_each_domain_is_determinized_once_per_sweep(monkeypatch):
     domains = collections.Counter()
     relabel = td._relabel_transducer
 
-    def counted(alphabet, initial, moves, final, prefix="q"):
-        if moves.__qualname__ == "domain_transducer.<locals>.moves":
+    def counted(op, alphabet, initial, moves, *rest, **kw):
+        if op == "domain_transducer":
             domains[id(inspect.getclosurevars(moves).nonlocals["t"])] += 1
-        return relabel(alphabet, initial, moves, final, prefix)
+        return relabel(op, alphabet, initial, moves, *rest, **kw)
 
     monkeypatch.setattr(td, "_relabel_transducer", counted)
     report = td.axioms_bounded(ts, 4)
@@ -767,10 +788,10 @@ def test_tables_are_shared_only_between_equal_structures():
     flip = {("p", "a"): frozenset({("a", "r")}), ("r", "a"): frozenset({("b", "p")})}
     loop = {("p", "a"): frozenset({("a", "p")})}
     pairs = [
-        (td.Transducer(("p", "r"), AL, "p", flip, {"p": "", "r": ""}),
-         td.Transducer(("p", "r"), AL, "r", flip, {"p": "", "r": ""})),
-        (td.Transducer(("p",), AL, "p", loop, {"p": ""}),
-         td.Transducer(("p",), AL, "p", loop, {"p": "a"})),
+        (td.from_names(("p", "r"), AL, "p", flip, {"p": "", "r": ""}),
+         td.from_names(("p", "r"), AL, "r", flip, {"p": "", "r": ""})),
+        (td.from_names(("p",), AL, "p", loop, {"p": ""}),
+         td.from_names(("p",), AL, "p", loop, {"p": "a"})),
     ]
     for x, y in pairs:
         assert not td.equiv_bounded(x, y, 4)[0]
@@ -819,13 +840,13 @@ def test_equal_nondeterministic_sides_still_raise(monkeypatch):
     """A non-functional machine whose axiom-1 sides share one structure
     raises the NotFunctionalError evaluating word by word raises, from the
     one walk of that machine against itself."""
-    bad = td.Transducer(("q", "r"), AL, "q",
+    bad = td.from_names(("q", "r"), AL, "q",
                         {("q", "a"): frozenset({("a", "q"), ("b", "r")}),
                          ("q", "b"): frozenset({("b", "q")}),
                          ("r", "b"): frozenset({("", "r")})},
                         {"q": "", "r": "b"})
     left, right = td.compose(bad, td.compose(bad, bad)), td.compose(td.compose(bad, bad), bad)
-    assert (left.initial, left.trans, left.final_out) == (right.initial, right.trans, right.final_out)
+    assert (left.initial, left.delta, left.final) == (right.initial, right.delta, right.final)
     expected = outcome(reference_axioms, [bad], 3)
     assert expected == ("not functional", "a", ("a", "bb"))
     calls = []
@@ -842,7 +863,7 @@ def test_walk_peak_memory():
     doubler's output table, one output per word joined by a separator."""
     flip = {"p": "r", "r": "p"}
     al = ("a", "b", "c")
-    doubler = td.Transducer(("p", "r"), al, "p",
+    doubler = td.from_names(("p", "r"), al, "p",
                             {(q, a): frozenset({(a + a, flip[q])}) for q in flip for a in al},
                             {"p": "", "r": ""})
     copy = td.compose(td.identity_transducer(al), doubler)
@@ -850,3 +871,91 @@ def test_walk_peak_memory():
     assert len("|".join(td.eval(doubler, w) for w in words)) == 157464
     verdict, peak = traced_peak(lambda: td.equiv_bounded(doubler, copy, 8))
     assert verdict == (True, None) and peak < 0.5 * 157464
+
+
+def pinned_builds():
+    """What compose, pref_union, D and R give on seeded nondeterministic
+    machines of 4 to 6 states, then on each composite and override of them
+    with an input, both ways round: each written file, or each
+    NotFunctionalError's word and outputs, in order."""
+    rnd = random.Random(71)
+    made = []
+
+    def attempt(build):
+        try:
+            m = build()
+        except NotFunctionalError as e:
+            made.append((e.word, e.outputs))
+            return None
+        made.append(fmt.write_transducer(m))
+        return m
+
+    for _ in range(6):
+        alphabet = rnd.choice(("ab", "abc"))
+        x, y = (random_machine(rnd, alphabet, rnd.randint(4, 6), True) for _ in range(2))
+        c = attempt(lambda: td.compose(x, y))
+        p = attempt(lambda: td.pref_union(x, y))
+        for m in (x, y, c, p):
+            if m is None:
+                continue
+            made += [fmt.write_dfa(td.domain_transducer(m)), fmt.write_dfa(td.range_transducer(m))]
+            for z in (x, y):
+                attempt(lambda: td.compose(m, z))
+                attempt(lambda: td.pref_union(m, z))
+                attempt(lambda: td.pref_union(z, m))
+    return made
+
+
+def test_built_machines_keep_their_bytes():
+    """The files of pinned_builds, byte for byte, and the errors, word and
+    outputs, as the constructions wrote them when states were named while
+    built.  Operands of the second round have states q10 and beyond, so name
+    order (q10 < q2) and number order differ where moves are tied."""
+    made = pinned_builds()
+    files = [m for m in made if isinstance(m, str)]
+    errors = [m for m in made if not isinstance(m, str)]
+    assert sum('"q10"' in f for f in files) == 75 and sum('"d10"' in f for f in files) == 21
+    assert hashlib.sha256("\0".join(files).encode()).hexdigest() == \
+        "90a5d8ff7cd1889016b3438d67744b94c21d064067c7ab51f8124210606104e5"
+    assert errors == [
+        ("baac", ("bbccaacccaab", "bbccaacccbac")), ("baac", ("bbccaacccaab", "bbccaacccbac")),
+        ("ab", ("cbaaaa", "cbaaaaa")), ("aab", ("aaaacbaa", "aaaacbaaa")), ("aa", ("aaaacbaa", "aaaacbaaa")),
+        ("b", ("ba", "baa")), ("b", ("ba", "baa")), ("aabb", ("aaabb", "aaabba")), ("b", ("ba", "baa")),
+        ("bacac", ("a", "aaa")), ("bacac", ("a", "aaa")), ("c", ("a", "aaa")), ("c", ("a", "aaa")),
+    ]
+
+
+def test_composite_error_walks_moves_in_name_order():
+    """The NotFunctionalError of a 13-state composite, states q0 to q12,
+    composed with an input: the word and outputs come from the breadth-first
+    walk over tied moves in name order, where q10 < q2, as when states were
+    named while built."""
+    rnd = random.Random(6)
+    alphabet, states = rnd.choice(("ab", "abc")), rnd.randint(4, 6)
+    x, y = random_machine(rnd, alphabet, states, True), random_machine(rnd, alphabet, states, True)
+    c = td.compose(x, y)
+    assert len(c.delta) == 13
+    with pytest.raises(NotFunctionalError) as err:
+        td.compose(c, x)
+    assert (err.value.word, err.value.outputs) == ("bbabbbbbb", ("bbbababababaa", "bbbabababababb"))
+
+def nth(n: int) -> td.Transducer:
+    """The identity on words over ab whose n-th letter from the end is a:
+    n + 1 states, one guessing move, and a domain DFA of 2^n states."""
+    trans = {("p0", "a"): {("a", "p0"), ("a", "p1")}, ("p0", "b"): {("b", "p0")}}
+    trans.update({(f"p{i}", a): {(a, f"p{i + 1}")} for i in range(1, n) for a in AL})
+    return td.from_names([f"p{i}" for i in range(n + 1)], AL, "p0", trans, {f"p{n}": ""})
+
+
+def test_built_states_are_bounded():
+    """D and R of nth(11) have 2^11 = MAX_ELEMENTS states and are built;
+    those of nth(20) are refused as soon as the count passes the limit."""
+    assert len(td.domain_transducer(nth(11)).delta) == len(td.range_transducer(nth(11)).delta) == td.MAX_ELEMENTS
+    for build in (td.domain_transducer, td.range_transducer, td.antidomain):
+        start = time.perf_counter()
+        op = "range_transducer" if build is td.range_transducer else "domain_transducer"
+        with pytest.raises(ValueError, match=f"^{op} reaches 2050 states, over the limit MAX_ELEMENTS = 2048$"):
+            build(nth(20))
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match=r"^compose reaches 20\d\d states, over the limit MAX_ELEMENTS = 2048$"):
+        td.compose(nth(20), td.antidomain(nth(11)))
