@@ -31,7 +31,7 @@ from .algebra import (
     derive_constants,
 )
 from .dualize import DualCategory, pf_morphism, pf_object
-from .duality import AlgebraIso, CategoryIso, phi, theta
+from .duality import phi, theta
 from .filters import FilterSet, enumerate_domain_ultrafilters, enumerate_prime_filters
 from .pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 from .sections import enumerate_sections, seccl_morphism, seccl_object
@@ -41,10 +41,8 @@ from .transducer import Transducer
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraIso",
     "AxiomReport",
     "Base",
-    "CategoryIso",
     "DualCategory",
     "FilterSet",
     "FinAlgebra",

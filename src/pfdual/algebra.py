@@ -129,12 +129,6 @@ class FinAlgebra:
     def dom(self, a: int) -> int:
         return self.anti_t[self.anti_t[a]]
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise ValueError(f"no element named {name!r}") from None
-
 
 @dataclass(frozen=True)
 class Constants:
@@ -585,10 +579,6 @@ class Homomorphism:
 
     def __call__(self, a: int) -> int:
         return self.mapping[a]
-
-
-def identity_hom(alg: FinAlgebra) -> Homomorphism:
-    return Homomorphism(alg, alg, tuple(range(alg.size)))
 
 
 def check_homomorphism(h: Homomorphism) -> bool:

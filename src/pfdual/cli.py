@@ -73,7 +73,7 @@ def _text_lines(value: Any, prefix: str):
 def _functor_entries(fun: tc.MultiFunctor) -> dict[str, bool]:
     stars = tc.star_checks(fun)
     return {
-        "multifunctor_valid": tc.check_multifunctor(fun).passed,
+        "multifunctor_valid": tc.check_multifunctor(fun) is None,
         "continuous": tc.is_continuous_multifunctor(fun),
         "star_injective": stars.injective,
         "star_surjective": stars.surjective,
@@ -218,6 +218,17 @@ def cmd_naturality(args) -> int:
     return 0 if commutes else 1
 
 
+def _built(files: Sequence[str], build):
+    """build(), with a refusal such as passing the state limit naming the
+    files of the machines it builds from."""
+    try:
+        return build()
+    except NotFunctionalError:
+        raise
+    except ValueError as e:
+        raise fmt.FormatError(", ".join(files), str(e)) from None
+
+
 def _load_machines(files: Sequence[str]) -> list:
     """The machines of the files, refused at the first whose alphabet is
     not the first one's."""
@@ -242,14 +253,15 @@ def cmd_transducer_eval(args) -> int:
 
 def cmd_transducer_combine(args) -> int:
     t1, t2 = _load_machines([args.left, args.right])
-    result = td.compose(t1, t2) if args.sub == "compose" else td.pref_union(t1, t2)
+    combine = td.compose if args.sub == "compose" else td.pref_union
+    result = _built([args.left, args.right], lambda: combine(t1, t2))
     _write_out(fmt.write_transducer(result), args.out)
     return 0
 
 
 def cmd_transducer_acceptor(args) -> int:
     t = fmt.load_transducer(args.file)
-    d = td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t)
+    d = _built([args.file], lambda: td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t))
     sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if td.eval(d, w) is not None]
     if args.out:
         _write_out(fmt.write_dfa(d), args.out)
@@ -261,7 +273,12 @@ def cmd_transducer_acceptor(args) -> int:
 
 def cmd_transducer_axioms(args) -> int:
     machines = _load_machines(args.files)
-    report = td.axioms_bounded(machines, args.max_len)
+    td.check_bound(machines, args.max_len)
+    for f, t in zip(args.files, machines):
+        # A, D and R of each input, which the sweep reuses: built here, in
+        # the sweep's order, so a refusal names the file of its machine
+        _built([f], lambda: (td.antidomain(t), td.range_transducer(t)))
+    report = _built(args.files, lambda: td.axioms_bounded(machines, args.max_len))
     entries = []
     for r in report.results:
         entry: dict[str, Any] = {"axiom": r.index, "name": r.name,

@@ -179,10 +179,6 @@ class FunctorVsProperVerdict:
     plain_functor: bool
     locally_proper: bool
 
-    @property
-    def agree(self) -> bool:
-        return self.plain_functor == self.locally_proper
-
 
 def pf_is_functor_iff_locally_proper(h: Homomorphism) -> FunctorVsProperVerdict:
     """The dual of h is single-valued-and-total exactly when h pulls prime
@@ -191,7 +187,6 @@ def pf_is_functor_iff_locally_proper(h: Homomorphism) -> FunctorVsProperVerdict:
     lookup of `check_locally_proper`.  Disagreement indicates a bug."""
     plain = is_plain_functor(pf_morphism(h))
     proper, _ = check_locally_proper(h)
-    verdict = FunctorVsProperVerdict(plain_functor=plain, locally_proper=proper)
-    if not verdict.agree:
+    if plain != proper:
         raise InconsistencyError("plain-functor and locally-proper verdicts disagree")
-    return verdict
+    return FunctorVsProperVerdict(plain_functor=plain, locally_proper=proper)

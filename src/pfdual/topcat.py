@@ -60,9 +60,6 @@ class FinTopology:
     def is_open(self, mask: int) -> bool:
         return not mask & ~self.full and not any(self.nbhds[i] & ~mask for i in bits(mask))
 
-    def is_clopen(self, mask: int) -> bool:
-        return self.is_open(mask) and self.is_open(self.full & ~mask)
-
     def is_discrete(self) -> bool:
         return all(m == 1 << i for i, m in enumerate(self.nbhds))
 
@@ -300,37 +297,22 @@ class MultiFunctor:
             raise ValueError("arrow relation must cover every source arrow")
 
 
-def identity_multifunctor(cat: TopCategory) -> MultiFunctor:
-    return MultiFunctor(
-        source=cat, target=cat,
-        obj_map=tuple(range(cat.n_objects)),
-        arr_rel=tuple(1 << f for f in range(cat.n_arrows)),
-    )
-
-
-@dataclass(frozen=True)
-class MultiFunctorReport:
-    witness: Optional[tuple] = None  # ("endpoints", f, g), ("identity", x) or ("composition", f1, f2, g1, g2)
-
-    @property
-    def passed(self) -> bool:
-        return self.witness is None
-
-
-def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
-    """The three structural conditions: related arrows have the mapped
-    endpoints, mapped identities are related to identities, and relatedness
-    is preserved by composition.  The last takes at most p² pair tests for
-    p related pairs, which a functor file holds to MAX_ELEMENTS; a plain
-    functor, each arrow related to one, takes one row test per arrow."""
+def check_multifunctor(fun: MultiFunctor) -> Optional[tuple]:
+    """The first failure of the three structural conditions, or None when
+    all hold: related arrows have the mapped endpoints ("endpoints", f, g),
+    mapped identities are related to identities ("identity", x), and
+    relatedness is preserved by composition ("composition", f1, f2, g1, g2).
+    The last takes at most p² pair tests for p related pairs, which a
+    functor file holds to MAX_ELEMENTS; a plain functor, each arrow related
+    to one, takes one row test per arrow."""
     src_c, tgt_c = fun.source, fun.target
     for f in range(src_c.n_arrows):
         for g in bits(fun.arr_rel[f]):
             if tgt_c.src[g] != fun.obj_map[src_c.src[f]] or tgt_c.tgt[g] != fun.obj_map[src_c.tgt[f]]:
-                return MultiFunctorReport(("endpoints", f, g))
+                return ("endpoints", f, g)
     for x in range(src_c.n_objects):
         if not fun.arr_rel[src_c.id_of[x]] >> tgt_c.id_of[fun.obj_map[x]] & 1:
-            return MultiFunctorReport(("identity", x))
+            return ("identity", x)
     rel, C, zero = fun.arr_rel, tgt_c.comp_t, src_c.n_arrows
     rows = enumerate(src_c.comp_t)
     if is_plain_functor(fun):
@@ -344,8 +326,8 @@ def check_multifunctor(fun: MultiFunctor) -> MultiFunctorReport:
             for g1 in bits(rel[f1]) if h != zero else ():
                 for g2 in bits(rel[f2]):
                     if not rel[h] >> C[g1][g2] & 1:
-                        return MultiFunctorReport(("composition", f1, f2, g1, g2))
-    return MultiFunctorReport()
+                        return ("composition", f1, f2, g1, g2)
+    return None
 
 
 def relation_preimage(fun: MultiFunctor, mask: int) -> int:

@@ -63,6 +63,8 @@ def from_names(states: Sequence[str], alphabet: Sequence[str], initial: str,
     states, alphabet = tuple(states), tuple(alphabet)
     _check_alphabet(alphabet)
     index = {q: i for i, q in enumerate(states)}
+    if len(index) != len(states):
+        raise ValueError(f"state {next(q for i, q in enumerate(states) if index[q] != i)!r} is listed twice")
     letter = {a: j for j, a in enumerate(alphabet)}
     if initial not in index:
         raise ValueError("initial state must be listed")
@@ -324,11 +326,11 @@ def equiv_bounded(t1: Transducer, t2: Transducer, max_len: int):
     machine has two outputs, if it comes at or before that one, raises its
     NotFunctionalError, t1's before t2's, as evaluating word by word would.
     """
-    _check_bound((t1, t2), max_len)
+    check_bound((t1, t2), max_len)
     return _first_difference(t1, t2, max_len)
 
 
-def _check_bound(ts: Sequence[Transducer], max_len: int) -> None:
+def check_bound(ts: Sequence[Transducer], max_len: int) -> None:
     """Refuse a sweep of the machines ts up to max_len that is not defined,
     or that could hold too many configurations in memory."""
     if max_len < 0:
@@ -437,7 +439,7 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     leaves is built once and shared, then dropped; other terms, such as
     comp(a, comp(b, c)), are used once and not kept.
     """
-    _check_bound(ts, max_len)
+    check_bound(ts, max_len)
     ident = identity_transducer(ts[0].alphabet)
     # ids of the leaves: the inputs, the identity, and A, D and R of each,
     # which are kept on it.  All live as long as ts and ident, so no id is

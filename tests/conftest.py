@@ -5,7 +5,7 @@ between them, and a few hand-built categories."""
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
 import pytest
 from hypothesis import settings
@@ -13,7 +13,8 @@ from hypothesis import settings
 from pfdual.algebra import FinAlgebra, Homomorphism
 from pfdual.bitsets import bits, mask_of
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
-from pfdual.topcat import FinTopology, MultiFunctor, TopCategory, discrete_topology, generate_topology
+from pfdual.topcat import (FinTopology, MultiFunctor, TopCategory, discrete_topology, generate_topology,
+                           is_plain_functor)
 
 # Every run draws the same examples: derandomized, with no example database
 # carrying failures from one run into the next.  A test's own max_examples
@@ -84,6 +85,49 @@ def make_category(obj_names, arrows, id_of, comp, obj_opens=None, arr_opens=None
     )
 
 
+def index_of(alg: FinAlgebra, name: str) -> int:
+    """The element of alg named name."""
+    return alg.names.index(name)
+
+
+def identity_hom(alg: FinAlgebra) -> Homomorphism:
+    return Homomorphism(alg, alg, tuple(range(alg.size)))
+
+
+def identity_multifunctor(cat: TopCategory) -> MultiFunctor:
+    return MultiFunctor(cat, cat, tuple(range(cat.n_objects)), tuple(1 << f for f in range(cat.n_arrows)))
+
+
+def is_clopen(top: FinTopology, mask: int) -> bool:
+    return top.is_open(mask) and top.is_open(top.full & ~mask)
+
+
+def inverse(perm: Sequence[int]) -> tuple[int, ...]:
+    """The inverse of a permutation of range(len(perm))."""
+    assert sorted(perm) == list(range(len(perm)))
+    back = [0] * len(perm)
+    for a, v in enumerate(perm):
+        back[v] = a
+    return tuple(back)
+
+
+def inverse_hom(h: Homomorphism) -> Homomorphism:
+    """The inverse map of a bijective map between algebras, not yet checked
+    to be a homomorphism."""
+    assert h.source.size == h.target.size
+    return Homomorphism(h.target, h.source, inverse(h.mapping))
+
+
+def inverse_functor(fun: MultiFunctor) -> Optional[MultiFunctor]:
+    """The inverse of a plain functor that is bijective on objects and on
+    arrows, not yet checked to be a functor; None for any other relation."""
+    arrows = [m.bit_length() - 1 for m in fun.arr_rel]
+    if (not is_plain_functor(fun) or sorted(fun.obj_map) != list(range(fun.target.n_objects))
+            or sorted(arrows) != list(range(fun.target.n_arrows))):
+        return None
+    return MultiFunctor(fun.target, fun.source, inverse(fun.obj_map), tuple(1 << f for f in inverse(arrows)))
+
+
 def compose_homs(h1: Homomorphism, h2: Homomorphism) -> Homomorphism:
     """First h1, then h2."""
     assert h1.target == h2.source
@@ -150,9 +194,7 @@ def functor_to_dict(fun: MultiFunctor, source_label: str, target_label: str) -> 
 def permuted_copy(alg: FinAlgebra, perm: tuple[int, ...]) -> tuple[FinAlgebra, Homomorphism]:
     """An isomorphic copy with elements renumbered, plus the isomorphism."""
     n = alg.size
-    inv = [0] * n
-    for a, v in enumerate(perm):
-        inv[v] = a
+    inv = inverse(perm)
     copy = FinAlgebra.from_tables(
         [[perm[alg.comp(inv[a], inv[b])] for b in range(n)] for a in range(n)],
         [perm[alg.anti(inv[a])] for a in range(n)],
@@ -186,7 +228,7 @@ def full2() -> FinAlgebra:
 
 @pytest.fixture(scope="session")
 def incl_hom(swap_only, swap_const) -> Homomorphism:
-    return Homomorphism(swap_only, swap_const, tuple(swap_const.index_of(n) for n in swap_only.names))
+    return Homomorphism(swap_only, swap_const, tuple(index_of(swap_const, n) for n in swap_only.names))
 
 
 @pytest.fixture(scope="session")
@@ -208,8 +250,6 @@ def corpus_algebras(swap_const, swap_only, one_elem, full2) -> tuple[FinAlgebra,
 
 @pytest.fixture(scope="session")
 def corpus_homs(swap_const, swap_only, one_elem, incl_hom, swap_const_perm, collapse_hom) -> tuple[Homomorphism, ...]:
-    from pfdual.algebra import identity_hom
-
     _, iso = swap_const_perm
     return (
         identity_hom(swap_const),

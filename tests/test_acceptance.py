@@ -14,13 +14,14 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import BASE3, build_swap_const, build_swap_only, build_nonepi_category, permuted_copy
+from conftest import (BASE3, build_swap_const, build_swap_only, build_nonepi_category, identity_hom, index_of,
+                      inverse_functor, inverse_hom, permuted_copy)
 from pfdual import algebra as alg
 from pfdual import duality as du
 from pfdual import sections as sc
 from pfdual import topcat as tc
 from pfdual import transducer as td
-from pfdual.algebra import FinAlgebra, Homomorphism, identity_hom
+from pfdual.algebra import FinAlgebra, Homomorphism
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 
@@ -90,21 +91,21 @@ def test_criterion_02_double_dual_sections_and_theta():
         secalg, secs = sc.seccl_object(pf_object(swap_const).category)
         assert len(secs) == 8
         iso = du.theta(swap_const)
-        assert sorted(iso.fwd) == list(range(8))
-        assert alg.check_homomorphism(iso.forward_hom())
-        assert alg.check_homomorphism(iso.backward_hom())
+        assert sorted(iso.mapping) == list(range(8))
+        assert alg.check_homomorphism(iso)
+        assert alg.check_homomorphism(inverse_hom(iso))
 
 
 def test_criterion_03_phi_is_topological_isomorphism():
     with criterion(3, "phi on the dual category is an isomorphism of topological categories", budget=1.0):
         swap_const, _ = build_swap_const()
         cat = pf_object(swap_const).category
-        iso = du.phi(cat)
-        fwd, back = iso.fwd, iso.back
+        fwd = du.phi(cat)
+        back = inverse_functor(fwd)
         assert sorted(fwd.obj_map) == list(range(fwd.target.n_objects))
-        assert tc.is_plain_functor(fwd) and tc.is_plain_functor(back)
+        assert back is not None and tc.is_plain_functor(back)
         for fun in (fwd, back):
-            assert tc.check_multifunctor(fun).passed
+            assert tc.check_multifunctor(fun) is None
             assert tc.is_continuous_multifunctor(fun)
 
 
@@ -188,9 +189,9 @@ def test_criterion_06_morphism_duality():
     with criterion(6, "dual of the subalgebra inclusion: coherent, not plain, naturality commutes", budget=5.0):
         swap_const, _ = build_swap_const()
         swap_only, _ = build_swap_only()
-        incl = Homomorphism(swap_only, swap_const, tuple(swap_const.index_of(nm) for nm in swap_only.names))
+        incl = Homomorphism(swap_only, swap_const, tuple(index_of(swap_const, nm) for nm in swap_only.names))
         fun = pf_morphism(incl)
-        assert tc.check_multifunctor(fun).passed
+        assert tc.check_multifunctor(fun) is None
         assert tc.is_continuous_multifunctor(fun)
         stars = tc.star_checks(fun)
         assert stars.injective and stars.surjective and stars.co_pseudo and stars.pseudo
@@ -262,7 +263,7 @@ def test_criterion_10_isomorphism_property():
         swap_only, _ = build_swap_only()
         one = FinAlgebra.from_tables([[0]], [0], [0], [[0]], ["0"])
         perm, iso = permuted_copy(swap_const, tuple(reversed(range(swap_const.size))))
-        incl = Homomorphism(swap_only, swap_const, tuple(swap_const.index_of(nm) for nm in swap_only.names))
+        incl = Homomorphism(swap_only, swap_const, tuple(index_of(swap_const, nm) for nm in swap_only.names))
         collapse = Homomorphism(swap_const, one, (0,) * swap_const.size)
         corpus = [identity_hom(swap_const), identity_hom(swap_only), identity_hom(one), incl, iso, collapse]
 

@@ -8,6 +8,7 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ from pfdual.bitsets import mask_of
 from pfdual.errors import NoZeroError
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 
-from conftest import compose_homs
+from conftest import compose_homs, identity_hom, index_of
 
 
 def mutate_compose(a: alg.FinAlgebra, row: int, col: int, value: int) -> alg.FinAlgebra:
@@ -45,7 +46,7 @@ def mutate_pref(a: alg.FinAlgebra, row: int, col: int, value: int) -> alg.FinAlg
 class TestDerivedConstants:
     def test_swap_const(self, swap_const):
         con = alg.derive_constants(swap_const)
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         assert con.zero == i("0") and con.ident == i("1")
         assert con.dom_t[i("c")] == i("e12")
         assert con.leq(i("e12"), i("1")) and not con.leq(i("1"), i("e12"))
@@ -86,7 +87,7 @@ class TestDerivedConstants:
         assert len(calls) == 1
 
     def test_no_zero_error(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         broken = mutate_vector(swap_const, "anti", i("s"), i("1"))
         # now A(s)*s = 1*s = s differs from A(0)*0 = 0
         with pytest.raises(NoZeroError):
@@ -148,21 +149,21 @@ class TestCheckAxioms:
             assert alg.check_axioms(a).passed
 
     def test_range_mutation_breaks_axiom_7(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         mutated = mutate_vector(swap_const, "range", i("s"), i("0"))
         r = alg.check_axioms(mutated).result(7)
         assert not r.passed and r.witness == (i("s"),)
         assert not alg.axiom_instance_holds(mutated, 7, r.witness)
 
     def test_pref_mutation_breaks_axiom_9(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         mutated = mutate_pref(swap_const, i("s"), i("c"), i("0"))
         r = alg.check_axioms(mutated).result(9)
         assert not r.passed and r.witness == (i("s"), i("c"))
         assert not alg.axiom_instance_holds(mutated, 9, r.witness)
 
     def test_axiom_2_failure_subsumes_no_zero(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         broken = mutate_vector(swap_const, "anti", i("s"), i("1"))
         report = alg.check_axioms(broken)
         r2, r3 = report.result(2), report.result(3)
@@ -170,7 +171,7 @@ class TestCheckAxioms:
         assert not r3.passed and "identity constant undefined" in r3.detail
 
     def test_witness_is_lexicographically_first(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         mutated = mutate_compose(swap_const, i("1"), i("1"), i("0"))
         r = alg.check_axioms(mutated).result(1)
         assert not r.passed
@@ -469,14 +470,14 @@ class TestDomainSubalgebra:
         assert {swap_only.names[x] for x in rep.universe} == {"0", "e12", "e3", "1"}
 
     def test_domain_element_predicate(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         assert i("e12") in swap_const.anti_t
         assert i("s") not in swap_const.anti_t
 
 
 class TestJoins:
     def test_join_examples(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         assert alg.join(swap_const, i("e12"), i("e3")) == i("1")
         for a in range(swap_const.size):
             assert alg.join(swap_const, a, a) == a
@@ -488,7 +489,7 @@ class TestJoins:
             assert alg.in_class_A(a)
 
     def test_compatible(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         assert alg.compatible(swap_const, i("e12"), i("e3"))
         assert not alg.compatible(swap_const, i("s"), i("c"))
 
@@ -497,7 +498,7 @@ class TestJoins:
             assert alg.pref_from_join(a) == a.pref_t
 
     def test_join_from_pref(self, swap_const):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         table = alg.join_from_pref(swap_const)
         assert table[i("e12")][i("e3")] == i("1")
         assert table[i("s")][i("c")] is None
@@ -512,13 +513,13 @@ class TestHomomorphisms:
         assert alg.preserves_joins(incl_hom)
 
     def test_identity_valid(self, swap_const):
-        assert alg.check_homomorphism(alg.identity_hom(swap_const))
+        assert alg.check_homomorphism(identity_hom(swap_const))
 
     def test_swap_to_constant_invalid(self, swap_only, swap_const):
         # send s to c, fix the domain elements: breaks s*s = e12 vs c*c = 0
         mapping = []
         for name in swap_only.names:
-            mapping.append(swap_const.index_of({"s": "c", "s3": "c3"}.get(name, name)))
+            mapping.append(index_of(swap_const, {"s": "c", "s3": "c3"}.get(name, name)))
         h = alg.Homomorphism(swap_only, swap_const, tuple(mapping))
         assert not alg.check_homomorphism(h)
 
@@ -533,11 +534,11 @@ class TestHomomorphisms:
         assert alg.check_homomorphism(both)
 
     def test_locally_proper_identity(self, swap_const):
-        ok, witness = alg.check_locally_proper(alg.identity_hom(swap_const))
+        ok, witness = alg.check_locally_proper(identity_hom(swap_const))
         assert ok and witness is None
 
     def test_locally_proper_one_element(self, one_elem):
-        ok, _ = alg.check_locally_proper(alg.identity_hom(one_elem))
+        ok, _ = alg.check_locally_proper(identity_hom(one_elem))
         assert ok
 
     def test_inclusion_not_locally_proper(self, incl_hom, swap_const):

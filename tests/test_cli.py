@@ -20,7 +20,7 @@ from pfdual import transducer as td
 from pfdual.cli import TRANSDUCER_VERBS, VERBS, _build_parser, _parse, main
 from pfdual.pfun import Base, enumerate_all
 
-from conftest import algebra_to_dict, functor_to_dict
+from conftest import algebra_to_dict, functor_to_dict, index_of
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -50,7 +50,7 @@ class TestCheckAxioms:
 
         alg = fmt.load_algebra(DATA / "swap_const.alg.json")
         table = list(alg.range_t)
-        table[alg.index_of("s")] = alg.index_of("0")
+        table[index_of(alg, "s")] = index_of(alg, "0")
         broken = FinAlgebra.from_tables(alg.compose_t, alg.anti_t, table, alg.pref_t, alg.names)
         path = tmp_path / "broken.json"
         path.write_text(fmt.write_algebra(broken))
@@ -227,6 +227,7 @@ class TestMalformedInput:
         ({**TRANSDUCER, "trans": [{"from": "s", "in": "a", "out": "ab", "to": "s"}]},
          "output 'ab' uses letters outside the alphabet"),
         ({**TRANSDUCER, "final": {"s": "b"}}, "final output 'b' uses letters outside the alphabet"),
+        ({**TRANSDUCER, "states": ["s", "t", "s"]}, "state 's' is listed twice"),
     ])
     def test_malformed_transducer_names_the_key(self, capsys, tmp_path, data, message):
         path = tmp_path / "malformed.td.json"
@@ -787,6 +788,25 @@ class TestFunctorCheck:
         assert code == 0
         assert json.loads(out)["commutes"] is True
 
+    def test_shipped_example(self, capsys):
+        """data/ holds the dual of swap_inclusion.hom.json as a functor
+        file, between the category files dualize --out writes, and every
+        README example on it passes."""
+        from pfdual.dualize import pf_morphism, pf_object
+
+        for name in ("swap_const", "swap_only"):
+            dual = fmt.write_category(pf_object(fmt.load_algebra(DATA / f"{name}.alg.json")).category)
+            assert (DATA / f"{name}.cat.json").read_text() == dual
+        fun = pf_morphism(fmt.load_homomorphism(DATA / "swap_inclusion.hom.json"))
+        text = (DATA / "swap_inclusion.fun.json").read_text()
+        assert text == json.dumps(functor_to_dict(fun, "swap_const.cat.json", "swap_only.cat.json"), indent=2) + "\n"
+        assert fmt.load_functor(DATA / "swap_inclusion.fun.json") == fun
+        for argv in (["functor-check", "data/swap_inclusion.fun.json"], ["naturality", "data/swap_inclusion.fun.json"],
+                     ["naturality", "data/swap_inclusion.hom.json"]):
+            assert argv[1] in (DATA.parent / "README.md").read_text()
+            code, out = run(capsys, *argv[:1], DATA.parent / argv[1])
+            assert code == 0, out
+
 
 class TestTransducerCommands:
     def test_eval(self, capsys):
@@ -994,20 +1014,65 @@ class TestTransducerCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: bound -1 is negative\n"
 
+    @staticmethod
+    def nth_file(tmp_path, n: int, antidomain: bool = False) -> str:
+        """The file of nth(n), the identity on words whose n-th letter from
+        the end is a (n + 1 states, a domain DFA of 2^n), or of its
+        antidomain."""
+        trans = {("p0", "a"): {("a", "p0"), ("a", "p1")}, ("p0", "b"): {("b", "p0")}}
+        trans.update({(f"p{i}", a): {(a, f"p{i + 1}")} for i in range(1, n) for a in "ab"})
+        t = td.from_names([f"p{i}" for i in range(n + 1)], "ab", "p0", trans, {f"p{n}": ""})
+        path = tmp_path / f"{'a' if antidomain else 'nth'}{n}.td.json"
+        path.write_text(fmt.write_transducer(td.antidomain(t) if antidomain else t))
+        return str(path)
+
     def test_dom_refuses_too_many_states(self, capsys, tmp_path):
-        """nth20, the identity on words whose 20th letter from the end is
-        a, has 21 states and a domain DFA of 2^20: refused at once."""
-        path = tmp_path / "nth20.td.json"
-        trans = [{"from": "p0", "in": a, "out": a, "to": to} for a, to in (("a", "p0"), ("a", "p1"), ("b", "p0"))]
-        trans += [{"from": f"p{i}", "in": a, "out": a, "to": f"p{i + 1}"} for i in range(1, 20) for a in "ab"]
-        path.write_text(json.dumps({"alphabet": ["a", "b"], "states": [f"p{i}" for i in range(21)],
-                                    "initial": "p0", "final": {"p20": ""}, "trans": trans}))
-        start = time.perf_counter()
-        code = main(["transducer", "dom", str(path)])
-        assert code == 2 and time.perf_counter() - start < 1.0
+        """nth20's domain and range DFAs have 2^20 states: refused at once,
+        naming the file."""
+        path = self.nth_file(tmp_path, 20)
+        for verb, op in (("dom", "domain_transducer"), ("range", "range_transducer")):
+            start = time.perf_counter()
+            code = main(["transducer", verb, path])
+            assert code == 2 and time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {path}: {op} reaches 2050 states, over the limit MAX_ELEMENTS = 2048\n"
+
+    def test_combined_machines_over_the_limit_name_both_files(self, capsys, tmp_path):
+        nth20, a11 = self.nth_file(tmp_path, 20), self.nth_file(tmp_path, 11, antidomain=True)
+        assert main(["transducer", "compose", nth20, a11]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: domain_transducer reaches 2050 states, over the limit MAX_ELEMENTS = 2048\n"
+        assert captured.err == (f"error: {nth20}, {a11}: compose reaches 2051 states, "
+                                "over the limit MAX_ELEMENTS = 2048\n")
+        ident = str(DATA / "id_on_as.td.json")
+        assert main(["transducer", "pref", nth20, ident]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {nth20}, {ident}: domain_transducer reaches 2050 states, "
+                                "over the limit MAX_ELEMENTS = 2048\n")
+
+    def test_axioms_over_the_limit_name_the_file(self, capsys, tmp_path):
+        """An input whose A, D or R passes the limit is named alone; a
+        composite that passes it names every input of the sweep."""
+        ident, nth20 = str(DATA / "id_on_as.td.json"), self.nth_file(tmp_path, 20)
+        assert main(["transducer", "axioms", ident, nth20, "--max-len", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {nth20}: domain_transducer reaches 2050 states, "
+                                "over the limit MAX_ELEMENTS = 2048\n")
+        nth11, a11 = self.nth_file(tmp_path, 11), self.nth_file(tmp_path, 11, antidomain=True)
+        assert main(["transducer", "axioms", nth11, a11, "--max-len", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {nth11}, {a11}: compose reaches 2051 states, "
+                                "over the limit MAX_ELEMENTS = 2048\n")
+
+    @pytest.mark.parametrize("bound, message", [("-1", "bound -1 is negative"),
+                                                ("13", "bound 13 exceeds the limit BOUND_CAP = 12")])
+    def test_bound_refusals_come_before_the_state_limit(self, capsys, tmp_path, bound, message):
+        assert main(["transducer", "axioms", self.nth_file(tmp_path, 20), "--max-len", bound]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("count", [2048, 2049])
     def test_machine_file_states_are_bounded(self, capsys, tmp_path, count):

@@ -3,42 +3,48 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import weakref
+from pathlib import Path
+
+import pytest
 
 from pfdual import algebra as alg
 from pfdual import duality as du
+from pfdual import formats as fmt
 from pfdual import topcat as tc
-from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_morphism
 from pfdual.errors import InconsistencyError
 
-from conftest import zero_extended_cyclic
+from conftest import identity_hom, identity_multifunctor, index_of, inverse_functor, inverse_hom, zero_extended_cyclic
+
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def is_topcat_iso(fun: tc.MultiFunctor) -> bool:
     """A bijective continuous functor between categories with a continuous
     inverse."""
-    try:
-        du._verify_category_iso(du.CategoryIso(fwd=fun, back=du.invert_plain_functor(fun)))
-    except (ValueError, InconsistencyError):
-        return False
-    return True
+    back = inverse_functor(fun)
+    return (back is not None and tc.check_multifunctor(fun) is None
+            and tc.is_continuous_multifunctor(fun) and tc.is_continuous_multifunctor(back))
 
 
 class TestTheta:
     def test_swap_const_is_bijective_homomorphism(self, swap_const):
         iso = du.theta(swap_const)
-        assert sorted(iso.fwd) == list(range(8))
-        assert alg.check_homomorphism(iso.forward_hom())
-        assert alg.check_homomorphism(iso.backward_hom())
+        assert iso.source == swap_const
+        assert sorted(iso.mapping) == list(range(8))
+        assert alg.check_homomorphism(iso)
+        assert alg.check_homomorphism(inverse_hom(iso))
 
     def test_empty_function_goes_to_empty_section(self, swap_const):
         iso = du.theta(swap_const)
         dual = du.dual_of(swap_const)
         _, secs = du.sections_of(dual.category)
-        target = secs[iso.fwd[swap_const.index_of("0")]]
+        target = secs[iso.mapping[index_of(swap_const, "0")]]
         assert target == 0
 
     def test_swap_with_fixed_point_section(self, swap_const):
@@ -47,7 +53,7 @@ class TestTheta:
         iso = du.theta(swap_const)
         dual = du.dual_of(swap_const)
         _, secs = du.sections_of(dual.category)
-        target = secs[iso.fwd[swap_const.index_of("s3")]]
+        target = secs[iso.mapping[index_of(swap_const, "s3")]]
         assert mask_of(dual.category.src[f] for f in bits(target)) == (1 << dual.category.n_objects) - 1
         chosen = {swap_const.names[dual.arrow_elements[f]] for f in bits(target)}
         assert chosen == {"s", "e3"}
@@ -59,6 +65,16 @@ class TestTheta:
 
     def test_one_element(self, one_elem):
         assert du.theta(one_elem).target.size == 1
+
+    def test_inverses_are_homomorphisms(self, corpus_algebras):
+        """theta checks only its forward map: on every algebra of the corpus
+        and of data/, the inverse map is a homomorphism too."""
+        algebras = [*corpus_algebras, *map(fmt.load_algebra, sorted(DATA.glob("*.alg.json")))]
+        assert len(algebras) == len(corpus_algebras) + 2
+        for a in algebras:
+            iso = du.theta(a)
+            assert iso.source == a and iso.target == du.sections_of(du.dual_of(a).category)[0]
+            assert alg.check_homomorphism(iso) and alg.check_homomorphism(inverse_hom(iso))
 
 
 def test_derived_data_dies_with_its_algebra(swap_const):
@@ -88,7 +104,7 @@ class TestPhi:
         secalg, secs = du.sections_of(cat)
         dd = du.dual_of(secalg)
         for c in range(cat.n_arrows):
-            image_arrow = next(bits(iso.fwd.arr_rel[c]))
+            image_arrow = next(bits(iso.arr_rel[c]))
             expected = {i for i, m in enumerate(secs) if m >> c & 1}
             assert set(bits(alg.derive_constants(secalg).up[dd.arrow_elements[image_arrow]])) == expected
 
@@ -108,6 +124,24 @@ class TestPhi:
             assert iso.target.n_objects == cat.n_objects
             assert iso.target.n_arrows == cat.n_arrows
 
+    def test_isomorphisms_of_topological_categories(self, corpus_algebras, corpus_homs, one_arrow_category):
+        """phi checks only that its forward map is a functor: on every
+        category it meets in the tests, it and its inverse are continuous
+        functors.  Both sides of every category are discrete, so continuity
+        holds without a test in phi."""
+        algebras = [*corpus_algebras, *map(fmt.load_algebra, sorted(DATA.glob("*.alg.json")))]
+        cats = [du.dual_of(a).category for a in algebras]
+        cats += [c for h in corpus_homs for c in (pf_morphism(h).source, pf_morphism(h).target)]
+        cats += [zero_extended_cyclic(n) for n in (1, 2, 5, 12, 64)] + [one_arrow_category]
+        for cat in cats:
+            iso = du.phi(cat)
+            assert iso.source == cat and tc.is_plain_functor(iso)
+            assert is_topcat_iso(iso)
+            back = inverse_functor(iso)
+            assert tc.check_multifunctor(back) is None
+            assert cat.obj_top.is_discrete() and cat.arr_top.is_discrete()
+            assert iso.target.obj_top.is_discrete() and iso.target.arr_top.is_discrete()
+
 
 def test_each_isomorphism_is_checked_in_one_direction(monkeypatch, swap_const):
     """theta checks its forward map only, and phi its forward functor only:
@@ -126,6 +160,38 @@ def test_each_isomorphism_is_checked_in_one_direction(monkeypatch, swap_const):
     assert calls == {"check_homomorphism": 1}
     du.phi(zero_extended_cyclic(64))
     assert calls == {"check_homomorphism": 1, "check_multifunctor": 1}
+
+
+class TestRefusals:
+    """A theta or phi that is not an isomorphism is an internal error."""
+
+    @pytest.fixture(autouse=True)
+    def fresh(self):
+        alg._canonical.clear()  # so theta and phi run again on a new copy of an object
+
+    def test_theta_not_onto(self, monkeypatch, swap_const, full2):
+        a = dataclasses.replace(swap_const)
+        secs = du.sections_of(du.dual_of(a).category)[1]
+        monkeypatch.setattr(du, "sections_of", lambda cat: (full2, secs + (1 << 60,)))
+        with pytest.raises(InconsistencyError, match="^double dual has 9 sections but the algebra has 8 elements$"):
+            du.theta(a)
+
+    def test_theta_not_a_homomorphism(self, monkeypatch, swap_const):
+        monkeypatch.setattr(du, "check_homomorphism", lambda h: False)
+        with pytest.raises(InconsistencyError, match="^theta is not a homomorphism$"):
+            du.theta(dataclasses.replace(swap_const))
+
+    def test_phi_shape(self, monkeypatch):
+        z5 = zero_extended_cyclic(5)
+        secalg, secs = du.sections_of(z5)
+        monkeypatch.setattr(du, "sections_of", lambda cat: (secalg, secs[:-1]))
+        with pytest.raises(InconsistencyError, match="^double dual of the category has a different shape$"):
+            du.phi(z5)
+
+    def test_phi_not_a_functor(self, monkeypatch):
+        monkeypatch.setattr(du, "check_multifunctor", lambda fun: ("identity", 0))
+        with pytest.raises(InconsistencyError, match="^direction map is not a functor$"):
+            du.phi(zero_extended_cyclic(5))
 
 
 class TestNaturalityTheta:
@@ -149,7 +215,7 @@ class TestNaturalityTheta:
 
 class TestNaturalityPhi:
     def test_identity_functor(self, swap_const):
-        fun = tc.identity_multifunctor(du.dual_of(swap_const).category)
+        fun = identity_multifunctor(du.dual_of(swap_const).category)
         assert du.check_naturality_phi(fun)
 
     def test_dual_of_inclusion(self, incl_hom):
@@ -175,7 +241,7 @@ class TestRestrictedDuality:
         assert report.input_restricted and report.preserved
 
     def test_identity_functor(self, swap_const):
-        fun = tc.identity_multifunctor(du.dual_of(swap_const).category)
+        fun = identity_multifunctor(du.dual_of(swap_const).category)
         report = du.restricted_duality_check(fun)
         assert report.kind == "functor"
         assert report.input_restricted and report.preserved

@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from pfdual import algebra as alg
+from pfdual import dualize as dz
 from pfdual import topcat as tc
-from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_is_functor_iff_locally_proper, pf_morphism, pf_object
 from pfdual.duality import sections_of, theta
+from pfdual.errors import InconsistencyError
 from pfdual.filters import (
     compose_filters,
     domain_mask,
@@ -22,7 +23,7 @@ from pfdual.filters import (
     upward_closure,
 )
 
-from conftest import compose_homs
+from conftest import compose_homs, identity_hom, identity_multifunctor, index_of
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,7 @@ class TestDualObjects:
 
     def test_axiom_failure_rejected(self, swap_const):
         table = list(swap_const.range_t)
-        table[swap_const.index_of("s")] = swap_const.index_of("0")
+        table[index_of(swap_const, "s")] = index_of(swap_const, "0")
         broken = alg.FinAlgebra.from_tables(
             swap_const.compose_t, swap_const.anti_t, table, swap_const.pref_t, swap_const.names
         )
@@ -124,7 +125,7 @@ class TestFilterCalculusOracle:
             _, secs = sections_of(dual.category)
             iso = theta(a)
             for x in range(a.size):
-                section = secs[iso.fwd[x]]
+                section = secs[iso.mapping[x]]
                 assert mask_of(dual.category.src[k] for k in bits(section)) == dual.domain_opens[a.dom(x)]
                 for k in bits(section):
                     assert primes[k] == prime_from(a, ultras[dual.category.src[k]], x)
@@ -133,7 +134,7 @@ class TestFilterCalculusOracle:
 class TestDualMorphisms:
     def test_identity_dualizes_to_identity(self, swap_const, dual1):
         fun = pf_morphism(identity_hom(swap_const))
-        ident = tc.identity_multifunctor(dual1.category)
+        ident = identity_multifunctor(dual1.category)
         assert fun.obj_map == ident.obj_map and fun.arr_rel == ident.arr_rel
 
     def test_inclusion_values(self, incl_hom, swap_const, swap_only, dual1):
@@ -171,7 +172,7 @@ class TestDualMorphisms:
     def test_duals_are_coherent(self, corpus_homs):
         for h in corpus_homs:
             fun = pf_morphism(h)
-            assert tc.check_multifunctor(fun).passed
+            assert tc.check_multifunctor(fun) is None
             assert tc.is_continuous_multifunctor(fun)
             assert tc.star_checks(fun).coherent
 
@@ -179,11 +180,11 @@ class TestDualMorphisms:
 class TestFunctorIffLocallyProper:
     def test_identity(self, swap_const):
         verdict = pf_is_functor_iff_locally_proper(identity_hom(swap_const))
-        assert verdict.plain_functor and verdict.locally_proper and verdict.agree
+        assert verdict.plain_functor and verdict.locally_proper
 
     def test_inclusion(self, incl_hom):
         verdict = pf_is_functor_iff_locally_proper(incl_hom)
-        assert not verdict.plain_functor and not verdict.locally_proper and verdict.agree
+        assert not verdict.plain_functor and not verdict.locally_proper
 
     def test_isomorphism(self, swap_const_perm):
         _, iso = swap_const_perm
@@ -192,4 +193,11 @@ class TestFunctorIffLocallyProper:
 
     def test_whole_corpus_agrees(self, corpus_homs):
         for h in corpus_homs:
-            assert pf_is_functor_iff_locally_proper(h).agree
+            verdict = pf_is_functor_iff_locally_proper(h)
+            assert verdict.plain_functor == verdict.locally_proper
+
+    def test_disagreement_is_an_internal_error(self, monkeypatch, swap_const):
+        """A verdict is returned only when the two sides agree."""
+        monkeypatch.setattr(dz, "check_locally_proper", lambda h: (False, None))
+        with pytest.raises(InconsistencyError, match="verdicts disagree"):
+            pf_is_functor_iff_locally_proper(identity_hom(swap_const))

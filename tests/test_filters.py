@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,11 @@ from pfdual import algebra as alg
 from pfdual import filters as flt
 from pfdual.bitsets import bits, mask_of
 
+from conftest import index_of
+
 
 def named(a, *names):
-    return mask_of(a.index_of(n) for n in names)
+    return mask_of(index_of(a, n) for n in names)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +173,7 @@ class TestComposeFilters:
 
 class TestPrimeFrom:
     def test_examples(self, swap_const, primes, ultras):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         assert flt.prime_from(swap_const, ultras["mu12"], i("s")) == primes["s"]
         improper = flt.prime_from(swap_const, ultras["mu3"], i("s"))
         assert not flt.is_proper(swap_const, improper.members)
@@ -185,14 +188,14 @@ class TestPrimeFrom:
 
 class TestFindPrimeWithRange:
     def test_examples(self, swap_const, primes, ultras):
-        i = swap_const.index_of
+        i = partial(index_of, swap_const)
         assert flt.find_prime_with_range(swap_const, ultras["mu3"], i("c")) == primes["c"]
         assert flt.find_prime_with_range(swap_const, ultras["mu12"], i("e12")) == primes["e12"]
         assert flt.find_prime_with_range(swap_const, ultras["mu12"], i("s")) == primes["s"]
 
     def test_precondition(self, swap_const, ultras):
         with pytest.raises(ValueError):
-            flt.find_prime_with_range(swap_const, ultras["mu3"], swap_const.index_of("s"))
+            flt.find_prime_with_range(swap_const, ultras["mu3"], index_of(swap_const, "s"))
 
     def test_exhaustive_over_corpus(self, corpus_algebras):
         for a in corpus_algebras:

@@ -23,10 +23,10 @@ from pfdual.cli import main
 from pfdual.dualize import pf_object
 from pfdual.errors import NotClosedError
 from pfdual.sections import seccl_object
-from pfdual.topcat import TopCategory, generate_topology, identity_multifunctor
+from pfdual.topcat import TopCategory, generate_topology
 
 from conftest import (algebra_to_dict, build_swap_const, category_to_dict, dump_oracle, functor_to_dict,
-                      hom_to_dict, make_category, zero_extended_cyclic)
+                      hom_to_dict, identity_multifunctor, make_category, zero_extended_cyclic)
 
 ROOT = Path(__file__).resolve().parent.parent
 

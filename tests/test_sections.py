@@ -13,14 +13,13 @@ import pytest
 from pfdual import algebra as alg
 from pfdual import sections as sc
 from pfdual import topcat as tc
-from pfdual.algebra import identity_hom
 from pfdual.bitsets import bits, mask_of, popcount
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.duality import theta
 from pfdual.errors import InconsistencyError
 from pfdual.pfun import Base, as_abstract, enumerate_all
 
-from conftest import make_category, zero_extended_cyclic
+from conftest import identity_hom, identity_multifunctor, index_of, is_clopen, make_category, zero_extended_cyclic
 
 # A section as the definition states it: the domain mask, and the
 # (object, arrow) pairs sorted by object.
@@ -40,7 +39,7 @@ def is_section(cat: tc.TopCategory, s: Pair) -> bool:
     return (
         objs == sorted(set(objs)) and mask_of(objs) == domain
         and all(cat.src[f] == x for x, f in choice)
-        and cat.obj_top.is_clopen(domain) and cat.arr_top.is_open(mask_of(f for _, f in choice))
+        and is_clopen(cat.obj_top, domain) and cat.arr_top.is_open(mask_of(f for _, f in choice))
     )
 
 
@@ -67,7 +66,7 @@ def theta_section(dual, name: str) -> int:
     """The index in the section algebra of the arrows containing the named
     element."""
     _, images = sc.seccl_object(dual.category)
-    return images.index(dual.element_opens[dual.algebra.index_of(name)])
+    return images.index(dual.element_opens[index_of(dual.algebra, name)])
 
 
 class TestEnumeration:
@@ -98,7 +97,7 @@ class TestEnumeration:
         cat = dual1.category
         found = set()
         for dom in range(1 << cat.n_objects):
-            if not cat.obj_top.is_clopen(dom):
+            if not is_clopen(cat.obj_top, dom):
                 continue
             objs = list(bits(dom))
             for picks in itertools.product(*(cat.star(x) for x in objs)):
@@ -269,7 +268,7 @@ class TestEpiNecessity:
 
 class TestSectionHomomorphisms:
     def test_identity_functor(self, dual1):
-        fun = tc.identity_multifunctor(dual1.category)
+        fun = identity_multifunctor(dual1.category)
         h = sc.seccl_morphism(fun)
         assert h.mapping == tuple(range(h.source.size))
 

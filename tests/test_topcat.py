@@ -9,6 +9,7 @@ import itertools
 import operator
 import random
 import time
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +19,10 @@ from pfdual import formats as fmt
 from pfdual import topcat as tc
 from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_morphism, pf_object
-from pfdual.algebra import identity_hom
 from pfdual.topcat import MultiFunctor
 
-from conftest import category_to_dict, comp_table, make_category, zero_extended_cyclic
+from conftest import (category_to_dict, comp_table, identity_hom, identity_multifunctor, is_clopen, make_category,
+                      zero_extended_cyclic)
 
 
 def is_topology(size: int, family) -> bool:
@@ -86,7 +87,7 @@ class TestTopologyGeneration:
         top = tc.generate_topology(3, [0b011, 0b110])
         assert top.nbhds[1] == 0b010
         assert top.nbhds[0] == 0b011
-        assert {m for m in range(8) if top.is_clopen(m)} == {0b000, 0b111}
+        assert {m for m in range(8) if is_clopen(top, m)} == {0b000, 0b111}
 
 
 @pytest.fixture(scope="module")
@@ -188,8 +189,8 @@ class TestEtaleChecks:
 
 class TestMultiFunctors:
     def test_identity_functor_valid(self, dual_cat):
-        fun = tc.identity_multifunctor(dual_cat)
-        assert tc.check_multifunctor(fun).passed
+        fun = identity_multifunctor(dual_cat)
+        assert tc.check_multifunctor(fun) is None
         assert tc.is_continuous_multifunctor(fun)
         stars = tc.star_checks(fun)
         assert stars.injective and stars.surjective and stars.pseudo and stars.co_pseudo
@@ -198,7 +199,7 @@ class TestMultiFunctors:
 
     def test_dual_of_inclusion(self, incl_hom):
         fun = pf_morphism(incl_hom)
-        assert tc.check_multifunctor(fun).passed
+        assert tc.check_multifunctor(fun) is None
         assert tc.is_continuous_multifunctor(fun)
         assert tc.star_checks(fun).coherent
         assert not tc.is_plain_functor(fun)
@@ -206,17 +207,16 @@ class TestMultiFunctors:
         assert any(m == 0 for m in fun.arr_rel)
 
     def test_missing_identity_pair_detected(self, dual_cat):
-        fun = tc.identity_multifunctor(dual_cat)
+        fun = identity_multifunctor(dual_cat)
         rel = list(fun.arr_rel)
         x = 0
         rel[dual_cat.id_of[x]] = 0
         broken = MultiFunctor(dual_cat, dual_cat, fun.obj_map, tuple(rel))
-        report = tc.check_multifunctor(broken)
-        assert not report.passed
-        assert report.witness[0] == "identity"
+        witness = tc.check_multifunctor(broken)
+        assert witness is not None and witness[0] == "identity"
 
     def test_wrong_endpoints_detected(self, dual_cat):
-        fun = tc.identity_multifunctor(dual_cat)
+        fun = identity_multifunctor(dual_cat)
         f = next(
             k for k in range(dual_cat.n_arrows)
             if dual_cat.src[k] != dual_cat.tgt[k] or k not in dual_cat.id_of
@@ -225,7 +225,7 @@ class TestMultiFunctors:
         other = dual_cat.id_of[(dual_cat.src[f] + 1) % dual_cat.n_objects]
         rel[f] |= 1 << other
         broken = MultiFunctor(dual_cat, dual_cat, fun.obj_map, tuple(rel))
-        assert not tc.check_multifunctor(broken).passed
+        assert tc.check_multifunctor(broken) is not None
 
     def test_star_surjectivity_failure_after_deletion(self, incl_hom):
         fun = pf_morphism(identity_hom(incl_hom.source))
@@ -237,8 +237,8 @@ class TestMultiFunctors:
 
     def test_compose_with_identity(self, incl_hom):
         fun = pf_morphism(incl_hom)
-        left = tc.compose_multifunctors(tc.identity_multifunctor(fun.source), fun)
-        right = tc.compose_multifunctors(fun, tc.identity_multifunctor(fun.target))
+        left = tc.compose_multifunctors(identity_multifunctor(fun.source), fun)
+        right = tc.compose_multifunctors(fun, identity_multifunctor(fun.target))
         for other in (left, right):
             assert other.obj_map == fun.obj_map and other.arr_rel == fun.arr_rel
 
@@ -248,7 +248,7 @@ class TestMultiFunctors:
             if f.target != g.source:
                 continue
             both = tc.compose_multifunctors(f, g)
-            assert tc.check_multifunctor(both).passed
+            assert tc.check_multifunctor(both) is None
             assert tc.star_checks(both).coherent
             assert tc.is_continuous_multifunctor(both)
 
@@ -341,23 +341,23 @@ def loop_all_arrows_epi(cat: tc.TopCategory) -> bool:
     return True
 
 
-def loop_check_multifunctor(fun: MultiFunctor) -> tc.MultiFunctorReport:
+def loop_check_multifunctor(fun: MultiFunctor) -> Optional[tuple]:
     """Raises KeyError where two related target arrows have no composite."""
     src_c, tgt_c = fun.source, fun.target
     for f in range(src_c.n_arrows):
         for g in bits(fun.arr_rel[f]):
             if tgt_c.src[g] != fun.obj_map[src_c.src[f]] or tgt_c.tgt[g] != fun.obj_map[src_c.tgt[f]]:
-                return tc.MultiFunctorReport(("endpoints", f, g))
+                return ("endpoints", f, g)
     for x in range(src_c.n_objects):
         if not fun.arr_rel[src_c.id_of[x]] >> tgt_c.id_of[fun.obj_map[x]] & 1:
-            return tc.MultiFunctorReport(("identity", x))
+            return ("identity", x)
     target_comp = comp_dict(tgt_c)
     for (f1, f2), h in comp_dict(src_c).items():
         for g1 in bits(fun.arr_rel[f1]):
             for g2 in bits(fun.arr_rel[f2]):
                 if not fun.arr_rel[h] >> target_comp[(g1, g2)] & 1:
-                    return tc.MultiFunctorReport(("composition", f1, f2, g1, g2))
-    return tc.MultiFunctorReport()
+                    return ("composition", f1, f2, g1, g2)
+    return None
 
 
 def mutated(rng: random.Random, cat: tc.TopCategory) -> tc.TopCategory:
@@ -408,7 +408,7 @@ class TestTableAgainstLoops:
         cats = [pf_object(a).category for a in corpus_algebras] + [one_arrow_category, nonepi_category]
         for cat in cats:
             assert tc.all_arrows_epi(cat) == loop_all_arrows_epi(cat)
-        funs = [pf_morphism(h) for h in corpus_homs] + [tc.identity_multifunctor(c) for c in cats]
+        funs = [pf_morphism(h) for h in corpus_homs] + [identity_multifunctor(c) for c in cats]
         for fun in funs:
             assert tc.check_multifunctor(fun) == loop_check_multifunctor(fun)
         cats = [c for c in cats if c.n_objects]
@@ -426,9 +426,9 @@ class TestTableAgainstLoops:
             for x, e in enumerate(source.id_of):
                 rel[e] |= 1 << target.id_of[obj_map[x]]
             fun = MultiFunctor(source, target, obj_map, tuple(rel))
-            report = tc.check_multifunctor(fun)
-            assert report == loop_check_multifunctor(fun)
-            stages.add(report.witness and report.witness[0])
+            witness = tc.check_multifunctor(fun)
+            assert witness == loop_check_multifunctor(fun)
+            stages.add(witness and witness[0])
         assert stages == {None, "composition"}
 
     def test_plain_functors_by_rows(self, corpus_algebras, one_arrow_category, nonepi_category):
@@ -462,9 +462,9 @@ class TestTableAgainstLoops:
                 funs.append(MultiFunctor(source, target, obj_map, tuple(rel)))
         stages = collections.Counter()
         for fun in funs:
-            report = tc.check_multifunctor(fun)
-            assert report == loop_check_multifunctor(fun)
-            stages[report.witness and report.witness[0]] += 1
+            witness = tc.check_multifunctor(fun)
+            assert witness == loop_check_multifunctor(fun)
+            stages[witness and witness[0]] += 1
         assert stages[None] >= 100 and stages["composition"] >= 50
 
     def test_composition_continuity_on_a_non_discrete_group(self):
@@ -542,7 +542,7 @@ class TestBruteForceTopologies:
             assert top.opens == tuple(sorted(opens))
             for m in range(1 << (size + 1)):
                 assert top.is_open(m) == (m in opens)
-                assert top.is_clopen(m) == (m in clopens)
+                assert is_clopen(top, m) == (m in clopens)
             for i in range(size):
                 assert top.nbhds[i] == functools.reduce(operator.and_, (u for u in opens if u >> i & 1))
             separated = all(
@@ -560,7 +560,7 @@ class TestBruteForceTopologies:
         full = (1 << size) - 1
         assert top.is_discrete()
         assert top.basis == tuple(1 << i for i in range(size))
-        assert top.is_open(0b1011) and top.is_clopen(full & ~0b1011)
+        assert top.is_open(0b1011) and is_clopen(top, full & ~0b1011)
         assert not top.is_open(1 << size)
 
 

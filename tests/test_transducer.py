@@ -72,6 +72,14 @@ def t2():
     return flip_count()
 
 
+def test_a_state_listed_twice_is_refused():
+    """As an algebra or category file refuses a repeated name; the first
+    listing would otherwise be an unreachable orphan."""
+    with pytest.raises(ValueError, match="^state 'p' is listed twice$"):
+        td.from_names(("p", "q", "p"), AL, "p", {("p", "a"): {("a", "p")}}, {"p": ""})
+    assert len(td.from_names(("p", "q"), AL, "p", {("p", "a"): {("a", "p")}}, {"p": ""}).delta) == 2
+
+
 class TestEval:
     def test_examples(self, t1, t2):
         assert td.eval(t2, "aab") == "bb"
