@@ -39,8 +39,8 @@ def derived(fn):
     once per value, on the canonical instance, and the result is kept in
     the __dict__ of that instance and of x, so equal instances share it.
     A result that does not refer to x goes with the last of them.  One that
-    holds x (`dual_of`, `sections_of`, `theta`) forms a reference cycle with
-    it, so both stay until the next cyclic garbage collection."""
+    holds x (`theta` and `phi`, as their source) forms a reference cycle
+    with it, so both stay until the next cyclic garbage collection."""
     key = f"{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)

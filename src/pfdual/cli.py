@@ -6,7 +6,8 @@ text or JSON; both are byte-stable across runs on identical input.
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 on parse
 or precondition errors, 3 on an internal error (an invariant that holds for
-every valid input broke).
+every valid input broke).  A refusal by a verb outside the transducer
+family names the file the verb was given.
 
 A plain command line (a verb, one run of positionals, each option written
 `--name value`) is read straight from the verb tables VERBS and
@@ -30,7 +31,7 @@ from . import formats as fmt
 from . import sections as sec
 from . import topcat as tc
 from . import transducer as td
-from .errors import InconsistencyError, NotClosedError, NotFunctionalError
+from .errors import InconsistencyError, NotFunctionalError
 
 if TYPE_CHECKING:
     import argparse
@@ -219,11 +220,11 @@ def cmd_naturality(args) -> int:
 
 
 def _built(files: Sequence[str], build):
-    """build(), with a refusal such as passing the state limit naming the
-    files of the machines it builds from."""
+    """build(), with a refusal that names no file, such as passing the state
+    limit, naming the files it builds from."""
     try:
         return build()
-    except NotFunctionalError:
+    except (fmt.FormatError, NotFunctionalError):
         raise
     except ValueError as e:
         raise fmt.FormatError(", ".join(files), str(e)) from None
@@ -427,11 +428,14 @@ def main(argv=None) -> int:
     parsed = _parse(argv)
     args = _build_parser().parse_args(argv) if parsed is None else SimpleNamespace(**parsed)
     try:
-        return args.fn(args)
+        if args.command == "transducer":
+            return args.fn(args)
+        # every other verb reads one file, which its refusals name
+        return _built([args.file], lambda: args.fn(args))
     except InconsistencyError as e:
         sys.stderr.write(f"internal error: {e}\n")
         return 3
-    except (fmt.FormatError, NotClosedError, NotFunctionalError, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

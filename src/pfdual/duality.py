@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper, derived
+from .algebra import FinAlgebra, Homomorphism, check_homomorphism, check_locally_proper, derive_constants, derived
 from .bitsets import bits
 from .dualize import dual_of, pf_morphism, pf_object  # noqa: F401  (perfbench reads duality.pf_object)
 from .errors import InconsistencyError
@@ -21,31 +21,24 @@ from .topcat import MultiFunctor, TopCategory, check_multifunctor, compose_multi
 
 @derived
 def theta(alg: FinAlgebra) -> Homomorphism:
-    """The double-dual isomorphism on algebras, as the homomorphism onto the
-    section algebra: each element goes to the section whose domain is the
-    objects containing its domain element and whose choice at the object of
-    the atom e is the prime filter of e * a.  It is checked bijective and a
-    homomorphism; the inverse of a bijective homomorphism is one.
+    """The double-dual isomorphism on algebras, Stone's representation map:
+    each element goes to the section of the prime filters containing it.
+    Every prime filter is the up-set of a minimal element, so the section
+    of a holds the dual arrows whose minimal element lies below a; it is
+    built by columns, one up-set per arrow.  The map is checked bijective
+    and a homomorphism; the inverse of a bijective homomorphism is one.
     """
     dual = dual_of(alg)
     secalg, secs = sections_of(dual.category)
+    up = derive_constants(alg).up
+    images = [0] * alg.size
+    for k, m in enumerate(dual.arrow_elements):
+        for a in bits(up[m]):
+            images[a] |= 1 << k
     sec_index = {m: i for i, m in enumerate(secs)}
-
-    fwd = []
-    for a in range(alg.size):
-        image = 0
-        for o in bits(dual.domain_opens[alg.dom(a)]):
-            k = dual.arr_index.get(alg.compose_t[dual.object_atoms[o]][a])
-            if k is None or dual.category.src[k] != o:
-                raise InconsistencyError("choice filter is not a dual arrow starting at its object")
-            image |= 1 << k
-        if image != dual.element_opens[a]:
-            raise InconsistencyError("section disagrees with the filters containing the element")
-        idx = sec_index.get(image)
-        if idx is None:
-            raise InconsistencyError("image section was not enumerated")
-        fwd.append(idx)
-
+    fwd = [sec_index.get(image) for image in images]
+    if None in fwd:
+        raise InconsistencyError("image section was not enumerated")
     if sorted(fwd) != list(range(secalg.size)):
         raise InconsistencyError(
             f"double dual has {secalg.size} sections but the algebra has {alg.size} elements"

@@ -6,8 +6,9 @@ algebra every filter is principal, so arrow k is the up-set of one minimal
 nonzero element m_k and object o is the up-set, among domain elements, of
 one atom e_o.  The source and target of m are the objects of D(m) and R(m),
 the composite of m and m' is m*m' (zero exactly when they do not compose),
-and both topologies are discrete.  A homomorphism turns into a multivalued
-functor running the other way, by inverse image.
+and both topologies are discrete.  An element a lies in the prime filters
+up(m) with m <= a, so nothing is stored per element.  A homomorphism turns
+into a multivalued functor running the other way, by inverse image.
 """
 
 from __future__ import annotations
@@ -37,17 +38,13 @@ class DualCategory:
     arrow_elements[k] is the minimal nonzero element whose up-set is arrow k
     (a prime filter); object_atoms[o] is the atom of the domain subalgebra
     whose up-set among domain elements is object o (a domain ultrafilter).
-    arr_index and obj_index invert them.  element_opens[a] is the set of
-    arrows containing element a; domain_opens[d] is the set of objects
-    containing element d.
+    arr_index and obj_index invert them.  An element lies in the arrows
+    whose minimal element is below it; the algebra itself is not kept.
     """
 
     category: TopCategory
-    algebra: FinAlgebra
     arrow_elements: tuple[int, ...]
     object_atoms: tuple[int, ...]
-    element_opens: tuple[int, ...]
-    domain_opens: tuple[int, ...]
 
     @functools.cached_property
     def arr_index(self) -> dict[int, int]:
@@ -92,14 +89,6 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
                 raise InconsistencyError(f"product of {pair} is nonzero but they do not compose")
         comp_t.append(row)
 
-    n = alg.size
-    dmask = mask_of(domain_elements(alg))
-    element_opens = tuple(mask_of(k for k, m in enumerate(arrows) if con.up[m] >> a & 1) for a in range(n))
-    domain_opens = tuple(
-        mask_of(o for o, e in enumerate(objects) if con.up[e] >> d & 1) if dmask >> d & 1 else 0
-        for d in range(n)
-    )
-
     category = TopCategory(
         obj_names=tuple("u_" + alg.names[e] for e in objects),
         arr_names=tuple("p_" + alg.names[m] for m in arrows),
@@ -110,14 +99,7 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
         id_of=id_of,
         comp_t=tuple(comp_t),
     )
-    return DualCategory(
-        category=category,
-        algebra=alg,
-        arrow_elements=arrows,
-        object_atoms=objects,
-        element_opens=element_opens,
-        domain_opens=domain_opens,
-    )
+    return DualCategory(category=category, arrow_elements=arrows, object_atoms=objects)
 
 
 @derived

@@ -74,6 +74,16 @@ class TestCheckAxioms:
                              "witness": ["0", "1"],
                              "detail": "identity constant undefined because A(a)*a is not constant"}
 
+    def test_concrete_file_that_is_not_closed(self, capsys, tmp_path):
+        path = tmp_path / "open.json"
+        path.write_text(json.dumps({"base": ["1", "2"], "functions": {"s": {"1": "2", "2": "1"}}}))
+        for verb in ("check-axioms", "bidual"):
+            assert main([verb, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == (
+                f"error: {path}: set not closed under compose: compose(PFunc{{'1'>'2','2'>'1'}}, "
+                "PFunc{'1'>'2','2'>'1'}) = PFunc{'1'>'1','2'>'2'} is missing\n")
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -496,11 +506,31 @@ class TestDualize:
         assert capsys.readouterr().out == (GOLDEN / "sections_swap_const.json").read_text()
         assert len(calls) == 1
 
-    def test_sections_refusal_matches_golden_file(self, capsys):
-        """Two objects that the indiscrete topology does not separate."""
-        assert main(["sections", str(GOLDEN / "indiscrete2.cat.json")]) == 2
+    def test_sections_refusal_matches_golden_file(self, capsys, monkeypatch):
+        """Two objects that the indiscrete topology does not separate; the
+        refusal names the file as the command gave it."""
+        monkeypatch.chdir(GOLDEN.parent.parent)
+        assert main(["sections", "tests/golden/indiscrete2.cat.json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (GOLDEN / "sections_indiscrete2.err").read_text()
+
+    def test_corrupted_table_is_an_internal_error(self, capsys, monkeypatch, tmp_path):
+        """A composite that is zero where two dual arrows compose is refused
+        as bad input; with the representability check switched off it
+        reaches the guard in pf_object, an internal error."""
+        from pfdual import dualize
+
+        data = algebra_to_dict(fmt.load_algebra(DATA / "swap_const.alg.json"))
+        s = data["elements"].index("s")
+        data["compose"][s][s] = "0"
+        path = tmp_path / "bad.alg.json"
+        path.write_text(json.dumps(data))
+        assert main(["dualize", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: algebra is not representable: ")
+        monkeypatch.setattr(dualize, "require_representable", lambda a: None)
+        for verb in ("dualize", "bidual"):
+            assert main([verb, str(path)]) == 3
+            assert capsys.readouterr().err == "internal error: composite of s and s is not a minimal element\n"
 
     def test_sections_rejects_invalid_category(self, capsys, tmp_path):
         from conftest import build_nonepi_category
@@ -526,7 +556,8 @@ class TestDualize:
         start = time.perf_counter()
         code = main(["sections", str(path)])
         assert code == 2 and time.perf_counter() - start < 1.0
-        assert "over the limit MAX_ELEMENTS = 2048" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {path}: category may have 65536 sections, over the limit MAX_ELEMENTS = 2048\n")
 
     def test_sections_reads_back_a_65_arrow_dual(self, capsys, tmp_path):
         alg_file, cat_file = tmp_path / "z65.alg.json", tmp_path / "z65.cat.json"
@@ -614,11 +645,12 @@ class TestHomCheck:
         path = tmp_path / "bad_id.hom.json"
         path.write_text(json.dumps({"source": "bad.alg.json", "target": "bad.alg.json",
                                     "map": {name: name for name in data["elements"]}}))
-        for argv in (["hom-check", path], ["naturality", path], ["dualize", tmp_path / "bad.alg.json"]):
+        bad = tmp_path / "bad.alg.json"
+        for argv in (["hom-check", path], ["naturality", path], ["dualize", bad], ["bidual", bad]):
             code = main([str(a) for a in argv])
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
-            assert captured.err == "error: algebra is not representable: axiom (10) pref_outside_domain fails\n"
+            assert captured.err == f"error: {argv[1]}: algebra is not representable: axiom (10) pref_outside_domain fails\n"
 
     def test_invalid_hom_exit_code(self, capsys, tmp_path):
         data = json.loads((DATA / "swap_inclusion.hom.json").read_text())
@@ -654,7 +686,7 @@ class TestNaturality:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: map is not a homomorphism\n"
+        assert captured.err == f"error: {path}: map is not a homomorphism\n"
 
     def test_file_is_read_once(self, capsys, tmp_path, monkeypatch):
         """The command parses the one dict it read: the homomorphism file and
@@ -689,7 +721,7 @@ class TestNaturality:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: cannot enumerate sections: object space is not Stone\n"
+        assert captured.err == f"error: {path}: cannot enumerate sections: object space is not Stone\n"
 
 
     @pytest.mark.parametrize("text, message", [
@@ -741,7 +773,7 @@ class TestCategoryAxioms:
     def test_missing_composite_is_bad_input(self, capsys, files, verb, file, message):
         assert main([verb, str(files / file)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert captured.out == "" and captured.err == f"error: {files / file}: {message}\n"
 
     CATEGORY = TestMalformedInput.CATEGORY
     # Sierpinski objects ({x} open): f runs from x to y, so the open {f}
@@ -766,7 +798,7 @@ class TestCategoryAxioms:
         path.write_text(json.dumps(data))
         assert main(["sections", str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: category fails membership checks: {problems}\n"
+        assert captured.out == "" and captured.err == f"error: {path}: category fails membership checks: {problems}\n"
 
 
 class TestFunctorCheck:

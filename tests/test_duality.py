@@ -176,6 +176,13 @@ class TestRefusals:
         with pytest.raises(InconsistencyError, match="^double dual has 9 sections but the algebra has 8 elements$"):
             du.theta(a)
 
+    def test_theta_image_not_enumerated(self, monkeypatch, swap_const):
+        a = dataclasses.replace(swap_const)
+        secalg, secs = du.sections_of(du.dual_of(a).category)
+        monkeypatch.setattr(du, "sections_of", lambda cat: (secalg, secs[:-1] + (1 << 60,)))
+        with pytest.raises(InconsistencyError, match="^image section was not enumerated$"):
+            du.theta(a)
+
     def test_theta_not_a_homomorphism(self, monkeypatch, swap_const):
         monkeypatch.setattr(du, "check_homomorphism", lambda h: False)
         with pytest.raises(InconsistencyError, match="^theta is not a homomorphism$"):

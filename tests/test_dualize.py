@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from pfdual import algebra as alg
@@ -22,6 +24,7 @@ from pfdual.filters import (
     target_of,
     upward_closure,
 )
+from pfdual.pfun import Base, as_abstract, close_under_ops, enumerate_all
 
 from conftest import compose_homs, identity_hom, identity_multifunctor, index_of
 
@@ -75,60 +78,134 @@ class TestDualObjects:
     def test_source_injective_on_basic_opens(self, dual1, swap_const):
         cat = dual1.category
         for a in range(swap_const.size):
-            arrows = list(bits(dual1.element_opens[a]))
+            arrows = list(bits(arrows_containing(swap_const, a)))
             sources = [cat.src[f] for f in arrows]
             assert len(set(sources)) == len(sources)
 
     def test_endpoint_images_of_basic_opens(self, dual1, swap_const):
         cat = dual1.category
         for a in range(swap_const.size):
-            arrows = list(bits(dual1.element_opens[a]))
-            assert mask_of(cat.src[f] for f in arrows) == dual1.domain_opens[swap_const.dom(a)]
-            assert mask_of(cat.tgt[f] for f in arrows) == dual1.domain_opens[swap_const.rng(a)]
+            arrows = list(bits(arrows_containing(swap_const, a)))
+            assert mask_of(cat.src[f] for f in arrows) == objects_containing(swap_const, swap_const.dom(a))
+            assert mask_of(cat.tgt[f] for f in arrows) == objects_containing(swap_const, swap_const.rng(a))
+
+
+def corrupted(a: alg.FinAlgebra, compose=(), rng=()) -> alg.FinAlgebra:
+    """a with the named compose entries (x, y, v) and range entries (x, v)
+    overwritten."""
+    comp, rng_t = [list(row) for row in a.compose_t], list(a.range_t)
+    for x, y, v in compose:
+        comp[index_of(a, x)][index_of(a, y)] = index_of(a, v)
+    for x, v in rng:
+        rng_t[index_of(a, x)] = index_of(a, v)
+    return alg.FinAlgebra.from_tables(comp, a.anti_t, rng_t, a.pref_t, a.names)
+
+
+class TestGuards:
+    """Each invariant guard of pf_object fires on a hand-built table, which
+    reaches it only with the representability check switched off."""
+
+    @pytest.fixture(autouse=True)
+    def unchecked(self, monkeypatch):
+        monkeypatch.setattr(dz, "require_representable", lambda a: None)
+
+    def test_endpoint_that_is_not_an_atom(self, swap_const):
+        with pytest.raises(InconsistencyError, match="^the domain or range of a minimal element is not an atom$"):
+            pf_object(corrupted(swap_const, rng=[("c", "1")]))
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_composite_that_is_not_minimal(self, swap_const, value):
+        # s ends where it starts, and s then s is e12
+        with pytest.raises(InconsistencyError, match="^composite of s and s is not a minimal element$"):
+            pf_object(corrupted(swap_const, compose=[("s", "s", value)]))
+
+    @pytest.mark.parametrize("value", ["c", "c3"])
+    def test_nonzero_product_that_does_not_compose(self, swap_const, value):
+        # c ends at e3 and s starts at e12, so c then s is 0
+        with pytest.raises(InconsistencyError, match="^product of c and s is nonzero but they do not compose$"):
+            pf_object(corrupted(swap_const, compose=[("c", "s", value)]))
+
+
+def arrows_containing(a: alg.FinAlgebra, x: int) -> int:
+    """The dual arrows containing x: the section theta maps x to."""
+    return sections_of(pf_object(a).category)[1][theta(a).mapping[x]]
+
+
+def objects_containing(a: alg.FinAlgebra, d: int) -> int:
+    """The dual objects containing d, as the domain ultrafilters that do."""
+    return mask_of(o for o, u in enumerate(enumerate_domain_ultrafilters(a)) if d in u)
+
+
+def random_closed_sets(count: int, seed: int) -> list[alg.FinAlgebra]:
+    """count distinct seeded random closed sets on 3 points, each generated
+    by one to three random partial functions."""
+    rnd = random.Random(seed)
+    functions = enumerate_all(Base((1, 2, 3)))
+    closed: dict[tuple, list] = {}
+    while len(closed) < count:
+        members = close_under_ops(rnd.sample(functions, rnd.randint(1, 3)))
+        closed.setdefault(tuple(members), members)
+    return [as_abstract(members)[0] for members in closed.values()]
 
 
 class TestFilterCalculusOracle:
     """The principal dual read off minimal elements and atoms agrees with
-    the general filter calculus, which checks every filter it builds.  The
-    corpus holds swap_const and the full algebra on two points."""
+    the general filter calculus, which checks every filter it builds, and
+    so does theta.  The corpus holds swap_const and the full algebra on two
+    points; seeded random closed sets on three points extend it."""
+
+    def check_principal_dual(self, a: alg.FinAlgebra) -> None:
+        dual = pf_object(a)
+        cat = dual.category
+        up = alg.derive_constants(a).up
+        primes = enumerate_prime_filters(a)
+        ultras = enumerate_domain_ultrafilters(a)
+        assert tuple(up[m] for m in dual.arrow_elements) == tuple(p.members for p in primes)
+        assert tuple(up[e] & domain_mask(a) for e in dual.object_atoms) == tuple(u.members for u in ultras)
+        obj_of = {u.members: o for o, u in enumerate(ultras)}
+        arr_of = {p.members: k for k, p in enumerate(primes)}
+        assert cat.src == tuple(obj_of[source_of(a, p).members] for p in primes)
+        assert cat.tgt == tuple(obj_of[target_of(a, p).members] for p in primes)
+        assert cat.id_of == tuple(arr_of[upward_closure(a, u.members)] for u in ultras)
+        for i, p in enumerate(primes):
+            for j, q in enumerate(primes):
+                r = compose_filters(a, p, q)
+                if cat.tgt[i] == cat.src[j]:
+                    assert r.members == primes[cat.compose(i, j)].members
+                else:
+                    assert not is_proper(a, r.members)
+        for x in range(a.size):
+            section = arrows_containing(a, x)
+            assert section == mask_of(k for k, p in enumerate(primes) if x in p)
+            assert mask_of(cat.src[k] for k in bits(section)) == objects_containing(a, a.dom(x))
+
+    def check_theta_choices(self, a: alg.FinAlgebra) -> None:
+        """theta's section of x as the paper builds it: at each object e
+        containing D(x), the prime filter of e*x, which is a dual arrow
+        starting at e and the filter prime_from generates."""
+        dual = pf_object(a)
+        primes = enumerate_prime_filters(a)
+        ultras = enumerate_domain_ultrafilters(a)
+        for x in range(a.size):
+            objects = [o for o, u in enumerate(ultras) if a.dom(x) in u]
+            choices = [dual.arr_index[a.compose_t[dual.object_atoms[o]][x]] for o in objects]
+            assert [dual.category.src[k] for k in choices] == objects
+            assert arrows_containing(a, x) == mask_of(choices)
+            for o, k in zip(objects, choices):
+                assert primes[k] == prime_from(a, ultras[o], x)
 
     def test_principal_dual_matches_filter_calculus(self, corpus_algebras):
         for a in corpus_algebras:
-            dual = pf_object(a)
-            cat = dual.category
-            up = alg.derive_constants(a).up
-            primes = enumerate_prime_filters(a)
-            ultras = enumerate_domain_ultrafilters(a)
-            assert tuple(up[m] for m in dual.arrow_elements) == tuple(p.members for p in primes)
-            assert tuple(up[e] & domain_mask(a) for e in dual.object_atoms) == tuple(u.members for u in ultras)
-            obj_of = {u.members: o for o, u in enumerate(ultras)}
-            arr_of = {p.members: k for k, p in enumerate(primes)}
-            assert cat.src == tuple(obj_of[source_of(a, p).members] for p in primes)
-            assert cat.tgt == tuple(obj_of[target_of(a, p).members] for p in primes)
-            assert cat.id_of == tuple(arr_of[upward_closure(a, u.members)] for u in ultras)
-            for i, p in enumerate(primes):
-                for j, q in enumerate(primes):
-                    r = compose_filters(a, p, q)
-                    if cat.tgt[i] == cat.src[j]:
-                        assert r.members == primes[cat.compose(i, j)].members
-                    else:
-                        assert not is_proper(a, r.members)
-            for x in range(a.size):
-                assert dual.element_opens[x] == mask_of(k for k, p in enumerate(primes) if x in p)
-                assert dual.domain_opens[x] == mask_of(o for o, u in enumerate(ultras) if x in u)
+            self.check_principal_dual(a)
 
     def test_theta_choices_match_prime_from(self, corpus_algebras):
         for a in corpus_algebras:
-            dual = pf_object(a)
-            primes = enumerate_prime_filters(a)
-            ultras = enumerate_domain_ultrafilters(a)
-            _, secs = sections_of(dual.category)
-            iso = theta(a)
-            for x in range(a.size):
-                section = secs[iso.mapping[x]]
-                assert mask_of(dual.category.src[k] for k in bits(section)) == dual.domain_opens[a.dom(x)]
-                for k in bits(section):
-                    assert primes[k] == prime_from(a, ultras[dual.category.src[k]], x)
+            self.check_theta_choices(a)
+
+    def test_random_closed_sets_match_filter_calculus(self):
+        for a in random_closed_sets(30, seed=1):
+            self.check_principal_dual(a)
+            self.check_theta_choices(a)
 
 
 class TestDualMorphisms:
