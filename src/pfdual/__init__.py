@@ -7,7 +7,8 @@ The main entry points:
 - `algebra`: finite operation-table algebras and the ten-axiom
   representability checker.
 - `filters`: general filter calculus; the test oracle for the dual and for
-  `check_locally_proper`. No pipeline module imports it.
+  `check_locally_proper`. No pipeline module imports it, and the package
+  exports none of its names.
 - `topcat`: finite topological categories and multivalued functors.
 - `dualize` / `sections`: the two halves of the duality.
 - `duality`: the double-dual isomorphisms and naturality checks.
@@ -23,6 +24,7 @@ The main entry points:
 from . import formats  # noqa: F401
 from .algebra import (
     AxiomReport,
+    FilterSet,
     FinAlgebra,
     Homomorphism,
     check_axioms,
@@ -32,7 +34,10 @@ from .algebra import (
 )
 from .dualize import DualCategory, pf_morphism, pf_object
 from .duality import phi, theta
-from .filters import FilterSet, enumerate_domain_ultrafilters, enumerate_prime_filters
+# imported for perfbench/tracer.py alone, which wraps
+# filters.enumerate_prime_filters and looks the module up in sys.modules
+# after `import pfdual.cli`
+from . import filters  # noqa: F401
 from .pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 from .sections import enumerate_sections, seccl_morphism, seccl_object
 from .topcat import FinTopology, MultiFunctor, TopCategory, validate_object_of_C
@@ -59,8 +64,6 @@ __all__ = [
     "close_under_ops",
     "derive_constants",
     "enumerate_all",
-    "enumerate_domain_ultrafilters",
-    "enumerate_prime_filters",
     "enumerate_sections",
     "pf_morphism",
     "pf_object",

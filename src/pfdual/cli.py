@@ -6,8 +6,8 @@ text or JSON; both are byte-stable across runs on identical input.
 
 Exit codes: 0 when every check passes, 1 when some check fails, 2 on parse
 or precondition errors, 3 on an internal error (an invariant that holds for
-every valid input broke).  A refusal by a verb outside the transducer
-family names the file the verb was given.
+every valid input broke).  A refusal of an input names the file at fault,
+or the files a result was built from (`formats.built`).
 
 A plain command line (a verb, one run of positionals, each option written
 `--name value`) is read straight from the verb tables VERBS and
@@ -31,7 +31,7 @@ from . import formats as fmt
 from . import sections as sec
 from . import topcat as tc
 from . import transducer as td
-from .errors import InconsistencyError, NotFunctionalError
+from .errors import InconsistencyError
 
 if TYPE_CHECKING:
     import argparse
@@ -149,8 +149,9 @@ def cmd_dualize(args) -> int:
 
 def cmd_sections(args) -> int:
     cat = fmt.load_category(args.file)
-    if not cat.report.passed:
-        raise ValueError("category fails membership checks: " + "; ".join(cat.report.problems()))
+    problems = tc.validate_object_of_C(cat)
+    if problems:
+        raise ValueError("category fails membership checks: " + "; ".join(problems))
     algebra, secs = sec.seccl_object(cat)
     if args.out:
         _write_out(fmt.write_algebra(algebra), args.out)
@@ -219,17 +220,6 @@ def cmd_naturality(args) -> int:
     return 0 if commutes else 1
 
 
-def _built(files: Sequence[str], build):
-    """build(), with a refusal that names no file, such as passing the state
-    limit, naming the files it builds from."""
-    try:
-        return build()
-    except (fmt.FormatError, NotFunctionalError):
-        raise
-    except ValueError as e:
-        raise fmt.FormatError(", ".join(files), str(e)) from None
-
-
 def _load_machines(files: Sequence[str]) -> list:
     """The machines of the files, refused at the first whose alphabet is
     not the first one's."""
@@ -246,7 +236,7 @@ def cmd_transducer_eval(args) -> int:
     outside = [a for a in args.word if a not in t.alphabet]
     if outside:
         raise fmt.FormatError(args.file, f"letter {outside[0]!r} outside the alphabet")
-    out = td.eval(t, args.word)
+    out = fmt.built([args.file], lambda: td.eval(t, args.word))
     _emit({"transducer": args.file, "input": args.word,
            "defined": out is not None, "output": out if out is not None else ""}, args.format)
     return 0 if out is not None else 1
@@ -255,14 +245,14 @@ def cmd_transducer_eval(args) -> int:
 def cmd_transducer_combine(args) -> int:
     t1, t2 = _load_machines([args.left, args.right])
     combine = td.compose if args.sub == "compose" else td.pref_union
-    result = _built([args.left, args.right], lambda: combine(t1, t2))
+    result = fmt.built([args.left, args.right], lambda: combine(t1, t2))
     _write_out(fmt.write_transducer(result), args.out)
     return 0
 
 
 def cmd_transducer_acceptor(args) -> int:
     t = fmt.load_transducer(args.file)
-    d = _built([args.file], lambda: td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t))
+    d = fmt.built([args.file], lambda: td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t))
     sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if td.eval(d, w) is not None]
     if args.out:
         _write_out(fmt.write_dfa(d), args.out)
@@ -278,8 +268,8 @@ def cmd_transducer_axioms(args) -> int:
     for f, t in zip(args.files, machines):
         # A, D and R of each input, which the sweep reuses: built here, in
         # the sweep's order, so a refusal names the file of its machine
-        _built([f], lambda: (td.antidomain(t), td.range_transducer(t)))
-    report = _built(args.files, lambda: td.axioms_bounded(machines, args.max_len))
+        fmt.built([f], lambda: (td.antidomain(t), td.range_transducer(t)))
+    report = fmt.built(args.files, lambda: td.axioms_bounded(machines, args.max_len))
     entries = []
     for r in report.results:
         entry: dict[str, Any] = {"axiom": r.index, "name": r.name,
@@ -431,7 +421,7 @@ def main(argv=None) -> int:
         if args.command == "transducer":
             return args.fn(args)
         # every other verb reads one file, which its refusals name
-        return _built([args.file], lambda: args.fn(args))
+        return fmt.built([args.file], lambda: args.fn(args))
     except InconsistencyError as e:
         sys.stderr.write(f"internal error: {e}\n")
         return 3

@@ -38,6 +38,18 @@ class FormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def built(files: Iterable[str | Path], build):
+    """build(), with a refusal that names no file, such as an algebra that
+    is not closed, a machine that is not functional or one past the state
+    limit, naming the files it builds from."""
+    try:
+        return build()
+    except FormatError:
+        raise
+    except ValueError as e:
+        raise FormatError(", ".join(map(str, files)), str(e)) from None
+
+
 def _read_text(path: str | Path) -> str:
     """A UTF-8 file's text; undecodable bytes are a FormatError."""
     try:
@@ -421,8 +433,10 @@ def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tup
 
 def parse_homomorphism(data: dict, path: str | Path) -> Homomorphism:
     folder = Path(path).parent
-    source = load_algebra(folder / _need(data, "source", path, str))
-    target = load_algebra(folder / _need(data, "target", path, str))
+    source_file = folder / _need(data, "source", path, str)
+    source = built([source_file], lambda: load_algebra(source_file))
+    target_file = folder / _need(data, "target", path, str)
+    target = built([target_file], lambda: load_algebra(target_file))
     mapping = _name_map(data, "map", path, source.names, target.names, "source element", "element")
     return Homomorphism(source, target, mapping)
 

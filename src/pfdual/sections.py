@@ -18,7 +18,7 @@ import operator
 from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
 from .bitsets import bits, image, mask_of, popcount, preimage
 from .errors import InconsistencyError
-from .topcat import MultiFunctor, TopCategory, relation_preimage, star_checks
+from .topcat import NOT_EPI, MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
 
 
 def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
@@ -28,18 +28,14 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     Refuses a category that may have more than MAX_ELEMENTS sections, by
     the product of 1 + |star x| over the objects x (so also 1 + arrows), so
     any section algebra written can be read back; and one that is not Stone
-    etale, naming the Stone etale problems of the category's `report`; the
-    epimorphism condition is not needed."""
+    etale, naming every membership problem of `validate_object_of_C` but
+    NOT_EPI, a condition sections do not need."""
     bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
     if bound > MAX_ELEMENTS:
         raise ValueError(f"category may have {bound} sections, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
-    problems = cat.report.stone_etale_problems
+    problems = [p for p in validate_object_of_C(cat) if p != NOT_EPI]
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
-    # Each star is the preimage of an open point, so it is open; an arrow's
-    # minimal neighbourhood lies in its star, where src is injective.
-    if not cat.arr_top.is_discrete():
-        raise InconsistencyError("arrow space of a Stone etale category is not discrete")
     stars = [cat.star(x) for x in range(cat.n_objects)]
     return tuple(
         mask_of(picks)

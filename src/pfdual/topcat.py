@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .algebra import _light_test, generating_set, hash_once, pick
+from .algebra import _light_test, derived, generating_set, hash_once, pick
 from .bitsets import bits, image, mask_of, popcount, union
 
 
@@ -151,11 +151,6 @@ class TopCategory:
         """Arrows with target x."""
         return tuple(f for f in range(self.n_arrows) if self.tgt[f] == x)
 
-    @cached_property
-    def report(self) -> "CObjectReport":
-        """The `validate_object_of_C` report, made once per category."""
-        return validate_object_of_C(self)
-
     def check_category(self) -> list[str]:
         """Category axioms; returns a list of problems (empty when valid),
         naming objects and arrows as the category does.
@@ -230,47 +225,24 @@ def all_arrows_epi(cat: TopCategory) -> bool:
     return all(len(set(takes[y](row))) == len(stars[y]) for row, y in zip(cat.comp_t, cat.tgt))
 
 
-@dataclass(frozen=True)
-class CObjectReport:
-    category_problems: tuple[str, ...]
-    src_local_homeo: bool
-    objects_stone: bool
-    arrows_epi: Optional[bool]  # None: undecided, as the category axioms fail
-
-    @property
-    def passed(self) -> bool:
-        return not self.category_problems and self.src_local_homeo and self.objects_stone and self.arrows_epi
-
-    @property
-    def stone_etale_problems(self) -> tuple[str, ...]:
-        """The failed conditions among those that sections need: the category
-        axioms, local homeomorphism and Stone, in that order."""
-        local = () if self.src_local_homeo else ("source map is not a local homeomorphism",)
-        stone = () if self.objects_stone else ("object space is not Stone",)
-        return self.category_problems + local + stone
-
-    def problems(self) -> tuple[str, ...]:
-        """Every failed condition: the Stone etale ones, then epimorphisms
-        when they were decided and fail."""
-        epi = ("some arrow is not an epimorphism",) if self.arrows_epi is False else ()
-        return self.stone_etale_problems + epi
+NOT_EPI = "some arrow is not an epimorphism"
 
 
-def validate_object_of_C(cat: TopCategory) -> CObjectReport:
-    """Membership in the dual class C, by its finite form.  A finite Stone
+@derived
+def validate_object_of_C(cat: TopCategory) -> tuple[str, ...]:
+    """The membership conditions of the dual class C that the category
+    fails, by its finite form; empty when it is in C.  A finite Stone
     space is discrete.  Over discrete objects a source map that is a local
     homeomorphism makes the arrows discrete (each star is open, and src is
     injective on an open set around each arrow), so every structure map is
-    continuous and the target map is open.  What is left to decide: the
-    category axioms, local homeomorphism, discrete objects and, on a
-    category, epimorphisms."""
+    continuous and the target map is open.  What is left to decide, in this
+    order: the category axioms, local homeomorphism, discrete objects and,
+    on a category, epimorphisms (NOT_EPI)."""
     problems = tuple(cat.check_category())
-    return CObjectReport(
-        category_problems=problems,
-        src_local_homeo=is_local_homeo(cat),
-        objects_stone=cat.obj_top.is_discrete(),
-        arrows_epi=None if problems else all_arrows_epi(cat),
-    )
+    local = () if is_local_homeo(cat) else ("source map is not a local homeomorphism",)
+    stone = () if cat.obj_top.is_discrete() else ("object space is not Stone",)
+    epi = () if problems or all_arrows_epi(cat) else (NOT_EPI,)
+    return problems + local + stone + epi
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,13 @@ class TestCheckAxioms:
                              "detail": "identity constant undefined because A(a)*a is not constant"}
 
     def test_concrete_file_that_is_not_closed(self, capsys, tmp_path):
+        """Refused naming the file, also where a homomorphism file names it."""
         path = tmp_path / "open.json"
         path.write_text(json.dumps({"base": ["1", "2"], "functions": {"s": {"1": "2", "2": "1"}}}))
-        for verb in ("check-axioms", "bidual"):
-            assert main([verb, str(path)]) == 2
+        hom = tmp_path / "open.hom.json"
+        hom.write_text(json.dumps({"source": "open.json", "target": "open.json", "map": {"s": "s"}}))
+        for verb, file in (("check-axioms", path), ("bidual", path), ("hom-check", hom), ("naturality", hom)):
+            assert main([verb, str(file)]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == (
                 f"error: {path}: set not closed under compose: compose(PFunc{{'1'>'2','2'>'1'}}, "
@@ -492,15 +495,16 @@ class TestDualize:
         assert fmt.load_algebra(out_file) == expected
 
     def test_sections_validates_the_category_once(self, capsys, monkeypatch):
-        """The membership report is kept on the category, so the CLI and the
-        section enumeration read one validation."""
+        """The membership problems are kept on the category, so the CLI and
+        the section enumeration read one validation: the category axioms
+        are checked once."""
+        from pfdual import algebra as alg
         from pfdual import topcat as tc
 
+        alg._canonical.clear()  # so no equal category brings its kept problems
         calls = []
-        validate = tc.validate_object_of_C
-        for name, module in list(sys.modules.items()):
-            if name.startswith("pfdual") and getattr(module, "validate_object_of_C", None) is validate:
-                monkeypatch.setattr(module, "validate_object_of_C", lambda cat: calls.append(cat) or validate(cat))
+        check_category = tc.TopCategory.check_category
+        monkeypatch.setattr(tc.TopCategory, "check_category", lambda cat: calls.append(cat) or check_category(cat))
         monkeypatch.chdir(DATA.parent)
         assert main(["sections", "--format", "json", "tests/golden/swap_const.cat.json"]) == 0
         assert capsys.readouterr().out == (GOLDEN / "sections_swap_const.json").read_text()
@@ -513,6 +517,18 @@ class TestDualize:
         assert main(["sections", "tests/golden/indiscrete2.cat.json"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (GOLDEN / "sections_indiscrete2.err").read_text()
+
+    def test_sections_rejects_invalid_category(self, capsys, monkeypatch):
+        """`nonepi_category`, whose arrow a is not an epimorphism (a;b = a;c
+        = d): the command refuses it on that line alone, although the
+        section enumeration accepts it (tests/test_sections.py)."""
+        from conftest import build_nonepi_category
+
+        assert (GOLDEN / "nonepi.cat.json").read_text() == fmt.write_category(build_nonepi_category())
+        monkeypatch.chdir(GOLDEN.parent.parent)
+        assert main(["sections", "tests/golden/nonepi.cat.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (GOLDEN / "sections_nonepi.err").read_text()
 
     def test_corrupted_table_is_an_internal_error(self, capsys, monkeypatch, tmp_path):
         """A composite that is zero where two dual arrows compose is refused
@@ -531,15 +547,6 @@ class TestDualize:
         for verb in ("dualize", "bidual"):
             assert main([verb, str(path)]) == 3
             assert capsys.readouterr().err == "internal error: composite of s and s is not a minimal element\n"
-
-    def test_sections_rejects_invalid_category(self, capsys, tmp_path):
-        from conftest import build_nonepi_category
-        from pfdual import formats as fmt
-
-        path = tmp_path / "nonepi.json"
-        path.write_text(fmt.write_category(build_nonepi_category()))
-        code = main(["sections", str(path)])
-        assert code == 2
 
     def test_sections_refuses_section_explosion(self, capsys, tmp_path):
         # 16 objects with identities only: 2^16 sections and 2^32-entry tables
@@ -995,16 +1002,26 @@ class TestTransducerCommands:
         assert code == 1 and captured.err == ""
         assert captured.out == (GOLDEN / "transducer_axioms_thirds_L8.text").read_text()
 
+    # q -a-> (a|b) q, final q: the word 'a' has two outputs
+    TWO_OUTPUTS = {
+        "alphabet": ["a", "b"], "states": ["q"], "initial": "q", "final": {"q": ""},
+        "trans": [{"from": "q", "in": "a", "out": out, "to": "q"} for out in ("a", "b")],
+    }
+
     def test_axioms_on_non_functional_machine(self, capsys, tmp_path):
-        # q -a-> (a|b) q, final q: the word 'a' has two outputs
         path = tmp_path / "two_outputs.td.json"
-        path.write_text(json.dumps({
-            "alphabet": ["a", "b"], "states": ["q"], "initial": "q", "final": {"q": ""},
-            "trans": [{"from": "q", "in": "a", "out": out, "to": "q"} for out in ("a", "b")],
-        }))
+        path.write_text(json.dumps(self.TWO_OUTPUTS))
         code = main(["transducer", "axioms", str(path), "--max-len", "4"])
         assert code == 2
-        assert capsys.readouterr().err == "error: not functional: input 'a' has outputs 'a' and 'b'\n"
+        assert capsys.readouterr().err == f"error: {path}: not functional: input 'a' has outputs 'a' and 'b'\n"
+
+    def test_eval_on_non_functional_machine(self, capsys, tmp_path):
+        path = tmp_path / "two_outputs.td.json"
+        path.write_text(json.dumps(self.TWO_OUTPUTS))
+        assert main(["transducer", "eval", str(path), "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not functional: input 'a' has outputs 'a' and 'b'\n"
 
     @pytest.mark.parametrize("bound", [5, 8, 12])
     def test_axioms_on_branching_non_functional_machine(self, capsys, tmp_path, bound):
@@ -1020,7 +1037,7 @@ class TestTransducerCommands:
         code = main(["transducer", "axioms", str(path), "--max-len", str(bound)])
         assert code == 2 and time.perf_counter() - start < 0.1
         assert capsys.readouterr().err == \
-            "error: not functional: input 'a' has outputs 'aaaaaaaab' and 'aaaaaabbb'\n"
+            f"error: {path}: not functional: input 'a' has outputs 'aaaaaaaab' and 'aaaaaabbb'\n"
 
     @pytest.mark.parametrize("verb", ["compose", "axioms"])
     def test_non_functional_composite_names_a_word(self, capsys, tmp_path, verb):
@@ -1037,8 +1054,7 @@ class TestTransducerCommands:
         code = main(["transducer", verb, str(first), str(second)])
         err = capsys.readouterr().err
         assert code == 2 and "<final>" not in err
-        if verb == "compose":
-            assert err == "error: not functional: input '' has outputs 'a' and 'b'\n"
+        assert err == f"error: {first}, {second}: not functional: input '' has outputs 'a' and 'b'\n"
 
     def test_axioms_refuses_negative_bound(self, capsys):
         code = main(["transducer", "axioms", str(DATA / "as_to_bs.td.json"), "--max-len", "-1"])

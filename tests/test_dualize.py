@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -56,7 +57,7 @@ class TestDualObjects:
     def test_one_element_gives_empty_category(self, one_elem):
         cat = pf_object(one_elem).category
         assert cat.n_objects == 0 and cat.n_arrows == 0
-        assert tc.validate_object_of_C(cat).passed
+        assert tc.validate_object_of_C(cat) == ()
 
     def test_subalgebra_shape(self, swap_only):
         cat = pf_object(swap_only).category
@@ -73,7 +74,7 @@ class TestDualObjects:
 
     def test_every_corpus_dual_validates(self, corpus_algebras):
         for a in corpus_algebras:
-            assert tc.validate_object_of_C(pf_object(a).category).passed
+            assert tc.validate_object_of_C(pf_object(a).category) == ()
 
     def test_source_injective_on_basic_opens(self, dual1, swap_const):
         cat = dual1.category
@@ -124,6 +125,44 @@ class TestGuards:
         # c ends at e3 and s starts at e12, so c then s is 0
         with pytest.raises(InconsistencyError, match="^product of c and s is nonzero but they do not compose$"):
             pf_object(corrupted(swap_const, compose=[("c", "s", value)]))
+
+
+class TestMorphismGuards:
+    """Each invariant guard of pf_morphism fires when the order it reads of
+    one side of the inclusion swap_only -> swap_const is corrupted."""
+
+    @staticmethod
+    def dualize_with(monkeypatch, incl_hom, side: str, up):
+        """pf_morphism of a new copy of incl_hom, reading up(a) as the
+        up-sets of the algebra a on the given side."""
+        alg._canonical.clear()  # so no kept dual of an equal homomorphism is reused
+        h = alg.Homomorphism(incl_hom.source, incl_hom.target, incl_hom.mapping)
+        corrupt = getattr(h, side)
+
+        def constants(a: alg.FinAlgebra) -> alg.Constants:
+            con = alg.derive_constants(a)
+            return dataclasses.replace(con, up=up(a)) if a is corrupt else con
+
+        monkeypatch.setattr(dz, "derive_constants", constants)
+        return pf_morphism(h)
+
+    def test_overlapping_up_sets(self, monkeypatch, incl_hom):
+        # every target element above every other: the first object pulls
+        # back to all domain elements of swap_only, whose atoms e3 and e12
+        # are both below 1
+        with pytest.raises(InconsistencyError, match="^up-sets chosen for an inverse image overlap$"):
+            self.dualize_with(monkeypatch, incl_hom, "target", lambda a: ((1 << a.size) - 1,) * a.size)
+
+    def test_up_sets_that_miss_the_inverse_image(self, monkeypatch, incl_hom):
+        # each source element above itself alone: up(e3) no longer holds 1
+        with pytest.raises(InconsistencyError, match="^inverse image is not the union of the up-sets chosen for it$"):
+            self.dualize_with(monkeypatch, incl_hom, "source", lambda a: tuple(1 << k for k in range(a.size)))
+
+    def test_ultrafilter_that_pulls_back_to_no_object(self, monkeypatch, incl_hom):
+        # empty target up-sets: every inverse image is empty, a union of no
+        # up-sets, so an object of the target pulls back to none
+        with pytest.raises(InconsistencyError, match="^pulled-back ultrafilter is not an object of the dual$"):
+            self.dualize_with(monkeypatch, incl_hom, "target", lambda a: (0,) * a.size)
 
 
 def arrows_containing(a: alg.FinAlgebra, x: int) -> int:

@@ -210,7 +210,8 @@ class TestFindPrimeWithRange:
 
 def test_no_pipeline_module_imports_filters():
     """The calculus is the oracle the tests check the pipeline against, so
-    no pipeline module may use it; the package re-exports it only."""
+    no pipeline module may use it; the package imports it only so that the
+    benchmark's tracer finds it loaded."""
     importers = set()
     for path in (Path(flt.__file__).parent).glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):

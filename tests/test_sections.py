@@ -147,19 +147,6 @@ class TestEnumeration:
             sc.enumerate_sections(cat)
         assert str(refused.value) == "cannot enumerate sections: source map is not a local homeomorphism"
 
-    def test_arrow_space_not_discrete_is_internal(self, monkeypatch):
-        # a Stone etale category has discrete arrows; with the local
-        # homeomorphism check forced to pass, the indiscrete arrows break it
-        cat = make_category(
-            ["x"], [("ix", "x", "x"), ("f", "x", "x")],
-            {"x": "ix"},
-            {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "ix"): "f", ("f", "f"): "ix"},
-            arr_opens=[[]],
-        )
-        monkeypatch.setattr(tc, "is_local_homeo", lambda cat: True)
-        with pytest.raises(InconsistencyError, match="not discrete"):
-            sc.enumerate_sections(cat)
-
     def test_section_bound_refuses_more_arrows_than_a_file_may_hold(self):
         # 1 + arrows <= the product of 1 + |star x|, so the section bound
         # also bounds the arrows
@@ -222,7 +209,7 @@ class TestSectionAlgebra:
             algebra, _ = sc.seccl_object(pf_object(a).category)
             assert alg.check_axioms(algebra).passed
 
-    def test_composite_outside_the_sections_is_internal(self, one_arrow_category, monkeypatch):
+    def test_composite_outside_the_sections_is_internal(self, monkeypatch):
         # iy;iy = f, an arrow out of x, so the section {ix, iy} composed
         # with itself is {ix, f}: two arrows at x.  Validation would refuse
         # the category; forced to pass, the lookup of the composite fails.
@@ -230,8 +217,7 @@ class TestSectionAlgebra:
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")], {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "iy"): "f", ("iy", "iy"): "f"},
         )
-        passing = tc.validate_object_of_C(one_arrow_category)
-        monkeypatch.setattr(tc, "validate_object_of_C", lambda cat: passing)
+        monkeypatch.setattr(sc, "validate_object_of_C", lambda cat: ())
         with pytest.raises(InconsistencyError, match="^sections are not closed under the operations$"):
             sc.seccl_object(cat)
 
@@ -242,11 +228,9 @@ class TestSectionAlgebra:
 class TestEpiNecessity:
     def test_section_algebra_fails_range_cancellation(self, nonepi_category):
         cat = nonepi_category
-        report = tc.validate_object_of_C(cat)
-        assert not report.arrows_epi
-        # everything else about the category is fine
-        assert not report.category_problems
-        assert report.src_local_homeo and report.objects_stone
+        # the epimorphism condition fails, and everything else about the
+        # category is fine
+        assert tc.validate_object_of_C(cat) == (tc.NOT_EPI,)
 
         algebra, secs = sc.seccl_object(cat)
         axioms = alg.check_axioms(algebra)
@@ -288,6 +272,16 @@ class TestSectionHomomorphisms:
         broken = tc.MultiFunctor(fun.source, fun.target, fun.obj_map, tuple(rel))
         with pytest.raises(ValueError, match="star coherent"):
             sc.seccl_morphism(broken)
+
+    def test_preimage_that_is_not_a_section_is_internal(self, dual1, monkeypatch):
+        # every arrow of the dual of swap_const, two of them out of one
+        # object, as the inverse image of each section
+        alg._canonical.clear()  # so no kept result of an equal functor is reused
+        fun = identity_multifunctor(dual1.category)
+        every = (1 << fun.source.n_arrows) - 1
+        monkeypatch.setattr(sc, "relation_preimage", lambda fun, mask: every)
+        with pytest.raises(InconsistencyError, match="^inverse image of a section is not a section$"):
+            sc.seccl_morphism(fun)
 
 
 # ---------------------------------------------------------------------------
