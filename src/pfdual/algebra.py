@@ -28,6 +28,11 @@ from .errors import NoZeroError
 # points would need more than 1 GB before any check ran.
 MAX_ELEMENTS = 2048
 
+# The most elements whose indices all fit in a byte: the tables of an
+# algebra this small are read as bytes rows (`byte_tables`), which `pick`
+# gathers about ten times faster than tuples.
+BYTE_WIDTH = 256
+
 # The first live instance of each value.  A weak reference hashes and
 # compares as its referent, so any equal instance finds the entry, and the
 # entry goes when its instance does.
@@ -154,7 +159,7 @@ def derive_constants(alg: FinAlgebra) -> Constants:
     Raises NoZeroError (with a witness pair) when A(a)*a is not constant.
     """
     n = alg.size
-    if (zw := _zero_witness(alg)) is not None:
+    if (zw := _zero_witness(alg.compose_t, alg.anti_t)) is not None:
         raise NoZeroError(zw)
     zero = alg.compose_t[alg.anti_t[0]][0]
     ident = alg.anti_t[zero]
@@ -301,18 +306,44 @@ class AxiomReport:
         return self.results[index - 1]
 
 
-def _zero_witness(alg: FinAlgebra) -> Optional[tuple[int, int]]:
-    C, A = alg.compose_t, alg.anti_t
-    return next(((0, a) for a in range(1, alg.size) if C[A[a]][a] != C[A[0]][0]), None)
+def _zero_witness(C: Sequence[Sequence[int]], A: Sequence[int]) -> Optional[tuple[int, int]]:
+    return next(((0, a) for a in range(1, len(A)) if C[A[a]][a] != C[A[0]][0]), None)
 
 
 def pick(positions: Sequence[int]):
-    """itemgetter(*positions), but always returning a tuple: row -> the
-    entries of row at positions, in order."""
+    """row -> the entries of row at positions, in order.  Byte positions
+    read a bytes-like row of at most 256 entries with one bytes.translate
+    and give bytes; other positions read any sequence and give a tuple."""
+    if isinstance(positions, bytes):
+        return lambda row: positions.translate(row.ljust(256, b"\0"))
     if len(positions) == 1:
         (p,) = positions
         return lambda row: (row[p],)
     return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _last_values(keys, values):
+    """The row (bytes) or map (tuples) that sends each entry of keys to the
+    entry of values at its last place, for pick(keys) to read."""
+    return bytes.maketrans(keys, values) if isinstance(keys, bytes) else dict(zip(keys, values))
+
+
+def tuple_tables(alg: FinAlgebra) -> tuple:
+    """The four tables (compose, antidomain, range, pref) as alg keeps them."""
+    return alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t
+
+
+@derived
+def byte_tables(alg: FinAlgebra) -> tuple:
+    """The four tables with bytes rows, for pick's byte branch; alg has at
+    most BYTE_WIDTH elements."""
+    return (tuple(map(bytes, alg.compose_t)), bytes(alg.anti_t), bytes(alg.range_t),
+            tuple(map(bytes, alg.pref_t)))
+
+
+def row_view(*algs: FinAlgebra) -> Callable:
+    """byte_tables when every index of algs fits in a byte, else tuple_tables."""
+    return byte_tables if max(a.size for a in algs) <= BYTE_WIDTH else tuple_tables
 
 
 def generating_set(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -382,14 +413,29 @@ def _first_mismatch(rows) -> Optional[tuple[int, int]]:
 
 @derived
 def check_axioms(alg: FinAlgebra) -> AxiomReport:
-    """Check the ten representability (quasi)equations.
+    """Check the ten representability (quasi)equations, on bytes rows when
+    alg has at most BYTE_WIDTH elements (`row_view`).
 
     Failures are results, not errors; each carries the first witness tuple
     in lexicographic element order.
     """
-    n = alg.size
-    C, A, R, P = alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t
-    D = tuple(A[A[a]] for a in range(n))
+    return axiom_report(*row_view(alg)(alg))
+
+
+def _columns(C: Sequence[Sequence[int]]) -> tuple:
+    """The columns of a square table, in its row type."""
+    n = len(C)
+    flat = b"".join(C) if isinstance(C[0], bytes) else tuple(chain.from_iterable(C))
+    return tuple(flat[b::n] for b in range(n))
+
+
+def axiom_report(C, A, R, P) -> AxiomReport:
+    """check_axioms on the compose, antidomain, range and pref tables,
+    whose rows are all tuples or all bytes.  A row is compared only with a
+    row of its own type, so the two give one report."""
+    n = len(A)
+    row = type(A)
+    D = pick(A)(A)
     rng_n = range(n)
     results: list[AxiomCheck] = []
 
@@ -400,7 +446,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     record(1, None if _light_test(C, generating_set(C)) else _first_nonassociative(C))
 
     # (2) A(a)*a is one fixed element (the zero)
-    zw = _zero_witness(alg)
+    zw = _zero_witness(C, A)
     record(2, zw)
 
     # (3) id*a = a; only meaningful once the zero exists
@@ -411,7 +457,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
         record(3, next(((a,) for a in rng_n if ident[a] != a), None))
 
     # (4) a*A(b) = A(a*b)*a
-    column = tuple(zip(*C))
+    column = _columns(C)
     at_A = pick(A)
     record(4, _first_mismatch((at_A(C[a]), pick(pick(C[a])(A))(column[a])) for a in rng_n))
 
@@ -436,11 +482,12 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     record(7, next(((a,) for a in rng_n if C[a][R[a]] != a), None))
 
     # (8) a*b = a*c implies R(a)*b = R(a)*c: for each a, R(a)*b is one
-    # value on each class of b with the same a*b.  The witness is the least
-    # b of a class that breaks this and the least c of it with another value.
+    # value on each class of b with the same a*b, so row a read through the
+    # last R(a)*b of each class is row R(a).  The witness is the least b of
+    # a class that breaks this and the least c of it with another value.
     # Where axioms 1 and 7 hold, a*b = a*(R(a)*b), so for each a this holds
     # exactly when row a is injective on the entries of row R(a), and only
-    # an a that fails that is scanned.
+    # an a that fails that is read through.
     w = None
     injective_test = results[0].passed and results[6].passed
     for a in rng_n:
@@ -449,7 +496,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
             image = set(Cr)
             if len({Ca[x] for x in image}) == len(image):
                 continue
-        if len(set(zip(Ca, Cr))) > len(set(Ca)):
+        if pick(Ca)(_last_values(Ca, Cr)) != Cr:
             last = dict(zip(Ca, Cr))
             broken = {ab for ab, rb in zip(Ca, Cr) if last[ab] != rb}
             b = next(b for b in rng_n if Ca[b] in broken)
@@ -458,7 +505,7 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     record(8, w)
 
     # (9) D(a)*(a|b) = a
-    record(9, _first_mismatch((pick(P[a])(C[D[a]]), (a,) * n) for a in rng_n))
+    record(9, _first_mismatch((pick(P[a])(C[D[a]]), row((a,)) * n) for a in rng_n))
 
     # (10) A(a)*(a|b) = A(a)*b
     record(10, _first_mismatch((pick(P[a])(C[A[a]]), C[A[a]]) for a in rng_n))
@@ -480,7 +527,7 @@ def axiom_instance_holds(alg: FinAlgebra, index: int, witness: Sequence[int]) ->
     For quasiequations, True means "premise fails or conclusion holds".
     Used to confirm that reported failures are genuine violations.
     """
-    if index == 3 and _zero_witness(alg) is not None:
+    if index == 3 and _zero_witness(alg.compose_t, alg.anti_t) is not None:
         index = 2  # axiom 3 then reports axiom 2's pair
     if index not in AXIOMS:
         raise ValueError(f"unknown axiom index {index}")
@@ -582,16 +629,24 @@ class Homomorphism:
 
 
 def check_homomorphism(h: Homomorphism) -> bool:
-    """h preserves the four operations, compared a whole row at a time:
+    """h preserves the four operations, compared a whole row at a time, on
+    bytes rows when both algebras have at most BYTE_WIDTH elements."""
+    view = row_view(h.source, h.target)
+    return tables_preserved(view(h.source), view(h.target), h.mapping)
+
+
+def tables_preserved(source: tuple, target: tuple, mapping: Sequence[int]) -> bool:
+    """check_homomorphism on the four tables of each side, in one row type:
     row a of a source table mapped through h is row h(a) of the target's
     table read at the images h(b)."""
-    src, tgt, m = h.source, h.target, h.mapping
+    (C, A, R, P), (tC, tA, tR, tP) = source, target
+    m = type(A)(mapping)
     at_images = pick(m)
     return (
-        pick(src.anti_t)(m) == at_images(tgt.anti_t)
-        and pick(src.range_t)(m) == at_images(tgt.range_t)
-        and all(pick(row)(m) == at_images(tgt.compose_t[v]) for row, v in zip(src.compose_t, m))
-        and all(pick(row)(m) == at_images(tgt.pref_t[v]) for row, v in zip(src.pref_t, m))
+        pick(A)(m) == at_images(tA)
+        and pick(R)(m) == at_images(tR)
+        and all(pick(row)(m) == at_images(tC[v]) for row, v in zip(C, m))
+        and all(pick(row)(m) == at_images(tP[v]) for row, v in zip(P, m))
     )
 
 

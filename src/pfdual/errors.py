@@ -2,13 +2,14 @@
 
 
 class NotClosedError(ValueError):
-    """A set of partial functions is not closed under the algebra operations."""
+    """A set of partial functions is not closed under the algebra operations.
+    The operands are partial functions or their names."""
 
     def __init__(self, op: str, operands: tuple, result) -> None:
         self.op = op
         self.operands = operands
         self.result = result
-        args = ", ".join(repr(x) for x in operands)
+        args = ", ".join(map(str, operands))
         super().__init__(f"set not closed under {op}: {op}({args}) = {result!r} is missing")
 
 

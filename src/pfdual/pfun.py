@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .algebra import MAX_ELEMENTS, FinAlgebra, pick
+from .algebra import BYTE_WIDTH, MAX_ELEMENTS, FinAlgebra, pick
 from .errors import InconsistencyError, NotClosedError
 
 Point = Hashable
@@ -177,9 +177,11 @@ def _op_rows(graphs: list[tuple[int, ...]], k: int):
         yield list(map(_override(f, k), map(f.__add__, graphs)))
 
 
-def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int):
+def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int, row: type):
     """The four tables _op_rows gives, looked up in index, which raises
-    KeyError for a result outside the set.  Only the rows of greedy
+    KeyError for a result outside the set.  The two square tables are
+    gathered as rows of type row, bytes (for at most BYTE_WIDTH graphs) or
+    tuple, and returned as tuples.  Only the rows of greedy
     generators (largest domain, then largest image, then index first) are
     worked out entry by entry: row t*g is row g read at the entries of row
     t, as (t*g)*x = t*(g*x) (Clifford & Preston, The Algebraic Theory of
@@ -191,10 +193,10 @@ def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int):
     for g in sorted(range(n), key=lambda i: (graphs[i].count(k), -len(set(graphs[i]) | {k}))):
         if C[g] is not None:
             continue
-        C[g] = tuple(map(index.__getitem__, map(pick(graphs[g]), extended)))
+        C[g] = row(map(index.__getitem__, map(pick(graphs[g]), extended)))
         take[g] = pick(C[g])
         # products t*h of a known row t and a generator h, whose rows may be new
-        queue = [(t, g) for t, row in enumerate(C) if row is not None] + [(g, h) for h in take]
+        queue = [(t, g) for t, known in enumerate(C) if known is not None] + [(g, h) for h in take]
         while queue:
             t, h = queue.pop()
             if C[u := C[t][h]] is None:
@@ -202,14 +204,14 @@ def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int):
                 queue.extend((u, h) for h in take)
     anti_t, range_t = (tuple(map(index.__getitem__, results)) for results in _unary_results(graphs, k))
     pref_t = []
-    out: list = [None] * n
+    out = bytearray(n) if row is bytes else [0] * n
     gather = {a: (set(C[a]), pick(C[a])) for a in set(anti_t)}
     for f, a in zip(graphs, anti_t):
         over, (ys, at) = _override(f, k), gather[a]
         for y in ys:  # each distinct A(f)*x once
             out[y] = index[over(f + graphs[y])]
-        pref_t.append(at(out))
-    return tuple(C), anti_t, range_t, tuple(pref_t)
+        pref_t.append(tuple(at(out)))
+    return tuple(map(tuple, C)), anti_t, range_t, tuple(pref_t)
 
 
 def close_under_ops(gens: Iterable[PFunc]) -> list[PFunc]:
@@ -239,7 +241,8 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     Returns ``(algebra, labeling)`` where ``labeling[i]`` is the partial
     function represented by element index ``i``.  Elements are named by
     ``names`` when given, otherwise by their graphs.  Raises NotClosedError
-    if some operation leaves the set, naming the operation and its operands.
+    if some operation leaves the set, naming the operation and its operands
+    (by ``names`` when given).
     """
     ordered = sorted(set(elems), key=graph_key)
     if not ordered:
@@ -250,18 +253,21 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     k = len(base)
     graphs = [tuple(k if v is None else v for v in f.graph) for f in ordered]
     index = {g: i for i, g in enumerate(graphs)}
+    row = bytes if len(graphs) <= BYTE_WIDTH else tuple
     try:
-        compose_t, anti_t, range_t, pref_t = _gathered_tables(graphs, index, k)
+        compose_t, anti_t, range_t, pref_t = _gathered_tables(graphs, index, k, row)
     except KeyError:
         # a result lies outside the set: the direct kernel names the first,
-        # in row-major order: compose, antidomain, range, then pref_union
+        # in row-major order: compose, antidomain, range, then pref_union,
+        # with its operands by their names when names are given
         n = len(graphs)
+        label = ordered if names is None else [names[f] for f in ordered]
         ops = [("compose", i) for i in range(n)] + [("antidomain", None), ("range", None)]
         for (op, i), results in zip(ops + [("pref_union", i) for i in range(n)], _op_rows(graphs, k)):
             if None in (found := list(map(index.get, results))):
                 j = found.index(None)
                 missing = PFunc(base, tuple(None if v == k else v for v in results[j]))
-                raise NotClosedError(op, tuple(ordered[x] for x in ((j,) if i is None else (i, j))), missing) from None
+                raise NotClosedError(op, tuple(label[x] for x in ((j,) if i is None else (i, j))), missing) from None
         raise InconsistencyError("as_abstract: the row gathers met a result that the direct kernel finds in the set")
 
     name_list = tuple(_auto_name(f) if names is None else names[f] for f in ordered)

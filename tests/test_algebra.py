@@ -137,6 +137,14 @@ class TestDerivedConstants:
                 mutate(bad)
             assert str(err.value) == f"{table} table entry out of range"
 
+    def test_names_must_be_distinct(self):
+        """As many names as elements, but two elements named "a"."""
+        rows = [[0, 0], [0, 1]]
+        for names in (["a", "a"], ["a"]):
+            with pytest.raises(ValueError) as err:
+                alg.FinAlgebra.from_tables(rows, [1, 0], [0, 1], rows, names)
+            assert str(err.value) == "names must be distinct and match the element count"
+
 
 class TestCheckAxioms:
     def test_swap_const_passes(self, swap_const):
@@ -385,6 +393,88 @@ class TestAxiomOracle:
                 frontier = list(products)
             assert reached == set(range(a.size))
             assert len(gens) < a.size or a.size <= 2
+
+
+def seeded_closed_algebras(points: int, count: int, seed: int) -> list[alg.FinAlgebra]:
+    """The algebras of count seeded closed sets of partial functions."""
+    rnd = random.Random(seed)
+    fs = enumerate_all(Base(tuple(range(points))))
+    return [as_abstract(close_under_ops(rnd.sample(fs, rnd.randint(1, 3))))[0] for _ in range(count)]
+
+
+class TestByteView:
+    """An algebra of at most BYTE_WIDTH elements is checked on bytes rows.
+    Its tuple rows, which are read above that width, are the oracle: the
+    two views give one report, witnesses included, and one verdict."""
+
+    @staticmethod
+    def same_report(a: alg.FinAlgebra) -> alg.AxiomReport:
+        report = alg.axiom_report(*alg.byte_tables(a))
+        assert report == alg.axiom_report(*alg.tuple_tables(a))
+        return report
+
+    @staticmethod
+    def same_verdict(h: alg.Homomorphism) -> bool:
+        verdict = alg.tables_preserved(alg.byte_tables(h.source), alg.byte_tables(h.target), h.mapping)
+        assert verdict == alg.tables_preserved(alg.tuple_tables(h.source), alg.tuple_tables(h.target), h.mapping)
+        return verdict
+
+    def test_the_views_hold_the_same_tables(self, full2):
+        assert alg.row_view(full2) is alg.byte_tables
+        narrow, wide = alg.byte_tables(full2), alg.tuple_tables(full2)
+        assert all(isinstance(row, bytes) for row in (*narrow[0], narrow[1], narrow[2], *narrow[3]))
+        assert (tuple(map(tuple, narrow[0])), tuple(narrow[1]), tuple(narrow[2]), tuple(map(tuple, narrow[3]))) == wide
+
+    def test_the_width_is_the_byte_range(self):
+        """Every index of 256 elements fits in a byte, and one of 257 does not."""
+        assert alg.row_view(right_zero(256)) is alg.byte_tables
+        assert alg.row_view(right_zero(256), right_zero(257)) is alg.tuple_tables
+        assert self.same_report(right_zero(256)).result(1).passed
+
+    def test_every_mutation_on_two_points(self, full2):
+        assert self.same_report(full2).passed
+        failing = Counter()
+        for m in single_entry_mutations(full2):
+            failing.update(r.index for r in self.same_report(m).failures())
+            assert not self.same_verdict(alg.Homomorphism(full2, m, tuple(range(m.size))))
+        assert sorted(failing) == list(range(1, 11))  # every law failed on some table
+
+    def test_seeded_closed_sets_on_three_points(self):
+        rnd = random.Random(36)
+        for a in seeded_closed_algebras(3, 8, 36):
+            assert self.same_report(a).passed
+            assert self.same_verdict(identity_hom(a))
+            n = a.size
+            for _ in range(5 if n > 1 else 0):
+                r, c = rnd.randrange(n), rnd.randrange(n)
+                self.same_report(mutate_compose(a, r, c, rnd.choice([v for v in range(n) if v != a.compose_t[r][c]])))
+                self.same_report(mutate_pref(a, r, c, rnd.choice([v for v in range(n) if v != a.pref_t[r][c]])))
+
+    def test_homomorphisms_and_single_value_changes(self, corpus_homs):
+        assert all(self.same_verdict(h) for h in corpus_homs)
+        assert not any(self.same_verdict(m) for h in corpus_homs for m in single_value_changes(h))
+
+
+class TestWideTables:
+    """Above BYTE_WIDTH elements the same checks read tuple rows."""
+
+    @pytest.fixture(scope="class")
+    def full4(self) -> alg.FinAlgebra:
+        return as_abstract(enumerate_all(Base((1, 2, 3, 4))))[0]
+
+    def test_all_partial_functions_on_four_points_pass(self, full4):
+        assert full4.size == 625 and alg.row_view(full4) is alg.tuple_tables
+        assert alg.check_axioms(full4).passed
+        assert alg.check_homomorphism(identity_hom(full4))
+
+    def test_one_corrupted_compose_entry(self, full4):
+        rnd = random.Random(36)
+        r, c = rnd.randrange(full4.size), rnd.randrange(full4.size)
+        broken = mutate_compose(full4, r, c, rnd.choice([v for v in range(full4.size) if v != full4.compose_t[r][c]]))
+        report = alg.check_axioms(broken)
+        assert report.failures()
+        assert not any(alg.axiom_instance_holds(broken, f.index, f.witness) for f in report.failures())
+        assert not alg.check_homomorphism(alg.Homomorphism(full4, broken, tuple(range(full4.size))))
 
 
 class TestAxiomTable:

@@ -75,7 +75,8 @@ class TestCheckAxioms:
                              "detail": "identity constant undefined because A(a)*a is not constant"}
 
     def test_concrete_file_that_is_not_closed(self, capsys, tmp_path):
-        """Refused naming the file, also where a homomorphism file names it."""
+        """Refused naming the file, also where a homomorphism file names it,
+        and the operands by the file's names."""
         path = tmp_path / "open.json"
         path.write_text(json.dumps({"base": ["1", "2"], "functions": {"s": {"1": "2", "2": "1"}}}))
         hom = tmp_path / "open.hom.json"
@@ -84,8 +85,7 @@ class TestCheckAxioms:
             assert main([verb, str(file)]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == (
-                f"error: {path}: set not closed under compose: compose(PFunc{{'1'>'2','2'>'1'}}, "
-                "PFunc{'1'>'2','2'>'1'}) = PFunc{'1'>'1','2'>'2'} is missing\n")
+                f"error: {path}: set not closed under compose: compose(s, s) = PFunc{{'1'>'1','2'>'2'}} is missing\n")
 
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import swap_const_functions
+from pfdual import pfun
 from pfdual.algebra import FinAlgebra
-from pfdual.errors import NotClosedError
+from pfdual.errors import InconsistencyError, NotClosedError
 from pfdual.pfun import (
     Base,
     PFunc,
@@ -298,6 +299,57 @@ class TestAsAbstractOracle:
                 expected = outcome(reference_as_abstract, elems)
                 assert outcome(fast, elems) == expected and expected[0] == "compose"
         assert sizes == [128, 180]
+
+
+def gathered(elems, row: type):
+    """_gathered_tables on elems with rows of type row, or KeyError."""
+    ordered = sorted(set(elems), key=graph_key)
+    k = len(ordered[0].base)
+    graphs = [tuple(k if v is None else v for v in f.graph) for f in ordered]
+    try:
+        return pfun._gathered_tables(graphs, {g: i for i, g in enumerate(graphs)}, k, row)
+    except KeyError:
+        return KeyError
+
+
+class TestByteRows:
+    """as_abstract gathers bytes rows for at most BYTE_WIDTH functions.  The
+    tuple rows, which it gathers above that width, are the oracle: both
+    give the same tables, or both meet a result outside the set."""
+
+    def test_closed_sets_and_each_less_one_element(self):
+        rnd = random.Random(36)
+        fs3 = enumerate_all(Base((1, 2, 3)))
+        sets = [enumerate_all(Base(("x", "y")))]
+        sets += [close_under_ops(rnd.sample(fs3, rnd.randint(1, 3))) for _ in range(8)]
+        outside = 0
+        for closed in sets:
+            tables = gathered(closed, bytes)
+            assert tables == gathered(closed, tuple) and tables[0] == as_abstract(closed)[0].compose_t
+            for drop in closed[1:]:
+                elems = [f for f in closed if f != drop]
+                tables = gathered(elems, bytes)
+                assert tables == gathered(elems, tuple)
+                outside += tables is KeyError
+        assert outside > 100
+
+    def test_a_set_of_about_two_hundred_functions_on_four_points(self):
+        rnd = random.Random(22)
+        fs = enumerate_all(Base(tuple(range(4))))
+        closed = next(c for c in (close_under_ops(rnd.sample(fs, 2)) for _ in range(100)) if 150 < len(c) <= 256)
+        assert len(closed) == 180 and gathered(closed, bytes) == gathered(closed, tuple)
+
+    def test_row_gathers_that_miss_a_result_the_direct_kernel_finds(self, monkeypatch):
+        """A row gather that fails on a closed set is an internal fault, not
+        a set that is not closed."""
+        def lookup_nothing(graphs, index, k, row):
+            return gather(graphs, {}, k, row)
+
+        gather = pfun._gathered_tables
+        monkeypatch.setattr(pfun, "_gathered_tables", lookup_nothing)
+        with pytest.raises(InconsistencyError) as err:
+            as_abstract(enumerate_all(Base(("x", "y"))))
+        assert str(err.value) == "as_abstract: the row gathers met a result that the direct kernel finds in the set"
 
 
 # --- the ten laws, evaluated directly on graphs -----------------------------
