@@ -28,10 +28,17 @@ from .errors import NoZeroError
 # points would need more than 1 GB before any check ran.
 MAX_ELEMENTS = 2048
 
-# The most elements whose indices all fit in a byte: the tables of an
-# algebra this small are read as bytes rows (`byte_tables`), which `pick`
-# gathers about ten times faster than tuples.
+# The most elements whose indices all fit in a byte: an algebra this small
+# keeps its table rows as bytes (`row_type`), which `pick` gathers about ten
+# times faster than tuples.
 BYTE_WIDTH = 256
+
+
+def row_type(n: int) -> type:
+    """The type of a table row over n elements: bytes when every index fits
+    in a byte, else tuple."""
+    return bytes if n <= BYTE_WIDTH else tuple
+
 
 # The first live instance of each value.  A weak reference hashes and
 # compares as its referent, so any equal instance finds the entry, and the
@@ -74,21 +81,22 @@ class FinAlgebra:
 
     compose_t and pref_t are n*n tables, anti_t and range_t are n-vectors.
     Row-major convention: compose_t[a][b] is "a then b"; pref_t[a][b] is
-    "a, falling back to b".
+    "a, falling back to b".  Any sequences of ints may be given; each row
+    and vector is kept as row_type(n), bytes up to BYTE_WIDTH elements and
+    a tuple above, in a tuple of rows.
     """
 
-    compose_t: tuple[tuple[int, ...], ...]
-    anti_t: tuple[int, ...]
-    range_t: tuple[int, ...]
-    pref_t: tuple[tuple[int, ...], ...]
+    compose_t: tuple[Sequence[int], ...]
+    anti_t: Sequence[int]
+    range_t: Sequence[int]
+    pref_t: tuple[Sequence[int], ...]
     names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         n = len(self.anti_t)
         if n == 0:
             raise ValueError("an algebra needs at least one element")
-        if not self.names:
-            object.__setattr__(self, "names", tuple(f"e{i}" for i in range(n)))
+        object.__setattr__(self, "names", tuple(self.names or (f"e{i}" for i in range(n))))
         if len(self.names) != n or len(set(self.names)) != n:
             raise ValueError("names must be distinct and match the element count")
         elements = set(range(n))
@@ -102,18 +110,17 @@ class FinAlgebra:
                 raise ValueError(f"{label} table must have {n} entries")
             if not set(vec) <= elements:
                 raise ValueError(f"{label} table entry out of range")
+        row = row_type(n)
+        for field in ("compose_t", "pref_t"):
+            object.__setattr__(self, field, tuple(map(row, getattr(self, field))))
+        for field in ("anti_t", "range_t"):
+            object.__setattr__(self, field, row(getattr(self, field)))
 
     __hash__ = hash_once
 
     @classmethod
     def from_tables(cls, compose_t, anti_t, range_t, pref_t, names=None) -> "FinAlgebra":
-        return cls(
-            compose_t=tuple(tuple(row) for row in compose_t),
-            anti_t=tuple(anti_t),
-            range_t=tuple(range_t),
-            pref_t=tuple(tuple(row) for row in pref_t),
-            names=tuple(names) if names else (),
-        )
+        return cls(compose_t, anti_t, range_t, pref_t, names or ())
 
     @property
     def size(self) -> int:
@@ -328,24 +335,6 @@ def _last_values(keys, values):
     return bytes.maketrans(keys, values) if isinstance(keys, bytes) else dict(zip(keys, values))
 
 
-def tuple_tables(alg: FinAlgebra) -> tuple:
-    """The four tables (compose, antidomain, range, pref) as alg keeps them."""
-    return alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t
-
-
-@derived
-def byte_tables(alg: FinAlgebra) -> tuple:
-    """The four tables with bytes rows, for pick's byte branch; alg has at
-    most BYTE_WIDTH elements."""
-    return (tuple(map(bytes, alg.compose_t)), bytes(alg.anti_t), bytes(alg.range_t),
-            tuple(map(bytes, alg.pref_t)))
-
-
-def row_view(*algs: FinAlgebra) -> Callable:
-    """byte_tables when every index of algs fits in a byte, else tuple_tables."""
-    return byte_tables if max(a.size for a in algs) <= BYTE_WIDTH else tuple_tables
-
-
 def generating_set(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """A set G whose left-normed products (..(g1*g2)*..)*gk reach every
     element, in the order the elements were chosen.
@@ -413,13 +402,12 @@ def _first_mismatch(rows) -> Optional[tuple[int, int]]:
 
 @derived
 def check_axioms(alg: FinAlgebra) -> AxiomReport:
-    """Check the ten representability (quasi)equations, on bytes rows when
-    alg has at most BYTE_WIDTH elements (`row_view`).
+    """Check the ten representability (quasi)equations on alg's own rows.
 
     Failures are results, not errors; each carries the first witness tuple
     in lexicographic element order.
     """
-    return axiom_report(*row_view(alg)(alg))
+    return axiom_report(alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t)
 
 
 def _columns(C: Sequence[Sequence[int]]) -> tuple:
@@ -580,9 +568,10 @@ def in_class_A(alg: FinAlgebra) -> bool:
     )
 
 
-def pref_from_join(alg: FinAlgebra) -> tuple[tuple[int, ...], ...]:
+def pref_from_join(alg: FinAlgebra) -> tuple[Sequence[int], ...]:
     """Reconstruct the override table from compose/antidomain/range alone,
-    as a|b := join(a, A(a)*b).  The input's own pref table is ignored.
+    as a|b := join(a, A(a)*b), in alg's row type.  The input's own pref
+    table is ignored.
     """
     n = alg.size
     rows = []
@@ -594,7 +583,7 @@ def pref_from_join(alg: FinAlgebra) -> tuple[tuple[int, ...], ...]:
             if j is None:
                 raise ValueError(f"compatible pair ({a},{rest}) has no upper bound; override undefined")
             row.append(j)
-        rows.append(tuple(row))
+        rows.append(row_type(n)(row))
     return tuple(rows)
 
 
@@ -629,10 +618,12 @@ class Homomorphism:
 
 
 def check_homomorphism(h: Homomorphism) -> bool:
-    """h preserves the four operations, compared a whole row at a time, on
-    bytes rows when both algebras have at most BYTE_WIDTH elements."""
-    view = row_view(h.source, h.target)
-    return tables_preserved(view(h.source), view(h.target), h.mapping)
+    """h preserves the four operations, compared a whole row at a time in
+    the algebras' own row type, or as tuples when their row types differ."""
+    row = row_type(max(h.source.size, h.target.size))
+    source, target = ((tuple(map(row, a.compose_t)), row(a.anti_t), row(a.range_t), tuple(map(row, a.pref_t)))
+                      for a in (h.source, h.target))
+    return tables_preserved(source, target, h.mapping)
 
 
 def tables_preserved(source: tuple, target: tuple, mapping: Sequence[int]) -> bool:

@@ -436,7 +436,7 @@ def parse_homomorphism(data: dict, path: str | Path) -> Homomorphism:
     source_file = folder / _need(data, "source", path, str)
     source = built([source_file], lambda: load_algebra(source_file))
     target_file = folder / _need(data, "target", path, str)
-    target = built([target_file], lambda: load_algebra(target_file))
+    target = source if target_file == source_file else built([target_file], lambda: load_algebra(target_file))
     mapping = _name_map(data, "map", path, source.names, target.names, "source element", "element")
     return Homomorphism(source, target, mapping)
 

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Optional
 
-from .algebra import BYTE_WIDTH, MAX_ELEMENTS, FinAlgebra, pick
+from .algebra import MAX_ELEMENTS, FinAlgebra, pick, row_type
 from .errors import InconsistencyError, NotClosedError
 
 Point = Hashable
@@ -180,12 +180,12 @@ def _op_rows(graphs: list[tuple[int, ...]], k: int):
 def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int, row: type):
     """The four tables _op_rows gives, looked up in index, which raises
     KeyError for a result outside the set.  The two square tables are
-    gathered as rows of type row, bytes (for at most BYTE_WIDTH graphs) or
-    tuple, and returned as tuples.  Only the rows of greedy
-    generators (largest domain, then largest image, then index first) are
-    worked out entry by entry: row t*g is row g read at the entries of row
-    t, as (t*g)*x = t*(g*x) (Clifford & Preston, The Algebraic Theory of
-    Semigroups I, 1961, section 1.2), and f | x = f | (A(f)*x)."""
+    lists of rows of type row, the algebra's row_type.  Only the rows of
+    greedy generators (largest domain, then largest image, then index
+    first) are worked out entry by entry: row t*g is row g read at the
+    entries of row t, as (t*g)*x = t*(g*x) (Clifford & Preston, The
+    Algebraic Theory of Semigroups I, 1961, section 1.2), and
+    f | x = f | (A(f)*x)."""
     n = len(graphs)
     extended = [g + (k,) for g in graphs]  # so undefined composes to undefined
     C: list = [None] * n
@@ -210,8 +210,8 @@ def _gathered_tables(graphs: list[tuple[int, ...]], index: dict, k: int, row: ty
         over, (ys, at) = _override(f, k), gather[a]
         for y in ys:  # each distinct A(f)*x once
             out[y] = index[over(f + graphs[y])]
-        pref_t.append(tuple(at(out)))
-    return tuple(map(tuple, C)), anti_t, range_t, tuple(pref_t)
+        pref_t.append(at(out))
+    return C, anti_t, range_t, pref_t
 
 
 def close_under_ops(gens: Iterable[PFunc]) -> list[PFunc]:
@@ -253,9 +253,8 @@ def as_abstract(elems: Iterable[PFunc], names: Mapping[PFunc, str] | None = None
     k = len(base)
     graphs = [tuple(k if v is None else v for v in f.graph) for f in ordered]
     index = {g: i for i, g in enumerate(graphs)}
-    row = bytes if len(graphs) <= BYTE_WIDTH else tuple
     try:
-        compose_t, anti_t, range_t, pref_t = _gathered_tables(graphs, index, k, row)
+        compose_t, anti_t, range_t, pref_t = _gathered_tables(graphs, index, k, row_type(len(graphs)))
     except KeyError:
         # a result lies outside the set: the direct kernel names the first,
         # in row-major order: compose, antidomain, range, then pref_union,

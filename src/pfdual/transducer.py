@@ -158,7 +158,8 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         raise ValueError("transducers must share an alphabet")
     al, d1, f1, d2, f2 = t1.alphabet, t1.delta, t1.final, t2.delta, t2.final
     letter = {a: j for j, a in enumerate(al)}
-    # (state, word) -> t2's runs from the state on the word; those on one letter are its moves
+    # (state, word) -> t2's runs from the state on the word; those on one letter are its
+    # moves.  A stored run may be empty, so it is missing only when get gives None.
     runs = {(q, a): step for q, row in enumerate(d2) for a, step in zip(al, row)}
 
     def run(q, word):
@@ -174,7 +175,8 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         for step in d1[q1]:
             made = set()
             for e, q1b in step:
-                for v, q2b in runs.get((q2, e)) or run(q2, e):
+                found = runs.get((q2, e))
+                for v, q2b in run(q2, e) if found is None else found:
                     made.add((v, (q1b, q2b)))
             row.append(made)
         return row
@@ -188,7 +190,8 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         u = f1[q1]
         if u is None:
             return None
-        results = {v + f2[q2b] for v, q2b in runs.get((q2, u)) or run(q2, u) if f2[q2b] is not None}
+        found = runs.get((q2, u))
+        results = {v + f2[q2b] for v, q2b in (run(q2, u) if found is None else found) if f2[q2b] is not None}
         if len(results) > 1:
             word, out = _shortlex_path(al, (t1.initial, t2.initial), moves, pair, by_name)
             two = sorted(results)[:2]

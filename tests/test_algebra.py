@@ -132,7 +132,8 @@ class TestDerivedConstants:
             "antidomain": lambda v: mutate_vector(swap_const, "anti", 3, v),
             "range": lambda v: mutate_vector(swap_const, "range", 3, v),
         }[table]
-        for bad in (-1, swap_const.size):
+        # neither -1 nor BYTE_WIDTH fits in a byte: the range check, not bytes(), refuses them
+        for bad in (-1, swap_const.size, alg.BYTE_WIDTH):
             with pytest.raises(ValueError) as err:
                 mutate(bad)
             assert str(err.value) == f"{table} table entry out of range"
@@ -402,34 +403,73 @@ def seeded_closed_algebras(points: int, count: int, seed: int) -> list[alg.FinAl
     return [as_abstract(close_under_ops(rnd.sample(fs, rnd.randint(1, 3))))[0] for _ in range(count)]
 
 
+def own_tables(a: alg.FinAlgebra) -> tuple:
+    """The four tables as a keeps them."""
+    return a.compose_t, a.anti_t, a.range_t, a.pref_t
+
+
+def tuple_view(a: alg.FinAlgebra) -> tuple:
+    """The four tables with tuple rows, the type a keeps above BYTE_WIDTH elements."""
+    return tuple(map(tuple, a.compose_t)), tuple(a.anti_t), tuple(a.range_t), tuple(map(tuple, a.pref_t))
+
+
+def row_types(a: alg.FinAlgebra) -> set[type]:
+    return set(map(type, (*a.compose_t, a.anti_t, a.range_t, *a.pref_t)))
+
+
 class TestByteView:
-    """An algebra of at most BYTE_WIDTH elements is checked on bytes rows.
-    Its tuple rows, which are read above that width, are the oracle: the
-    two views give one report, witnesses included, and one verdict."""
+    """An algebra of at most BYTE_WIDTH elements keeps bytes rows and is
+    checked on them.  Its tuple view, the rows kept above that width, is
+    the oracle: the two give one report, witnesses included, and one
+    verdict."""
 
     @staticmethod
     def same_report(a: alg.FinAlgebra) -> alg.AxiomReport:
-        report = alg.axiom_report(*alg.byte_tables(a))
-        assert report == alg.axiom_report(*alg.tuple_tables(a))
+        assert row_types(a) == {bytes}
+        report = alg.axiom_report(*own_tables(a))
+        assert report == alg.axiom_report(*tuple_view(a))
         return report
 
     @staticmethod
     def same_verdict(h: alg.Homomorphism) -> bool:
-        verdict = alg.tables_preserved(alg.byte_tables(h.source), alg.byte_tables(h.target), h.mapping)
-        assert verdict == alg.tables_preserved(alg.tuple_tables(h.source), alg.tuple_tables(h.target), h.mapping)
+        verdict = alg.tables_preserved(own_tables(h.source), own_tables(h.target), h.mapping)
+        assert verdict == alg.tables_preserved(tuple_view(h.source), tuple_view(h.target), h.mapping)
         return verdict
 
     def test_the_views_hold_the_same_tables(self, full2):
-        assert alg.row_view(full2) is alg.byte_tables
-        narrow, wide = alg.byte_tables(full2), alg.tuple_tables(full2)
-        assert all(isinstance(row, bytes) for row in (*narrow[0], narrow[1], narrow[2], *narrow[3]))
-        assert (tuple(map(tuple, narrow[0])), tuple(narrow[1]), tuple(narrow[2]), tuple(map(tuple, narrow[3]))) == wide
+        assert row_types(full2) == {bytes}
+        view = tuple_view(full2)
+        assert all(view[0][a][b] == full2.comp(a, b) and view[3][a][b] == full2.pref(a, b)
+                   for a in range(full2.size) for b in range(full2.size))
+        assert list(view[1]) == list(full2.anti_t) and list(view[2]) == list(full2.range_t)
 
     def test_the_width_is_the_byte_range(self):
         """Every index of 256 elements fits in a byte, and one of 257 does not."""
-        assert alg.row_view(right_zero(256)) is alg.byte_tables
-        assert alg.row_view(right_zero(256), right_zero(257)) is alg.tuple_tables
+        assert row_types(right_zero(256)) == {bytes} and row_types(right_zero(257)) == {tuple}
         assert self.same_report(right_zero(256)).result(1).passed
+
+    @pytest.mark.parametrize("n, row", [(256, bytes), (257, tuple)])
+    def test_rows_take_the_width_type_whatever_they_are_built_from(self, n, row):
+        built = set()
+        for kind in (list, tuple, bytes):
+            zero = kind([0] * n)
+            a = alg.FinAlgebra.from_tables([zero] * n, zero, zero, [zero] * n)
+            assert row_types(a) == {row}
+            built.add(a)
+        assert len(built) == 1
+
+    def test_homomorphisms_across_the_width(self):
+        """Maps between 256 and 257 elements, either way, are read as tuples
+        on both sides and get the pairwise loop's verdict.  On right-zero
+        tables a map is a homomorphism exactly when it fixes 0."""
+        narrow, wide = right_zero(256), right_zero(257)
+        maps = [alg.Homomorphism(narrow, wide, tuple(range(256))),
+                alg.Homomorphism(wide, narrow, tuple(min(a, 255) for a in range(257))),
+                alg.Homomorphism(narrow, wide, (1, *range(1, 256))),
+                alg.Homomorphism(wide, narrow, (0, *range(1, 256), 0)),
+                alg.Homomorphism(wide, mutate_compose(narrow, 3, 4, 5), tuple(min(a, 255) for a in range(257)))]
+        verdicts = [alg.check_homomorphism(h) for h in maps]
+        assert verdicts == [reference_check_homomorphism(h) for h in maps] == [True, True, False, True, False]
 
     def test_every_mutation_on_two_points(self, full2):
         assert self.same_report(full2).passed
@@ -463,7 +503,7 @@ class TestWideTables:
         return as_abstract(enumerate_all(Base((1, 2, 3, 4))))[0]
 
     def test_all_partial_functions_on_four_points_pass(self, full4):
-        assert full4.size == 625 and alg.row_view(full4) is alg.tuple_tables
+        assert full4.size == 625 and row_types(full4) == {tuple}
         assert alg.check_axioms(full4).passed
         assert alg.check_homomorphism(identity_hom(full4))
 

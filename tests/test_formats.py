@@ -108,6 +108,18 @@ class TestMorphismFiles:
         loaded = fmt.load_homomorphism(path)
         assert loaded.mapping == incl_hom.mapping
 
+    def test_hom_file_from_a_file_to_itself_reads_it_once(self, tmp_path, monkeypatch):
+        algebra = ROOT / "data" / "swap_const.alg.json"
+        names = fmt.load_algebra(algebra).names
+        path = tmp_path / "endo.json"
+        path.write_text(json.dumps({"source": str(algebra), "target": str(algebra), "map": {x: x for x in names}}))
+        loads = []
+        load = fmt.load_algebra
+        monkeypatch.setattr(fmt, "load_algebra", lambda file: loads.append(file) or load(file))
+        h = fmt.load_homomorphism(path)
+        assert h.source is h.target and h.mapping == tuple(range(len(names)))
+        assert loads == [algebra]
+
     def test_functor_file(self, tmp_path, incl_hom):
         from pfdual.dualize import pf_morphism
 

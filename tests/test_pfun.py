@@ -302,14 +302,17 @@ class TestAsAbstractOracle:
 
 
 def gathered(elems, row: type):
-    """_gathered_tables on elems with rows of type row, or KeyError."""
+    """_gathered_tables on elems with rows of type row, read as tuples, or
+    KeyError."""
     ordered = sorted(set(elems), key=graph_key)
     k = len(ordered[0].base)
     graphs = [tuple(k if v is None else v for v in f.graph) for f in ordered]
     try:
-        return pfun._gathered_tables(graphs, {g: i for i, g in enumerate(graphs)}, k, row)
+        C, A, R, P = pfun._gathered_tables(graphs, {g: i for i, g in enumerate(graphs)}, k, row)
     except KeyError:
         return KeyError
+    assert {type(r) for r in (*C, *P)} == {row}
+    return tuple(map(tuple, C)), tuple(A), tuple(R), tuple(map(tuple, P))
 
 
 class TestByteRows:
@@ -325,7 +328,8 @@ class TestByteRows:
         outside = 0
         for closed in sets:
             tables = gathered(closed, bytes)
-            assert tables == gathered(closed, tuple) and tables[0] == as_abstract(closed)[0].compose_t
+            assert tables == gathered(closed, tuple)
+            assert tables[0] == tuple(map(tuple, as_abstract(closed)[0].compose_t))
             for drop in closed[1:]:
                 elems = [f for f in closed if f != drop]
                 tables = gathered(elems, bytes)

@@ -335,10 +335,11 @@ class TestImageOracle:
                 assert is_section(cat, s)
                 return key[s]
 
-            assert algebra.compose_t == tuple(tuple(look(ref_compose(cat, a, b)) for b in secs) for a in secs)
-            assert algebra.anti_t == tuple(look(ref_antidomain(cat, a)) for a in secs)
-            assert algebra.range_t == tuple(look(ref_range(cat, a)) for a in secs)
-            assert algebra.pref_t == tuple(tuple(look(ref_pref(cat, a, b)) for b in secs) for a in secs)
+            row = alg.row_type(len(secs))
+            assert algebra.compose_t == tuple(row(look(ref_compose(cat, a, b)) for b in secs) for a in secs)
+            assert algebra.anti_t == row(look(ref_antidomain(cat, a)) for a in secs)
+            assert algebra.range_t == row(look(ref_range(cat, a)) for a in secs)
+            assert algebra.pref_t == tuple(row(look(ref_pref(cat, a, b)) for b in secs) for a in secs)
 
     def test_morphism_matches_pull_back(self, incl_hom):
         fun = pf_morphism(incl_hom)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import gc
 import hashlib
 import inspect
@@ -14,6 +15,7 @@ import time
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,32 @@ class TestCompose:
         with pytest.raises(NotFunctionalError) as err:
             td.compose(first, second)
         assert (err.value.word, err.value.outputs) == ("a", ("ba", "bb"))
+
+    def test_each_run_of_the_second_machine_is_walked_once(self):
+        """A run that dies is kept like any other.  as_to_bs writes b, on
+        which id_on_as has no move: its one-letter runs are its moves, so the
+        composite reads no row of its table.  A first machine that writes bb
+        from each of three states reads it once, for the one run of p on bb."""
+        data = Path(__file__).resolve().parent.parent / "data"
+        second = fmt.load_transducer(data / "id_on_as.td.json")
+        reads = []
+
+        class Rows(tuple):
+            def __getitem__(self, q):
+                reads.append(q)
+                return tuple.__getitem__(self, q)
+
+        counted = dataclasses.replace(second, delta=Rows(second.delta))
+        written = fmt.write_transducer
+        first = fmt.load_transducer(data / "as_to_bs.td.json")
+        assert written(td.compose(first, counted)) == written(td.compose(first, second)) and reads == []
+        first = td.from_names(
+            states=("r0", "r1", "r2"), alphabet=AL, initial="r0",
+            trans={("r0", "a"): {("a", "r1")}, ("r1", "a"): {("a", "r2")},
+                   **{(r, "b"): {("bb", r)} for r in ("r0", "r1", "r2")}},
+            final_out={"r2": ""},
+        )
+        assert written(td.compose(first, counted)) == written(td.compose(first, second)) and reads == [0]
 
     def test_alphabet_mismatch(self, t1):
         other = td.identity_transducer(("a",))
@@ -334,6 +362,18 @@ def test_word_count_refused_before_any_work():
         with pytest.raises(ValueError, match="exceed MAX_WORDS"):
             check()
     assert sum(3 ** n for n in range(13)) <= td.MAX_WORDS  # ternary words up to the cap
+
+
+def test_word_count_bound_admits_exactly_max_words():
+    """At L = 1 an alphabet of m letters gives 1 + m words: m = MAX_WORDS - 1
+    is admitted and one letter more is refused.  check_bound reads only the
+    machines' alphabets."""
+    def machine(size: int) -> SimpleNamespace:
+        return SimpleNamespace(alphabet="".join(map(chr, range(size))))
+
+    td.check_bound([machine(td.MAX_WORDS - 1)], 1)
+    with pytest.raises(ValueError, match=f"^{td.MAX_WORDS + 1} words of length at most 1 over {td.MAX_WORDS} letters"):
+        td.check_bound([machine(td.MAX_WORDS)], 1)
 
 
 def test_negative_bound_refused():
