@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from .algebra import (
     FinAlgebra,
     Homomorphism,
+    check_homomorphism,
     check_locally_proper,
     derive_constants,
     derived,
@@ -116,7 +117,7 @@ def pf_morphism(h: Homomorphism) -> MultiFunctor:
     prime filters up(k) over the minimal elements k of A with h(k) >= m, so
     the arrow relation relates m to exactly those; likewise the object of
     the atom e goes to the one atom of A that h maps above e.  Both duals are
-    taken from `dual_of`.
+    taken from `dual_of`.  A guard that fires on a non-homomorphism raises ValueError.
     """
     dual_b, dual_a = dual_of(h.target), dual_of(h.source)
     up_a, up_b = derive_constants(h.source).up, derive_constants(h.target).up
@@ -140,13 +141,18 @@ def pf_morphism(h: Homomorphism) -> MultiFunctor:
         return chosen
 
     obj_map = []
-    for e in dual_b.object_atoms:
-        chosen = pull_back(up_b[e], dual_a.object_atoms, a_domain)
-        if popcount(chosen) != 1:
-            raise InconsistencyError("pulled-back ultrafilter is not an object of the dual")
-        obj_map.append(chosen.bit_length() - 1)
-    full_a = (1 << h.source.size) - 1
-    arr_rel = tuple(pull_back(up_b[m], dual_a.arrow_elements, full_a) for m in dual_b.arrow_elements)
+    try:
+        for e in dual_b.object_atoms:
+            chosen = pull_back(up_b[e], dual_a.object_atoms, a_domain)
+            if popcount(chosen) != 1:
+                raise InconsistencyError("pulled-back ultrafilter is not an object of the dual")
+            obj_map.append(chosen.bit_length() - 1)
+        full_a = (1 << h.source.size) - 1
+        arr_rel = tuple(pull_back(up_b[m], dual_a.arrow_elements, full_a) for m in dual_b.arrow_elements)
+    except InconsistencyError:
+        if check_homomorphism(h):
+            raise
+        raise ValueError("map is not a homomorphism") from None
 
     return MultiFunctor(
         source=dual_b.category,

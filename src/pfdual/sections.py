@@ -10,13 +10,13 @@ carries the four algebra operations, giving the other half of the duality.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
+import struct
+import sys
 
-from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
-from .bitsets import bits, image, mask_of, popcount, preimage
+from .algebra import BYTE_WIDTH, MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
+from .bitsets import bits, mask_of, popcount
 from .errors import InconsistencyError
 from .topcat import NOT_EPI, MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
 
@@ -37,11 +37,8 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
     stars = [cat.star(x) for x in range(cat.n_objects)]
-    return tuple(
-        mask_of(picks)
-        for dom in sorted(range(1 << cat.n_objects), key=lambda m: (popcount(m), m))
-        for picks in itertools.product(*(stars[x] for x in bits(dom)))
-    )
+    domains = sorted(range(1 << cat.n_objects), key=lambda m: (popcount(m), m))
+    return tuple(mask_of(picks) for dom in domains for picks in itertools.product(*(stars[x] for x in bits(dom))))
 
 
 # ---------------------------------------------------------------------------
@@ -50,43 +47,54 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
 
 
 def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[int, ...]]:
-    """The algebra of all sections of a validated category.
+    """The algebra of all sections of a validated category, and the
+    section images its tables index.
 
-    Returns the operation tables together with the section images they
-    index.  A section has at most one arrow per object, so row s of the
-    compose table is the union of one column per arrow f of s: entry j is
-    the bit of f then section j's arrow at tgt f, or 0 if it has none.
-    Antidomain, range and pref read the objects each section covers.  Every
-    result is looked up among the enumerated images, which are exactly the
-    sections, so the lookup is the validity check.
+    A section is coded as a mixed-radix number: its digit at object x is 0,
+    or 1 + the place of its arrow in star x; the codes are range(S).  As
+    domains are disjoint, code(s;t) is the sum over f in s of K_f[t], the
+    code of f then t's arrow at tgt f; each K_f is packed into an int of one
+    field per t (a byte when S <= 256, else two), so a compose row is |s|
+    carry-free additions, and pref row s is code(s) in every field plus
+    compose row A(s).  Two guards stand for closure: every composite of f
+    is an arrow out of src f, and the identity of x starts at x.
     """
     images = enumerate_sections(cat)
-    look = {m: i for i, m in enumerate(images)}.__getitem__
-    n, src, tgt = cat.n_arrows, cat.src, cat.tgt
-    # at[y][j]: the arrow of section j at object y, or the zero index n
-    at = [[n] * len(images) for _ in range(cat.n_objects)]
-    for j, m in enumerate(images):
-        for f in bits(m):
-            at[src[f]][j] = f
-    bit = [1 << h for h in range(n)] + [0]
-    columns = [tuple(map(bit.__getitem__, map((row + (n,)).__getitem__, at[y]))) for row, y in zip(cat.comp_t, tgt)]
-    union = functools.partial(map, operator.or_)
-    covered = [image(src, m) for m in images]
-    # the arrows out of the objects each section leaves uncovered
-    rest = [~preimage(src, d) for d in covered]
+    size, n, src, tgt = len(images), cat.n_arrows, cat.src, cat.tgt
+    stars = [cat.star(x) for x in range(cat.n_objects)]
+    after = [[*map(row.__getitem__, stars[y])] for row, y in zip(cat.comp_t, tgt)]
+    if any(src[f] != x for x, f in enumerate(cat.id_of)) or any(
+            n in a or {*map(src.__getitem__, a)} != {src[f]} for f, a in enumerate(after)):
+        raise InconsistencyError("sections are not closed under the operations")
+    code_of, weight = [0] * n, [1]  # code_of[f]: the code of the section {f}
+    for star in stars:
+        for j, f in enumerate(star, 1):
+            code_of[f] = weight[-1] * j
+        weight.append(weight[-1] * (1 + len(star)))
+    choices = [[*bits(m)] for m in images]
+    codes = [sum(map(code_of.__getitem__, s)) for s in choices]
+    index_of = sorted(range(size), key=codes.__getitem__)  # the section of each code
+    typecode = "B" if size <= BYTE_WIDTH else "H"
+    table = bytes(index_of).ljust(BYTE_WIDTH, b"\0") if typecode == "B" else b""
 
-    try:
-        compose_t = tuple(
-            tuple(map(look, functools.reduce(union, (columns[f] for f in bits(m)), (0,) * len(images))))
-            for m in images
-        )
-        anti_t = tuple(look(image(cat.id_of, (1 << cat.n_objects) - 1 & ~d)) for d in covered)
-        range_t = tuple(look(image(cat.id_of, image(tgt, m))) for m in images)
-        pref_t = tuple(tuple(map(look, map(m.__or__, map(r.__and__, images)))) for m, r in zip(images, rest))
-    except KeyError:
-        raise InconsistencyError("sections are not closed under the operations") from None
-    names = tuple(f"s{i}" for i in range(len(images)))
-    return FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=names), images
+    def pack(values) -> int:
+        return int.from_bytes(struct.pack(f"{size}{typecode}", *values), sys.byteorder)
+
+    def decode(packed: int) -> bytes | tuple[int, ...]:
+        row = packed.to_bytes(size * struct.calcsize(typecode), sys.byteorder)
+        return row.translate(table) if table else tuple(map(index_of.__getitem__, memoryview(row).cast("H")))
+
+    digit = [[c % weight[y + 1] // weight[y] for c in codes] for y in range(len(stars))]  # [y][t]: t's digit at y
+    K = [pack(map([0, *map(code_of.__getitem__, a)].__getitem__, digit[y])) for a, y in zip(after, tgt)]
+    rows = [sum(map(K.__getitem__, s)) for s in choices]
+    del after, K  # a table's worth of composites, not needed past the compose rows
+    id_code = [code_of[f] for f in cat.id_of]
+    anti_t = [index_of[sum(id_code) - sum(id_code[src[f]] for f in s)] for s in choices]
+    range_t = [index_of[sum({id_code[tgt[f]] for f in s})] for s in choices]
+    ones = pack([1] * size)
+    pref_t = [decode(c * ones + rows[a]) for c, a in zip(codes, anti_t)]
+    names = tuple(f"s{i}" for i in range(size))
+    return FinAlgebra(tuple(map(decode, rows)), anti_t, range_t, pref_t, names), images
 
 
 @derived

@@ -5,6 +5,7 @@ between them, and a few hand-built categories."""
 from __future__ import annotations
 
 import json
+import random
 from typing import Iterable, Optional, Sequence
 
 import pytest
@@ -51,6 +52,18 @@ def build_swap_only() -> tuple[FinAlgebra, dict[str, PFunc]]:
     funcs = {n: f for n, f in swap_const_functions().items() if n in SWAP_ONLY_NAMES}
     alg, _ = as_abstract(funcs.values(), {f: n for n, f in funcs.items()})
     return alg, funcs
+
+
+def random_closed_sets(count: int, seed: int, points: int = 3) -> list[FinAlgebra]:
+    """count distinct seeded random closed sets on points 1..points, each
+    generated by one to three random partial functions."""
+    rnd = random.Random(seed)
+    functions = enumerate_all(Base(tuple(range(1, points + 1))))
+    closed: dict[tuple, list] = {}
+    while len(closed) < count:
+        members = close_under_ops(rnd.sample(functions, rnd.randint(1, 3)))
+        closed.setdefault(tuple(members), members)
+    return [as_abstract(members)[0] for members in closed.values()]
 
 
 def comp_table(n_arrows: int, triples: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:

@@ -25,9 +25,8 @@ from pfdual.filters import (
     target_of,
     upward_closure,
 )
-from pfdual.pfun import Base, as_abstract, close_under_ops, enumerate_all
 
-from conftest import compose_homs, identity_hom, identity_multifunctor, index_of
+from conftest import compose_homs, identity_hom, identity_multifunctor, index_of, random_closed_sets
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +164,27 @@ class TestMorphismGuards:
             self.dualize_with(monkeypatch, incl_hom, "target", lambda a: (0,) * a.size)
 
 
+class TestMapsThatAreNotHomomorphisms:
+    """A map that is not a homomorphism is bad input, never an internal
+    error."""
+
+    def test_random_self_maps_dualize_or_are_refused(self, full2):
+        rnd = random.Random(3)
+        refused = 0
+        for _ in range(300):
+            h = alg.Homomorphism(full2, full2, tuple(rnd.randrange(full2.size) for _ in range(full2.size)))
+            try:
+                pf_morphism(h)
+            except ValueError as e:
+                assert str(e) == "map is not a homomorphism" and not alg.check_homomorphism(h)
+                refused += 1
+        assert refused > 250
+
+    def test_corpus_homomorphisms_dualize(self, corpus_homs):
+        for h in corpus_homs:
+            assert pf_morphism(h).source == pf_object(h.target).category
+
+
 def arrows_containing(a: alg.FinAlgebra, x: int) -> int:
     """The dual arrows containing x: the section theta maps x to."""
     return sections_of(pf_object(a).category)[1][theta(a).mapping[x]]
@@ -173,18 +193,6 @@ def arrows_containing(a: alg.FinAlgebra, x: int) -> int:
 def objects_containing(a: alg.FinAlgebra, d: int) -> int:
     """The dual objects containing d, as the domain ultrafilters that do."""
     return mask_of(o for o, u in enumerate(enumerate_domain_ultrafilters(a)) if d in u)
-
-
-def random_closed_sets(count: int, seed: int) -> list[alg.FinAlgebra]:
-    """count distinct seeded random closed sets on 3 points, each generated
-    by one to three random partial functions."""
-    rnd = random.Random(seed)
-    functions = enumerate_all(Base((1, 2, 3)))
-    closed: dict[tuple, list] = {}
-    while len(closed) < count:
-        members = close_under_ops(rnd.sample(functions, rnd.randint(1, 3)))
-        closed.setdefault(tuple(members), members)
-    return [as_abstract(members)[0] for members in closed.values()]
 
 
 class TestFilterCalculusOracle:

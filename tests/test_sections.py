@@ -6,20 +6,23 @@ the (domain, choice) pair of the definition to check it pointwise."""
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
 import pytest
 
 from pfdual import algebra as alg
 from pfdual import sections as sc
 from pfdual import topcat as tc
-from pfdual.bitsets import bits, mask_of, popcount
+from pfdual.bitsets import bits, image, mask_of, popcount, preimage
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.duality import theta
 from pfdual.errors import InconsistencyError
 from pfdual.pfun import Base, as_abstract, enumerate_all
 
-from conftest import identity_hom, identity_multifunctor, index_of, is_clopen, make_category, zero_extended_cyclic
+from conftest import (identity_hom, identity_multifunctor, index_of, is_clopen, make_category, random_closed_sets,
+                      zero_extended_cyclic)
 
 # A section as the definition states it: the domain mask, and the
 # (object, arrow) pairs sorted by object.
@@ -60,6 +63,53 @@ def identities_only(n: int) -> tc.TopCategory:
         objs, [(f"i{x}", x, x) for x in objs], {x: f"i{x}" for x in objs},
         {(f"i{x}", f"i{x}"): f"i{x}" for x in objs},
     )
+
+
+def cyclic_groupoid(k: int, m: int) -> tc.TopCategory:
+    """The groupoid with k objects and, between any two of them, one arrow
+    for each element of the cyclic group of order m: (k * m + 1)^k sections,
+    with arrows across objects."""
+    objs = [f"x{a}" for a in range(k)]
+    arrows = [(f"g{a}{b}_{g}", objs[a], objs[b]) for a in range(k) for b in range(k) for g in range(m)]
+    comp = {(f"g{a}{b}_{g}", f"g{b}{c}_{h}"): f"g{a}{c}_{(g + h) % m}"
+            for a in range(k) for b in range(k) for c in range(k) for g in range(m) for h in range(m)}
+    return make_category(objs, arrows, {x: f"g{a}{a}_0" for a, x in enumerate(objs)}, comp)
+
+
+def seccl_by_columns(cat: tc.TopCategory) -> tuple[alg.FinAlgebra, tuple[int, ...]]:
+    """Oracle for `seccl_object`: the section algebra built by columns.
+
+    Row s of the compose table is the union of one column per arrow f of s,
+    whose entry j is the bit of f then section j's arrow at tgt f, or 0 if
+    it has none.  Antidomain, range and pref read the objects each section
+    covers.  Every result is looked up among the enumerated images, so the
+    lookup is the validity check."""
+    images = sc.enumerate_sections(cat)
+    look = {m: i for i, m in enumerate(images)}.__getitem__
+    n, src, tgt = cat.n_arrows, cat.src, cat.tgt
+    # at[y][j]: the arrow of section j at object y, or the zero index n
+    at = [[n] * len(images) for _ in range(cat.n_objects)]
+    for j, m in enumerate(images):
+        for f in bits(m):
+            at[src[f]][j] = f
+    bit = [1 << h for h in range(n)] + [0]
+    columns = [tuple(map(bit.__getitem__, map((row + (n,)).__getitem__, at[y]))) for row, y in zip(cat.comp_t, tgt)]
+    union = functools.partial(map, operator.or_)
+    covered = [image(src, m) for m in images]
+    # the arrows out of the objects each section leaves uncovered
+    rest = [~preimage(src, d) for d in covered]
+    try:
+        compose_t = tuple(
+            tuple(map(look, functools.reduce(union, (columns[f] for f in bits(m)), (0,) * len(images))))
+            for m in images
+        )
+        anti_t = tuple(look(image(cat.id_of, (1 << cat.n_objects) - 1 & ~d)) for d in covered)
+        range_t = tuple(look(image(cat.id_of, image(tgt, m))) for m in images)
+        pref_t = tuple(tuple(map(look, map(m.__or__, map(r.__and__, images)))) for m, r in zip(images, rest))
+    except KeyError:
+        raise InconsistencyError("sections are not closed under the operations") from None
+    names = tuple(f"s{i}" for i in range(len(images)))
+    return alg.FinAlgebra(compose_t=compose_t, anti_t=anti_t, range_t=range_t, pref_t=pref_t, names=names), images
 
 
 def theta_section(algebra: alg.FinAlgebra, name: str) -> int:
@@ -211,12 +261,35 @@ class TestSectionAlgebra:
 
     def test_composite_outside_the_sections_is_internal(self, monkeypatch):
         # iy;iy = f, an arrow out of x, so the section {ix, iy} composed
-        # with itself is {ix, f}: two arrows at x.  Validation would refuse
-        # the category; forced to pass, the lookup of the composite fails.
+        # with itself would be {ix, f}: two arrows at x.  Validation would
+        # refuse the category; forced to pass, the composite guard fires,
+        # as the oracle's lookup does.
         cat = make_category(
             ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y"), ("f", "x", "y")], {"x": "ix", "y": "iy"},
             {("ix", "ix"): "ix", ("ix", "f"): "f", ("f", "iy"): "f", ("iy", "iy"): "f"},
         )
+        monkeypatch.setattr(sc, "validate_object_of_C", lambda cat: ())
+        for build in (sc.seccl_object, seccl_by_columns):
+            with pytest.raises(InconsistencyError, match="^sections are not closed under the operations$"):
+                build(cat)
+
+    def test_identity_at_another_object_is_internal(self, monkeypatch):
+        # the identity of x is f, an arrow out of y, so the antidomain of
+        # the empty section would be {f, iy}: two arrows at y.  Every
+        # composite stays at its source, so only the identity guard fires.
+        cat = make_category(
+            ["x", "y"], [("ix", "x", "x"), ("iy", "y", "y"), ("f", "y", "x")], {"x": "f", "y": "iy"},
+            {("ix", "ix"): "ix", ("iy", "iy"): "iy", ("iy", "f"): "f", ("f", "ix"): "f"},
+        )
+        monkeypatch.setattr(sc, "validate_object_of_C", lambda cat: ())
+        for build in (sc.seccl_object, seccl_by_columns):
+            with pytest.raises(InconsistencyError, match="^sections are not closed under the operations$"):
+                build(cat)
+
+    def test_missing_composite_is_internal(self, monkeypatch):
+        # g then g is the zero index, though g ends where g starts
+        cat = make_category(["x"], [("ix", "x", "x"), ("g", "x", "x")], {"x": "ix"},
+                            {("ix", "ix"): "ix", ("ix", "g"): "g", ("g", "ix"): "g"})
         monkeypatch.setattr(sc, "validate_object_of_C", lambda cat: ())
         with pytest.raises(InconsistencyError, match="^sections are not closed under the operations$"):
             sc.seccl_object(cat)
@@ -316,14 +389,16 @@ class TestImageOracle:
     @pytest.fixture(scope="class")
     def cats(self, corpus_algebras, nonepi_category, one_arrow_category):
         # the full algebra on 3 points has 64 sections; the cyclic group's
-        # one star holds seven arrows besides the identity
+        # one star holds seven arrows besides the identity; the groupoid
+        # has 289 sections, past one byte a code
         full3, _ = as_abstract(enumerate_all(Base((1, 2, 3))))
         return [pf_object(a).category for a in (*corpus_algebras, full3)] + [
-            nonepi_category, one_arrow_category, zero_extended_cyclic(8)]
+            nonepi_category, one_arrow_category, zero_extended_cyclic(8), cyclic_groupoid(2, 8)]
 
     def test_the_added_categories_are_covered(self, cats):
-        assert len(sc.enumerate_sections(cats[-4])) == 64
-        assert len(sc.enumerate_sections(cats[-1])) == 9
+        assert len(sc.enumerate_sections(cats[-5])) == 64
+        assert len(sc.enumerate_sections(cats[-2])) == 9
+        assert len(sc.enumerate_sections(cats[-1])) == 289
 
     def test_tables_match_reference(self, cats):
         for cat in cats:
@@ -349,3 +424,24 @@ class TestImageOracle:
         key = {decode(fun.source, m): i for i, m in enumerate(secs_c)}
         pulled = (decode(fun.source, tc.relation_preimage(fun, m)) for m in secs_d)
         assert h.mapping == tuple(key[p] for p in pulled)
+
+
+class TestColumnsOracle:
+    """`seccl_object` against `seccl_by_columns`: equal tables, images and
+    names, on both sides of one byte a code."""
+
+    @pytest.fixture(scope="class")
+    def cats(self, corpus_algebras, nonepi_category, one_arrow_category):
+        full4, _ = as_abstract(enumerate_all(Base((1, 2, 3, 4))))
+        closed = random_closed_sets(12, seed=5) + random_closed_sets(4, seed=5, points=4)
+        return [pf_object(a).category for a in (*corpus_algebras, *closed, full4)] + [
+            zero_extended_cyclic(255), zero_extended_cyclic(256), zero_extended_cyclic(257),
+            identities_only(9), cyclic_groupoid(2, 8), nonepi_category, one_arrow_category]
+
+    def test_sizes_straddle_one_byte(self, cats):
+        sizes = [len(sc.enumerate_sections(cat)) for cat in cats[-8:]]
+        assert sizes == [625, 256, 257, 258, 512, 289, 32, 2]
+
+    def test_equal_to_columns(self, cats):
+        for cat in cats:
+            assert sc.seccl_object(cat) == seccl_by_columns(cat)
