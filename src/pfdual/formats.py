@@ -5,17 +5,18 @@ emit the canonical form (two-space indent, documented key order, trailing
 newline), so writing a parsed file normalizes it byte-stably.
 
 Algebra and category tables, which hold up to MAX_ELEMENTS² names, are
-written by rows and read a block of rows at a time (`jsonrows`), never as
-one JSON document of one string per entry.  The row readers accept only
-files they read exactly as `json.loads` and `parse_*` do; any other file,
-every faulty one included, is read that plain way, so each refusal keeps
-its text.
+written by rows.  A table file is decoded once (`_decoded`) and checked
+once, by `parse_algebra` or `parse_category`, which word every refusal.
+'compose' and 'pref' after 'elements', and 'comp' after 'arrows', are read
+a block of rows at a time (`jsonrows`) and handed over as `_Mapped` index
+tables.  Only a file with a repeated key, bad JSON, or a streamed table
+entry that names no element or arrow is read whole by `json.loads`.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -92,8 +93,27 @@ def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
 # Tables by rows
 # ---------------------------------------------------------------------------
 
-# About this many characters of a table are decoded at a time.
-BLOCK = 1 << 16
+BLOCK = 1 << 16  # about this many characters of a table are decoded at a time
+
+
+class _Mapped(tuple):
+    """A table that _decoded mapped to index rows; parse_* trust it as it is."""
+
+
+def _decoded(path: str | Path, member) -> dict:
+    """A table file's JSON object, as json.loads gives it but for the tables
+    member maps to _Mapped tables: member(data, key, reader) decodes the
+    value of key at the cursor, data holding the members before it.
+    json.loads reads a file that the reader cannot decode exactly."""
+    text = _read_text(path)
+    reader, data = Reader(text), {}
+    try:
+        for key in reader.members():
+            data[key] = member(data, key, reader)
+        return data
+    except ValueError:
+        data.clear()  # the partial tables go before the text is read whole
+    return _json_object(text, path)
 
 
 def _indices(index: dict[str, int], names: Any) -> tuple[int, ...]:
@@ -106,15 +126,13 @@ def _indices(index: dict[str, int], names: Any) -> tuple[int, ...]:
         raise Unread from None
 
 
-def _name_index(names: Any) -> dict[str, int]:
+def _name_index(names: Any) -> dict[str, int] | None:
     """The position of each name of a list of at most MAX_ELEMENTS distinct
-    strings."""
+    strings; None for any other value, which the parser refuses."""
     if not isinstance(names, list) or len(names) > MAX_ELEMENTS or not all(isinstance(n, str) for n in names):
-        raise Unread
+        return None
     index = {name: i for i, name in enumerate(names)}
-    if len(index) != len(names):
-        raise Unread
-    return index
+    return index if len(index) == len(names) else None
 
 
 # ---------------------------------------------------------------------------
@@ -166,13 +184,12 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
         try:
             return list(map(idx.__getitem__, values))
         except (KeyError, TypeError):
-            for name in values:
-                if not isinstance(name, str) or name not in idx:
-                    raise FormatError(path, f"unknown element {name!r} in {key}") from None
-            raise
+            name = next(name for name in values if not isinstance(name, str) or name not in idx)
+            raise FormatError(path, f"unknown element {name!r} in {key}") from None
 
-    def table(key: str) -> list[list[int]]:
-        return [vector(row, key) for row in _need(data, key, path, list)]
+    def table(key: str) -> Any:
+        mapped = data.get(key)
+        return mapped if isinstance(mapped, _Mapped) else [vector(row, key) for row in _need(data, key, path, list)]
 
     compose = table("compose")
     anti = vector(_need(data, "antidomain", path, list), "antidomain")
@@ -218,36 +235,18 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
     return as_abstract(named.keys(), named)
 
 
-def _read_algebra(reader: Reader) -> FinAlgebra:
-    """An abstract algebra file with 'elements' first and the four tables
-    after it, each block of rows mapped to indices as soon as it is
-    decoded."""
-    index: dict[str, int] | None = None
-    tables: dict[str, Any] = {}
-    for key in reader.members():
-        if key == "elements":
-            index = _name_index(reader.value())
-        elif index is None:
-            raise Unread
-        elif key in ("compose", "pref"):
-            tables[key] = [_indices(index, row) for block in reader.blocks("[]", BLOCK) for row in block]
-        elif key in ("antidomain", "range"):
-            tables[key] = _indices(index, reader.value())
-        else:
-            raise Unread
-    if index is None or len(tables) != 4:
-        raise Unread
-    return FinAlgebra.from_tables(tables["compose"], tables["antidomain"], tables["range"], tables["pref"],
-                                  tuple(index))
+def _algebra_member(data: dict, key: str, reader: Reader) -> Any:
+    """An algebra file's member: a list 'compose' or 'pref' after valid
+    'elements' as a tuple of index rows, mapped a block of rows at a time."""
+    listed = key in ("compose", "pref") and reader.text.startswith("[", reader.pos)
+    index = _name_index(data.get("elements")) if listed else None
+    if index is None:
+        return reader.value()
+    return _Mapped(_indices(index, row) for block in reader.blocks("[]", BLOCK) for row in block)
 
 
 def load_algebra(path: str | Path) -> FinAlgebra:
-    text = _read_text(path)
-    try:
-        return _read_algebra(Reader(text))
-    except ValueError:
-        pass
-    return parse_algebra(_json_object(text, path), path)
+    return parse_algebra(_decoded(path, _algebra_member), path)
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +289,9 @@ def write_category(cat: TopCategory) -> str:
     ))
 
 
-def parse_category(data: dict, path: str | Path = "<category>",
-                   comp_t: list[list[int]] | None = None) -> TopCategory:
-    """The category a file's JSON object describes.  comp_t, when given,
-    is its composition table, read from the file by rows, and data need
-    not hold 'comp'; its rows are made tuples in place."""
+def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
+    """The category a file's JSON object describes; a _Mapped 'comp' is
+    its composition table, mapped as it was decoded."""
     obj_names = tuple(_need(data, "objects", path, list))
     _check_size(len(obj_names), "objects", path)
     arrows = _need(data, "arrows", path, list)
@@ -328,14 +325,16 @@ def parse_category(data: dict, path: str | Path = "<category>",
         subbasis = [mask_of(index(n, key) for n in group) for group in groups]
         return generate_topology(size, subbasis)
 
-    if comp_t is None:
-        comp_t = _empty_comp(len(arr_names))
-        for pair, h in _need(data, "comp", path, dict).items():
+    def composites(comp: dict) -> Iterator[tuple[int, int, int]]:
+        for pair, h in comp.items():
             parts = pair.split(",")
             if len(parts) != 2:
                 raise FormatError(path, f"bad composition key {pair!r}")
-            f, g = arr(parts[0], "comp"), arr(parts[1], "comp")
-            comp_t[f][g] = arr(h, "comp")
+            yield arr(parts[0], "comp"), arr(parts[1], "comp"), arr(h, "comp")
+
+    comp_t = data.get("comp")
+    if not isinstance(comp_t, _Mapped):
+        comp_t = _comp_table(len(arr_names), composites(_need(data, "comp", path, dict)))
     id_map = _need(data, "id", path, dict)
     for o in obj_names:
         if o not in id_map:
@@ -346,8 +345,6 @@ def parse_category(data: dict, path: str | Path = "<category>",
     if len(arrows) * near > MAX_ELEMENTS**2:
         raise FormatError(path, f"{len(arrows)} arrows times {near} near pairs exceed the limit "
                                 f"MAX_ELEMENTS**2 = {MAX_ELEMENTS**2}")
-    for f, row in enumerate(comp_t):  # one row at a time, so no second table is held whole
-        comp_t[f] = tuple(row)
     try:
         return TopCategory(
             obj_names=obj_names,
@@ -363,45 +360,38 @@ def parse_category(data: dict, path: str | Path = "<category>",
         raise FormatError(path, str(e)) from None
 
 
-def _empty_comp(n: int) -> list[list[int]]:
-    """The composition table of n arrows with no composite: the zero index n throughout."""
-    return [[n] * n for _ in range(n)]
+def _comp_table(n: int, composites: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
+    """The composition table of n arrows with the given composites (f, g,
+    f;g), and the zero index n elsewhere."""
+    rows: list[Any] = [[n] * n for _ in range(n)]
+    for f, g, h in composites:
+        rows[f][g] = h
+    for f, row in enumerate(rows):  # one row at a time, so no second table is held whole
+        rows[f] = tuple(row)
+    return tuple(rows)
 
 
-def _read_category(reader: Reader, path: str | Path) -> TopCategory:
-    """A category file with 'arrows' before 'comp'; the composites go
-    straight into the table, a block of members at a time."""
-    data: dict[str, Any] = {}
-    comp_t = None
-    for key in reader.members():
-        if key != "comp":
-            data[key] = reader.value()
-            continue
-        arrows = data.get("arrows")
-        if not isinstance(arrows, list) or not all(isinstance(a, dict) for a in arrows):
+def _category_member(data: dict, key: str, reader: Reader) -> Any:
+    """A category file's member: an object 'comp' after valid 'arrows' as
+    its composition table, mapped a block of members at a time."""
+    arrows = data.get("arrows") if key == "comp" and reader.text.startswith("{", reader.pos) else None
+    valid = isinstance(arrows, list) and all(isinstance(a, dict) for a in arrows)
+    index = _name_index([a.get("name") for a in arrows]) if valid else None
+    if index is None:
+        return reader.value()
+
+    def composites(block: dict) -> Iterator[tuple[int, int, int]]:
+        # each key of the block holds one comma, so the joined keys split into f, g, f, g, ...
+        if set(map(str.count, block, repeat(","))) - {1}:
             raise Unread
-        index = _name_index([a.get("name") for a in arrows])
-        comp_t = _empty_comp(len(index))
-        for block in reader.blocks("{}", BLOCK):
-            # each key of the block holds one comma, so the joined keys split into f, g, f, g, ...
-            if set(map(str.count, block, repeat(","))) - {1}:
-                raise Unread
-            ends = ",".join(block).split(",") if block else []
-            for f, g, h in zip(_indices(index, ends[::2]), _indices(index, ends[1::2]),
-                               _indices(index, list(block.values()))):
-                comp_t[f][g] = h
-    if comp_t is None:
-        raise Unread
-    return parse_category(data, path, comp_t)
+        ends = ",".join(block).split(",") if block else []
+        return zip(_indices(index, ends[::2]), _indices(index, ends[1::2]), _indices(index, list(block.values())))
+
+    return _Mapped(_comp_table(len(index), chain.from_iterable(map(composites, reader.blocks("{}", BLOCK)))))
 
 
 def load_category(path: str | Path) -> TopCategory:
-    text = _read_text(path)
-    try:
-        return _read_category(Reader(text), path)
-    except ValueError:
-        pass
-    return parse_category(_json_object(text, path), path)
+    return parse_category(_decoded(path, _category_member), path)
 
 
 # ---------------------------------------------------------------------------

@@ -479,6 +479,22 @@ class TestDualize:
         assert main(["dualize", str(DATA / "swap_const.alg.json"), "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "swap_const.cat.json").read_bytes()
 
+    def test_arrow_name_with_a_comma_is_refused_only_for_a_file(self, capsys, tmp_path):
+        """A comma in an element name reaches an arrow name, which a category
+        file cannot hold: --out refuses it and writes nothing; the report
+        alone is still given."""
+        data = json.loads((DATA / "swap_const.alg.json").read_text())
+        data["functions"] = {("x,3" if name == "e3" else name): graph for name, graph in data["functions"].items()}
+        path, out = tmp_path / "comma.alg.json", tmp_path / "comma.cat.json"
+        path.write_text(json.dumps(data))
+        assert main(["dualize", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: arrow name 'p_x,3' may not contain a comma\n"
+        assert not out.exists()
+        assert main(["dualize", str(path)]) == 0
+        assert "p_x,3" in capsys.readouterr().out
+
     def test_sections_report_matches_golden_file(self, capsys, monkeypatch):
         monkeypatch.chdir(DATA.parent)
         assert main(["sections", "--format", "json", "tests/golden/swap_const.cat.json"]) == 0
@@ -676,6 +692,14 @@ class TestNaturality:
         code, out = run(capsys, "naturality", DATA / "swap_inclusion.hom.json", "--format", "json")
         assert code == 0
         assert json.loads(out)["commutes"] is True
+
+    def test_file_of_neither_kind_is_refused(self, capsys, tmp_path):
+        path = tmp_path / "neither.json"
+        path.write_text(json.dumps({"source": "a.alg.json", "target": "b.alg.json"}))
+        assert main(["naturality", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: expected a homomorphism ('map') or functor ('arr_rel') file\n"
 
     def test_non_homomorphism_is_bad_input(self, capsys, tmp_path):
         """A map that is not a homomorphism is refused with exit 2, before

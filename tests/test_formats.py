@@ -415,6 +415,56 @@ class TestRefusalParity:
             r"before|extra key|one line|alone", name)]
 
 
+class TestDecodedOnce:
+    """A table file is decoded once; json.loads reads it again only when the
+    member reader cannot decode it exactly."""
+
+    @pytest.mark.parametrize("load, parse, text", [
+        (fmt.load_algebra, fmt.parse_algebra, (ROOT / "data" / "swap_const.alg.json").read_text(encoding="utf-8")),
+        (fmt.load_algebra, fmt.parse_algebra, reordered(ALG, "compose")),
+        (fmt.load_algebra, fmt.parse_algebra, edited(ALG, lambda d: d.__setitem__("note", [1]))),
+        (fmt.load_category, fmt.parse_category, reordered(CAT, "comp")),
+    ], ids=["concrete algebra", "compose before elements", "algebra extra key", "comp before arrows"])
+    def test_layouts_the_writer_does_not_give(self, load, parse, text):
+        for block in (1, fmt.BLOCK):
+            assert read_by_rows(load, text, block) == parse(json.loads(text))
+
+    def test_json_loads_reads_only_what_the_reader_cannot(self, monkeypatch, tmp_path):
+        """Of FILES, json.loads reads the ones with bad JSON or a repeated
+        key, and those whose streamed table holds an entry that names no
+        element or arrow; every other one is decoded once, refused or not."""
+        class ReadWhole(Exception):
+            pass
+
+        def read_whole_stub(text, path):
+            raise ReadWhole
+
+        monkeypatch.setattr(fmt, "_json_object", read_whole_stub)
+        read_whole = []
+        for name, verb, content in FILES:
+            (tmp_path / "file.json").write_bytes(content)
+            try:
+                (fmt.load_algebra if verb == "check-axioms" else fmt.load_category)(tmp_path / "file.json")
+            except ReadWhole:
+                read_whole.append(name)
+            except fmt.FormatError:
+                pass
+        assert read_whole == [name for name, _, _ in FILES if re.search(
+            r"truncated|top level|extra data|trailing comma|duplicated key|again|byte order|duplicated comp,|"
+            r"last bad|row not a list|string of names|unknown name in (compose|pref)|comp (key|value)", name)]
+
+    def test_tuple_tables_from_a_caller_are_checked(self):
+        """Only the reader's own mapped tables skip the name checks; a dict
+        built in Python with tuple tables is refused as JSON would be."""
+        alg, cat = json.loads(ALG), json.loads(CAT)
+        alg["compose"] = tuple(tuple(range(len(alg["elements"]))) for _ in alg["elements"])
+        with pytest.raises(fmt.FormatError, match="'compose' must be a JSON list"):
+            fmt.parse_algebra(alg)
+        cat["comp"] = tuple((99,) * len(cat["arrows"]) for _ in cat["arrows"])
+        with pytest.raises(fmt.FormatError, match="'comp' must be a JSON object"):
+            fmt.parse_category(cat)
+
+
 class TestFileGuards:
     def test_reading_a_512_element_algebra_keeps_one_copy(self, tmp_path):
         """Reading peaks below five times the two tables it builds (the
@@ -492,3 +542,19 @@ class TestFileGuards:
         codes = [0] * len(commands)
         codes[4] = 2  # the indiscrete category is refused
         assert result.stdout == f"{codes} []\n"
+
+
+def test_category_without_comp_is_refused_before_its_table(tmp_path):
+    """A file of MAX_ELEMENTS arrows and no 'comp' is refused before the
+    table of zero indices is built, which took 34 MB."""
+    arrows = [{"name": f"a{i}", "src": "x", "tgt": "x"} for i in range(fmt.MAX_ELEMENTS)]
+    path = tmp_path / "no_comp.cat.json"
+    path.write_text(json.dumps({"objects": ["x"], "opens_obj": [], "arrows": arrows, "opens_arr": [], "id": {"x": "a0"}}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(fmt.FormatError, match="missing key 'comp'"):
+            fmt.load_category(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

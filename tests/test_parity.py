@@ -37,9 +37,59 @@ def command_lines() -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
+def abstract_file(k: int) -> str:
+    """The abstract algebra file of all partial functions on k points, laid
+    out as pfdual writes it."""
+    functions = list(itertools.product([None, *range(k)], repeat=k))
+    names = {f: "f" + "".join("_" if y is None else str(y + 1) for y in f) for f in functions}
+
+    def table(op) -> list[list[str]]:
+        return [[names[op(f, g)] for g in functions] for f in functions]
+
+    return json.dumps({
+        "elements": list(names.values()),
+        "compose": table(lambda f, g: tuple(None if y is None else g[y] for y in f)),
+        "antidomain": [names[tuple(x if y is None else None for x, y in enumerate(f))] for f in functions],
+        "range": [names[tuple(x if x in f else None for x in range(k))] for f in functions],
+        "pref": table(lambda f, g: tuple(g[x] if y is None else y for x, y in enumerate(f))),
+    }, indent=2) + "\n"
+
+
+def malformed(alg: str, cat: str) -> dict[str, str]:
+    """Table files that are faulty, or laid out otherwise than pfdual writes
+    them, by name under bad/: an algebra from alg and a category from cat."""
+    def reordered(text: str, first: str) -> str:
+        data = json.loads(text)
+        return json.dumps({first: data.pop(first), **data}, indent=2)
+
+    def edited(text: str, edit) -> str:
+        data = json.loads(text)
+        edit(data)
+        return json.dumps(data, indent=2)
+
+    arrow = json.loads(cat)["arrows"][0]["name"]
+    return {
+        "truncated.alg.json": alg[:len(alg) // 2],
+        "bom.alg.json": "\ufeff" + alg,
+        "order.alg.json": reordered(alg, "compose"),
+        "repeated.alg.json": alg.replace('\n  "range"', '\n  "pref": 5,\n  "range"', 1),
+        "extra.alg.json": edited(alg, lambda d: d.__setitem__("note", [1])),
+        "unknown.alg.json": edited(alg, lambda d: d["pref"][2].__setitem__(1, "nope")),
+        "short.alg.json": edited(alg, lambda d: d["compose"][1].pop()),
+        "truncated.cat.json": cat[:len(cat) * 2 // 3],
+        "bom.cat.json": "\ufeff" + cat,
+        "order.cat.json": reordered(cat, "comp"),
+        "repeated.cat.json": cat.replace('\n  "comp"', '\n  "comp": {},\n  "comp"', 1),
+        "extra.cat.json": edited(cat, lambda d: d.__setitem__("note", {})),
+        "unknown.cat.json": edited(cat, lambda d: d["comp"].__setitem__(f"{arrow},{arrow}", "zz")),
+        "nocomma.cat.json": edited(cat, lambda d: d["comp"].__setitem__(arrow, arrow)),
+    }
+
+
 def make_workspace(work: Path) -> None:
-    """Copy data/ and tests/golden/ into work, and write the concrete
-    algebras of all partial functions on 3 and 4 points."""
+    """Copy data/ and tests/golden/ into work, write the concrete algebras
+    of all partial functions on 3 and 4 points, the abstract one on 2
+    points, and under bad/ the table files of `malformed`."""
     shutil.copytree(ROOT / "data", work / "data")
     shutil.copytree(ROOT / "tests" / "golden", work / "tests" / "golden")
     (work / "out").mkdir()
@@ -50,6 +100,12 @@ def make_workspace(work: Path) -> None:
             name = "f" + "".join(y or "_" for y in images)
             functions[name] = {x: y for x, y in zip(points, images) if y is not None}
         (work / f"all{k}.alg.json").write_text(json.dumps({"base": points, "functions": functions}), encoding="utf-8")
+    alg = abstract_file(2)
+    (work / "abstract2.alg.json").write_text(alg, encoding="utf-8")
+    (work / "bad").mkdir()
+    cat = (ROOT / "tests" / "golden" / "swap_const.cat.json").read_text(encoding="utf-8")
+    for name, text in malformed(alg, cat).items():
+        (work / "bad" / name).write_text(text, encoding="utf-8")
 
 
 def digest(line: str) -> str:
