@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bitsets import bits, preimage
 from .errors import NoZeroError
@@ -381,15 +381,16 @@ def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
     return True
 
 
-def _first_nonassociative(C: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
-    """The lexicographically least (a, b, c) with (a*b)*c != a*(b*c): row
+def nonassociative(C: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
+    """Every (a, b, c) with (a*b)*c != a*(b*c), in lexicographic order: row
     a*b against row b read at the entries of row a, one pair (a, b) at a
-    time."""
+    time, and only a pair whose rows differ is read entry by entry."""
     takes = tuple(map(pick, C))
     for a, Ca in enumerate(C):
-        if (w := _first_mismatch((C[ab], take(Ca)) for ab, take in zip(Ca, takes))) is not None:
-            return (a, *w)
-    return None
+        for b, (ab, take) in enumerate(zip(Ca, takes)):
+            left, right = C[ab], take(Ca)
+            if left != right:
+                yield from ((a, b, c) for c, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
 def _first_mismatch(rows) -> Optional[tuple[int, int]]:
@@ -431,7 +432,7 @@ def axiom_report(C, A, R, P) -> AxiomReport:
         results.append(AxiomCheck(index, witness, detail))
 
     # (1) associativity of composition, by Light's test over a generating set
-    record(1, None if _light_test(C, generating_set(C)) else _first_nonassociative(C))
+    record(1, None if _light_test(C, generating_set(C)) else next(nonassociative(C)))
 
     # (2) A(a)*a is one fixed element (the zero)
     zw = _zero_witness(C, A)
@@ -544,10 +545,6 @@ def upper_bounds(alg: FinAlgebra, a: int, b: int) -> int:
     return con.up[a] & con.up[b]
 
 
-def has_upper_bound(alg: FinAlgebra, a: int, b: int) -> bool:
-    return upper_bounds(alg, a, b) != 0
-
-
 def join(alg: FinAlgebra, a: int, b: int) -> Optional[int]:
     """Least upper bound, or None when no upper bound exists."""
     ubs = upper_bounds(alg, a, b)
@@ -561,7 +558,7 @@ def in_class_A(alg: FinAlgebra) -> bool:
     """Every compatible pair has an upper bound."""
     n = alg.size
     return all(
-        has_upper_bound(alg, a, b)
+        upper_bounds(alg, a, b)
         for a in range(n)
         for b in range(n)
         if compatible(alg, a, b)

@@ -30,10 +30,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def popcount(mask: int) -> int:
-    return mask.bit_count()
-
-
 def image(mapping: Sequence[int], mask: int) -> int:
     """The values mapping[i] of the indices i in mask."""
     return mask_of(mapping[i] for i in bits(mask))

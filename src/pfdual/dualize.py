@@ -27,7 +27,7 @@ from .algebra import (
     minimal_nonzero_elements,
     require_representable,
 )
-from .bitsets import mask_of, popcount, preimage
+from .bitsets import mask_of, preimage
 from .errors import InconsistencyError
 from .topcat import MultiFunctor, TopCategory, discrete_topology, is_plain_functor
 
@@ -144,7 +144,7 @@ def pf_morphism(h: Homomorphism) -> MultiFunctor:
     try:
         for e in dual_b.object_atoms:
             chosen = pull_back(up_b[e], dual_a.object_atoms, a_domain)
-            if popcount(chosen) != 1:
+            if chosen.bit_count() != 1:
                 raise InconsistencyError("pulled-back ultrafilter is not an object of the dual")
             obj_map.append(chosen.bit_length() - 1)
         full_a = (1 << h.source.size) - 1

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism
-from .bitsets import bits, mask_of, popcount
+from .bitsets import bits, mask_of
 from .jsonrows import Reader, Unread, document, encode, joined, pieces
 from .pfun import Base, PFunc, as_abstract
 from .topcat import FinTopology, MultiFunctor, TopCategory, generate_topology
@@ -341,7 +341,7 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
             raise FormatError(path, f"'id' is missing object {o!r}")
     obj_top = topology("opens_obj", obj, len(obj_names))
     arr_top = topology("opens_arr", arr, len(arr_names))
-    near = sum(popcount(m) for i, m in enumerate(arr_top.nbhds) if m != 1 << i)
+    near = sum(m.bit_count() for i, m in enumerate(arr_top.nbhds) if m != 1 << i)
     if len(arrows) * near > MAX_ELEMENTS**2:
         raise FormatError(path, f"{len(arrows)} arrows times {near} near pairs exceed the limit "
                                 f"MAX_ELEMENTS**2 = {MAX_ELEMENTS**2}")
@@ -466,11 +466,11 @@ def load_functor(path: str | Path) -> MultiFunctor:
 # ---------------------------------------------------------------------------
 
 
-def transducer_to_dict(t: Transducer) -> dict:
+def write_transducer(t: Transducer) -> str:
     """The machine file: transitions by source name, letter, output and
     target name, final outputs by state name, each sorted as strings."""
     names, al = t.names, t.alphabet
-    return {
+    return _dump({
         "alphabet": list(al),
         "states": list(names),
         "initial": names[t.initial],
@@ -481,11 +481,7 @@ def transducer_to_dict(t: Transducer) -> dict:
             for j in sorted(range(len(al)), key=al.__getitem__)
             for out, to in sorted((out, names[q2]) for out, q2 in t.delta[q][j])
         ],
-    }
-
-
-def write_transducer(t: Transducer) -> str:
-    return _dump(transducer_to_dict(t))
+    })
 
 
 def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transducer:
@@ -522,11 +518,11 @@ def load_transducer(path: str | Path) -> Transducer:
     return parse_transducer(load_json(path), path)
 
 
-def dfa_to_dict(d: Transducer) -> dict:
+def write_dfa(d: Transducer) -> str:
     """The acceptor file of an identity machine with one move per state and
     letter, such as D and R build: its final states accept."""
     names = d.names
-    return {
+    return _dump({
         "alphabet": list(d.alphabet),
         "states": list(names),
         "initial": names[d.initial],
@@ -537,11 +533,7 @@ def dfa_to_dict(d: Transducer) -> dict:
             for a, step in zip(d.alphabet, row)
             for _, to in step
         ],
-    }
-
-
-def write_dfa(d: Transducer) -> str:
-    return _dump(dfa_to_dict(d))
+    })
 
 
 # ---------------------------------------------------------------------------

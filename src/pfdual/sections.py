@@ -16,7 +16,7 @@ import struct
 import sys
 
 from .algebra import BYTE_WIDTH, MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
-from .bitsets import bits, mask_of, popcount
+from .bitsets import bits, mask_of
 from .errors import InconsistencyError
 from .topcat import NOT_EPI, MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
 
@@ -30,15 +30,14 @@ def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     any section algebra written can be read back; and one that is not Stone
     etale, naming every membership problem of `validate_object_of_C` but
     NOT_EPI, a condition sections do not need."""
-    bound = math.prod(1 + cat.src.count(x) for x in range(cat.n_objects))
+    bound = math.prod(1 + len(star) for star in cat.stars)
     if bound > MAX_ELEMENTS:
         raise ValueError(f"category may have {bound} sections, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
     problems = [p for p in validate_object_of_C(cat) if p != NOT_EPI]
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))
-    stars = [cat.star(x) for x in range(cat.n_objects)]
-    domains = sorted(range(1 << cat.n_objects), key=lambda m: (popcount(m), m))
-    return tuple(mask_of(picks) for dom in domains for picks in itertools.product(*(stars[x] for x in bits(dom))))
+    domains = sorted(range(1 << cat.n_objects), key=lambda m: (m.bit_count(), m))
+    return tuple(mask_of(picks) for dom in domains for picks in itertools.product(*(cat.stars[x] for x in bits(dom))))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +60,7 @@ def seccl_object(cat: TopCategory) -> tuple[FinAlgebra, tuple[int, ...]]:
     """
     images = enumerate_sections(cat)
     size, n, src, tgt = len(images), cat.n_arrows, cat.src, cat.tgt
-    stars = [cat.star(x) for x in range(cat.n_objects)]
+    stars = cat.stars
     after = [[*map(row.__getitem__, stars[y])] for row, y in zip(cat.comp_t, tgt)]
     if any(src[f] != x for x, f in enumerate(cat.id_of)) or any(
             n in a or {*map(src.__getitem__, a)} != {src[f]} for f, a in enumerate(after)):

@@ -15,7 +15,10 @@ is decided point by point from those neighbourhoods, without an open set:
 
 The composition table maps each pair without a composite to a zero, the
 index n_arrows, so a category is a semigroup table like an algebra's
-compose_t, and its associativity is decided by the algebra's Light test.
+compose_t: its associativity is decided by the algebra's Light test, and
+its failing triples are listed by the algebra's `nonassociative`.  The
+stars, the arrows out of each object, are built once and kept on the
+category (`TopCategory.stars`) for every check that reads them.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .algebra import _light_test, derived, generating_set, hash_once, pick
-from .bitsets import bits, image, mask_of, popcount, union
+from .algebra import _light_test, derived, generating_set, hash_once, nonassociative, pick
+from .bitsets import bits, image, mask_of, union
 
 
 @dataclass(frozen=True)
@@ -143,13 +146,13 @@ class TopCategory:
     def compose(self, f: int, g: int) -> int:
         return self.comp_t[f][g]
 
-    def star(self, x: int) -> tuple[int, ...]:
-        """Arrows with source x."""
-        return tuple(f for f in range(self.n_arrows) if self.src[f] == x)
-
-    def costar(self, x: int) -> tuple[int, ...]:
-        """Arrows with target x."""
-        return tuple(f for f in range(self.n_arrows) if self.tgt[f] == x)
+    @cached_property
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        """stars[x]: the arrows with source x, in index order."""
+        stars: list[list[int]] = [[] for _ in self.obj_names]
+        for f, x in enumerate(self.src):
+            stars[x].append(f)
+        return tuple(map(tuple, stars))
 
     def check_category(self) -> list[str]:
         """Category axioms; returns a list of problems (empty when valid),
@@ -158,7 +161,8 @@ class TopCategory:
         Each row's endpoints are compared with those it must have, and only
         a row that differs is walked pair by pair for its messages.
         Associativity is Light's test on the table with its zero row; only
-        when it fails are the composable triples scanned for the failures.
+        when it fails are the failing triples listed, those of `nonassociative`
+        whose arrows compose by their endpoints.
         """
         problems = []
         n, C, src, tgt, name = self.n_arrows, self.comp_t, self.src, self.tgt, self.arr_names
@@ -171,7 +175,10 @@ class TopCategory:
         for f, row in enumerate(C):
             x, y = src[f], tgt[f]
             if (x, y) not in expected:
-                expected[x, y] = tuple((x, tgt[g]) if src[g] == y else None for g in range(n))
+                want = [None] * n
+                for g in self.stars[y]:
+                    want[g] = (x, tgt[g])
+                expected[x, y] = tuple(want)
             if tuple(map(ends.__getitem__, row)) == expected[x, y]:
                 continue
             for g, h in enumerate(row):
@@ -186,14 +193,9 @@ class TopCategory:
                 problems.append(f"right unit law fails at arrow {name[f]!r}")
         table = [row + (n,) for row in C] + [(n,) * (n + 1)]
         if not _light_test(table, generating_set(table)):
-            stars = [self.star(x) for x in range(self.n_objects)]
-            for f in range(n):
-                Cf = table[f]
-                for g in stars[tgt[f]]:
-                    Cfg, Cg = table[Cf[g]], table[g]
-                    for h in stars[tgt[g]]:
-                        if Cfg[h] != Cf[Cg[h]]:
-                            problems.append(f"associativity fails at ({name[f]},{name[g]},{name[h]})")
+            problems += [f"associativity fails at ({name[f]},{name[g]},{name[h]})"
+                         for f, g, h in nonassociative(table)
+                         if n not in (f, g, h) and tgt[f] == src[g] and tgt[g] == src[h]]
         return problems
 
 
@@ -213,16 +215,15 @@ def is_local_homeo(cat: TopCategory) -> bool:
     """The source map takes each arrow's neighbourhood one to one onto the
     neighbourhood of the arrow's source."""
     src, onto = cat.src, cat.obj_top.nbhds
-    return all(image(src, u) == onto[src[f]] and popcount(u) == popcount(onto[src[f]])
+    return all(image(src, u) == onto[src[f]] and u.bit_count() == onto[src[f]].bit_count()
                for f, u in enumerate(cat.arr_top.nbhds))
 
 
 def all_arrows_epi(cat: TopCategory) -> bool:
     """Right cancellation: a.b = a.c forces b = c, so each row of the table
     is injective on the arrows after its arrow."""
-    stars = [cat.star(x) for x in range(cat.n_objects)]
-    takes = [pick(star) for star in stars]
-    return all(len(set(takes[y](row))) == len(stars[y]) for row, y in zip(cat.comp_t, cat.tgt))
+    takes = [pick(star) for star in cat.stars]
+    return all(len(set(takes[y](row))) == len(cat.stars[y]) for row, y in zip(cat.comp_t, cat.tgt))
 
 
 NOT_EPI = "some arrow is not an epimorphism"
@@ -343,18 +344,22 @@ def star_checks(fun: MultiFunctor) -> StarReport:
     """
     src_c, tgt_c, rel = fun.source, fun.target, fun.arr_rel
     near = tgt_c.arr_top.nbhds
+    cohits = [0] * src_c.n_objects  # cohits[x]: the images of costar x
+    for f, x in enumerate(src_c.tgt):
+        cohits[x] |= rel[f]
+    costars = [0] * tgt_c.n_objects  # costars[y]: the mask of costar y
+    for g, y in enumerate(tgt_c.tgt):
+        costars[y] |= 1 << g
     injective = surjective = pseudo = co_pseudo = True
-    for x in range(src_c.n_objects):
+    for x, star in enumerate(src_c.stars):
         hit = 0  # the images of the star so far, which the next must miss
-        for f in src_c.star(x):
+        for f in star:
             injective = injective and not hit & rel[f]
             hit |= rel[f]
-        cohit = union(rel[f] for f in src_c.costar(x))
         fx = fun.obj_map[x]
-        star_mask, costar_mask = mask_of(tgt_c.star(fx)), mask_of(tgt_c.costar(fx))
-        surjective = surjective and not star_mask & ~hit
-        pseudo = pseudo and all(near[g] & hit for g in bits(star_mask))
-        co_pseudo = co_pseudo and all(near[g] & cohit for g in bits(costar_mask))
+        surjective = surjective and not mask_of(tgt_c.stars[fx]) & ~hit
+        pseudo = pseudo and all(near[g] & hit for g in tgt_c.stars[fx])
+        co_pseudo = co_pseudo and all(near[g] & cohits[x] for g in bits(costars[fx]))
     return StarReport(injective, surjective, pseudo, co_pseudo)
 
 
@@ -369,4 +374,4 @@ def compose_multifunctors(first: MultiFunctor, second: MultiFunctor) -> MultiFun
 
 def is_plain_functor(fun: MultiFunctor) -> bool:
     """Total and single-valued on arrows."""
-    return all(popcount(m) == 1 for m in fun.arr_rel)
+    return all(m.bit_count() == 1 for m in fun.arr_rel)

@@ -208,7 +208,7 @@ class TestCheckAxioms:
 
 def loop_first_nonassociative(C) -> tuple[int, int, int] | None:
     """The lexicographically least (a, b, c) with (a*b)*c != a*(b*c), by
-    the plain triple loop: the reference for alg._first_nonassociative."""
+    the plain triple loop: the reference for alg.nonassociative."""
     rng_n = range(len(C))
     for a in rng_n:
         Ca = C[a]
@@ -218,6 +218,13 @@ def loop_first_nonassociative(C) -> tuple[int, int, int] | None:
                 if Cab[c] != Ca[Cb[c]]:
                     return (a, b, c)
     return None
+
+
+def loop_nonassociative(C) -> list[tuple[int, int, int]]:
+    """Every (a, b, c) with (a*b)*c != a*(b*c) in lexicographic order, by
+    the plain triple loop."""
+    rng_n = range(len(C))
+    return [(a, b, c) for a in rng_n for b in rng_n for c in rng_n if C[C[a][b]][c] != C[a][C[b][c]]]
 
 
 def cubic_witnesses(a: alg.FinAlgebra) -> dict:
@@ -363,15 +370,34 @@ class TestAxiomOracle:
         rnd = random.Random(22)
         found = 0
         for a in (*corpus_algebras, full3):
-            assert alg._first_nonassociative(a.compose_t) is None
+            assert next(alg.nonassociative(a.compose_t), None) is None
             n = a.size
             for _ in range(10 if n > 1 else 0):
                 r, c = rnd.randrange(n), rnd.randrange(n)
                 m = mutate_compose(a, r, c, rnd.choice([v for v in range(n) if v != a.compose_t[r][c]]))
                 expected = loop_first_nonassociative(m.compose_t)
-                assert alg._first_nonassociative(m.compose_t) == expected
+                assert next(alg.nonassociative(m.compose_t), None) == expected
                 found += expected is not None
         assert found == 50  # each change here breaks associativity
+
+    def test_nonassociative_lists_what_the_triple_loop_lists(self, corpus_algebras, full3, full2):
+        # the tables of the test above, then every one-entry change on two
+        # points: each failing triple, in the loop's order
+        rnd = random.Random(22)
+        tables = []
+        for a in (*corpus_algebras, full3):
+            assert list(alg.nonassociative(a.compose_t)) == []
+            n = a.size
+            for _ in range(10 if n > 1 else 0):
+                r, c = rnd.randrange(n), rnd.randrange(n)
+                tables.append(mutate_compose(a, r, c, rnd.choice([v for v in range(n) if v != a.compose_t[r][c]])))
+        tables += single_entry_mutations(full2)
+        lengths = set()
+        for m in tables:
+            expected = loop_nonassociative(m.compose_t)
+            assert list(alg.nonassociative(m.compose_t)) == expected
+            lengths.add(len(expected))
+        assert 0 in lengths and max(lengths) > 1
 
     def test_right_zero_needs_every_generator(self):
         a = right_zero(5)
@@ -653,6 +679,16 @@ class TestHomomorphisms:
         h = alg.Homomorphism(swap_only, swap_const, tuple(mapping))
         assert not alg.check_homomorphism(h)
 
+    def test_map_that_trades_zero_and_identity_breaks_joins(self, swap_const):
+        # 0 <= 1 joins to 1; the images 1 and 0 join to 1 as well, which is
+        # not the image 0 of 1
+        i = partial(index_of, swap_const)
+        mapping = list(range(swap_const.size))
+        mapping[i("0")], mapping[i("1")] = i("1"), i("0")
+        h = alg.Homomorphism(swap_const, swap_const, tuple(mapping))
+        assert not alg.check_homomorphism(h)
+        assert not alg.preserves_joins(h)
+
     def test_corpus_homs_preserve_joins(self, corpus_homs):
         for h in corpus_homs:
             assert alg.check_homomorphism(h)
@@ -675,6 +711,10 @@ class TestHomomorphisms:
         ok, witness = alg.check_locally_proper(incl_hom)
         assert not ok
         assert set(witness.element_names()) == {"c", "c3"}
+
+    def test_filter_set_repr_lists_its_members_by_index(self, incl_hom):
+        _, witness = alg.check_locally_proper(incl_hom)
+        assert repr(witness) == "FilterSet{c,c3}"
 
     def test_proposition_isomorphism_property(self, corpus_homs):
         """Locally proper plus bijective on domain elements forces an

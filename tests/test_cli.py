@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import os
 import random
@@ -36,6 +38,15 @@ class TestCheckAxioms:
         code, out = run(capsys, "check-axioms", DATA / "swap_const.alg.json")
         assert code == 0
         assert "passed: True" in out
+
+    def test_report_to_a_stream_with_no_byte_buffer(self, capsys):
+        # a StringIO has no .buffer, so the text is written to it as it is
+        for fmt_kind in ("text", "json"):
+            argv = ["check-axioms", str(DATA / "swap_const.alg.json"), "--format", fmt_kind]
+            expected = run(capsys, *argv)
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(argv)
+            assert (code, out.getvalue()) == expected
 
     def test_json_format(self, capsys):
         code, out = run(capsys, "check-axioms", DATA / "swap_const.alg.json", "--format", "json")

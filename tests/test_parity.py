@@ -67,6 +67,19 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         edit(data)
         return json.dumps(data, indent=2)
 
+    def nonassociative(d: dict) -> None:
+        """Give p_s's object a third arrow p_t, with p_s*p_s = p_t, p_s*p_t =
+        p_s and p_t*p_s = p_t*p_t = p_t: endpoints and unit laws hold, and
+        (p_s*p_s)*p_s != p_s*(p_s*p_s)."""
+        d["arrows"].append({"name": "p_t", "src": "u_e12", "tgt": "u_e12"})
+        d["opens_arr"].append(["p_t"])
+        d["comp"].update({"p_e12,p_t": "p_t", "p_t,p_e12": "p_t", "p_s,p_s": "p_t", "p_s,p_t": "p_s",
+                          "p_t,p_s": "p_t", "p_t,p_t": "p_t", "p_t,p_c": "p_c"})
+
+    def wrong_pair(d: dict) -> None:
+        nonassociative(d)
+        d["comp"]["p_c,p_s"] = "p_c"
+
     arrow = json.loads(cat)["arrows"][0]["name"]
     return {
         "truncated.alg.json": alg[:len(alg) // 2],
@@ -83,6 +96,9 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         "extra.cat.json": edited(cat, lambda d: d.__setitem__("note", {})),
         "unknown.cat.json": edited(cat, lambda d: d["comp"].__setitem__(f"{arrow},{arrow}", "zz")),
         "nocomma.cat.json": edited(cat, lambda d: d["comp"].__setitem__(arrow, arrow)),
+        "nonassoc.cat.json": edited(cat, nonassociative),
+        "wrongpair.cat.json": edited(cat, wrong_pair),
+        "unit.cat.json": edited(cat, lambda d: d["comp"].__setitem__("p_e12,p_s", "p_e12")),
     }
 
 

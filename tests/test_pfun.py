@@ -59,6 +59,11 @@ class TestOperations:
         assert not fn["s"].compatible(fn["c"])
         assert fn["e12"].compatible(fn["e3"]) and fn["e12"].pref_union(fn["e3"]) == fn["1"]
 
+    def test_order_and_iteration(self, fn):
+        assert fn["e12"] <= fn["1"] and fn["0"] <= fn["s"]
+        assert not fn["1"] <= fn["e12"] and not fn["s"] <= fn["c"]
+        assert list(Base(("x", 2, "y"))) == ["x", 2, "y"]
+
     def test_mismatched_bases_rejected(self, fn):
         other = PFunc.identity(Base(("x",)))
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ import pytest
 from pfdual import algebra as alg
 from pfdual import sections as sc
 from pfdual import topcat as tc
-from pfdual.bitsets import bits, image, mask_of, popcount, preimage
+from pfdual.bitsets import bits, image, mask_of, preimage
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.duality import theta
 from pfdual.errors import InconsistencyError
@@ -153,7 +153,7 @@ class TestEnumeration:
             if not is_clopen(cat.obj_top, dom):
                 continue
             objs = list(bits(dom))
-            for picks in itertools.product(*(cat.star(x) for x in objs)):
+            for picks in itertools.product(*(cat.stars[x] for x in objs)):
                 if cat.arr_top.is_open(mask_of(picks)):
                     found.add((dom, tuple(zip(objs, picks))))
         enumerated = {decode(cat, s) for s in sc.enumerate_sections(cat)}
@@ -161,7 +161,7 @@ class TestEnumeration:
         assert len(enumerated) == len(sc.enumerate_sections(cat))
 
     def test_order_is_size_then_mask(self, dual1, secs1):
-        keys = [(popcount(dom), dom, choice) for dom, choice in (decode(dual1.category, s) for s in secs1)]
+        keys = [(dom.bit_count(), dom, choice) for dom, choice in (decode(dual1.category, s) for s in secs1)]
         assert keys == sorted(keys)
 
     def test_invalid_category_rejected(self):
