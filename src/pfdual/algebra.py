@@ -474,17 +474,10 @@ def axiom_report(C, A, R, P) -> AxiomReport:
     # value on each class of b with the same a*b, so row a read through the
     # last R(a)*b of each class is row R(a).  The witness is the least b of
     # a class that breaks this and the least c of it with another value.
-    # Where axioms 1 and 7 hold, a*b = a*(R(a)*b), so for each a this holds
-    # exactly when row a is injective on the entries of row R(a), and only
-    # an a that fails that is read through.
+    # Every a is read this one way, whatever the other axioms give.
     w = None
-    injective_test = results[0].passed and results[6].passed
     for a in rng_n:
         Ca, Cr = C[a], C[R[a]]
-        if injective_test:
-            image = set(Cr)
-            if len({Ca[x] for x in image}) == len(image):
-                continue
         if pick(Ca)(_last_values(Ca, Cr)) != Cr:
             last = dict(zip(Ca, Cr))
             broken = {ab for ab, rb in zip(Ca, Cr) if last[ab] != rb}

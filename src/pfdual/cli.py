@@ -149,6 +149,7 @@ def cmd_dualize(args) -> int:
 
 def cmd_sections(args) -> int:
     cat = fmt.load_category(args.file)
+    sec.require_section_bound(cat)
     problems = tc.validate_object_of_C(cat)
     if problems:
         raise ValueError("category fails membership checks: " + "; ".join(problems))
@@ -194,7 +195,8 @@ def cmd_hom_check(args) -> int:
 
 def cmd_functor_check(args) -> int:
     fun = fmt.load_functor(args.file)
-    for side, cat in (("source", fun.source), ("target", fun.target)):
+    sides = (("source", fun.source), ("target", fun.target))
+    for side, cat in sides[:1] if fun.target is fun.source else sides:
         problems = cat.check_category()
         if problems:
             raise ValueError(f"functor {side} is not a category: {problems[0]}")

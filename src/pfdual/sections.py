@@ -21,18 +21,23 @@ from .errors import InconsistencyError
 from .topcat import NOT_EPI, MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
 
 
+def require_section_bound(cat: TopCategory) -> None:
+    """Refuse a category that may have more than MAX_ELEMENTS sections, by
+    the product of 1 + |star x| over the objects x (so also 1 + arrows), so
+    any section algebra written can be read back.  It reads only the stars."""
+    bound = math.prod(1 + len(star) for star in cat.stars)
+    if bound > MAX_ELEMENTS:
+        raise ValueError(f"category may have {bound} sections, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
+
+
 def enumerate_sections(cat: TopCategory) -> tuple[int, ...]:
     """The image masks of all sections, in a fixed order: domains by size
     then mask value, choices lexicographically by per-object arrow index.
 
-    Refuses a category that may have more than MAX_ELEMENTS sections, by
-    the product of 1 + |star x| over the objects x (so also 1 + arrows), so
-    any section algebra written can be read back; and one that is not Stone
-    etale, naming every membership problem of `validate_object_of_C` but
-    NOT_EPI, a condition sections do not need."""
-    bound = math.prod(1 + len(star) for star in cat.stars)
-    if bound > MAX_ELEMENTS:
-        raise ValueError(f"category may have {bound} sections, over the limit MAX_ELEMENTS = {MAX_ELEMENTS}")
+    Refuses a category over `require_section_bound`, and one that is not
+    Stone etale, naming every membership problem of `validate_object_of_C`
+    but NOT_EPI, a condition sections do not need."""
+    require_section_bound(cat)
     problems = [p for p in validate_object_of_C(cat) if p != NOT_EPI]
     if problems:
         raise ValueError("cannot enumerate sections: " + "; ".join(problems))

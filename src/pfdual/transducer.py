@@ -158,15 +158,16 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         raise ValueError("transducers must share an alphabet")
     al, d1, f1, d2, f2 = t1.alphabet, t1.delta, t1.final, t2.delta, t2.final
     letter = {a: j for j, a in enumerate(al)}
-    # (state, word) -> t2's runs from the state on the word; those on one letter are its
-    # moves.  A stored run may be empty, so it is missing only when get gives None.
+    # (state, word) -> t2's runs from the state on the word; those on one letter are its moves.
     runs = {(q, a): step for q, row in enumerate(d2) for a, step in zip(al, row)}
 
     def run(q, word):
-        configs = {("", q)}
-        for a in word:
-            configs = {(out + e, q3) for out, q2 in configs for e, q3 in d2[q2][letter[a]]}
-        runs[(q, word)] = configs
+        configs = runs.get((q, word))
+        if configs is None:  # a kept run may be empty, so only None means missing
+            configs = {("", q)}
+            for a in word:
+                configs = {(out + e, q3) for out, q2 in configs for e, q3 in d2[q2][letter[a]]}
+            runs[(q, word)] = configs
         return configs
 
     def moves(pair):
@@ -175,8 +176,7 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         for step in d1[q1]:
             made = set()
             for e, q1b in step:
-                found = runs.get((q2, e))
-                for v, q2b in run(q2, e) if found is None else found:
+                for v, q2b in run(q2, e):
                     made.add((v, (q1b, q2b)))
             row.append(made)
         return row
@@ -190,8 +190,7 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         u = f1[q1]
         if u is None:
             return None
-        found = runs.get((q2, u))
-        results = {v + f2[q2b] for v, q2b in (run(q2, u) if found is None else found) if f2[q2b] is not None}
+        results = {v + f2[q2b] for v, q2b in run(q2, u) if f2[q2b] is not None}
         if len(results) > 1:
             word, out = _shortlex_path(al, (t1.initial, t2.initial), moves, pair, by_name)
             two = sorted(results)[:2]

@@ -347,8 +347,8 @@ class TestAxiomOracle:
 
     def test_axiom_8_matches_the_cubic_loop(self, full3):
         """Axiom 8 names the cubic loop's witness on seeded compose and range
-        mutations: where axioms 1 and 7 hold, by the injectivity test and a
-        scan of the a that fails it, and otherwise by the scan alone."""
+        mutations, by one read of every row a, whether axioms 1 and 7 hold
+        or not."""
         rnd = random.Random(12)
         n = full3.size
         seen = Counter()

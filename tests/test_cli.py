@@ -593,6 +593,31 @@ class TestDualize:
         assert capsys.readouterr().err == (
             f"error: {path}: category may have 65536 sections, over the limit MAX_ELEMENTS = 2048\n")
 
+    def test_sections_refuses_by_its_bound_before_validating(self, capsys, monkeypatch, tmp_path):
+        """The section bound reads only the stars, so a file over it is
+        refused without checking the category: 12 identities give 4,096
+        sections."""
+        from pfdual.topcat import TopCategory
+
+        objs = [f"x{i}" for i in range(12)]
+        path = tmp_path / "ids12.json"
+        path.write_text(json.dumps({
+            "objects": objs,
+            "opens_obj": [[x] for x in objs],
+            "arrows": [{"name": f"i{x}", "src": x, "tgt": x} for x in objs],
+            "opens_arr": [[f"i{x}"] for x in objs],
+            "id": {x: f"i{x}" for x in objs},
+            "comp": {f"i{x},i{x}": f"i{x}" for x in objs},
+        }))
+
+        def refuse(self):
+            raise AssertionError("the category was checked before the section bound")
+
+        monkeypatch.setattr(TopCategory, "check_category", refuse)
+        assert main(["sections", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: category may have 4096 sections, over the limit MAX_ELEMENTS = 2048\n")
+
     def test_sections_reads_back_a_65_arrow_dual(self, capsys, tmp_path):
         alg_file, cat_file = tmp_path / "z65.alg.json", tmp_path / "z65.cat.json"
         alg_file.write_text(json.dumps(zero_extended_cyclic_group(65)))
@@ -844,6 +869,29 @@ class TestCategoryAxioms:
 
 
 class TestFunctorCheck:
+    def test_one_category_file_is_checked_once(self, capsys, monkeypatch, tmp_path):
+        """A functor whose source and target name one file holds one
+        category, and functor-check checks it once."""
+        from pfdual.topcat import TopCategory
+
+        cat = fmt.load_category(DATA / "swap_const.cat.json")
+        (tmp_path / "cat.json").write_text(fmt.write_category(cat))
+        path = tmp_path / "id.fun.json"
+        path.write_text(json.dumps({"source": "cat.json", "target": "cat.json",
+                                    "obj_map": {x: x for x in cat.obj_names},
+                                    "arr_rel": [[f, f] for f in cat.arr_names]}))
+        calls = []
+        check = TopCategory.check_category
+
+        def counted(self):
+            calls.append(self)
+            return check(self)
+
+        monkeypatch.setattr(TopCategory, "check_category", counted)
+        code, out = run(capsys, "functor-check", path)
+        assert code == 0, out
+        assert len(calls) == 1
+
     def test_dual_of_inclusion(self, capsys, tmp_path):
         from pfdual import formats as fmt
         from pfdual.dualize import pf_morphism

@@ -102,10 +102,25 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
     }
 
 
+def identities(k: int, stone: bool) -> str:
+    """The category file of k objects and their identities, 2^k sections:
+    discrete, or with one open holding every object when stone is False."""
+    objs = [f"x{i}" for i in range(k)]
+    return json.dumps({
+        "objects": objs,
+        "opens_obj": [[x] for x in objs] if stone else [objs],
+        "arrows": [{"name": f"i{x}", "src": x, "tgt": x} for x in objs],
+        "opens_arr": [[f"i{x}"] for x in objs],
+        "id": {x: f"i{x}" for x in objs},
+        "comp": {f"i{x},i{x}": f"i{x}" for x in objs},
+    }, indent=2)
+
+
 def make_workspace(work: Path) -> None:
     """Copy data/ and tests/golden/ into work, write the concrete algebras
     of all partial functions on 3 and 4 points, the abstract one on 2
-    points, and under bad/ the table files of `malformed`."""
+    points, the categories of 12 identities, and under bad/ the table files
+    of `malformed`."""
     shutil.copytree(ROOT / "data", work / "data")
     shutil.copytree(ROOT / "tests" / "golden", work / "tests" / "golden")
     (work / "out").mkdir()
@@ -116,6 +131,8 @@ def make_workspace(work: Path) -> None:
             name = "f" + "".join(y or "_" for y in images)
             functions[name] = {x: y for x, y in zip(points, images) if y is not None}
         (work / f"all{k}.alg.json").write_text(json.dumps({"base": points, "functions": functions}), encoding="utf-8")
+    (work / "ids12.cat.json").write_text(identities(12, True), encoding="utf-8")
+    (work / "ids12_indiscrete.cat.json").write_text(identities(12, False), encoding="utf-8")
     alg = abstract_file(2)
     (work / "abstract2.alg.json").write_text(alg, encoding="utf-8")
     (work / "bad").mkdir()
