@@ -12,12 +12,12 @@ import functools
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat, starmap, tee
+from operator import attrgetter, eq, itemgetter, methodcaller, mul, ne, neg, or_
 from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bitsets import bits, preimage
+from .bitsets import bits, mask_of
 from .errors import NoZeroError
 
 # The largest carrier pfdual builds or reads: the elements of an algebra
@@ -99,22 +99,20 @@ class FinAlgebra:
         object.__setattr__(self, "names", tuple(self.names or (f"e{i}" for i in range(n))))
         if len(self.names) != n or len(set(self.names)) != n:
             raise ValueError("names must be distinct and match the element count")
-        elements = set(range(n))
-        for label, table in (("compose", self.compose_t), ("pref", self.pref_t)):
-            if len(table) != n or any(len(row) != n for row in table):
-                raise ValueError(f"{label} table must be {n}x{n}")
-            if not set().union(*table) <= elements:
-                raise ValueError(f"{label} table entry out of range")
-        for label, vec in (("antidomain", self.anti_t), ("range", self.range_t)):
-            if len(vec) != n:
-                raise ValueError(f"{label} table must have {n} entries")
-            if not set(vec) <= elements:
-                raise ValueError(f"{label} table entry out of range")
         row = row_type(n)
-        for field in ("compose_t", "pref_t"):
-            object.__setattr__(self, field, tuple(map(row, getattr(self, field))))
-        for field in ("anti_t", "range_t"):
-            object.__setattr__(self, field, row(getattr(self, field)))
+        for label, field in (("compose", "compose_t"), ("pref", "pref_t"),
+                             ("antidomain", "anti_t"), ("range", "range_t")):
+            table, square = getattr(self, field), field in ("compose_t", "pref_t")
+            if len(table) != n or square and any(len(r) != n for r in table):
+                raise ValueError(f"{label} table must " + (f"be {n}x{n}" if square else f"have {n} entries"))
+            try:
+                rows = tuple(map(row, table)) if square else (row(table),)
+            except (TypeError, ValueError):  # bytes() takes only ints in range(256)
+                rows = ()
+            if not rows or (b"".join(rows).translate(None, bytes(range(n))) if row is bytes
+                            else not set().union(*rows) <= set(range(n))):
+                raise ValueError(f"{label} table entry out of range")
+            object.__setattr__(self, field, rows if square else rows[0])
 
     __hash__ = hash_once
 
@@ -169,22 +167,19 @@ def derive_constants(alg: FinAlgebra) -> Constants:
     if (zw := _zero_witness(alg.compose_t, alg.anti_t)) is not None:
         raise NoZeroError(zw)
     zero = alg.compose_t[alg.anti_t[0]][0]
-    ident = alg.anti_t[zero]
     dom_t = tuple(alg.anti_t[alg.anti_t[a]] for a in range(n))
     # a <= b iff D(a)*b = a: walk the row of each domain element e once,
-    # setting bit b of up[v] where v = e*b has domain e
-    up = [0] * n
+    # setting bit b of up[v] and bit v of down[b] where v = e*b has domain e
+    up, down = [0] * n, [0] * n
     for e in set(dom_t):
         for b, v in enumerate(alg.compose_t[e]):
             if dom_t[v] == e:
                 up[v] |= 1 << b
-    down = [0] * n
-    for a, above in enumerate(up):
-        for b in bits(above):
-            down[b] |= 1 << a
-    return Constants(zero=zero, ident=ident, dom_t=dom_t, up=tuple(up), down=tuple(down))
+                down[b] |= 1 << v
+    return Constants(zero=zero, ident=alg.anti_t[zero], dom_t=dom_t, up=tuple(up), down=tuple(down))
 
 
+@derived
 def minimal_nonzero_elements(alg: FinAlgebra) -> tuple[int, ...]:
     """The minimal nonzero elements, whose up-sets are the prime filters of a representable algebra."""
     con = derive_constants(alg)
@@ -329,76 +324,82 @@ def pick(positions: Sequence[int]):
     return itemgetter(*positions) if positions else lambda row: ()
 
 
-def _last_values(keys, values):
-    """The row (bytes) or map (tuples) that sends each entry of keys to the
-    entry of values at its last place, for pick(keys) to read."""
-    return bytes.maketrans(keys, values) if isinstance(keys, bytes) else dict(zip(keys, values))
-
-
 def generating_set(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """A set G whose left-normed products (..(g1*g2)*..)*gk reach every
     element, in the order the elements were chosen.
 
-    Candidates are tried greedily, fewest factorisations x*y = z first (ties
-    by index); one already reached is skipped.  A search by right
-    multiplication takes each (element, generator) product once, so it
-    costs O(n*|G|).
+    Candidates are tried greedily, most values in their row first, then in
+    their column, then by index; one already reached is skipped.  Row x*y
+    is row x read at the entries of row y and column x*y column y read at
+    those of column x, so in an associative table a product takes no more
+    values in either than its factors.  A search by right multiplication,
+    a layer of new elements at a time, costs O(n*|G|).
     """
-    n = len(C)
-    count = Counter(chain.from_iterable(C))
-    reached = bytearray(n)
-    seen: list[int] = []
-    gens: list[int] = []
-    for g in sorted(range(n), key=count.__getitem__):
-        if reached[g]:
+    n, values = len(C), _readers(type(C[0]))[3]
+    rank = list(zip(map(neg, map(values, C)), map(neg, map(values, _columns(C)))))
+    reached, gens = set(), []
+    for g in sorted(range(n), key=rank.__getitem__):
+        if g in reached:
             continue
         gens.append(g)
-        queue = [g] + [C[s][g] for s in seen]
-        while queue:
-            t = queue.pop()
-            if not reached[t]:
-                reached[t] = 1
-                seen.append(t)
-                queue.extend(map(C[t].__getitem__, gens))
-        if len(seen) == n:
+        new, times = {g, *map(itemgetter(g), map(C.__getitem__, reached))} - reached, pick(gens)
+        while new:
+            reached |= new
+            new = set(chain.from_iterable(map(times, map(C.__getitem__, new)))) - reached
+        if len(reached) == n:
             break
     return tuple(gens)
 
 
-def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+def _readers(row: type):
+    """How rows of type row are read, a whole row per call: table(r), a row
+    in the form read from; read(positions), table -> its entries there;
+    gather(positions, table); and values(r), the number of distinct entries
+    of r.  A bytes table is padded to the 256 entries bytes.translate maps."""
+    if row is bytes:
+        every = bytes(range(256))
+        return (methodcaller("ljust", 256, b"\0"), attrgetter("translate"), bytes.translate,
+                lambda r: 256 - len(every.translate(None, r)))
+    return tuple, pick, lambda positions, table: pick(positions)(table), lambda r: len(set(r))
+
+
+def _columns(C: Sequence[Sequence[int]]):
+    """The columns of a square table in its row type, each taken when read."""
+    if not isinstance(C[0], bytes):
+        return zip(*C)
+    n, flat = len(C), b"".join(C)
+    return map(flat.__getitem__, map(slice, range(n), repeat(None), repeat(n)))
+
+
+def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int], tables=None, read=pick) -> bool:
     """Light's associativity test: (x*g)*y = x*(g*y) for every x, y and
-    every g in gens, checked one row x at a time.
+    every g in gens, each row x*g against row g read at the entries of row
+    x in tables, C's rows in the form read takes (C itself for pick).
 
     The elements g that pass are closed under products, so when gens
     generates the table this decides associativity exactly (Clifford &
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
     """
-    for g in gens:
-        take = pick(C[g])
-        for Cx in C:
-            if C[Cx[g]] != take(Cx):
-                return False
-    return True
+    return not any(any(map(ne, map(C.__getitem__, map(itemgetter(g), C)), map(read(C[g]), tables or C)))
+                   for g in gens)
+
+
+def _mismatches(left, right) -> Iterator[tuple[int, int]]:
+    """Each (a, b) at which row a of left and of right differ in entry b, in
+    order: whole rows compared lazily, and only rows that differ read."""
+    pairs, again = tee(zip(left, right))
+    for a, (x, y) in compress(enumerate(pairs), starmap(ne, again)):
+        yield from ((a, b) for b, (p, q) in enumerate(zip(x, y)) if p != q)
 
 
 def nonassociative(C: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
-    """Every (a, b, c) with (a*b)*c != a*(b*c), in lexicographic order: row
-    a*b against row b read at the entries of row a, one pair (a, b) at a
-    time, and only a pair whose rows differ is read entry by entry."""
-    takes = tuple(map(pick, C))
+    """Every (a, b, c) with (a*b)*c != a*(b*c), in lexicographic order: for
+    each a, the rows a*b against each row b read at the entries of row a."""
+    table, read, _, _ = _readers(type(C[0]))
+    readers = tuple(map(read, C))
     for a, Ca in enumerate(C):
-        for b, (ab, take) in enumerate(zip(Ca, takes)):
-            left, right = C[ab], take(Ca)
-            if left != right:
-                yield from ((a, b, c) for c, (x, y) in enumerate(zip(left, right)) if x != y)
-
-
-def _first_mismatch(rows) -> Optional[tuple[int, int]]:
-    """The first (a, b) at which the a-th pair of rows differs in entry b."""
-    for a, (left, right) in enumerate(rows):
-        if left != right:
-            return (a, next(b for b, (x, y) in enumerate(zip(left, right)) if x != y))
-    return None
+        at_a = map(methodcaller("__call__", table(Ca)), readers)
+        yield from ((a, b, c) for b, c in _mismatches(map(C.__getitem__, Ca), at_a))
 
 
 @derived
@@ -411,20 +412,15 @@ def check_axioms(alg: FinAlgebra) -> AxiomReport:
     return axiom_report(alg.compose_t, alg.anti_t, alg.range_t, alg.pref_t)
 
 
-def _columns(C: Sequence[Sequence[int]]) -> tuple:
-    """The columns of a square table, in its row type."""
-    n = len(C)
-    flat = b"".join(C) if isinstance(C[0], bytes) else tuple(chain.from_iterable(C))
-    return tuple(flat[b::n] for b in range(n))
-
-
 def axiom_report(C, A, R, P) -> AxiomReport:
     """check_axioms on the compose, antidomain, range and pref tables,
     whose rows are all tuples or all bytes.  A row is compared only with a
-    row of its own type, so the two give one report."""
-    n = len(A)
-    row = type(A)
-    D = pick(A)(A)
+    row of its own type, so the two give one report.  Every law but 5
+    compares whole rows, lazily, up to the first pair that differs."""
+    n, row = len(A), type(A)
+    table, read, gather, values = _readers(row)
+    T = tuple(map(table, C))
+    D = gather(A, table(A))
     rng_n = range(n)
     results: list[AxiomCheck] = []
 
@@ -432,7 +428,7 @@ def axiom_report(C, A, R, P) -> AxiomReport:
         results.append(AxiomCheck(index, witness, detail))
 
     # (1) associativity of composition, by Light's test over a generating set
-    record(1, None if _light_test(C, generating_set(C)) else next(nonassociative(C)))
+    record(1, None if _light_test(C, generating_set(C), T, read) else next(nonassociative(C)))
 
     # (2) A(a)*a is one fixed element (the zero)
     zw = _zero_witness(C, A)
@@ -445,10 +441,9 @@ def axiom_report(C, A, R, P) -> AxiomReport:
         ident = C[A[C[A[0]][0]]]
         record(3, next(((a,) for a in rng_n if ident[a] != a), None))
 
-    # (4) a*A(b) = A(a*b)*a
-    column = _columns(C)
-    at_A = pick(A)
-    record(4, _first_mismatch((at_A(C[a]), pick(pick(C[a])(A))(column[a])) for a in rng_n))
+    # (4) a*A(b) = A(a*b)*a: row a read at A against column a read at A(a*b)
+    at_A = map(gather, C, repeat(table(A)))
+    record(4, next(_mismatches(map(read(A), T), map(gather, at_A, map(table, _columns(C)))), None))
 
     # (5) D(a)*b = D(a)*c and A(a)*b = A(a)*c imply b = c: for each a, no
     # two elements b share the key (D(a)*b, A(a)*b).  The key reads a only
@@ -470,27 +465,30 @@ def axiom_report(C, A, R, P) -> AxiomReport:
     # (7) a*R(a) = a
     record(7, next(((a,) for a in rng_n if C[a][R[a]] != a), None))
 
-    # (8) a*b = a*c implies R(a)*b = R(a)*c: for each a, R(a)*b is one
-    # value on each class of b with the same a*b, so row a read through the
-    # last R(a)*b of each class is row R(a).  The witness is the least b of
-    # a class that breaks this and the least c of it with another value.
-    # Every a is read this one way, whatever the other axioms give.
+    # (8) a*b = a*c implies R(a)*b = R(a)*c.  Where row a is row a read at
+    # the entries of row R(a), a*b = a*(R(a)*b), so this holds iff row a
+    # takes as many values as row R(a).  Any other a is read through the
+    # last R(a)*b of each class of b with one a*b, which must give row R(a).
+    # The witness: the least b of a broken class, the least c in it unlike b.
+    range_values = {r: values(C[r]) for r in set(R)}
     w = None
-    for a in rng_n:
+    for a in compress(rng_n, map(or_, map(ne, map(gather, map(C.__getitem__, R), T), C),
+                                 map(ne, map(values, C), map(range_values.__getitem__, R)))):
         Ca, Cr = C[a], C[R[a]]
-        if pick(Ca)(_last_values(Ca, Cr)) != Cr:
-            last = dict(zip(Ca, Cr))
-            broken = {ab for ab, rb in zip(Ca, Cr) if last[ab] != rb}
+        through_last = gather(Ca, bytes.maketrans(Ca, Cr) if row is bytes else dict(zip(Ca, Cr)))
+        if through_last != Cr:
+            broken = set(compress(Ca, map(ne, through_last, Cr)))
             b = next(b for b in rng_n if Ca[b] in broken)
             w = (a, b, next(c for c in rng_n if Ca[c] == Ca[b] and Cr[c] != Cr[b]))
             break
     record(8, w)
 
     # (9) D(a)*(a|b) = a
-    record(9, _first_mismatch((pick(P[a])(C[D[a]]), row((a,)) * n) for a in rng_n))
+    constant = map(mul, map(row, zip(rng_n)), repeat(n))
+    record(9, next(_mismatches(map(gather, P, map(T.__getitem__, D)), constant), None))
 
     # (10) A(a)*(a|b) = A(a)*b
-    record(10, _first_mismatch((pick(P[a])(C[A[a]]), C[A[a]]) for a in rng_n))
+    record(10, next(_mismatches(map(gather, P, map(T.__getitem__, A)), map(C.__getitem__, A)), None))
 
     return AxiomReport(results=tuple(results))
 
@@ -622,13 +620,11 @@ def tables_preserved(source: tuple, target: tuple, mapping: Sequence[int]) -> bo
     table read at the images h(b)."""
     (C, A, R, P), (tC, tA, tR, tP) = source, target
     m = type(A)(mapping)
-    at_images = pick(m)
-    return (
-        pick(A)(m) == at_images(tA)
-        and pick(R)(m) == at_images(tR)
-        and all(pick(row)(m) == at_images(tC[v]) for row, v in zip(C, m))
-        and all(pick(row)(m) == at_images(tP[v]) for row, v in zip(P, m))
-    )
+    table, read, gather, _ = _readers(type(m))
+    images, at_images = table(m), read(m)
+    return (gather(A, images) == at_images(table(tA)) and gather(R, images) == at_images(table(tR))
+            and all(all(map(eq, map(gather, S, repeat(images)), map(at_images, map(table, map(tS.__getitem__, m)))))
+                    for S, tS in ((C, tC), (P, tP))))
 
 
 def preserves_joins(h: Homomorphism) -> bool:
@@ -650,13 +646,17 @@ def check_locally_proper(h: Homomorphism):
     prime filter of the source.  Returns (verdict, offending_filter_or_None).
     Raises ValueError when the source or target is not representable.
     Prime filters are the up-sets of minimal nonzero elements, so each
-    inverse image is looked up among the source's; h may be any map.
+    inverse image, built in one pass over h, is looked up among the
+    source's; h may be any map.
     """
     require_representable(h.source)
     require_representable(h.target)
-    up_a, up_b = derive_constants(h.source).up, derive_constants(h.target).up
-    source_primes = {up_a[k] for k in minimal_nonzero_elements(h.source)}
-    for m in minimal_nonzero_elements(h.target):
-        if preimage(h.mapping, up_b[m]) not in source_primes:
-            return False, FilterSet(h.target, up_b[m])
-    return True, None
+    source, target = derive_constants(h.source), derive_constants(h.target)
+    minimal = minimal_nonzero_elements(h.target)
+    low, inverse = mask_of(minimal), dict.fromkeys(minimal, 0)
+    for a, v in enumerate(h.mapping):
+        for m in bits(target.down[v] & low):
+            inverse[m] |= 1 << a
+    primes = set(map(source.up.__getitem__, minimal_nonzero_elements(h.source)))
+    m = next((m for m, inv in inverse.items() if inv not in primes), None)
+    return (True, None) if m is None else (False, FilterSet(h.target, target.up[m]))

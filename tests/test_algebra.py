@@ -72,6 +72,22 @@ class TestDerivedConstants:
         assert alg.derive_constants(b) is alg.derive_constants(a)
         assert dualize.dual_of(b) is dualize.dual_of(a)
 
+    def test_minimal_nonzero_elements_run_once_per_algebra(self, swap_const, monkeypatch):
+        """The minimal nonzero elements are kept on the algebra, so the dual,
+        the prime filters and a second equal instance read one computation:
+        the constants are looked up once from inside the algebra module."""
+        alg._canonical.clear()  # so no equal algebra brings its kept elements
+        calls = []
+        derive = alg.derive_constants
+        monkeypatch.setattr(alg, "derive_constants", lambda a: calls.append(a) or derive(a))
+        a, b = (alg.FinAlgebra.from_tables(swap_const.compose_t, swap_const.anti_t, swap_const.range_t,
+                                           swap_const.pref_t, swap_const.names) for _ in range(2))
+        minimal = alg.minimal_nonzero_elements(a)
+        assert dualize.pf_object(a).arrow_elements == minimal
+        assert tuple(p.members for p in flt.enumerate_prime_filters(b)) == tuple(derive(a).up[m] for m in minimal)
+        assert alg.minimal_nonzero_elements(b) is minimal
+        assert len(calls) == 1
+
     def test_equal_files_dualize_once(self, swap_const, tmp_path, monkeypatch):
         # two loads of one file are equal algebras, and dualizing both builds one dual
         names = [f"f{k}" for k in range(swap_const.size)]
@@ -784,16 +800,20 @@ class TestLocallyProperOracle:
         assert len(verdicts) == 184
 
     def test_seeded_arbitrary_maps(self, swap_const, swap_only, one_elem, full2):
-        algebras = (swap_const, swap_only, one_elem, full2)
+        # seeded closed sets on 3 points give targets with up to 9 minimal
+        # elements, each inverse image built in the one pass over the map
+        algebras = (swap_const, swap_only, one_elem, full2, *seeded_closed_algebras(3, 5, 11))
         rnd = random.Random(11)
-        verdicts, homs = [], 0
+        verdicts, homs, minimal = [], 0, set()
         for _ in range(2000):
             source, target = rnd.choice(algebras), rnd.choice(algebras)
             h = alg.Homomorphism(source, target, tuple(rnd.randrange(target.size) for _ in range(source.size)))
             verdicts.append(self.assert_matches(h))
             homs += alg.check_homomorphism(h)
+            minimal.add(len(alg.minimal_nonzero_elements(target)))
         assert any(verdicts) and not all(verdicts)
         assert homs < len(verdicts)  # maps that are not homomorphisms are decided too
+        assert max(minimal) == 9
 
 
 def reference_check_homomorphism(h: alg.Homomorphism) -> bool:
