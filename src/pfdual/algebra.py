@@ -12,8 +12,8 @@ import functools
 import weakref
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat, starmap, tee
-from operator import attrgetter, eq, itemgetter, methodcaller, mul, ne, neg, or_
+from itertools import chain, compress, product, repeat, starmap, tee
+from operator import attrgetter, eq, itemgetter, methodcaller, mul, ne, neg
 from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -335,8 +335,9 @@ def generating_set(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
     values in either than its factors.  A search by right multiplication,
     a layer of new elements at a time, costs O(n*|G|).
     """
-    n, values = len(C), _readers(type(C[0]))[3]
-    rank = list(zip(map(neg, map(values, C)), map(neg, map(values, _columns(C)))))
+    n, values = len(C), _readers(type(C[0])).values
+    row_values, column_values = map(neg, map(values, C)), map(neg, map(values, _columns(C)))
+    rank = list(zip(row_values, column_values))
     reached, gens = set(), []
     for g in sorted(range(n), key=rank.__getitem__):
         if g in reached:
@@ -351,16 +352,20 @@ def generating_set(C: Sequence[Sequence[int]]) -> tuple[int, ...]:
     return tuple(gens)
 
 
-def _readers(row: type):
+def _readers(row: type) -> SimpleNamespace:
     """How rows of type row are read, a whole row per call: table(r), a row
     in the form read from; read(positions), table -> its entries there;
-    gather(positions, table); and values(r), the number of distinct entries
-    of r.  A bytes table is padded to the 256 entries bytes.translate maps."""
+    gather(positions, table); through(keys, values), the table that sends
+    each entry of keys to the entry of values at its last place; and
+    values(r), the number of distinct entries of r.  A bytes table is
+    padded to the 256 entries bytes.translate maps."""
     if row is bytes:
         every = bytes(range(256))
-        return (methodcaller("ljust", 256, b"\0"), attrgetter("translate"), bytes.translate,
-                lambda r: 256 - len(every.translate(None, r)))
-    return tuple, pick, lambda positions, table: pick(positions)(table), lambda r: len(set(r))
+        return SimpleNamespace(table=methodcaller("ljust", 256, b"\0"), read=attrgetter("translate"),
+                               gather=bytes.translate, through=bytes.maketrans,
+                               values=lambda r: 256 - len(every.translate(None, r)))
+    return SimpleNamespace(table=tuple, read=pick, gather=lambda positions, table: pick(positions)(table),
+                           through=lambda keys, values: dict(zip(keys, values)), values=lambda r: len(set(r)))
 
 
 def _columns(C: Sequence[Sequence[int]]):
@@ -371,17 +376,21 @@ def _columns(C: Sequence[Sequence[int]]):
     return map(flat.__getitem__, map(slice, range(n), repeat(None), repeat(n)))
 
 
-def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int], tables=None, read=pick) -> bool:
+def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
     """Light's associativity test: (x*g)*y = x*(g*y) for every x, y and
-    every g in gens, each row x*g against row g read at the entries of row
-    x in tables, C's rows in the form read takes (C itself for pick).
+    every g in gens, each row x*g against row g read at the entries of row x.
 
     The elements g that pass are closed under products, so when gens
     generates the table this decides associativity exactly (Clifford &
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
     """
-    return not any(any(map(ne, map(C.__getitem__, map(itemgetter(g), C)), map(read(C[g]), tables or C)))
-                   for g in gens)
+    readers = _readers(type(C[0]))
+    tables = tuple(map(readers.table, C))
+    for g in gens:
+        rows_xg = map(C.__getitem__, map(itemgetter(g), C))
+        if any(map(ne, rows_xg, map(readers.read(C[g]), tables))):
+            return False
+    return True
 
 
 def _mismatches(left, right) -> Iterator[tuple[int, int]]:
@@ -395,10 +404,10 @@ def _mismatches(left, right) -> Iterator[tuple[int, int]]:
 def nonassociative(C: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int]]:
     """Every (a, b, c) with (a*b)*c != a*(b*c), in lexicographic order: for
     each a, the rows a*b against each row b read at the entries of row a."""
-    table, read, _, _ = _readers(type(C[0]))
-    readers = tuple(map(read, C))
+    readers = _readers(type(C[0]))
+    row_readers = tuple(map(readers.read, C))
     for a, Ca in enumerate(C):
-        at_a = map(methodcaller("__call__", table(Ca)), readers)
+        at_a = map(methodcaller("__call__", readers.table(Ca)), row_readers)
         yield from ((a, b, c) for b, c in _mismatches(map(C.__getitem__, Ca), at_a))
 
 
@@ -418,7 +427,8 @@ def axiom_report(C, A, R, P) -> AxiomReport:
     row of its own type, so the two give one report.  Every law but 5
     compares whole rows, lazily, up to the first pair that differs."""
     n, row = len(A), type(A)
-    table, read, gather, values = _readers(row)
+    readers = _readers(row)
+    table, read, gather = readers.table, readers.read, readers.gather
     T = tuple(map(table, C))
     D = gather(A, table(A))
     rng_n = range(n)
@@ -428,7 +438,7 @@ def axiom_report(C, A, R, P) -> AxiomReport:
         results.append(AxiomCheck(index, witness, detail))
 
     # (1) associativity of composition, by Light's test over a generating set
-    record(1, None if _light_test(C, generating_set(C), T, read) else next(nonassociative(C)))
+    record(1, None if _light_test(C, generating_set(C)) else next(nonassociative(C)))
 
     # (2) A(a)*a is one fixed element (the zero)
     zw = _zero_witness(C, A)
@@ -465,17 +475,12 @@ def axiom_report(C, A, R, P) -> AxiomReport:
     # (7) a*R(a) = a
     record(7, next(((a,) for a in rng_n if C[a][R[a]] != a), None))
 
-    # (8) a*b = a*c implies R(a)*b = R(a)*c.  Where row a is row a read at
-    # the entries of row R(a), a*b = a*(R(a)*b), so this holds iff row a
-    # takes as many values as row R(a).  Any other a is read through the
-    # last R(a)*b of each class of b with one a*b, which must give row R(a).
-    # The witness: the least b of a broken class, the least c in it unlike b.
-    range_values = {r: values(C[r]) for r in set(R)}
+    # (8) a*b = a*c implies R(a)*b = R(a)*c: row a, read through the last
+    # R(a)*b of each class of b with one a*b, must give row R(a).  The
+    # witness: the least b of a broken class, the least c in it unlike b.
     w = None
-    for a in compress(rng_n, map(or_, map(ne, map(gather, map(C.__getitem__, R), T), C),
-                                 map(ne, map(values, C), map(range_values.__getitem__, R)))):
-        Ca, Cr = C[a], C[R[a]]
-        through_last = gather(Ca, bytes.maketrans(Ca, Cr) if row is bytes else dict(zip(Ca, Cr)))
+    for a, (Ca, Cr) in enumerate(zip(C, map(C.__getitem__, R))):
+        through_last = gather(Ca, readers.through(Ca, Cr))
         if through_last != Cr:
             broken = set(compress(Ca, map(ne, through_last, Cr)))
             b = next(b for b in rng_n if Ca[b] in broken)
@@ -547,13 +552,8 @@ def join(alg: FinAlgebra, a: int, b: int) -> Optional[int]:
 
 def in_class_A(alg: FinAlgebra) -> bool:
     """Every compatible pair has an upper bound."""
-    n = alg.size
-    return all(
-        upper_bounds(alg, a, b)
-        for a in range(n)
-        for b in range(n)
-        if compatible(alg, a, b)
-    )
+    pairs = product(range(alg.size), repeat=2)
+    return all(upper_bounds(alg, a, b) for a, b in pairs if compatible(alg, a, b))
 
 
 def pref_from_join(alg: FinAlgebra) -> tuple[Sequence[int], ...]:
@@ -561,17 +561,14 @@ def pref_from_join(alg: FinAlgebra) -> tuple[Sequence[int], ...]:
     as a|b := join(a, A(a)*b), in alg's row type.  The input's own pref
     table is ignored.
     """
-    n = alg.size
     rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            rest = alg.compose_t[alg.anti(a)][b]
-            j = join(alg, a, rest)
-            if j is None:
-                raise ValueError(f"compatible pair ({a},{rest}) has no upper bound; override undefined")
-            row.append(j)
-        rows.append(row_type(n)(row))
+    for a in range(alg.size):
+        rests = alg.compose_t[alg.anti(a)]
+        joins = [join(alg, a, rest) for rest in rests]
+        if None in joins:
+            rest = rests[joins.index(None)]
+            raise ValueError(f"compatible pair ({a},{rest}) has no upper bound; override undefined")
+        rows.append(row_type(alg.size)(joins))
     return tuple(rows)
 
 
@@ -617,27 +614,26 @@ def check_homomorphism(h: Homomorphism) -> bool:
 def tables_preserved(source: tuple, target: tuple, mapping: Sequence[int]) -> bool:
     """check_homomorphism on the four tables of each side, in one row type:
     row a of a source table mapped through h is row h(a) of the target's
-    table read at the images h(b)."""
+    table read at the images h(b), and a source vector mapped through h is
+    the target's vector read there."""
     (C, A, R, P), (tC, tA, tR, tP) = source, target
     m = type(A)(mapping)
-    table, read, gather, _ = _readers(type(m))
-    images, at_images = table(m), read(m)
-    return (gather(A, images) == at_images(table(tA)) and gather(R, images) == at_images(table(tR))
-            and all(all(map(eq, map(gather, S, repeat(images)), map(at_images, map(table, map(tS.__getitem__, m)))))
-                    for S, tS in ((C, tC), (P, tP))))
+    readers = _readers(type(m))
+    images, at_images = readers.table(m), readers.read(m)
+
+    def preserved(rows, target_rows) -> bool:
+        mapped = map(readers.gather, rows, repeat(images))
+        return all(map(eq, mapped, map(at_images, map(readers.table, target_rows))))
+    return (preserved((A, R), (tA, tR)) and preserved(C, map(tC.__getitem__, m))
+            and preserved(P, map(tP.__getitem__, m)))
 
 
 def preserves_joins(h: Homomorphism) -> bool:
     """Whenever join(a,b) exists in the source, h maps it to join(h a, h b)."""
-    n = h.source.size
-    for a in range(n):
-        for b in range(n):
-            j = join(h.source, a, b)
-            if j is None:
-                continue
-            jt = join(h.target, h(a), h(b))
-            if jt is None or jt != h(j):
-                return False
+    for a, b in product(range(h.source.size), repeat=2):
+        j = join(h.source, a, b)
+        if j is not None and join(h.target, h(a), h(b)) != h(j):
+            return False
     return True
 
 

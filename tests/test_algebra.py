@@ -148,8 +148,8 @@ class TestDerivedConstants:
             "antidomain": lambda v: mutate_vector(swap_const, "anti", 3, v),
             "range": lambda v: mutate_vector(swap_const, "range", 3, v),
         }[table]
-        # neither -1 nor BYTE_WIDTH fits in a byte: the range check, not bytes(), refuses them
-        for bad in (-1, swap_const.size, alg.BYTE_WIDTH):
+        # -1, BYTE_WIDTH and floats are not bytes: the range check, not bytes(), refuses them
+        for bad in (-1, swap_const.size, alg.BYTE_WIDTH, 1.5, 1.0):
             with pytest.raises(ValueError) as err:
                 mutate(bad)
             assert str(err.value) == f"{table} table entry out of range"
