@@ -13,7 +13,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress, product, repeat, starmap, tee
-from operator import attrgetter, eq, itemgetter, methodcaller, mul, ne, neg
+from operator import attrgetter, eq, index as as_int, itemgetter, methodcaller, mul, ne, neg
 from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -105,12 +105,14 @@ class FinAlgebra:
             table, square = getattr(self, field), field in ("compose_t", "pref_t")
             if len(table) != n or square and any(len(r) != n for r in table):
                 raise ValueError(f"{label} table must " + (f"be {n}x{n}" if square else f"have {n} entries"))
+            # bytes() takes only ints below 256, as_int (operator.index) only ints
             try:
                 rows = tuple(map(row, table)) if square else (row(table),)
-            except (TypeError, ValueError):  # bytes() takes only ints in range(256)
-                rows = ()
-            if not rows or (b"".join(rows).translate(None, bytes(range(n))) if row is bytes
-                            else not set().union(*rows) <= set(range(n))):
+                bad = (b"".join(rows).translate(None, bytes(range(n))) if row is bytes
+                       else not set(map(as_int, chain.from_iterable(rows))) <= set(range(n)))
+            except (TypeError, ValueError):
+                bad = True
+            if bad:
                 raise ValueError(f"{label} table entry out of range")
             object.__setattr__(self, field, rows if square else rows[0])
 

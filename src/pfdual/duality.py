@@ -52,25 +52,25 @@ def theta(alg: FinAlgebra) -> Homomorphism:
 @derived
 def phi(cat: TopCategory) -> MultiFunctor:
     """The double-dual isomorphism on categories, as a plain functor onto
-    the dual of the section algebra: an object goes to the ultrafilter of
-    identity sections through its identity arrow, an arrow to the prime
-    filter of sections containing it.  Both filters are the up-sets of the
-    section whose image is that one arrow.
+    the dual of the section algebra: an arrow goes to the prime filter of
+    sections containing it, the up-set of the section whose image is that
+    one arrow, and an object to the object of its identity arrow's image.
 
-    It is checked bijective on objects and arrows and a functor, so its
-    inverse is a functor.  Neither needs a continuity test: `sections_of`
-    refuses a category whose object or arrow space is not discrete,
-    `pf_object` builds discrete spaces, and every map out of a discrete
-    space is continuous."""
+    It is checked bijective on arrows and a functor.  A functor maps
+    identities to identities and keeps endpoints, so it is then bijective
+    on objects too, and its inverse is a functor.  Neither needs a
+    continuity test: `sections_of` refuses a category whose object or arrow
+    space is not discrete, `pf_object` builds discrete spaces, and every
+    map out of a discrete space is continuous."""
     secalg, secs = sections_of(cat)
     dd = dual_of(secalg)
     sec_index = {m: i for i, m in enumerate(secs)}.get
     # -1 where a one-arrow section is not a point of the double dual
-    obj_map = tuple(dd.obj_index.get(sec_index(1 << e), -1) for e in cat.id_of)
     arr_map = [dd.arr_index.get(sec_index(1 << c), -1) for c in range(cat.n_arrows)]
     target = dd.category
-    if sorted(obj_map) != list(range(target.n_objects)) or sorted(arr_map) != list(range(target.n_arrows)):
+    if sorted(arr_map) != list(range(target.n_arrows)):
         raise InconsistencyError("double dual of the category has a different shape")
+    obj_map = tuple(target.src[arr_map[e]] for e in cat.id_of)
     iso = MultiFunctor(cat, target, obj_map, tuple(1 << v for v in arr_map))
     if check_multifunctor(iso) is not None:
         raise InconsistencyError("direction map is not a functor")

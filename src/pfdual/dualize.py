@@ -3,12 +3,15 @@
 An algebra turns into a finite topological category: arrows are prime
 filters, objects are ultrafilters of the domain subalgebra.  On a finite
 algebra every filter is principal, so arrow k is the up-set of one minimal
-nonzero element m_k and object o is the up-set, among domain elements, of
-one atom e_o.  The source and target of m are the objects of D(m) and R(m),
-the composite of m and m' is m*m' (zero exactly when they do not compose),
-and both topologies are discrete.  An element a lies in the prime filters
-up(m) with m <= a, so nothing is stored per element.  A homomorphism turns
-into a multivalued functor running the other way, by inverse image.
+nonzero element m_k, and an object is its identity arrow, the up-set of an
+atom e of the domain subalgebra (among domain elements, the object's
+ultrafilter).  The source and target of m are the objects of D(m) and
+R(m), the composite of m and m' is m*m' (zero exactly when they do not
+compose), and both topologies are discrete.  An element a lies in the
+prime filters up(m) with m <= a, so nothing is stored per element.  A
+homomorphism turns into a multivalued functor running the other way, by
+inverse image; its object map is read off its arrow relation at the
+identities.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .algebra import (
     check_locally_proper,
     derive_constants,
     derived,
-    domain_elements,
     minimal_nonzero_elements,
     require_representable,
 )
@@ -37,23 +39,19 @@ class DualCategory:
     """A topological category remembering the elements it was built from.
 
     arrow_elements[k] is the minimal nonzero element whose up-set is arrow k
-    (a prime filter); object_atoms[o] is the atom of the domain subalgebra
-    whose up-set among domain elements is object o (a domain ultrafilter).
-    arr_index and obj_index invert them.  An element lies in the arrows
-    whose minimal element is below it; the algebra itself is not kept.
+    (a prime filter), and arr_index inverts it.  Object o is its identity
+    arrow: arrow_elements[category.id_of[o]] is the atom of the domain
+    subalgebra whose up-set among domain elements is object o (a domain
+    ultrafilter).  An element lies in the arrows whose minimal element is
+    below it; the algebra itself is not kept.
     """
 
     category: TopCategory
     arrow_elements: tuple[int, ...]
-    object_atoms: tuple[int, ...]
 
     @functools.cached_property
     def arr_index(self) -> dict[int, int]:
         return {m: k for k, m in enumerate(self.arrow_elements)}
-
-    @functools.cached_property
-    def obj_index(self) -> dict[int, int]:
-        return {e: o for o, e in enumerate(self.object_atoms)}
 
 
 def pf_object(alg: FinAlgebra) -> DualCategory:
@@ -100,7 +98,7 @@ def pf_object(alg: FinAlgebra) -> DualCategory:
         id_of=id_of,
         comp_t=tuple(comp_t),
     )
-    return DualCategory(category=category, arrow_elements=arrows, object_atoms=objects)
+    return DualCategory(category=category, arrow_elements=arrows)
 
 
 @derived
@@ -115,40 +113,40 @@ def pf_morphism(h: Homomorphism) -> MultiFunctor:
 
     The inverse image of the prime filter up(m) is the disjoint union of the
     prime filters up(k) over the minimal elements k of A with h(k) >= m, so
-    the arrow relation relates m to exactly those; likewise the object of
-    the atom e goes to the one atom of A that h maps above e.  Both duals are
-    taken from `dual_of`.  A guard that fires on a non-homomorphism raises ValueError.
+    the arrow relation relates m to exactly those.  Below a domain element
+    lie only domain elements, so the identity at an object of pf(B) is
+    related to one identity of A, and the object map takes the object to
+    that identity's object.  Both duals are taken from `dual_of`.  A guard
+    that fires on a non-homomorphism raises ValueError.
     """
     dual_b, dual_a = dual_of(h.target), dual_of(h.source)
     up_a, up_b = derive_constants(h.source).up, derive_constants(h.target).up
-    a_domain = mask_of(domain_elements(h.source))
+    cat_a = dual_a.category
 
-    def pull_back(up_m: int, elements: tuple[int, ...], within: int) -> int:
-        """The indices of the elements k with h(k) in up_m; raises unless
-        their up-sets within `within` are disjoint and cover the inverse
-        image of up_m there."""
-        inv = preimage(h.mapping, up_m) & within
+    def pull_back(up_m: int) -> int:
+        """The arrows of A whose minimal element h maps into up_m; raises
+        unless their up-sets are disjoint and cover the inverse image."""
+        inv = preimage(h.mapping, up_m)
         chosen = covered = 0
-        for i, k in enumerate(elements):
+        for i, k in enumerate(dual_a.arrow_elements):
             if inv >> k & 1:
-                up_k = up_a[k] & within
-                if covered & up_k:
+                if covered & up_a[k]:
                     raise InconsistencyError("up-sets chosen for an inverse image overlap")
                 chosen |= 1 << i
-                covered |= up_k
+                covered |= up_a[k]
         if covered != inv:
             raise InconsistencyError("inverse image is not the union of the up-sets chosen for it")
         return chosen
 
+    identities_a = mask_of(cat_a.id_of)
     obj_map = []
     try:
-        for e in dual_b.object_atoms:
-            chosen = pull_back(up_b[e], dual_a.object_atoms, a_domain)
-            if chosen.bit_count() != 1:
+        arr_rel = tuple(pull_back(up_b[m]) for m in dual_b.arrow_elements)
+        for e in dual_b.category.id_of:
+            identity = arr_rel[e] & identities_a
+            if identity.bit_count() != 1:
                 raise InconsistencyError("pulled-back ultrafilter is not an object of the dual")
-            obj_map.append(chosen.bit_length() - 1)
-        full_a = (1 << h.source.size) - 1
-        arr_rel = tuple(pull_back(up_b[m], dual_a.arrow_elements, full_a) for m in dual_b.arrow_elements)
+            obj_map.append(cat_a.src[identity.bit_length() - 1])
     except InconsistencyError:
         if check_homomorphism(h):
             raise
@@ -156,7 +154,7 @@ def pf_morphism(h: Homomorphism) -> MultiFunctor:
 
     return MultiFunctor(
         source=dual_b.category,
-        target=dual_a.category,
+        target=cat_a,
         obj_map=tuple(obj_map),
         arr_rel=arr_rel,
     )

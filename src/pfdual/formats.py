@@ -42,7 +42,8 @@ class FormatError(ValueError):
 def built(files: Iterable[str | Path], build):
     """build(), with a refusal that names no file, such as an algebra that
     is not closed, a machine that is not functional or one past the state
-    limit, naming the files it builds from."""
+    limit, naming the files it builds from.  A FormatError names its file
+    already and passes through."""
     try:
         return build()
     except FormatError:
@@ -195,10 +196,7 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
     anti = vector(_need(data, "antidomain", path, list), "antidomain")
     rng = vector(_need(data, "range", path, list), "range")
     pref = table("pref")
-    try:
-        return FinAlgebra.from_tables(compose, anti, rng, pref, names)
-    except ValueError as e:
-        raise FormatError(path, str(e)) from None
+    return built([path], lambda: FinAlgebra.from_tables(compose, anti, rng, pref, names))
 
 
 def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
@@ -211,10 +209,7 @@ def parse_concrete_algebra(data: dict, path: str | Path = "<algebra>"):
         raise FormatError(path, "'base' points must be strings")
     if len(points) > MAX_BASE:
         raise FormatError(path, f"base size {len(points)} exceeds the limit MAX_BASE = {MAX_BASE}")
-    try:
-        base = Base(tuple(points))
-    except ValueError as e:
-        raise FormatError(path, str(e)) from None
+    base = built([path], lambda: Base(tuple(points)))
     functions = _need(data, "functions", path)
     if not isinstance(functions, dict):
         raise FormatError(path, "'functions' must map names to graphs")
@@ -345,19 +340,16 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     if len(arrows) * near > MAX_ELEMENTS**2:
         raise FormatError(path, f"{len(arrows)} arrows times {near} near pairs exceed the limit "
                                 f"MAX_ELEMENTS**2 = {MAX_ELEMENTS**2}")
-    try:
-        return TopCategory(
-            obj_names=obj_names,
-            arr_names=arr_names,
-            obj_top=obj_top,
-            arr_top=arr_top,
-            src=tuple(obj(a["src"], "arrows") for a in arrows),
-            tgt=tuple(obj(a["tgt"], "arrows") for a in arrows),
-            id_of=tuple(arr(id_map[o], "id") for o in obj_names),
-            comp_t=tuple(comp_t),
-        )
-    except (KeyError, ValueError) as e:
-        raise FormatError(path, str(e)) from None
+    return built([path], lambda: TopCategory(
+        obj_names=obj_names,
+        arr_names=arr_names,
+        obj_top=obj_top,
+        arr_top=arr_top,
+        src=tuple(obj(a["src"], "arrows") for a in arrows),
+        tgt=tuple(obj(a["tgt"], "arrows") for a in arrows),
+        id_of=tuple(arr(id_map[o], "id") for o in obj_names),
+        comp_t=tuple(comp_t),
+    ))
 
 
 def _comp_table(n: int, composites: Iterable[tuple[int, int, int]]) -> tuple[tuple[int, ...], ...]:
@@ -508,10 +500,7 @@ def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transduce
         raise FormatError(path, "'final' must map states to output strings")
     states, alphabet, initial = strings("states"), strings("alphabet"), _need(data, "initial", path, str)
     _check_size(len(states), "states", path)
-    try:
-        return from_names(states, alphabet, initial, trans, final)
-    except ValueError as e:
-        raise FormatError(path, str(e)) from None
+    return built([path], lambda: from_names(states, alphabet, initial, trans, final))
 
 
 def load_transducer(path: str | Path) -> Transducer:

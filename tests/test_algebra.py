@@ -43,6 +43,17 @@ def mutate_pref(a: alg.FinAlgebra, row: int, col: int, value: int) -> alg.FinAlg
     return alg.FinAlgebra.from_tables(a.compose_t, a.anti_t, a.range_t, table, a.names)
 
 
+def mutate_table(a: alg.FinAlgebra, table: str, value) -> alg.FinAlgebra:
+    """a with one entry of the named table set to value: entry (2, 3) of a
+    square table, entry 3 of a vector."""
+    return {
+        "compose": lambda: mutate_compose(a, 2, 3, value),
+        "pref": lambda: mutate_pref(a, 2, 3, value),
+        "antidomain": lambda: mutate_vector(a, "anti", 3, value),
+        "range": lambda: mutate_vector(a, "range", 3, value),
+    }[table]()
+
+
 class TestDerivedConstants:
     def test_swap_const(self, swap_const):
         con = alg.derive_constants(swap_const)
@@ -142,16 +153,10 @@ class TestDerivedConstants:
 
     @pytest.mark.parametrize("table", ["compose", "pref", "antidomain", "range"])
     def test_entries_out_of_range_are_refused(self, swap_const, table):
-        mutate = {
-            "compose": lambda v: mutate_compose(swap_const, 2, 3, v),
-            "pref": lambda v: mutate_pref(swap_const, 2, 3, v),
-            "antidomain": lambda v: mutate_vector(swap_const, "anti", 3, v),
-            "range": lambda v: mutate_vector(swap_const, "range", 3, v),
-        }[table]
         # -1, BYTE_WIDTH and floats are not bytes: the range check, not bytes(), refuses them
         for bad in (-1, swap_const.size, alg.BYTE_WIDTH, 1.5, 1.0):
             with pytest.raises(ValueError) as err:
-                mutate(bad)
+                mutate_table(swap_const, table, bad)
             assert str(err.value) == f"{table} table entry out of range"
 
     def test_names_must_be_distinct(self):
@@ -557,6 +562,15 @@ class TestWideTables:
         assert report.failures()
         assert not any(alg.axiom_instance_holds(broken, f.index, f.witness) for f in report.failures())
         assert not alg.check_homomorphism(alg.Homomorphism(full4, broken, tuple(range(full4.size))))
+
+    @pytest.mark.parametrize("table", ["compose", "pref", "antidomain", "range"])
+    @pytest.mark.parametrize("bad", [1.0, 1.5])
+    def test_float_entries_are_refused(self, table, bad):
+        """What bytes() refuses at BYTE_WIDTH elements is refused at 257 too,
+        a float equal to an element index included."""
+        with pytest.raises(ValueError) as err:
+            mutate_table(right_zero(257), table, bad)
+        assert str(err.value) == f"{table} table entry out of range"
 
 
 class TestAxiomTable:

@@ -167,6 +167,9 @@ class TestMalformedInput:
         ("sections", {**CATEGORY, "comp": {"ix,iz": "ix"}}, "unknown arrow 'iz' in comp"),
         ("sections", {**CATEGORY, "opens_arr": ["ix"]}, "'opens_arr' must list sets as lists"),
         ("sections", {**CATEGORY, "comp": {"ix": "ix"}}, "bad composition key 'ix'"),
+        ("sections", {**CATEGORY, "arrows": [{"name": "ix", "src": "z", "tgt": "x"}, CATEGORY["arrows"][1]]},
+         "unknown object 'z' in arrows"),
+        ("sections", {**CATEGORY, "id": {"x": "ix", "y": "iz"}}, "unknown arrow 'iz' in id"),
     ])
     def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
         path = tmp_path / "malformed.json"
@@ -419,9 +422,9 @@ class TestLimits:
                                     "opens_arr": [names[:64], *([a] for a in names[64:])],
                                     "id": {"x": "g0"}, "comp": {}}))
         assert main(["sections", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert ("1025 arrows times 4096 near pairs exceed the limit MAX_ELEMENTS**2 = 4194304" in err) == bool(extra)
-        assert extra or "unknown object 'y' in arrows" in err
+        message = ("1025 arrows times 4096 near pairs exceed the limit MAX_ELEMENTS**2 = 4194304" if extra
+                   else "unknown object 'y' in arrows")
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_functor_file_pairs(self, capsys, tmp_path, extra):

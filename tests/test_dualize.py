@@ -26,7 +26,7 @@ from pfdual.filters import (
     upward_closure,
 )
 
-from conftest import compose_homs, identity_hom, identity_multifunctor, index_of, random_closed_sets
+from conftest import compose_homs, identity_hom, identity_multifunctor, index_of, permuted_copy, random_closed_sets
 
 
 @pytest.fixture(scope="module")
@@ -208,7 +208,7 @@ class TestFilterCalculusOracle:
         primes = enumerate_prime_filters(a)
         ultras = enumerate_domain_ultrafilters(a)
         assert tuple(up[m] for m in dual.arrow_elements) == tuple(p.members for p in primes)
-        assert tuple(up[e] & domain_mask(a) for e in dual.object_atoms) == tuple(u.members for u in ultras)
+        assert tuple(up[dual.arrow_elements[e]] & domain_mask(a) for e in cat.id_of) == tuple(u.members for u in ultras)
         obj_of = {u.members: o for o, u in enumerate(ultras)}
         arr_of = {p.members: k for k, p in enumerate(primes)}
         assert cat.src == tuple(obj_of[source_of(a, p).members] for p in primes)
@@ -235,7 +235,8 @@ class TestFilterCalculusOracle:
         ultras = enumerate_domain_ultrafilters(a)
         for x in range(a.size):
             objects = [o for o, u in enumerate(ultras) if a.dom(x) in u]
-            choices = [dual.arr_index[a.compose_t[dual.object_atoms[o]][x]] for o in objects]
+            atoms = [dual.arrow_elements[dual.category.id_of[o]] for o in objects]
+            choices = [dual.arr_index[a.compose_t[e][x]] for e in atoms]
             assert [dual.category.src[k] for k in choices] == objects
             assert arrows_containing(a, x) == mask_of(choices)
             for o, k in zip(objects, choices):
@@ -285,6 +286,21 @@ class TestDualMorphisms:
                     if up_a[q] & ~inv == 0
                 )
                 assert fun.arr_rel[k] == expected
+
+    def test_object_map_matches_domain_ultrafilters(self, corpus_homs):
+        """Object o goes to the domain ultrafilter of the source that is the
+        inverse image of domain ultrafilter o of the target, among the
+        source's domain elements; seeded isomorphisms of random closed sets
+        extend the corpus."""
+        rnd = random.Random(1)
+        isos = [permuted_copy(a, tuple(rnd.sample(range(a.size), a.size)))[1]
+                for a in random_closed_sets(30, seed=1)]
+        for h in (*corpus_homs, *isos):
+            ultras = [u.members for u in enumerate_domain_ultrafilters(h.source)]
+            domain = domain_mask(h.source)
+            expected = tuple(ultras.index(mask_of(a for a in bits(domain) if u.members >> h(a) & 1))
+                             for u in enumerate_domain_ultrafilters(h.target))
+            assert pf_morphism(h).obj_map == expected
 
     def test_functoriality(self, incl_hom, swap_const_perm):
         _, iso = swap_const_perm

@@ -99,6 +99,8 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         "nonassoc.cat.json": edited(cat, nonassociative),
         "wrongpair.cat.json": edited(cat, wrong_pair),
         "unit.cat.json": edited(cat, lambda d: d["comp"].__setitem__("p_e12,p_s", "p_e12")),
+        "srcobject.cat.json": edited(cat, lambda d: d["arrows"][0].__setitem__("src", "zz")),
+        "idarrow.cat.json": edited(cat, lambda d: d["id"].__setitem__(d["objects"][0], "zz")),
     }
 
 
