@@ -17,7 +17,7 @@ from operator import attrgetter, eq, index as as_int, itemgetter, methodcaller, 
 from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bitsets import bits, mask_of
+from .bitsets import bits, preimage
 from .errors import NoZeroError
 
 # The largest carrier pfdual builds or reads: the elements of an algebra
@@ -299,7 +299,7 @@ class AxiomCheck:
 class AxiomReport:
     results: tuple[AxiomCheck, ...]
 
-    @property
+    @functools.cached_property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
@@ -644,17 +644,13 @@ def check_locally_proper(h: Homomorphism):
     prime filter of the source.  Returns (verdict, offending_filter_or_None).
     Raises ValueError when the source or target is not representable.
     Prime filters are the up-sets of minimal nonzero elements, so each
-    inverse image, built in one pass over h, is looked up among the
-    source's; h may be any map.
+    target atom's inverse image, one `preimage` call, is looked up among
+    the source's, atoms in ascending order; h may be any map.
     """
     require_representable(h.source)
     require_representable(h.target)
     source, target = derive_constants(h.source), derive_constants(h.target)
-    minimal = minimal_nonzero_elements(h.target)
-    low, inverse = mask_of(minimal), dict.fromkeys(minimal, 0)
-    for a, v in enumerate(h.mapping):
-        for m in bits(target.down[v] & low):
-            inverse[m] |= 1 << a
     primes = set(map(source.up.__getitem__, minimal_nonzero_elements(h.source)))
-    m = next((m for m, inv in inverse.items() if inv not in primes), None)
+    minimal = minimal_nonzero_elements(h.target)
+    m = next((m for m in minimal if preimage(h.mapping, target.up[m]) not in primes), None)
     return (True, None) if m is None else (False, FilterSet(h.target, target.up[m]))

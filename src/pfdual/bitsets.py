@@ -36,5 +36,17 @@ def image(mapping: Sequence[int], mask: int) -> int:
 
 
 def preimage(mapping: Sequence[int], mask: int) -> int:
-    """The indices i with mapping[i] in mask."""
-    return mask_of(i for i, v in enumerate(mapping) if mask >> v & 1)
+    """The indices i with mapping[i] in mask, in one C call: mask as a row of
+    "0" and "1" by bit position, read at every image and back in binary.
+    Images below 256 take one bytes.translate of a 256-byte row, a larger
+    one a str row; a negative mask reads as two's complement."""
+    try:
+        images = bytes(mapping)
+    except ValueError:  # an image outside range(256)
+        if min(mapping) < 0:
+            raise ValueError(f"negative image {min(mapping)}") from None
+        width = max(mapping) + 1
+        row = format(mask & (1 << width) - 1, f"0{width}b")[::-1]
+        return int("".join(map(row.__getitem__, mapping))[::-1], 2)
+    row = format(mask & (1 << 256) - 1, "0256b")[::-1].encode()
+    return int(images.translate(row)[::-1] or b"0", 2)

@@ -168,9 +168,10 @@ class FunctorVsProperVerdict:
 
 def pf_is_functor_iff_locally_proper(h: Homomorphism) -> FunctorVsProperVerdict:
     """The dual of h is single-valued-and-total exactly when h pulls prime
-    filters back to prime filters.  Both sides read principal up-sets, by
-    separate computations: the arrow relation of `pf_morphism` and the
-    lookup of `check_locally_proper`.  Disagreement indicates a bug."""
+    filters back to prime filters.  Both sides take inverse images from
+    `preimage`, then part: `check_locally_proper` looks each up among the
+    source's prime up-sets, `pf_morphism` decomposes it into disjoint
+    up-sets of source atoms.  Disagreement indicates a bug."""
     plain = is_plain_functor(pf_morphism(h))
     proper, _ = check_locally_proper(h)
     if plain != proper:

@@ -120,9 +120,9 @@ def identities(k: int, stone: bool) -> str:
 
 def make_workspace(work: Path) -> None:
     """Copy data/ and tests/golden/ into work, write the concrete algebras
-    of all partial functions on 3 and 4 points, the abstract one on 2
-    points, the categories of 12 identities, and under bad/ the table files
-    of `malformed`."""
+    of all partial functions on 3 and 4 points, the identity homomorphism
+    of the one on 4 points, the abstract one on 2 points, the categories of
+    12 identities, and under bad/ the table files of `malformed`."""
     shutil.copytree(ROOT / "data", work / "data")
     shutil.copytree(ROOT / "tests" / "golden", work / "tests" / "golden")
     (work / "out").mkdir()
@@ -133,6 +133,8 @@ def make_workspace(work: Path) -> None:
             name = "f" + "".join(y or "_" for y in images)
             functions[name] = {x: y for x, y in zip(points, images) if y is not None}
         (work / f"all{k}.alg.json").write_text(json.dumps({"base": points, "functions": functions}), encoding="utf-8")
+    identity = {"source": "all4.alg.json", "target": "all4.alg.json", "map": {f: f for f in functions}}
+    (work / "all4_id.hom.json").write_text(json.dumps(identity), encoding="utf-8")
     (work / "ids12.cat.json").write_text(identities(12, True), encoding="utf-8")
     (work / "ids12_indiscrete.cat.json").write_text(identities(12, False), encoding="utf-8")
     alg = abstract_file(2)

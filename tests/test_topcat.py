@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pfdual import bitsets
 from pfdual import formats as fmt
 from pfdual import topcat as tc
 from pfdual.bitsets import bits, mask_of
@@ -524,6 +525,33 @@ def image(mapping, u: int) -> int:
 
 def failing_opens(pre, domain_opens, codomain_opens) -> set:
     return {u for u in codomain_opens if pre(u) not in domain_opens}
+
+
+class TestPreimageOracle:
+    """bitsets.preimage against the set-builder `preimage` above: images
+    below 256 take the bytes path, any larger image the str path."""
+
+    @pytest.mark.parametrize("top", [1, 2, 255, 256, 257, 700])
+    def test_random_maps_and_masks(self, top):
+        rng = random.Random(top)
+        for length in range(301):
+            mapping = [rng.randrange(top) for _ in range(length)]
+            for mask in (0, -1, rng.getrandbits(top), -rng.getrandbits(top + 8) - 1,
+                         rng.getrandbits(top) | 1 << (top + rng.randrange(600))):
+                assert bitsets.preimage(mapping, mask) == preimage(mapping, mask)
+                assert bitsets.preimage(tuple(mapping), mask) == preimage(mapping, mask)
+
+    @pytest.mark.parametrize("mapping", [[255], [256], [255, 256], [256, 255, 0], [0] * 300 + [255], [256] * 300])
+    def test_byte_boundary(self, mapping):
+        for mask in (1 << 255, 1 << 256, 3 << 255, ~(1 << 255), ~(1 << 256), -1, 0, 1 << 900):
+            assert bitsets.preimage(mapping, mask) == preimage(mapping, mask)
+
+    @pytest.mark.parametrize("mapping", [[-1], [0, -1], [300, -2], [5, 256, -300]])
+    def test_negative_image_refused(self, mapping):
+        with pytest.raises(ValueError):
+            preimage(mapping, 1)
+        with pytest.raises(ValueError):
+            bitsets.preimage(mapping, 1)
 
 
 class TestBruteForceTopologies:
