@@ -17,7 +17,7 @@ from operator import attrgetter, eq, index as as_int, itemgetter, methodcaller, 
 from types import SimpleNamespace
 from typing import Callable, Iterator, Optional, Sequence
 
-from .bitsets import bits, preimage
+from .bitsets import BYTE_WIDTH, bits, preimage
 from .errors import NoZeroError
 
 # The largest carrier pfdual builds or reads: the elements of an algebra
@@ -27,11 +27,6 @@ from .errors import NoZeroError
 # 2,304 on a 2-vCPU VM (Python 3.11); the 7,776 partial functions on 5
 # points would need more than 1 GB before any check ran.
 MAX_ELEMENTS = 2048
-
-# The most elements whose indices all fit in a byte: an algebra this small
-# keeps its table rows as bytes (`row_type`), which `pick` gathers about ten
-# times faster than tuples.
-BYTE_WIDTH = 256
 
 
 def row_type(n: int) -> type:
@@ -316,10 +311,10 @@ def _zero_witness(C: Sequence[Sequence[int]], A: Sequence[int]) -> Optional[tupl
 
 def pick(positions: Sequence[int]):
     """row -> the entries of row at positions, in order.  Byte positions
-    read a bytes-like row of at most 256 entries with one bytes.translate
+    read a bytes-like row of at most BYTE_WIDTH entries with one translate
     and give bytes; other positions read any sequence and give a tuple."""
     if isinstance(positions, bytes):
-        return lambda row: positions.translate(row.ljust(256, b"\0"))
+        return lambda row: positions.translate(row.ljust(BYTE_WIDTH, b"\0"))
     if len(positions) == 1:
         (p,) = positions
         return lambda row: (row[p],)
@@ -360,12 +355,12 @@ def _readers(row: type) -> SimpleNamespace:
     gather(positions, table); through(keys, values), the table that sends
     each entry of keys to the entry of values at its last place; and
     values(r), the number of distinct entries of r.  A bytes table is
-    padded to the 256 entries bytes.translate maps."""
+    padded to the BYTE_WIDTH entries bytes.translate maps."""
     if row is bytes:
-        every = bytes(range(256))
-        return SimpleNamespace(table=methodcaller("ljust", 256, b"\0"), read=attrgetter("translate"),
+        every = bytes(range(BYTE_WIDTH))
+        return SimpleNamespace(table=methodcaller("ljust", BYTE_WIDTH, b"\0"), read=attrgetter("translate"),
                                gather=bytes.translate, through=bytes.maketrans,
-                               values=lambda r: 256 - len(every.translate(None, r)))
+                               values=lambda r: BYTE_WIDTH - len(every.translate(None, r)))
     return SimpleNamespace(table=tuple, read=pick, gather=lambda positions, table: pick(positions)(table),
                            through=lambda keys, values: dict(zip(keys, values)), values=lambda r: len(set(r)))
 

@@ -15,8 +15,8 @@ import math
 import struct
 import sys
 
-from .algebra import BYTE_WIDTH, MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
-from .bitsets import bits, mask_of
+from .algebra import MAX_ELEMENTS, FinAlgebra, Homomorphism, derived
+from .bitsets import BYTE_WIDTH, bits, mask_of
 from .errors import InconsistencyError
 from .topcat import NOT_EPI, MultiFunctor, TopCategory, relation_preimage, star_checks, validate_object_of_C
 
