@@ -18,7 +18,13 @@ The main entry points:
 
 # formats first: without a bytecode cache its source, the largest, is then
 # compiled while little else is live, which keeps down the memory that the
-# import leaves in the process (and in every child forked from it).
+# import leaves in the process (and in every child forked from it).  It
+# also keeps the generation-0 count that perfbench's forked verdicts inherit
+# inside the window where their scaled times hold: with formats imported
+# later, the count after `import pfdual.cli` fell from 632 to 364, and
+# scaled bidual-cold verdict_p50_s rose from 3.1-3.3 to 5.6-6.0 ms while
+# raw times rose far less, 4.6 to 4.8-6.4 ms (2 vCPUs, Python 3.11; the
+# generation-0 FOUND in CHANGES.md).
 # tests/test_formats.py::TestFileGuards::test_formats_is_imported_first pins
 # this order.
 from . import formats  # noqa: F401

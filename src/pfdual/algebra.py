@@ -373,17 +373,17 @@ def _columns(C: Sequence[Sequence[int]]):
     return map(flat.__getitem__, map(slice, range(n), repeat(None), repeat(n)))
 
 
-def _light_test(C: Sequence[Sequence[int]], gens: Sequence[int]) -> bool:
+def associative(C: Sequence[Sequence[int]]) -> bool:
     """Light's associativity test: (x*g)*y = x*(g*y) for every x, y and
-    every g in gens, each row x*g against row g read at the entries of row x.
+    every g in `generating_set(C)`, row x*g against row g read at row x.
 
-    The elements g that pass are closed under products, so when gens
+    The elements g that pass are closed under products, so as the set
     generates the table this decides associativity exactly (Clifford &
     Preston, The Algebraic Theory of Semigroups I, 1961, section 1.2).
     """
     readers = _readers(type(C[0]))
     tables = tuple(map(readers.table, C))
-    for g in gens:
+    for g in generating_set(C):
         rows_xg = map(C.__getitem__, map(itemgetter(g), C))
         if any(map(ne, rows_xg, map(readers.read(C[g]), tables))):
             return False
@@ -435,7 +435,7 @@ def axiom_report(C, A, R, P) -> AxiomReport:
         results.append(AxiomCheck(index, witness, detail))
 
     # (1) associativity of composition, by Light's test over a generating set
-    record(1, None if _light_test(C, generating_set(C)) else next(nonassociative(C)))
+    record(1, None if associative(C) else next(nonassociative(C)))
 
     # (2) A(a)*a is one fixed element (the zero)
     zw = _zero_witness(C, A)

@@ -26,7 +26,6 @@ from .errors import NotFunctionalError
 
 BOUND_CAP = 12
 MAX_WORDS = 2 ** 20  # the bounded oracles may keep one configuration per word in memory
-_named: dict[str, list[str]] = {}  # prefix -> the names prefix0, prefix1, ... made so far
 
 
 def _check_alphabet(alphabet: tuple[str, ...]) -> None:
@@ -146,9 +145,8 @@ def _relabel_transducer(op: str, alphabet: tuple[str, ...], initial, moves, fina
             row.append(tuple(sorted([(out, number[q2]) for out, q2 in step])))
         delta.append(tuple(row))
         finals.append(final(q))
-    names = _named.setdefault(prefix, [])
-    names += (f"{prefix}{k}" for k in range(len(names), len(order)))
-    return Transducer(alphabet, 0, tuple(delta), tuple(finals), tuple(names[:len(order)]))
+    names = tuple(f"{prefix}{k}" for k in range(len(order)))
+    return Transducer(alphabet, 0, tuple(delta), tuple(finals), names)
 
 
 def compose(t1: Transducer, t2: Transducer) -> Transducer:
@@ -242,77 +240,62 @@ def antidomain(t: Transducer) -> Transducer:
 
 @derived
 def range_transducer(t: Transducer) -> Transducer:
-    """Identity on the range language, built by reading transition outputs
-    through an epsilon automaton and determinizing."""
-    # nodes: transducer states, plus spelled-out positions inside output words
-    eps: dict[object, set] = {}
-    letter_edges: dict[tuple[object, str], set] = {}
-    counter = itertools.count()
-    accept = ("acc",)
+    """Identity on the range language, by subset construction over output
+    positions: (q, word, to, i) is i letters of word written on a move from
+    q to state to, or of q's final output if to is None, which accepts once
+    written; nothing written is q itself, and all of word written is to."""
+    # q -> the (word, to) q may write: its moves, and (final output, None)
+    writes = [set(itertools.chain(*row, () if v is None else [(v, None)])) for row, v in zip(t.delta, t.final)]
 
-    def add_word_path(src, word, dst):
-        if word == "":
-            eps.setdefault(src, set()).add(dst)
-            return
-        node = src
-        for ch in word[:-1]:
-            nxt = ("n", next(counter))
-            letter_edges.setdefault((node, ch), set()).add(nxt)
-            node = nxt
-        letter_edges.setdefault((node, word[-1]), set()).add(dst)
-
-    for q, row in enumerate(t.delta):
-        for out, q2 in itertools.chain.from_iterable(row):
-            add_word_path(("s", q), out, ("s", q2))
-        if t.final[q] is not None:
-            add_word_path(("s", q), t.final[q], accept)
-
-    def closure(nodes: Iterable) -> frozenset:
-        todo = list(nodes)
+    def closure(positions: Iterable) -> frozenset:
+        todo = list(positions)
         seen = set(todo)
         while todo:
-            n = todo.pop()
-            for m in eps.get(n, ()):
-                if m not in seen:
-                    seen.add(m)
-                    todo.append(m)
+            p = todo.pop()
+            if type(p) is int:
+                for word, to in writes[p]:
+                    if not word and to not in seen:
+                        seen.add(to)
+                        todo.append(to)
         return frozenset(seen)
 
     def moves(s):
-        return [((a, closure(m for n in s for m in letter_edges.get((n, a), ()))),) for a in t.alphabet]
+        reached: dict[str, list] = {a: [] for a in t.alphabet}
+        for p in s:
+            if type(p) is tuple:
+                q, word, to, i = p
+                reached[word[i]].append(to if i + 1 == len(word) else (q, word, to, i + 1))
+            elif p is not None:
+                for word, to in writes[p]:
+                    if word:
+                        reached[word[0]].append(to if len(word) == 1 else (p, word, to, 1))
+        return [((a, closure(reached[a])),) for a in t.alphabet]
 
-    return _relabel_transducer("range_transducer", t.alphabet, closure({("s", t.initial)}), moves,
-                               lambda s: "" if accept in s else None, "d")
+    return _relabel_transducer("range_transducer", t.alphabet, closure({t.initial}), moves,
+                               lambda s: "" if None in s else None, "d")
 
 
 def pref_union(t1: Transducer, t2: Transducer) -> Transducer:
-    """t1 where defined, else t2: the union of t1 with A(t1);t2, t2 on the
-    complement of the domain of t1.  The two parts have disjoint domains, so
-    the union stays functional."""
+    """t1 where defined, else t2: the union of t1 with t2r = A(t1);t2, whose
+    domains are disjoint, so it stays functional.  One table holds t1's rows,
+    t2r's shifted past them, and a start row joining the two initial rows
+    letter by letter, with t1's initial final output, else t2r's."""
     if t1.alphabet != t2.alphabet:
         raise ValueError("transducers must share an alphabet")
     t2r = compose(antidomain(t1), t2)
-    # -1 is the start; t1's states keep their numbers, t2r's follow them
-    d1, f1, d2, f2, n1 = t1.delta, t1.final, t2r.delta, t2r.final, len(t1.delta)
-
-    def moves(q):
-        if q < 0:
-            return [s1 + tuple((out, q2 + n1) for out, q2 in s2) for s1, s2 in zip(d1[t1.initial], d2[t2r.initial])]
-        if q < n1:
-            return d1[q]
-        return [tuple((out, q2 + n1) for out, q2 in step) for step in d2[q - n1]]
+    n1 = len(t1.delta)
+    shifted = tuple(tuple(tuple((out, q2 + n1) for out, q2 in step) for step in row) for row in t2r.delta)
+    start = tuple(s1 + s2 for s1, s2 in zip(t1.delta[t1.initial], shifted[t2r.initial]))
+    delta = t1.delta + shifted + (start,)
+    u = t1.final[t1.initial]
+    final = t1.final + t2r.final + (u if u is not None else t2r.final[t2r.initial],)
 
     def by_name(move):
         out, q = move
         return (out, ("l", t1.names[q])) if q < n1 else (out, ("r", t2r.names[q - n1]))
 
-    def final(q):
-        if q < 0:
-            u = f1[t1.initial]
-            return u if u is not None else f2[t2r.initial]
-        return f1[q] if q < n1 else f2[q - n1]
-
-    return _relabel_transducer("pref_union", t1.alphabet, -1, moves, final, key=by_name)
+    return _relabel_transducer("pref_union", t1.alphabet, len(delta) - 1, delta.__getitem__,
+                               final.__getitem__, key=by_name)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +421,20 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     A, D and R of a machine and its live moves are kept on it
     (`algebra.derived`), so those of the inputs and the identity are built
     once per sweep.  Within one axiom, a composite or override of these
-    leaves is built once and shared, then dropped; other terms, such as
-    comp(a, comp(b, c)), are used once and not kept.
+    leaves is built once, keyed by the machines (hashed by identity), then
+    dropped; other terms, such as comp(a, comp(b, c)), are not kept.
     """
     check_bound(ts, max_len)
     ident = identity_transducer(ts[0].alphabet)
-    # ids of the leaves: the inputs, the identity, and A, D and R of each,
-    # which are kept on it.  All live as long as ts and ident, so no id is
-    # reused while it is in a key of built.
-    leaves = {id(m) for t in (*ts, ident)
+    leaves = {m for t in (*ts, ident)
               for m in (t, antidomain(t), domain_transducer(t), range_transducer(t))}
     built: dict[tuple, Transducer] = {}
 
     def share(build):
         def op(*args: Transducer) -> Transducer:
-            key = (build, *map(id, args))
-            if not leaves.issuperset(key[1:]):
+            if not leaves.issuperset(args):
                 return build(*args)
+            key = (build, *args)
             if key not in built:
                 built[key] = build(*args)
             return built[key]

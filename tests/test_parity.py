@@ -118,11 +118,20 @@ def identities(k: int, stone: bool) -> str:
     }, indent=2)
 
 
+# q -a-> (aa|bb) q, q -b-> '' q, final output b: not functional, so a
+# composite that reads a's in a final output has two outputs there
+BRANCHING = {
+    "alphabet": ["a", "b"], "states": ["q"], "initial": "q", "final": {"q": "b"},
+    "trans": [{"from": "q", "in": a, "out": out, "to": "q"} for a, out in (("a", "aa"), ("a", "bb"), ("b", ""))],
+}
+
+
 def make_workspace(work: Path) -> None:
     """Copy data/ and tests/golden/ into work, write the concrete algebras
     of all partial functions on 3 and 4 points, the identity homomorphism
     of the one on 4 points, the abstract one on 2 points, the categories of
-    12 identities, and under bad/ the table files of `malformed`."""
+    12 identities, the machine BRANCHING, and under bad/ the table files of
+    `malformed`."""
     shutil.copytree(ROOT / "data", work / "data")
     shutil.copytree(ROOT / "tests" / "golden", work / "tests" / "golden")
     (work / "out").mkdir()
@@ -137,6 +146,7 @@ def make_workspace(work: Path) -> None:
     (work / "all4_id.hom.json").write_text(json.dumps(identity), encoding="utf-8")
     (work / "ids12.cat.json").write_text(identities(12, True), encoding="utf-8")
     (work / "ids12_indiscrete.cat.json").write_text(identities(12, False), encoding="utf-8")
+    (work / "branching.td.json").write_text(json.dumps(BRANCHING), encoding="utf-8")
     alg = abstract_file(2)
     (work / "abstract2.alg.json").write_text(alg, encoding="utf-8")
     (work / "bad").mkdir()
