@@ -1,15 +1,14 @@
 """JSON file formats for algebras, categories, morphisms and machines.
 
-All formats are JSON objects with a fixed key order; `write_*` functions
-emit the canonical form (two-space indent, documented key order, trailing
-newline), so writing a parsed file normalizes it byte-stably.
+All formats are JSON objects with a fixed key order.  `write_*` lays each
+out with `jsonrows` in the canonical form (two-space indent, documented key
+order, trailing newline), so writing a parsed file normalizes it byte-stably.
 
-Algebra and category tables, which hold up to MAX_ELEMENTS² names, are
-written by rows.  A table file is decoded once (`_decoded`) and checked
-once, by `parse_algebra` or `parse_category`, which word every refusal.
-'compose' and 'pref' after 'elements', and 'comp' after 'arrows', are read
-a block of rows at a time (`jsonrows`) and handed over as `_Mapped` index
-tables.  Only a file with a repeated key, bad JSON, or a streamed table
+A table file, of up to MAX_ELEMENTS² names, is written by rows, decoded once
+(`_decoded`) and checked once, by `parse_algebra` or `parse_category`, which
+word every refusal.  'compose' and 'pref' after 'elements', and 'comp' after
+'arrows', are read a block of rows at a time and handed over as `_Mapped`
+index tables.  Only a file with a repeated key, bad JSON, or a streamed table
 entry that names no element or arrow is read whole by `json.loads`.
 """
 
@@ -76,10 +75,6 @@ def _json_object(text: str, path: str | Path) -> Any:
     return data
 
 
-def _dump(obj: Any) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
 def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
     """data[key], refused when missing or, given a kind, of another JSON type."""
     if key not in data:
@@ -88,6 +83,14 @@ def _need(data: dict, key: str, path, kind: type | None = None) -> Any:
         name = {dict: "object", list: "list", str: "string"}[kind]
         raise FormatError(path, f"{key!r} must be a JSON {name}")
     return data[key]
+
+
+def _strings(data: dict, key: str, path) -> list:
+    """data[key], refused when missing or not a list of strings."""
+    values = _need(data, key, path, list)
+    if not all(isinstance(v, str) for v in values):
+        raise FormatError(path, f"{key!r} must be a list of strings")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +174,7 @@ def write_algebra(alg: FinAlgebra) -> str:
 def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
     if "functions" in data:
         return parse_concrete_algebra(data, path)[0]
-    names = _need(data, "elements", path, list)
-    if not all(isinstance(name, str) for name in names):
-        raise FormatError(path, "'elements' must be a list of strings")
+    names = _strings(data, "elements", path)
     _check_size(len(names), "elements", path)
     idx = {name: i for i, name in enumerate(names)}
     if len(idx) != len(names):
@@ -461,31 +462,27 @@ def load_functor(path: str | Path) -> MultiFunctor:
 def write_transducer(t: Transducer) -> str:
     """The machine file: transitions by source name, letter, output and
     target name, final outputs by state name, each sorted as strings."""
-    names, al = t.names, t.alphabet
-    return _dump({
-        "alphabet": list(al),
-        "states": list(names),
-        "initial": names[t.initial],
-        "final": dict(sorted((names[q], v) for q, v in enumerate(t.final) if v is not None)),
-        "trans": [
-            {"from": names[q], "in": al[j], "out": out, "to": to}
-            for q in sorted(range(len(names)), key=names.__getitem__)
-            for j in sorted(range(len(al)), key=al.__getitem__)
-            for out, to in sorted((out, names[q2]) for out, q2 in t.delta[q][j])
-        ],
-    })
+    names, letters = list(map(encode, t.names)), list(map(encode, t.alphabet))
+    states = sorted(range(len(names)), key=t.names.__getitem__)
+    order = sorted(range(len(letters)), key=t.alphabet.__getitem__)
+    trans = (joined("{}", (f'"from": {names[q]}', f'"in": {letters[j]}', f'"out": {encode(out)}',
+                           f'"to": {names[to]}'), 2)
+             for q in states for j in order
+             for out, to in sorted(t.delta[q][j], key=lambda move: (move[0], t.names[move[1]])))
+    final = (f"{names[q]}: {encode(t.final[q])}" for q in states if t.final[q] is not None)
+    return document((
+        ("alphabet", (joined("[]", letters, 1),)),
+        ("states", (joined("[]", names, 1),)),
+        ("initial", (names[t.initial],)),
+        ("final", (joined("{}", final, 1),)),
+        ("trans", pieces("[]", trans, 1)),
+    ))
 
 
 def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transducer:
     """A transducer file, or an acceptor file read as the identity machine
     on its language: each move writes its letter, each accepting state ''.
     More than MAX_ELEMENTS states are refused."""
-    def strings(key: str) -> tuple[str, ...]:
-        values = _need(data, key, path, list)
-        if not all(isinstance(v, str) for v in values):
-            raise FormatError(path, f"{key!r} must be a list of strings")
-        return tuple(values)
-
     acceptor = "accepting" in data
     trans: dict[tuple[str, str], set[tuple[str, str]]] = {}
     for e in _need(data, "trans", path, list):
@@ -495,10 +492,11 @@ def parse_transducer(data: dict, path: str | Path = "<transducer>") -> Transduce
             if not isinstance(e[key], str):
                 raise FormatError(path, f"transition key {key!r} must be a string: {e!r}")
         trans.setdefault((e["from"], e["in"]), set()).add((e["in" if acceptor else "out"], e["to"]))
-    final = dict.fromkeys(strings("accepting"), "") if acceptor else _need(data, "final", path, dict)
+    final = dict.fromkeys(_strings(data, "accepting", path), "") if acceptor else _need(data, "final", path, dict)
     if not all(isinstance(v, str) for v in final.values()):
         raise FormatError(path, "'final' must map states to output strings")
-    states, alphabet, initial = strings("states"), strings("alphabet"), _need(data, "initial", path, str)
+    states, alphabet = _strings(data, "states", path), _strings(data, "alphabet", path)
+    initial = _need(data, "initial", path, str)
     _check_size(len(states), "states", path)
     return built([path], lambda: from_names(states, alphabet, initial, trans, final))
 
@@ -510,19 +508,17 @@ def load_transducer(path: str | Path) -> Transducer:
 def write_dfa(d: Transducer) -> str:
     """The acceptor file of an identity machine with one move per state and
     letter, such as D and R build: its final states accept."""
-    names = d.names
-    return _dump({
-        "alphabet": list(d.alphabet),
-        "states": list(names),
-        "initial": names[d.initial],
-        "accepting": sorted(names[q] for q, v in enumerate(d.final) if v is not None),
-        "trans": [
-            {"from": names[q], "in": a, "to": names[to]}
-            for q, row in enumerate(d.delta)
-            for a, step in zip(d.alphabet, row)
-            for _, to in step
-        ],
-    })
+    names, letters = list(map(encode, d.names)), list(map(encode, d.alphabet))
+    accepting = sorted(name for name, out in zip(d.names, d.final) if out is not None)
+    trans = (joined("{}", (f'"from": {names[q]}', f'"in": {a}', f'"to": {names[to]}'), 2)
+             for q, row in enumerate(d.delta) for a, step in zip(letters, row) for _, to in step)
+    return document((
+        ("alphabet", (joined("[]", letters, 1),)),
+        ("states", (joined("[]", names, 1),)),
+        ("initial", (names[d.initial],)),
+        ("accepting", (joined("[]", map(encode, accepting), 1),)),
+        ("trans", pieces("[]", trans, 1)),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""JSON text a row at a time, for the file formats' large tables.
+"""JSON text a row at a time: the layout of every file pfdual writes, and
+the reading of its large tables.
 
 `Reader` decodes the one object of a file member by member with
 `json.JSONDecoder.raw_decode`, and a table in it a block of rows or

@@ -9,8 +9,9 @@ applies ``f`` first, then ``g``.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Optional
+from typing import Optional
 
 from .algebra import MAX_ELEMENTS, FinAlgebra, pick, row_type
 from .errors import InconsistencyError, NotClosedError

@@ -60,9 +60,6 @@ class FinTopology:
     def full(self) -> int:
         return (1 << self.size) - 1
 
-    def is_open(self, mask: int) -> bool:
-        return not mask & ~self.full and not any(self.nbhds[i] & ~mask for i in bits(mask))
-
     def is_discrete(self) -> bool:
         return all(m == 1 << i for i, m in enumerate(self.nbhds))
 

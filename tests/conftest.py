@@ -4,7 +4,9 @@ between them, and a few hand-built categories."""
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import random
 from typing import Iterable, Optional, Sequence
 
@@ -16,6 +18,7 @@ from pfdual.bitsets import bits, mask_of
 from pfdual.pfun import Base, PFunc, as_abstract, close_under_ops, enumerate_all
 from pfdual.topcat import (FinTopology, MultiFunctor, TopCategory, discrete_topology, generate_topology,
                            is_plain_functor)
+from pfdual.transducer import Transducer
 
 # Every run draws the same examples: derandomized, with no example database
 # carrying failures from one run into the next.  A test's own max_examples
@@ -111,8 +114,13 @@ def identity_multifunctor(cat: TopCategory) -> MultiFunctor:
     return MultiFunctor(cat, cat, tuple(range(cat.n_objects)), tuple(1 << f for f in range(cat.n_arrows)))
 
 
+def is_open(top: FinTopology, mask: int) -> bool:
+    """Whether mask is open: the union of the basis sets inside it."""
+    return mask == functools.reduce(operator.or_, (b for b in top.basis if not b & ~mask), 0)
+
+
 def is_clopen(top: FinTopology, mask: int) -> bool:
-    return top.is_open(mask) and top.is_open(top.full & ~mask)
+    return is_open(top, mask) and is_open(top, top.full & ~mask)
 
 
 def inverse(perm: Sequence[int]) -> tuple[int, ...]:
@@ -177,6 +185,40 @@ def category_to_dict(cat: TopCategory) -> dict:
             f"{cat.arr_names[f]},{cat.arr_names[g]}": cat.arr_names[h]
             for f, row in enumerate(cat.comp_t) for g, h in enumerate(row) if h != cat.n_arrows
         },
+    }
+
+
+def transducer_to_dict(t: Transducer) -> dict:
+    """The machine file of t as a JSON object."""
+    names, al = t.names, t.alphabet
+    return {
+        "alphabet": list(al),
+        "states": list(names),
+        "initial": names[t.initial],
+        "final": dict(sorted((names[q], v) for q, v in enumerate(t.final) if v is not None)),
+        "trans": [
+            {"from": names[q], "in": al[j], "out": out, "to": to}
+            for q in sorted(range(len(names)), key=names.__getitem__)
+            for j in sorted(range(len(al)), key=al.__getitem__)
+            for out, to in sorted((out, names[q2]) for out, q2 in t.delta[q][j])
+        ],
+    }
+
+
+def dfa_to_dict(d: Transducer) -> dict:
+    """The acceptor file of the identity machine d as a JSON object."""
+    names = d.names
+    return {
+        "alphabet": list(d.alphabet),
+        "states": list(names),
+        "initial": names[d.initial],
+        "accepting": sorted(names[q] for q, v in enumerate(d.final) if v is not None),
+        "trans": [
+            {"from": names[q], "in": a, "to": names[to]}
+            for q, row in enumerate(d.delta)
+            for a, step in zip(d.alphabet, row)
+            for _, to in step
+        ],
     }
 
 

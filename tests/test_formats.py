@@ -25,8 +25,8 @@ from pfdual.errors import NotClosedError
 from pfdual.sections import seccl_object
 from pfdual.topcat import TopCategory, generate_topology
 
-from conftest import (algebra_to_dict, build_swap_const, category_to_dict, dump_oracle, functor_to_dict,
-                      hom_to_dict, identity_multifunctor, make_category, zero_extended_cyclic)
+from conftest import (algebra_to_dict, build_swap_const, category_to_dict, dfa_to_dict, dump_oracle, functor_to_dict,
+                      hom_to_dict, identity_multifunctor, make_category, transducer_to_dict, zero_extended_cyclic)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -244,6 +244,33 @@ def categories(draw) -> TopCategory:
     )
 
 
+@st.composite
+def machines(draw, acceptor: bool = False) -> td.Transducer:
+    """Any move tables of the right shape, often with a state of no moves
+    or no final state: the writers do not ask for a function.  An
+    acceptor's moves write their letter, at most one a state and letter."""
+    alphabet = tuple(draw(st.lists(st.sampled_from('ab"\\é€\U0001d11e'), min_size=1, max_size=3, unique=True)))
+    n = draw(st.integers(1, 4))
+    names = tuple(draw(st.lists(NAMES, min_size=n, max_size=n, unique=True)))
+    target = st.integers(0, n - 1)
+    word = st.just("") if acceptor else st.text(st.sampled_from(alphabet), max_size=3)
+
+    def step(a: str) -> tuple:
+        if acceptor:
+            return tuple(draw(st.lists(target.map(lambda q: (a, q)), max_size=1)))
+        return tuple(sorted(draw(st.sets(st.tuples(word, target), max_size=2))))
+
+    delta = tuple(tuple(map(step, alphabet)) for _ in range(n))
+    final = tuple(draw(st.lists(st.none() | word, min_size=n, max_size=n)))
+    return td.Transducer(alphabet, draw(target), delta, final, names)
+
+
+# Names and letters that JSON escapes; the state named "é€" has no moves.
+AWKWARD = td.from_names(('q"0', "q\\1", "é€"), ('"', "\\", "é"), 'q"0',
+                        {('q"0', '"'): {("\\é", "q\\1")}, ("q\\1", "é"): {('"', "é€"), ("", 'q"0')}},
+                        {"é€": '\\"'})
+
+
 def read_by_rows(load, text: str, block: int = 1):
     """load of a file holding text, read in blocks of block characters,
     and refused if it falls back to json.loads."""
@@ -274,6 +301,44 @@ class TestBytesByRows:
         for block in (1, 2, 10, 40, len(text)):
             assert read_by_rows(fmt.load_category, text, block) == cat
         assert fmt.parse_category(json.loads(text)) == cat
+
+    @given(machines())
+    def test_machine_bytes_and_round_trip(self, t):
+        text = fmt.write_transducer(t)
+        assert text == dump_oracle(transducer_to_dict(t))
+        assert fmt.write_transducer(fmt.parse_transducer(json.loads(text))) == text
+
+    @given(machines(acceptor=True))
+    def test_acceptor_bytes_and_round_trip(self, d):
+        text = fmt.write_dfa(d)
+        assert text == dump_oracle(dfa_to_dict(d))
+        assert fmt.write_dfa(fmt.parse_transducer(json.loads(text))) == text
+
+    def test_machine_edge_cases(self):
+        """Escaped names and letters, no final state, no moves at all, and
+        a state with no moves."""
+        no_final = td.from_names(("s",), ("a",), "s", {("s", "a"): {("a", "s")}}, {})
+        no_moves = td.from_names(("s", "t"), ("a", "b"), "t", {}, {"s": ""})
+        for t in (AWKWARD, no_final, no_moves):
+            assert fmt.write_transducer(t) == dump_oracle(transducer_to_dict(t))
+            assert fmt.write_dfa(t) == dump_oracle(dfa_to_dict(t))
+        assert '"final": {}' in fmt.write_transducer(no_final)
+        assert '"accepting": [],' in fmt.write_dfa(no_final)
+        assert fmt.write_dfa(no_moves).endswith('"trans": []\n}\n')
+
+    def test_derived_machines(self):
+        """compose and pref_union of each pair of machines on one alphabet,
+        and D, A and R of each machine."""
+        files = sorted((ROOT / "data").glob("*.td.json")) + sorted((ROOT / "tests" / "golden").glob("*.td.json"))
+        sources = [*map(fmt.load_transducer, files), AWKWARD]
+        for t in sources:
+            for d in (td.domain_transducer(t), td.antidomain(t), td.range_transducer(t)):
+                assert fmt.write_dfa(d) == dump_oracle(dfa_to_dict(d))
+        pairs = [(x, y) for x in sources for y in sources if x.alphabet == y.alphabet]
+        assert len(pairs) > 20
+        for x, y in pairs:
+            for m in (td.compose(x, y), td.pref_union(x, y)):
+                assert fmt.write_transducer(m) == dump_oracle(transducer_to_dict(m))
 
     def test_smallest_files(self, one_elem):
         """A one-element algebra, and a category with no composable pair."""

@@ -8,7 +8,9 @@ change that means to alter some output rewrites the manifest with
 
     PYTHONPATH=src python tests/test_parity.py --write
 
-and says which lines moved and why."""
+and says which lines moved and why.  With --diff instead, the script prints
+each command line whose digest differs from the manifest, and exits 1 if
+any does."""
 
 from __future__ import annotations
 
@@ -203,8 +205,14 @@ def test_slice_matches_manifest(tmp_path):
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_parity.py --write")
+    if sys.argv[1:] not in (["--write"], ["--diff"]):
+        sys.exit("usage: python tests/test_parity.py --write | --diff")
     with tempfile.TemporaryDirectory() as work:
         rows = run_slice(Path(work))
+    if sys.argv[1] == "--diff":
+        expected = read_manifest()
+        moved = [line for i, (h, line) in enumerate(rows) if expected[i:i + 1] != [(h, line)]]
+        for line in moved:
+            print(line)
+        sys.exit(1 if moved else 0)
     MANIFEST.write_text("".join(f"{h}  {line}\n" for h, line in rows), encoding="utf-8")

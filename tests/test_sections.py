@@ -21,8 +21,8 @@ from pfdual.duality import theta
 from pfdual.errors import InconsistencyError
 from pfdual.pfun import Base, as_abstract, enumerate_all
 
-from conftest import (identity_hom, identity_multifunctor, index_of, is_clopen, make_category, random_closed_sets,
-                      zero_extended_cyclic)
+from conftest import (identity_hom, identity_multifunctor, index_of, is_clopen, is_open, make_category,
+                      random_closed_sets, zero_extended_cyclic)
 
 # A section as the definition states it: the domain mask, and the
 # (object, arrow) pairs sorted by object.
@@ -42,7 +42,7 @@ def is_section(cat: tc.TopCategory, s: Pair) -> bool:
     return (
         objs == sorted(set(objs)) and mask_of(objs) == domain
         and all(cat.src[f] == x for x, f in choice)
-        and is_clopen(cat.obj_top, domain) and cat.arr_top.is_open(mask_of(f for _, f in choice))
+        and is_clopen(cat.obj_top, domain) and is_open(cat.arr_top, mask_of(f for _, f in choice))
     )
 
 
@@ -154,7 +154,7 @@ class TestEnumeration:
                 continue
             objs = list(bits(dom))
             for picks in itertools.product(*(cat.stars[x] for x in objs)):
-                if cat.arr_top.is_open(mask_of(picks)):
+                if is_open(cat.arr_top, mask_of(picks)):
                     found.add((dom, tuple(zip(objs, picks))))
         enumerated = {decode(cat, s) for s in sc.enumerate_sections(cat)}
         assert enumerated == found

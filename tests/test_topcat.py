@@ -22,8 +22,8 @@ from pfdual.bitsets import bits, mask_of
 from pfdual.dualize import pf_morphism, pf_object
 from pfdual.topcat import MultiFunctor
 
-from conftest import (category_to_dict, comp_table, identity_hom, identity_multifunctor, is_clopen, make_category,
-                      zero_extended_cyclic)
+from conftest import (category_to_dict, comp_table, identity_hom, identity_multifunctor, is_clopen, is_open,
+                      make_category, zero_extended_cyclic)
 
 # The membership problems of validate_object_of_C besides the category
 # axioms and tc.NOT_EPI.
@@ -53,7 +53,7 @@ class TestTopologyGeneration:
 
     def test_intersection_added(self):
         top = tc.generate_topology(3, [0b011, 0b110])
-        assert top.is_open(0b010)
+        assert is_open(top, 0b010)
         assert top.opens == (0b000, 0b010, 0b011, 0b110, 0b111)
 
     def test_is_topology(self):
@@ -113,7 +113,7 @@ class TestTopologicalCategory:
     def test_identity_arrows_open(self, corpus_algebras):
         for a in corpus_algebras:
             cat = pf_object(a).category
-            assert cat.arr_top.is_open(mask_of(cat.id_of))
+            assert is_open(cat.arr_top, mask_of(cat.id_of))
 
     def test_src_discontinuity_detected(self):
         # two discrete objects, indiscrete arrows, nonconstant source: a
@@ -181,7 +181,7 @@ class TestEtaleChecks:
             {("ix", "ix"): "ix", ("iy", "iy"): "iy"},
             obj_opens=[[]],
         )
-        assert not cat.obj_top.is_open(image(cat.tgt, 0b01))
+        assert not is_open(cat.obj_top, image(cat.tgt, 0b01))
         assert tc.validate_object_of_C(cat) == (NOT_LOCAL, NOT_STONE)
 
 
@@ -309,7 +309,7 @@ def pullback_check_topological_category(cat: tc.TopCategory) -> tuple[tuple[str,
     witnesses = []
 
     def record(pre, domain, codomain, label):
-        witnesses.extend((label, n) for n in codomain.basis if not domain.is_open(pre(n)))
+        witnesses.extend((label, n) for n in codomain.basis if not is_open(domain, pre(n)))
 
     record(lambda n: preimage(cat.src, n), cat.arr_top, cat.obj_top, "src")
     record(lambda n: preimage(cat.tgt, n), cat.arr_top, cat.obj_top, "tgt")
@@ -566,7 +566,7 @@ class TestBruteForceTopologies:
             clopens = {u for u in opens if full & ~u in opens}
             assert top.opens == tuple(sorted(opens))
             for m in range(1 << (size + 1)):
-                assert top.is_open(m) == (m in opens)
+                assert is_open(top, m) == (m in opens)
                 assert is_clopen(top, m) == (m in clopens)
             for i in range(size):
                 assert top.nbhds[i] == functools.reduce(operator.and_, (u for u in opens if u >> i & 1))
@@ -585,8 +585,8 @@ class TestBruteForceTopologies:
         full = (1 << size) - 1
         assert top.is_discrete()
         assert top.basis == tuple(1 << i for i in range(size))
-        assert top.is_open(0b1011) and is_clopen(top, full & ~0b1011)
-        assert not top.is_open(1 << size)
+        assert is_open(top, 0b1011) and is_clopen(top, full & ~0b1011)
+        assert not is_open(top, 1 << size)
 
 
 def _small_categories(corpus_algebras, one_arrow_category, nonepi_category):
