@@ -93,6 +93,13 @@ def _strings(data: dict, key: str, path) -> list:
     return values
 
 
+def _position(index: dict[str, int], name: Any, path, noun: str, key: str) -> int:
+    """index[name]; a name that is not a string key of index is an unknown noun in key."""
+    if isinstance(name, str) and name in index:
+        return index[name]
+    raise FormatError(path, f"unknown {noun} {name!r} in {key}")
+
+
 # ---------------------------------------------------------------------------
 # Tables by rows
 # ---------------------------------------------------------------------------
@@ -186,8 +193,8 @@ def parse_algebra(data: dict, path: str | Path = "<algebra>") -> FinAlgebra:
         try:
             return list(map(idx.__getitem__, values))
         except (KeyError, TypeError):
-            name = next(name for name in values if not isinstance(name, str) or name not in idx)
-            raise FormatError(path, f"unknown element {name!r} in {key}") from None
+            pass
+        return [_position(idx, name, path, "element", key) for name in values]
 
     def table(key: str) -> Any:
         mapped = data.get(key)
@@ -304,14 +311,10 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     ai = {n: i for i, n in enumerate(arr_names)}
 
     def obj(n, where):
-        if not isinstance(n, str) or n not in oi:
-            raise FormatError(path, f"unknown object {n!r} in {where}")
-        return oi[n]
+        return _position(oi, n, path, "object", where)
 
     def arr(n, where):
-        if not isinstance(n, str) or n not in ai:
-            raise FormatError(path, f"unknown arrow {n!r} in {where}")
-        return ai[n]
+        return _position(ai, n, path, "arrow", where)
 
     def topology(key, index, size):
         """The listed sets are read as a subbasis."""
@@ -392,11 +395,6 @@ def load_category(path: str | Path) -> TopCategory:
 # ---------------------------------------------------------------------------
 
 
-def _find(index: dict[str, int], name: Any) -> int | None:
-    """index[name], or None when name is not a key; a JSON value may be unhashable."""
-    return index.get(name) if isinstance(name, str) else None
-
-
 def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tuple[str, ...],
               missing: str, unknown: str) -> tuple[int, ...]:
     """The position in targets of data[key][name], for each name in sources.
@@ -408,9 +406,7 @@ def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tup
     for name in sources:
         if name not in m:
             raise FormatError(path, f"{key} is missing {missing} {name!r}")
-        if (v := _find(index, m[name])) is None:
-            raise FormatError(path, f"unknown {unknown} {m[name]!r} in {key}")
-        positions.append(v)
+        positions.append(_position(index, m[name], path, unknown, key))
     return tuple(positions)
 
 
@@ -443,10 +439,8 @@ def parse_functor(data: dict, path: str | Path) -> MultiFunctor:
     for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(path, f"arr_rel entries must be pairs, got {pair!r}")
-        f, g = _find(source_arrows, pair[0]), _find(target_arrows, pair[1])
-        if f is None or g is None:
-            raise FormatError(path, f"unknown arrow in pair {pair!r}")
-        rel[f] |= 1 << g
+        f = _position(source_arrows, pair[0], path, "arrow", "arr_rel")
+        rel[f] |= 1 << _position(target_arrows, pair[1], path, "arrow", "arr_rel")
     return MultiFunctor(source, target, obj_map, tuple(rel))
 
 

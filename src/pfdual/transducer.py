@@ -280,8 +280,6 @@ def pref_union(t1: Transducer, t2: Transducer) -> Transducer:
     domains are disjoint, so it stays functional.  One table holds t1's rows,
     t2r's shifted past them, and a start row joining the two initial rows
     letter by letter, with t1's initial final output, else t2r's."""
-    if t1.alphabet != t2.alphabet:
-        raise ValueError("transducers must share an alphabet")
     t2r = compose(antidomain(t1), t2)
     n1 = len(t1.delta)
     shifted = tuple(tuple(tuple((out, q2 + n1) for out, q2 in step) for step in row) for row in t2r.delta)

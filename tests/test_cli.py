@@ -212,9 +212,9 @@ class TestMalformedInput:
         ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": ["y"]},
                            "arr_rel": []}, "unknown object ['y'] in obj_map"),
         ("naturality", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
-                        "arr_rel": [["ix", "ix"], [["iy"], "iy"]]}, "unknown arrow in pair [['iy'], 'iy']"),
+                        "arr_rel": [["ix", "ix"], [["iy"], "iy"]]}, "unknown arrow ['iy'] in arr_rel"),
         ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
-                           "arr_rel": [["ix", 5]]}, "unknown arrow in pair ['ix', 5]"),
+                           "arr_rel": [["ix", 5]]}, "unknown arrow 5 in arr_rel"),
         ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
                            "arr_rel": [["ix"]]}, "arr_rel entries must be pairs, got ['ix']"),
     ])

@@ -25,6 +25,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 from pfdual.cli import main
 
@@ -58,8 +59,11 @@ def abstract_file(k: int) -> str:
 
 
 def malformed(alg: str, cat: str) -> dict[str, str]:
-    """Table files that are faulty, or laid out otherwise than pfdual writes
-    them, by name under bad/: an algebra from alg and a category from cat."""
+    """Files that are faulty, or laid out otherwise than pfdual writes them,
+    by name under bad/: an algebra from alg and a category from cat, and a
+    homomorphism and a functor from those files (abstract2.alg.json and
+    tests/golden/swap_const.cat.json) to themselves, each using a name its
+    target does not list."""
     def reordered(text: str, first: str) -> str:
         data = json.loads(text)
         return json.dumps({first: data.pop(first), **data}, indent=2)
@@ -83,6 +87,8 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         d["comp"]["p_c,p_s"] = "p_c"
 
     arrow = json.loads(cat)["arrows"][0]["name"]
+    elements, objects = json.loads(alg)["elements"], json.loads(cat)["objects"]
+    algebra, category = "../abstract2.alg.json", "../tests/golden/swap_const.cat.json"
     return {
         "truncated.alg.json": alg[:len(alg) // 2],
         "bom.alg.json": "\ufeff" + alg,
@@ -103,6 +109,10 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         "unit.cat.json": edited(cat, lambda d: d["comp"].__setitem__("p_e12,p_s", "p_e12")),
         "srcobject.cat.json": edited(cat, lambda d: d["arrows"][0].__setitem__("src", "zz")),
         "idarrow.cat.json": edited(cat, lambda d: d["id"].__setitem__(d["objects"][0], "zz")),
+        "unknown.hom.json": json.dumps({"source": algebra, "target": algebra,
+                                        "map": {**{e: e for e in elements}, elements[1]: "zz"}}, indent=2),
+        "unknown.fun.json": json.dumps({"source": category, "target": category, "obj_map": {x: x for x in objects},
+                                        "arr_rel": [[arrow, arrow], [arrow, "zz"]]}, indent=2),
     }
 
 
@@ -132,7 +142,7 @@ def make_workspace(work: Path) -> None:
     """Copy data/ and tests/golden/ into work, write the concrete algebras
     of all partial functions on 3 and 4 points, the identity homomorphism
     of the one on 4 points, the abstract one on 2 points, the categories of
-    12 identities, the machine BRANCHING, and under bad/ the table files of
+    12 identities, the machine BRANCHING, and under bad/ the files of
     `malformed`."""
     shutil.copytree(ROOT / "data", work / "data")
     shutil.copytree(ROOT / "tests" / "golden", work / "tests" / "golden")
@@ -163,8 +173,12 @@ def digest(line: str) -> str:
     argv = line.split()
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
     err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    # argparse wraps a usage message to the terminal's width, and exits instead of returning
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     out.flush()
     err.flush()
     written = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a in ("--out", "--dot")]
