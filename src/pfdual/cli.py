@@ -235,7 +235,7 @@ def _load_machines(files: Sequence[str]) -> list:
 
 def cmd_transducer_eval(args) -> int:
     t = fmt.load_transducer(args.file)
-    out = fmt.built([args.file], lambda: td.eval(t, args.word))
+    out = td.eval(t, args.word)
     _emit({"transducer": args.file, "input": args.word,
            "defined": out is not None, "output": out if out is not None else ""}, args.format)
     return 0 if out is not None else 1
@@ -251,7 +251,7 @@ def cmd_transducer_combine(args) -> int:
 
 def cmd_transducer_acceptor(args) -> int:
     t = fmt.load_transducer(args.file)
-    d = fmt.built([args.file], lambda: td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t))
+    d = td.domain_transducer(t) if args.sub == "dom" else td.range_transducer(t)
     sample = [w for w in td.words_upto(d.alphabet, SAMPLE_LEN) if td.eval(d, w) is not None]
     if args.out:
         _write_out(fmt.write_dfa(d), args.out)
@@ -417,9 +417,8 @@ def main(argv=None) -> int:
     parsed = _parse(argv)
     args = _build_parser().parse_args(argv) if parsed is None else SimpleNamespace(**parsed)
     try:
-        if args.command == "transducer":
+        if not hasattr(args, "file"):  # compose, pref and axioms name their files themselves
             return args.fn(args)
-        # every other verb reads one file, which its refusals name
         return fmt.built([args.file], lambda: args.fn(args))
     except InconsistencyError as e:
         sys.stderr.write(f"internal error: {e}\n")

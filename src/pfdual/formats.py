@@ -334,10 +334,7 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
     comp_t = data.get("comp")
     if not isinstance(comp_t, _Mapped):
         comp_t = _comp_table(len(arr_names), composites(_need(data, "comp", path, dict)))
-    id_map = _need(data, "id", path, dict)
-    for o in obj_names:
-        if o not in id_map:
-            raise FormatError(path, f"'id' is missing object {o!r}")
+    id_of = _name_map(data, "id", path, obj_names, arr_names, "object", "arrow")
     obj_top = topology("opens_obj", obj, len(obj_names))
     arr_top = topology("opens_arr", arr, len(arr_names))
     near = sum(m.bit_count() for i, m in enumerate(arr_top.nbhds) if m != 1 << i)
@@ -351,7 +348,7 @@ def parse_category(data: dict, path: str | Path = "<category>") -> TopCategory:
         arr_top=arr_top,
         src=tuple(obj(a["src"], "arrows") for a in arrows),
         tgt=tuple(obj(a["tgt"], "arrows") for a in arrows),
-        id_of=tuple(arr(id_map[o], "id") for o in obj_names),
+        id_of=id_of,
         comp_t=tuple(comp_t),
     ))
 
@@ -398,8 +395,8 @@ def load_category(path: str | Path) -> TopCategory:
 def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tuple[str, ...],
               missing: str, unknown: str) -> tuple[int, ...]:
     """The position in targets of data[key][name], for each name in sources.
-    missing and unknown are the nouns for a source name data[key] lacks and
-    for a value that names no target."""
+    missing and unknown are the nouns for a source name data[key] lacks, or
+    a key of it that names no source, and for a value that names no target."""
     m = _need(data, key, path, dict)
     index = {name: i for i, name in enumerate(targets)}
     positions = []
@@ -407,6 +404,9 @@ def _name_map(data: dict, key: str, path, sources: tuple[str, ...], targets: tup
         if name not in m:
             raise FormatError(path, f"{key} is missing {missing} {name!r}")
         positions.append(_position(index, m[name], path, unknown, key))
+    known = dict.fromkeys(sources)
+    for name in m:
+        _position(known, name, path, missing, key)
     return tuple(positions)
 
 

@@ -133,9 +133,11 @@ class TestMalformedInput:
                 "comp": {"ix,ix": "ix", "iy,iy": "iy"}}
     ALGEBRA = {"elements": ["0"], "compose": [["0"]], "antidomain": ["0"], "range": ["0"], "pref": [["0"]]}
 
+    # The cases that carry a message have fixed ids, the ids they were first
+    # collected under, so a change of wording edits a case without renaming it.
     @pytest.mark.parametrize("verb, data, message", [
         ("sections", {**CATEGORY, "comp": [["ix", "ix", "ix"]]}, "'comp' must be a JSON object"),
-        ("sections", {**CATEGORY, "id": {"x": "ix"}}, "'id' is missing object 'y'"),
+        ("sections", {**CATEGORY, "id": {"x": "ix"}}, "id is missing object 'y'"),
         ("check-axioms", {**ALGEBRA, "elements": 5}, "'elements' must be a JSON list"),
         ("check-axioms", {**ALGEBRA, "compose": [5]}, "rows of 'compose' must be lists of element names"),
         ("check-axioms", {**ALGEBRA, "range": [["0"]]}, "unknown element ['0'] in range"),
@@ -170,6 +172,38 @@ class TestMalformedInput:
         ("sections", {**CATEGORY, "arrows": [{"name": "ix", "src": "z", "tgt": "x"}, CATEGORY["arrows"][1]]},
          "unknown object 'z' in arrows"),
         ("sections", {**CATEGORY, "id": {"x": "ix", "y": "iz"}}, "unknown arrow 'iz' in id"),
+        ("sections", {**CATEGORY, "id": {"x": "ix", "y": "iy", "zz": "ix"}}, "unknown object 'zz' in id"),
+    ], ids=[
+        "sections-data0-'comp' must be a JSON object",
+        "sections-data1-'id' is missing object 'y'",
+        "check-axioms-data2-'elements' must be a JSON list",
+        "check-axioms-data3-rows of 'compose' must be lists of element names",
+        "check-axioms-data4-unknown element ['0'] in range",
+        "hom-check-data5-'map' must be a JSON object",
+        "hom-check-5-expected a JSON object",
+        "sections-data7-expected a JSON object",
+        "check-axioms-data8-'elements' must be a list of strings",
+        "check-axioms-data9-'base' points must be strings",
+        "check-axioms-data10-'base' points must be strings",
+        "check-axioms-data11-'base' points must be strings",
+        "check-axioms-data12-base points must be distinct: ('a', 'a')",
+        "sections-data13-object and arrow names must be strings",
+        "sections-data14-object and arrow names must be strings",
+        "sections-data15-object and arrow names must be strings",
+        "check-axioms-data16-missing key 'range'",
+        "check-axioms-data17-element names must be distinct",
+        "check-axioms-data18-'base' must be a list of points",
+        "check-axioms-data19-'functions' must map names to graphs",
+        "check-axioms-data20-function 'f': graph must be an object",
+        "check-axioms-data21-function 'f': point '9' not in base ('1',)",
+        "check-axioms-data22-functions 'e' and 'f' are identical",
+        "sections-data23-object and arrow names must be distinct",
+        "sections-data24-unknown arrow 'iz' in comp",
+        "sections-data25-'opens_arr' must list sets as lists",
+        "sections-data26-bad composition key 'ix'",
+        "sections-data27-unknown object 'z' in arrows",
+        "sections-data28-unknown arrow 'iz' in id",
+        "sections-id-extra-key",
     ])
     def test_malformed_file_names_the_key(self, capsys, tmp_path, verb, data, message):
         path = tmp_path / "malformed.json"
@@ -217,6 +251,26 @@ class TestMalformedInput:
                            "arr_rel": [["ix", 5]]}, "unknown arrow 5 in arr_rel"),
         ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
                            "arr_rel": [["ix"]]}, "arr_rel entries must be pairs, got ['ix']"),
+        ("hom-check", {"source": "swap_only.alg.json", "target": "swap_const.alg.json",
+                       "map": {**SWAP_MAP, "zz": SWAP_MAP["s"]}}, "unknown source element 'zz' in map"),
+        ("functor-check", {"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y", "zz": "x"},
+                           "arr_rel": []}, "unknown object 'zz' in obj_map"),
+    ], ids=[
+        "hom-check-data0-'source' must be a JSON string",
+        "naturality-data1-'source' must be a JSON string",
+        "hom-check-data2-'target' must be a JSON string",
+        "functor-check-data3-'source' must be a JSON string",
+        "naturality-data4-'target' must be a JSON string",
+        "hom-check-data5-unknown element 'nope' in map",
+        "naturality-data6-unknown element ['s'] in map",
+        "hom-check-data7-map is missing source element 's'",
+        "functor-check-data8-obj_map is missing object 'y'",
+        "functor-check-data9-unknown object ['y'] in obj_map",
+        "naturality-data10-unknown arrow ['iy'] in arr_rel",
+        "functor-check-data11-unknown arrow 5 in arr_rel",
+        "functor-check-data12-arr_rel entries must be pairs, got ['ix']",
+        "hom-check-map-extra-key",
+        "functor-check-obj_map-extra-key",
     ])
     def test_malformed_morphism_file(self, capsys, tmp_path, verb, data, message):
         for name in ("swap_only.alg.json", "swap_const.alg.json"):
@@ -255,6 +309,24 @@ class TestMalformedInput:
          "output 'ab' uses letters outside the alphabet"),
         ({**TRANSDUCER, "final": {"s": "b"}}, "final output 'b' uses letters outside the alphabet"),
         ({**TRANSDUCER, "states": ["s", "t", "s"]}, "state 's' is listed twice"),
+    ], ids=[
+        "data0-'final' must be a JSON object",
+        "data1-'final' must map states to output strings",
+        "data2-transition key 'out' must be a string: {'from': 's', 'in': 'a', 'out': 5, 'to': 's'}",
+        "data3-transition key 'from' must be a string: {'from': ['s'], 'in': 'a', 'out': 'a', 'to': 's'}",
+        "data4-alphabet ['a', 'a'] must list distinct one-character letters",
+        "data5-alphabet ['ab'] must list distinct one-character letters",
+        "data6-'states' must be a JSON list",
+        "data7-'alphabet' must be a list of strings",
+        "data8-'initial' must be a JSON string",
+        "data9-initial state must be listed",
+        "data10-final states must be listed states",
+        "data11-transition from unknown state/letter ('x','a')",
+        "data12-transition from unknown state/letter ('s','b')",
+        "data13-transition to unknown state 'x'",
+        "data14-output 'ab' uses letters outside the alphabet",
+        "data15-final output 'b' uses letters outside the alphabet",
+        "data16-state 's' is listed twice",
     ])
     def test_malformed_transducer_names_the_key(self, capsys, tmp_path, data, message):
         path = tmp_path / "malformed.td.json"

@@ -60,10 +60,10 @@ def abstract_file(k: int) -> str:
 
 def malformed(alg: str, cat: str) -> dict[str, str]:
     """Files that are faulty, or laid out otherwise than pfdual writes them,
-    by name under bad/: an algebra from alg and a category from cat, and a
-    homomorphism and a functor from those files (abstract2.alg.json and
+    by name under bad/: an algebra from alg and a category from cat, and
+    homomorphisms and functors from those files (abstract2.alg.json and
     tests/golden/swap_const.cat.json) to themselves, each using a name its
-    target does not list."""
+    source or target does not list."""
     def reordered(text: str, first: str) -> str:
         data = json.loads(text)
         return json.dumps({first: data.pop(first), **data}, indent=2)
@@ -86,8 +86,9 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         nonassociative(d)
         d["comp"]["p_c,p_s"] = "p_c"
 
-    arrow = json.loads(cat)["arrows"][0]["name"]
     elements, objects = json.loads(alg)["elements"], json.loads(cat)["objects"]
+    arrows = [a["name"] for a in json.loads(cat)["arrows"]]
+    arrow = arrows[0]
     algebra, category = "../abstract2.alg.json", "../tests/golden/swap_const.cat.json"
     return {
         "truncated.alg.json": alg[:len(alg) // 2],
@@ -109,10 +110,17 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         "unit.cat.json": edited(cat, lambda d: d["comp"].__setitem__("p_e12,p_s", "p_e12")),
         "srcobject.cat.json": edited(cat, lambda d: d["arrows"][0].__setitem__("src", "zz")),
         "idarrow.cat.json": edited(cat, lambda d: d["id"].__setitem__(d["objects"][0], "zz")),
+        "idextra.cat.json": edited(cat, lambda d: d["id"].__setitem__("zz", d["id"][d["objects"][0]])),
+        "idmissing.cat.json": edited(cat, lambda d: d["id"].pop(d["objects"][-1])),
         "unknown.hom.json": json.dumps({"source": algebra, "target": algebra,
                                         "map": {**{e: e for e in elements}, elements[1]: "zz"}}, indent=2),
+        "extramap.hom.json": json.dumps({"source": algebra, "target": algebra,
+                                         "map": {**{e: e for e in elements}, "zz": elements[1]}}, indent=2),
         "unknown.fun.json": json.dumps({"source": category, "target": category, "obj_map": {x: x for x in objects},
                                         "arr_rel": [[arrow, arrow], [arrow, "zz"]]}, indent=2),
+        "extraobj.fun.json": json.dumps({"source": category, "target": category,
+                                         "obj_map": {**{x: x for x in objects}, "zz": objects[0]},
+                                         "arr_rel": [[a, a] for a in arrows]}, indent=2),
     }
 
 
