@@ -30,7 +30,6 @@ The main entry points:
 from . import formats  # noqa: F401
 from .algebra import (
     AxiomReport,
-    FilterSet,
     FinAlgebra,
     Homomorphism,
     check_axioms,
@@ -55,7 +54,6 @@ __all__ = [
     "AxiomReport",
     "Base",
     "DualCategory",
-    "FilterSet",
     "FinAlgebra",
     "FinTopology",
     "Homomorphism",

@@ -183,23 +183,6 @@ def minimal_nonzero_elements(alg: FinAlgebra) -> tuple[int, ...]:
     return tuple(a for a in range(alg.size) if a != con.zero and con.down[a] & ~(1 << a | 1 << con.zero) == 0)
 
 
-@dataclass(frozen=True)
-class FilterSet:
-    """A subset of an algebra, tagged with the algebra it lives in."""
-
-    algebra: FinAlgebra
-    members: int
-
-    def __contains__(self, idx: int) -> bool:
-        return bool(self.members >> idx & 1)
-
-    def element_names(self) -> tuple[str, ...]:
-        return tuple(self.algebra.names[i] for i in bits(self.members))
-
-    def __repr__(self) -> str:
-        return "FilterSet{" + ",".join(self.element_names()) + "}"
-
-
 # ---------------------------------------------------------------------------
 # The axiom checker
 # ---------------------------------------------------------------------------
@@ -634,10 +617,11 @@ def preserves_joins(h: Homomorphism) -> bool:
     return True
 
 
-def check_locally_proper(h: Homomorphism):
+def check_locally_proper(h: Homomorphism) -> tuple[bool, Optional[int]]:
     """True iff the inverse image of every prime filter of the target is a
-    prime filter of the source.  Returns (verdict, offending_filter_or_None).
-    Raises ValueError when the source or target is not representable.
+    prime filter of the source.  Returns (True, None), or (False, mask): the
+    member mask of the first target prime filter whose inverse image is not
+    prime.  Raises ValueError when the source or target is not representable.
     Prime filters are the up-sets of minimal nonzero elements, so each
     target atom's inverse image, one `preimage` call, is looked up among
     the source's, atoms in ascending order; h may be any map.
@@ -648,4 +632,4 @@ def check_locally_proper(h: Homomorphism):
     primes = set(map(source.up.__getitem__, minimal_nonzero_elements(h.source)))
     minimal = minimal_nonzero_elements(h.target)
     m = next((m for m in minimal if preimage(h.mapping, target.up[m]) not in primes), None)
-    return (True, None) if m is None else (False, FilterSet(h.target, target.up[m]))
+    return (True, None) if m is None else (False, target.up[m])

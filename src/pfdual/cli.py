@@ -31,6 +31,7 @@ from . import formats as fmt
 from . import sections as sec
 from . import topcat as tc
 from . import transducer as td
+from .bitsets import bits
 from .errors import InconsistencyError
 
 if TYPE_CHECKING:
@@ -186,7 +187,7 @@ def cmd_hom_check(args) -> int:
         proper, witness = alg.check_locally_proper(h)
         report["locally_proper"] = proper
         if witness is not None:
-            report["locally_proper_witness"] = list(witness.element_names())
+            report["locally_proper_witness"] = [h.target.names[i] for i in bits(witness)]
         report["dual"] = _functor_entries(dz.pf_morphism(h))
         ok = _functor_ok(report["dual"])
     _emit(report, args.format)
@@ -424,7 +425,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"internal error: {e}\n")
         return 3
     except (ValueError, OSError) as e:
-        sys.stderr.write(f"error: {e}\n")
+        named = isinstance(e, OSError) and e.filename is not None  # a missing or unwritable file
+        sys.stderr.write(f"error: {e.filename}: {e.strerror}\n" if named else f"error: {e}\n")
         return 2
 
 

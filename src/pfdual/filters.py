@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .algebra import FilterSet, FinAlgebra, derive_constants, domain_elements, minimal_nonzero_elements
+from .algebra import FinAlgebra, derive_constants, domain_elements, minimal_nonzero_elements
 from .bitsets import bits, mask_of
 from .errors import InconsistencyError
 
@@ -57,7 +57,7 @@ def _greatest_lower_bound(alg: FinAlgebra, a: int, b: int) -> int:
     raise ValueError(f"elements {a} and {b} have no greatest common lower bound")
 
 
-def generated_filter(alg: FinAlgebra, seed: int | Iterable[int]) -> FilterSet:
+def generated_filter(alg: FinAlgebra, seed: int | Iterable[int]) -> int:
     """Least filter containing the seed set.
 
     The result is improper (contains zero, hence everything) when the seed
@@ -76,17 +76,16 @@ def generated_filter(alg: FinAlgebra, seed: int | Iterable[int]) -> FilterSet:
                 if not members >> g & 1:
                     added |= 1 << g
         if not added:
-            return FilterSet(alg, members)
+            return members
         members = upward_closure(alg, members | added)
 
 
-def is_prime(alg: FinAlgebra, f: FilterSet) -> bool:
+def is_prime(alg: FinAlgebra, m: int) -> bool:
     """Proper filter such that a|b inside forces a or b inside."""
-    if not is_filter(alg, f.members):
+    if not is_filter(alg, m):
         raise ValueError("not a filter")
-    if not is_proper(alg, f.members):
+    if not is_proper(alg, m):
         return False
-    m = f.members
     n = alg.size
     for a in range(n):
         row = alg.pref_t[a]
@@ -96,21 +95,21 @@ def is_prime(alg: FinAlgebra, f: FilterSet) -> bool:
     return True
 
 
-def is_maximal(alg: FinAlgebra, f: FilterSet) -> bool:
+def is_maximal(alg: FinAlgebra, f: int) -> bool:
     """No proper filter strictly extends f."""
-    if not is_filter(alg, f.members):
+    if not is_filter(alg, f):
         raise ValueError("not a filter")
-    if not is_proper(alg, f.members):
+    if not is_proper(alg, f):
         return False
     for a in range(alg.size):
-        if f.members >> a & 1:
+        if f >> a & 1:
             continue
-        if is_proper(alg, generated_filter(alg, f.members | 1 << a).members):
+        if is_proper(alg, generated_filter(alg, f | 1 << a)):
             return False
     return True
 
 
-def enumerate_prime_filters(alg: FinAlgebra) -> tuple[FilterSet, ...]:
+def enumerate_prime_filters(alg: FinAlgebra) -> tuple[int, ...]:
     """All prime filters, in the index order of their least elements.
 
     In a finite representable algebra these are exactly the up-sets of the
@@ -119,7 +118,7 @@ def enumerate_prime_filters(alg: FinAlgebra) -> tuple[FilterSet, ...]:
     con = derive_constants(alg)
     out = []
     for m in minimal_nonzero_elements(alg):
-        f = FilterSet(alg, con.up[m])
+        f = con.up[m]
         if not is_prime(alg, f):
             raise InconsistencyError(
                 f"up-set of minimal element {m} is not prime; algebra not representable?"
@@ -137,13 +136,12 @@ def domain_mask(alg: FinAlgebra) -> int:
     return mask_of(domain_elements(alg))
 
 
-def is_domain_ultrafilter(alg: FinAlgebra, f: FilterSet) -> bool:
+def is_domain_ultrafilter(alg: FinAlgebra, m: int) -> bool:
     """Ultrafilter of the domain subalgebra: a proper filter of the domain
     elements containing exactly one of x, A(x) for each domain element x.
     """
     con = derive_constants(alg)
     dmask = domain_mask(alg)
-    m = f.members
     if m == 0 or m & ~dmask or m >> con.zero & 1:
         return False
     idxs = list(bits(m))
@@ -159,7 +157,7 @@ def is_domain_ultrafilter(alg: FinAlgebra, f: FilterSet) -> bool:
     return True
 
 
-def enumerate_domain_ultrafilters(alg: FinAlgebra) -> tuple[FilterSet, ...]:
+def enumerate_domain_ultrafilters(alg: FinAlgebra) -> tuple[int, ...]:
     """All ultrafilters of the domain subalgebra, one per atom, in atom order."""
     con = derive_constants(alg)
     dmask = domain_mask(alg)
@@ -170,7 +168,7 @@ def enumerate_domain_ultrafilters(alg: FinAlgebra) -> tuple[FilterSet, ...]:
     ]
     out = []
     for atom in atoms:
-        f = FilterSet(alg, con.up[atom] & dmask)
+        f = con.up[atom] & dmask
         if not is_domain_ultrafilter(alg, f):
             raise InconsistencyError(f"up-set of atom {atom} is not an ultrafilter")
         out.append(f)
@@ -181,22 +179,20 @@ def upclose_in_domain(alg: FinAlgebra, subset: int) -> int:
     return upward_closure(alg, subset) & domain_mask(alg)
 
 
-def source_of(alg: FinAlgebra, p: FilterSet) -> FilterSet:
+def source_of(alg: FinAlgebra, p: int) -> int:
     """The set of domains of members of a prime filter; an ultrafilter."""
-    m = mask_of(alg.dom(a) for a in bits(p.members))
-    f = FilterSet(alg, m)
-    if not is_domain_ultrafilter(alg, f):
+    m = mask_of(alg.dom(a) for a in bits(p))
+    if not is_domain_ultrafilter(alg, m):
         raise InconsistencyError("domain image of a prime filter is not an ultrafilter")
-    return f
+    return m
 
 
-def target_of(alg: FinAlgebra, p: FilterSet) -> FilterSet:
+def target_of(alg: FinAlgebra, p: int) -> int:
     """Upward closure (among domain elements) of the ranges of members."""
-    m = upclose_in_domain(alg, mask_of(alg.rng(a) for a in bits(p.members)))
-    f = FilterSet(alg, m)
-    if not is_domain_ultrafilter(alg, f):
+    m = upclose_in_domain(alg, mask_of(alg.rng(a) for a in bits(p)))
+    if not is_domain_ultrafilter(alg, m):
         raise InconsistencyError("range image of a prime filter is not an ultrafilter")
-    return f
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +200,22 @@ def target_of(alg: FinAlgebra, p: FilterSet) -> FilterSet:
 # ---------------------------------------------------------------------------
 
 
-def compose_filters(alg: FinAlgebra, p: FilterSet, q: FilterSet) -> FilterSet:
+def compose_filters(alg: FinAlgebra, p: int, q: int) -> int:
     """Upward closure of the pairwise compositions.
 
     Prime exactly when target_of(p) equals source_of(q); improper otherwise.
     """
-    prods = mask_of(alg.compose_t[a][b] for a in bits(p.members) for b in bits(q.members))
-    return FilterSet(alg, upward_closure(alg, prods))
+    prods = mask_of(alg.compose_t[a][b] for a in bits(p) for b in bits(q))
+    return upward_closure(alg, prods)
 
 
-def prime_from(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
+def prime_from(alg: FinAlgebra, mu: int, a: int) -> int:
     """Upward closure of mu*a; prime iff it avoids zero."""
-    prods = mask_of(alg.compose_t[x][a] for x in bits(mu.members))
-    return FilterSet(alg, upward_closure(alg, prods))
+    prods = mask_of(alg.compose_t[x][a] for x in bits(mu))
+    return upward_closure(alg, prods)
 
 
-def find_prime_with_range(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
+def find_prime_with_range(alg: FinAlgebra, mu: int, a: int) -> int:
     """A prime filter containing `a` whose target is `mu`.
 
     Requires R(a) in mu.  Constructive: close the domains of a*mu upward
@@ -227,9 +223,9 @@ def find_prime_with_range(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
     elements in index order, and compose back with `a`.
     """
     con = derive_constants(alg)
-    if not mu.members >> alg.rng(a) & 1:
+    if not mu >> alg.rng(a) & 1:
         raise ValueError("R(a) must belong to the given ultrafilter")
-    seed = mask_of(alg.dom(alg.compose_t[a][x]) for x in bits(mu.members))
+    seed = mask_of(alg.dom(alg.compose_t[a][x]) for x in bits(mu))
     base = upclose_in_domain(alg, seed)
     # extend to an ultrafilter: shrink a running minimum by meets that stay nonzero
     m = None
@@ -243,11 +239,11 @@ def find_prime_with_range(alg: FinAlgebra, mu: FilterSet, a: int) -> FilterSet:
         c = alg.compose_t[m][x]
         if c != con.zero:
             m = c
-    nu = FilterSet(alg, con.up[m] & domain_mask(alg))
+    nu = con.up[m] & domain_mask(alg)
     if not is_domain_ultrafilter(alg, nu):
         raise InconsistencyError("ultrafilter extension failed")
     p = prime_from(alg, nu, a)
-    if not is_proper(alg, p.members):
+    if not is_proper(alg, p):
         raise InconsistencyError("constructed filter is improper")
     if target_of(alg, p) != mu:
         raise InconsistencyError("constructed prime filter has the wrong target")

@@ -106,6 +106,11 @@ def index_of(alg: FinAlgebra, name: str) -> int:
     return alg.names.index(name)
 
 
+def element_names(alg: FinAlgebra, members: int) -> tuple[str, ...]:
+    """The names of the elements in a member mask of alg, in index order."""
+    return tuple(alg.names[i] for i in bits(members))
+
+
 def identity_hom(alg: FinAlgebra) -> Homomorphism:
     return Homomorphism(alg, alg, tuple(range(alg.size)))
 

@@ -14,8 +14,8 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import (BASE3, build_swap_const, build_swap_only, build_nonepi_category, identity_hom, index_of,
-                      inverse_functor, inverse_hom, permuted_copy)
+from conftest import (BASE3, build_swap_const, build_swap_only, build_nonepi_category, element_names, identity_hom,
+                      index_of, inverse_functor, inverse_hom, permuted_copy)
 from pfdual import algebra as alg
 from pfdual import duality as du
 from pfdual import sections as sc
@@ -198,7 +198,7 @@ def test_criterion_06_morphism_duality():
         assert not tc.is_plain_functor(fun)
         proper, witness = alg.check_locally_proper(incl)
         assert not proper
-        assert set(witness.element_names()) == {"c", "c3"}
+        assert element_names(swap_const, witness) == ("c", "c3")
         assert du.check_naturality_theta(incl)
 
 

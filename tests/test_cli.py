@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import importlib
 import io
 import json
@@ -340,6 +341,22 @@ class TestMalformedInput:
                                     "final": {"q": ""}, "trans": [5]}))
         assert main(["transducer", "eval", str(path), "a"]) == 2
         assert capsys.readouterr().err == f"error: {path}: transition missing key 'from': 5\n"
+
+    @pytest.mark.parametrize("case", ["check-axioms", "hom-check-source", "dualize-out"])
+    def test_missing_file_is_named_with_its_reason(self, capsys, tmp_path, case):
+        """A file that cannot be opened is refused as `error: <file>: <reason>`,
+        the shape of every other refusal, not as Python's OSError text."""
+        missing = tmp_path / "missing.alg.json"
+        hom = tmp_path / "nosource.hom.json"
+        hom.write_text(json.dumps({"source": missing.name, "target": str(DATA / "swap_const.alg.json"), "map": {}}))
+        argv, named = {
+            "check-axioms": (["check-axioms", missing], missing),
+            "hom-check-source": (["hom-check", hom], missing),
+            "dualize-out": (["dualize", DATA / "swap_const.alg.json", "--out", tmp_path / "no" / "x.json"],
+                            tmp_path / "no" / "x.json"),
+        }[case]
+        assert main([str(a) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {named}: {os.strerror(errno.ENOENT)}\n"
 
 
 # A locale whose encoding is ASCII, with Python's UTF-8 mode and locale

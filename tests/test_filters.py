@@ -14,7 +14,7 @@ from pfdual import algebra as alg
 from pfdual import filters as flt
 from pfdual.bitsets import bits, mask_of
 
-from conftest import index_of
+from conftest import element_names, index_of
 
 
 def named(a, *names):
@@ -23,15 +23,15 @@ def named(a, *names):
 
 @pytest.fixture(scope="module")
 def primes(swap_const):
-    return {p.element_names()[0]: p for p in flt.enumerate_prime_filters(swap_const)}
+    return {element_names(swap_const, p)[0]: p for p in flt.enumerate_prime_filters(swap_const)}
 
 
 @pytest.fixture(scope="module")
 def ultras(swap_const):
     ufs = flt.enumerate_domain_ultrafilters(swap_const)
     return {
-        "mu12": next(u for u in ufs if "e12" in u.element_names()),
-        "mu3": next(u for u in ufs if "e3" in u.element_names()),
+        "mu12": next(u for u in ufs if "e12" in element_names(swap_const, u)),
+        "mu3": next(u for u in ufs if "e3" in element_names(swap_const, u)),
     }
 
 
@@ -39,15 +39,15 @@ class TestGeneratedFilter:
     def test_single_generator(self, swap_const, primes):
         got = flt.generated_filter(swap_const, named(swap_const, "s"))
         assert got == primes["s"]
-        assert got.element_names() == ("s", "s3")
+        assert element_names(swap_const, got) == ("s", "s3")
 
     def test_top_like_element(self, swap_const):
-        assert flt.generated_filter(swap_const, named(swap_const, "1")).element_names() == ("1",)
+        assert element_names(swap_const, flt.generated_filter(swap_const, named(swap_const, "1"))) == ("1",)
 
     def test_incompatible_pair_is_improper(self, swap_const):
         got = flt.generated_filter(swap_const, named(swap_const, "s", "c"))
-        assert not flt.is_proper(swap_const, got.members)
-        assert got.members == (1 << swap_const.size) - 1
+        assert not flt.is_proper(swap_const, got)
+        assert got == (1 << swap_const.size) - 1
 
     def test_empty_seed_rejected(self, swap_const):
         with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestGeneratedFilter:
         """The result is contained in every filter that includes the seed."""
         n = swap_const.size
         for seed in range(1, 1 << n):
-            gen = flt.generated_filter(swap_const, seed).members
+            gen = flt.generated_filter(swap_const, seed)
             assert flt.is_filter(swap_const, gen)
             for candidate in range(1, 1 << n):
                 if candidate & seed == seed and flt.is_filter(swap_const, candidate):
@@ -68,20 +68,18 @@ class TestPrimeMaximal:
     def test_examples(self, swap_const, primes):
         assert flt.is_prime(swap_const, primes["s"])
         assert flt.is_prime(swap_const, primes["e3"])
-        only_top = flt.FilterSet(swap_const, named(swap_const, "1"))
-        assert not flt.is_prime(swap_const, only_top)
+        assert not flt.is_prime(swap_const, named(swap_const, "1"))
 
     def test_non_filter_rejected(self, swap_const):
         with pytest.raises(ValueError):
-            flt.is_prime(swap_const, flt.FilterSet(swap_const, named(swap_const, "s", "c")))
+            flt.is_prime(swap_const, named(swap_const, "s", "c"))
 
     def test_prime_iff_maximal_exhaustive(self, swap_const, full2):
         for a in (swap_const, full2):
             for members in range(1, 1 << a.size):
                 if not flt.is_filter(a, members) or not flt.is_proper(a, members):
                     continue
-                f = flt.FilterSet(a, members)
-                assert flt.is_prime(a, f) == flt.is_maximal(a, f)
+                assert flt.is_prime(a, members) == flt.is_maximal(a, members)
 
 
 class TestEnumeration:
@@ -93,35 +91,35 @@ class TestEnumeration:
         assert len(flt.enumerate_domain_ultrafilters(one_elem)) == 0
 
     def test_subalgebra_prime_generators(self, swap_only):
-        leasts = {p.element_names()[0] for p in flt.enumerate_prime_filters(swap_only)}
+        leasts = {element_names(swap_only, p)[0] for p in flt.enumerate_prime_filters(swap_only)}
         assert leasts == {"e12", "e3", "s"}
 
     def test_enumeration_matches_brute_force(self, swap_const, full2):
         for a in (swap_const, full2):
-            enumerated = {p.members for p in flt.enumerate_prime_filters(a)}
+            enumerated = set(flt.enumerate_prime_filters(a))
             brute = {
                 members
                 for members in range(1, 1 << a.size)
                 if flt.is_filter(a, members)
-                and flt.is_prime(a, flt.FilterSet(a, members))
+                and flt.is_prime(a, members)
             }
             assert enumerated == brute
 
     def test_four_way_equivalence(self, swap_const):
         """prime = maximal = upward-closed product with an ultrafilter,
         for every element of the filter."""
-        prime_masks = {p.members for p in flt.enumerate_prime_filters(swap_const)}
+        prime_masks = set(flt.enumerate_prime_filters(swap_const))
         ufs = flt.enumerate_domain_ultrafilters(swap_const)
         from_products = set()
         for mu in ufs:
             for a in range(swap_const.size):
                 cand = flt.prime_from(swap_const, mu, a)
-                if flt.is_proper(swap_const, cand.members):
-                    from_products.add(cand.members)
+                if flt.is_proper(swap_const, cand):
+                    from_products.add(cand)
         assert from_products == prime_masks
         for p in flt.enumerate_prime_filters(swap_const):
             mu = flt.source_of(swap_const, p)
-            for a in bits(p.members):
+            for a in bits(p):
                 assert flt.prime_from(swap_const, mu, a) == p
 
 
@@ -134,7 +132,7 @@ class TestSourceTarget:
 
     def test_ultrafilter_upset_recovers_itself(self, swap_const):
         for mu in flt.enumerate_domain_ultrafilters(swap_const):
-            up = flt.FilterSet(swap_const, flt.upward_closure(swap_const, mu.members))
+            up = flt.upward_closure(swap_const, mu)
             assert flt.is_prime(swap_const, up)
             assert flt.source_of(swap_const, up) == mu
 
@@ -144,14 +142,14 @@ class TestComposeFilters:
         assert flt.compose_filters(swap_const, primes["s"], primes["s"]) == primes["e12"]
         assert flt.compose_filters(swap_const, primes["s"], primes["c"]) == primes["c"]
         improper = flt.compose_filters(swap_const, primes["c"], primes["s"])
-        assert not flt.is_proper(swap_const, improper.members)
+        assert not flt.is_proper(swap_const, improper)
 
     def test_proper_iff_target_matches_source(self, swap_const):
         primes = flt.enumerate_prime_filters(swap_const)
         for p, q in itertools.product(primes, repeat=2):
             composite = flt.compose_filters(swap_const, p, q)
             matches = flt.target_of(swap_const, p) == flt.source_of(swap_const, q)
-            assert flt.is_proper(swap_const, composite.members) == matches
+            assert flt.is_proper(swap_const, composite) == matches
             if matches:
                 assert flt.is_prime(swap_const, composite)
                 assert flt.target_of(swap_const, composite) == flt.target_of(swap_const, q)
@@ -161,13 +159,13 @@ class TestComposeFilters:
         for p, q, r in itertools.product(primes, repeat=3):
             pq = flt.compose_filters(swap_const, p, q)
             pr = flt.compose_filters(swap_const, p, r)
-            if flt.is_proper(swap_const, pq.members) and pq == pr:
+            if flt.is_proper(swap_const, pq) and pq == pr:
                 assert q == r
 
     def test_nondisjoint_same_source_equal(self, swap_const):
         primes = flt.enumerate_prime_filters(swap_const)
         for p, q in itertools.product(primes, repeat=2):
-            if p.members & q.members and flt.source_of(swap_const, p) == flt.source_of(swap_const, q):
+            if p & q and flt.source_of(swap_const, p) == flt.source_of(swap_const, q):
                 assert p == q
 
 
@@ -176,13 +174,13 @@ class TestPrimeFrom:
         i = partial(index_of, swap_const)
         assert flt.prime_from(swap_const, ultras["mu12"], i("s")) == primes["s"]
         improper = flt.prime_from(swap_const, ultras["mu3"], i("s"))
-        assert not flt.is_proper(swap_const, improper.members)
+        assert not flt.is_proper(swap_const, improper)
 
     def test_identity_case(self, swap_const, ultras):
         con = alg.derive_constants(swap_const)
         for mu in ultras.values():
             p = flt.prime_from(swap_const, mu, con.ident)
-            assert p.members == flt.upward_closure(swap_const, mu.members)
+            assert p == flt.upward_closure(swap_const, mu)
             assert flt.is_prime(swap_const, p)
 
 
@@ -201,10 +199,10 @@ class TestFindPrimeWithRange:
         for a in corpus_algebras:
             for mu in flt.enumerate_domain_ultrafilters(a):
                 for x in range(a.size):
-                    if not mu.members >> a.rng(x) & 1:
+                    if not mu >> a.rng(x) & 1:
                         continue
                     p = flt.find_prime_with_range(a, mu, x)
-                    assert p.members >> x & 1
+                    assert p >> x & 1
                     assert flt.target_of(a, p) == mu
 
 

@@ -1,13 +1,14 @@
 """The exit-code contract under mutated input: each shipped data file, edited
 at one place by a fixed seed, is run through its verb in process.  Every
 run exits 0, 1 or 2, raises nothing out of `main`, and refuses in one line
-that begins `error: `."""
+that begins `error: ` and a file: the mutant, or one it names in its folder."""
 
 from __future__ import annotations
 
 import contextlib
 import io
 import json
+import os
 import random
 import shutil
 import time
@@ -47,13 +48,18 @@ def places(value: Any, path: tuple = ()) -> Iterator[tuple]:
 
 def mutate(data: Any, rng: random.Random) -> Any:
     """data edited at one place: a value replaced by one of another JSON
-    type, a key of an object deleted, or a key "zz" added to an object with
-    the value of one of its keys."""
+    type, a string respelled (so a file name can name a missing file), a key
+    of an object deleted, or a key "zz" added to an object with the value of
+    one of its keys."""
     paths = list(places(data))
     objects = [p for p in paths if isinstance(at(data, p), dict)]
     members = [p for p in paths if p and isinstance(at(data, p[:-1]), dict)]
-    how = rng.choice(["replace", "delete", "add"])
-    if how == "delete" and members:
+    strings = [p for p in paths if p and isinstance(at(data, p), str)]
+    how = rng.choice(["replace", "respell", "delete", "add"])
+    if how == "respell" and strings:
+        path = rng.choice(strings)
+        at(data, path[:-1])[path[-1]] += "z"
+    elif how == "delete" and members:
         path = rng.choice(members)
         del at(data, path[:-1])[path[-1]]
     elif how == "add" and objects:
@@ -95,5 +101,7 @@ def test_mutated_data_files(tmp_path):
             raise AssertionError(f"{case} raised {e!r}") from e
         assert code in (0, 1, 2), case
         if code == 2:
-            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, (case, err.getvalue())
+            # the mutant's folder: the mutant itself, or a file it names there
+            named = err.getvalue().startswith(f"error: {tmp_path}{os.sep}")
+            assert named and err.getvalue().count("\n") == 1, (case, err.getvalue())
     assert time.perf_counter() - start < 2

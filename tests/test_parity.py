@@ -63,7 +63,8 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
     by name under bad/: an algebra from alg and a category from cat, and
     homomorphisms and functors from those files (abstract2.alg.json and
     tests/golden/swap_const.cat.json) to themselves, each using a name its
-    source or target does not list."""
+    source or target does not list, and one homomorphism whose source file
+    is missing."""
     def reordered(text: str, first: str) -> str:
         data = json.loads(text)
         return json.dumps({first: data.pop(first), **data}, indent=2)
@@ -116,6 +117,8 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
                                         "map": {**{e: e for e in elements}, elements[1]: "zz"}}, indent=2),
         "extramap.hom.json": json.dumps({"source": algebra, "target": algebra,
                                          "map": {**{e: e for e in elements}, "zz": elements[1]}}, indent=2),
+        "nosource.hom.json": json.dumps({"source": "missing.alg.json", "target": algebra,
+                                         "map": {e: e for e in elements}}, indent=2),
         "unknown.fun.json": json.dumps({"source": category, "target": category, "obj_map": {x: x for x in objects},
                                         "arr_rel": [[arrow, arrow], [arrow, "zz"]]}, indent=2),
         "extraobj.fun.json": json.dumps({"source": category, "target": category,
