@@ -157,7 +157,7 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
     al, d1, f1, d2, f2 = t1.alphabet, t1.delta, t1.final, t2.delta, t2.final
     letter = {a: j for j, a in enumerate(al)}
     # (state, word) -> t2's runs from the state on the word; those on one letter are its moves.
-    runs = {(q, a): step for q, row in enumerate(d2) for a, step in zip(al, row)}
+    runs = dict(_letter_runs(t2))
 
     def run(q, word):
         configs = runs.get((q, word))
@@ -172,11 +172,14 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         q1, q2 = pair
         row = []
         for step in d1[q1]:
-            made = set()
-            for e, q1b in step:
-                for v, q2b in run(q2, e):
-                    made.add((v, (q1b, q2b)))
-            row.append(made)
+            if len(step) == 1:
+                ((e, q1b),) = step
+                configs = run(q2, e)
+                if len(configs) == 1:
+                    ((v, q2b),) = configs
+                    row.append(((v, (q1b, q2b)),))
+                    continue
+            row.append({(v, (q1b, q2b)) for e, q1b in step for v, q2b in run(q2, e)})
         return row
 
     def by_name(move):
@@ -196,6 +199,13 @@ def compose(t1: Transducer, t2: Transducer) -> Transducer:
         return results.pop() if results else None
 
     return _relabel_transducer("compose", al, (t1.initial, t2.initial), moves, final, key=by_name)
+
+
+@derived
+def _letter_runs(t: Transducer) -> dict:
+    """(state, letter) -> t's runs from the state on that one-letter word,
+    its moves; compose copies it as the start of its table of runs."""
+    return {(q, a): step for q, row in enumerate(t.delta) for a, step in zip(t.alphabet, row)}
 
 
 def _shortlex_path(alphabet, initial, moves, goal, key) -> tuple[str, str]:
@@ -418,9 +428,11 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
 
     A, D and R of a machine and its live moves are kept on it
     (`algebra.derived`), so those of the inputs and the identity are built
-    once per sweep.  Within one axiom, a composite or override of these
-    leaves is built once, keyed by the machines (hashed by identity), then
-    dropped; other terms, such as comp(a, comp(b, c)), are not kept.
+    once per sweep.  For k inputs, these with the inputs and the identity
+    are the sweep's 4(k+1) leaves.  A composite or override of two leaves
+    is built once per sweep, keyed by the machines (hashed by identity), and
+    kept until the sweep returns: at most one of each per ordered pair of
+    leaves.  Other terms, such as comp(a, comp(b, c)), are not kept.
     """
     check_bound(ts, max_len)
     ident = identity_transducer(ts[0].alphabet)
@@ -461,6 +473,5 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
                     witness = tup + (word,)
                     break
         results.append(AxiomCheck(ax.index, witness))
-        built.clear()
 
     return AxiomReport(tuple(results))

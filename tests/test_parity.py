@@ -150,13 +150,14 @@ BRANCHING = {
 
 
 def make_workspace(work: Path) -> None:
-    """Copy data/ and tests/golden/ into work, write the concrete algebras
-    of all partial functions on 3 and 4 points, the identity homomorphism
-    of the one on 4 points, the abstract one on 2 points, the categories of
-    12 identities, the machine BRANCHING, and under bad/ the files of
-    `malformed`."""
+    """Copy data/, tests/golden/ and the machines of tests/parity/ into
+    work, write the concrete algebras of all partial functions on 3 and 4
+    points, the identity homomorphism of the one on 4 points, the abstract
+    one on 2 points, the categories of 12 identities, the machine
+    BRANCHING, and under bad/ the files of `malformed`."""
     shutil.copytree(ROOT / "data", work / "data")
     shutil.copytree(ROOT / "tests" / "golden", work / "tests" / "golden")
+    shutil.copytree(PARITY, work / "tests" / "parity", ignore=shutil.ignore_patterns("*.txt"))
     (work / "out").mkdir()
     for k in (3, 4):
         points = [str(p) for p in range(1, k + 1)]

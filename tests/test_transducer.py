@@ -719,7 +719,9 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
     """Every machine the constructions build, and A, D and R of each, is
     written to the same bytes as with the two-pass renaming, on seeded
     deterministic and nondeterministic machines; asked for twice, A, D and R
-    kept on their machine give the same bytes again."""
+    kept on their machine give the same bytes again.  compose gives a
+    single move with one configuration as a one-tuple, and several moves as
+    a set, and the corpus reaches both."""
     rnd = random.Random(53)
     steps = collections.Counter()
 
@@ -730,6 +732,7 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
                 outs = [out for out, _ in step]
                 steps["two moves"] += len(step) >= 2
                 steps["same output"] += len(set(outs)) < len(outs)
+                steps[op, type(step).__name__, min(len(step), 2)] += 1
             return row
         return relabel_oracle(op, alphabet, initial, counted, *rest, **kw)
 
@@ -744,6 +747,7 @@ def test_relabelling_matches_two_pass_oracle(monkeypatch):
         assert built_files(ts) == expected
         assert built_files(ts) == expected
     assert steps["two moves"] and steps["same output"], steps
+    assert steps["compose", "tuple", 1] and steps["compose", "set", 2], steps
 
 
 def restrict_override_oracle(t1, t2):
@@ -915,6 +919,37 @@ def test_each_domain_is_determinized_once_per_sweep(monkeypatch):
     monkeypatch.setattr(td, "_relabel_transducer", counted)
     report = td.axioms_bounded(ts, 4)
     assert [domains[id(t)] for t in ts] == [1, 1, 1]
+    assert [(r.index, r.passed, r.witness) for r in report.results] == reference_axioms(ts, 4)
+
+
+def test_each_leaf_composite_is_built_once_per_sweep(monkeypatch):
+    """comp(a, b), comp(A(a), b) and pref(a, b) of the leaves (the inputs,
+    the identity, and A, D and R of those) recur across axioms, pref(a, b)
+    in axioms 9 and 10; one sweep builds each once, and reports as word by
+    word.  Calls are counted by their operands, held so that no id is
+    reused; a compose inside pref_union is its own and is not counted."""
+    rnd = random.Random(61)
+    ts = [random_machine(rnd, "ab", states, False) for states in (2, 3, 3)]
+    calls, depth, idents = collections.Counter(), [0], []
+    for name in ("compose", "pref_union"):
+        def counted(*args, build=getattr(td, name), name=name):
+            if not depth[0]:
+                calls[(name, *args)] += 1
+            depth[0] += 1
+            try:
+                return build(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(td, name, counted)
+    ident = td.identity_transducer
+    monkeypatch.setattr(td, "identity_transducer", lambda al: idents.append(ident(al)) or idents[-1])
+    report = td.axioms_bounded(ts, 4)
+    monkeypatch.undo()
+    leaves = {m for t in (*ts, *idents) for m in (t, td.antidomain(t), td.domain_transducer(t),
+                                                   td.range_transducer(t))}
+    by_leaves = {key: n for key, n in calls.items() if leaves.issuperset(key[1:])}
+    assert len(idents) == 1 and sum(name == "pref_union" for name, *_ in by_leaves) == len(ts) ** 2
+    assert set(by_leaves.values()) == {1}
     assert [(r.index, r.passed, r.witness) for r in report.results] == reference_axioms(ts, 4)
 
 
