@@ -65,8 +65,9 @@ def phi(cat: TopCategory) -> MultiFunctor:
     secalg, secs = sections_of(cat)
     dd = dual_of(secalg)
     sec_index = {m: i for i, m in enumerate(secs)}.get
+    arr_index = {m: k for k, m in enumerate(dd.arrow_elements)}
     # -1 where a one-arrow section is not a point of the double dual
-    arr_map = [dd.arr_index.get(sec_index(1 << c), -1) for c in range(cat.n_arrows)]
+    arr_map = [arr_index.get(sec_index(1 << c), -1) for c in range(cat.n_arrows)]
     target = dd.category
     if sorted(arr_map) != list(range(target.n_arrows)):
         raise InconsistencyError("double dual of the category has a different shape")

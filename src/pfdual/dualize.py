@@ -16,7 +16,6 @@ identities.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -39,19 +38,15 @@ class DualCategory:
     """A topological category remembering the elements it was built from.
 
     arrow_elements[k] is the minimal nonzero element whose up-set is arrow k
-    (a prime filter), and arr_index inverts it.  Object o is its identity
-    arrow: arrow_elements[category.id_of[o]] is the atom of the domain
-    subalgebra whose up-set among domain elements is object o (a domain
-    ultrafilter).  An element lies in the arrows whose minimal element is
-    below it; the algebra itself is not kept.
+    (a prime filter).  Object o is its identity arrow:
+    arrow_elements[category.id_of[o]] is the atom of the domain subalgebra
+    whose up-set among domain elements is object o (a domain ultrafilter).
+    An element lies in the arrows whose minimal element is below it; the
+    algebra itself is not kept.
     """
 
     category: TopCategory
     arrow_elements: tuple[int, ...]
-
-    @functools.cached_property
-    def arr_index(self) -> dict[int, int]:
-        return {m: k for k, m in enumerate(self.arrow_elements)}
 
 
 def pf_object(alg: FinAlgebra) -> DualCategory:

@@ -70,6 +70,10 @@ def _json_object(text: str, path: str | Path) -> Any:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(path, e.msg, e.lineno, e.colno) from None
+    except RecursionError:
+        raise FormatError(path, "JSON nested too deeply") from None
+    except ValueError as e:  # such as an integer past sys.get_int_max_str_digits()
+        raise FormatError(path, str(e)) from None
     if not isinstance(data, dict):
         raise FormatError(path, "expected a JSON object")
     return data
@@ -122,7 +126,7 @@ def _decoded(path: str | Path, member) -> dict:
         for key in reader.members():
             data[key] = member(data, key, reader)
         return data
-    except ValueError:
+    except (ValueError, RecursionError):
         data.clear()  # the partial tables go before the text is read whole
     return _json_object(text, path)
 

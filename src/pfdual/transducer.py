@@ -367,7 +367,15 @@ def _first_difference(x: Transducer, y: Transducer, max_len: int) -> tuple[bool,
     runs of x and of y on it less their common output prefix, decides every
     extension, so one met again is not expanded again.  At each word, two
     outputs of x raise eval(x, word)'s error, then two of y raise y's, and
-    then differing outputs make it the witness."""
+    then differing outputs make it the witness.
+
+    Two sides with one move table (initial, delta, final) are one machine,
+    equal to itself on every word: with at most one move per state and
+    letter it has one output per word and is decided equal without a walk;
+    otherwise the walk raises at its first word with two outputs, if any."""
+    one = (x.initial, x.delta, x.final) == (y.initial, y.delta, y.final)
+    if one and all(len(step) <= 1 for row in x.delta for step in row):
+        return True, None
     al, fx, fy = x.alphabet, x.final, y.final
     mx, my = _live_moves(x), _live_moves(y)
     start = (frozenset({(x.initial, "")} if mx[x.initial] is not None else ()),
@@ -420,12 +428,6 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     equiv_bounded does.  A failing law's witness is its first failing
     operand indices, then the word, in `check_axioms`'s AxiomReport.
 
-    Two sides with one move table (initial, delta, final) are one machine,
-    equal to itself on every word: with at most one move per state and
-    letter it has one output per word and is decided equal without a walk;
-    otherwise it is walked against itself to raise its first word with two
-    outputs.
-
     A, D and R of a machine and its live moves are kept on it
     (`algebra.derived`), so those of the inputs and the identity are built
     once per sweep.  For k inputs, these with the inputs and the identity
@@ -453,22 +455,13 @@ def axioms_bounded(ts: Sequence[Transducer], max_len: int) -> AxiomReport:
     ops = SimpleNamespace(A=antidomain, D=domain_transducer, R=range_transducer,
                           comp=share(compose), pref=share(pref_union), ident=ident)
 
-    def eq(x: Transducer, y: Transducer):
-        if (x.initial, x.delta, x.final) != (y.initial, y.delta, y.final):
-            return _first_difference(x, y, max_len)
-        # one machine: it agrees with itself, and raises only if two runs
-        # disagree, which needs two moves for some state and letter
-        if all(len(step) <= 1 for row in x.delta for step in row):
-            return True, None
-        return _first_difference(x, x, max_len)
-
     results = []
     for ax in AXIOMS.values():
         witness = None
         for tup in itertools.product(range(len(ts)), repeat=ax.arity):
             premises, conclusion = ax.law(ops, *(ts[i] for i in tup))
-            if all(eq(*p)[0] for p in premises):
-                outcome, word = eq(*conclusion)
+            if all(_first_difference(*p, max_len)[0] for p in premises):
+                outcome, word = _first_difference(*conclusion, max_len)
                 if not outcome:
                     witness = tup + (word,)
                     break

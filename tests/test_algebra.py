@@ -385,6 +385,17 @@ class TestAxiomOracle:
         # axiom 8 fails beside axioms 1 and 7, beside a failing 1 and beside a failing 7
         assert seen[True, True, False] and seen[False, True, False] and seen[True, False, False]
 
+    def test_only_axiom_8_fails_on_its_fixture(self):
+        """0, 1 and a with a*a = a, A = (1, 0, 0) and R = (0, 1, 1): a*1 =
+        a*a but R(a)*1 = 1 != a = R(a)*a, and the other nine laws hold, so
+        axiom 8 is independent of them on finite tables."""
+        a = fmt.load_algebra(Path(__file__).resolve().parent / "golden" / "only_axiom_8.alg.json")
+        report = alg.check_axioms.__wrapped__(a)
+        assert [r.index for r in report.failures()] == [8]
+        assert [a.names[i] for i in report.result(8).witness] == ["a", "1", "a"]
+        assert report.result(8).witness == cubic_witnesses(a)[8]
+        assert report == reference_report(a)
+
     def test_first_nonassociative_matches_the_triple_loop(self, corpus_algebras, full3):
         # one entry of each compose table changed, so the least failing
         # triple lies anywhere from the first row to the last

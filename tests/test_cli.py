@@ -358,6 +358,50 @@ class TestMalformedInput:
         assert main([str(a) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {named}: {os.strerror(errno.ENOENT)}\n"
 
+    # A member nested deeper than the decoder's recursion limit.
+    DEEP = '{"elements": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+    @pytest.mark.parametrize("argv", [
+        ["check-axioms", "deep.json"], ["dualize", "deep.json"], ["sections", "deep.json"],
+        ["bidual", "deep.json"], ["hom-check", "deep.json"], ["functor-check", "deep.json"],
+        ["naturality", "deep.json"], ["transducer", "eval", "deep.json", "a"],
+        ["transducer", "compose", "deep.json", "deep.json"], ["transducer", "pref", "deep.json", "deep.json"],
+        ["transducer", "dom", "deep.json"], ["transducer", "range", "deep.json"],
+        ["transducer", "axioms", "deep.json"],
+    ], ids=["check-axioms", "dualize", "sections", "bidual", "hom-check", "functor-check", "naturality",
+            "transducer-eval", "transducer-compose", "transducer-pref", "transducer-dom", "transducer-range",
+            "transducer-axioms"])
+    def test_too_deep_file_is_bad_input(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text(self.DEEP)
+        assert main([str(path) if a == "deep.json" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: JSON nested too deeply\n"
+
+    @pytest.mark.parametrize("verb, data", [
+        ("hom-check", {"source": "deep.json", "target": "deep.json", "map": {}}),
+        ("functor-check", {"source": "deep.json", "target": "deep.json", "obj_map": {}, "arr_rel": []}),
+    ], ids=["hom-check", "functor-check"])
+    def test_too_deep_source_is_bad_input(self, capsys, tmp_path, verb, data):
+        """Refused naming the source file, not the morphism file."""
+        (tmp_path / "deep.json").write_text(self.DEEP)
+        path = tmp_path / "morphism.json"
+        path.write_text(json.dumps(data))
+        assert main([verb, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'deep.json'}: JSON nested too deeply\n"
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(), reason="integer digits are not limited")
+    def test_over_long_integer_in_a_functor_source_names_the_category(self, capsys, tmp_path):
+        digits = sys.get_int_max_str_digits() + 1
+        category = tmp_path / "cat.json"
+        category.write_text(json.dumps(self.CATEGORY)[:-1] + ', "n": ' + "9" * digits + "}")
+        path = tmp_path / "long.fun.json"
+        path.write_text(json.dumps({"source": "cat.json", "target": "cat.json", "obj_map": {"x": "x", "y": "y"},
+                                    "arr_rel": []}))
+        assert main(["functor-check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {category}: Exceeds the limit") and f"value has {digits} digits" in err
+
 
 # A locale whose encoding is ASCII, with Python's UTF-8 mode and locale
 # coercion both off.

@@ -236,7 +236,7 @@ class TestFilterCalculusOracle:
         for x in range(a.size):
             objects = [o for o, u in enumerate(ultras) if u >> a.dom(x) & 1]
             atoms = [dual.arrow_elements[dual.category.id_of[o]] for o in objects]
-            choices = [dual.arr_index[a.compose_t[e][x]] for e in atoms]
+            choices = [dual.arrow_elements.index(a.compose_t[e][x]) for e in atoms]
             assert [dual.category.src[k] for k in choices] == objects
             assert arrows_containing(a, x) == mask_of(choices)
             for o, k in zip(objects, choices):

@@ -1,7 +1,8 @@
 """The exit-code contract under mutated input: each shipped data file, edited
 at one place by a fixed seed, is run through its verb in process.  Every
 run exits 0, 1 or 2, raises nothing out of `main`, and refuses in one line
-that begins `error: ` and a file: the mutant, or one it names in its folder."""
+that begins `error: ` and a file: the mutant, or one it names in its folder.
+Each data file with a member nested too deeply is refused the same way."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pfdual.cli import main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 CASES = 300
+DEPTH = 100_000  # lists nested deeper than the JSON decoder's recursion limit
 
 # The verb of each kind of data file, by the suffix before .json; FILE is the mutant.
 VERBS = {
@@ -105,3 +107,18 @@ def test_mutated_data_files(tmp_path):
             named = err.getvalue().startswith(f"error: {tmp_path}{os.sep}")
             assert named and err.getvalue().count("\n") == 1, (case, err.getvalue())
     assert time.perf_counter() - start < 2
+
+
+def test_too_deep_data_files(tmp_path):
+    """Each data file with one more member, DEPTH lists deep, exits 2
+    naming itself, not 1 with a traceback."""
+    for source in sorted(DATA.glob("*.json")):
+        kind = source.name.split(".")[-2]
+        text = json.dumps(json.loads(source.read_text(encoding="utf-8")))
+        path = tmp_path / f"deep.{kind}.json"
+        path.write_text(f'{text[:-1]}, "zz": {"[" * DEPTH}{"]" * DEPTH}}}', encoding="utf-8")
+        argv = [str(path) if a == "FILE" else a for a in VERBS[kind]]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (2, f"error: {path}: JSON nested too deeply\n"), source.name

@@ -63,8 +63,12 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
     by name under bad/: an algebra from alg and a category from cat, and
     homomorphisms and functors from those files (abstract2.alg.json and
     tests/golden/swap_const.cat.json) to themselves, each using a name its
-    source or target does not list, and one homomorphism whose source file
-    is missing."""
+    source or target does not list, one homomorphism whose source file is
+    missing, and one functor whose source file is nested too deeply."""
+    def too_deep(text: str) -> str:
+        """text with one more member, nested deeper than the JSON decoder's recursion limit."""
+        return text.rstrip()[:-1] + ', "zz": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
     def reordered(text: str, first: str) -> str:
         data = json.loads(text)
         return json.dumps({first: data.pop(first), **data}, indent=2)
@@ -124,6 +128,10 @@ def malformed(alg: str, cat: str) -> dict[str, str]:
         "extraobj.fun.json": json.dumps({"source": category, "target": category,
                                          "obj_map": {**{x: x for x in objects}, "zz": objects[0]},
                                          "arr_rel": [[a, a] for a in arrows]}, indent=2),
+        "deep.alg.json": too_deep(alg),
+        "deep.cat.json": too_deep(cat),
+        "deepsource.fun.json": json.dumps({"source": "deep.cat.json", "target": category,
+                                           "obj_map": {x: x for x in objects}, "arr_rel": []}, indent=2),
     }
 
 

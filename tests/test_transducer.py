@@ -975,22 +975,24 @@ def test_tables_are_shared_only_between_equal_structures():
 
 def walks_per_axiom(monkeypatch, ts, max_len):
     """axioms_bounded's report as (index, passed, witness) triples, and how
-    many comparisons it walked for each axiom."""
-    calls, marks = [0], []
-    walk, check = td._first_difference, td.AxiomCheck
+    many comparisons it walked for each axiom.  A walk reads the live moves
+    of each of its two sides once; a sweep that raises nothing reads them
+    nowhere else."""
+    reads, marks = [0], []
+    live, check = td._live_moves, td.AxiomCheck
 
-    def counted(*args):
-        calls[0] += 1
-        return walk(*args)
+    def counted(t):
+        reads[0] += 1
+        return live(t)
 
     def recorded(*args):
-        marks.append(calls[0])
+        marks.append(reads[0])
         return check(*args)
 
-    monkeypatch.setattr(td, "_first_difference", counted)
+    monkeypatch.setattr(td, "_live_moves", counted)
     monkeypatch.setattr(td, "AxiomCheck", recorded)
     report = td.axioms_bounded(ts, max_len)
-    counts = [b - a for a, b in zip([0] + marks, marks)]
+    counts = [(b - a) // 2 for a, b in zip([0] + marks, marks)]
     return [(r.index, r.passed, r.witness) for r in report.results], counts
 
 
@@ -1010,8 +1012,8 @@ def test_equal_deterministic_sides_build_no_table(monkeypatch):
 
 def test_equal_nondeterministic_sides_still_raise(monkeypatch):
     """A non-functional machine whose axiom-1 sides share one structure
-    raises the NotFunctionalError evaluating word by word raises, from the
-    one walk of that machine against itself."""
+    raises the NotFunctionalError evaluating word by word raises, from one
+    walk of the two sides in lockstep, as of that machine against itself."""
     bad = td.from_names(("q", "r"), AL, "q",
                         {("q", "a"): frozenset({("a", "q"), ("b", "r")}),
                          ("q", "b"): frozenset({("b", "q")}),
@@ -1021,11 +1023,14 @@ def test_equal_nondeterministic_sides_still_raise(monkeypatch):
     assert (left.initial, left.delta, left.final) == (right.initial, right.delta, right.final)
     expected = outcome(reference_axioms, [bad], 3)
     assert expected == ("not functional", "a", ("a", "bb"))
-    calls = []
-    walk = td._first_difference
-    monkeypatch.setattr(td, "_first_difference", lambda *args: calls.append(args[:2]) or walk(*args))
+    reads = []
+    live = td._live_moves
+    monkeypatch.setattr(td, "_live_moves", lambda t: reads.append(t) or live(t))
     assert outcome(lambda: td.axioms_bounded([bad], 3)) == expected
-    assert len(calls) == 1 and calls[0][0] is calls[0][1]
+    # the walk reads the moves of its two sides, then eval, raising, those of the first again
+    x, y = reads[:2]
+    assert len(reads) == 3 and reads[2] is x and x is not y
+    assert (x.initial, x.delta, x.final) == (left.initial, left.delta, left.final) == (y.initial, y.delta, y.final)
 
 
 def test_walk_peak_memory():
